@@ -68,7 +68,7 @@ use oxterm_mlc::program::{
     build_program_circuit, program_cell_circuit_probed, CircuitProgramOptions,
 };
 use oxterm_mlc::projection::{project, ProjectionConfig};
-use oxterm_rram::calib::{simulate_reset_termination, CalibrationTarget, ResetConditions};
+use oxterm_rram::calib::{simulate_reset_references, CalibrationTarget, ResetConditions};
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 use oxterm_spice::probe::ProbePlan;
 use oxterm_telemetry::joule::JouleLedger;
@@ -165,14 +165,18 @@ fn main() {
     let alloc = LevelAllocation::paper_qlc();
     let mut checks: Vec<Check> = Vec::new();
 
-    // Table 2 anchors.
+    // Table 2 anchors, read off one shared nominal RESET trajectory.
     let mut worst_err: f64 = 0.0;
-    for (i_ua, r_kohm) in CalibrationTarget::paper().allocation {
-        if let Ok(out) = simulate_reset_termination(
-            &params,
-            &inst,
-            &ResetConditions::paper_defaults(i_ua * 1e-6),
-        ) {
+    let anchors = CalibrationTarget::paper().allocation;
+    let i_refs: Vec<f64> = anchors.iter().map(|&(i_ua, _)| i_ua * 1e-6).collect();
+    let outs = simulate_reset_references(
+        &params,
+        &inst,
+        &ResetConditions::paper_defaults(f64::NAN),
+        &i_refs,
+    );
+    for (&(_, r_kohm), out) in anchors.iter().zip(outs) {
+        if let Ok(out) = out {
             worst_err = worst_err.max((out.r_read_ohms / (r_kohm * 1e3) - 1.0).abs());
         }
     }

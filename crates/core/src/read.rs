@@ -4,7 +4,7 @@
 //! current against `n − 1` fixed reference currents placed between adjacent
 //! states' nominal currents. 16 states ⇒ 15 references.
 
-use oxterm_rram::calib::{simulate_reset_termination, ResetConditions};
+use oxterm_rram::calib::{simulate_reset_references, ResetConditions};
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 
 use crate::levels::LevelAllocation;
@@ -28,30 +28,30 @@ pub struct MlcReader {
 
 impl MlcReader {
     /// Builds the reader by programming each level nominally in the fast
-    /// path and placing references at adjacent-current midpoints.
+    /// path (one shared RESET trajectory read at every level's IrefR) and
+    /// placing references at adjacent-current midpoints.
     ///
     /// # Panics
     ///
     /// Panics if the calibrated model cannot program some level (the
     /// allocation must be within the model's programmable window).
     pub fn from_allocation(alloc: &LevelAllocation, params: &OxramParams, v_read: f64) -> Self {
-        let inst = InstanceVariation::nominal();
+        let cond = ResetConditions {
+            v_read,
+            ..ResetConditions::paper_defaults(f64::NAN)
+        };
+        let i_refs: Vec<f64> = alloc.levels().iter().map(|l| l.i_ref).collect();
+        let outs = simulate_reset_references(params, &InstanceVariation::nominal(), &cond, &i_refs);
         let mut nominal_r = Vec::with_capacity(alloc.n_levels());
-        for level in alloc.levels() {
-            let cond = ResetConditions {
-                i_ref: level.i_ref,
-                v_read,
-                ..ResetConditions::paper_defaults(level.i_ref)
-            };
-            let out = match simulate_reset_termination(params, &inst, &cond) {
-                Ok(out) => out,
+        for (level, out) in alloc.levels().iter().zip(outs) {
+            match out {
+                Ok(out) => nominal_r.push(out.r_read_ohms),
                 Err(e) => panic!(
                     "allocation must be inside the programmable window \
                      (level {} at {:.3e} A): {e}",
                     level.code, level.i_ref
                 ),
-            };
-            nominal_r.push(out.r_read_ohms);
+            }
         }
         let nominal_i: Vec<f64> = nominal_r.iter().map(|r| v_read / r).collect();
         let refs = nominal_i.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect();
