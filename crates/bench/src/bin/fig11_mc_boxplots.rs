@@ -7,7 +7,7 @@
 use oxterm_bench::campaigns::{paper_qlc_campaign, probe_designated_run, supervised_qlc_campaign};
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
-use oxterm_bench::{remote, telemetry_cli};
+use oxterm_bench::telemetry_cli;
 use oxterm_mlc::margins::{analyze, LevelSamples};
 use oxterm_telemetry::LevelTracker;
 
@@ -16,15 +16,6 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
-    // `--submit=ADDR`: run the 16-level campaign as jobs on an
-    // oxterm-serve instance and print its summaries instead of the local
-    // figure (the full box-plot rendering needs in-process samples).
-    if let Some(addr) = tel_cli.submit_addr().map(str::to_string) {
-        let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
-        let code = remote::run_remote("fig11", &addr, remote::fig11_jobs(runs));
-        tel_cli.finish();
-        std::process::exit(code);
-    }
     // Always arm the streaming level tracker: the batch statistics below
     // are cross-checked against it, so the two paths can never silently
     // diverge. (A no-op when `--dashboard` already installed it.)

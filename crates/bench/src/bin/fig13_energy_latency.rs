@@ -10,7 +10,7 @@ use oxterm_bench::campaigns::{
 };
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
-use oxterm_bench::{remote, telemetry_cli};
+use oxterm_bench::telemetry_cli;
 use oxterm_numerics::stats::{box_stats, summary};
 use oxterm_telemetry::joule::JouleLedger;
 
@@ -19,15 +19,6 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
-    // `--submit=ADDR`: run the sweep + characterization as jobs on an
-    // oxterm-serve instance and print its summaries instead of the local
-    // figure (the box plots need in-process energy/latency vectors).
-    if let Some(addr) = tel_cli.submit_addr().map(str::to_string) {
-        let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
-        let code = remote::run_remote("fig13", &addr, remote::fig13_jobs(runs));
-        tel_cli.finish();
-        std::process::exit(code);
-    }
     // The campaign feeds one (energy, latency) observation per successful
     // program into the streaming joule ledger; the in-binary cross-check
     // below then pits those bounded-memory statistics against the batch

@@ -61,7 +61,7 @@ use oxterm_bench::energy_report::{
 use oxterm_bench::hotpath::matrix_stats;
 use oxterm_bench::levels_report::{compare_levels, LevelReport, DEFAULT_DRIFT_FRAC};
 use oxterm_bench::table::{eng, Table};
-use oxterm_bench::{remote, telemetry_cli};
+use oxterm_bench::telemetry_cli;
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_mlc::margins::analyze;
 use oxterm_mlc::program::{
@@ -88,15 +88,6 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
-    // `--submit=ADDR`: smoke the whole job service with a cross-kind job
-    // set (sweep + characterization + single level) instead of running
-    // the local checklist.
-    if let Some(addr) = tel_cli.submit_addr().map(str::to_string) {
-        let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(120);
-        let code = remote::run_remote("repro_all", &addr, remote::repro_all_jobs(runs));
-        tel_cli.finish();
-        std::process::exit(code);
-    }
     // The checklist always runs instrumented — it doubles as the perf
     // probe behind BENCH_telemetry.json (a no-op if --telemetry or
     // --profile already installed the handles). The profiler feeds the

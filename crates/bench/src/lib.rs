@@ -43,6 +43,5 @@ pub mod chart;
 pub mod energy_report;
 pub mod hotpath;
 pub mod levels_report;
-pub mod remote;
 pub mod table;
 pub mod telemetry_cli;

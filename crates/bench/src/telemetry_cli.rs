@@ -66,17 +66,6 @@
 //!   into the telemetry registry as `profile.*` counters.
 //! * `--metrics-out=PATH` — render the final telemetry registry in
 //!   Prometheus text format to `PATH` at exit.
-//! * `--metrics-listen=ADDR` — serve `GET /metrics` (Prometheus text
-//!   format, rendered fresh per scrape) on `ADDR` (e.g. `127.0.0.1:9184`)
-//!   for the lifetime of the run. Counters folded only at exit (the
-//!   `profile.*` family) appear in the last scrape and in
-//!   `--metrics-out`.
-//! * `--submit=ADDR` — run the binary's Monte Carlo campaigns as jobs on
-//!   an `oxterm-serve` instance at `ADDR` instead of in-process: the
-//!   binary becomes a client, submitting with idempotency tokens,
-//!   absorbing `queue_full` backpressure, and polling for the results.
-//!   The local solver never runs; figure binaries print the job
-//!   summaries the service returns.
 //!
 //! Any of the four campaign flags switches the binary's Monte Carlo
 //! campaigns onto [`oxterm_mc::run_supervised`] (retry ladder, panic
@@ -88,8 +77,7 @@ use oxterm_mc::supervisor::SupervisorOptions;
 use oxterm_netlint::{corpus, lint_entry, LintConfig, LintOptions};
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::{
-    MetricsServer, PhaseGuard, PhaseId, Profiler, Telemetry, TraceSnapshot, TraceSpan, Tracer,
-    Track,
+    PhaseGuard, PhaseId, Profiler, Telemetry, TraceSnapshot, TraceSpan, Tracer, Track,
 };
 
 /// A configuration error the binary should exit on (library code here
@@ -183,10 +171,6 @@ pub struct ParsedFlags {
     pub profile: Option<Option<String>>,
     /// The `--metrics-out=PATH` path, if present.
     pub metrics_out: Option<String>,
-    /// The `--metrics-listen=ADDR` address, if present.
-    pub metrics_listen: Option<String>,
-    /// The `--submit=ADDR` job-service address, if present.
-    pub submit: Option<String>,
     /// Remaining (positional) arguments, in order.
     pub rest: Vec<String>,
 }
@@ -217,8 +201,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> ParsedFlags {
         quorum: None,
         profile: None,
         metrics_out: None,
-        metrics_listen: None,
-        submit: None,
         rest: Vec::new(),
     };
     for a in args {
@@ -266,10 +248,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> ParsedFlags {
             parsed.profile = Some(Some(path.to_string()));
         } else if let Some(path) = a.strip_prefix("--metrics-out=") {
             parsed.metrics_out = Some(path.to_string());
-        } else if let Some(addr) = a.strip_prefix("--metrics-listen=") {
-            parsed.metrics_listen = Some(addr.to_string());
-        } else if let Some(addr) = a.strip_prefix("--submit=") {
-            parsed.submit = Some(addr.to_string());
         } else {
             parsed.rest.push(a);
         }
@@ -300,17 +278,12 @@ pub struct TelemetryCli {
     profile_to: Option<String>,
     /// Prometheus text-format output path (`--metrics-out=PATH`).
     metrics_out: Option<String>,
-    /// The live `/metrics` responder (`--metrics-listen=ADDR`), shut down
-    /// in [`TelemetryCli::finish`].
-    metrics_server: Option<MetricsServer>,
     /// Whole-binary `bench/run` phase, opened at `init` so the profile
     /// tree always has its root; closed just before the snapshot.
     run_phase: Option<PhaseGuard>,
     /// Structural stats of the run's representative circuit, handed in by
     /// the binary via [`TelemetryCli::record_matrix_stats`].
     matrix: Option<MatrixStats>,
-    /// The `--submit=ADDR` job-service address, if present.
-    submit: Option<String>,
 }
 
 /// Parses `std::env::args`, installs global telemetry/tracing if requested,
@@ -335,29 +308,13 @@ pub fn init_from(
     if parsed.mode != TelemetryMode::Off {
         Telemetry::install(Telemetry::enabled());
     }
-    // The profiler folds into the registry and the metrics endpoints render
-    // it, so any of the three observability flags arms telemetry too.
-    if parsed.profile.is_some() || parsed.metrics_out.is_some() || parsed.metrics_listen.is_some() {
+    // The profiler folds into the registry and the metrics export renders
+    // it, so either observability flag arms telemetry too.
+    if parsed.profile.is_some() || parsed.metrics_out.is_some() {
         Telemetry::install(Telemetry::enabled());
     }
     if parsed.profile.is_some() {
         Profiler::install(Profiler::enabled());
-    }
-    let metrics_server = match &parsed.metrics_listen {
-        Some(addr) => Some(
-            MetricsServer::serve(addr, Telemetry::global().clone()).map_err(|e| {
-                CliError::config(format!(
-                    "{name}: cannot listen on {addr:?} for /metrics: {e}"
-                ))
-            })?,
-        ),
-        None => None,
-    };
-    if let Some(server) = &metrics_server {
-        eprintln!(
-            "metrics({name}): serving GET /metrics on http://{}/metrics",
-            server.local_addr()
-        );
     }
     lint_preflight(name, parsed.lint)?;
     let campaign = campaign_options(name, &parsed)?;
@@ -417,10 +374,8 @@ pub fn init_from(
                 .profile
                 .map(|explicit| explicit.unwrap_or_else(|| format!("results/hotpath_{name}.json"))),
             metrics_out: parsed.metrics_out,
-            metrics_server,
             run_phase: Some(run_phase),
             matrix: None,
-            submit: parsed.submit,
         },
     ))
 }
@@ -521,17 +476,9 @@ impl TelemetryCli {
         self.profile_to.is_some()
     }
 
-    /// The `oxterm-serve` address from `--submit=ADDR`, if the binary was
-    /// asked to run its campaigns through the job service instead of
-    /// in-process.
-    pub fn submit_addr(&self) -> Option<&str> {
-        self.submit.as_deref()
-    }
-
     /// Writes the trace artifacts (Chrome JSON + ASCII timeline), prints
-    /// the run report, writes the telemetry JSON / hot-path / Prometheus
-    /// artifacts if asked, and shuts the `/metrics` responder down.
-    /// No-op when no flag was given.
+    /// the run report, and writes the telemetry JSON / hot-path /
+    /// Prometheus artifacts if asked. No-op when no flag was given.
     pub fn finish(mut self) {
         self.write_probe_csvs();
         // Close the whole-binary phase before snapshotting so the
@@ -586,9 +533,6 @@ impl TelemetryCli {
                 Ok(()) => println!("prometheus metrics written to {path}"),
                 Err(e) => eprintln!("could not write {path}: {e}"),
             }
-        }
-        if let Some(server) = self.metrics_server.take() {
-            server.shutdown();
         }
     }
 
@@ -917,39 +861,9 @@ mod tests {
             parse(&["--metrics-out=out/m.prom"]).metrics_out,
             Some("out/m.prom".to_string())
         );
-        assert_eq!(
-            parse(&["--metrics-listen=127.0.0.1:0"]).metrics_listen,
-            Some("127.0.0.1:0".to_string())
-        );
         let off = parse(&["7"]);
         assert_eq!(off.profile, None);
         assert_eq!(off.metrics_out, None);
-        assert_eq!(off.metrics_listen, None);
-    }
-
-    #[test]
-    fn submit_flag_parses_and_reaches_the_cli() {
-        let p = parse(&["--submit=127.0.0.1:7077", "500"]);
-        assert_eq!(p.submit, Some("127.0.0.1:7077".to_string()));
-        assert_eq!(p.rest, vec!["500".to_string()]);
-        assert_eq!(parse(&["500"]).submit, None);
-        let (_, cli) = init_from(
-            "cli_test",
-            ["--submit=127.0.0.1:7077".to_string()].into_iter(),
-        )
-        .expect("init accepts a submit flag");
-        assert_eq!(cli.submit_addr(), Some("127.0.0.1:7077"));
-    }
-
-    #[test]
-    fn init_rejects_unlistenable_metrics_address() {
-        let err = init_from(
-            "cli_test",
-            ["--metrics-listen=not-an-address".to_string()].into_iter(),
-        )
-        .expect_err("bad listen address must be a config error");
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("/metrics"), "{}", err.message);
     }
 
     #[test]

@@ -54,22 +54,10 @@ pub enum FaultKind {
     Panic,
     /// Forced timestep collapse to `dt_min` in transient analysis.
     SlowStep,
-    /// Service layer: the job queue reports itself full regardless of its
-    /// actual depth, forcing the backpressure/reject path.
-    QueueFull,
-    /// Service layer: a job-service worker stalls mid-job until its
-    /// deadline (or cancellation) fires.
-    WorkerStall,
-    /// Service layer: the server drops a client connection without a
-    /// response, exercising client retry/idempotency.
-    ConnDrop,
-    /// Service layer: a job-journal append is torn mid-line (no newline),
-    /// exercising the truncated-tail recovery on the next append/replay.
-    JournalTornWrite,
 }
 
 /// Number of fault kinds (sizes the per-kind tables).
-pub const KIND_COUNT: usize = 8;
+pub const KIND_COUNT: usize = 4;
 
 /// All fault kinds, in canonical (spec/schedule) order.
 pub const ALL_KINDS: [FaultKind; KIND_COUNT] = [
@@ -77,10 +65,6 @@ pub const ALL_KINDS: [FaultKind; KIND_COUNT] = [
     FaultKind::NanStamp,
     FaultKind::Panic,
     FaultKind::SlowStep,
-    FaultKind::QueueFull,
-    FaultKind::WorkerStall,
-    FaultKind::ConnDrop,
-    FaultKind::JournalTornWrite,
 ];
 
 /// Per-kind salts decorrelating the injection decisions of different
@@ -90,10 +74,6 @@ const KIND_SALTS: [u64; KIND_COUNT] = [
     0x2FDD_81DB_E69A_F2E2,
     0x4C16_93DE_BDB8_1A7C,
     0xA5F1_D1E2_7B3C_9F05,
-    0x61C8_8646_80B5_83EB,
-    0x3C79_AC49_2BA7_B653,
-    0x1D8E_4E27_C47D_124F,
-    0xEB44_ACCA_B455_D165,
 ];
 
 impl FaultKind {
@@ -104,10 +84,6 @@ impl FaultKind {
             FaultKind::NanStamp => 1,
             FaultKind::Panic => 2,
             FaultKind::SlowStep => 3,
-            FaultKind::QueueFull => 4,
-            FaultKind::WorkerStall => 5,
-            FaultKind::ConnDrop => 6,
-            FaultKind::JournalTornWrite => 7,
         }
     }
 
@@ -118,10 +94,6 @@ impl FaultKind {
             FaultKind::NanStamp => "nan_stamp",
             FaultKind::Panic => "panic",
             FaultKind::SlowStep => "slow_step",
-            FaultKind::QueueFull => "queue_full",
-            FaultKind::WorkerStall => "worker_stall",
-            FaultKind::ConnDrop => "conn_drop",
-            FaultKind::JournalTornWrite => "journal_torn_write",
         }
     }
 
@@ -211,8 +183,7 @@ impl FaultPlan {
     ///
     /// Grammar: comma-separated entries, each either `seed=N` (decimal or
     /// `0x` hex) or `KIND:p=FLOAT[:transient]` with `KIND` one of
-    /// `newton_stall`, `nan_stamp`, `panic`, `slow_step`, `queue_full`,
-    /// `worker_stall`, `conn_drop`, `journal_torn_write` and the
+    /// `newton_stall`, `nan_stamp`, `panic`, `slow_step` and the
     /// probability in `[0, 1]`.
     pub fn parse(spec: &str) -> Result<FaultPlan, ChaosParseError> {
         let mut plan = FaultPlan::new(DEFAULT_SEED);
@@ -234,10 +205,10 @@ impl FaultPlan {
             let mut parts = entry.split(':');
             let name = parts.next().unwrap_or_default();
             let kind = FaultKind::from_name(name).ok_or_else(|| {
+                let known: Vec<&str> = ALL_KINDS.iter().map(|k| k.name()).collect();
                 parse_err(format!(
-                    "unknown fault kind `{name}` (expected one of \
-                     newton_stall, nan_stamp, panic, slow_step, queue_full, \
-                     worker_stall, conn_drop, journal_torn_write)"
+                    "unknown fault kind `{name}` (expected one of {})",
+                    known.join(", ")
                 ))
             })?;
             let p_part = parts
@@ -627,28 +598,18 @@ mod tests {
     }
 
     #[test]
-    fn service_fault_kinds_parse_and_decorrelate() {
-        let p = plan(
-            "queue_full:p=0.3,worker_stall:p=0.1,conn_drop:p=0.05:transient,\
-             journal_torn_write:p=0.02,seed=77",
+    fn retired_service_fault_is_rejected_and_the_error_lists_the_known_kinds() {
+        let err: ChaosParseError =
+            FaultPlan::parse("queue_full:p=0.1").expect_err("queue_full is no longer a fault kind");
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("invalid --chaos spec: unknown fault kind `queue_full`"),
+            "{msg}"
         );
-        assert_eq!(p.spec(FaultKind::QueueFull).unwrap().p, 0.3);
-        assert_eq!(p.spec(FaultKind::WorkerStall).unwrap().p, 0.1);
-        assert!(p.spec(FaultKind::ConnDrop).unwrap().transient);
-        assert_eq!(p.spec(FaultKind::JournalTornWrite).unwrap().p, 0.02);
-        // Canonical form round-trips through the parser.
-        assert_eq!(p, plan(&p.canonical()));
-        // Different service kinds at the same (run, attempt) draw
-        // independent decisions: over many runs the two schedules differ.
-        let p2 = plan("queue_full:p=0.3,worker_stall:p=0.3,seed=77");
-        let stalls: Vec<u64> = (0..2000)
-            .filter(|&r| p2.injects(r, 0, FaultKind::WorkerStall))
-            .collect();
-        let fulls: Vec<u64> = (0..2000)
-            .filter(|&r| p2.injects(r, 0, FaultKind::QueueFull))
-            .collect();
-        assert!(!stalls.is_empty() && !fulls.is_empty());
-        assert_ne!(stalls, fulls, "per-kind salts must decorrelate kinds");
+        assert!(
+            msg.ends_with("(expected one of newton_stall, nan_stamp, panic, slow_step)"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@ use oxterm_rram::model;
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 
 use crate::levels::LevelAllocation;
+use crate::program::ProgramConditions;
 use crate::MlcError;
 
 /// Configuration of the program-and-verify loop.
@@ -37,17 +38,21 @@ pub struct VerifyConfig {
 
 impl VerifyConfig {
     /// A representative prior-art configuration: 100 ns partial pulses,
-    /// 50 ns verifies, ±5 % acceptance band.
+    /// 50 ns verifies, ±5 % acceptance band. The drive voltage, series
+    /// resistance and SET are those of [`ProgramConditions::paper`], so
+    /// the baseline and the terminated RESET are compared at one
+    /// operating point.
     pub fn typical() -> Self {
+        let paper = ProgramConditions::paper();
         VerifyConfig {
             pulse_width: 100e-9,
-            v_drive: 1.1571,
-            r_series: 2.9568e3,
+            v_drive: paper.reset.v_drive,
+            r_series: paper.reset.r_series,
             t_read: 50e-9,
             v_read: 0.3,
             tolerance: 0.05,
             max_iterations: 200,
-            set: SetConditions::paper_defaults(),
+            set: paper.set,
         }
     }
 }

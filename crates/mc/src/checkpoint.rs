@@ -190,11 +190,9 @@ impl Checkpoint {
 
     /// Parses checkpoint bytes tolerating a torn final record: an
     /// unterminated tail (a record whose append never reached its
-    /// newline — SIGKILL mid-write, an injected `journal_torn_write`) is
-    /// dropped and reported instead of failing the load. Complete lines
-    /// still parse strictly; the split itself is the shared
-    /// [`oxterm_telemetry::jsonl`] helper the `oxterm-serve` job journal
-    /// reuses.
+    /// newline — SIGKILL mid-write) is dropped and reported instead of
+    /// failing the load. Complete lines still parse strictly; the split
+    /// itself is the [`oxterm_telemetry::jsonl`] helper.
     pub fn parse_tolerant(bytes: &[u8]) -> Result<TolerantLoad, String> {
         let split = oxterm_telemetry::jsonl::split_lines(bytes);
         let text = split.lines.join("\n");

@@ -40,4 +40,4 @@ pub mod supervisor;
 pub mod sweep;
 
 pub use engine::{MonteCarlo, RunError};
-pub use supervisor::{run_supervised, CampaignOutcome, CancelToken, SupervisorOptions};
+pub use supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};

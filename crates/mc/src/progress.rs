@@ -59,57 +59,6 @@ pub fn note_retry() {
     RETRIES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Live job-service state for the progress line. When a campaign runs as
-/// an `oxterm-serve` worker, the server publishes its queue depth,
-/// in-flight job count and circuit-breaker state here so the campaign's
-/// own progress line (dashboard or plain) shows the surrounding service
-/// pressure without a second reporting channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServiceStatus {
-    /// Jobs waiting in the bounded queue.
-    pub queue_depth: usize,
-    /// Jobs currently executing on workers.
-    pub in_flight: usize,
-    /// Total worker threads in the pool.
-    pub workers: usize,
-    /// Workers whose circuit breaker is currently open (not accepting
-    /// work while cooling down after consecutive hard failures).
-    pub breakers_open: usize,
-}
-
-static SERVICE_STATUS: Mutex<Option<ServiceStatus>> = Mutex::new(None);
-
-/// Publishes the surrounding service state for the live progress line.
-/// Called by `oxterm-serve` whenever its queue/worker counters move;
-/// cheap enough to call per state transition.
-pub fn set_service_status(status: ServiceStatus) {
-    *SERVICE_STATUS.lock() = Some(status);
-}
-
-/// Clears the published service state (the progress line drops its
-/// `serve` segment). Called when the service drains or a worker exits.
-pub fn clear_service_status() {
-    *SERVICE_STATUS.lock() = None;
-}
-
-/// Status-line segment for the surrounding job service (empty when the
-/// campaign is not running under `oxterm-serve`).
-fn compose_service_part(status: Option<ServiceStatus>) -> String {
-    match status {
-        None => String::new(),
-        Some(s) => {
-            if s.breakers_open > 0 {
-                format!(
-                    " | serve q {} run {} brk {}/{}",
-                    s.queue_depth, s.in_flight, s.breakers_open, s.workers
-                )
-            } else {
-                format!(" | serve q {} run {}", s.queue_depth, s.in_flight)
-            }
-        }
-    }
-}
-
 /// Status-line suffix describing the most recent failure (empty while no
 /// run has failed).
 fn last_failure_suffix(failures: u64) -> String {
@@ -234,10 +183,6 @@ impl CampaignProgress {
             last,
             &last_failure_suffix(failures),
         );
-        // The service segment rides on both render paths: a campaign
-        // running inside an `oxterm-serve` worker shows queue pressure
-        // whether or not the dashboard is up.
-        let status = format!("{status}{}", compose_service_part(*SERVICE_STATUS.lock()));
         let tracker = LevelTracker::global();
         let ledger = JouleLedger::global();
         if self.dashboard {
@@ -614,41 +559,6 @@ mod tests {
         assert!(!dashboard_mode(true, false, true));
         assert!(!dashboard_mode(false, true, true));
         assert!(dashboard_mode(true, true, true));
-    }
-
-    #[test]
-    fn service_part_shows_queue_and_breakers() {
-        assert_eq!(compose_service_part(None), "");
-        let calm = ServiceStatus {
-            queue_depth: 12,
-            in_flight: 3,
-            workers: 4,
-            breakers_open: 0,
-        };
-        assert_eq!(compose_service_part(Some(calm)), " | serve q 12 run 3");
-        let tripped = ServiceStatus {
-            breakers_open: 2,
-            ..calm
-        };
-        assert_eq!(
-            compose_service_part(Some(tripped)),
-            " | serve q 12 run 3 brk 2/4"
-        );
-    }
-
-    #[test]
-    fn service_status_set_and_clear_round_trip() {
-        let _guard = TEST_LOCK.lock();
-        let s = ServiceStatus {
-            queue_depth: 1,
-            in_flight: 2,
-            workers: 2,
-            breakers_open: 0,
-        };
-        set_service_status(s);
-        assert_eq!(*SERVICE_STATUS.lock(), Some(s));
-        clear_service_status();
-        assert_eq!(*SERVICE_STATUS.lock(), None);
     }
 
     #[test]

@@ -39,8 +39,7 @@ use oxterm_telemetry::Telemetry;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::checkpoint::{Checkpoint, CheckpointHeader, CheckpointState, RunRecord};
 use crate::engine::{panic_message, splitmix64, MonteCarlo};
@@ -127,51 +126,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A cooperative cancellation handle shared between a supervised campaign
-/// and whoever owns its deadline (the `oxterm-serve` job watchdog, a
-/// SIGTERM drain, a test).
-///
-/// Cancellation is observed at run boundaries: runs that have not started
-/// return a `cancelled` failure immediately, and a run mid-retry-ladder
-/// stops escalating after its current attempt. Cancelled runs are **not**
-/// checkpointed (a resume recomputes them) and never write a post-mortem
-/// bundle — cancellation is an operator action, not a solver defect.
-///
-/// Clones share the flag. Equality is identity (`Arc::ptr_eq`): two
-/// freshly-made tokens are never equal, a token equals its clones.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation (idempotent, thread-safe).
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
-
-impl PartialEq for CancelToken {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.flag, &other.flag)
-    }
-}
-
-/// Error-string prefix of every cancellation-induced [`RunFailure`];
-/// callers distinguish "the operator stopped this" from genuine solver
-/// exhaustion by it.
-pub const CANCELLED_PREFIX: &str = "cancelled";
-
 /// Supervision knobs (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorOptions {
@@ -187,11 +141,6 @@ pub struct SupervisorOptions {
     pub resume_from: Option<String>,
     /// Wall-clock budget for one run across all its attempts (seconds).
     pub run_budget_s: Option<f64>,
-    /// Cooperative cancellation: when the token fires, pending runs fail
-    /// fast with a [`CANCELLED_PREFIX`] error, the retry ladder stops
-    /// escalating, and no post-mortem bundle or checkpoint record is
-    /// written for the cancelled runs.
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for SupervisorOptions {
@@ -203,7 +152,6 @@ impl Default for SupervisorOptions {
             checkpoint_every: 32,
             resume_from: None,
             run_budget_s: None,
-            cancel: None,
         }
     }
 }
@@ -270,9 +218,6 @@ pub struct CampaignOutcome<T> {
     pub panics: u64,
     /// Runs replayed from the resume checkpoint.
     pub resumed: u64,
-    /// Runs stopped by the [`CancelToken`] (subset of `failures`; their
-    /// errors carry [`CANCELLED_PREFIX`]).
-    pub cancelled: u64,
 }
 
 impl<T> CampaignOutcome<T> {
@@ -283,11 +228,6 @@ impl<T> CampaignOutcome<T> {
         } else {
             self.failures as f64 / self.results.len() as f64
         }
-    }
-
-    /// Whether the campaign was stopped early by its [`CancelToken`].
-    pub fn was_cancelled(&self) -> bool {
-        self.cancelled > 0
     }
 
     /// Some runs failed, but few enough that the campaign is still useful.
@@ -326,14 +266,9 @@ impl<T> CampaignOutcome<T> {
         } else {
             "clean"
         };
-        let cancelled_part = if self.cancelled > 0 {
-            format!(", {} cancelled", self.cancelled)
-        } else {
-            String::new()
-        };
         format!(
             "{state}: {ok}/{total} runs ok, failure fraction {frac:.4} (quorum {q}), \
-             {retries} retries, {panics} panics, {resumed} resumed{cancelled_part}",
+             {retries} retries, {panics} panics, {resumed} resumed",
             ok = self.results.len() as u64 - self.failures,
             total = self.results.len(),
             frac = self.failure_fraction(),
@@ -441,14 +376,7 @@ where
     let completed = AtomicUsize::new(0);
     let retries = AtomicU64::new(0);
     let panics = AtomicU64::new(0);
-    let cancelled_runs = AtomicU64::new(0);
     let every = opts.checkpoint_every.max(1);
-    let cancel_requested = || {
-        opts.cancel
-            .as_ref()
-            .map(CancelToken::is_cancelled)
-            .unwrap_or(false)
-    };
 
     let checkpoint_now = |records: &Mutex<Vec<Option<RunRecord>>>| {
         let Some(path) = &opts.checkpoint_path else {
@@ -490,19 +418,6 @@ where
             return out;
         }
 
-        // A cancelled campaign fails its unstarted runs fast: no attempt,
-        // no bundle, and — crucially — no checkpoint record, so a resume
-        // recomputes them instead of replaying the cancellation.
-        if cancel_requested() {
-            cancelled_runs.fetch_add(1, Ordering::Relaxed);
-            tel.incr("mc.supervisor.cancelled_runs");
-            return Err(RunFailure {
-                run: i as u64,
-                attempts: 0,
-                error: format!("{CANCELLED_PREFIX} before start"),
-            });
-        }
-
         let started_ns = monotonic_ns();
         let prev_deferred = postmortem::set_deferred(true);
         if postmortem::is_active() {
@@ -511,7 +426,6 @@ where
         let mut last_err = String::new();
         let mut attempts_used = 0u64;
         let mut value: Option<T> = None;
-        let mut was_cancelled = false;
         for attempt in 0..max_attempts {
             attempts_used = attempt + 1;
             let relax = Relax::for_attempt(attempt, &opts.retry.limits);
@@ -543,15 +457,7 @@ where
                     last_err = format!("panic: {}", panic_message(payload));
                 }
             }
-            // Attempt failed. Cancellation arriving mid-ladder stops the
-            // escalation after the attempt that observed it.
-            if cancel_requested() {
-                was_cancelled = true;
-                last_err =
-                    format!("{CANCELLED_PREFIX} after {attempts_used} attempt(s): {last_err}");
-                break;
-            }
-            // Retry if the ladder and the budget allow.
+            // Attempt failed. Retry if the ladder and the budget allow.
             let budget_left = opts
                 .run_budget_s
                 .map(|b| monotonic_ns().saturating_sub(started_ns) as f64 / 1e9 < b)
@@ -575,23 +481,6 @@ where
             let _ = postmortem::take_last();
         }
         postmortem::set_deferred(prev_deferred);
-
-        if value.is_none() && was_cancelled {
-            // Shutdown semantics: a cancelled ladder leaks neither a
-            // post-mortem bundle (drop anything the final attempt
-            // stashed) nor a checkpoint record (no `records` entry, so
-            // the periodic and final snapshots never see this run).
-            if postmortem::is_active() {
-                let _ = postmortem::take_last();
-            }
-            cancelled_runs.fetch_add(1, Ordering::Relaxed);
-            tel.incr("mc.supervisor.cancelled_runs");
-            return Err(RunFailure {
-                run: i as u64,
-                attempts: attempts_used,
-                error: last_err,
-            });
-        }
 
         let out = match value {
             Some(v) => Ok(v),
@@ -650,7 +539,6 @@ where
         retries: retries.load(Ordering::Relaxed),
         panics: panics.load(Ordering::Relaxed),
         resumed: resumed_count,
-        cancelled: cancelled_runs.load(Ordering::Relaxed),
     };
     if outcome.quorum_breached() {
         tel.incr("mc.campaign.quorum_breached");
@@ -903,99 +791,6 @@ mod tests {
             .expect_err("mismatch must be rejected");
         assert!(err.message.contains("does not match"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cancel_token_clones_share_state_and_compare_by_identity() {
-        let a = CancelToken::new();
-        let b = a.clone();
-        assert_eq!(a, b);
-        assert_ne!(a, CancelToken::new(), "fresh tokens are distinct");
-        assert!(!a.is_cancelled());
-        b.cancel();
-        assert!(a.is_cancelled(), "clones share the flag");
-        a.cancel();
-        assert!(b.is_cancelled(), "cancel is idempotent");
-    }
-
-    #[test]
-    fn cancelled_before_start_fails_fast_without_checkpoint_records() {
-        let _guard = TEST_LOCK.lock();
-        let dir = std::env::temp_dir().join(format!("oxterm_sup_cancel_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("ckpt.jsonl").to_string_lossy().to_string();
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = SupervisorOptions {
-            checkpoint_path: Some(path.clone()),
-            checkpoint_every: 1,
-            cancel: Some(token),
-            ..SupervisorOptions::default()
-        };
-        let calls = AtomicU64::new(0);
-        let out: CampaignOutcome<f64> = run_supervised(mc(8, 6), &opts, |_, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok(1.0)
-        })
-        .expect("supervision runs");
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "no attempt may start");
-        assert_eq!(out.cancelled, 8);
-        assert!(out.was_cancelled());
-        assert_eq!(out.failures, 8);
-        for r in &out.results {
-            let fail = r.as_ref().unwrap_err();
-            assert_eq!(fail.attempts, 0);
-            assert!(fail.error.starts_with(CANCELLED_PREFIX), "{}", fail.error);
-        }
-        assert!(
-            out.summary_line().contains("8 cancelled"),
-            "{}",
-            out.summary_line()
-        );
-        // The final checkpoint exists but records none of the cancelled
-        // runs — a resume recomputes them instead of replaying the stop.
-        let cp = Checkpoint::load(&path).expect("checkpoint written");
-        assert!(cp.records.is_empty(), "cancelled runs must not be recorded");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cancel_mid_ladder_stops_escalation() {
-        let token = CancelToken::new();
-        let observer = token.clone();
-        let opts = SupervisorOptions {
-            quorum: 1.0,
-            cancel: Some(token),
-            ..SupervisorOptions::default()
-        };
-        // Every attempt fails and fires the token, so whichever attempt
-        // runs first cancels the campaign: no run may ever retry.
-        let campaign = MonteCarlo::new(4, 7).with_threads(1);
-        let out: CampaignOutcome<f64> = run_supervised(campaign, &opts, move |att, _| {
-            observer.cancel();
-            Err(format!("attempt {} fails", att.attempt))
-        })
-        .expect("supervision runs");
-        assert!(out.was_cancelled());
-        assert_eq!(out.retries, 0, "cancellation must stop the ladder");
-        let cancelled_errors = out
-            .results
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .filter(|f| f.error.starts_with(CANCELLED_PREFIX))
-            .count() as u64;
-        assert_eq!(cancelled_errors, out.cancelled);
-        let mid_ladder = out
-            .results
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .find(|f| f.attempts == 1)
-            .expect("the observing run stopped after exactly one attempt");
-        assert!(
-            mid_ladder.error.contains("after 1 attempt(s)"),
-            "{}",
-            mid_ladder.error
-        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Torn-tail tolerant JSONL splitting.
 //!
-//! Append-only JSONL artifacts (the campaign checkpoint, the `oxterm-serve`
-//! job journal) share one crash model: every record is one `\n`-terminated
-//! line, appended with a single `write_all`. A process killed mid-append
-//! (SIGKILL, power loss, an injected `journal_torn_write` fault) can leave
+//! Append-only JSONL artifacts (the campaign checkpoint) follow one crash
+//! model: every record is one `\n`-terminated line, appended with a single
+//! `write_all`. A process killed mid-append (SIGKILL, power loss) can leave
 //! at most one *unterminated* fragment at the end of the file — every line
 //! that made it to its newline is intact. [`split_lines`] encodes exactly
 //! that contract: it hands back the complete lines and, separately, the

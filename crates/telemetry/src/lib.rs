@@ -29,7 +29,7 @@
 //! solver*: a fixed catalog of nestable phases (stamp / factorize /
 //! residual / timestep control / MC workers) with self-vs-child wall time
 //! and allocation counts, and [`metrics`] renders the whole registry in
-//! Prometheus text format for `--metrics-out` / `--metrics-listen`.
+//! Prometheus text format for `--metrics-out`.
 //! [`postmortem`] owns failure artifacts:
 //! solver layers hand it structured reports on non-convergence, and it is
 //! the only path that writes them to disk (solver crates are lint-banned
@@ -85,7 +85,6 @@ pub use joule::{DeviceClass, JouleLedger, JouleSnapshot, ProgramPhase, Role};
 pub use json::JsonWriter;
 pub use jsonl::JsonlSplit;
 pub use levels::{LevelCounts, LevelSummary, LevelTracker, LevelsSnapshot};
-pub use metrics::MetricsServer;
 pub use profiler::{PhaseGuard, PhaseId, PhaseRole, PhaseStats, ProfileSnapshot, Profiler};
 pub use registry::Registry;
 pub use report::RunReport;

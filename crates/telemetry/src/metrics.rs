@@ -1,11 +1,8 @@
 //! Prometheus text-format export of the telemetry registry.
 //!
-//! The seed of `oxterm-serve` (ROADMAP item 5): a run's [`RunReport`] —
-//! counters, histograms, and folded `profile.*` phase totals — renders to
-//! the Prometheus text exposition format (version 0.0.4), either written to
-//! a file (`--metrics-out=PATH`) or served by [`MetricsServer`], a
-//! deliberately minimal std-only blocking TCP responder that answers
-//! `GET /metrics` and nothing else (`--metrics-listen=ADDR`).
+//! A run's [`RunReport`] — counters, histograms, and folded `profile.*`
+//! phase totals — renders to the Prometheus text exposition format
+//! (version 0.0.4), written to a file at exit (`--metrics-out=PATH`).
 //!
 //! Mapping:
 //! - counters → `# TYPE … counter` with the value as-is; metric names are
@@ -21,13 +18,7 @@
 //! claim is pinned, not assumed.
 
 use crate::report::RunReport;
-use crate::Telemetry;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Folds a dotted metric name into a valid Prometheus metric name with the
 /// workspace prefix: `spice.newton.iterations` →
@@ -358,176 +349,10 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A minimal blocking `/metrics` responder: an accept loop on one thread,
-/// one short-lived thread per connection, `GET /metrics` → 200 with a
-/// fresh render of the handle's report, any other path → 404. Std-only by
-/// design; this is the smallest thing Prometheus can scrape, not a web
-/// server.
-///
-/// Hardened against misbehaving clients: every connection carries a read
-/// timeout ([`READ_TIMEOUT_MS`]) and a request-size cap
-/// ([`MAX_REQUEST_BYTES`]), so a slowloris peer (connect, trickle or stall
-/// the request forever) or an oversized/garbled request gets a `400` and a
-/// closed socket instead of wedging the responder. Because each
-/// connection is answered on its own thread, a stalled client never
-/// delays a concurrent legitimate scrape.
-#[derive(Debug)]
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Per-connection read timeout: a client that goes silent mid-request is
-/// answered with `400` after this long, bounding slowloris exposure.
-pub const READ_TIMEOUT_MS: u64 = 2_000;
-
-/// Maximum accepted request size; anything larger (a scrape request is a
-/// few hundred bytes) is rejected with `400 Request Too Large`.
-pub const MAX_REQUEST_BYTES: usize = 4_096;
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:9184`, port 0 for tests) and starts
-    /// answering scrapes of `tel`'s registry.
-    pub fn serve(addr: &str, tel: Telemetry) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("oxterm-metrics".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if thread_stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        // One thread per connection: a stalled client
-                        // burns its own timeout, not the accept loop.
-                        let tel = tel.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name("oxterm-metrics-conn".to_string())
-                            .spawn(move || answer(stream, &tel));
-                        if spawned.is_err() {
-                            // Thread spawn failure (resource exhaustion):
-                            // drop the connection rather than the server.
-                            continue;
-                        }
-                    }
-                }
-            })?;
-        Ok(MetricsServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address (useful when binding port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the accept loop and joins the thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        let Some(handle) = self.handle.take() else {
-            return;
-        };
-        self.stop.store(true, Ordering::Relaxed);
-        // Wake the blocking accept with one last connection to ourselves.
-        let _ = TcpStream::connect(self.addr);
-        let _ = handle.join();
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// How one connection's request read ended.
-enum ReadOutcome {
-    /// Full header (or EOF after some bytes) within the limits.
-    Complete(usize),
-    /// The client stalled past the read timeout.
-    TimedOut,
-    /// The request outgrew [`MAX_REQUEST_BYTES`] without a header end.
-    TooLarge,
-    /// The socket failed outright; nothing to answer.
-    Dead,
-}
-
-fn read_request(stream: &mut TcpStream, buf: &mut [u8]) -> ReadOutcome {
-    // A scrape request is tiny but may arrive in several segments (e.g. a
-    // client that writes the request line piecewise); read until the header
-    // terminator, EOF, the size cap, or the per-connection timeout.
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(READ_TIMEOUT_MS)));
-    let mut n = 0usize;
-    loop {
-        if n >= buf.len() {
-            return ReadOutcome::TooLarge;
-        }
-        match stream.read(&mut buf[n..]) {
-            Ok(0) => return ReadOutcome::Complete(n),
-            Ok(m) => {
-                n += m;
-                if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-                    return ReadOutcome::Complete(n);
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return ReadOutcome::TimedOut;
-            }
-            Err(_) => return ReadOutcome::Dead,
-        }
-    }
-}
-
-fn answer(mut stream: TcpStream, tel: &Telemetry) {
-    let mut buf = [0u8; MAX_REQUEST_BYTES];
-    let (status, body) = match read_request(&mut stream, &mut buf) {
-        ReadOutcome::Dead => return,
-        ReadOutcome::TimedOut => {
-            tel.incr("telemetry.metrics.bad_requests");
-            ("400 Bad Request", "request read timed out\n".to_string())
-        }
-        ReadOutcome::TooLarge => {
-            tel.incr("telemetry.metrics.bad_requests");
-            ("400 Bad Request", "request too large\n".to_string())
-        }
-        ReadOutcome::Complete(n) => {
-            let request = String::from_utf8_lossy(&buf[..n]);
-            let first = request.lines().next().unwrap_or("");
-            if first.starts_with("GET /metrics ") || first == "GET /metrics" {
-                ("200 OK", to_prometheus(&tel.report()))
-            } else if first.starts_with("GET ") {
-                ("404 Not Found", "not found\n".to_string())
-            } else {
-                tel.incr("telemetry.metrics.bad_requests");
-                ("400 Bad Request", "malformed request\n".to_string())
-            }
-        }
-    };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
 
     #[test]
     fn metric_names_are_sanitized() {

@@ -333,6 +333,19 @@ pub fn write_at(path: &str, report: &PostmortemReport) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that toggle the process-global `CAPTURE`
+    /// flag: the test harness runs them on parallel threads, and one
+    /// switching capture off between another's `set_capture(true)` and
+    /// its `record` makes that `record` a no-op.
+    static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn capture_lock() -> MutexGuard<'static, ()> {
+        CAPTURE_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn sample() -> PostmortemReport {
         let mut r = PostmortemReport::new("tran", "no convergence at t = 1e-6");
@@ -382,6 +395,7 @@ mod tests {
 
     #[test]
     fn inactive_record_is_a_noop() {
+        let _guard = capture_lock();
         // Capture defaults to off in this process unless a test enabled it;
         // force it off for the scope of this check.
         set_capture(false);
@@ -403,6 +417,7 @@ mod tests {
 
     #[test]
     fn deferred_record_stashes_without_writing() {
+        let _guard = capture_lock();
         set_capture(true);
         let was = set_deferred(true);
         let path = record(sample());
@@ -420,6 +435,7 @@ mod tests {
 
     #[test]
     fn capture_without_dir_stores_thread_locally() {
+        let _guard = capture_lock();
         set_capture(true);
         let path = record(sample());
         // No directory configured in unit tests → nothing written.

@@ -15,8 +15,8 @@
 
 use oxterm_chaos::{FaultKind, FaultPlan};
 use oxterm_mc::checkpoint::Checkpoint;
-use oxterm_mc::supervisor::{Attempt, Relax, RelaxLimits, RetryPolicy, CANCELLED_PREFIX};
-use oxterm_mc::{run_supervised, CancelToken, MonteCarlo, SupervisorOptions};
+use oxterm_mc::supervisor::{Attempt, Relax, RelaxLimits, RetryPolicy};
+use oxterm_mc::{run_supervised, MonteCarlo, SupervisorOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use std::sync::{Mutex, MutexGuard};
@@ -410,86 +410,6 @@ fn torn_checkpoint_tail_tolerates_truncation_at_every_byte() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Satellite of the job-service work: the supervisor's cancellation
-/// contract under deterministic chaos. A certain-fire stall plan pushes
-/// run 0 through the whole ladder (one bundle, one checkpoint record);
-/// the body then cancels mid-ladder on run 1. Cancelled runs must leave
-/// NO post-mortem bundle and NO checkpoint record — and the checkpoint
-/// must stay strictly parseable with every line newline-terminated (no
-/// half-written tail).
-#[test]
-fn cancel_mid_ladder_leaks_no_bundle_and_no_checkpoint_record() {
-    let plan = FaultPlan::parse("newton_stall:p=1.0,seed=3").expect("spec parses");
-    let session = ChaosSession::arm(plan);
-
-    let dir = std::env::temp_dir().join(format!("oxterm_cancel_leak_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    oxterm_telemetry::postmortem::set_artifacts_dir(dir.to_string_lossy().to_string());
-    let cp_path = dir.join("cp.jsonl").to_string_lossy().to_string();
-
-    let cancel = CancelToken::new();
-    let in_body = cancel.clone();
-    let opts = SupervisorOptions {
-        quorum: 1.0,
-        checkpoint_path: Some(cp_path.clone()),
-        cancel: Some(cancel),
-        ..SupervisorOptions::default()
-    };
-    let runs = 6usize;
-    let outcome = run_supervised(
-        MonteCarlo::new(runs, 0x11).with_threads(1),
-        &opts,
-        move |att: &Attempt, _rng: &mut StdRng| -> Result<f64, String> {
-            if att.run_index == 1 && att.attempt == 1 {
-                in_body.cancel();
-            }
-            if oxterm_chaos::should_inject(FaultKind::NewtonStall) {
-                return Err("injected stall".to_string());
-            }
-            Ok(att.run_index as f64)
-        },
-    )
-    .expect("cancelled campaign still reports");
-
-    // Run 0 exhausted the ladder before the cancel; everything after is
-    // cancelled (run 1 mid-ladder, runs 2.. before starting).
-    let run0 = outcome.results[0].as_ref().expect_err("run 0 exhausts");
-    assert_eq!(run0.attempts, opts.retry.max_attempts);
-    let run1 = outcome.results[1].as_ref().expect_err("run 1 cancelled");
-    assert!(
-        run1.error.starts_with(CANCELLED_PREFIX) && run1.error.contains("2 attempt(s)"),
-        "run 1 must stop mid-ladder: {}",
-        run1.error
-    );
-    for r in 2..runs {
-        let f = outcome.results[r].as_ref().expect_err("cancelled");
-        assert!(f.error.contains("before start"), "run {r}: {}", f.error);
-        assert_eq!(f.attempts, 0, "run {r} must not execute");
-    }
-    assert_eq!(outcome.cancelled, (runs - 1) as u64);
-
-    // Exactly one bundle — run 0's. Cancelled runs leak nothing.
-    let bundles = std::fs::read_dir(&dir)
-        .expect("artifacts dir")
-        .filter_map(Result::ok)
-        .filter(|e| e.file_name().to_string_lossy().starts_with("postmortem_"))
-        .count();
-    assert_eq!(bundles, 1, "only the exhausted run may leave a bundle");
-
-    // The checkpoint holds exactly run 0 and is strictly parseable with a
-    // newline-terminated final record — no half-written line.
-    let bytes = std::fs::read(&cp_path).expect("checkpoint bytes");
-    assert_eq!(bytes.last(), Some(&b'\n'), "no torn tail");
-    let cp = Checkpoint::load(&cp_path).expect("strict parse");
-    assert_eq!(cp.records.len(), 1);
-    assert_eq!(cp.records[0].run, 0);
-
-    oxterm_telemetry::postmortem::set_capture(false);
-    let _ = std::fs::remove_dir_all(&dir);
-    drop(session);
 }
 
 proptest! {

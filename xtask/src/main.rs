@@ -54,7 +54,6 @@ const UNWRAP_BUDGETS: &[(&str, usize)] = &[
     ("netlint", 0),
     ("numerics", 6),
     ("rram", 0),
-    ("serve", 0),
     ("spice", 0),
     ("telemetry", 11),
 ];
