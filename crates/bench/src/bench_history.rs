@@ -8,15 +8,15 @@
 //! (including the `phase_share.*` keys from the hot-path profiler), which
 //! keeps the file greppable and diff-friendly.
 //!
-//! The writer validates the summary through [`bench_diff::parse_flat_json`]
+//! The writer validates the summary through [`baseline::parse_flat_json`]
 //! before appending, so a malformed line can never poison the history.
 //!
-//! [`bench_diff::parse_flat_json`]: crate::bench_diff::parse_flat_json
+//! [`baseline::parse_flat_json`]: crate::baseline::parse_flat_json
 
 use std::fmt::Write as _;
 use std::io::Write as _;
 
-use crate::bench_diff::{parse_flat_json, BenchValue};
+use crate::baseline::{parse_flat_json, BenchValue};
 use oxterm_telemetry::JsonWriter;
 
 /// Default history file, committed at the repo root next to the snapshot.

@@ -1,4 +1,4 @@
-//! Streaming per-level energy / program-latency report and drift gate.
+//! Streaming per-level energy / program-latency report.
 //!
 //! The campaign feeds the [`JouleLedger`] during the run (Ok outcomes
 //! only, like the resistance tracker); this module turns the bounded-
@@ -12,20 +12,16 @@
 //! Two serializations ship, mirroring [`levels_report`]:
 //!
 //! - [`EnergyReport::to_json`] — the nested `oxterm-energy/1` artifact
-//!   (`results/energy_repro_all.json`, uploaded by the CI `energy-smoke`
+//!   (`results/energy_repro_all.json`, uploaded by the CI `baseline-gate`
 //!   job);
-//! - [`EnergyReport::to_flat_json`] — a flat key/value summary compatible
-//!   with [`bench_diff::parse_flat_json`], stored as
-//!   `results/energy_baseline.json` and compared by the two-sided
-//!   `--check-energy` drift gate.
+//! - [`EnergyReport::to_flat_json`] — a flat key/value summary, the
+//!   `energy.*` half of the drift baseline that [`baseline`] compares.
 //!
 //! [`levels_report`]: crate::levels_report
-//! [`bench_diff::parse_flat_json`]: crate::bench_diff::parse_flat_json
+//! [`baseline`]: crate::baseline
 
 use std::fmt::Write as _;
 
-use crate::bench_diff::{parse_flat_json, BenchValue};
-use crate::levels_report::DriftDelta;
 use crate::table::{eng, Table};
 use oxterm_rram::calib::{simulate_worst_case_reset, ResetConditions};
 use oxterm_rram::params::{InstanceVariation, OxramParams};
@@ -34,9 +30,6 @@ use oxterm_telemetry::JsonWriter;
 
 /// Schema tag of the nested JSON artifact.
 pub const ENERGY_SCHEMA: &str = "oxterm-energy/1";
-
-/// Default relative drift threshold for `--check-energy` (5%).
-pub const DEFAULT_ENERGY_DRIFT_FRAC: f64 = 0.05;
 
 /// The worst-case open-loop RESET the savings are attributed against:
 /// the paper's scheme without write termination must size every pulse
@@ -305,7 +298,8 @@ impl EnergyReport {
 
     /// The flat summary the drift baseline stores: one
     /// `energy.<code>.<stat>` key per statistic plus ledger rollups.
-    /// Round-trips through [`parse_flat_json`].
+    /// Round-trips through
+    /// [`parse_flat_json`](crate::baseline::parse_flat_json).
     #[must_use]
     pub fn to_flat_json(&self) -> String {
         let mut w = JsonWriter::new();
@@ -355,138 +349,10 @@ fn finite(v: f64) -> f64 {
     }
 }
 
-/// Result of comparing fresh energy statistics against a stored baseline.
-#[derive(Debug, Clone)]
-pub struct EnergyDrift {
-    /// Every compared statistic, key-sorted.
-    pub deltas: Vec<DriftDelta>,
-    /// The threshold used (fraction).
-    pub threshold: f64,
-}
-
-impl EnergyDrift {
-    /// All deltas that exceed the threshold.
-    #[must_use]
-    pub fn drifted(&self) -> Vec<&DriftDelta> {
-        self.deltas.iter().filter(|d| d.drifted).collect()
-    }
-
-    /// The worst offender by absolute relative change (missing keys
-    /// outrank everything).
-    #[must_use]
-    pub fn worst(&self) -> Option<&DriftDelta> {
-        self.deltas.iter().filter(|d| d.drifted).max_by(|a, b| {
-            let mag = |d: &DriftDelta| d.rel.map(f64::abs).unwrap_or(f64::INFINITY);
-            mag(a).total_cmp(&mag(b))
-        })
-    }
-
-    /// Human-readable verdict block, one line per drifted statistic.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let drifted = self.drifted();
-        if drifted.is_empty() {
-            return format!(
-                "energy: OK ({} statistics within {:.1}% of baseline)",
-                self.deltas.len(),
-                self.threshold * 100.0
-            );
-        }
-        let mut out = String::new();
-        for d in &drifted {
-            match (d.baseline, d.fresh, d.rel) {
-                (Some(b), Some(f), Some(r)) => {
-                    let _ = writeln!(
-                        out,
-                        "energy: DRIFT {}: {b:.4e} -> {f:.4e} ({:+.2}%)",
-                        d.key,
-                        r * 100.0
-                    );
-                }
-                (b, _, _) => {
-                    let _ = writeln!(
-                        out,
-                        "energy: DRIFT {}: {}",
-                        d.key,
-                        if b.is_none() {
-                            "missing from baseline"
-                        } else {
-                            "missing from fresh run"
-                        }
-                    );
-                }
-            }
-        }
-        if let Some(w) = self.worst() {
-            let _ = writeln!(
-                out,
-                "energy: FAIL — worst-drifting key: {} ({} statistics over {:.1}%)",
-                w.key,
-                drifted.len(),
-                self.threshold * 100.0
-            );
-        }
-        out
-    }
-}
-
-/// Compares two flat energy summaries (see [`EnergyReport::to_flat_json`])
-/// with a two-sided relative `threshold`. Gated statistics: per-level
-/// mean/median energy and latency plus the savings columns; counts and
-/// sigmas are informational.
-///
-/// # Errors
-///
-/// Propagates flat-JSON parse errors, naming the offending side.
-pub fn compare_energy(
-    baseline_json: &str,
-    fresh_json: &str,
-    threshold: f64,
-) -> Result<EnergyDrift, String> {
-    let base = parse_flat_json(baseline_json).map_err(|e| format!("baseline: {e}"))?;
-    let fresh = parse_flat_json(fresh_json).map_err(|e| format!("fresh: {e}"))?;
-    let gated = |k: &str| {
-        k.starts_with("energy.")
-            && matches!(
-                k.rsplit('.').next(),
-                Some("mean_j" | "p50_j" | "mean_latency_s" | "p50_latency_s" | "saved_j")
-            )
-    };
-    let num = |m: &std::collections::BTreeMap<String, BenchValue>, k: &str| match m.get(k) {
-        Some(BenchValue::Num(v)) => Some(*v),
-        _ => None,
-    };
-    let mut keys: Vec<&String> = base.keys().chain(fresh.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    let deltas = keys
-        .into_iter()
-        .filter(|k| gated(k))
-        .map(|k| {
-            let (b, f) = (num(&base, k), num(&fresh, k));
-            let rel = match (b, f) {
-                (Some(b), Some(f)) if b.abs() > 1e-30 => Some((f - b) / b),
-                _ => None,
-            };
-            let drifted = match rel {
-                Some(r) => r.abs() > threshold,
-                None => true,
-            };
-            DriftDelta {
-                key: k.clone(),
-                baseline: b,
-                fresh: f,
-                rel,
-                drifted,
-            }
-        })
-        .collect();
-    Ok(EnergyDrift { deltas, threshold })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{check, parse_flat_json};
     use oxterm_telemetry::joule::{DeviceClass, JouleLedger, ProgramPhase};
 
     /// A ledger fed two synthetic levels plus role-bucketed energy.
@@ -590,42 +456,27 @@ mod tests {
         assert!(table.contains("attributed"), "{table}");
     }
 
+    // The report's own flat summary through the one drift gate
+    // (`crate::baseline`, whose tests cover the comparator's edge cases).
+
     #[test]
     fn drift_gate_passes_identical_summaries() {
         let flat = synthetic_report().to_flat_json();
-        let drift = compare_energy(&flat, &flat, DEFAULT_ENERGY_DRIFT_FRAC).expect("comparable");
-        assert!(drift.drifted().is_empty());
-        assert!(drift.render().contains("OK"), "{}", drift.render());
-    }
-
-    #[test]
-    fn drift_gate_flags_a_seeded_perturbation() {
-        let report = synthetic_report();
-        let baseline = report.to_flat_json();
-        let mut shifted = report.clone();
-        for l in &mut shifted.levels {
-            if l.code == 15 {
-                l.mean_j *= 1.10;
-                l.p50_j *= 1.10;
-            }
-        }
-        let fresh = shifted.to_flat_json();
-        let drift =
-            compare_energy(&baseline, &fresh, DEFAULT_ENERGY_DRIFT_FRAC).expect("comparable");
-        assert!(!drift.drifted().is_empty());
-        let worst = drift.worst().expect("has a worst offender");
-        assert!(worst.key.starts_with("energy.1111."), "{}", worst.key);
-        assert!(drift.render().contains("FAIL"), "{}", drift.render());
+        let verdict = check(Ok(flat.clone()), Some(&flat)).expect("gate passes");
+        // 2 levels × {mean_j, p50_j, mean_latency_s, p50_latency_s, saved_j}.
+        assert!(verdict.contains("OK (10 statistics"), "{verdict}");
     }
 
     #[test]
     fn drift_gate_flags_missing_levels_and_malformed_json() {
         let flat = synthetic_report().to_flat_json();
-        let drift = compare_energy(&flat, "{\"schema\": \"oxterm-energy-flat/1\"}", 0.05)
-            .expect("comparable");
-        assert!(!drift.drifted().is_empty());
-        assert!(drift.render().contains("missing from fresh run"));
-        assert!(compare_energy("[1]", "{}", 0.05).is_err());
-        assert!(compare_energy("{}", "nope", 0.05).is_err());
+        let verdict = check(
+            Ok(flat.clone()),
+            Some("{\"schema\": \"oxterm-energy-flat/1\"}"),
+        )
+        .expect_err("gate fails");
+        assert!(verdict.contains("missing from fresh run"), "{verdict}");
+        assert!(check(Ok("[1]".into()), Some(&flat)).is_err());
+        assert!(check(Ok(flat), Some("nope")).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Streaming per-level distribution report and drift gate.
+//! Streaming per-level distribution report.
 //!
 //! Where fig11/fig12 batch-collect full sample vectors, this module
 //! builds the same statistical story from the bounded-memory
@@ -11,23 +11,14 @@
 //! Two serializations ship:
 //!
 //! - [`LevelReport::to_json`] — the nested `oxterm-levels/1` artifact
-//!   (the CI `levels-smoke` job uploads it);
-//! - [`LevelReport::to_flat_json`] — a flat key/value summary compatible
-//!   with [`bench_diff::parse_flat_json`], which is what
-//!   `results/levels_baseline.json` stores and the `--check-levels`
-//!   drift gate compares (mirroring `--check-bench`).
+//!   (the CI `baseline-gate` job uploads it);
+//! - [`LevelReport::to_flat_json`] — a flat key/value summary, the
+//!   `level.*` half of the drift baseline that [`baseline`] compares.
 //!
-//! The drift gate is *two-sided*: a level distribution moving in either
-//! direction is a reproducibility break, unlike the perf gate where
-//! only slowdowns regress. Default threshold: [`DEFAULT_DRIFT_FRAC`]
-//! (5%), far above the sketch's ±0.5% rank-error jitter yet well below
-//! any real model or allocation change.
-//!
-//! [`bench_diff::parse_flat_json`]: crate::bench_diff::parse_flat_json
+//! [`baseline`]: crate::baseline
 
 use std::fmt::Write as _;
 
-use crate::bench_diff::{parse_flat_json, BenchValue};
 use crate::table::{eng, Table};
 use oxterm_mc::convergence::{clopper_pearson_upper, wilson_interval};
 use oxterm_numerics::special::q_function;
@@ -36,9 +27,6 @@ use oxterm_telemetry::JsonWriter;
 
 /// Schema tag of the nested JSON artifact.
 pub const LEVELS_SCHEMA: &str = "oxterm-levels/1";
-
-/// Default relative drift threshold for `--check-levels` (5%).
-pub const DEFAULT_DRIFT_FRAC: f64 = 0.05;
 
 /// One-sided confidence level used for every BER upper bound.
 const CONFIDENCE: f64 = 0.95;
@@ -337,10 +325,10 @@ impl LevelReport {
         w.finish()
     }
 
-    /// The flat summary the drift baseline stores and the history line
-    /// embeds: one `level.<code>.<stat>` key per statistic, plus
-    /// worst-case rollups. Round-trips through
-    /// [`parse_flat_json`](crate::bench_diff::parse_flat_json).
+    /// The flat summary the drift baseline stores: one
+    /// `level.<code>.<stat>` key per statistic, plus worst-case rollups.
+    /// Round-trips through
+    /// [`parse_flat_json`](crate::baseline::parse_flat_json).
     #[must_use]
     pub fn to_flat_json(&self) -> String {
         let mut w = JsonWriter::new();
@@ -512,157 +500,10 @@ fn ber_gaussian(gap: f64, sigma_lo: f64, sigma_hi: f64) -> f64 {
     q_function(0.5 * gap / s)
 }
 
-/// One drifted (or missing) statistic in a baseline comparison.
-#[derive(Debug, Clone)]
-pub struct DriftDelta {
-    /// The flat key (`level.0011.p50`).
-    pub key: String,
-    /// Baseline value (`None` when the key is new).
-    pub baseline: Option<f64>,
-    /// Fresh value (`None` when the key disappeared).
-    pub fresh: Option<f64>,
-    /// Signed relative change (`None` when either side is missing).
-    pub rel: Option<f64>,
-    /// Whether this delta exceeds the threshold (two-sided) or a side
-    /// is missing.
-    pub drifted: bool,
-}
-
-/// Result of comparing fresh level quantiles against a stored baseline.
-#[derive(Debug, Clone)]
-pub struct LevelsDrift {
-    /// Every compared statistic, key-sorted.
-    pub deltas: Vec<DriftDelta>,
-    /// The threshold used (fraction).
-    pub threshold: f64,
-}
-
-impl LevelsDrift {
-    /// All deltas that exceed the threshold.
-    #[must_use]
-    pub fn drifted(&self) -> Vec<&DriftDelta> {
-        self.deltas.iter().filter(|d| d.drifted).collect()
-    }
-
-    /// The worst offender and the level it belongs to, by absolute
-    /// relative change (missing keys outrank everything).
-    #[must_use]
-    pub fn worst(&self) -> Option<&DriftDelta> {
-        self.deltas.iter().filter(|d| d.drifted).max_by(|a, b| {
-            let mag = |d: &DriftDelta| d.rel.map(f64::abs).unwrap_or(f64::INFINITY);
-            mag(a).total_cmp(&mag(b))
-        })
-    }
-
-    /// Human-readable verdict block, one line per drifted statistic,
-    /// naming the worst-drifting level last.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let drifted = self.drifted();
-        if drifted.is_empty() {
-            return format!(
-                "levels: OK ({} statistics within {:.1}% of baseline)",
-                self.deltas.len(),
-                self.threshold * 100.0
-            );
-        }
-        let mut out = String::new();
-        for d in &drifted {
-            match (d.baseline, d.fresh, d.rel) {
-                (Some(b), Some(f), Some(r)) => {
-                    let _ = writeln!(
-                        out,
-                        "levels: DRIFT {}: {b:.4e} -> {f:.4e} ({:+.2}%)",
-                        d.key,
-                        r * 100.0
-                    );
-                }
-                (b, _, _) => {
-                    let _ = writeln!(
-                        out,
-                        "levels: DRIFT {}: {}",
-                        d.key,
-                        if b.is_none() {
-                            "missing from baseline"
-                        } else {
-                            "missing from fresh run"
-                        }
-                    );
-                }
-            }
-        }
-        if let Some(w) = self.worst() {
-            let _ = writeln!(
-                out,
-                "levels: FAIL — worst-drifting level: {} ({} statistics over {:.1}%)",
-                level_of(&w.key),
-                drifted.len(),
-                self.threshold * 100.0
-            );
-        }
-        out
-    }
-}
-
-/// Extracts the level name from a flat key (`level.0011.p50` → `0011`).
-fn level_of(key: &str) -> &str {
-    key.split('.').nth(1).unwrap_or(key)
-}
-
-/// Compares two flat level summaries (see [`LevelReport::to_flat_json`])
-/// with a two-sided relative `threshold`. Only distribution statistics
-/// (`level.*.p01/p50/p99/sigma`) gate; counts and rollups are
-/// informational.
-///
-/// # Errors
-///
-/// Propagates flat-JSON parse errors, naming the offending side.
-pub fn compare_levels(
-    baseline_json: &str,
-    fresh_json: &str,
-    threshold: f64,
-) -> Result<LevelsDrift, String> {
-    let base = parse_flat_json(baseline_json).map_err(|e| format!("baseline: {e}"))?;
-    let fresh = parse_flat_json(fresh_json).map_err(|e| format!("fresh: {e}"))?;
-    let gated = |k: &str| {
-        k.starts_with("level.")
-            && matches!(k.rsplit('.').next(), Some("p01" | "p50" | "p99" | "sigma"))
-    };
-    let num = |m: &std::collections::BTreeMap<String, BenchValue>, k: &str| match m.get(k) {
-        Some(BenchValue::Num(v)) => Some(*v),
-        _ => None,
-    };
-    let mut keys: Vec<&String> = base.keys().chain(fresh.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    let deltas = keys
-        .into_iter()
-        .filter(|k| gated(k))
-        .map(|k| {
-            let (b, f) = (num(&base, k), num(&fresh, k));
-            let rel = match (b, f) {
-                (Some(b), Some(f)) if b.abs() > 1e-12 => Some((f - b) / b),
-                _ => None,
-            };
-            let drifted = match rel {
-                Some(r) => r.abs() > threshold,
-                None => true,
-            };
-            DriftDelta {
-                key: k.clone(),
-                baseline: b,
-                fresh: f,
-                rel,
-                drifted,
-            }
-        })
-        .collect();
-    Ok(LevelsDrift { deltas, threshold })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{check, parse_flat_json};
     use oxterm_telemetry::levels::LevelTracker;
 
     /// A tracker fed two clean synthetic Gaussian-ish levels.
@@ -782,15 +623,18 @@ mod tests {
         );
     }
 
+    // The report's own flat summary through the one drift gate
+    // (`crate::baseline`, whose tests cover the comparator's edge cases).
+
     #[test]
     fn drift_gate_passes_identical_summaries() {
         let snap = synthetic_snapshot(8e3);
         let flat = LevelReport::from_snapshot(&snap)
             .expect("two levels")
             .to_flat_json();
-        let drift = compare_levels(&flat, &flat, DEFAULT_DRIFT_FRAC).expect("comparable");
-        assert!(drift.drifted().is_empty());
-        assert!(drift.render().contains("OK"), "{}", drift.render());
+        let verdict = check(Ok(flat.clone()), Some(&flat)).expect("gate passes");
+        // 2 levels × {p01, p50, p99, sigma}.
+        assert!(verdict.contains("OK (8 statistics"), "{verdict}");
     }
 
     #[test]
@@ -807,17 +651,12 @@ mod tests {
                 l.p99 *= 1.10;
             }
         }
-        let fresh = shifted.to_flat_json();
-        let drift = compare_levels(&baseline, &fresh, DEFAULT_DRIFT_FRAC).expect("comparable");
-        assert!(!drift.drifted().is_empty());
-        let worst = drift.worst().expect("has a worst offender");
-        assert!(worst.key.starts_with("level.0001."), "{}", worst.key);
-        let rendered = drift.render();
+        let verdict = check(Ok(baseline), Some(&shifted.to_flat_json())).expect_err("gate fails");
         assert!(
-            rendered.contains("worst-drifting level: 0001"),
-            "{rendered}"
+            verdict.contains("worst-drifting key: level.0001."),
+            "{verdict}"
         );
-        assert!(rendered.contains("FAIL"), "{rendered}");
+        assert!(verdict.contains("FAIL"), "{verdict}");
     }
 
     #[test]
@@ -826,15 +665,8 @@ mod tests {
         let flat = LevelReport::from_snapshot(&snap)
             .expect("two levels")
             .to_flat_json();
-        let drift = compare_levels(&flat, "{\"schema\": \"oxterm-levels-flat/1\"}", 0.05)
-            .expect("comparable");
-        assert!(!drift.drifted().is_empty());
-        assert!(drift.render().contains("missing from fresh run"));
-    }
-
-    #[test]
-    fn drift_gate_rejects_malformed_json() {
-        assert!(compare_levels("[1]", "{}", 0.05).is_err());
-        assert!(compare_levels("{}", "nope", 0.05).is_err());
+        let verdict = check(Ok(flat), Some("{\"schema\": \"oxterm-levels-flat/1\"}"))
+            .expect_err("gate fails");
+        assert!(verdict.contains("missing from fresh run"), "{verdict}");
     }
 }

@@ -32,11 +32,12 @@
 //! | `repro_all` | one-shot pass/fail checklist over every anchor |
 //!
 //! The library half hosts the shared Monte Carlo campaign
-//! ([`campaigns`]) and terminal rendering helpers ([`chart`], [`table`]).
+//! ([`campaigns`]), the drift gate over the committed baseline
+//! ([`baseline`]) and terminal rendering helpers ([`chart`], [`table`]).
 
 #![forbid(unsafe_code)]
 
-pub mod bench_diff;
+pub mod baseline;
 pub mod bench_history;
 pub mod campaigns;
 pub mod chart;

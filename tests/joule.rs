@@ -4,15 +4,15 @@
 //! the process-global ledger armed and checks the full pipeline: per-level
 //! energy/latency statistics, batch-vs-streaming agreement, role×phase
 //! attribution coverage, termination savings against the worst-case
-//! open-loop pulse, the `oxterm-energy/1` serialization, and the drift
-//! gate over the resulting flat summary. It is the only test in this
-//! binary that feeds the global ledger — the quadrature properties below
-//! use local handles and pure waveforms so per-level counts stay exact.
+//! open-loop pulse, and the `oxterm-energy/1` serialization. It is the
+//! only test in this binary that feeds the global ledger — the quadrature
+//! properties below use local handles and pure waveforms so per-level
+//! counts stay exact.
 
 use proptest::prelude::*;
 
 use oxterm_bench::campaigns::mc_campaign;
-use oxterm_bench::energy_report::{compare_energy, EnergyReport, WorstCaseBaseline, ENERGY_SCHEMA};
+use oxterm_bench::energy_report::{EnergyReport, WorstCaseBaseline, ENERGY_SCHEMA};
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_rram::params::OxramParams;
 use oxterm_spice::waveform::Waveform;
@@ -96,23 +96,6 @@ fn campaign_feeds_a_complete_energy_report() {
     let nested = report.to_json();
     assert!(nested.contains(&format!("\"schema\":\"{ENERGY_SCHEMA}\"")));
     assert!(nested.contains("\"code\":\"1111\""));
-    let flat = report.to_flat_json();
-
-    // Drift gate: identical summaries pass; a shifted level fails and is
-    // named as the worst offender.
-    let clean = compare_energy(&flat, &flat, 0.05).expect("comparable");
-    assert!(clean.drifted().is_empty(), "{}", clean.render());
-    let mut shifted = report.clone();
-    for l in &mut shifted.levels {
-        if l.code == 0 {
-            l.mean_latency_s *= 1.2;
-            l.p50_latency_s *= 1.2;
-        }
-    }
-    let drift = compare_energy(&flat, &shifted.to_flat_json(), 0.05).expect("comparable");
-    assert!(!drift.drifted().is_empty());
-    let worst_key = &drift.worst().expect("has offender").key;
-    assert!(worst_key.starts_with("energy.0000."), "{worst_key}");
 }
 
 /// Ledger-style running trapezoid accumulation (`0.5·(p₀+p₁)·dt` per

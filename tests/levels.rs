@@ -1,11 +1,13 @@
 //! End-to-end coverage of the streaming level-observability chain: a
 //! real MC campaign feeds the global tracker one observation per
-//! programmed level per run, the report layer reproduces the batch
-//! statistics from streaming state alone, and the drift gate passes a
-//! clean re-run while flagging (and naming) a perturbed level.
+//! programmed level per run, and the report layer reproduces the batch
+//! statistics from streaming state alone, and the one drift gate
+//! (`oxterm_bench::baseline`) passes a clean re-run of the flat summary
+//! while flagging (and naming) a perturbed level.
 
+use oxterm_bench::baseline::check;
 use oxterm_bench::campaigns::mc_campaign;
-use oxterm_bench::levels_report::{compare_levels, LevelReport, DEFAULT_DRIFT_FRAC};
+use oxterm_bench::levels_report::LevelReport;
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_rram::params::OxramParams;
 use oxterm_telemetry::LevelTracker;
@@ -98,28 +100,14 @@ fn drift_gate_passes_clean_rerun_and_flags_perturbed_level() {
 
     // Same deterministic feed → identical statistics → OK.
     let clean = local_report(1.0).to_flat_json();
-    let drift = compare_levels(&baseline, &clean, DEFAULT_DRIFT_FRAC).expect("comparable");
-    assert!(drift.drifted().is_empty(), "{}", drift.render());
-    assert!(drift.render().contains("OK"));
+    let verdict = check(Ok(baseline.clone()), Some(&clean)).expect("clean re-run passes");
+    assert!(verdict.contains("OK"), "{verdict}");
 
-    // An 8% shift of one level against a 5% gate: flagged, named.
+    // An 8% shift of one level against the ±5% bound: flagged, named.
     let perturbed = local_report(1.08).to_flat_json();
-    let drift = compare_levels(&baseline, &perturbed, DEFAULT_DRIFT_FRAC).expect("comparable");
-    assert!(!drift.drifted().is_empty());
-    let worst = drift.worst().expect("a worst offender");
+    let verdict = check(Ok(baseline), Some(&perturbed)).expect_err("perturbed level fails");
     assert!(
-        worst.key.starts_with("level.0001."),
-        "worst key {}",
-        worst.key
+        verdict.contains("worst-drifting key: level.0001."),
+        "{verdict}"
     );
-    let rendered = drift.render();
-    assert!(
-        rendered.contains("worst-drifting level: 0001"),
-        "{rendered}"
-    );
-
-    // The same shift sails under a loose 20% gate — the threshold knob
-    // works end to end like `--check-levels=PCT`.
-    let drift = compare_levels(&baseline, &perturbed, 0.20).expect("comparable");
-    assert!(drift.drifted().is_empty(), "{}", drift.render());
 }

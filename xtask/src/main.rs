@@ -3,7 +3,8 @@
 //! `cargo xtask bench` runs the standard perf probe: `repro_all` with the
 //! phase profiler armed and the run appended to the `BENCH_history.jsonl`
 //! trajectory. Extra arguments are forwarded to `repro_all` (e.g.
-//! `cargo xtask bench 60 --check-bench=15`).
+//! `cargo xtask bench --check` to gate the run on the committed drift
+//! baseline as well).
 //!
 //! `cargo xtask lint` enforces source-level invariants the compiler cannot:
 //!
@@ -97,7 +98,7 @@ fn main() -> ExitCode {
 /// Runs the standard perf probe: `repro_all` in release mode with the
 /// phase profiler armed and the summary appended to the bench history.
 /// Extra CLI arguments are forwarded verbatim; the child's exit status is
-/// propagated so `--check-bench` gates CI.
+/// propagated, so a failing checklist or `--check` fails the task.
 fn bench(forward: &[String]) -> ExitCode {
     let mut cmd = std::process::Command::new("cargo");
     cmd.current_dir(workspace_root())
