@@ -4,10 +4,14 @@
 //! level of an allocation, `runs` Monte Carlo programs with full
 //! variability. Running it once and slicing it three ways matches how the
 //! paper derives those artifacts from one 500-run simulation set.
+//!
+//! Supervised and unsupervised campaigns draw one sample stream: run `i`
+//! of a `levels × runs` campaign programs level `i / runs` with the
+//! engine's RNG for run `i`, so with retries and quorum at their defaults
+//! supervision changes no sample.
 
 use oxterm_mc::engine::MonteCarlo;
 use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, SupervisorError, SupervisorOptions};
-use oxterm_mc::sweep::sweep_mc_try;
 use oxterm_mlc::levels::{LevelAllocation, LevelSpec};
 use oxterm_mlc::margins::LevelSamples;
 use oxterm_mlc::program::{
@@ -19,6 +23,11 @@ use oxterm_rram::params::OxramParams;
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::joule::JouleLedger;
 use oxterm_telemetry::levels::LevelTracker;
+use rand::rngs::StdRng;
+
+/// Seed of the paper's QLC campaign, shared by the figure binaries and
+/// the reproduction checklist.
+pub const PAPER_QLC_SEED: u64 = 0xD47E_2021;
 
 /// All Monte Carlo outcomes for one level.
 #[derive(Debug, Clone)]
@@ -55,45 +64,71 @@ impl LevelCampaign {
     }
 }
 
+/// The per-run body of every QLC campaign: run `i` programs level
+/// `i / runs` of `alloc`. Successful runs also feed the streaming level
+/// tracker and joule ledger (one branch each when disarmed), which is
+/// where the dashboard and the level and energy reports get their
+/// distributions from. Failed attempts, including injected chaos faults,
+/// feed nothing, so a retried run contributes exactly its one success.
+fn program_run<'a>(
+    params: &'a OxramParams,
+    alloc: &'a LevelAllocation,
+    runs: usize,
+) -> impl Fn(usize, &mut StdRng) -> Result<ProgramOutcome, MlcError> + Sync + 'a {
+    let cond = ProgramConditions::paper();
+    let var = McVariability::default();
+    move |i, rng| {
+        let spec = &alloc.levels()[i / runs];
+        let out = program_cell_mc(params, alloc, spec.code, &cond, &var, rng)?;
+        LevelTracker::global().observe(spec.code, spec.i_ref, out.r_read_ohms);
+        JouleLedger::global().observe_level(spec.code, spec.i_ref, out.energy_j, out.latency_s);
+        Ok(out)
+    }
+}
+
+/// Groups a flat `levels × runs` campaign's outcomes by level, keeping
+/// what `keep` returns for each run.
+fn by_level<R>(
+    alloc: &LevelAllocation,
+    runs: usize,
+    results: &[R],
+    keep: impl Fn(&R) -> Option<ProgramOutcome>,
+) -> Vec<LevelCampaign> {
+    alloc
+        .levels()
+        .iter()
+        .enumerate()
+        .map(|(k, &spec)| LevelCampaign {
+            spec,
+            outcomes: results[k * runs..(k + 1) * runs]
+                .iter()
+                .filter_map(&keep)
+                .collect(),
+        })
+        .collect()
+}
+
 /// Runs the full campaign: `runs` Monte Carlo programs per level of
 /// `alloc`, in parallel, deterministically seeded.
 ///
 /// # Panics
 ///
 /// Panics if any program operation fails — the allocation must sit inside
-/// the calibrated model's programmable window.
+/// the calibrated model's programmable window. The engine records the
+/// failed run (with its replayable seed) in telemetry first.
 pub fn mc_campaign(
     params: &OxramParams,
     alloc: &LevelAllocation,
     runs: usize,
     seed: u64,
 ) -> Vec<LevelCampaign> {
-    let cond = ProgramConditions::paper();
-    let var = McVariability::default();
-    let levels: Vec<LevelSpec> = alloc.levels().to_vec();
-    // The fallible sweep records any failed run (with its replayable seed)
-    // in telemetry before this function panics on it. Successful runs
-    // additionally feed the streaming level tracker (one branch when
-    // disarmed), which is where the dashboard and the level report get
-    // their distributions from.
-    let results = sweep_mc_try(&levels, MonteCarlo::new(runs, seed), |spec, _, rng| {
-        let out = program_cell_mc(params, alloc, spec.code, &cond, &var, rng);
-        if let Ok(o) = &out {
-            LevelTracker::global().observe(spec.code, spec.i_ref, o.r_read_ohms);
-            JouleLedger::global().observe_level(spec.code, spec.i_ref, o.energy_j, o.latency_s);
-        }
-        out
-    });
-    results
+    let total = alloc.levels().len() * runs;
+    let outcomes: Vec<ProgramOutcome> = MonteCarlo::new(total, seed)
+        .try_run(program_run(params, alloc, runs))
         .into_iter()
-        .map(|(spec, outcomes)| LevelCampaign {
-            spec,
-            outcomes: outcomes
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()
-                .expect("level inside programmable window"),
-        })
-        .collect()
+        .collect::<Result<_, _>>()
+        .expect("level inside programmable window");
+    by_level(alloc, runs, &outcomes, |o| Some(*o))
 }
 
 /// The standard campaign used across the figure binaries: the paper's QLC
@@ -103,55 +138,33 @@ pub fn paper_qlc_campaign(runs: usize) -> Vec<LevelCampaign> {
         &OxramParams::calibrated(),
         &LevelAllocation::paper_qlc(),
         runs,
-        0xD47E_2021,
+        PAPER_QLC_SEED,
     )
 }
 
-/// Supervised variant of [`paper_qlc_campaign`]: `runs` programs per QLC
-/// level flattened into one `16 × runs` campaign (run `i` programs level
-/// `i / runs`), executed under [`run_supervised`] so the retry ladder,
-/// panic isolation, checkpoint/resume and quorum bookkeeping cover the
-/// whole figure in a single ledger.
+/// Supervised variant of [`paper_qlc_campaign`], executed under
+/// [`run_supervised`] so the retry ladder, panic isolation,
+/// checkpoint/resume and quorum bookkeeping cover the whole figure in a
+/// single ledger. It draws the same sample stream: with default options
+/// and no faults it returns exactly what [`paper_qlc_campaign`] returns.
 ///
 /// Runs whose retry ladder is exhausted simply leave a hole in their
 /// level's sample set; the returned [`CampaignOutcome`] carries the
-/// failure fraction and suggested process exit code. The flat indexing
-/// gives this path its own (fully deterministic) sample streams — it is
-/// deliberately not bit-compatible with the unsupervised per-level sweep
-/// of [`mc_campaign`].
+/// failure fraction and suggested process exit code.
 pub fn supervised_qlc_campaign(
     runs: usize,
     opts: &SupervisorOptions,
 ) -> Result<(Vec<LevelCampaign>, CampaignOutcome<ProgramOutcome>), SupervisorError> {
     let params = OxramParams::calibrated();
     let alloc = LevelAllocation::paper_qlc();
-    let cond = ProgramConditions::paper();
-    let var = McVariability::default();
-    let levels: Vec<LevelSpec> = alloc.levels().to_vec();
-    let total = levels.len() * runs;
-    let outcome = run_supervised(MonteCarlo::new(total, 0xD47E_2021), opts, |attempt, rng| {
-        let spec = &levels[attempt.run_index as usize / runs];
-        let out = program_cell_mc(&params, &alloc, spec.code, &cond, &var, rng)
-            .map_err(|e| e.to_string())?;
-        // Feed the streaming tracker only on success: failed attempts
-        // (including injected chaos faults) must not pollute the level
-        // distributions, and a retried run contributes exactly its one
-        // successful outcome.
-        LevelTracker::global().observe(spec.code, spec.i_ref, out.r_read_ohms);
-        JouleLedger::global().observe_level(spec.code, spec.i_ref, out.energy_j, out.latency_s);
-        Ok(out)
-    })?;
-    let campaigns = levels
-        .iter()
-        .enumerate()
-        .map(|(k, &spec)| LevelCampaign {
-            spec,
-            outcomes: outcome.results[k * runs..(k + 1) * runs]
-                .iter()
-                .filter_map(|r| r.as_ref().ok().cloned())
-                .collect(),
-        })
-        .collect();
+    let run = program_run(&params, &alloc, runs);
+    let total = alloc.levels().len() * runs;
+    let outcome = run_supervised(
+        MonteCarlo::new(total, PAPER_QLC_SEED),
+        opts,
+        |attempt, rng| run(attempt.run_index as usize, rng).map_err(|e| e.to_string()),
+    )?;
+    let campaigns = by_level(&alloc, runs, &outcome.results, |r| r.as_ref().ok().copied());
     Ok((campaigns, outcome))
 }
 
@@ -216,6 +229,18 @@ mod tests {
         for lc in &campaign {
             assert_eq!(lc.outcomes.len(), 3);
             assert!(lc.resistances().iter().all(|&r| r > 10e3));
+        }
+    }
+
+    #[test]
+    fn supervised_campaign_draws_the_unsupervised_stream() {
+        let (supervised, _) =
+            supervised_qlc_campaign(4, &SupervisorOptions::default()).expect("campaign runs");
+        let plain = paper_qlc_campaign(4);
+        assert_eq!(supervised.len(), plain.len());
+        for (s, p) in supervised.iter().zip(&plain) {
+            assert_eq!(s.spec, p.spec);
+            assert_eq!(s.outcomes, p.outcomes, "level {:04b}", p.spec.code);
         }
     }
 

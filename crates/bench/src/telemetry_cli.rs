@@ -69,8 +69,8 @@
 //!
 //! Any of the four campaign flags switches the binary's Monte Carlo
 //! campaigns onto [`oxterm_mc::run_supervised`] (retry ladder, panic
-//! isolation, graceful degradation); without them the legacy unsupervised
-//! path runs byte-identically to previous releases.
+//! isolation, graceful degradation); without them the unsupervised path
+//! runs. Both draw the same samples when no run fails.
 
 use crate::hotpath::{HotPathReport, MatrixStats};
 use oxterm_mc::supervisor::SupervisorOptions;
@@ -381,7 +381,7 @@ pub fn init_from(
 }
 
 /// Builds the supervisor configuration requested by the campaign flags,
-/// or `None` when none of them was given (legacy unsupervised path).
+/// or `None` when none of them was given (unsupervised path).
 fn campaign_options(
     name: &str,
     parsed: &ParsedFlags,
@@ -442,7 +442,7 @@ impl TelemetryCli {
 
     /// The campaign supervision options requested by `--chaos` /
     /// `--checkpoint` / `--resume` / `--quorum`, or `None` when the
-    /// binary should keep its legacy unsupervised Monte Carlo path.
+    /// binary should keep its unsupervised Monte Carlo path.
     pub fn campaign(&self) -> Option<&SupervisorOptions> {
         self.campaign.as_ref()
     }

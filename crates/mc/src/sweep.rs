@@ -29,36 +29,6 @@ where
         .collect()
 }
 
-/// One sweep point's campaign results: every run's outcome, failures in
-/// place as [`RunError`](crate::engine::RunError).
-pub type SweptRuns<P, T, E> = Vec<(P, Vec<Result<T, crate::engine::RunError<E>>>)>;
-
-/// Fallible variant of [`sweep_mc`]: each point's campaign goes through
-/// [`MonteCarlo::try_run`], so failed runs are recorded in telemetry (with
-/// replayable seeds), worker panics are isolated into
-/// [`RunError::Panic`](crate::engine::RunError) results, and failures are
-/// returned in place instead of aborting the sweep.
-pub fn sweep_mc_try<P, T, E, F>(points: &[P], base: MonteCarlo, f: F) -> SweptRuns<P, T, E>
-where
-    P: Clone + Sync,
-    T: Send,
-    E: Send + std::fmt::Display,
-    F: Fn(&P, usize, &mut rand::rngs::StdRng) -> Result<T, E> + Sync,
-{
-    points
-        .iter()
-        .enumerate()
-        .map(|(k, p)| {
-            let campaign = MonteCarlo {
-                seed: base.seed.wrapping_add((k as u64 + 1) * 0x9E37_79B9),
-                ..base
-            };
-            let samples = campaign.try_run(|i, rng| f(p, i, rng));
-            (p.clone(), samples)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,33 +44,6 @@ mod tests {
         for (p, samples) in &out {
             assert_eq!(samples.len(), 20);
             assert!(samples.iter().all(|s| *s <= *p));
-        }
-    }
-
-    #[test]
-    fn try_variant_matches_infallible_sweep() {
-        let points = vec![1u8, 2];
-        let ok = sweep_mc(&points, MonteCarlo::new(8, 3), |_, _, rng| {
-            rng.random::<u64>()
-        });
-        let tried = sweep_mc_try(&points, MonteCarlo::new(8, 3), |_, i, rng| {
-            if i == 5 {
-                Err("synthetic failure")
-            } else {
-                Ok(rng.random::<u64>())
-            }
-        });
-        for (k, (_, samples)) in tried.iter().enumerate() {
-            for (i, r) in samples.iter().enumerate() {
-                if i == 5 {
-                    assert_eq!(
-                        *r.as_ref().unwrap_err(),
-                        crate::engine::RunError::Run("synthetic failure")
-                    );
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), ok[k].1[i]);
-                }
-            }
         }
     }
 
