@@ -445,6 +445,7 @@ pub fn program_cell_circuit_probed(
     let mut pulse_span = Tracer::global().span(Track::Program, "program_circuit");
     pulse_span.arg(Arg::f64("i_ref_a", i_ref.unwrap_or(0.0)));
     pulse_span.arg(Arg::f64("pulse_width_s", opts.pulse_width));
+    let testbench = Profiler::global().phase(PhaseId::MlcTestbench);
     let (mut c, handles) = build_program_circuit(opts)?;
     let ProgramCircuitHandles {
         sl,
@@ -453,6 +454,7 @@ pub fn program_cell_circuit_probed(
         vsl,
     } = handles;
     let tran_opts = program_tran_options(opts).with_probes(probes.clone());
+    testbench.finish();
 
     // The whole transient is a RESET programming pulse for the joule
     // ledger; the termination monitor flips the thread phase to Tail at
@@ -471,6 +473,7 @@ pub fn program_cell_circuit_probed(
         }
     };
 
+    let _measure = Profiler::global().phase(PhaseId::MlcTestbench);
     let i_cell = result.branch_trace(&c, sense, 0)?;
     let v_sl_wave = result.node_trace(sl);
     let rho = result.state_trace(&c, rram, 0)?;

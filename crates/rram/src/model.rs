@@ -111,6 +111,48 @@ pub fn tau_reset(params: &OxramParams, inst: &InstanceVariation, v: f64) -> f64 
     params.tau_rst0 * (-a * v / params.v_rst).exp()
 }
 
+/// RESET time constant `τ_eff` at state `ρ` under cell-voltage magnitude
+/// `v`, given `tau = tau_reset(v)`: `dρ/dt = −ρ/τ_eff` with
+/// `τ_eff = τ/(ρ^β·(1 + (I/I_joule)²))`. The shape factor is floored and
+/// the Joule factor clamped (the second value reports the clamp).
+fn reset_time_constant(
+    params: &OxramParams,
+    inst: &InstanceVariation,
+    tau: f64,
+    v: f64,
+    rho: f64,
+) -> (f64, bool) {
+    let shape = rho.powf(params.beta_rst).max(1e-12);
+    let i_mag = cell_current(params, inst, v, rho).abs();
+    let joule_raw = 1.0 + (i_mag / params.i_joule).powi(2);
+    (tau / (shape * joule_raw.min(1e6)), joule_raw > 1e6)
+}
+
+/// RESET rate at cell-voltage magnitude `v > 0` and state `ρ`:
+/// `d(ln ρ)/dt = −reset_rate`, zero below the `v_rst_floor` threshold.
+///
+/// The law [`advance_state`] integrates in RESET polarity, for integrators
+/// that solve the cell voltage themselves.
+pub fn reset_rate(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
+    if v < params.v_rst_floor {
+        return 0.0;
+    }
+    let tau = tau_reset(params, inst, v);
+    1.0 / reset_time_constant(params, inst, tau, v, rho).0
+}
+
+/// SET rate at cell voltage `v > 0` and state `ρ`:
+/// `d(ln(1 − ρ))/dt = −set_rate`, zero below the `v_set_floor` threshold.
+///
+/// The law [`advance_state`] integrates in SET polarity, for integrators
+/// that solve the cell voltage themselves.
+pub fn set_rate(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
+    if v < params.v_set_floor {
+        return 0.0;
+    }
+    1.0 / tau_set(params, inst, v, rho)
+}
+
 /// Advances the filament state by `dt` at constant cell voltage `v`.
 ///
 /// Internally sub-steps so that no sub-step changes `ρ` by more than ~2 %,
@@ -169,14 +211,8 @@ pub fn advance_state(
         let mut joule_clamps = 0u64;
         let mut floored = false;
         while remaining > 0.0 {
-            let shape = rho.powf(params.beta_rst).max(1e-12);
-            let i_mag = cell_current(params, inst, -v, rho).abs();
-            let joule_raw = 1.0 + (i_mag / params.i_joule).powi(2);
-            if joule_raw > 1e6 {
-                joule_clamps += 1;
-            }
-            let joule = joule_raw.min(1e6);
-            let tau_eff = tau / (shape * joule);
+            let (tau_eff, clamped) = reset_time_constant(params, inst, tau, -v, rho);
+            joule_clamps += u64::from(clamped);
             let sub = (0.02 * tau_eff).min(remaining).max(remaining * 1e-9);
             rho *= (-sub / tau_eff).exp();
             remaining -= sub;

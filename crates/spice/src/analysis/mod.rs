@@ -15,9 +15,32 @@ use crate::device::{AnalysisKind, DenseSink, StampContext, TripletSink};
 use crate::options::SimOptions;
 use crate::SpiceError;
 
-/// Assembles the linearized MNA system at the candidate solution and solves
-/// it, returning the next Newton iterate.
-pub(crate) fn assemble_and_solve(
+/// One linearized MNA system, dense or sparse by the circuit's size.
+enum MnaSystem {
+    Dense(DMatrix, Vec<f64>),
+    Sparse(TripletMatrix, Vec<f64>),
+}
+
+impl MnaSystem {
+    /// Factors the system and solves it: the next Newton iterate.
+    fn solve(self) -> Result<Vec<f64>, SpiceError> {
+        let tel = Telemetry::global();
+        match self {
+            MnaSystem::Dense(a, b) => {
+                tel.incr("spice.newton.lu_dense");
+                Ok(a.factorize()?.solve(&b)?)
+            }
+            MnaSystem::Sparse(a, b) => {
+                tel.incr("spice.newton.lu_sparse");
+                Ok(SparseLu::factorize(&a.to_csc())?.solve(&b)?)
+            }
+        }
+    }
+}
+
+/// Allocates and stamps the linearized MNA system at the candidate
+/// solution (`None` for a circuit with no unknowns).
+fn assemble(
     circuit: &Circuit,
     candidate: &[f64],
     state: &[f64],
@@ -25,16 +48,14 @@ pub(crate) fn assemble_and_solve(
     source_factor: f64,
     gshunt: f64,
     opts: &SimOptions,
-) -> Result<Vec<f64>, SpiceError> {
+) -> Option<MnaSystem> {
     let n = circuit.n_unknowns();
     if n == 0 {
-        return Ok(Vec::new());
+        return None;
     }
     let nn = circuit.n_nodes() - 1;
     let mut b = vec![0.0; n];
-
-    let stamp_all = |sink: &mut dyn crate::device::MnaSink, b_len_check: usize| {
-        debug_assert_eq!(b_len_check, n);
+    let stamp_all = |sink: &mut dyn crate::device::MnaSink| {
         for el in &circuit.elements {
             let mut ctx = StampContext {
                 sink,
@@ -47,43 +68,26 @@ pub(crate) fn assemble_and_solve(
             el.device.stamp(&mut ctx);
         }
     };
-
-    let tel = Telemetry::global();
-    let prof = Profiler::global();
     if n <= opts.sparse_threshold {
         let mut a = DMatrix::zeros(n, n);
-        {
-            let _stamp = prof.phase(PhaseId::NewtonStamp);
-            let mut sink = DenseSink {
-                a: &mut a,
-                b: &mut b,
-            };
-            stamp_all(&mut sink, n);
-            for i in 0..nn {
-                a.add(i, i, gshunt);
-            }
+        stamp_all(&mut DenseSink {
+            a: &mut a,
+            b: &mut b,
+        });
+        for i in 0..nn {
+            a.add(i, i, gshunt);
         }
-        tel.incr("spice.newton.lu_dense");
-        let _solve = prof.phase(PhaseId::NewtonSolveLu);
-        let lu = a.factorize()?;
-        Ok(lu.solve(&b)?)
+        Some(MnaSystem::Dense(a, b))
     } else {
         let mut a = TripletMatrix::new(n, n);
-        {
-            let _stamp = prof.phase(PhaseId::NewtonStamp);
-            let mut sink = TripletSink {
-                a: &mut a,
-                b: &mut b,
-            };
-            stamp_all(&mut sink, n);
-            for i in 0..nn {
-                a.add(i, i, gshunt);
-            }
+        stamp_all(&mut TripletSink {
+            a: &mut a,
+            b: &mut b,
+        });
+        for i in 0..nn {
+            a.add(i, i, gshunt);
         }
-        tel.incr("spice.newton.lu_sparse");
-        let _solve = prof.phase(PhaseId::NewtonSolveLu);
-        let lu = SparseLu::factorize(&a.to_csc())?;
-        Ok(lu.solve(&b)?)
+        Some(MnaSystem::Sparse(a, b))
     }
 }
 
@@ -135,8 +139,21 @@ pub(crate) fn newton_solve(
     let mut ratios: Vec<f64> = Vec::new();
     let mut x = x0.to_vec();
     let mut worst = f64::INFINITY;
+    // Each iteration runs stamp → solve_lu → residual back to back, and
+    // the next iteration's stamp follows the residual: one scope hands
+    // over to the next, so the Newton loop's self time is its own work.
+    let mut phase = prof.phase(PhaseId::NewtonStamp);
     for iter in 0..opts.max_newton_iters {
-        let x_new = assemble_and_solve(circuit, &x, state, kind, source_factor, gshunt, opts)?;
+        if iter > 0 {
+            phase = phase.then(PhaseId::NewtonStamp);
+        }
+        let system = assemble(circuit, &x, state, kind, source_factor, gshunt, opts);
+        phase = phase.then(PhaseId::NewtonSolveLu);
+        let x_new = match system {
+            Some(system) => system.solve()?,
+            None => Vec::new(),
+        };
+        phase = phase.then(PhaseId::NewtonResidual);
         if x_new.iter().any(|v| !v.is_finite()) {
             tel.incr("spice.newton.failures");
             if diag_on {
@@ -159,7 +176,6 @@ pub(crate) fn newton_solve(
             tel.record("spice.newton.iterations", 1.0);
             return Ok(NewtonOutcome { x: x_new, iters: 1 });
         }
-        let _residual = prof.phase(PhaseId::NewtonResidual);
         let mut converged = true;
         worst = 0.0;
         if diag_on {
@@ -202,6 +218,7 @@ pub(crate) fn newton_solve(
         }
         x = damped;
     }
+    phase.finish();
     tel.incr("spice.newton.failures");
     tel.record("spice.newton.final_residual", worst);
     let detail = format!(

@@ -359,10 +359,10 @@ pub fn run_transient(
             }
 
             // Present the candidate to the monitors.
-            let sol = Solution::new(x_new.clone(), nn);
             let mut action = MonitorAction::Continue;
             {
                 let _monitors = prof.phase(PhaseId::TranMonitors);
+                let sol = Solution::new(x_new.clone(), nn);
                 let sample = TranSample {
                     time: t + dt_try,
                     dt: dt_try,
@@ -394,6 +394,7 @@ pub fn run_transient(
 
             // Accept: advance device state and record.
             advance_states(circuit, &x_new, &mut state, t + dt_try, dt_try, opts);
+            let record = prof.phase(PhaseId::TranRecord);
             t += dt_try;
             x = x_new;
             if let Some(m) = &mut meter {
@@ -424,6 +425,7 @@ pub fn run_transient(
                     Arg::u64("newton_iters", iters as u64),
                 ],
             );
+            record.finish();
 
             // Step-size adaptation.
             dt = if iters <= 10 {

@@ -50,7 +50,7 @@ use std::time::Instant;
 pub const N_SHARDS: usize = 16;
 
 /// Number of phases in the catalog (length of [`PhaseId::ALL`]).
-pub const N_PHASES: usize = 13;
+pub const N_PHASES: usize = 17;
 
 /// One phase of the fixed instrumentation catalog.
 ///
@@ -69,8 +69,17 @@ pub enum PhaseId {
     /// One MLC program operation, behavioral or circuit-level
     /// (`mlc/program`).
     MlcProgram,
-    /// The semi-analytic SET/terminated-RESET kernels (`rram/calib`).
+    /// Building a circuit-level programming testbench and measuring its
+    /// waveforms afterwards (`mlc/testbench`).
+    MlcTestbench,
+    /// The Nelder–Mead model calibration (`rram/calib`); its objective
+    /// delegates to `rram/reset`.
     RramCalib,
+    /// One fast-path RESET trajectory, terminated or fixed-width
+    /// (`rram/reset`).
+    RramReset,
+    /// One fast-path compliance-limited SET (`rram/set`).
+    RramSet,
     /// DC operating-point solve, including gmin/source stepping
     /// (`op/solve`).
     OpSolve,
@@ -84,8 +93,12 @@ pub enum PhaseId {
     NewtonSolveLu,
     /// Convergence check and update damping (`tran/newton/residual`).
     NewtonResidual,
-    /// Monitor callbacks between accepted steps (`tran/monitors`).
+    /// Monitor callbacks between accepted steps, including the solution
+    /// they are shown (`tran/monitors`).
     TranMonitors,
+    /// Recording an accepted step: waveform rows, power meter, probes and
+    /// step counters (`tran/record`).
+    TranRecord,
     /// Device state priming/advancement (`tran/states`).
     TranStates,
 }
@@ -111,13 +124,17 @@ impl PhaseId {
         PhaseId::McCampaign,
         PhaseId::McWorkerRun,
         PhaseId::MlcProgram,
+        PhaseId::MlcTestbench,
         PhaseId::OpSolve,
         PhaseId::RramCalib,
+        PhaseId::RramReset,
+        PhaseId::RramSet,
         PhaseId::TranMonitors,
         PhaseId::TranNewton,
         PhaseId::NewtonResidual,
         PhaseId::NewtonSolveLu,
         PhaseId::NewtonStamp,
+        PhaseId::TranRecord,
         PhaseId::TranRun,
         PhaseId::TranStates,
     ];
@@ -129,13 +146,17 @@ impl PhaseId {
             PhaseId::McCampaign => "mc/campaign",
             PhaseId::McWorkerRun => "mc/worker/run",
             PhaseId::MlcProgram => "mlc/program",
+            PhaseId::MlcTestbench => "mlc/testbench",
             PhaseId::OpSolve => "op/solve",
             PhaseId::RramCalib => "rram/calib",
+            PhaseId::RramReset => "rram/reset",
+            PhaseId::RramSet => "rram/set",
             PhaseId::TranMonitors => "tran/monitors",
             PhaseId::TranNewton => "tran/newton",
             PhaseId::NewtonResidual => "tran/newton/residual",
             PhaseId::NewtonSolveLu => "tran/newton/solve_lu",
             PhaseId::NewtonStamp => "tran/newton/stamp",
+            PhaseId::TranRecord => "tran/record",
             PhaseId::TranRun => "tran/run",
             PhaseId::TranStates => "tran/states",
         }
@@ -148,13 +169,17 @@ impl PhaseId {
             PhaseId::McWorkerRun
             | PhaseId::MlcProgram
             | PhaseId::OpSolve
+            | PhaseId::RramCalib
             | PhaseId::TranRun
             | PhaseId::TranNewton => PhaseRole::Interior,
-            PhaseId::RramCalib
+            PhaseId::MlcTestbench
+            | PhaseId::RramReset
+            | PhaseId::RramSet
             | PhaseId::TranMonitors
             | PhaseId::NewtonResidual
             | PhaseId::NewtonSolveLu
             | PhaseId::NewtonStamp
+            | PhaseId::TranRecord
             | PhaseId::TranStates => PhaseRole::Leaf,
         }
     }
@@ -165,15 +190,19 @@ impl PhaseId {
             PhaseId::McCampaign => 1,
             PhaseId::McWorkerRun => 2,
             PhaseId::MlcProgram => 3,
-            PhaseId::OpSolve => 4,
-            PhaseId::RramCalib => 5,
-            PhaseId::TranMonitors => 6,
-            PhaseId::TranNewton => 7,
-            PhaseId::NewtonResidual => 8,
-            PhaseId::NewtonSolveLu => 9,
-            PhaseId::NewtonStamp => 10,
-            PhaseId::TranRun => 11,
-            PhaseId::TranStates => 12,
+            PhaseId::MlcTestbench => 4,
+            PhaseId::OpSolve => 5,
+            PhaseId::RramCalib => 6,
+            PhaseId::RramReset => 7,
+            PhaseId::RramSet => 8,
+            PhaseId::TranMonitors => 9,
+            PhaseId::TranNewton => 10,
+            PhaseId::NewtonResidual => 11,
+            PhaseId::NewtonSolveLu => 12,
+            PhaseId::NewtonStamp => 13,
+            PhaseId::TranRecord => 14,
+            PhaseId::TranRun => 15,
+            PhaseId::TranStates => 16,
         }
     }
 }
@@ -271,40 +300,81 @@ impl PhaseGuard {
     pub fn finish(self) {
         drop(self);
     }
-}
 
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
+    /// Ends this scope and opens its sibling `id` at the same instant.
+    ///
+    /// One clock read serves both edges and the bookkeeping lands in the
+    /// new scope, so a parent that runs its children back to back is
+    /// charged nothing between them. A disarmed guard stays disarmed.
+    pub fn then(mut self, id: PhaseId) -> PhaseGuard {
         let Some(g) = self.inner.take() else {
-            return;
+            return PhaseGuard { inner: None };
         };
-        let elapsed_ns = g.start.elapsed().as_nanos() as u64;
-        let allocs = allocs::count().wrapping_sub(g.start_allocs);
-        // Pop this scope's frame and charge the elapsed totals upward.
-        let frame = FRAMES.with(|frames| {
-            let mut frames = frames.borrow_mut();
-            let frame = frames.pop().unwrap_or(Frame {
-                sink_serial: g.sink.serial,
+        let now = Instant::now();
+        g.close(Some(now));
+        PhaseGuard::open(g.sink, id, now)
+    }
+
+    fn open(sink: Arc<ProfilerSink>, id: PhaseId, start: Instant) -> PhaseGuard {
+        FRAMES.with(|frames| {
+            frames.borrow_mut().push(Frame {
+                sink_serial: sink.serial,
                 child_ns: 0,
                 child_allocs: 0,
             });
+        });
+        PhaseGuard {
+            inner: Some(GuardInner {
+                sink,
+                id,
+                start,
+                start_allocs: allocs::count(),
+            }),
+        }
+    }
+}
+
+impl GuardInner {
+    /// Records the scope as ended at `end`, or at a clock read taken as
+    /// late as possible: the scope's own bookkeeping lands in its wall
+    /// time rather than in its parent's self time.
+    fn close(&self, end: Option<Instant>) {
+        let allocs = allocs::count().wrapping_sub(self.start_allocs);
+        let mut shard = self.sink.shards[shard_index()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Pop this scope's frame and charge the elapsed totals upward.
+        let (frame, elapsed_ns) = FRAMES.with(|frames| {
+            let mut frames = frames.borrow_mut();
+            let frame = frames.pop().unwrap_or(Frame {
+                sink_serial: self.sink.serial,
+                child_ns: 0,
+                child_allocs: 0,
+            });
+            let end = end.unwrap_or_else(Instant::now);
+            let elapsed_ns = end.saturating_duration_since(self.start).as_nanos() as u64;
             if let Some(parent) = frames.last_mut() {
-                if parent.sink_serial == g.sink.serial {
+                if parent.sink_serial == self.sink.serial {
                     parent.child_ns = parent.child_ns.saturating_add(elapsed_ns);
                     parent.child_allocs = parent.child_allocs.saturating_add(allocs);
                 }
             }
-            frame
+            (frame, elapsed_ns)
         });
-        let mut shard = g.sink.shards[shard_index()]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let cell = &mut shard.cells[g.id.index()];
+        let cell = &mut shard.cells[self.id.index()];
         cell.wall_ns = cell.wall_ns.saturating_add(elapsed_ns);
         cell.calls += 1;
         cell.child_ns = cell.child_ns.saturating_add(frame.child_ns);
         cell.allocs = cell.allocs.saturating_add(allocs);
         cell.child_allocs = cell.child_allocs.saturating_add(frame.child_allocs);
+    }
+}
+
+impl Drop for PhaseGuard {
+    fn drop(&mut self) {
+        if let Some(g) = self.inner.take() {
+            g.close(None);
+        }
     }
 }
 
@@ -572,22 +642,11 @@ impl Profiler {
     #[inline]
     pub fn phase(&self, id: PhaseId) -> PhaseGuard {
         match &self.inner {
+            // The clock is read first, so the guard's bookkeeping lands
+            // inside its own scope (see `GuardInner::close`).
             Some(sink) => {
-                FRAMES.with(|frames| {
-                    frames.borrow_mut().push(Frame {
-                        sink_serial: sink.serial,
-                        child_ns: 0,
-                        child_allocs: 0,
-                    });
-                });
-                PhaseGuard {
-                    inner: Some(GuardInner {
-                        sink: Arc::clone(sink),
-                        id,
-                        start: Instant::now(),
-                        start_allocs: allocs::count(),
-                    }),
-                }
+                let start = Instant::now();
+                PhaseGuard::open(Arc::clone(sink), id, start)
             }
             None => PhaseGuard { inner: None },
         }
@@ -665,6 +724,30 @@ mod tests {
         assert_eq!(outer.child_ns, inner.wall_ns);
         assert!(outer.self_ns() >= 4_000_000, "self {}", outer.self_ns());
         assert!(outer.wall_ns >= inner.wall_ns + outer.self_ns());
+    }
+
+    #[test]
+    fn then_hands_over_between_siblings_at_one_instant() {
+        let prof = Profiler::enabled();
+        {
+            let _outer = prof.phase(PhaseId::TranNewton);
+            let stamp = prof.phase(PhaseId::NewtonStamp);
+            std::thread::sleep(Duration::from_millis(2));
+            let solve = stamp.then(PhaseId::NewtonSolveLu);
+            std::thread::sleep(Duration::from_millis(3));
+            solve.then(PhaseId::NewtonStamp).finish();
+        }
+        let snap = prof.snapshot();
+        let outer = snap.phase(PhaseId::TranNewton).unwrap();
+        let stamp = snap.phase(PhaseId::NewtonStamp).unwrap();
+        let solve = snap.phase(PhaseId::NewtonSolveLu).unwrap();
+        assert_eq!((stamp.calls, solve.calls), (2, 1));
+        assert!(stamp.wall_ns >= 2_000_000 && solve.wall_ns >= 3_000_000);
+        // The siblings tile the parent's child tally exactly.
+        assert_eq!(outer.child_ns, stamp.wall_ns + solve.wall_ns);
+        // A disarmed guard stays disarmed across the hand-over.
+        let off = Profiler::disabled().phase(PhaseId::NewtonStamp);
+        assert!(!off.then(PhaseId::NewtonSolveLu).is_active());
     }
 
     #[test]

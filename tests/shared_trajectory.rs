@@ -126,16 +126,12 @@ fn records() -> (Vec<u64>, Vec<f64>) {
         .iter()
         .map(|k| report.counter(k).unwrap_or(0))
         .collect();
-    let mut sums = Vec::new();
-    for k in [
-        "rram.termination.latency_s",
-        "rram.termination.overshoot_rel",
-    ] {
-        let h = report.histogram(k).expect("recorded by the warm-up run");
-        ints.push(h.count);
-        ints.extend(&h.bins);
-        sums.push(h.sum);
-    }
+    let h = report
+        .histogram("rram.termination.latency_s")
+        .expect("recorded by the warm-up run");
+    ints.push(h.count);
+    ints.extend(&h.bins);
+    let mut sums = vec![h.sum];
     sums.push(JouleLedger::global().snapshot().total_dissipated_j());
     (ints, sums)
 }

@@ -90,11 +90,6 @@ fn program_operation_reports_into_the_global_registry() {
     let latency = report.histogram("rram.termination.latency_s").unwrap();
     assert!(latency.count >= 1);
     assert!(latency.max > 0.0);
-    // The chop terminates when current crosses IrefR from above, so the
-    // relative overshoot (IrefR - I)/IrefR is small and non-negative.
-    let overshoot = report.histogram("rram.termination.overshoot_rel").unwrap();
-    assert!(overshoot.count >= 1);
-    assert!(overshoot.max < 0.5, "overshoot {}", overshoot.max);
 }
 
 #[test]
