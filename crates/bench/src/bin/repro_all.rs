@@ -9,13 +9,12 @@
 //! exists so one command demonstrates the whole reproduction end to end.
 //!
 //! Instrumentation is always on here (the run doubles as the perf probe):
-//! a machine-readable `BENCH_telemetry.json` with throughput figures and
-//! per-phase wall-time shares is written at exit. `--telemetry`
+//! a machine-readable `BENCH_telemetry.json` with the run's raw work counts,
+//! its wall time and per-phase wall-time shares is written at exit. `--telemetry`
 //! additionally prints the full metric table, and `--telemetry=json` dumps
 //! the whole run report to `results/telemetry_repro_all.json`.
 //!
-//! The drift gate and the perf trajectory, on top of the shared
-//! telemetry CLI:
+//! The drift gate, on top of the shared telemetry CLI:
 //!
 //! * `--check` — compare this run's per-level resistance and
 //!   energy/latency statistics against the committed
@@ -27,21 +26,16 @@
 //! * `--bless` — write this run's summary to `results/baseline.json`
 //!   after the run (the blessing step after an intentional model,
 //!   allocation or sampling change).
-//! * `--bench-history[=PATH]` — append the fresh summary (stamped with the
-//!   git revision) to the JSONL trajectory (default `BENCH_history.jsonl`)
-//!   and print the recent tail.
 //!
 //! The nested `oxterm-levels/1` artifact is always written to
 //! `results/levels_repro_all.json`, and the nested `oxterm-energy/1`
 //! artifact (per-level energy/latency, termination savings vs the
 //! worst-case open-loop pulse, and role×phase attribution) to
 //! `results/energy_repro_all.json`. The bench summary gains informational
-//! `level.<code>.p50` / `levels.worst_*` and `energy.*` rollup keys so the
-//! perf-history trajectory carries the distribution story too.
+//! `level.<code>.p50` / `levels.worst_*` and `energy.*` rollup keys.
 
 use oxterm_array::cycling::{cycle_array, CyclingConfig};
 use oxterm_bench::baseline::{self, BASELINE_PATH};
-use oxterm_bench::bench_history;
 use oxterm_bench::campaigns::{mc_campaign, supervised_qlc_campaign, PAPER_QLC_SEED};
 use oxterm_bench::energy_report::{EnergyReport, WorstCaseBaseline};
 use oxterm_bench::hotpath::matrix_stats;
@@ -94,9 +88,6 @@ fn main() {
     // overwrite it.
     let committed = take_flag(&mut args, "--check").then(|| std::fs::read_to_string(BASELINE_PATH));
     let bless = take_flag(&mut args, "--bless");
-    // `--bench-history[=PATH]`: append this run's summary to the JSONL
-    // perf trajectory.
-    let history_to = parse_bench_history(&mut args);
     let t_start = std::time::Instant::now();
     let runs: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(120);
     println!("== oxterm reproduction checklist ({runs} MC runs where applicable) ==\n");
@@ -335,7 +326,7 @@ fn main() {
         print!("{}", report.to_table());
         write_results_file("results/energy_repro_all.json", &report.to_json());
     }
-    let summary = write_bench_summary(
+    write_bench_summary(
         t_start.elapsed().as_secs_f64(),
         level_report.as_ref(),
         energy_report.as_ref(),
@@ -366,18 +357,6 @@ fn main() {
             }
         }
     }
-    if let Some(path) = &history_to {
-        match bench_history::append_history(path, &summary, bench_history::git_rev().as_deref()) {
-            Ok(()) => {
-                println!("bench history appended to {path}");
-                match bench_history::render_tail(path, 5) {
-                    Ok(tail) => println!("\nrecent perf trajectory (last 5):\n{tail}"),
-                    Err(e) => eprintln!("--bench-history: {e}"),
-                }
-            }
-            Err(e) => eprintln!("--bench-history: {e}"),
-        }
-    }
     tel_cli.finish();
     // Anchor/gate failures dominate; otherwise the supervised campaign's
     // code reports graceful degradation (3) or a quorum breach (1).
@@ -397,20 +376,6 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     found
 }
 
-/// Parses (and strips) `--bench-history[=PATH]`.
-fn parse_bench_history(args: &mut Vec<String>) -> Option<String> {
-    let mut path = None;
-    for a in args.iter() {
-        if a == "--bench-history" {
-            path = Some(oxterm_bench::bench_history::DEFAULT_HISTORY_PATH.to_string());
-        } else if let Some(p) = a.strip_prefix("--bench-history=") {
-            path = Some(p.to_string());
-        }
-    }
-    args.retain(|a| a != "--bench-history" && !a.starts_with("--bench-history="));
-    path
-}
-
 /// Writes one artifact under `results/`, creating the directory on
 /// first use; failure is reported but never takes the checklist down.
 fn write_results_file(path: &str, contents: &str) {
@@ -426,18 +391,15 @@ fn write_results_file(path: &str, contents: &str) {
     }
 }
 
-/// Writes `BENCH_telemetry.json`: the headline throughput figures the perf
-/// trajectory tracks across commits, plus the per-phase wall-time shares
-/// from the hot-path profiler (`phase_share.<path>` keys, informational),
-/// plus the level-distribution rollups (`level.<code>.p50`,
-/// `levels.worst_*`) and the energy rollups (`energy.*`), all
-/// informational (the drift gate reads the reports, not this file).
-/// Returns the summary JSON for the history appender.
-fn write_bench_summary(
-    wall_s: f64,
-    levels: Option<&LevelReport>,
-    energy: Option<&EnergyReport>,
-) -> String {
+/// Writes `BENCH_telemetry.json`: the run's raw work counts (Newton
+/// iterations, Monte Carlo runs, transient steps) and wall time — speed is
+/// measured by the perfbench workloads, not divided out here — plus the
+/// per-phase wall-time shares from the hot-path profiler
+/// (`phase_share.<path>` keys), the level-distribution rollups
+/// (`level.<code>.p50`, `levels.worst_*`) and the energy rollups
+/// (`energy.*`), all informational (the drift gate reads the reports, not
+/// this file).
+fn write_bench_summary(wall_s: f64, levels: Option<&LevelReport>, energy: Option<&EnergyReport>) {
     let report = Telemetry::global().report();
     let newton_iters = report
         .histogram("spice.newton.iterations")
@@ -449,9 +411,7 @@ fn write_bench_summary(
     w.string("bench", "repro_all");
     w.f64("wall_seconds", wall_s);
     w.f64("newton_iterations", newton_iters);
-    w.f64("newton_iterations_per_second", newton_iters / wall_s);
     w.u64("mc_runs", mc_runs);
-    w.f64("mc_runs_per_second", mc_runs as f64 / wall_s);
     w.u64(
         "tran_steps_accepted",
         report.counter("spice.tran.steps_accepted").unwrap_or(0),
@@ -492,10 +452,8 @@ fn write_bench_summary(
         w.f64("energy.worst_case_j", report.worst_case.energy_j);
     }
     w.end_object();
-    let json = w.finish();
-    match std::fs::write("BENCH_telemetry.json", &json) {
-        Ok(()) => println!("throughput summary written to BENCH_telemetry.json"),
+    match std::fs::write("BENCH_telemetry.json", w.finish()) {
+        Ok(()) => println!("run summary written to BENCH_telemetry.json"),
         Err(e) => eprintln!("could not write BENCH_telemetry.json: {e}"),
     }
-    json
 }

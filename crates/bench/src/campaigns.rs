@@ -9,9 +9,15 @@
 //! of a `levels × runs` campaign programs level `i / runs` with the
 //! engine's RNG for run `i`, so with retries and quorum at their defaults
 //! supervision changes no sample.
+//!
+//! Both feed the streaming level tracker and joule ledger in run order,
+//! whatever order the workers finish in, so their summaries (and the
+//! results files written from them) are the same bytes on every run.
 
 use oxterm_mc::engine::MonteCarlo;
-use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, SupervisorError, SupervisorOptions};
+use oxterm_mc::supervisor::{
+    run_supervised, CampaignOutcome, RunFailure, SupervisorError, SupervisorOptions,
+};
 use oxterm_mlc::levels::{LevelAllocation, LevelSpec};
 use oxterm_mlc::margins::LevelSamples;
 use oxterm_mlc::program::{
@@ -24,6 +30,7 @@ use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::joule::JouleLedger;
 use oxterm_telemetry::levels::LevelTracker;
 use rand::rngs::StdRng;
+use std::sync::{Mutex, PoisonError};
 
 /// Seed of the paper's QLC campaign, shared by the figure binaries and
 /// the reproduction checklist.
@@ -65,11 +72,7 @@ impl LevelCampaign {
 }
 
 /// The per-run body of every QLC campaign: run `i` programs level
-/// `i / runs` of `alloc`. Successful runs also feed the streaming level
-/// tracker and joule ledger (one branch each when disarmed), which is
-/// where the dashboard and the level and energy reports get their
-/// distributions from. Failed attempts, including injected chaos faults,
-/// feed nothing, so a retried run contributes exactly its one success.
+/// `i / runs` of `alloc`.
 fn program_run<'a>(
     params: &'a OxramParams,
     alloc: &'a LevelAllocation,
@@ -79,10 +82,86 @@ fn program_run<'a>(
     let var = McVariability::default();
     move |i, rng| {
         let spec = &alloc.levels()[i / runs];
-        let out = program_cell_mc(params, alloc, spec.code, &cond, &var, rng)?;
-        LevelTracker::global().observe(spec.code, spec.i_ref, out.r_read_ohms);
-        JouleLedger::global().observe_level(spec.code, spec.i_ref, out.energy_j, out.latency_s);
-        Ok(out)
+        program_cell_mc(params, alloc, spec.code, &cond, &var, rng)
+    }
+}
+
+/// Feeds a campaign's successful runs to the streaming level tracker and
+/// joule ledger in run order, which is where the dashboard and the level
+/// and energy reports get their distributions from.
+///
+/// Workers finish runs in any order; run `i` is fed once every earlier run
+/// has finished, so the observers' sketches and moments see one sequence
+/// and their summaries do not depend on scheduling. Progress lines stay
+/// live: a finished run waits only for the runs still in flight before it.
+/// Failed runs, including injected chaos faults, feed nothing, so a
+/// retried run contributes exactly its one success.
+struct RunOrder<'a> {
+    alloc: &'a LevelAllocation,
+    runs: usize,
+    tracker: &'a LevelTracker,
+    ledger: &'a JouleLedger,
+    /// The first run not yet fed, and each run's outcome once it finished
+    /// (`Some(None)` for a failure).
+    state: Mutex<(usize, Vec<Option<Option<ProgramOutcome>>>)>,
+}
+
+impl<'a> RunOrder<'a> {
+    /// `None` when both observers are off, so a bare campaign pays one
+    /// branch per run.
+    fn new(
+        alloc: &'a LevelAllocation,
+        runs: usize,
+        tracker: &'a LevelTracker,
+        ledger: &'a JouleLedger,
+    ) -> Option<Self> {
+        if !(tracker.is_enabled() || ledger.is_enabled()) {
+            return None;
+        }
+        let total = alloc.levels().len() * runs;
+        Some(RunOrder {
+            alloc,
+            runs,
+            tracker,
+            ledger,
+            state: Mutex::new((0, vec![None; total])),
+        })
+    }
+
+    /// Records that run `i` finished with `out` (`None`: it failed), and
+    /// feeds every run the finished prefix now covers.
+    fn done(&self, i: usize, out: Option<&ProgramOutcome>) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (next, finished) = &mut *state;
+        finished[i] = Some(out.copied());
+        while let Some(Some(out)) = finished.get(*next) {
+            if let Some(out) = out {
+                self.observe(*next, out);
+            }
+            *next += 1;
+        }
+    }
+
+    /// Feeds, in order, every run not fed yet once the campaign is over:
+    /// `results[i]` stands in for a run that never reported (resumed from
+    /// a checkpoint, or lost to a panic or the run budget).
+    fn finish(&self, results: &[Result<ProgramOutcome, RunFailure>]) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (next, finished) = &mut *state;
+        for i in *next..finished.len() {
+            let out = finished[i].unwrap_or_else(|| results[i].as_ref().ok().copied());
+            if let Some(out) = out {
+                self.observe(i, &out);
+            }
+        }
+        *next = finished.len();
+    }
+
+    fn observe(&self, i: usize, out: &ProgramOutcome) {
+        let spec = &self.alloc.levels()[i / self.runs];
+        self.tracker.observe(spec.code, spec.i_ref, out.r_read_ohms);
+        self.ledger
+            .observe_level(spec.code, spec.i_ref, out.energy_j, out.latency_s);
     }
 }
 
@@ -122,9 +201,36 @@ pub fn mc_campaign(
     runs: usize,
     seed: u64,
 ) -> Vec<LevelCampaign> {
-    let total = alloc.levels().len() * runs;
-    let outcomes: Vec<ProgramOutcome> = MonteCarlo::new(total, seed)
-        .try_run(program_run(params, alloc, runs))
+    let mc = MonteCarlo::new(alloc.levels().len() * runs, seed);
+    observed_campaign(
+        mc,
+        params,
+        alloc,
+        runs,
+        LevelTracker::global(),
+        JouleLedger::global(),
+    )
+}
+
+/// [`mc_campaign`] on the engine `mc`, feeding `tracker` and `ledger`.
+fn observed_campaign(
+    mc: MonteCarlo,
+    params: &OxramParams,
+    alloc: &LevelAllocation,
+    runs: usize,
+    tracker: &LevelTracker,
+    ledger: &JouleLedger,
+) -> Vec<LevelCampaign> {
+    let order = RunOrder::new(alloc, runs, tracker, ledger);
+    let program = program_run(params, alloc, runs);
+    let outcomes: Vec<ProgramOutcome> = mc
+        .try_run(|i, rng| {
+            let out = program(i, rng);
+            if let Some(order) = &order {
+                order.done(i, out.as_ref().ok());
+            }
+            out
+        })
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("level inside programmable window");
@@ -158,12 +264,25 @@ pub fn supervised_qlc_campaign(
     let params = OxramParams::calibrated();
     let alloc = LevelAllocation::paper_qlc();
     let run = program_run(&params, &alloc, runs);
+    let order = RunOrder::new(&alloc, runs, LevelTracker::global(), JouleLedger::global());
     let total = alloc.levels().len() * runs;
     let outcome = run_supervised(
         MonteCarlo::new(total, PAPER_QLC_SEED),
         opts,
-        |attempt, rng| run(attempt.run_index as usize, rng).map_err(|e| e.to_string()),
+        |attempt, rng| {
+            let i = attempt.run_index as usize;
+            let out = run(i, rng);
+            // A failure is final on the ladder's last rung.
+            let last = attempt.attempt + 1 >= attempt.max_attempts;
+            if let Some(order) = order.as_ref().filter(|_| out.is_ok() || last) {
+                order.done(i, out.as_ref().ok());
+            }
+            out.map_err(|e| e.to_string())
+        },
     )?;
+    if let Some(order) = &order {
+        order.finish(&outcome.results);
+    }
     let campaigns = by_level(&alloc, runs, &outcome.results, |r| r.as_ref().ok().copied());
     Ok((campaigns, outcome))
 }
@@ -250,6 +369,27 @@ mod tests {
         let b = supervised_qlc_campaign(2, &SupervisorOptions::default()).expect("campaign runs");
         assert_eq!(a.0[7].resistances(), b.0[7].resistances());
         assert_eq!(a.0[7].energies(), b.0[7].energies());
+    }
+
+    #[test]
+    fn observed_summaries_do_not_depend_on_worker_order() {
+        let params = OxramParams::calibrated();
+        let alloc = LevelAllocation::paper_qlc();
+        let runs = 24;
+        let observe = || {
+            let (tracker, ledger) = (LevelTracker::enabled(), JouleLedger::enabled());
+            let mc = MonteCarlo::new(alloc.levels().len() * runs, 0x0DE7).with_threads(2);
+            observed_campaign(mc, &params, &alloc, runs, &tracker, &ledger);
+            (tracker.snapshot(), ledger.snapshot().levels)
+        };
+        let (levels, energy) = observe();
+        assert_eq!(levels.levels.len(), 16);
+        assert!(levels.levels.iter().all(|l| l.n == runs as u64));
+        for _ in 0..3 {
+            let again = observe();
+            assert_eq!(again.0, levels);
+            assert_eq!(again.1, energy);
+        }
     }
 
     #[test]

@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod bench_history;
 pub mod campaigns;
 pub mod chart;
 pub mod energy_report;

@@ -238,7 +238,13 @@ pub fn program_cell_mc<R: Rng + ?Sized>(
     span.arg(Arg::u64("code", u64::from(code)));
     let level = alloc.level(code)?;
     span.arg(Arg::f64("i_ref_a", level.i_ref));
+    let sample = Profiler::global().phase(PhaseId::MlcSample);
     let (inst, mut cond, i_ref_factor) = var.sample(params, cond, rng);
+    // Filament-discreteness state noise (grows at low programming current).
+    // The pulses draw nothing from `rng`, so drawing it before them keeps
+    // the run's sample stream.
+    let state_noise = (standard_normal(rng) * var.sigma_ln_r(level.i_ref)).exp();
+    sample.finish();
     let set = {
         let _phase = joule::enter_phase(ProgramPhase::Set);
         simulate_set(params, &inst, &cond.set)?
@@ -249,8 +255,6 @@ pub fn program_cell_mc<R: Rng + ?Sized>(
         let _phase = joule::enter_phase(ProgramPhase::Reset);
         simulate_reset_termination(params, &inst, &cond.reset)?
     };
-    // Filament-discreteness state noise (grows at low programming current).
-    let state_noise = (standard_normal(rng) * var.sigma_ln_r(level.i_ref)).exp();
     Ok(ProgramOutcome {
         code,
         i_ref: level.i_ref,
@@ -460,7 +464,7 @@ pub fn program_cell_circuit_probed(
     // ledger; the termination monitor flips the thread phase to Tail at
     // the trip (and Bisection while hunting the crossing), and the scope
     // guard restores whatever phase the caller was in.
-    let (result, fired) = {
+    let (mut result, fired) = {
         let _phase = joule::enter_phase(ProgramPhase::Reset);
         match i_ref {
             Some(i_ref) => {
@@ -502,6 +506,10 @@ pub fn program_cell_circuit_probed(
     }
     pulse_span.arg(Arg::f64("r_read_ohms", r_read));
 
+    let probes = std::mem::take(&mut result.probes);
+    // Releasing the testbench and its waveforms is testbench work too.
+    drop(result);
+    drop(c);
     Ok(CircuitProgramOutcome {
         r_read_ohms: r_read,
         latency_s: latency,
@@ -509,7 +517,7 @@ pub fn program_cell_circuit_probed(
         i_cell,
         v_sl: v_sl_wave,
         rho,
-        probes: result.probes,
+        probes,
     })
 }
 

@@ -3,16 +3,21 @@
 //! Compact-model internals occasionally need a quick scalar solve (e.g.
 //! inverting a conduction law to find the filament radius that yields a given
 //! read resistance), and the fast programming path solves a resistive divider
-//! at every time step. [`newton_bisect`] and [`newton_warm`] share one
-//! safeguarded Newton iteration that falls back to bisection whenever the
-//! Newton step leaves the bracket, so it inherits Newton's quadratic
-//! convergence with bisection's robustness. [`newton_bisect`] starts cold from
-//! the midpoint with a finite-difference slope; [`newton_warm`] takes the
-//! analytic slope and a start point.
+//! at every integrator stage. One safeguarded Newton iteration,
+//! [`newton_bracketed`], serves every entry: it falls back to bisection
+//! whenever the Newton step leaves the bracket, so it inherits Newton's
+//! quadratic convergence with bisection's robustness. It takes `f` and `f'`
+//! from one fused closure and a bracket whose end signs the caller
+//! guarantees, so a caller that knows them (the divider: `f(0) < 0 <
+//! f(v_drive)`) never pays for evaluating the ends. [`newton_bisect`] and
+//! [`newton_warm`] evaluate their ends first: [`newton_bisect`] starts cold
+//! from the midpoint with a finite-difference slope; [`newton_warm`] takes
+//! the analytic slope and a start point.
 
 use crate::NumericsError;
 
-/// Options for [`newton_bisect`] and [`newton_warm`].
+/// Options for the Newton entries ([`newton_bracketed`], [`newton_bisect`]
+/// and [`newton_warm`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RootOptions {
     /// Absolute tolerance on `x`.
@@ -41,9 +46,9 @@ impl Default for RootOptions {
 ///
 /// # Errors
 ///
-/// Returns [`NumericsError::InvalidInput`] if the bracket is invalid or
-/// `f(a)` and `f(b)` have the same sign, and [`NumericsError::NoConvergence`]
-/// if the iteration budget is exhausted.
+/// Returns [`NumericsError::InvalidInput`] if the bracket is invalid,
+/// `f(a)` and `f(b)` have the same sign or `f` is NaN at an iterate, and
+/// [`NumericsError::NoConvergence`] if the iteration budget is exhausted.
 ///
 /// # Examples
 ///
@@ -56,15 +61,27 @@ impl Default for RootOptions {
 /// # Ok(())
 /// # }
 /// ```
-pub fn newton_bisect<F>(f: F, a: f64, b: f64, opts: RootOptions) -> Result<f64, NumericsError>
+pub fn newton_bisect<F>(mut f: F, a: f64, b: f64, opts: RootOptions) -> Result<f64, NumericsError>
 where
     F: FnMut(f64) -> f64,
 {
-    let slope = |f: &mut F, x: f64, fx: f64| {
-        let h = 1e-7 * (1.0 + x.abs());
-        (f(x + h) - fx) / h
+    let sign = match end_signs(&mut f, a, b)? {
+        Ends::Root(x) => return Ok(x),
+        Ends::Sign(sign) => sign,
     };
-    safeguarded_newton(f, slope, a, b, f64::NAN, opts)
+    let fdf = |x: f64| {
+        let fx = f(x);
+        // The loop stops on a value this small without using the slope, so
+        // the difference's extra evaluation is skipped.
+        let dfdx = if fx.abs() <= opts.f_tol {
+            f64::NAN
+        } else {
+            let h = 1e-7 * (1.0 + x.abs());
+            (f(x + h) - fx) / h
+        };
+        (sign * fx, sign * dfdx)
+    };
+    newton_bracketed(fdf, a, b, f64::NAN, opts)
 }
 
 /// Finds a root of `f` in `[a, b]` by safeguarded Newton iteration with the
@@ -93,7 +110,7 @@ where
 /// # }
 /// ```
 pub fn newton_warm<F, D>(
-    f: F,
+    mut f: F,
     mut df: D,
     a: f64,
     b: f64,
@@ -104,45 +121,98 @@ where
     F: FnMut(f64) -> f64,
     D: FnMut(f64) -> f64,
 {
-    safeguarded_newton(f, |_: &mut F, x, _| df(x), a, b, guess, opts)
+    let sign = match end_signs(&mut f, a, b)? {
+        Ends::Root(x) => return Ok(x),
+        Ends::Sign(sign) => sign,
+    };
+    newton_bracketed(|x| (sign * f(x), sign * df(x)), a, b, guess, opts)
 }
 
-/// The one Newton loop behind [`newton_bisect`] and [`newton_warm`].
-/// `slope(f, x, f(x))` returns `f'(x)`; it gets `f` so a finite difference
-/// can evaluate it once more.
-fn safeguarded_newton<F, S>(
-    mut f: F,
-    mut slope: S,
-    a: f64,
-    b: f64,
-    guess: f64,
-    opts: RootOptions,
-) -> Result<f64, NumericsError>
+/// What evaluating `f` at both ends of a bracket established.
+enum Ends {
+    /// An end is an exact root.
+    Root(f64),
+    /// `sign · f` is negative at the lower end and positive at the upper.
+    Sign(f64),
+}
+
+/// Evaluates `f` at both ends of `[a, b]` and orients the bracket for
+/// [`newton_bracketed`].
+fn end_signs<F>(f: &mut F, a: f64, b: f64) -> Result<Ends, NumericsError>
 where
     F: FnMut(f64) -> f64,
-    S: FnMut(&mut F, f64, f64) -> f64,
 {
-    if !a.is_finite() || !b.is_finite() || a >= b {
-        return Err(NumericsError::InvalidInput {
-            reason: format!("invalid bracket [{a}, {b}]"),
-        });
-    }
-    let mut lo = a;
-    let mut hi = b;
-    let mut f_lo = f(lo);
-    let f_hi = f(hi);
+    check_bracket(a, b)?;
+    let f_lo = f(a);
+    let f_hi = f(b);
     if f_lo == 0.0 {
-        return Ok(lo);
+        return Ok(Ends::Root(a));
     }
     if f_hi == 0.0 {
-        return Ok(hi);
+        return Ok(Ends::Root(b));
     }
     if f_lo.signum() == f_hi.signum() {
         return Err(NumericsError::InvalidInput {
             reason: "f(a) and f(b) must have opposite signs".into(),
         });
     }
+    Ok(Ends::Sign(-f_lo.signum()))
+}
 
+fn check_bracket(a: f64, b: f64) -> Result<(), NumericsError> {
+    if !a.is_finite() || !b.is_finite() || a >= b {
+        return Err(NumericsError::InvalidInput {
+            reason: format!("invalid bracket [{a}, {b}]"),
+        });
+    }
+    Ok(())
+}
+
+/// The one safeguarded Newton loop: finds a root of `f` in `[lo, hi]`,
+/// where `fdf(x)` returns `(f(x), f'(x))` and the caller guarantees
+/// `f(lo) < 0 < f(hi)`.
+///
+/// This is the known-sign entry: neither end is evaluated, so every
+/// evaluation is an iterate, starting with `guess` (the midpoint when
+/// `guess` is outside `(lo, hi)` or NaN). Each iterate narrows the bracket;
+/// a Newton step that leaves it, or a zero or non-finite slope, takes a
+/// bisection step. The root returned is the last point evaluated, so a
+/// closure that keeps what it computed there (the divider's current, say)
+/// need not evaluate it again.
+///
+/// If the sign guarantee is false the iteration still stays inside the
+/// bracket, but may converge to one of its ends.
+///
+/// # Errors
+///
+/// Returns [`NumericsError::InvalidInput`] for an invalid bracket or a NaN
+/// `f`, and [`NumericsError::NoConvergence`] if the iteration budget is
+/// exhausted.
+///
+/// # Examples
+///
+/// ```
+/// use oxterm_numerics::roots::{newton_bracketed, RootOptions};
+///
+/// # fn main() -> Result<(), oxterm_numerics::NumericsError> {
+/// // x² − 2 is negative at 0 and positive at 2.
+/// let sqrt2 = newton_bracketed(|x| (x * x - 2.0, 2.0 * x), 0.0, 2.0, 1.4, RootOptions::default())?;
+/// assert!((sqrt2 - 2.0f64.sqrt()).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+pub fn newton_bracketed<F>(
+    mut fdf: F,
+    lo: f64,
+    hi: f64,
+    guess: f64,
+    opts: RootOptions,
+) -> Result<f64, NumericsError>
+where
+    F: FnMut(f64) -> (f64, f64),
+{
+    check_bracket(lo, hi)?;
+    let (mut lo, mut hi) = (lo, hi);
     // `NaN` fails both comparisons, so a NaN guess starts at the midpoint.
     let mut x = if guess > lo && guess < hi {
         guess
@@ -150,19 +220,22 @@ where
         0.5 * (lo + hi)
     };
     for _ in 0..opts.max_iters {
-        let fx = f(x);
+        let (fx, dfdx) = fdf(x);
         if fx.abs() <= opts.f_tol || (hi - lo) <= opts.x_tol {
             return Ok(x);
         }
         // Maintain the bracket.
-        if fx.signum() == f_lo.signum() {
+        if fx < 0.0 {
             lo = x;
-            f_lo = fx;
+        } else if fx.is_nan() {
+            return Err(NumericsError::InvalidInput {
+                reason: format!("f({x}) is NaN"),
+            });
         } else {
             hi = x;
         }
-        let dfdx = slope(&mut f, x, fx);
-        let newton = if dfdx != 0.0 { x - fx / dfdx } else { f64::NAN };
+        // A zero or NaN slope makes the step non-finite.
+        let newton = x - fx / dfdx;
         x = if newton.is_finite() && newton > lo && newton < hi {
             newton
         } else {
@@ -171,7 +244,7 @@ where
     }
     Err(NumericsError::NoConvergence {
         iterations: opts.max_iters,
-        residual: f(x).abs(),
+        residual: fdf(x).0.abs(),
     })
 }
 
@@ -326,5 +399,63 @@ mod tests {
             newton_warm(|x| x, |_| 1.0, 0.0, 1.0, 0.5, RootOptions::default()).unwrap(),
             0.0
         );
+    }
+
+    #[test]
+    fn known_sign_entry_never_evaluates_the_bracket_ends() {
+        for guess in [1.4, f64::NAN] {
+            let mut log = Vec::new();
+            let r = {
+                let mut f = logged(&mut log, |x| x * x - 2.0);
+                newton_bracketed(|x| (f(x), 2.0 * x), 0.0, 2.0, guess, RootOptions::default())
+                    .unwrap()
+            };
+            assert!((r - 2.0f64.sqrt()).abs() < 1e-12);
+            // Every evaluation is an iterate, the first the start point,
+            // the last the root returned.
+            assert_eq!(log[0], if guess.is_nan() { 1.0 } else { guess });
+            assert_eq!(*log.last().unwrap(), r);
+            assert!(log.iter().all(|&x| x > 0.0 && x < 2.0), "{log:?}");
+        }
+    }
+
+    #[test]
+    fn known_sign_entry_matches_the_warm_iterates() {
+        // The same iterates as the entry that evaluates its ends, for an
+        // increasing and a decreasing function.
+        type Fn1 = fn(f64) -> f64;
+        let cases: [(Fn1, Fn1); 2] = [
+            (|x| x * x - 2.0, |x| 2.0 * x),
+            (|x| 2.0 - x * x, |x| -2.0 * x),
+        ];
+        for (f, df) in cases {
+            let mut warm = Vec::new();
+            let w = newton_warm(
+                logged(&mut warm, f),
+                df,
+                0.0,
+                2.0,
+                0.3,
+                RootOptions::default(),
+            )
+            .unwrap();
+            let sign = -f(0.0).signum();
+            let mut known = Vec::new();
+            let k = {
+                let mut g = logged(&mut known, f);
+                let fdf = |x| (sign * g(x), sign * df(x));
+                newton_bracketed(fdf, 0.0, 2.0, 0.3, RootOptions::default()).unwrap()
+            };
+            assert_eq!(w, k);
+            assert_eq!(&warm[2..], &known[..]);
+        }
+    }
+
+    #[test]
+    fn nan_function_is_an_error_not_a_root() {
+        let err = newton_bracketed(|_| (f64::NAN, 1.0), 0.0, 1.0, 0.5, RootOptions::default())
+            .unwrap_err();
+        assert!(matches!(err, NumericsError::InvalidInput { .. }), "{err:?}");
+        assert!(newton_bracketed(|x| (x, 1.0), 1.0, 1.0, 0.5, RootOptions::default()).is_err());
     }
 }

@@ -8,11 +8,15 @@
 //! RESET and the fixed-width RESET — goes through one error-controlled
 //! integrator: an embedded Bogacki–Shampine 3(2) pair on `y = ln ρ` (RESET)
 //! or `y = ln(1 − ρ)` (SET), carrying the driver and cell energies as two
-//! more components. Each stage solves the resistive divider (plus SET's
-//! compliance re-solve) by bracket-safeguarded Newton on the analytic slope
-//! `∂I/∂v + 1/R_series`, warm-started from the previous stage's cell
-//! voltage, then evaluates the model's own rate law ([`model::reset_rate`],
-//! [`model::set_rate`]) at the solved voltage. Steps are sized so the local
+//! more components. Each pulse builds the cell's [`CellLaw`] once. Each
+//! stage solves the resistive divider (plus SET's compliance re-solve) by
+//! bracket-safeguarded Newton on the analytic slope `∂I/∂v + 1/R_series`,
+//! warm-started from the previous stage's cell voltage, through the
+//! known-sign entry [`newton_bracketed`]: the ends of `[0, v_drive]` are
+//! never evaluated, and the current and slope come from one exponential.
+//! The stage then evaluates the law's rate ([`CellLaw::reset_rate`] on the
+//! solved current and `ln ρ`, [`CellLaw::set_rate`]) at the solved voltage.
+//! Steps are sized so the local
 //! error stays below one relative tolerance (`RTOL`) in the state and in
 //! each energy; the conditions' `dt` is only the first trial step.
 //!
@@ -34,10 +38,10 @@
 //! objective evaluation off one shared RESET trajectory.
 
 use oxterm_numerics::optimize::{nelder_mead, NelderMeadOptions};
-use oxterm_numerics::roots::{newton_warm, RootOptions};
+use oxterm_numerics::roots::{newton_bracketed, RootOptions};
 use oxterm_numerics::NumericsError;
 
-use crate::model;
+use crate::model::{self, CellLaw};
 use crate::params::{InstanceVariation, OxramParams};
 use crate::RramError;
 use oxterm_telemetry::joule::{DeviceClass, JouleLedger, Role};
@@ -106,12 +110,36 @@ pub struct TerminationOutcome {
 }
 
 /// Solves the resistive divider: the cell-voltage magnitude `v_c` in
-/// `[0, v_drive]` with `I(v_c, ρ) = (v_drive − v_c)/r_series`.
+/// `[0, v_drive]` with `I(v_c, ρ) = (v_drive − v_c)/r_series`, and the
+/// current `I(v_c, ρ)` there.
 ///
 /// Newton on the analytic slope `∂I/∂v + 1/r_series`, started from `guess`
 /// — the previous stage's `v_c`, which the state barely moves within one
 /// stage. A `guess` outside `(0, v_drive)` or NaN (no previous stage)
-/// starts from the midpoint.
+/// starts from the midpoint. The end signs are known, so the ends are never
+/// evaluated: `f(0) = −v_drive/r_series < 0`, and `f(v_drive) =
+/// I(v_drive, ρ) > 0` because `v_drive > 0`, `ρ ≥ 0` and the card's
+/// `i_leak`, `v_hop` are positive ([`check_drive`]). The root is the last
+/// point evaluated, so the current kept from there is the solved current.
+fn divider(
+    law: &CellLaw,
+    rho: f64,
+    v_drive: f64,
+    r_series: f64,
+    guess: f64,
+) -> Result<(f64, f64), RramError> {
+    let mut i = f64::NAN;
+    let fdf = |vc: f64| {
+        let (ic, gc) = law.current_and_slope(vc, rho);
+        i = ic;
+        (ic - (v_drive - vc) / r_series, gc + 1.0 / r_series)
+    };
+    let vc = newton_bracketed(fdf, 0.0, v_drive, guess, RootOptions::default())?;
+    Ok((vc, i))
+}
+
+/// [`divider`]'s cell voltage for the card and instance (a test's view).
+#[cfg(test)]
 fn solve_divider(
     params: &OxramParams,
     inst: &InstanceVariation,
@@ -120,16 +148,39 @@ fn solve_divider(
     r_series: f64,
     guess: f64,
 ) -> Result<f64, RramError> {
-    let f = |vc: f64| model::cell_current(params, inst, vc, rho) - (v_drive - vc) / r_series;
-    let df = |vc: f64| model::cell_conductance(params, inst, vc, rho) + 1.0 / r_series;
-    Ok(newton_warm(
-        f,
-        df,
-        0.0,
-        v_drive,
-        guess,
-        RootOptions::default(),
-    )?)
+    let law = CellLaw::new(params, inst);
+    Ok(divider(&law, rho, v_drive, r_series, guess)?.0)
+}
+
+/// Rejects what the fast path cannot simulate: a drive the divider solve
+/// cannot bracket (`v_drive`, `r_series` not finite and positive), a
+/// starting state outside `[0, 1]` (NaN included), a non-positive read
+/// voltage or instance factor.
+fn check_drive(
+    inst: &InstanceVariation,
+    v_drive: f64,
+    r_series: f64,
+    rho_start: f64,
+    v_read: f64,
+) -> Result<(), RramError> {
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    for (name, value, ok) in [
+        ("v_drive", v_drive, positive(v_drive)),
+        ("r_series", r_series, positive(r_series)),
+        ("rho_start", rho_start, (0.0..=1.0).contains(&rho_start)),
+        ("v_read", v_read, positive(v_read)),
+        (
+            "alpha_factor",
+            inst.alpha_factor,
+            positive(inst.alpha_factor),
+        ),
+        ("lx_factor", inst.lx_factor, positive(inst.lx_factor)),
+    ] {
+        if !ok {
+            return Err(RramError::InvalidParameter { name, value });
+        }
+    }
+    Ok(())
 }
 
 /// The integrated quantities of a pulse at one instant.
@@ -288,20 +339,18 @@ impl<F: Fn(f64, f64) -> Result<Stage, RramError>> Integrator<F> {
 }
 
 /// The RESET integrator: `y = ln ρ` under `v_drive` through `r_series`.
-fn reset_integrator<'a>(
-    params: &'a OxramParams,
-    inst: &'a InstanceVariation,
+fn reset_integrator(
+    law: CellLaw,
     v_drive: f64,
     r_series: f64,
     h0: f64,
-) -> Integrator<impl Fn(f64, f64) -> Result<Stage, RramError> + 'a> {
+) -> Integrator<impl Fn(f64, f64) -> Result<Stage, RramError>> {
     let rhs = move |y: f64, guess: f64| {
-        let rho = y.exp();
-        let vc = solve_divider(params, inst, rho, v_drive, r_series, guess)?;
+        let (vc, i) = divider(&law, y.exp(), v_drive, r_series, guess)?;
         Ok(Stage {
             vc,
-            i: model::cell_current(params, inst, vc, rho),
-            dy: -model::reset_rate(params, inst, vc, rho),
+            i,
+            dy: -law.reset_rate(vc, i, y),
         })
     };
     Integrator {
@@ -316,18 +365,12 @@ fn reset_integrator<'a>(
 /// The cell then sits at `v_c = v_drive − i_ref·r_series`, so
 /// `I(v_c, ρ*) = i_ref` has a closed form. `+∞` when the drive cannot
 /// source `i_ref` at all, `−∞` when `i_ref` is below the leakage there.
-fn ln_rho_at_current(
-    params: &OxramParams,
-    inst: &InstanceVariation,
-    v_drive: f64,
-    r_series: f64,
-    i_ref: f64,
-) -> f64 {
+fn ln_rho_at_current(law: &CellLaw, v_drive: f64, r_series: f64, i_ref: f64) -> f64 {
     let vc = v_drive - i_ref * r_series;
     if vc <= 0.0 {
         return f64::INFINITY;
     }
-    model::rho_for_resistance(params, inst, vc / i_ref, vc).ln()
+    law.rho_at(vc, i_ref).ln()
 }
 
 /// Simulates one current-terminated RESET in the fast scalar path.
@@ -339,7 +382,9 @@ fn ln_rho_at_current(
 ///
 /// # Errors
 ///
-/// * [`RramError::InvalidParameter`] for an invalid model card,
+/// * [`RramError::InvalidParameter`] for an invalid model card or drive
+///   (`v_drive`, `r_series` or `v_read` not positive, `rho_start` outside
+///   `[0, 1]` or NaN),
 /// * [`RramError::NotTerminated`] if the current never reaches `i_ref`
 ///   within `t_max` (reference below the leakage floor),
 /// * [`RramError::Numerics`] if the divider solve fails.
@@ -375,9 +420,19 @@ pub fn simulate_reset_references(
     cond: &ResetConditions,
     i_refs: &[f64],
 ) -> Vec<Result<TerminationOutcome, RramError>> {
-    if let Err(e) = params.validate() {
+    let _reset = Profiler::global().phase(PhaseId::RramReset);
+    if let Err(e) = params.validate().and_then(|()| {
+        check_drive(
+            inst,
+            cond.v_drive,
+            cond.r_series,
+            cond.rho_start,
+            cond.v_read,
+        )
+    }) {
         return vec![Err(e); i_refs.len()];
     }
+    let law = CellLaw::new(params, inst);
     let mut out: Vec<Option<Result<TerminationOutcome, RramError>>> = vec![None; i_refs.len()];
     // `pending` lists the valid references, each with the `ln ρ` at which
     // the current reaches it, from the highest current down: the order in
@@ -390,13 +445,13 @@ pub fn simulate_reset_references(
                 value: i_ref,
             }));
         } else {
-            let y_star = ln_rho_at_current(params, inst, cond.v_drive, cond.r_series, i_ref);
+            let y_star = ln_rho_at_current(&law, cond.v_drive, cond.r_series, i_ref);
             pending.push((k, y_star));
         }
     }
     pending.sort_by(|&(a, _), &(b, _)| i_refs[b].total_cmp(&i_refs[a]));
     if !pending.is_empty() {
-        reset_trajectory(params, inst, cond, i_refs, &pending, &mut out);
+        reset_trajectory(&law, cond, i_refs, &pending, &mut out);
     }
     out.into_iter()
         .map(|slot| slot.unwrap_or_else(|| unreachable!("every reference is resolved")))
@@ -408,15 +463,13 @@ pub fn simulate_reset_references(
 /// their `ln ρ*`, highest current first) or `cond.t_max` passes, and fills
 /// `out` at those indices.
 fn reset_trajectory(
-    params: &OxramParams,
-    inst: &InstanceVariation,
+    law: &CellLaw,
     cond: &ResetConditions,
     i_refs: &[f64],
     pending: &[(usize, f64)],
     out: &mut [Option<Result<TerminationOutcome, RramError>>],
 ) {
     let tel = Telemetry::global();
-    let _reset = Profiler::global().phase(PhaseId::RramReset);
     tel.add("rram.termination.runs", pending.len() as u64);
     if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::NewtonStall) {
         // Fast-path analogue of a forced Newton stall: the Monte Carlo
@@ -442,7 +495,7 @@ fn reset_trajectory(
     };
     // `pending[next]` is the highest reference not yet crossed.
     let mut next = 0;
-    let mut it = reset_integrator(params, inst, cond.v_drive, cond.r_series, cond.dt);
+    let mut it = reset_integrator(*law, cond.v_drive, cond.r_series, cond.dt);
     let mut p = match it.start(cond.rho_start.ln()) {
         Ok(p) => p,
         Err(e) => return fail(out, next, e),
@@ -482,7 +535,7 @@ fn reset_trajectory(
             }
             out[k] = Some(Ok(TerminationOutcome {
                 rho_final,
-                r_read_ohms: model::read_resistance(params, inst, rho_final, cond.v_read),
+                r_read_ohms: law.read_resistance(rho_final, cond.v_read),
                 latency_s: at.t,
                 energy_j: at.e_drive,
                 i_initial,
@@ -551,7 +604,8 @@ impl StandardResetPulse {
 ///
 /// # Errors
 ///
-/// Propagates divider-solve failures.
+/// [`RramError::InvalidParameter`] for an invalid card or drive (as
+/// [`simulate_reset_termination`]); propagates divider-solve failures.
 pub fn simulate_standard_reset(
     params: &OxramParams,
     inst: &InstanceVariation,
@@ -559,8 +613,11 @@ pub fn simulate_standard_reset(
     rho_start: f64,
     v_read: f64,
 ) -> Result<TerminationOutcome, RramError> {
+    let _reset = Profiler::global().phase(PhaseId::RramReset);
     params.validate()?;
-    let mut it = reset_integrator(params, inst, pulse.v_drive, pulse.r_series, pulse.dt);
+    check_drive(inst, pulse.v_drive, pulse.r_series, rho_start, v_read)?;
+    let law = CellLaw::new(params, inst);
+    let mut it = reset_integrator(law, pulse.v_drive, pulse.r_series, pulse.dt);
     let start = it.start(rho_start.ln())?;
     let mut p = start;
     while p.s.t < pulse.width {
@@ -569,7 +626,7 @@ pub fn simulate_standard_reset(
     let rho = p.s.y.exp();
     Ok(TerminationOutcome {
         rho_final: rho,
-        r_read_ohms: model::read_resistance(params, inst, rho, v_read),
+        r_read_ohms: law.read_resistance(rho, v_read),
         latency_s: pulse.width,
         energy_j: p.s.e_drive,
         i_initial: start.k.i,
@@ -662,34 +719,55 @@ pub struct SetOutcome {
 ///
 /// # Errors
 ///
-/// Propagates divider/inversion solve failures and invalid cards.
+/// [`RramError::InvalidParameter`] for an invalid card, drive (as
+/// [`simulate_reset_termination`]) or a non-positive compliance; propagates
+/// divider/inversion solve failures.
 pub fn simulate_set(
     params: &OxramParams,
     inst: &InstanceVariation,
     cond: &SetConditions,
 ) -> Result<SetOutcome, RramError> {
-    params.validate()?;
     let _set = Profiler::global().phase(PhaseId::RramSet);
+    params.validate()?;
+    check_drive(
+        inst,
+        cond.v_drive,
+        cond.r_series,
+        cond.rho_start,
+        cond.v_read,
+    )?;
+    let i_c = cond.i_compliance;
+    if !(i_c.is_finite() && i_c > 0.0) {
+        return Err(RramError::InvalidParameter {
+            name: "i_compliance",
+            value: i_c,
+        });
+    }
+    let law = CellLaw::new(params, inst);
     // Operating point at state `ρ = 1 − e^y`, with the access-transistor
     // compliance clamp: when the divider current would exceed it, the
     // transistor saturates and the cell voltage is re-solved at the clamped
     // current. Both solves start from the previous stage's cell voltage.
+    // The re-solve's end signs are known too: `I(0, ρ) − i_c = −i_c < 0`,
+    // and `I(v_drive, ρ) ≥ I(v_div, ρ) > i_c` since the current rises with
+    // the voltage.
     let rhs = |y: f64, guess: f64| -> Result<Stage, RramError> {
         let rho = -y.exp_m1();
-        let vc_div = solve_divider(params, inst, rho, cond.v_drive, cond.r_series, guess)?;
-        let i_div = model::cell_current(params, inst, vc_div, rho);
-        let (vc, i) = if i_div > cond.i_compliance {
-            let f = |v: f64| model::cell_current(params, inst, v, rho) - cond.i_compliance;
-            let df = |v: f64| model::cell_conductance(params, inst, v, rho);
-            let vc = newton_warm(f, df, 0.0, cond.v_drive, guess, RootOptions::default())?;
-            (vc, cond.i_compliance)
+        let (vc_div, i_div) = divider(&law, rho, cond.v_drive, cond.r_series, guess)?;
+        let (vc, i) = if i_div > i_c {
+            let fdf = |v: f64| {
+                let (i, g) = law.current_and_slope(v, rho);
+                (i - i_c, g)
+            };
+            let vc = newton_bracketed(fdf, 0.0, cond.v_drive, guess, RootOptions::default())?;
+            (vc, i_c)
         } else {
             (vc_div, i_div)
         };
         Ok(Stage {
             vc,
             i,
-            dy: -model::set_rate(params, inst, vc, rho),
+            dy: -law.set_rate(vc, rho),
         })
     };
     let mut it = Integrator {
@@ -713,7 +791,7 @@ pub fn simulate_set(
     let rho = -p.s.y.exp_m1();
     Ok(SetOutcome {
         rho_final: rho,
-        r_read_ohms: model::read_resistance(params, inst, rho, cond.v_read),
+        r_read_ohms: law.read_resistance(rho, cond.v_read),
         energy_j: p.s.e_drive,
     })
 }
@@ -822,7 +900,7 @@ fn calibration_objective(
         err += 4.0 * e * e;
     }
     {
-        let r_lrs = crate::model::read_resistance(params, &inst, 1.0, 0.3);
+        let r_lrs = model::read_resistance(params, &inst, 1.0, 0.3);
         let e = (r_lrs / target.r_lrs).ln();
         err += 2.0 * e * e;
     }
@@ -1010,6 +1088,76 @@ mod tests {
                 (i / cond.i_ref - 1.0).abs() < 1e-9,
                 "{i_ua} µA: current {i:e} at the terminated state"
             );
+        }
+    }
+
+    #[test]
+    fn bad_drive_or_nan_state_is_a_classified_error() {
+        let (p, inst) = nominal();
+        let invalid = |r: Result<(), RramError>, want: &str| match r {
+            Err(RramError::InvalidParameter { name, .. }) if name == want => {}
+            other => panic!("expected invalid {want}, got {other:?}"),
+        };
+        for v_drive in [0.0, -1.2, f64::NAN] {
+            let cond = ResetConditions {
+                v_drive,
+                ..ResetConditions::paper_defaults(10e-6)
+            };
+            invalid(
+                simulate_reset_termination(&p, &inst, &cond).map(drop),
+                "v_drive",
+            );
+            let set = SetConditions {
+                v_drive,
+                ..SetConditions::paper_defaults()
+            };
+            invalid(simulate_set(&p, &inst, &set).map(drop), "v_drive");
+            let pulse = StandardResetPulse {
+                v_drive,
+                ..StandardResetPulse::paper_baseline()
+            };
+            invalid(
+                simulate_standard_reset(&p, &inst, &pulse, 1.0, 0.3).map(drop),
+                "v_drive",
+            );
+        }
+        for rho_start in [f64::NAN, -0.1, 1.5] {
+            let cond = ResetConditions {
+                rho_start,
+                ..ResetConditions::paper_defaults(10e-6)
+            };
+            invalid(
+                simulate_reset_termination(&p, &inst, &cond).map(drop),
+                "rho_start",
+            );
+            let set = SetConditions {
+                rho_start,
+                ..SetConditions::paper_defaults()
+            };
+            invalid(simulate_set(&p, &inst, &set).map(drop), "rho_start");
+            let pulse = StandardResetPulse::paper_baseline();
+            invalid(
+                simulate_standard_reset(&p, &inst, &pulse, rho_start, 0.3).map(drop),
+                "rho_start",
+            );
+        }
+        // A NaN state reaching the divider is an error, not a silent root.
+        let law = CellLaw::new(&p, &inst);
+        assert!(matches!(
+            divider(&law, f64::NAN, 1.2, 3e3, f64::NAN),
+            Err(RramError::Numerics(NumericsError::InvalidInput { .. }))
+        ));
+    }
+
+    #[test]
+    fn divider_returns_the_current_at_its_root() {
+        let (p, inst) = nominal();
+        let law = CellLaw::new(&p, &inst);
+        for rho in [0.0, 1e-6, 0.05, 0.5, 1.0] {
+            let (vc, i) = divider(&law, rho, 1.1523, 3.6131e3, f64::NAN).unwrap();
+            assert!(vc > 0.0 && vc < 1.1523);
+            assert_eq!(i, law.current(vc, rho));
+            assert!((i - (1.1523 - vc) / 3.6131e3).abs() < 1e-13, "rho {rho}");
         }
     }
 

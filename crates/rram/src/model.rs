@@ -45,21 +45,177 @@ fn note_regime(new: u8, v: f64) {
 /// Largest sinh/exp argument before linear continuation (overflow guard).
 const ARG_MAX: f64 = 40.0;
 
-fn safe_sinh(x: f64) -> f64 {
-    if x.abs() <= ARG_MAX {
-        x.sinh()
+/// `ln 1e-12`: the floor of the RESET shape factor `ρ^β`, in the log.
+const LN_SHAPE_FLOOR: f64 = -27.631_021_115_928_547;
+
+/// Largest Joule-heating factor `1 + (I/i_joule)²` the RESET rate uses.
+const JOULE_CLAMP: f64 = 1e6;
+
+/// `(sinh x, cosh x)` from one exponential, accurate to a few ulps down to
+/// `x → 0`; past `|x| > ARG_MAX` sinh continues linearly and cosh holds.
+fn sinh_cosh(x: f64) -> (f64, f64) {
+    let a = x.abs();
+    let (sinh, cosh) = if a >= 0.5 {
+        if a > ARG_MAX {
+            let e = 0.5 * ARG_MAX.exp();
+            return (x.signum() * e * (1.0 + (a - ARG_MAX)), e);
+        }
+        // e^a − e^−a loses at most a couple of bits for a ≥ 0.5.
+        let e = a.exp();
+        let r = 1.0 / e;
+        (0.5 * (e - r), 0.5 * (e + r))
     } else {
-        let s = x.signum();
-        let e = ARG_MAX.exp() * 0.5;
-        s * e * (1.0 + (x.abs() - ARG_MAX))
-    }
+        // Near zero, with t = e^a − 1: 2·sinh a = t + t/(t + 1), which does
+        // not cancel.
+        let t = a.exp_m1();
+        let r = 1.0 / (t + 1.0);
+        (0.5 * (t + t * r), 0.5 * (t + 1.0 + r))
+    };
+    (sinh.copysign(x), cosh)
 }
 
-fn safe_cosh(x: f64) -> f64 {
-    if x.abs() <= ARG_MAX {
-        x.cosh()
-    } else {
-        ARG_MAX.exp() * 0.5
+/// The conduction and rate laws of one cell instance, with the instance
+/// constants hoisted: built once per pulse from the card and the variation,
+/// then evaluated at every integrator stage. Every free function of this
+/// module delegates to it, so each formula is written once.
+///
+/// * Conduction: `I(v, ρ) = (g_on/lx)·ρ²·v·(1 + (v/v_shape)²) +
+///   i_leak·sinh(v/v_hop)` and its slope, from one exponential.
+/// * RESET: `d(ln ρ)/dt = −ρ^β·(1 + (I/i_joule)²)/τ_rst(v)` with
+///   `τ_rst(v) = τ_rst0·exp(−(α/lx)·v/v_rst)`, the shape factor floored at
+///   `1e-12` and the Joule factor clamped at `1e6`.
+/// * SET: `d(ln(1 − ρ))/dt = −1/τ_set(v, ρ)` with
+///   `τ_set = τ_set0·exp(−(α/lx)^w·(v − barrier(ρ))/v_set)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellLaw {
+    /// `g_on/lx` (S).
+    g: f64,
+    /// `1/v_shape²` (1/V²).
+    inv_v_shape2: f64,
+    /// `i_leak` (A).
+    i_leak: f64,
+    /// `1/v_hop` (1/V).
+    inv_v_hop: f64,
+    /// `i_leak/v_hop` (S).
+    g_leak: f64,
+    /// `(α/lx)/v_rst` (1/V).
+    rst_per_v: f64,
+    /// `1/τ_rst0` (1/s).
+    inv_tau_rst0: f64,
+    /// `β`.
+    beta_rst: f64,
+    /// `1/i_joule` (1/A).
+    inv_i_joule: f64,
+    /// `(α/lx)^w/v_set` (1/V).
+    set_per_v: f64,
+    /// `1/τ_set0` (1/s).
+    inv_tau_set0: f64,
+    /// Forming barrier height (V).
+    v_form_barrier: f64,
+    /// `1/ρ_formed`.
+    inv_rho_formed: f64,
+    /// SET switching threshold (V).
+    v_set_floor: f64,
+    /// RESET switching threshold (V).
+    v_rst_floor: f64,
+}
+
+impl CellLaw {
+    /// The laws of the cell `inst` of card `params`.
+    #[inline]
+    pub fn new(params: &OxramParams, inst: &InstanceVariation) -> Self {
+        let a = inst.alpha_factor / inst.lx_factor;
+        CellLaw {
+            g: params.g_on / inst.lx_factor,
+            inv_v_shape2: 1.0 / (params.v_shape * params.v_shape),
+            i_leak: params.i_leak,
+            inv_v_hop: 1.0 / params.v_hop,
+            g_leak: params.i_leak / params.v_hop,
+            rst_per_v: a / params.v_rst,
+            inv_tau_rst0: 1.0 / params.tau_rst0,
+            beta_rst: params.beta_rst,
+            inv_i_joule: 1.0 / params.i_joule,
+            set_per_v: a.powf(params.alpha_set_weight) / params.v_set,
+            inv_tau_set0: 1.0 / params.tau_set0,
+            v_form_barrier: params.v_form_barrier,
+            inv_rho_formed: 1.0 / params.rho_formed,
+            v_set_floor: params.v_set_floor,
+            v_rst_floor: params.v_rst_floor,
+        }
+    }
+
+    /// The cell current `I(v, ρ)` and its slope `∂I/∂v`: an odd and an even
+    /// function of `v`, so the same law serves both polarities.
+    #[inline]
+    pub fn current_and_slope(&self, v: f64, rho: f64) -> (f64, f64) {
+        let g = self.g * rho * rho;
+        let s2 = v * v * self.inv_v_shape2;
+        let (sinh, cosh) = sinh_cosh(v * self.inv_v_hop);
+        (
+            g * v * (1.0 + s2) + self.i_leak * sinh,
+            g * (1.0 + 3.0 * s2) + self.g_leak * cosh,
+        )
+    }
+
+    /// The cell current `I(v, ρ)`.
+    pub fn current(&self, v: f64, rho: f64) -> f64 {
+        self.current_and_slope(v, rho).0
+    }
+
+    /// The read resistance `v_read/I(v_read, ρ)` (Ω).
+    pub fn read_resistance(&self, rho: f64, v_read: f64) -> f64 {
+        v_read / self.current(v_read, rho)
+    }
+
+    /// The state at which the cell draws `i` at `v > 0` (`0` when the
+    /// hopping background alone exceeds `i`, at most `1`).
+    pub fn rho_at(&self, v: f64, i: f64) -> f64 {
+        let filament = i - self.current(v, 0.0);
+        if filament <= 0.0 {
+            return 0.0;
+        }
+        let s2 = v * v * self.inv_v_shape2;
+        (filament / (self.g * v * (1.0 + s2))).sqrt().min(1.0)
+    }
+
+    /// RESET rate `−d(ln ρ)/dt` at cell-voltage magnitude `v > 0` drawing
+    /// current `i = I(v, ρ)`, at state `ln ρ`; zero below the `v_rst_floor`
+    /// threshold. Taking the solved current and `ln ρ` saves recomputing
+    /// the one and a `powf` for `ρ^β`.
+    pub fn reset_rate(&self, v: f64, i: f64, ln_rho: f64) -> f64 {
+        if v < self.v_rst_floor {
+            return 0.0;
+        }
+        self.reset_rate_clamped(v, i, ln_rho).0
+    }
+
+    /// The RESET rate without the threshold, and whether the Joule factor
+    /// hit its clamp.
+    fn reset_rate_clamped(&self, v: f64, i: f64, ln_rho: f64) -> (f64, bool) {
+        let x = i * self.inv_i_joule;
+        let joule = 1.0 + x * x;
+        // ρ^β·exp(v·(α/lx)/v_rst) as one exponential.
+        let shape_field = (self.beta_rst * ln_rho).max(LN_SHAPE_FLOOR) + self.rst_per_v * v;
+        (
+            self.inv_tau_rst0 * shape_field.exp() * joule.min(JOULE_CLAMP),
+            joule > JOULE_CLAMP,
+        )
+    }
+
+    /// SET rate `−d(ln(1 − ρ))/dt` at cell voltage `v > 0` and state `ρ`;
+    /// zero below the `v_set_floor` threshold.
+    pub fn set_rate(&self, v: f64, rho: f64) -> f64 {
+        if v < self.v_set_floor {
+            return 0.0;
+        }
+        self.set_rate_unfloored(v, rho)
+    }
+
+    /// `1/τ_set(v, ρ)`: the SET rate without the threshold. Below
+    /// `ρ_formed` the forming barrier reduces the effective overdrive.
+    fn set_rate_unfloored(&self, v: f64, rho: f64) -> f64 {
+        let barrier = self.v_form_barrier * (1.0 - rho * self.inv_rho_formed).max(0.0);
+        self.inv_tau_set0 * (self.set_per_v * (v - barrier)).exp()
     }
 }
 
@@ -68,16 +224,12 @@ fn safe_cosh(x: f64) -> f64 {
 /// `I(v, ρ) = (g_on/lx)·ρ²·v·(1 + (v/v_shape)²) + i_leak·sinh(v/v_hop)` —
 /// an odd function of `v`, so the same law serves both polarities.
 pub fn cell_current(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
-    let g = params.g_on * rho * rho / inst.lx_factor;
-    let s = v / params.v_shape;
-    g * v * (1.0 + s * s) + params.i_leak * safe_sinh(v / params.v_hop)
+    CellLaw::new(params, inst).current(v, rho)
 }
 
 /// `∂I/∂v` at the same operating point (for Newton linearization).
 pub fn cell_conductance(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
-    let g = params.g_on * rho * rho / inst.lx_factor;
-    let s = v / params.v_shape;
-    g * (1.0 + 3.0 * s * s) + params.i_leak / params.v_hop * safe_cosh(v / params.v_hop)
+    CellLaw::new(params, inst).current_and_slope(v, rho).1
 }
 
 /// Low-field read resistance at `v_read` (Ω).
@@ -92,7 +244,7 @@ pub fn read_resistance(
     v_read: f64,
 ) -> f64 {
     assert!(v_read > 0.0, "read voltage must be positive");
-    v_read / cell_current(params, inst, v_read, rho)
+    CellLaw::new(params, inst).read_resistance(rho, v_read)
 }
 
 /// Instantaneous SET time constant at cell voltage `v > 0` and state `ρ`
@@ -100,32 +252,13 @@ pub fn read_resistance(
 /// overdrive is reduced by `v_form_barrier·(1 − ρ/ρ_formed)`, so virgin
 /// cells need forming-level voltages.
 pub fn tau_set(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
-    let a = (inst.alpha_factor / inst.lx_factor).powf(params.alpha_set_weight);
-    let barrier = params.v_form_barrier * (1.0 - rho / params.rho_formed).max(0.0);
-    params.tau_set0 * (-a * (v - barrier) / params.v_set).exp()
+    1.0 / CellLaw::new(params, inst).set_rate_unfloored(v, rho)
 }
 
-/// Instantaneous RESET time constant at cell-voltage magnitude `v > 0` (s).
+/// Instantaneous RESET time constant at cell-voltage magnitude `v > 0` (s):
+/// the RESET rate's inverse at `ρ = 1` with no Joule acceleration.
 pub fn tau_reset(params: &OxramParams, inst: &InstanceVariation, v: f64) -> f64 {
-    let a = inst.alpha_factor / inst.lx_factor;
-    params.tau_rst0 * (-a * v / params.v_rst).exp()
-}
-
-/// RESET time constant `τ_eff` at state `ρ` under cell-voltage magnitude
-/// `v`, given `tau = tau_reset(v)`: `dρ/dt = −ρ/τ_eff` with
-/// `τ_eff = τ/(ρ^β·(1 + (I/I_joule)²))`. The shape factor is floored and
-/// the Joule factor clamped (the second value reports the clamp).
-fn reset_time_constant(
-    params: &OxramParams,
-    inst: &InstanceVariation,
-    tau: f64,
-    v: f64,
-    rho: f64,
-) -> (f64, bool) {
-    let shape = rho.powf(params.beta_rst).max(1e-12);
-    let i_mag = cell_current(params, inst, v, rho).abs();
-    let joule_raw = 1.0 + (i_mag / params.i_joule).powi(2);
-    (tau / (shape * joule_raw.min(1e6)), joule_raw > 1e6)
+    1.0 / CellLaw::new(params, inst).reset_rate_clamped(v, 0.0, 0.0).0
 }
 
 /// RESET rate at cell-voltage magnitude `v > 0` and state `ρ`:
@@ -134,11 +267,8 @@ fn reset_time_constant(
 /// The law [`advance_state`] integrates in RESET polarity, for integrators
 /// that solve the cell voltage themselves.
 pub fn reset_rate(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
-    if v < params.v_rst_floor {
-        return 0.0;
-    }
-    let tau = tau_reset(params, inst, v);
-    1.0 / reset_time_constant(params, inst, tau, v, rho).0
+    let law = CellLaw::new(params, inst);
+    law.reset_rate(v, law.current(v, rho), rho.ln())
 }
 
 /// SET rate at cell voltage `v > 0` and state `ρ`:
@@ -147,10 +277,7 @@ pub fn reset_rate(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f
 /// The law [`advance_state`] integrates in SET polarity, for integrators
 /// that solve the cell voltage themselves.
 pub fn set_rate(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
-    if v < params.v_set_floor {
-        return 0.0;
-    }
-    1.0 / tau_set(params, inst, v, rho)
+    CellLaw::new(params, inst).set_rate(v, rho)
 }
 
 /// Advances the filament state by `dt` at constant cell voltage `v`.
@@ -176,12 +303,13 @@ pub fn advance_state(
             return rho;
         }
         note_regime(1, v);
+        let law = CellLaw::new(params, inst);
         // SET / forming direction: dρ/dt = (1 − ρ)/τ(v, ρ); the forming
         // barrier inside τ makes growth regenerative out of the virgin
         // state.
         let mut remaining = dt;
         while remaining > 0.0 {
-            let tau_eff = tau_set(params, inst, v, rho);
+            let tau_eff = 1.0 / law.set_rate_unfloored(v, rho);
             // In the barrier regime sub-step finely: the barrier collapses
             // quickly as ρ grows, so bound Δρ ≈ 0.2 % per sub-step there.
             let frac = if rho < params.rho_formed { 0.002 } else { 0.02 };
@@ -201,17 +329,18 @@ pub fn advance_state(
             return rho;
         }
         note_regime(2, v);
+        let law = CellLaw::new(params, inst);
         // RESET direction: dρ/dt = −ρ^(1+β)·(1 + (I/I_joule)²)/τ.
         // The current-squared term is the Joule-heating acceleration that
         // collapses the initial LRS current almost instantly.
-        let tau = tau_reset(params, inst, -v);
         let mut remaining = dt;
         // Clamp events are accumulated locally and flushed once per call so
         // a saturated sub-step loop costs no atomics until it exits.
         let mut joule_clamps = 0u64;
         let mut floored = false;
         while remaining > 0.0 {
-            let (tau_eff, clamped) = reset_time_constant(params, inst, tau, -v, rho);
+            let (rate, clamped) = law.reset_rate_clamped(-v, law.current(-v, rho), rho.ln());
+            let tau_eff = 1.0 / rate;
             joule_clamps += u64::from(clamped);
             let sub = (0.02 * tau_eff).min(remaining).max(remaining * 1e-9);
             rho *= (-sub / tau_eff).exp();
@@ -245,7 +374,7 @@ pub fn advance_state(
 }
 
 /// The filament state that reads as resistance `r_ohms` at `v_read`
-/// (inverse of [`read_resistance`], ignoring the leakage term).
+/// (inverse of [`read_resistance`]; `0` when the leakage alone draws more).
 ///
 /// Useful for preconditioning cells into a known state.
 pub fn rho_for_resistance(
@@ -254,13 +383,7 @@ pub fn rho_for_resistance(
     r_ohms: f64,
     v_read: f64,
 ) -> f64 {
-    let s = v_read / params.v_shape;
-    let g_needed =
-        (1.0 / r_ohms - params.i_leak * safe_sinh(v_read / params.v_hop) / v_read) / (1.0 + s * s);
-    if g_needed <= 0.0 {
-        return 0.0;
-    }
-    (g_needed * inst.lx_factor / params.g_on).sqrt().min(1.0)
+    CellLaw::new(params, inst).rho_at(v_read, v_read / r_ohms)
 }
 
 #[cfg(test)]
@@ -295,6 +418,103 @@ mod tests {
                     (g - g_fd).abs() < 1e-4 * g_fd.abs().max(1e-12),
                     "v={v} rho={rho}: {g} vs {g_fd}"
                 );
+            }
+        }
+    }
+
+    /// Nominal plus sampled D2D ∘ C2C instances.
+    fn instances(p: &OxramParams) -> Vec<InstanceVariation> {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut out = vec![InstanceVariation::nominal()];
+        for _ in 0..24 {
+            let d2d = InstanceVariation::sample_d2d(p, &mut rng);
+            out.push(d2d.combine(&InstanceVariation::sample_c2c(p, &mut rng)));
+        }
+        out
+    }
+
+    fn rel(a: f64, b: f64) -> f64 {
+        if a == b {
+            0.0
+        } else {
+            (a - b).abs() / b.abs()
+        }
+    }
+
+    #[test]
+    fn cell_law_matches_the_sinh_cosh_form() {
+        let p = OxramParams::calibrated();
+        let mut volts = vec![1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05];
+        volts.extend((1..=33).map(|k| 0.1 * f64::from(k)));
+        for inst in instances(&p) {
+            let law = CellLaw::new(&p, &inst);
+            for &v in volts.iter().chain(&[15.0, 20.0]) {
+                for v in [v, -v] {
+                    for rho in [0.0, 1e-6, 0.05, 0.5, 1.0] {
+                        let g = p.g_on * rho * rho / inst.lx_factor;
+                        let s = v / p.v_shape;
+                        let x = v / p.v_hop;
+                        let (sinh, cosh) = if x.abs() <= ARG_MAX {
+                            (x.sinh(), x.cosh())
+                        } else {
+                            let e = ARG_MAX.exp() * 0.5;
+                            (x.signum() * e * (1.0 + (x.abs() - ARG_MAX)), e)
+                        };
+                        let i_ref = g * v * (1.0 + s * s) + p.i_leak * sinh;
+                        let g_ref = g * (1.0 + 3.0 * s * s) + p.i_leak / p.v_hop * cosh;
+                        let (i, slope) = law.current_and_slope(v, rho);
+                        assert!(rel(i, i_ref) < 1e-14, "I({v}, {rho}): {i:e} vs {i_ref:e}");
+                        assert!(
+                            rel(slope, g_ref) < 1e-14,
+                            "dI/dv({v}, {rho}): {slope:e} vs {g_ref:e}"
+                        );
+                        assert_eq!(cell_current(&p, &inst, v, rho), i);
+                        assert_eq!(cell_conductance(&p, &inst, v, rho), slope);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cell_law_rates_match_their_time_constant_form() {
+        let p = OxramParams::calibrated();
+        assert_eq!(LN_SHAPE_FLOOR, 1e-12f64.ln());
+        for inst in instances(&p) {
+            let law = CellLaw::new(&p, &inst);
+            let a = inst.alpha_factor / inst.lx_factor;
+            for v in [0.2, 0.45, 0.8, 1.2, 3.3] {
+                for rho in [1e-6, 0.05, 0.5, 0.9, 1.0] {
+                    // RESET: τ_eff = τ/(ρ^β·min(1 + (I/i_joule)², 1e6)).
+                    let tau = p.tau_rst0 * (-a * v / p.v_rst).exp();
+                    let i = law.current(v, rho);
+                    let shape = rho.powf(p.beta_rst).max(1e-12);
+                    let joule = (1.0 + (i / p.i_joule).powi(2)).min(1e6);
+                    let want = if v < p.v_rst_floor {
+                        0.0
+                    } else {
+                        shape * joule / tau
+                    };
+                    let got = law.reset_rate(v, i, rho.ln());
+                    assert!(
+                        rel(got, want) < 1e-13,
+                        "reset({v}, {rho}): {got:e} vs {want:e}"
+                    );
+                    assert_eq!(reset_rate(&p, &inst, v, rho), got);
+                    // SET: τ_set = τ_set0·exp(−(α/lx)^w·(v − barrier)/v_set).
+                    let barrier = p.v_form_barrier * (1.0 - rho / p.rho_formed).max(0.0);
+                    let a_set = a.powf(p.alpha_set_weight);
+                    let tau = p.tau_set0 * (-a_set * (v - barrier) / p.v_set).exp();
+                    let want = if v < p.v_set_floor { 0.0 } else { 1.0 / tau };
+                    let got = law.set_rate(v, rho);
+                    assert!(
+                        rel(got, want) < 1e-13,
+                        "set({v}, {rho}): {got:e} vs {want:e}"
+                    );
+                    assert!(rel(tau_set(&p, &inst, v, rho), tau) < 1e-13);
+                }
             }
         }
     }

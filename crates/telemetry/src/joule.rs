@@ -318,19 +318,39 @@ impl LevelCell {
     }
 }
 
-/// The role × phase joule matrix plus per-class totals.
+/// Joules per unit of the matrix accumulators. Integer sums do not depend
+/// on the order worker threads record in, so the totals are the same bytes
+/// on every run; at 1e-30 J a unit sits far below an f64 ulp of any energy
+/// a program draws, and `i128` holds ±1.7e8 J.
+const JOULE_QUANTUM: f64 = 1e-30;
+
+fn to_quanta(joules: f64) -> i128 {
+    (joules / JOULE_QUANTUM).round() as i128
+}
+
+fn to_joules(quanta: i128) -> f64 {
+    quanta as f64 * JOULE_QUANTUM
+}
+
+/// The role × phase joule matrix plus per-class totals, in
+/// [`JOULE_QUANTUM`] units.
 #[derive(Debug, Clone)]
 struct Matrix {
-    role_phase: [[f64; N_PHASES]; N_ROLES],
-    class: [f64; N_CLASSES],
+    role_phase: [[i128; N_PHASES]; N_ROLES],
+    class: [i128; N_CLASSES],
 }
 
 impl Matrix {
     fn new() -> Self {
         Self {
-            role_phase: [[0.0; N_PHASES]; N_ROLES],
-            class: [0.0; N_CLASSES],
+            role_phase: [[0; N_PHASES]; N_ROLES],
+            class: [0; N_CLASSES],
         }
+    }
+
+    /// Total dissipated joules: the positive cells.
+    fn dissipated_j(&self) -> f64 {
+        to_joules(self.role_phase.iter().flatten().filter(|&&q| q > 0).sum())
     }
 }
 
@@ -369,7 +389,7 @@ pub struct ClassEnergy {
 }
 
 /// Immutable view of one level's energy/latency statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelEnergySummary {
     /// The level's binary code (0-based, also its slot index).
     pub code: u16,
@@ -526,9 +546,10 @@ impl JouleLedger {
         if !joules.is_finite() {
             return;
         }
+        let quanta = to_quanta(joules);
         let mut m = sink.matrix.lock().unwrap_or_else(PoisonError::into_inner);
-        m.role_phase[role.index()][phase.index()] += joules;
-        m.class[class.index()] += joules;
+        m.role_phase[role.index()][phase.index()] += quanta;
+        m.class[class.index()] += quanta;
     }
 
     /// Like [`record_energy_in_phase`], tagged with the calling thread's
@@ -573,14 +594,11 @@ impl JouleLedger {
         let Some(sink) = &self.inner else {
             return;
         };
-        let total = {
-            let m = sink.matrix.lock().unwrap_or_else(PoisonError::into_inner);
-            m.role_phase
-                .iter()
-                .flat_map(|p| p.iter())
-                .filter(|&&j| j > 0.0)
-                .sum::<f64>()
-        };
+        let total = sink
+            .matrix
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .dissipated_j();
         let mut track = sink.track.lock().unwrap_or_else(PoisonError::into_inner);
         if track.len() < MAX_TRACK_POINTS {
             track.push((now_ns, total));
@@ -617,13 +635,11 @@ impl JouleLedger {
                 out.total_obs += cell.energy.count();
             }
         }
-        let m = sink.matrix.lock().unwrap_or_else(PoisonError::into_inner);
-        out.dissipated_j = m
-            .role_phase
-            .iter()
-            .flat_map(|p| p.iter())
-            .filter(|&&j| j > 0.0)
-            .sum();
+        out.dissipated_j = sink
+            .matrix
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .dissipated_j();
         out
     }
 
@@ -644,15 +660,15 @@ impl JouleLedger {
             .iter()
             .map(|&role| RoleEnergy {
                 role,
-                phase_j: m.role_phase[role.index()],
+                phase_j: m.role_phase[role.index()].map(to_joules),
             })
             .collect();
         let classes = CLASSES
             .iter()
-            .filter(|&&c| m.class[c.index()] != 0.0)
+            .filter(|&&c| m.class[c.index()] != 0)
             .map(|&class| ClassEnergy {
                 class,
-                joules: m.class[class.index()],
+                joules: to_joules(m.class[class.index()]),
             })
             .collect();
         let mut levels = Vec::new();

@@ -80,7 +80,7 @@ struct TrackerSink {
 }
 
 /// Immutable view of one tracked level, ordered by code in a snapshot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelSummary {
     /// The level's binary code (0-based, also its slot index).
     pub code: u16,
@@ -114,7 +114,7 @@ pub struct LevelSummary {
 }
 
 /// A deterministic, code-ordered view of every level seen so far.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LevelsSnapshot {
     /// One summary per observed level, ascending by code.
     pub levels: Vec<LevelSummary>,

@@ -32,6 +32,18 @@
 //! solver — the dynamic self/child arithmetic stays exact regardless of
 //! the caller.
 //!
+//! Times are wall times, so a preemption (milliseconds on a loaded host)
+//! lands whole in whichever phase's self time it hit, and can swamp a
+//! millisecond-scale profile's coverage. Each phase therefore also tallies
+//! its preempted self time, which leaf coverage leaves out. Self time
+//! accrues in segments between consecutive clock reads on a thread; a
+//! segment of at least [`STALL_CHECK_NS`] reads the thread's cumulative
+//! run-queue wait (Linux `/proc/thread-self/schedstat`, a few hundred ns,
+//! so only on long segments) and tallies what it grew by since the last
+//! check, up to the segment's length. (The refill of the caches the other
+//! task evicted, tens of µs after each preemption here, stays in the
+//! phase.) Without the file nothing is tallied.
+//!
 //! This module (with `span.rs` and `trace.rs`) is one of the few sanctioned
 //! wall-clock readers in the workspace: `cargo xtask lint` bans
 //! `Instant::now` in solver crates and in the rest of `telemetry`/`mc`.
@@ -50,7 +62,7 @@ use std::time::Instant;
 pub const N_SHARDS: usize = 16;
 
 /// Number of phases in the catalog (length of [`PhaseId::ALL`]).
-pub const N_PHASES: usize = 17;
+pub const N_PHASES: usize = 18;
 
 /// One phase of the fixed instrumentation catalog.
 ///
@@ -69,6 +81,9 @@ pub enum PhaseId {
     /// One MLC program operation, behavioral or circuit-level
     /// (`mlc/program`).
     MlcProgram,
+    /// Drawing one Monte Carlo program's variability: the cell instance,
+    /// the perturbed conditions and the state noise (`mlc/sample`).
+    MlcSample,
     /// Building a circuit-level programming testbench and measuring its
     /// waveforms afterwards (`mlc/testbench`).
     MlcTestbench,
@@ -124,6 +139,7 @@ impl PhaseId {
         PhaseId::McCampaign,
         PhaseId::McWorkerRun,
         PhaseId::MlcProgram,
+        PhaseId::MlcSample,
         PhaseId::MlcTestbench,
         PhaseId::OpSolve,
         PhaseId::RramCalib,
@@ -146,6 +162,7 @@ impl PhaseId {
             PhaseId::McCampaign => "mc/campaign",
             PhaseId::McWorkerRun => "mc/worker/run",
             PhaseId::MlcProgram => "mlc/program",
+            PhaseId::MlcSample => "mlc/sample",
             PhaseId::MlcTestbench => "mlc/testbench",
             PhaseId::OpSolve => "op/solve",
             PhaseId::RramCalib => "rram/calib",
@@ -172,7 +189,8 @@ impl PhaseId {
             | PhaseId::RramCalib
             | PhaseId::TranRun
             | PhaseId::TranNewton => PhaseRole::Interior,
-            PhaseId::MlcTestbench
+            PhaseId::MlcSample
+            | PhaseId::MlcTestbench
             | PhaseId::RramReset
             | PhaseId::RramSet
             | PhaseId::TranMonitors
@@ -190,19 +208,20 @@ impl PhaseId {
             PhaseId::McCampaign => 1,
             PhaseId::McWorkerRun => 2,
             PhaseId::MlcProgram => 3,
-            PhaseId::MlcTestbench => 4,
-            PhaseId::OpSolve => 5,
-            PhaseId::RramCalib => 6,
-            PhaseId::RramReset => 7,
-            PhaseId::RramSet => 8,
-            PhaseId::TranMonitors => 9,
-            PhaseId::TranNewton => 10,
-            PhaseId::NewtonResidual => 11,
-            PhaseId::NewtonSolveLu => 12,
-            PhaseId::NewtonStamp => 13,
-            PhaseId::TranRecord => 14,
-            PhaseId::TranRun => 15,
-            PhaseId::TranStates => 16,
+            PhaseId::MlcSample => 4,
+            PhaseId::MlcTestbench => 5,
+            PhaseId::OpSolve => 6,
+            PhaseId::RramCalib => 7,
+            PhaseId::RramReset => 8,
+            PhaseId::RramSet => 9,
+            PhaseId::TranMonitors => 10,
+            PhaseId::TranNewton => 11,
+            PhaseId::NewtonResidual => 12,
+            PhaseId::NewtonSolveLu => 13,
+            PhaseId::NewtonStamp => 14,
+            PhaseId::TranRecord => 15,
+            PhaseId::TranRun => 16,
+            PhaseId::TranStates => 17,
         }
     }
 }
@@ -222,9 +241,14 @@ struct PhaseCell {
     wall_ns: u64,
     calls: u64,
     child_ns: u64,
+    off_cpu_ns: u64,
     allocs: u64,
     child_allocs: u64,
 }
+
+/// Self segments at least this long check the run-queue wait; a shorter
+/// preemption can skew its phase by at most this much.
+pub const STALL_CHECK_NS: u64 = 50_000;
 
 #[derive(Debug, Default)]
 struct ShardTotals {
@@ -261,16 +285,83 @@ fn shard_index() -> usize {
 }
 
 /// One open scope on this thread's stack: accumulates the time and
-/// allocations of directly nested guards so the parent can subtract them.
+/// allocations of directly nested guards so the parent can subtract them,
+/// and the preempted time of its own self segments.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     sink_serial: u64,
     child_ns: u64,
     child_allocs: u64,
+    off_cpu_ns: u64,
+}
+
+/// This thread's profiler state.
+#[derive(Debug)]
+struct ThreadState {
+    frames: Vec<Frame>,
+    /// The last clock read: where the current self segment began.
+    last: Option<Instant>,
+    /// The thread's cumulative run-queue wait at the last check (ns).
+    waited_ns: Option<u64>,
+    /// `/proc/thread-self/schedstat`, opened on first use (`None` once an
+    /// open failed).
+    schedstat: Option<Option<std::fs::File>>,
+}
+
+impl ThreadState {
+    /// Ends the current self segment at `now` and returns how much of it
+    /// to tally as preempted (see the module docs).
+    fn end_segment(&mut self, now: Instant) -> u64 {
+        let Some(last) = self.last.replace(now) else {
+            // The thread's first profiled event: set the baseline.
+            self.waited_ns = self.run_queue_wait_ns();
+            return 0;
+        };
+        let segment = now.saturating_duration_since(last).as_nanos() as u64;
+        if segment < STALL_CHECK_NS {
+            return 0;
+        }
+        let waited = self.run_queue_wait_ns();
+        match (std::mem::replace(&mut self.waited_ns, waited), waited) {
+            (Some(before), Some(after)) => after.saturating_sub(before).min(segment),
+            _ => 0,
+        }
+    }
+
+    /// The second field of the thread's schedstat: nanoseconds spent
+    /// runnable but waiting for a CPU.
+    #[cfg(unix)]
+    fn run_queue_wait_ns(&mut self) -> Option<u64> {
+        use std::os::unix::fs::FileExt;
+        let file = self
+            .schedstat
+            .get_or_insert_with(|| std::fs::File::open("/proc/thread-self/schedstat").ok())
+            .as_ref()?;
+        let mut buf = [0u8; 96];
+        let n = file.read_at(&mut buf, 0).ok()?;
+        std::str::from_utf8(&buf[..n])
+            .ok()?
+            .split_ascii_whitespace()
+            .nth(1)?
+            .parse()
+            .ok()
+    }
+
+    #[cfg(not(unix))]
+    fn run_queue_wait_ns(&mut self) -> Option<u64> {
+        None
+    }
 }
 
 thread_local! {
-    static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    static THREAD: RefCell<ThreadState> = const {
+        RefCell::new(ThreadState {
+            frames: Vec::new(),
+            last: None,
+            waited_ns: None,
+            schedstat: None,
+        })
+    };
 }
 
 /// RAII guard for one phase scope; records into the profiler on drop.
@@ -316,11 +407,18 @@ impl PhaseGuard {
     }
 
     fn open(sink: Arc<ProfilerSink>, id: PhaseId, start: Instant) -> PhaseGuard {
-        FRAMES.with(|frames| {
-            frames.borrow_mut().push(Frame {
+        THREAD.with(|thread| {
+            let mut thread = thread.borrow_mut();
+            // The segment ending here was the enclosing scope's self time.
+            let off_cpu = thread.end_segment(start);
+            if let Some(parent) = thread.frames.last_mut() {
+                parent.off_cpu_ns += off_cpu;
+            }
+            thread.frames.push(Frame {
                 sink_serial: sink.serial,
                 child_ns: 0,
                 child_allocs: 0,
+                off_cpu_ns: 0,
             });
         });
         PhaseGuard {
@@ -344,14 +442,19 @@ impl GuardInner {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         // Pop this scope's frame and charge the elapsed totals upward.
-        let (frame, elapsed_ns) = FRAMES.with(|frames| {
-            let mut frames = frames.borrow_mut();
-            let frame = frames.pop().unwrap_or(Frame {
+        let (frame, elapsed_ns) = THREAD.with(|thread| {
+            let mut thread = thread.borrow_mut();
+            let end = end.unwrap_or_else(Instant::now);
+            // The segment ending here was this scope's self time.
+            let off_cpu = thread.end_segment(end);
+            let frames = &mut thread.frames;
+            let mut frame = frames.pop().unwrap_or(Frame {
                 sink_serial: self.sink.serial,
                 child_ns: 0,
                 child_allocs: 0,
+                off_cpu_ns: 0,
             });
-            let end = end.unwrap_or_else(Instant::now);
+            frame.off_cpu_ns += off_cpu;
             let elapsed_ns = end.saturating_duration_since(self.start).as_nanos() as u64;
             if let Some(parent) = frames.last_mut() {
                 if parent.sink_serial == self.sink.serial {
@@ -365,6 +468,7 @@ impl GuardInner {
         cell.wall_ns = cell.wall_ns.saturating_add(elapsed_ns);
         cell.calls += 1;
         cell.child_ns = cell.child_ns.saturating_add(frame.child_ns);
+        cell.off_cpu_ns = cell.off_cpu_ns.saturating_add(frame.off_cpu_ns);
         cell.allocs = cell.allocs.saturating_add(allocs);
         cell.child_allocs = cell.child_allocs.saturating_add(frame.child_allocs);
     }
@@ -390,6 +494,8 @@ pub struct PhaseStats {
     pub wall_ns: u64,
     /// Wall time attributed to directly nested profiled scopes.
     pub child_ns: u64,
+    /// The self time tallied as preempted (see the module docs).
+    pub off_cpu_ns: u64,
     /// Allocations observed inside the scope (0 unless the binary installs
     /// a counting allocator; see [`crate::allocs`]).
     pub allocs: u64,
@@ -406,6 +512,12 @@ impl PhaseStats {
     /// Wall time not attributed to any nested profiled scope.
     pub fn self_ns(&self) -> u64 {
         self.wall_ns.saturating_sub(self.child_ns)
+    }
+
+    /// Self time not tallied as preempted: [`PhaseStats::self_ns`] less
+    /// [`PhaseStats::off_cpu_ns`].
+    pub fn on_cpu_self_ns(&self) -> u64 {
+        self.self_ns().saturating_sub(self.off_cpu_ns)
     }
 
     /// Allocations not attributed to any nested profiled scope.
@@ -461,16 +573,34 @@ impl ProfileSnapshot {
             .sum()
     }
 
+    /// Self time of non-orchestration phases tallied as preempted: the
+    /// part of [`ProfileSnapshot::work_self_ns`] leaf coverage leaves out.
+    pub fn off_cpu_ns(&self) -> u64 {
+        self.phases
+            .iter()
+            .filter(|p| p.id.role() != PhaseRole::Orchestration)
+            .map(|p| p.off_cpu_ns)
+            .sum()
+    }
+
     /// Fraction of profiled solver work attributed to leaf phases
-    /// (`None` when nothing non-orchestration recorded). The hot-path
-    /// report's headline number: the sparse-LU rewrite is gated on this
-    /// staying ≥ 0.9 so "time we can't name" never silently grows.
+    /// (`None` when nothing non-orchestration recorded), leaving out self
+    /// time tallied as preempted so a preemption cannot swing it. The hot-path report's
+    /// headline number: the sparse-LU rewrite is gated on this staying
+    /// ≥ 0.9 so "time we can't name" never silently grows.
     pub fn leaf_coverage(&self) -> Option<f64> {
-        let work = self.work_self_ns();
+        let on_cpu = |role: fn(PhaseRole) -> bool| -> u64 {
+            self.phases
+                .iter()
+                .filter(|p| role(p.id.role()))
+                .map(PhaseStats::on_cpu_self_ns)
+                .sum()
+        };
+        let work = on_cpu(|r| r != PhaseRole::Orchestration);
         if work == 0 {
             return None;
         }
-        Some(self.leaf_self_ns() as f64 / work as f64)
+        Some(on_cpu(|r| r == PhaseRole::Leaf) as f64 / work as f64)
     }
 
     /// A phase's share of the attribution denominator (`None` for
@@ -527,9 +657,10 @@ impl ProfileSnapshot {
         let _ = match self.leaf_coverage() {
             Some(cov) => writeln!(
                 out,
-                "leaf coverage: {:.1}% of {} profiled solver work ({} orchestration self excluded)",
+                "leaf coverage: {:.1}% of {} profiled solver work ({} of it preempted and {} orchestration self excluded)",
                 cov * 100.0,
                 fmt_ns(self.work_self_ns()),
+                fmt_ns(self.off_cpu_ns()),
                 fmt_ns(self.orchestration_self_ns())
             ),
             None => writeln!(out, "leaf coverage: n/a (no solver work profiled)"),
@@ -549,6 +680,7 @@ impl ProfileSnapshot {
             w.u64("wall_ns", p.wall_ns);
             w.u64("self_ns", p.self_ns());
             w.u64("child_ns", p.child_ns);
+            w.u64("off_cpu_ns", p.off_cpu_ns);
             w.u64("allocs", p.allocs);
             w.u64("self_allocs", p.self_allocs());
             w.f64_opt("share", self.share(p));
@@ -557,6 +689,7 @@ impl ProfileSnapshot {
         w.end_object();
         w.u64("work_self_ns", self.work_self_ns());
         w.u64("leaf_self_ns", self.leaf_self_ns());
+        w.u64("off_cpu_ns", self.off_cpu_ns());
         w.u64("orchestration_self_ns", self.orchestration_self_ns());
         w.f64_opt("leaf_coverage", self.leaf_coverage());
         w.end_object();
@@ -666,6 +799,7 @@ impl Profiler {
                 m.wall_ns += c.wall_ns;
                 m.calls += c.calls;
                 m.child_ns += c.child_ns;
+                m.off_cpu_ns += c.off_cpu_ns;
                 m.allocs += c.allocs;
                 m.child_allocs += c.child_allocs;
             }
@@ -679,6 +813,7 @@ impl Profiler {
                     calls: c.calls,
                     wall_ns: c.wall_ns,
                     child_ns: c.child_ns,
+                    off_cpu_ns: c.off_cpu_ns,
                     allocs: c.allocs,
                     child_allocs: c.child_allocs,
                 })
@@ -724,6 +859,53 @@ mod tests {
         assert_eq!(outer.child_ns, inner.wall_ns);
         assert!(outer.self_ns() >= 4_000_000, "self {}", outer.self_ns());
         assert!(outer.wall_ns >= inner.wall_ns + outer.self_ns());
+    }
+
+    #[test]
+    fn preempted_self_time_is_tallied() {
+        if THREAD
+            .with(|t| t.borrow_mut().run_queue_wait_ns())
+            .is_none()
+        {
+            return; // no schedstat on this host: nothing is excluded
+        }
+        // More spinning threads than CPUs, so the profiled thread waits on
+        // the run queue for part of its scope.
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let cpus = std::thread::available_parallelism().map_or(2, |n| n.get());
+        let prof = Profiler::enabled();
+        std::thread::scope(|scope| {
+            for _ in 0..=cpus {
+                scope.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                });
+            }
+            let _leaf = prof.phase(PhaseId::NewtonStamp);
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_millis(40) {
+                std::hint::spin_loop();
+            }
+            drop(_leaf);
+            stop.store(true, Ordering::Relaxed);
+        });
+        let stamp = *prof.snapshot().phase(PhaseId::NewtonStamp).unwrap();
+        assert!(stamp.off_cpu_ns > 0, "{stamp:?}");
+        assert!(stamp.off_cpu_ns <= stamp.wall_ns, "{stamp:?}");
+        assert_eq!(stamp.self_ns(), stamp.wall_ns);
+        assert_eq!(stamp.on_cpu_self_ns(), stamp.wall_ns - stamp.off_cpu_ns);
+    }
+
+    #[test]
+    fn sleeping_is_not_preemption() {
+        let prof = Profiler::enabled();
+        {
+            let _g = prof.phase(PhaseId::TranNewton);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let newton = *prof.snapshot().phase(PhaseId::TranNewton).unwrap();
+        assert!(newton.on_cpu_self_ns() >= 5_000_000, "{newton:?}");
     }
 
     #[test]

@@ -1,11 +1,5 @@
 //! Workspace maintenance tasks, invoked as `cargo xtask <task>`.
 //!
-//! `cargo xtask bench` runs the standard perf probe: `repro_all` with the
-//! phase profiler armed and the run appended to the `BENCH_history.jsonl`
-//! trajectory. Extra arguments are forwarded to `repro_all` (e.g.
-//! `cargo xtask bench --check` to gate the run on the committed drift
-//! baseline as well).
-//!
 //! `cargo xtask lint` enforces source-level invariants the compiler cannot:
 //!
 //! * **unwrap/expect budgets** — per-crate ceilings on `.unwrap()` /
@@ -83,52 +77,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
-        Some("bench") => bench(&args[1..]),
         Some(other) => {
-            eprintln!("xtask: unknown task `{other}`\n\nusage: cargo xtask <lint|bench>");
+            eprintln!("xtask: unknown task `{other}`\n\nusage: cargo xtask lint");
             ExitCode::from(2)
         }
         None => {
-            eprintln!("usage: cargo xtask <lint|bench>");
+            eprintln!("usage: cargo xtask lint");
             ExitCode::from(2)
-        }
-    }
-}
-
-/// Runs the standard perf probe: `repro_all` in release mode with the
-/// phase profiler armed and the summary appended to the bench history.
-/// Extra CLI arguments are forwarded verbatim; the child's exit status is
-/// propagated, so a failing checklist or `--check` fails the task.
-fn bench(forward: &[String]) -> ExitCode {
-    let mut cmd = std::process::Command::new("cargo");
-    cmd.current_dir(workspace_root())
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "oxterm-bench",
-            "--bin",
-            "repro_all",
-            "--",
-            "--profile",
-            "--bench-history",
-        ])
-        .args(forward);
-    println!(
-        "xtask bench: repro_all --profile --bench-history {}",
-        forward.join(" ")
-    );
-    match cmd.status() {
-        Ok(status) => match status.code() {
-            Some(code) => ExitCode::from(code.clamp(0, 255) as u8),
-            None => {
-                eprintln!("xtask bench: repro_all terminated by signal");
-                ExitCode::FAILURE
-            }
-        },
-        Err(e) => {
-            eprintln!("xtask bench: could not spawn cargo: {e}");
-            ExitCode::FAILURE
         }
     }
 }
