@@ -23,7 +23,7 @@ fn main() {
         std::process::exit(e.code);
     });
     // Arm the streaming tracker: the second half of the figure is built
-    // entirely from it. (No-op when `--dashboard` already installed it.)
+    // entirely from it.
     LevelTracker::install(LevelTracker::enabled());
     let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
     println!("== Fig 12: σ(R_HRS) and margin vs compliance current ({runs} MC runs) ==\n");

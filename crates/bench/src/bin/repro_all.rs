@@ -64,10 +64,16 @@ struct Check {
 }
 
 fn main() {
-    let (mut args, mut tel_cli) = telemetry_cli::init("repro_all").unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(e.code);
-    });
+    // The drift-gate flags are this binary's own; take them before the
+    // shared CLI rejects every `--` flag it does not know.
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let check = take_flag(&mut args, "--check");
+    let bless = take_flag(&mut args, "--bless");
+    let (args, mut tel_cli) = telemetry_cli::init_from("repro_all", args.into_iter())
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(e.code);
+        });
     // The checklist always runs instrumented — it doubles as the perf
     // probe behind BENCH_telemetry.json (a no-op if --telemetry or
     // --profile already installed the handles). The profiler feeds the
@@ -86,8 +92,7 @@ fn main() {
     JouleLedger::install(JouleLedger::enabled());
     // `--check` reads the committed baseline before `--bless` could
     // overwrite it.
-    let committed = take_flag(&mut args, "--check").then(|| std::fs::read_to_string(BASELINE_PATH));
-    let bless = take_flag(&mut args, "--bless");
+    let committed = check.then(|| std::fs::read_to_string(BASELINE_PATH));
     let t_start = std::time::Instant::now();
     let runs: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(120);
     println!("== oxterm reproduction checklist ({runs} MC runs where applicable) ==\n");

@@ -87,8 +87,8 @@ fn program_run<'a>(
 }
 
 /// Feeds a campaign's successful runs to the streaming level tracker and
-/// joule ledger in run order, which is where the dashboard and the level
-/// and energy reports get their distributions from.
+/// joule ledger in run order, which is where the progress line and the
+/// level and energy reports get their distributions from.
 ///
 /// Workers finish runs in any order; run `i` is fed once every earlier run
 /// has finished, so the observers' sketches and moments see one sequence

@@ -1,4 +1,4 @@
-//! Shared `--telemetry`, `--trace` and `--progress` handling for the
+//! Shared `--telemetry`, `--profile` and `--progress` handling for the
 //! experiment binaries.
 //!
 //! Usage in a `src/bin/` target:
@@ -11,9 +11,11 @@
 //! ```
 //!
 //! `init` installs the enabled process-global [`Telemetry`] and/or
-//! [`Tracer`] when the flags are present (it must run before any
+//! [`Profiler`] when the flags are present (it must run before any
 //! instrumented work) and strips the flags from the argument list so
-//! positional arguments keep their meaning. `finish` prints the run report
+//! positional arguments keep their meaning. Any other argument starting
+//! with `--` is a configuration error (exit 2), so a typo never runs the
+//! experiment without the flag it meant. `finish` prints the run report
 //! and writes the requested artifacts.
 //!
 //! Flags:
@@ -21,19 +23,7 @@
 //! * `--telemetry` — print the ASCII run report at exit.
 //! * `--telemetry=json` — also write `results/telemetry_<name>.json`.
 //! * `--telemetry=json:PATH` — same, to an explicit path.
-//! * `--trace` — record a flight-recorder trace and write Chrome
-//!   trace-event JSON to `results/trace_<name>.json` (open it at
-//!   <https://ui.perfetto.dev>), plus an ASCII timeline on stdout.
-//! * `--trace=PATH` — same, to an explicit path.
 //! * `--progress` — live Monte Carlo campaign status lines on stderr.
-//! * `--dashboard` — live multi-line campaign panel on stderr (implies
-//!   `--progress`): the status line plus one row per programmed level
-//!   with observation counts, streaming median/σ and an in-place
-//!   mini-histogram, plus per-level median energy/latency columns when
-//!   the joule ledger has observations. Arms the per-level distribution
-//!   tracker and the joule ledger; falls back to plain `--progress`
-//!   lines when stderr is not a TTY, so redirected logs never see ANSI
-//!   control sequences.
 //! * `--lint` — run the netlint preflight over this binary's corpus slice
 //!   before the experiment; findings go to stderr and the counts land in
 //!   the telemetry report (`netlint.findings.deny` / `.warn`).
@@ -42,9 +32,7 @@
 //! * `--probes[=SPEC]` — capture the named node voltages / branch currents
 //!   during the experiment's transients (comma list, e.g.
 //!   `v(sl),v(bl_sense),i(vsense)`; the bare flag uses the binary's default
-//!   spec). Each probe is written to `results/probe_<name>_<label>.csv`,
-//!   and with `--trace` the probes additionally appear as Perfetto counter
-//!   tracks in the trace file.
+//!   spec). Each probe is written to `results/probe_<name>_<label>.csv`.
 //! * `--artifacts-dir[=PATH]` — write a post-mortem JSON bundle for every
 //!   Newton/op/transient non-convergence and every failed Monte Carlo run
 //!   (default directory `results/artifacts_<name>`).
@@ -64,8 +52,6 @@
 //!   write the JSON report to `PATH` (default
 //!   `results/hotpath_<name>.json`). The per-phase totals are also folded
 //!   into the telemetry registry as `profile.*` counters.
-//! * `--metrics-out=PATH` — render the final telemetry registry in
-//!   Prometheus text format to `PATH` at exit.
 //!
 //! Any of the four campaign flags switches the binary's Monte Carlo
 //! campaigns onto [`oxterm_mc::run_supervised`] (retry ladder, panic
@@ -76,9 +62,7 @@ use crate::hotpath::{HotPathReport, MatrixStats};
 use oxterm_mc::supervisor::SupervisorOptions;
 use oxterm_netlint::{corpus, lint_entry, LintConfig, LintOptions};
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
-use oxterm_telemetry::{
-    PhaseGuard, PhaseId, Profiler, Telemetry, TraceSnapshot, TraceSpan, Tracer, Track,
-};
+use oxterm_telemetry::{PhaseGuard, PhaseId, Profiler, Telemetry};
 
 /// A configuration error the binary should exit on (library code here
 /// never calls `std::process::exit` — `cargo xtask lint` bans it outside
@@ -144,13 +128,8 @@ pub enum TelemetryMode {
 pub struct ParsedFlags {
     /// Telemetry reporting mode.
     pub mode: TelemetryMode,
-    /// `Some(explicit_path)` when `--trace[=PATH]` was present.
-    pub trace: Option<Option<String>>,
     /// Whether `--progress` was present.
     pub progress: bool,
-    /// Whether `--dashboard` was present (implies progress and arms the
-    /// per-level distribution tracker).
-    pub dashboard: bool,
     /// Netlint preflight mode (`--lint[=deny]`).
     pub lint: LintMode,
     /// `Some(explicit_spec)` when `--probes[=SPEC]` was present (`None`
@@ -169,8 +148,6 @@ pub struct ParsedFlags {
     /// `Some(explicit_json_path)` when `--profile[=PATH]` was present
     /// (`None` inside means the default `results/hotpath_<name>.json`).
     pub profile: Option<Option<String>>,
-    /// The `--metrics-out=PATH` path, if present.
-    pub metrics_out: Option<String>,
     /// Remaining (positional) arguments, in order.
     pub rest: Vec<String>,
 }
@@ -186,12 +163,13 @@ impl ParsedFlags {
 }
 
 /// Splits recognised flags from positional arguments without side effects.
-pub fn parse_flags(args: impl Iterator<Item = String>) -> ParsedFlags {
+///
+/// An argument starting with `--` that names no flag is an error: it would
+/// otherwise land among the positionals and be ignored.
+pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<ParsedFlags, CliError> {
     let mut parsed = ParsedFlags {
         mode: TelemetryMode::Off,
-        trace: None,
         progress: false,
-        dashboard: false,
         lint: LintMode::Off,
         probes: None,
         artifacts_dir: None,
@@ -200,7 +178,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> ParsedFlags {
         resume: None,
         quorum: None,
         profile: None,
-        metrics_out: None,
         rest: Vec::new(),
     };
     for a in args {
@@ -212,14 +189,8 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> ParsedFlags {
             parsed.mode = TelemetryMode::Json {
                 path: Some(path.to_string()),
             };
-        } else if a == "--trace" {
-            parsed.trace = Some(None);
-        } else if let Some(path) = a.strip_prefix("--trace=") {
-            parsed.trace = Some(Some(path.to_string()));
         } else if a == "--progress" {
             parsed.progress = true;
-        } else if a == "--dashboard" {
-            parsed.dashboard = true;
         } else if a == "--lint" {
             parsed.lint = LintMode::Warn;
         } else if a == "--lint=deny" {
@@ -246,38 +217,31 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> ParsedFlags {
             parsed.profile = Some(None);
         } else if let Some(path) = a.strip_prefix("--profile=") {
             parsed.profile = Some(Some(path.to_string()));
-        } else if let Some(path) = a.strip_prefix("--metrics-out=") {
-            parsed.metrics_out = Some(path.to_string());
+        } else if a.starts_with("--") {
+            return Err(CliError::config(format!("unknown flag {a:?}")));
         } else {
             parsed.rest.push(a);
         }
     }
-    parsed
+    Ok(parsed)
 }
 
 /// Parsed telemetry CLI state; call [`TelemetryCli::finish`] at exit.
 #[derive(Debug)]
 pub struct TelemetryCli {
     mode: TelemetryMode,
-    /// Trace output path (resolved; `None` when tracing is off).
-    trace_to: Option<String>,
     name: &'static str,
     /// The `--probes[=SPEC]` request, if present.
     probes: Option<Option<String>>,
-    /// Probe captures handed back by the experiment (CSV + counter-track
-    /// emission happens in [`TelemetryCli::finish`]).
+    /// Probe captures handed back by the experiment (CSV emission happens
+    /// in [`TelemetryCli::finish`]).
     captures: Vec<ProbeCapture>,
     /// Campaign supervision options when any of `--chaos` / `--checkpoint`
     /// / `--resume` / `--quorum` was given.
     campaign: Option<SupervisorOptions>,
-    /// Whole-binary span on the bench track, opened at `init` so every
-    /// trace has at least one lane framing the run.
-    bench_span: TraceSpan,
     /// Hot-path JSON output path when `--profile[=PATH]` armed the
     /// profiler (`None` = profiling off).
     profile_to: Option<String>,
-    /// Prometheus text-format output path (`--metrics-out=PATH`).
-    metrics_out: Option<String>,
     /// Whole-binary `bench/run` phase, opened at `init` so the profile
     /// tree always has its root; closed just before the snapshot.
     run_phase: Option<PhaseGuard>,
@@ -286,15 +250,16 @@ pub struct TelemetryCli {
     matrix: Option<MatrixStats>,
 }
 
-/// Parses `std::env::args`, installs global telemetry/tracing if requested,
-/// and returns the remaining (non-flag) arguments plus the CLI state.
+/// Parses `std::env::args`, installs global telemetry/profiling if
+/// requested, and returns the remaining (non-flag) arguments plus the CLI
+/// state.
 ///
 /// `name` keys the default output files: `results/telemetry_<name>.json`
-/// and `results/trace_<name>.json`.
+/// and `results/hotpath_<name>.json`.
 ///
-/// A configuration error (bad `--chaos` spec, out-of-range `--quorum`,
-/// deny-mode lint findings) comes back as a [`CliError`]; the binary
-/// prints it and exits with [`CliError::code`].
+/// A configuration error (unknown `--` flag, bad `--chaos` spec,
+/// out-of-range `--quorum`, deny-mode lint findings) comes back as a
+/// [`CliError`]; the binary prints it and exits with [`CliError::code`].
 pub fn init(name: &'static str) -> Result<(Vec<String>, TelemetryCli), CliError> {
     init_from(name, std::env::args().skip(1))
 }
@@ -304,13 +269,10 @@ pub fn init_from(
     name: &'static str,
     args: impl Iterator<Item = String>,
 ) -> Result<(Vec<String>, TelemetryCli), CliError> {
-    let parsed = parse_flags(args);
-    if parsed.mode != TelemetryMode::Off {
-        Telemetry::install(Telemetry::enabled());
-    }
-    // The profiler folds into the registry and the metrics export renders
-    // it, so either observability flag arms telemetry too.
-    if parsed.profile.is_some() || parsed.metrics_out.is_some() {
+    let parsed = parse_flags(args).map_err(|e| CliError::config(format!("{name}: {e}")))?;
+    // The profiler folds its totals into the registry, so `--profile` arms
+    // telemetry too.
+    if parsed.mode != TelemetryMode::Off || parsed.profile.is_some() {
         Telemetry::install(Telemetry::enabled());
     }
     if parsed.profile.is_some() {
@@ -328,25 +290,8 @@ pub fn init_from(
             plan.hash()
         );
     }
-    let trace_to = parsed.trace.map(|explicit| {
-        Tracer::install(Tracer::enabled());
-        explicit.unwrap_or_else(|| format!("results/trace_{name}.json"))
-    });
     if parsed.progress {
         oxterm_telemetry::progress::set_enabled(true);
-    }
-    if parsed.dashboard {
-        // The dashboard rides the progress reporter and renders from the
-        // level tracker, so it arms both. `mc::progress` still degrades
-        // to plain lines when stderr is not a terminal.
-        oxterm_telemetry::progress::set_enabled(true);
-        oxterm_telemetry::progress::set_dashboard(true);
-        oxterm_telemetry::LevelTracker::install(oxterm_telemetry::LevelTracker::enabled());
-        // The panel's energy/latency rows read the joule ledger, so the
-        // dashboard arms it alongside the distribution tracker.
-        oxterm_telemetry::joule::JouleLedger::install(
-            oxterm_telemetry::joule::JouleLedger::enabled(),
-        );
     }
     if let Some(dir) = &parsed.artifacts_dir {
         let dir = dir
@@ -354,26 +299,18 @@ pub fn init_from(
             .unwrap_or_else(|| format!("results/artifacts_{name}"));
         oxterm_telemetry::postmortem::set_artifacts_dir(dir);
     }
-    let mut bench_span = Tracer::global().span(Track::Bench, name);
-    bench_span.arg(oxterm_telemetry::Arg::u64(
-        "positional_args",
-        parsed.rest.len() as u64,
-    ));
     let run_phase = Profiler::global().phase(PhaseId::BenchRun);
     Ok((
         parsed.rest,
         TelemetryCli {
             mode: parsed.mode,
-            trace_to,
             name,
             probes: parsed.probes,
             captures: Vec::new(),
             campaign,
-            bench_span,
             profile_to: parsed
                 .profile
                 .map(|explicit| explicit.unwrap_or_else(|| format!("results/hotpath_{name}.json"))),
-            metrics_out: parsed.metrics_out,
             run_phase: Some(run_phase),
             matrix: None,
         },
@@ -455,9 +392,8 @@ impl TelemetryCli {
     }
 
     /// Hands a finished probe capture back for emission at
-    /// [`TelemetryCli::finish`]: one CSV per probe, plus Perfetto counter
-    /// tracks merged into the trace file when `--trace` is active.
-    /// Call once per probed transient; empty captures are ignored.
+    /// [`TelemetryCli::finish`]: one CSV per probe. Call once per probed
+    /// transient; empty captures are ignored.
     pub fn record_probes(&mut self, capture: &ProbeCapture) {
         if !capture.is_empty() {
             self.captures.push(capture.clone());
@@ -476,34 +412,15 @@ impl TelemetryCli {
         self.profile_to.is_some()
     }
 
-    /// Writes the trace artifacts (Chrome JSON + ASCII timeline), prints
-    /// the run report, and writes the telemetry JSON / hot-path /
-    /// Prometheus artifacts if asked. No-op when no flag was given.
+    /// Writes the probe CSVs, prints the run report, and writes the
+    /// telemetry JSON / hot-path artifacts if asked. No-op when no flag
+    /// was given.
     pub fn finish(mut self) {
         self.write_probe_csvs();
         // Close the whole-binary phase before snapshotting so the
         // `bench/run` root covers everything the run did.
         drop(self.run_phase.take());
         self.write_profile();
-        self.bench_span.finish();
-        if let Some(path) = self.trace_to.take() {
-            let snapshot = Tracer::global().snapshot();
-            record_drops(Telemetry::global(), &snapshot);
-            let mut counters: Vec<_> = self
-                .captures
-                .iter()
-                .flat_map(ProbeCapture::counter_tracks)
-                .collect();
-            // Cumulative dissipated energy over wall time, when the joule
-            // ledger was armed and fed: one more counter lane next to the
-            // probe tracks.
-            if let Some(track) = oxterm_telemetry::joule::JouleLedger::global().counter_track() {
-                counters.push(track);
-            }
-            write_trace(&path, &snapshot, &counters);
-            println!("\n== trace timeline ({}) ==\n", self.name);
-            println!("{}", snapshot.to_ascii(100));
-        }
         if self.mode != TelemetryMode::Off {
             let report = Telemetry::global().report();
             println!("\n== telemetry ({}) ==\n", self.name);
@@ -516,22 +433,6 @@ impl TelemetryCli {
                     Ok(()) => println!("telemetry report written to {path}"),
                     Err(e) => eprintln!("could not write {path}: {e}"),
                 }
-            }
-        }
-        // The Prometheus artifact renders last so the `profile.*` fold and
-        // every late counter are included; level-distribution gauges are
-        // appended when the tracker was armed and fed.
-        if let Some(path) = &self.metrics_out {
-            let mut text = oxterm_telemetry::metrics::to_prometheus(&Telemetry::global().report());
-            text.push_str(&oxterm_telemetry::metrics::render_levels(
-                &oxterm_telemetry::LevelTracker::global().snapshot(),
-            ));
-            text.push_str(&oxterm_telemetry::metrics::render_energy(
-                &oxterm_telemetry::joule::JouleLedger::global().snapshot(),
-            ));
-            match ensure_parent(path).and_then(|()| std::fs::write(path, &text)) {
-                Ok(()) => println!("prometheus metrics written to {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
             }
         }
     }
@@ -649,33 +550,6 @@ fn lint_preflight(name: &str, mode: LintMode) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Folds per-track-class drop counts into the telemetry report so ring
-/// overflow is visible in the RunReport, never silent.
-fn record_drops(tel: &Telemetry, snapshot: &TraceSnapshot) {
-    if !tel.is_enabled() {
-        return;
-    }
-    for (class, n) in &snapshot.dropped {
-        if *n > 0 {
-            tel.add(&format!("trace.dropped.{class}"), *n);
-        }
-    }
-}
-
-fn write_trace(path: &str, snapshot: &TraceSnapshot, counters: &[oxterm_telemetry::CounterTrack]) {
-    let json = snapshot.to_chrome_json_with_counters(counters);
-    match ensure_parent(path).and_then(|()| std::fs::write(path, json)) {
-        Ok(()) => println!(
-            "trace written to {path} ({} events, {} counter track(s), {} dropped) — \
-             open at https://ui.perfetto.dev",
-            snapshot.events.len(),
-            counters.len(),
-            snapshot.total_dropped(),
-        ),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
 fn ensure_parent(path: &str) -> std::io::Result<()> {
     match std::path::Path::new(path).parent() {
         Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
@@ -688,6 +562,10 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> ParsedFlags {
+        try_parse(args).expect("known flags parse")
+    }
+
+    fn try_parse(args: &[&str]) -> Result<ParsedFlags, CliError> {
         parse_flags(args.iter().map(|s| (*s).to_string()))
     }
 
@@ -703,7 +581,6 @@ mod tests {
         let p = parse(&["7"]);
         assert_eq!(p.rest, vec!["7".to_string()]);
         assert_eq!(p.mode, TelemetryMode::Off);
-        assert_eq!(p.trace, None);
         assert!(!p.progress);
     }
 
@@ -725,29 +602,39 @@ mod tests {
     }
 
     #[test]
-    fn trace_flags_parse() {
-        assert_eq!(parse(&["--trace"]).trace, Some(None));
-        assert_eq!(
-            parse(&["--trace=results/t.json"]).trace,
-            Some(Some("results/t.json".to_string()))
-        );
+    fn misspelled_flag_is_a_config_error() {
+        let err = try_parse(&["--chek", "120"]).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("\"--chek\""), "{}", err.message);
+        let err = init_from("cli_test", ["--chek".to_string()].into_iter())
+            .expect_err("an unknown flag must stop the binary");
+        assert_eq!(err.code, 2);
+        assert!(err.message.starts_with("cli_test: "), "{}", err.message);
+    }
+
+    #[test]
+    fn retired_observer_flags_are_config_errors() {
+        // Flags of retired observers fail like any other typo.
+        for retired in [
+            "trace",
+            "trace=results/t.json",
+            "dashboard",
+            "metrics-out=m.prom",
+        ] {
+            let flag = format!("--{retired}");
+            let err = try_parse(&[&flag]).unwrap_err();
+            assert_eq!(err.code, 2, "{flag} should be a config error");
+            assert!(err.message.contains(&flag), "{}", err.message);
+        }
     }
 
     #[test]
     fn progress_flag_parses_alongside_others() {
-        let p = parse(&["--progress", "500", "--trace", "--telemetry"]);
+        let p = parse(&["--progress", "500", "--profile", "--telemetry"]);
         assert!(p.progress);
-        assert_eq!(p.trace, Some(None));
+        assert_eq!(p.profile, Some(None));
         assert_eq!(p.mode, TelemetryMode::Table);
         assert_eq!(p.rest, vec!["500".to_string()]);
-    }
-
-    #[test]
-    fn dashboard_flag_parses_and_defaults_off() {
-        let p = parse(&["--dashboard", "500"]);
-        assert!(p.dashboard);
-        assert_eq!(p.rest, vec!["500".to_string()]);
-        assert!(!parse(&["500"]).dashboard);
     }
 
     #[test]
@@ -857,13 +744,7 @@ mod tests {
             parse(&["--profile=out/h.json"]).profile,
             Some(Some("out/h.json".to_string()))
         );
-        assert_eq!(
-            parse(&["--metrics-out=out/m.prom"]).metrics_out,
-            Some("out/m.prom".to_string())
-        );
-        let off = parse(&["7"]);
-        assert_eq!(off.profile, None);
-        assert_eq!(off.metrics_out, None);
+        assert_eq!(parse(&["7"]).profile, None);
     }
 
     #[test]

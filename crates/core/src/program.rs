@@ -26,7 +26,7 @@ use oxterm_spice::circuit::Circuit;
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_spice::waveform::CrossDir;
 use oxterm_telemetry::joule::{self, ProgramPhase};
-use oxterm_telemetry::{Arg, PhaseId, Profiler, Telemetry, Tracer, Track};
+use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
 use rand::Rng;
 
 use crate::levels::LevelAllocation;
@@ -121,10 +121,7 @@ pub fn program_cell_fast(
 ) -> Result<ProgramOutcome, MlcError> {
     Telemetry::global().incr("mlc.program.fast_ops");
     let _program = Profiler::global().phase(PhaseId::MlcProgram);
-    let mut span = Tracer::global().span(Track::Program, "program_fast");
-    span.arg(Arg::u64("code", u64::from(code)));
     let level = alloc.level(code)?;
-    span.arg(Arg::f64("i_ref_a", level.i_ref));
     let set = {
         let _phase = joule::enter_phase(ProgramPhase::Set);
         simulate_set(params, inst, &cond.set)?
@@ -234,10 +231,7 @@ pub fn program_cell_mc<R: Rng + ?Sized>(
 ) -> Result<ProgramOutcome, MlcError> {
     Telemetry::global().incr("mlc.program.mc_ops");
     let _program = Profiler::global().phase(PhaseId::MlcProgram);
-    let mut span = Tracer::global().span(Track::Program, "program_mc");
-    span.arg(Arg::u64("code", u64::from(code)));
     let level = alloc.level(code)?;
-    span.arg(Arg::f64("i_ref_a", level.i_ref));
     let sample = Profiler::global().phase(PhaseId::MlcSample);
     let (inst, mut cond, i_ref_factor) = var.sample(params, cond, rng);
     // Filament-discreteness state noise (grows at low programming current).
@@ -443,12 +437,6 @@ pub fn program_cell_circuit_probed(
     tel.incr("mlc.program.circuit_ops");
     let _op_span = tel.span("mlc.program.circuit_seconds");
     let _program = Profiler::global().phase(PhaseId::MlcProgram);
-    // The programming pulse as one span on the program track; the
-    // comparator-trip / chop instants from the termination monitor land
-    // inside it, and the simulated latency rides in the args.
-    let mut pulse_span = Tracer::global().span(Track::Program, "program_circuit");
-    pulse_span.arg(Arg::f64("i_ref_a", i_ref.unwrap_or(0.0)));
-    pulse_span.arg(Arg::f64("pulse_width_s", opts.pulse_width));
     let testbench = Profiler::global().phase(PhaseId::MlcTestbench);
     let (mut c, handles) = build_program_circuit(opts)?;
     let ProgramCircuitHandles {
@@ -500,11 +488,6 @@ pub fn program_cell_circuit_probed(
     });
     // Cross-check: latency should match the current crossing.
     let _ = i_cell.first_crossing(i_ref.unwrap_or(0.0), CrossDir::Falling);
-
-    if let Some(lat) = latency {
-        pulse_span.arg(Arg::f64("latency_sim_s", lat));
-    }
-    pulse_span.arg(Arg::f64("r_read_ohms", r_read));
 
     let probes = std::mem::take(&mut result.probes);
     // Releasing the testbench and its waveforms is testbench work too.

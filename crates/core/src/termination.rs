@@ -19,7 +19,7 @@ use oxterm_devices::sources::{CurrentSource, SourceWave, VoltageSource};
 use oxterm_spice::analysis::tran::{MonitorAction, TranSample};
 use oxterm_spice::circuit::{Circuit, ElementId, NodeId};
 use oxterm_telemetry::joule::{self, ProgramPhase};
-use oxterm_telemetry::{Arg, Telemetry, Tracer, Track};
+use oxterm_telemetry::Telemetry;
 
 /// Options for the behavioral termination monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,7 +76,6 @@ pub fn behavioral_monitor(
     // Resolved once at monitor construction; the per-sample path pays one
     // branch when telemetry is disabled.
     let tel = Telemetry::global().clone();
-    let tracer = Tracer::global().clone();
     let monitor = move |sample: &TranSample<'_>, circuit: &mut Circuit| -> MonitorAction {
         if let Some(tc) = chopped_at {
             if sample.time >= tc + opts.hold_after_chop {
@@ -89,14 +88,7 @@ pub fn behavioral_monitor(
             Err(_) => return MonitorAction::Continue,
         };
         if !armed {
-            if i >= opts.arm_current {
-                armed = true;
-                tracer.instant(
-                    Track::Program,
-                    "comparator_armed",
-                    &[Arg::f64("t_sim_s", sample.time), Arg::f64("i_cell_a", i)],
-                );
-            }
+            armed = i >= opts.arm_current;
             i_prev = i;
             return MonitorAction::Continue;
         }
@@ -110,14 +102,6 @@ pub fn behavioral_monitor(
             // the trip flips the thread to the post-trip tail.
             joule::set_phase(ProgramPhase::Bisection);
             tel.incr("mlc.termination.bisections");
-            tracer.instant(
-                Track::Program,
-                "bisection",
-                &[
-                    Arg::f64("t_sim_s", sample.time),
-                    Arg::f64("dt_s", sample.dt),
-                ],
-            );
             return MonitorAction::RedoWithDt(opts.dt_fine);
         }
         chopped_at = Some(sample.time);
@@ -137,27 +121,9 @@ pub fn behavioral_monitor(
                 (opts.i_ref - i) / opts.i_ref,
             );
         }
-        // The paper's headline instant: the comparator observed
-        // `Icell < IrefR` and the SL pulse gets chopped right here.
-        tracer.instant(
-            Track::Program,
-            "comparator_trip",
-            &[
-                Arg::f64("t_sim_s", sample.time),
-                Arg::f64("i_cell_a", i),
-                Arg::f64("i_ref_a", opts.i_ref),
-            ],
-        );
+        // The comparator observed `Icell < IrefR`: chop the SL pulse here.
         if let Ok(vs) = circuit.device_mut::<VoltageSource>(sl_source) {
             vs.force_end_at(sample.time, 0.0, opts.chop_fall);
-            tracer.instant(
-                Track::Program,
-                "chop",
-                &[
-                    Arg::f64("t_sim_s", sample.time),
-                    Arg::f64("fall_s", opts.chop_fall),
-                ],
-            );
         }
         MonitorAction::Continue
     };

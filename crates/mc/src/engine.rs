@@ -2,7 +2,7 @@
 
 use oxterm_telemetry::postmortem::{self, PostmortemReport};
 use oxterm_telemetry::profiler::monotonic_ns;
-use oxterm_telemetry::{Arg, PhaseId, Profiler, Telemetry, Tracer, Track};
+use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,7 +111,7 @@ impl MonteCarlo {
         F: Fn(usize, &mut StdRng) -> T + Sync,
     {
         // One global-handle lookup per campaign; the per-run timing path
-        // only exists when telemetry, tracing or progress was turned on, so
+        // only exists when telemetry or progress was turned on, so
         // a disabled build pays a single branch per run.
         let tel = Telemetry::global();
         tel.incr("mc.engine.campaigns");
@@ -123,11 +123,6 @@ impl MonteCarlo {
         let h_busy = tel.histogram("mc.engine.worker_busy_seconds");
 
         let threads = self.resolved_threads().min(self.runs.max(1));
-        let tracer = Tracer::global().clone();
-        let mut trace_campaign = tracer.span(Track::Mc, "campaign");
-        trace_campaign.arg(Arg::u64("runs", self.runs as u64));
-        trace_campaign.arg(Arg::u64("seed", self.seed));
-        trace_campaign.arg(Arg::u64("threads", threads as u64));
         let progress = CampaignProgress::start(self.runs, threads);
         let timed = h_run.is_some() || progress.is_enabled();
 
@@ -135,8 +130,6 @@ impl MonteCarlo {
             let out = (0..self.runs)
                 .map(|i| {
                     let mut rng = self.rng_for_run(i);
-                    let mut run_span = tracer.span(Track::McWorker(0), "run");
-                    run_span.arg(Arg::u64("run", i as u64));
                     let _run_phase = prof.phase(PhaseId::McWorkerRun);
                     if timed {
                         let t0 = monotonic_ns();
@@ -161,11 +154,9 @@ impl MonteCarlo {
         let slots = Mutex::new(&mut slots);
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for w in 0..threads {
-                // Shared state is captured by reference; only the worker
-                // index moves into the closure (it names the trace track).
-                let f = &f;
-                let (tracer, progress) = (&tracer, &progress);
+            for _ in 0..threads {
+                // Shared state is captured by reference.
+                let (f, progress) = (&f, &progress);
                 let (h_run, h_busy) = (&h_run, &h_busy);
                 let (slots, cursor) = (&slots, &cursor);
                 scope.spawn(move || {
@@ -176,8 +167,6 @@ impl MonteCarlo {
                             break;
                         }
                         let mut rng = self.rng_for_run(i);
-                        let mut run_span = tracer.span(Track::McWorker(w as u16), "run");
-                        run_span.arg(Arg::u64("run", i as u64));
                         let _run_phase = prof.phase(PhaseId::McWorkerRun);
                         let value = if timed {
                             let t0 = monotonic_ns();
@@ -192,7 +181,6 @@ impl MonteCarlo {
                         } else {
                             f(i, &mut rng)
                         };
-                        drop(run_span);
                         slots.lock()[i] = Some(value);
                     }
                     if let Some(h) = h_busy {
@@ -274,27 +262,16 @@ impl MonteCarlo {
             r
         });
         let tel = Telemetry::global();
-        let tracer = Tracer::global();
-        if tel.is_enabled() || tracer.is_enabled() {
+        if tel.is_enabled() {
             for (i, r) in out.iter().enumerate() {
                 if let Err(e) = r {
-                    if tel.is_enabled() {
-                        tel.incr("mc.engine.convergence_failures");
-                        if matches!(e, RunError::Panic(_)) {
-                            tel.incr("mc.engine.panicked_runs");
-                        }
-                        tel.note(
-                            "mc.engine.failed_run",
-                            format!("run {i} seed {:#018x}: {e}", self.seed_for_run(i)),
-                        );
+                    tel.incr("mc.engine.convergence_failures");
+                    if matches!(e, RunError::Panic(_)) {
+                        tel.incr("mc.engine.panicked_runs");
                     }
-                    tracer.instant(
-                        Track::Mc,
-                        "run_failed",
-                        &[
-                            Arg::u64("run", i as u64),
-                            Arg::u64("seed", self.seed_for_run(i)),
-                        ],
+                    tel.note(
+                        "mc.engine.failed_run",
+                        format!("run {i} seed {:#018x}: {e}", self.seed_for_run(i)),
                     );
                 }
             }

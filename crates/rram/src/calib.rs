@@ -45,7 +45,7 @@ use crate::model::{self, CellLaw};
 use crate::params::{InstanceVariation, OxramParams};
 use crate::RramError;
 use oxterm_telemetry::joule::{DeviceClass, JouleLedger, Role};
-use oxterm_telemetry::{Arg, PhaseId, Profiler, Telemetry, Tracer, Track};
+use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
 
 /// Relative tolerance of the pulse integrator: the local error allowed per
 /// step in `y` (so relative in `ρ` or `1 − ρ`) and in each energy relative
@@ -481,12 +481,6 @@ fn reset_trajectory(
         }
         return;
     }
-    // One span per fast-path RESET trajectory: the Monte Carlo volume
-    // driver, so the trace shows what each worker is chewing on.
-    let mut trace_span = Tracer::global().span(Track::Program, "reset_fast");
-    for &(k, _) in pending {
-        trace_span.arg(Arg::f64("i_ref_a", i_refs[k]));
-    }
     let ledger = JouleLedger::global();
     let fail = |out: &mut [Option<_>], from: usize, e: RramError| {
         for &(k, _) in &pending[from..] {
@@ -519,8 +513,6 @@ fn reset_trajectory(
                 tel.add("rram.termination.steps", steps);
                 tel.record("rram.termination.latency_s", at.t);
             }
-            trace_span.arg(Arg::u64("steps", steps));
-            trace_span.arg(Arg::f64("latency_sim_s", at.t));
             if ledger.is_enabled() {
                 // The cell dissipates v_c·i; the balance of the drive,
                 // (v_drive − v_c)·i, drops across the series path (access
@@ -531,7 +523,6 @@ fn reset_trajectory(
                     Role::AccessTransistor,
                     at.e_drive - at.e_cell,
                 );
-                ledger.mark(oxterm_telemetry::profiler::monotonic_ns());
             }
             out[k] = Some(Ok(TerminationOutcome {
                 rho_final,
@@ -549,11 +540,6 @@ fn reset_trajectory(
             for &(k, _) in &pending[next..] {
                 let i_ref = i_refs[k];
                 tel.incr("rram.termination.not_terminated");
-                Tracer::global().instant(
-                    Track::Program,
-                    "not_terminated",
-                    &[Arg::f64("i_ref_a", i_ref), Arg::f64("i_final_a", p.k.i)],
-                );
                 out[k] = Some(Err(RramError::NotTerminated {
                     i_ref,
                     t_max: cond.t_max,

@@ -5,42 +5,9 @@
 //! variation factors. Voltages are signed with the SET convention: positive
 //! `v` (TE above BE) grows the filament, negative `v` dissolves it.
 
-use std::cell::Cell;
-
-use oxterm_telemetry::{Arg, Telemetry, Tracer, Track};
+use oxterm_telemetry::Telemetry;
 
 use crate::params::{InstanceVariation, OxramParams};
-
-thread_local! {
-    // Rising-edge latch for joule-clamp trace instants: `advance_state` runs
-    // in tight per-timestep loops, so emit a mark only when a call *enters*
-    // the clamped regime, not on every clamped call.
-    static JOULE_CLAMPED: Cell<bool> = const { Cell::new(false) };
-    // Last dynamics regime seen by this thread (0 hold, 1 SET, 2 RESET);
-    // onset instants fire on transitions only, so a multi-µs transient
-    // yields a handful of model-track marks, not one per timestep.
-    static REGIME: Cell<u8> = const { Cell::new(0) };
-}
-
-/// Marks regime transitions (hold → SET/RESET) on the model trace track.
-///
-/// Only touched when the tracer is live, so the disabled path stays free of
-/// even thread-local traffic.
-fn note_regime(new: u8, v: f64) {
-    let tracer = Tracer::global();
-    if !tracer.is_enabled() {
-        return;
-    }
-    REGIME.with(|r| {
-        if r.get() != new {
-            r.set(new);
-            if new != 0 {
-                let name = if new == 1 { "set_onset" } else { "reset_onset" };
-                tracer.instant(Track::Model, name, &[Arg::f64("v", v)]);
-            }
-        }
-    });
-}
 
 /// Largest sinh/exp argument before linear continuation (overflow guard).
 const ARG_MAX: f64 = 40.0;
@@ -299,10 +266,8 @@ pub fn advance_state(
         // Below the switching threshold the state holds (read-disturb
         // immunity; see `v_set_floor`).
         if v < params.v_set_floor {
-            note_regime(0, v);
             return rho;
         }
-        note_regime(1, v);
         let law = CellLaw::new(params, inst);
         // SET / forming direction: dρ/dt = (1 − ρ)/τ(v, ρ); the forming
         // barrier inside τ makes growth regenerative out of the virgin
@@ -318,17 +283,14 @@ pub fn advance_state(
             remaining -= sub;
             if 1.0 - rho < 1e-12 {
                 Telemetry::global().incr("rram.model.rho_ceiling_hits");
-                Tracer::global().instant(Track::Model, "rho_ceiling", &[Arg::f64("v", v)]);
                 return 1.0;
             }
         }
         rho
     } else if v < -1e-9 {
         if -v < params.v_rst_floor {
-            note_regime(0, v);
             return rho;
         }
-        note_regime(2, v);
         let law = CellLaw::new(params, inst);
         // RESET direction: dρ/dt = −ρ^(1+β)·(1 + (I/I_joule)²)/τ.
         // The current-squared term is the Joule-heating acceleration that
@@ -353,22 +315,11 @@ pub fn advance_state(
         }
         let tel = Telemetry::global();
         tel.add("rram.model.joule_clamps", joule_clamps);
-        let clamped = joule_clamps > 0;
-        if clamped && !JOULE_CLAMPED.with(Cell::get) {
-            Tracer::global().instant(
-                Track::Model,
-                "joule_clamp",
-                &[Arg::u64("substeps", joule_clamps), Arg::f64("v", v)],
-            );
-        }
-        JOULE_CLAMPED.with(|c| c.set(clamped));
         if floored {
             tel.incr("rram.model.rho_floor_hits");
-            Tracer::global().instant(Track::Model, "rho_floor", &[Arg::f64("v", v)]);
         }
         rho
     } else {
-        note_regime(0, v);
         rho // retention dynamics are out of scope; state holds at zero bias
     }
 }

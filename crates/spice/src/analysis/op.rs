@@ -1,6 +1,6 @@
 //! DC operating-point analysis with gmin and source stepping fallbacks.
 
-use oxterm_telemetry::{Arg, PhaseId, Profiler, Telemetry, Tracer, Track};
+use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
 
 use crate::analysis::{newton_solve, NewtonOutcome};
 use crate::circuit::Circuit;
@@ -89,9 +89,6 @@ pub fn solve_op_from(
         match newton_solve(circuit, &x, &state, AnalysisKind::Dc, 1.0, sim.gmin, sim) {
             Ok(out) => {
                 tel.incr("spice.op.gmin_recoveries");
-                // Convergence-aid escalation: the direct solve failed and gmin
-                // stepping rescued it — worth a mark on the solver timeline.
-                Tracer::global().instant(Track::Solver, "gmin_recovery", &[]);
                 return Ok(Solution::new(out.x, nn));
             }
             Err(e) => {
@@ -124,11 +121,6 @@ pub fn solve_op_from(
                 last_err = e.to_string();
                 if failures > 40 || step < 1e-6 {
                     tel.incr("spice.op.failures");
-                    Tracer::global().instant(
-                        Track::Solver,
-                        "op_failure",
-                        &[Arg::u64("failures", failures as u64)],
-                    );
                     let detail =
                         format!("direct, gmin and source stepping all failed (last: {last_err})");
                     if diag_on {
@@ -148,6 +140,5 @@ pub fn solve_op_from(
         }
     }
     tel.incr("spice.op.source_recoveries");
-    Tracer::global().instant(Track::Solver, "source_recovery", &[]);
     Ok(Solution::new(x, nn))
 }

@@ -8,7 +8,7 @@
 //! crossing with sub-step precision.
 
 use oxterm_telemetry::joule::{self, JouleLedger, N_PHASES, PHASES};
-use oxterm_telemetry::{Arg, PhaseId, Profiler, Telemetry, Tracer, Track};
+use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
 
 use crate::analysis::{newton_solve, op::solve_op, NewtonOutcome};
 use crate::circuit::{Circuit, ElementId, NodeId};
@@ -183,12 +183,6 @@ pub fn run_transient(
     let c_rej_dv = tel.counter("spice.tran.steps_rejected_dv");
     let c_redo = tel.counter("spice.tran.monitor_redos");
     let h_iters = tel.histogram("spice.tran.newton_iters");
-    // Flight recorder: the whole run is one span on the solver track;
-    // every accepted step, rejection, and monitor redo is an instant
-    // carrying the *simulated* time in its args.
-    let tracer = Tracer::global();
-    let mut tran_span = tracer.span(Track::Solver, "tran");
-    tran_span.arg(Arg::f64("t_stop_s", opts.t_stop));
     // Resolve probes before any solving: probing a missing node/device is
     // a configuration error and should fail fast.
     let mut probes = if opts.probes.is_empty() {
@@ -214,7 +208,7 @@ pub fn run_transient(
         })
     };
     if !probes.is_empty() {
-        probes.record(0.0, op.as_slice(), tracer.now_ns());
+        probes.record(0.0, op.as_slice());
     }
 
     let mut result = TranResult {
@@ -271,11 +265,6 @@ pub fn run_transient(
             // Forced timestep collapse: the proposal drops to the dt_min
             // floor, so one more Newton rejection terminates the run.
             Telemetry::global().incr("chaos.injected.slow_step");
-            tracer.instant(
-                Track::Solver,
-                "chaos_slow_step",
-                &[Arg::f64("t_sim_s", t), Arg::f64("dt_s", opts.dt_min)],
-            );
             dt_try = dt_try.min(opts.dt_min);
         }
 
@@ -310,11 +299,6 @@ pub fn run_transient(
                     if let Some(c) = &c_rej_newton {
                         c.incr();
                     }
-                    tracer.instant(
-                        Track::Solver,
-                        "reject_newton",
-                        &[Arg::f64("t_sim_s", t + dt_try), Arg::f64("dt_s", dt_try)],
-                    );
                     dt_try *= 0.5;
                     if dt_try < opts.dt_min {
                         let err = SpiceError::TimestepTooSmall {
@@ -349,11 +333,6 @@ pub fn run_transient(
                 if let Some(c) = &c_rej_dv {
                     c.incr();
                 }
-                tracer.instant(
-                    Track::Solver,
-                    "reject_dv",
-                    &[Arg::f64("t_sim_s", t + dt_try), Arg::f64("dv", dv)],
-                );
                 dt_try *= 0.5;
                 continue;
             }
@@ -382,11 +361,6 @@ pub fn run_transient(
                 if let Some(c) = &c_redo {
                     c.incr();
                 }
-                tracer.instant(
-                    Track::Solver,
-                    "monitor_redo",
-                    &[Arg::f64("t_sim_s", t + dt_try), Arg::f64("dt_redo_s", d)],
-                );
                 let d = if d >= dt_try { dt_try * 0.5 } else { d };
                 dt_try = d.max(opts.dt_min);
                 continue;
@@ -408,7 +382,7 @@ pub fn run_transient(
                 ring.push(t, dt_try, iters as u32);
             }
             if !probes.is_empty() {
-                probes.record(t, &x, tracer.now_ns());
+                probes.record(t, &x);
             }
             if let Some(c) = &c_accept {
                 c.incr();
@@ -416,15 +390,6 @@ pub fn run_transient(
             if let Some(h) = &h_iters {
                 h.record(iters as f64);
             }
-            tracer.instant(
-                Track::Solver,
-                "step",
-                &[
-                    Arg::f64("t_sim_s", t),
-                    Arg::f64("dt_s", dt_try),
-                    Arg::u64("newton_iters", iters as u64),
-                ],
-            );
             record.finish();
 
             // Step-size adaptation.
@@ -438,16 +403,8 @@ pub fn run_transient(
                 result.stopped_early = true;
                 result.probes = probes.into_capture();
                 if let Some(m) = &meter {
-                    m.flush(
-                        circuit,
-                        tracer
-                            .now_ns()
-                            .unwrap_or_else(oxterm_telemetry::profiler::monotonic_ns),
-                    );
+                    m.flush(circuit);
                 }
-                tran_span.arg(Arg::u64("steps_accepted", accepted as u64));
-                tran_span.arg(Arg::f64("t_end_sim_s", t));
-                tran_span.finish();
                 run_span.finish();
                 return Ok(result);
             }
@@ -456,16 +413,8 @@ pub fn run_transient(
     }
     result.probes = probes.into_capture();
     if let Some(m) = &meter {
-        m.flush(
-            circuit,
-            tracer
-                .now_ns()
-                .unwrap_or_else(oxterm_telemetry::profiler::monotonic_ns),
-        );
+        m.flush(circuit);
     }
-    tran_span.arg(Arg::u64("steps_accepted", accepted as u64));
-    tran_span.arg(Arg::f64("t_end_sim_s", t));
-    tran_span.finish();
     run_span.finish();
     Ok(result)
 }
@@ -546,9 +495,8 @@ impl PowerMeter {
     }
 
     /// Flushes every device's per-phase integrals to the ledger (one
-    /// record per nonzero bucket) and marks the cumulative-energy counter
-    /// track at `now_ns`.
-    fn flush(&self, circuit: &Circuit, now_ns: u64) {
+    /// record per nonzero bucket).
+    fn flush(&self, circuit: &Circuit) {
         for (k, el) in circuit.elements.iter().enumerate() {
             let class = el.device.device_class();
             let role = joule::classify_role(class, el.device.name());
@@ -559,7 +507,6 @@ impl PowerMeter {
                 }
             }
         }
-        self.ledger.mark(now_ns);
     }
 }
 

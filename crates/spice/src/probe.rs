@@ -20,15 +20,7 @@
 //! global extremes and only ever keeping *genuine* samples (no synthetic
 //! averages). Past warm-up the capture path performs **zero heap
 //! allocations per accepted step**, so probes never stall the solver hot
-//! loop (pinned by `tests/probe_zero_alloc.rs`).
-//!
-//! Samples carry two clocks: simulated seconds (the CSV / [`Waveform`]
-//! x-axis) and, when the flight recorder is enabled, wall nanoseconds from
-//! [`oxterm_telemetry::Tracer::now_ns`] — which lets a captured probe
-//! render as a Perfetto *counter track* on the same timeline as the
-//! solver/program spans.
-
-use oxterm_telemetry::CounterTrack;
+//! loop (pinned by `tests/zero_alloc.rs`).
 
 use crate::circuit::Circuit;
 use crate::waveform::Waveform;
@@ -184,16 +176,13 @@ impl ProbePlan {
     }
 }
 
-/// One captured sample: simulated time, value, and (when tracing) the
-/// wall-clock nanosecond stamp aligning it with flight-recorder spans.
+/// One captured sample: simulated time and value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeSample {
     /// Simulated time (s).
     pub t: f64,
     /// Probed value (V or A).
     pub y: f64,
-    /// Wall nanoseconds since tracer creation, if the tracer was enabled.
-    pub wall_ns: Option<u64>,
 }
 
 /// Bounded sample storage with in-place min/max decimation.
@@ -228,12 +217,12 @@ impl ProbeBuffer {
 
     /// Records one sample; compacts in place when the budget is reached.
     #[inline]
-    pub fn push(&mut self, t: f64, y: f64, wall_ns: Option<u64>) {
+    pub fn push(&mut self, t: f64, y: f64) {
         if self.samples.len() >= self.budget {
             self.compact();
         }
         self.offered += 1;
-        self.samples.push(ProbeSample { t, y, wall_ns });
+        self.samples.push(ProbeSample { t, y });
     }
 
     /// Min/max decimation: each group of four consecutive samples keeps
@@ -348,13 +337,13 @@ impl ProbeRecorder {
     /// Records one accepted-step solution into every probe buffer.
     /// Zero-allocation past buffer warm-up.
     #[inline]
-    pub fn record(&mut self, t: f64, x: &[f64], wall_ns: Option<u64>) {
+    pub fn record(&mut self, t: f64, x: &[f64]) {
         for probe in &mut self.probes {
             let y = match probe.unknown {
                 Some(u) => x[u],
                 None => 0.0,
             };
-            probe.buffer.push(t, y, wall_ns);
+            probe.buffer.push(t, y);
         }
     }
 
@@ -430,33 +419,6 @@ impl ProbeTrace {
         out
     }
 
-    /// The record as a Perfetto counter track.
-    ///
-    /// Uses wall-clock stamps when every sample has one (aligning the
-    /// signal with flight-recorder spans); otherwise falls back to
-    /// simulated time scaled to nanoseconds, which still renders the
-    /// waveform shape.
-    pub fn counter_track(&self) -> CounterTrack {
-        let wall_complete =
-            !self.samples.is_empty() && self.samples.iter().all(|s| s.wall_ns.is_some());
-        let points = self
-            .samples
-            .iter()
-            .map(|s| {
-                let ts = match (wall_complete, s.wall_ns) {
-                    (true, Some(ns)) => ns,
-                    _ => (s.t.max(0.0) * 1e9) as u64,
-                };
-                (ts, s.y)
-            })
-            .collect();
-        CounterTrack {
-            name: self.label.clone(),
-            unit: self.unit.clone(),
-            points,
-        }
-    }
-
     /// The most recent `n` samples as `(t, y)` pairs — what post-mortem
     /// artifacts embed.
     pub fn tail(&self, n: usize) -> Vec<(f64, f64)> {
@@ -481,11 +443,6 @@ impl ProbeCapture {
     /// Looks up a trace by its canonical label.
     pub fn trace(&self, label: &str) -> Option<&ProbeTrace> {
         self.traces.iter().find(|t| t.label == label)
-    }
-
-    /// Counter tracks for every trace (Perfetto merge).
-    pub fn counter_tracks(&self) -> Vec<CounterTrack> {
-        self.traces.iter().map(ProbeTrace::counter_track).collect()
     }
 }
 
@@ -542,7 +499,7 @@ mod tests {
             })
             .collect();
         for (i, v) in values.iter().enumerate() {
-            buf.push(i as f64 * 1e-9, *v, None);
+            buf.push(i as f64 * 1e-9, *v);
         }
         assert!(buf.samples().len() <= 16);
         assert_eq!(buf.offered(), 200);
@@ -596,13 +553,13 @@ mod tests {
         let plan = ProbePlan::parse("v(sl),v(gnd),i(vsense)").unwrap();
         let mut rec = ProbeRecorder::resolve(&plan, &c).unwrap();
         // Unknowns: v(sl)=0, v(bl)=1, i(vsense)=2.
-        rec.record(0.0, &[1.0, 2.0, 3.0], None);
-        rec.record(1e-9, &[1.5, 2.5, 3.5], Some(42));
+        rec.record(0.0, &[1.0, 2.0, 3.0]);
+        rec.record(1e-9, &[1.5, 2.5, 3.5]);
         let cap = rec.into_capture();
         assert_eq!(cap.traces.len(), 3);
         let sl = cap.trace("v(sl)").unwrap();
         assert_eq!(sl.samples[1].y, 1.5);
-        assert_eq!(sl.samples[1].wall_ns, Some(42));
+        assert_eq!(sl.samples[1].t, 1e-9);
         let gnd = cap.trace("v(gnd)").unwrap();
         assert_eq!(gnd.samples[0].y, 0.0);
         let isense = cap.trace("i(vsense)").unwrap();
@@ -617,21 +574,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_exports_csv_waveform_and_counters() {
+    fn trace_exports_csv_and_waveform() {
         let trace = ProbeTrace {
             label: "v(sl)".into(),
             unit: "V".into(),
             samples: vec![
-                ProbeSample {
-                    t: 0.0,
-                    y: 1.0,
-                    wall_ns: Some(10),
-                },
-                ProbeSample {
-                    t: 1e-9,
-                    y: 2.0,
-                    wall_ns: Some(20),
-                },
+                ProbeSample { t: 0.0, y: 1.0 },
+                ProbeSample { t: 1e-9, y: 2.0 },
             ],
             offered: 2,
             compactions: 0,
@@ -641,15 +590,6 @@ mod tests {
         assert_eq!(csv.lines().count(), 3);
         let wf = trace.waveform().unwrap();
         assert_eq!(wf.last(), 2.0);
-        let ct = trace.counter_track();
-        assert_eq!(ct.points, vec![(10, 1.0), (20, 2.0)]);
-        assert_eq!(ct.unit, "V");
-
-        // Missing wall stamps fall back to scaled simulated time.
-        let mut no_wall = trace.clone();
-        no_wall.samples[1].wall_ns = None;
-        let ct = no_wall.counter_track();
-        assert_eq!(ct.points[1].0, 1);
 
         assert_eq!(trace.tail(1), vec![(1e-9, 2.0)]);
         assert_eq!(trace.tail(10).len(), 2);

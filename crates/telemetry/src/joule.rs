@@ -21,11 +21,11 @@
 //!   Carlo run, Ok-outcomes-only like [`crate::levels::LevelTracker`].
 //!
 //! The design follows the house telemetry idiom ([`crate::Profiler`],
-//! [`crate::Tracer`], [`crate::levels::LevelTracker`]):
+//! [`crate::levels::LevelTracker`]):
 //!
 //! - [`JouleLedger`] is a cheap handle wrapping `Option<Arc<…>>`; the
 //!   disabled handle costs **one branch and zero allocations** per record
-//!   (pinned by `tests/joule_zero_alloc.rs`).
+//!   (pinned by `tests/zero_alloc.rs`).
 //! - Library code reads the process-global handle
 //!   ([`JouleLedger::global`]), armed once by a binary via
 //!   [`JouleLedger::install`]; tests build private handles.
@@ -46,16 +46,11 @@
 //! joules from post-trip tail joules.
 
 use crate::sketch::{QuantileSketch, Welford};
-use crate::trace_export::CounterTrack;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Level slots available; codes at or above this are dropped (matches
 /// [`crate::levels::MAX_LEVELS`]).
 pub const MAX_LEVELS: usize = 64;
-
-/// Upper bound on cumulative-energy counter-track points kept for the
-/// Chrome trace export; later marks are dropped once full.
-pub const MAX_TRACK_POINTS: usize = 65_536;
 
 /// What a device *is* — the electrical model class reporting the energy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,7 +96,7 @@ pub const CLASSES: [DeviceClass; N_CLASSES] = [
 ];
 
 impl DeviceClass {
-    /// Stable lower-snake label (used in JSON keys and Prometheus labels).
+    /// Stable lower-snake label (used in JSON keys).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -156,7 +151,7 @@ pub const ROLES: [Role; N_ROLES] = [
 ];
 
 impl Role {
-    /// Stable lower-snake label (used in JSON keys and Prometheus labels).
+    /// Stable lower-snake label (used in JSON keys).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -203,7 +198,7 @@ pub const PHASES: [ProgramPhase; N_PHASES] = [
 ];
 
 impl ProgramPhase {
-    /// Stable lower-snake label (used in JSON keys and Prometheus labels).
+    /// Stable lower-snake label (used in JSON keys).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -357,9 +352,6 @@ impl Matrix {
 struct LedgerSink {
     matrix: Mutex<Matrix>,
     levels: Vec<Mutex<LevelCell>>,
-    /// (wall ns, cumulative dissipated joules) marks for the Chrome trace
-    /// counter track, appended by [`JouleLedger::mark`].
-    track: Mutex<Vec<(u64, f64)>>,
 }
 
 /// Immutable view of one role's phase-bucketed energy.
@@ -504,7 +496,6 @@ impl JouleLedger {
             inner: Some(Arc::new(LedgerSink {
                 matrix: Mutex::new(Matrix::new()),
                 levels,
-                track: Mutex::new(Vec::new()),
             })),
         }
     }
@@ -585,40 +576,6 @@ impl JouleLedger {
         cell.e_sketch.insert(energy_j);
         cell.latency.push(latency_s);
         cell.l_sketch.insert(latency_s);
-    }
-
-    /// Appends a (wall ns, cumulative dissipated joules) point to the
-    /// Chrome-trace counter track. Call once per flushed run, with the
-    /// tracer's clock, so the energy staircase lines up with trace spans.
-    pub fn mark(&self, now_ns: u64) {
-        let Some(sink) = &self.inner else {
-            return;
-        };
-        let total = sink
-            .matrix
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .dissipated_j();
-        let mut track = sink.track.lock().unwrap_or_else(PoisonError::into_inner);
-        if track.len() < MAX_TRACK_POINTS {
-            track.push((now_ns, total));
-        }
-    }
-
-    /// The cumulative-energy counter track for the Chrome trace export;
-    /// `None` when disabled or no marks were recorded.
-    #[must_use]
-    pub fn counter_track(&self) -> Option<CounterTrack> {
-        let sink = self.inner.as_ref()?;
-        let points = sink.track.lock().unwrap_or_else(PoisonError::into_inner);
-        if points.is_empty() {
-            return None;
-        }
-        Some(CounterTrack {
-            name: "energy_cumulative".into(),
-            unit: "J".into(),
-            points: points.clone(),
-        })
     }
 
     /// Compact counts (for progress lines).
@@ -717,11 +674,9 @@ mod tests {
             1e-12,
         );
         l.observe_level(0, 10e-6, 20e-12, 1e-6);
-        l.mark(123);
         assert!(!l.is_enabled());
         assert!(l.snapshot().is_empty());
         assert_eq!(l.counts(), JouleCounts::default());
-        assert!(l.counter_track().is_none());
     }
 
     #[test]
@@ -860,31 +815,6 @@ mod tests {
         assert_eq!(classify_role(C::VoltageSource, "vsense0"), Role::Driver);
         assert_eq!(classify_role(C::Switch, "cut3"), Role::Driver);
         assert_eq!(classify_role(C::Resistor, "rload"), Role::Other);
-    }
-
-    #[test]
-    fn marks_build_a_monotone_counter_track() {
-        let l = JouleLedger::enabled();
-        l.record_energy_in_phase(
-            DeviceClass::Resistor,
-            Role::Driver,
-            ProgramPhase::Reset,
-            1e-12,
-        );
-        l.mark(100);
-        l.record_energy_in_phase(
-            DeviceClass::Resistor,
-            Role::Driver,
-            ProgramPhase::Reset,
-            2e-12,
-        );
-        l.mark(200);
-        let track = l.counter_track().expect("marks recorded");
-        assert_eq!(track.name, "energy_cumulative");
-        assert_eq!(track.unit, "J");
-        assert_eq!(track.points.len(), 2);
-        assert!(track.points[1].1 > track.points[0].1);
-        assert_eq!(track.points[0].0, 100);
     }
 
     #[test]

@@ -6,19 +6,19 @@
 //! by batch-collecting every sample; this module is the streaming
 //! counterpart. Campaign closures feed one observation per programmed
 //! level per run ([`LevelTracker::observe`]) and each level accumulates
-//! a [`QuantileSketch`], a [`Welford`] moment tracker and a fixed
-//! log-spaced mini-histogram — bounded memory at any campaign size.
+//! a [`QuantileSketch`] and a [`Welford`] moment tracker — bounded
+//! memory at any campaign size.
 //!
 //! The design follows the house telemetry idiom ([`crate::Profiler`],
-//! [`crate::Tracer`]):
+//! [`crate::joule::JouleLedger`]):
 //!
 //! - [`LevelTracker`] is a cheap handle wrapping `Option<Arc<…>>`; the
 //!   disabled handle costs **one branch and zero allocations** per
-//!   observation (pinned by `tests/levels_zero_alloc.rs`).
+//!   observation (pinned by `tests/zero_alloc.rs`).
 //! - Library code reads the process-global handle
 //!   ([`LevelTracker::global`]), armed once by a binary via
-//!   [`LevelTracker::install`] (`--dashboard`, the figure binaries,
-//!   `repro_all`); tests build private handles.
+//!   [`LevelTracker::install`] (the figure binaries, `repro_all`);
+//!   tests build private handles.
 //! - State is one mutex per level slot. A campaign takes each lock once
 //!   per Monte Carlo *run* (milliseconds of solver work), so contention
 //!   is negligible without the profiler's thread-sharding; the sketch's
@@ -38,13 +38,6 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// is the largest allocation the paper explores).
 pub const MAX_LEVELS: usize = 64;
 
-/// Bins in each level's log-spaced mini-histogram.
-pub const N_BINS: usize = 24;
-
-/// Default histogram range (Ω): brackets the paper's programmable window
-/// (~30 kΩ – 300 kΩ) with a decade of slack on each side.
-pub const DEFAULT_HIST_RANGE_OHMS: (f64, f64) = (10e3, 1e6);
-
 /// Accumulated state for one level slot.
 #[derive(Debug, Clone)]
 struct Cell {
@@ -53,9 +46,6 @@ struct Cell {
     i_ref: f64,
     sketch: QuantileSketch,
     stats: Welford,
-    bins: [u64; N_BINS],
-    /// Samples outside the histogram range (still in sketch/stats).
-    out_of_range: u64,
 }
 
 impl Cell {
@@ -66,17 +56,12 @@ impl Cell {
             i_ref: 0.0,
             sketch: QuantileSketch::default(),
             stats: Welford::new(),
-            bins: [0; N_BINS],
-            out_of_range: 0,
         }
     }
 }
 
 struct TrackerSink {
     cells: Vec<Mutex<Cell>>,
-    /// Histogram bin edges, precomputed as log10 of the range.
-    log_lo: f64,
-    log_hi: f64,
 }
 
 /// Immutable view of one tracked level, ordered by code in a snapshot.
@@ -105,12 +90,6 @@ pub struct LevelSummary {
     pub p99: f64,
     /// The full quantile sketch, for rank queries in the report layer.
     pub sketch: QuantileSketch,
-    /// Log-spaced histogram counts over `bin_range`.
-    pub bins: [u64; N_BINS],
-    /// The histogram's (lo, hi) range in Ω.
-    pub bin_range: (f64, f64),
-    /// Samples that fell outside `bin_range` (still counted in `n`).
-    pub out_of_range: u64,
 }
 
 /// A deterministic, code-ordered view of every level seen so far.
@@ -158,28 +137,12 @@ impl LevelTracker {
         Self { inner: None }
     }
 
-    /// An armed tracker with the default histogram range.
+    /// An armed tracker with empty level slots.
     #[must_use]
     pub fn enabled() -> Self {
-        Self::enabled_with_range(DEFAULT_HIST_RANGE_OHMS.0, DEFAULT_HIST_RANGE_OHMS.1)
-    }
-
-    /// An armed tracker whose mini-histograms span `lo..hi` Ω
-    /// (log-spaced). Degenerate ranges fall back to the default.
-    #[must_use]
-    pub fn enabled_with_range(lo: f64, hi: f64) -> Self {
-        let (lo, hi) = if lo.is_finite() && hi.is_finite() && lo > 0.0 && hi > lo {
-            (lo, hi)
-        } else {
-            DEFAULT_HIST_RANGE_OHMS
-        };
         let cells = (0..MAX_LEVELS).map(|_| Mutex::new(Cell::new())).collect();
         Self {
-            inner: Some(Arc::new(TrackerSink {
-                cells,
-                log_lo: lo.log10(),
-                log_hi: hi.log10(),
-            })),
+            inner: Some(Arc::new(TrackerSink { cells })),
         }
     }
 
@@ -223,18 +186,6 @@ impl LevelTracker {
         }
         cell.sketch.insert(r_ohms);
         cell.stats.push(r_ohms);
-        let span = sink.log_hi - sink.log_lo;
-        if r_ohms > 0.0 && span > 0.0 {
-            let t = (r_ohms.log10() - sink.log_lo) / span;
-            if (0.0..1.0).contains(&t) {
-                let bin = ((t * N_BINS as f64) as usize).min(N_BINS - 1);
-                cell.bins[bin] += 1;
-            } else {
-                cell.out_of_range += 1;
-            }
-        } else {
-            cell.out_of_range += 1;
-        }
     }
 
     /// Compact per-level completion counts (for progress lines).
@@ -264,7 +215,6 @@ impl LevelTracker {
         let Some(sink) = &self.inner else {
             return LevelsSnapshot::default();
         };
-        let bin_range = (10f64.powf(sink.log_lo), 10f64.powf(sink.log_hi));
         let mut levels = Vec::new();
         for slot in &sink.cells {
             let cell = slot.lock().unwrap_or_else(PoisonError::into_inner);
@@ -284,9 +234,6 @@ impl LevelTracker {
                 p50: q(0.50),
                 p99: q(0.99),
                 sketch: cell.sketch.clone(),
-                bins: cell.bins,
-                bin_range,
-                out_of_range: cell.out_of_range,
             });
         }
         // Slot order is code order already; keep the sort as a guard
@@ -341,33 +288,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_cover_the_range() {
-        let t = LevelTracker::enabled_with_range(10e3, 1e6);
-        t.observe(0, 1e-6, 10e3); // first bin
-        t.observe(0, 1e-6, 999e3); // last bin
-        t.observe(0, 1e-6, 5e3); // below range
-        t.observe(0, 1e-6, 2e6); // above range
-        let l = &t.snapshot().levels[0];
-        assert_eq!(l.bins[0], 1);
-        assert_eq!(l.bins[N_BINS - 1], 1);
-        assert_eq!(l.out_of_range, 2);
-        assert_eq!(l.n, 4);
-    }
-
-    #[test]
     fn bad_observations_are_dropped() {
         let t = LevelTracker::enabled();
         t.observe(0, 1e-6, f64::NAN);
         t.observe(1000, 1e-6, 50e3);
         assert!(t.snapshot().levels.is_empty());
-    }
-
-    #[test]
-    fn degenerate_range_falls_back_to_default() {
-        let t = LevelTracker::enabled_with_range(-1.0, f64::NAN);
-        t.observe(0, 1e-6, 50e3);
-        let l = &t.snapshot().levels[0];
-        assert_eq!(l.bin_range, DEFAULT_HIST_RANGE_OHMS);
     }
 
     #[test]

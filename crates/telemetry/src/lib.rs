@@ -19,17 +19,15 @@
 //! `spice.newton.iterations` or `mc.engine.run_seconds` (see DESIGN.md,
 //! "Observability").
 //!
-//! Aggregates answer *how much*; the flight recorder in [`trace`] answers
-//! *when*: a bounded ring of timestamped [`TraceEvent`]s (spans and
-//! instants per [`Track`]) exportable to Chrome trace-event JSON for
-//! Perfetto or an ASCII timeline ([`trace_export`]). [`Tracer`] mirrors
-//! the [`Telemetry`] handle pattern — disabled is one branch, installed
-//! per process. [`progress`] owns the opt-in switch for live Monte Carlo
-//! campaign progress on stderr. [`profiler`] answers *where inside the
+//! Aggregates answer *how much*. [`profiler`] answers *where inside the
 //! solver*: a fixed catalog of nestable phases (stamp / factorize /
 //! residual / timestep control / MC workers) with self-vs-child wall time
-//! and allocation counts, and [`metrics`] renders the whole registry in
-//! Prometheus text format for `--metrics-out`.
+//! and allocation counts. [`levels`] and [`joule`] answer *did any
+//! level's distribution drift* and *where did the energy go*: streaming
+//! per-level resistance sketches and a per-device energy/latency ledger.
+//! Each mirrors the [`Telemetry`] handle pattern — disabled is one
+//! branch, installed once per process. [`progress`] owns the opt-in
+//! switch for live Monte Carlo campaign progress on stderr.
 //! [`postmortem`] owns failure artifacts:
 //! solver layers hand it structured reports on non-convergence, and it is
 //! the only path that writes them to disk (solver crates are lint-banned
@@ -68,7 +66,6 @@ pub mod joule;
 mod json;
 pub mod jsonl;
 pub mod levels;
-pub mod metrics;
 pub mod postmortem;
 pub mod profiler;
 pub mod progress;
@@ -76,8 +73,6 @@ mod registry;
 mod report;
 pub mod sketch;
 mod span;
-pub mod trace;
-pub mod trace_export;
 
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot};
@@ -90,8 +85,6 @@ pub use registry::Registry;
 pub use report::RunReport;
 pub use sketch::{QuantileSketch, Welford};
 pub use span::Span;
-pub use trace::{Arg, ArgValue, EventKind, TraceEvent, TraceSnapshot, TraceSpan, Tracer, Track};
-pub use trace_export::CounterTrack;
 
 use std::sync::{Arc, OnceLock};
 

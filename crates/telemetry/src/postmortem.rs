@@ -11,7 +11,7 @@
 //! Carlo engine enrich a solver-level report with the failed run's index
 //! and derived replay seed before it lands on disk.
 //!
-//! The contract mirrors [`crate::Telemetry`] and [`crate::Tracer`]:
+//! The contract mirrors [`crate::Telemetry`]:
 //!
 //! 1. **Free when off.** [`is_active`] is one relaxed atomic load; a solver
 //!    that checks it before building a report pays nothing in the common

@@ -1,7 +1,7 @@
 //! Hierarchical phase profiler for the solver hot path.
 //!
-//! Aggregate counters say *how much* work ran and the flight recorder says
-//! *when*; neither says **where the time goes** inside one Newton solve.
+//! Aggregate counters say *how much* work ran; they do not say **where
+//! the time goes** inside one Newton solve.
 //! This module closes that gap with a fixed catalog of nestable phases
 //! ([`PhaseId`]) instrumented at the stamping / factorization / residual /
 //! timestep-control boundaries of the `spice` engine and around the Monte
@@ -9,16 +9,16 @@
 //! child-attributed time (so self time is derivable), and allocation counts
 //! sampled from [`crate::allocs`].
 //!
-//! The design mirrors [`crate::Tracer`]:
+//! The design mirrors [`crate::Telemetry`]:
 //!
 //! - [`Profiler`] is a cheap handle wrapping `Option<Arc<…>>`; the disabled
 //!   handle costs **one branch and zero allocations** per scope (pinned by
-//!   a counting-allocator test, like trace/chaos).
+//!   `tests/zero_alloc.rs`, like chaos).
 //! - Library code uses the process-global handle ([`Profiler::global`]),
 //!   armed once by a binary via [`Profiler::install`] (`--profile`);
 //!   tests build private handles and never touch the global.
 //! - Recording is mutex-sharded: threads scatter across [`N_SHARDS`]
-//!   accumulators (round-robin by thread, like the trace rings) so Monte
+//!   accumulators (round-robin by thread) so Monte
 //!   Carlo workers rarely contend; [`Profiler::snapshot`] merges the
 //!   shards.
 //!
@@ -44,7 +44,7 @@
 //! task evicted, tens of µs after each preemption here, stays in the
 //! phase.) Without the file nothing is tallied.
 //!
-//! This module (with `span.rs` and `trace.rs`) is one of the few sanctioned
+//! This module (with `span.rs`) is one of the few sanctioned
 //! wall-clock readers in the workspace: `cargo xtask lint` bans
 //! `Instant::now` in solver crates and in the rest of `telemetry`/`mc`.
 //! Crates that need a raw monotonic timestamp use [`monotonic_ns`].
@@ -273,9 +273,8 @@ impl ProfilerSink {
     }
 }
 
-/// Round-robin shard assignment per thread (same scheme as the trace
-/// rings): spreads Monte Carlo workers across accumulators so the drop
-/// path rarely contends.
+/// Round-robin shard assignment per thread: spreads Monte Carlo workers
+/// across accumulators so the drop path rarely contends.
 fn shard_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
@@ -698,7 +697,7 @@ impl ProfileSnapshot {
 
     /// Folds the per-phase totals into `tel`'s registry as `profile.*`
     /// counters (path with `/` → `.`), so phase totals ride the existing
-    /// report/JSON/Prometheus surfaces.
+    /// report/JSON surfaces.
     pub fn fold_into(&self, tel: &Telemetry) {
         for p in &self.phases {
             let dotted = p.path().replace('/', ".");

@@ -16,12 +16,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Tri-state: 0 = unresolved (consult the environment), 1 = off, 2 = on.
 static STATE: AtomicU8 = AtomicU8::new(0);
 
-/// Whether the live dashboard (multi-line in-place panel with per-level
-/// mini-histograms) was requested on top of plain progress. Off by
-/// default; `mc::progress` additionally requires stderr to be a TTY
-/// before rendering ANSI, so CI logs always get plain lines.
-static DASHBOARD: AtomicU8 = AtomicU8::new(0);
-
 /// Turns live progress reporting on or off for this process.
 pub fn set_enabled(enabled: bool) {
     STATE.store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
@@ -44,40 +38,9 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Requests (or cancels) the live campaign dashboard. Implies nothing
-/// about the plain-progress switch: callers turning the dashboard on
-/// normally also call [`set_enabled`]`(true)`.
-pub fn set_dashboard(enabled: bool) {
-    DASHBOARD.store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Whether the live dashboard was requested (resolves `OXTERM_DASHBOARD`
-/// once, like [`enabled`]).
-pub fn dashboard() -> bool {
-    match DASHBOARD.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = std::env::var("OXTERM_DASHBOARD")
-                .map(|v| matches!(v.as_str(), "1" | "true" | "yes"))
-                .unwrap_or(false);
-            DASHBOARD.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dashboard_switch_round_trips() {
-        set_dashboard(true);
-        assert!(dashboard());
-        set_dashboard(false);
-        assert!(!dashboard());
-    }
 
     #[test]
     fn switch_round_trips() {

@@ -9,12 +9,12 @@
 //! * **`Instant::now` ban outside the sanctioned clock** — wall-clock
 //!   reads belong in the telemetry layer; a solver that reads the clock
 //!   directly breaks the zero-overhead-when-disabled contract and makes
-//!   runs irreproducible under tracing. The ban covers the solver crates
+//!   runs irreproducible. The ban covers the solver crates
 //!   *and* `telemetry`/`mc` themselves: only the profiler entry points
 //!   ([`CLOCK_ALLOWLIST`]) may construct an `Instant`; everything else
 //!   routes through `oxterm_telemetry::profiler::monotonic_ns`.
 //! * **`std::fs` ban in solver crates** — artifact I/O (post-mortem
-//!   bundles, probe CSVs, trace files) is owned by `oxterm-telemetry` and
+//!   bundles, probe CSVs, telemetry reports) is owned by `oxterm-telemetry` and
 //!   the bench binaries; a solver writing files directly bypasses the
 //!   artifacts-dir configuration and the telemetry artifact accounting.
 //! * **`std::process::exit` ban in library code** — terminating the
@@ -50,7 +50,7 @@ const UNWRAP_BUDGETS: &[(&str, usize)] = &[
     ("numerics", 6),
     ("rram", 0),
     ("spice", 0),
-    ("telemetry", 11),
+    ("telemetry", 9),
 ];
 
 /// Crates on the solve path: no direct wall-clock reads (`Instant::now`).
@@ -65,11 +65,10 @@ const SOLVER_CRATES: &[&str] = &[
 const CLOCK_CRATES: &[&str] = &["telemetry", "mc"];
 
 /// The only files allowed to construct an `Instant`: the telemetry span
-/// clock, the flight-recorder origin, and the phase profiler (which
-/// exports `monotonic_ns` as the sanctioned clock for everyone else).
+/// clock and the phase profiler (which exports `monotonic_ns` as the
+/// sanctioned clock for everyone else).
 const CLOCK_ALLOWLIST: &[&str] = &[
     "crates/telemetry/src/span.rs",
-    "crates/telemetry/src/trace.rs",
     "crates/telemetry/src/profiler.rs",
 ];
 
