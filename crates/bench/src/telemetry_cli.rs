@@ -613,19 +613,21 @@ mod tests {
     }
 
     #[test]
-    fn retired_observer_flags_are_config_errors() {
+    fn trace_flags_are_config_errors() {
         // Flags of retired observers fail like any other typo.
-        for retired in [
-            "trace",
-            "trace=results/t.json",
-            "dashboard",
-            "metrics-out=m.prom",
-        ] {
-            let flag = format!("--{retired}");
-            let err = try_parse(&[&flag]).unwrap_err();
+        for flag in ["--trace", "--trace=results/t.json", "--metrics-out=m.prom"] {
+            let err = try_parse(&[flag]).unwrap_err();
             assert_eq!(err.code, 2, "{flag} should be a config error");
-            assert!(err.message.contains(&flag), "{}", err.message);
+            assert!(err.message.contains(flag), "{}", err.message);
         }
+    }
+
+    #[test]
+    fn dashboard_flag_is_a_config_error() {
+        let err = try_parse(&["--dashboard", "500"]).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("--dashboard"), "{}", err.message);
+        assert_eq!(parse(&["500"]).rest, vec!["500".to_string()]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! global extremes and only ever keeping *genuine* samples (no synthetic
 //! averages). Past warm-up the capture path performs **zero heap
 //! allocations per accepted step**, so probes never stall the solver hot
-//! loop (pinned by `tests/zero_alloc.rs`).
+//! loop (pinned by `tests/probe_zero_alloc.rs`).
 
 use crate::circuit::Circuit;
 use crate::waveform::Waveform;

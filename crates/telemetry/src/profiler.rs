@@ -13,7 +13,7 @@
 //!
 //! - [`Profiler`] is a cheap handle wrapping `Option<Arc<…>>`; the disabled
 //!   handle costs **one branch and zero allocations** per scope (pinned by
-//!   `tests/zero_alloc.rs`, like chaos).
+//!   `tests/profiler_zero_alloc.rs`, like chaos).
 //! - Library code uses the process-global handle ([`Profiler::global`]),
 //!   armed once by a binary via [`Profiler::install`] (`--profile`);
 //!   tests build private handles and never touch the global.

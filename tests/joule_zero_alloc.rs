@@ -2,7 +2,7 @@
 //!
 //! Every accepted transient step and every successful fast-path program
 //! calls into the ledger whether or not anyone asked for the energy
-//! report. The ledger's contract (mirroring trace/chaos/profiler/levels)
+//! report. The ledger's contract (mirroring chaos/profiler/levels)
 //! is that the disarmed path costs one branch: no mutex, no sketch
 //! insert, no heap traffic. This binary installs a counting
 //! `#[global_allocator]` and holds `observe_level` and `record_energy`
@@ -56,14 +56,12 @@ fn disarmed_observe_paths_allocate_nothing() {
     // Warm up lazy statics outside the measurement window.
     ledger.observe_level(0, 6e-6, 80e-12, 4e-6);
     ledger.record_energy(DeviceClass::RramCell, Role::RramCell, 1e-12);
-    ledger.mark(1);
     let _ = ledger.counts();
 
     let before = local_allocations();
     for i in 0..10_000u64 {
         ledger.observe_level((i % 16) as u16, 10e-6, 20e-12 + i as f64 * 1e-15, 1e-6);
         ledger.record_energy(DeviceClass::Resistor, Role::AccessTransistor, 1e-13);
-        ledger.mark(i);
     }
     let after = local_allocations();
     assert_eq!(

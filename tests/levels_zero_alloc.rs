@@ -1,13 +1,12 @@
 //! The disarmed level tracker's observe path must not allocate.
 //!
 //! Every MC campaign run calls `LevelTracker::observe` once per
-//! programmed level whether or not anyone asked for the dashboard or the
-//! level report. The tracker's contract (mirroring trace/chaos/profiler)
-//! is that the disarmed path costs one branch: no mutex, no sketch
-//! insert, no heap traffic. This binary installs a counting
-//! `#[global_allocator]` and holds `observe` to that promise. It
-//! contains exactly one test so no concurrent test can allocate on
-//! another thread mid-measurement.
+//! programmed level whether or not anyone asked for the level report.
+//! The tracker's contract (mirroring chaos/profiler) is that the
+//! disarmed path costs one branch: no mutex, no sketch insert, no heap
+//! traffic. This binary installs a counting `#[global_allocator]` and
+//! holds `observe` to that promise. It contains exactly one test so no
+//! concurrent test can allocate on another thread mid-measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -3,10 +3,9 @@
 //! The probe layer's contract is that once a recorder's buffers are
 //! constructed, recording a solution vector — including the in-place
 //! min/max decimation a long run triggers — touches no heap. This binary
-//! installs a counting `#[global_allocator]` (the same harness as
-//! `trace_zero_alloc.rs`) and holds `ProbeRecorder::record` to that
-//! promise. It contains exactly one test so no concurrent test can
-//! allocate on another thread mid-measurement.
+//! installs a counting `#[global_allocator]` and holds
+//! `ProbeRecorder::record` to that promise. It contains exactly one test
+//! so no concurrent test can allocate on another thread mid-measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -74,14 +73,14 @@ fn probe_record_path_allocates_nothing_after_warmup() {
     // Warm-up: construction pre-allocated every buffer; a few records and
     // one full decimation cycle make sure any lazy statics are settled.
     for i in 0..200u64 {
-        rec.record(i as f64 * 1e-9, &x, Some(i));
+        rec.record(i as f64 * 1e-9, &x);
     }
 
     let before = local_allocations();
     // 10k records over a 64-sample budget forces many decimation passes;
     // none of it may allocate.
     for i in 200..10_200u64 {
-        rec.record(i as f64 * 1e-9, &x, Some(i));
+        rec.record(i as f64 * 1e-9, &x);
     }
     let after = local_allocations();
     assert_eq!(
