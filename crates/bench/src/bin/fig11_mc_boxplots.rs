@@ -4,7 +4,7 @@
 //! Paper anchors: margins range from 2.1 kΩ ('0000'/'0001', worst case) to
 //! 69 kΩ ('1111'/'1110'); no distribution overlap.
 
-use oxterm_bench::campaigns::{paper_qlc_campaign, probe_designated_run, supervised_qlc_campaign};
+use oxterm_bench::campaigns::{probe_designated_run, supervised_qlc_campaign};
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
@@ -48,18 +48,13 @@ fn main() {
     println!("== Fig 11: HRS box plots, {runs} MC runs × 16 compliance currents ==\n");
     // Resume/retry bookkeeping goes to stderr so stdout stays diff-clean
     // between an uninterrupted campaign and a kill + --resume replay.
-    let (campaign, supervision) = match tel_cli.campaign() {
-        Some(opts) => {
-            let (campaign, outcome) = supervised_qlc_campaign(runs, opts).unwrap_or_else(|e| {
-                eprintln!("fig11: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("fig11: campaign {}", outcome.summary_line());
-            (campaign, Some(outcome))
-        }
-        None => (paper_qlc_campaign(runs), None),
-    };
-    if let Some(outcome) = &supervision {
+    let (campaign, outcome) =
+        supervised_qlc_campaign(runs, tel_cli.campaign()).unwrap_or_else(|e| {
+            eprintln!("fig11: {e}");
+            std::process::exit(2);
+        });
+    eprintln!("fig11: campaign {}", outcome.summary_line());
+    if tel_cli.wants_supervision() {
         println!(
             "campaign health: {} of {} runs failed (failure fraction {:.4}, quorum {:.2})\n",
             outcome.failures,
@@ -144,11 +139,9 @@ fn main() {
         hi
     );
     tel_cli.finish();
-    if let Some(outcome) = &supervision {
-        let code = outcome.exit_code();
-        if code != 0 {
-            std::process::exit(code);
-        }
+    let code = outcome.exit_code();
+    if code != 0 {
+        std::process::exit(code);
     }
 }
 

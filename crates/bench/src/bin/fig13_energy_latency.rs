@@ -5,9 +5,7 @@
 //! latency 4.01 µs at 6 µA, average 1.65 µs; SET adds ~20 pJ and its ~100 ns
 //! pulse is excluded from the latency numbers.
 
-use oxterm_bench::campaigns::{
-    paper_qlc_campaign, probe_designated_run, supervised_qlc_campaign, LevelCampaign,
-};
+use oxterm_bench::campaigns::{probe_designated_run, supervised_qlc_campaign, LevelCampaign};
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
@@ -55,18 +53,13 @@ fn main() {
     println!("== Fig 13: energy/cell and RST latency, {runs} MC runs × 16 levels ==\n");
     // Resume/retry bookkeeping goes to stderr so stdout stays diff-clean
     // between an uninterrupted campaign and a kill + --resume replay.
-    let (campaign, supervision) = match tel_cli.campaign() {
-        Some(opts) => {
-            let (campaign, outcome) = supervised_qlc_campaign(runs, opts).unwrap_or_else(|e| {
-                eprintln!("fig13: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("fig13: campaign {}", outcome.summary_line());
-            (campaign, Some(outcome))
-        }
-        None => (paper_qlc_campaign(runs), None),
-    };
-    if let Some(outcome) = &supervision {
+    let (campaign, outcome) =
+        supervised_qlc_campaign(runs, tel_cli.campaign()).unwrap_or_else(|e| {
+            eprintln!("fig13: {e}");
+            std::process::exit(2);
+        });
+    eprintln!("fig13: campaign {}", outcome.summary_line());
+    if tel_cli.wants_supervision() {
         println!(
             "campaign health: {} of {} runs failed (failure fraction {:.4}, quorum {:.2})\n",
             outcome.failures,
@@ -156,11 +149,9 @@ fn main() {
         eng(e_hi + set_energy, "J")
     );
     tel_cli.finish();
-    if let Some(outcome) = &supervision {
-        let code = outcome.exit_code();
-        if code != 0 {
-            std::process::exit(code);
-        }
+    let code = outcome.exit_code();
+    if code != 0 {
+        std::process::exit(code);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Post-mortem artifact demonstration: drives the Fig 10 programming
-//! transient into deterministic non-convergence under the Monte Carlo
-//! engine, so every failed run lands one JSON bundle — residual history,
+//! transient into deterministic non-convergence under the campaign
+//! supervisor, so every failed run lands one JSON bundle — residual history,
 //! worst-residual unknowns, timestep tail, probe tails and the derived
 //! replay seed — under the artifacts directory.
 //!
@@ -18,7 +18,8 @@
 //! gate on the whole post-mortem pipeline.
 
 use oxterm_bench::telemetry_cli;
-use oxterm_mc::{MonteCarlo, RunError};
+use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, RetryPolicy, SupervisorOptions};
+use oxterm_mc::MonteCarlo;
 use oxterm_mlc::program::{build_program_circuit, program_tran_options, CircuitProgramOptions};
 use oxterm_spice::analysis::tran::run_transient;
 use oxterm_spice::probe::ProbePlan;
@@ -48,7 +49,17 @@ fn main() {
         .unwrap_or_else(|| ProbePlan::parse("v(sl),i(vsense)").expect("static spec parses"));
 
     let mc = MonteCarlo::new(runs, 0xDEAD).with_threads(1);
-    let out: Vec<Result<(), RunError<String>>> = mc.try_run(|_i, rng| {
+    // An engineered failure never recovers, so each run gets one attempt:
+    // its bundle's seed then replays exactly the attempt that failed.
+    let opts = SupervisorOptions {
+        retry: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        ..SupervisorOptions::default()
+    };
+    // No run may succeed, so the result type is a placeholder.
+    let out: CampaignOutcome<f64> = run_supervised(mc, &opts, |_attempt, rng| {
         // Small per-run drive jitter: every bundle shows a distinct failing
         // operating point, replayable from its seed alone.
         let jitter: f64 = (rng.random::<f64>() - 0.5) * 0.1;
@@ -67,22 +78,26 @@ fn main() {
             Ok(_) => Err("unexpected convergence — demo invariant broken".to_string()),
             Err(e) => Err(e.to_string()),
         }
-    });
+    })
+    .expect("a campaign that resumes nothing always runs");
 
     let mut bundles = 0usize;
     let mut ok = true;
-    for (i, r) in out.iter().enumerate() {
+    for (i, r) in out.results.iter().enumerate() {
         let seed = mc.seed_for_run(i);
         match r {
-            Err(e) if e.to_string().contains("unexpected convergence") => {
-                println!("run {i} seed {seed:#018x}: {e}");
+            Err(fail) if fail.error.contains("unexpected convergence") => {
+                println!("run {i} seed {seed:#018x}: {}", fail.error);
                 ok = false;
             }
-            Err(e) => {
-                println!("run {i} seed {seed:#018x}: failed as engineered ({e})");
+            Err(fail) => {
+                println!(
+                    "run {i} seed {seed:#018x}: failed as engineered ({})",
+                    fail.error
+                );
                 bundles += 1;
             }
-            Ok(()) => {
+            Ok(_) => {
                 println!("run {i} seed {seed:#018x}: returned Ok — demo invariant broken");
                 ok = false;
             }

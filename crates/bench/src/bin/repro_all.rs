@@ -36,13 +36,12 @@
 
 use oxterm_array::cycling::{cycle_array, CyclingConfig};
 use oxterm_bench::baseline::{self, BASELINE_PATH};
-use oxterm_bench::campaigns::{mc_campaign, supervised_qlc_campaign, PAPER_QLC_SEED};
+use oxterm_bench::campaigns::supervised_qlc_campaign;
 use oxterm_bench::energy_report::{EnergyReport, WorstCaseBaseline};
 use oxterm_bench::hotpath::matrix_stats;
 use oxterm_bench::levels_report::LevelReport;
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
-use oxterm_mlc::levels::LevelAllocation;
 use oxterm_mlc::margins::analyze;
 use oxterm_mlc::program::{
     build_program_circuit, program_cell_circuit_probed, CircuitProgramOptions,
@@ -98,7 +97,6 @@ fn main() {
     println!("== oxterm reproduction checklist ({runs} MC runs where applicable) ==\n");
     let params = OxramParams::calibrated();
     let inst = InstanceVariation::nominal();
-    let alloc = LevelAllocation::paper_qlc();
     let mut checks: Vec<Check> = Vec::new();
 
     // Table 2 anchors, read off one shared nominal RESET trajectory.
@@ -159,35 +157,30 @@ fn main() {
         }),
     }
 
-    // Fig 11/12: margins from a reduced campaign. Under `--chaos` /
-    // `--checkpoint` / `--resume` / `--quorum` the campaign runs
-    // supervised: fault-hit runs climb the retry ladder, exhausted runs
-    // leave holes in their level, and the process exit code reports
-    // degradation (3) or a quorum breach (1).
-    let supervision = tel_cli.campaign().map(|opts| {
-        supervised_qlc_campaign(runs, opts).unwrap_or_else(|e| {
+    // Fig 11/12: margins from a reduced campaign, run supervised: fault-hit
+    // runs climb the retry ladder, exhausted runs leave holes in their
+    // level, and the process exit code reports degradation (3) or a quorum
+    // breach (1). The health check shows under `--chaos` / `--checkpoint`
+    // / `--resume` / `--quorum`.
+    let (campaign, outcome) =
+        supervised_qlc_campaign(runs, tel_cli.campaign()).unwrap_or_else(|e| {
             eprintln!("repro_all: {e}");
             std::process::exit(2);
-        })
-    });
-    let campaign = match &supervision {
-        Some((campaign, outcome)) => {
-            eprintln!("repro_all: campaign {}", outcome.summary_line());
-            checks.push(Check {
-                name: "MC campaign health (supervised)",
-                paper: "n/a".into(),
-                measured: format!(
-                    "{} of {} runs failed (quorum {:.2})",
-                    outcome.failures,
-                    outcome.results.len(),
-                    outcome.quorum
-                ),
-                pass: !outcome.quorum_breached(),
-            });
-            campaign.clone()
-        }
-        None => mc_campaign(&params, &alloc, runs, PAPER_QLC_SEED),
-    };
+        });
+    eprintln!("repro_all: campaign {}", outcome.summary_line());
+    if tel_cli.wants_supervision() {
+        checks.push(Check {
+            name: "MC campaign health (supervised)",
+            paper: "n/a".into(),
+            measured: format!(
+                "{} of {} runs failed (quorum {:.2})",
+                outcome.failures,
+                outcome.results.len(),
+                outcome.quorum
+            ),
+            pass: !outcome.quorum_breached(),
+        });
+    }
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
     match analyze(&samples) {
         Ok(report) => {
@@ -363,14 +356,13 @@ fn main() {
         }
     }
     tel_cli.finish();
-    // Anchor/gate failures dominate; otherwise the supervised campaign's
-    // code reports graceful degradation (3) or a quorum breach (1).
-    let mut code = if all_pass && gate_ok { 0 } else { 1 };
-    if code == 0 {
-        if let Some((_, outcome)) = &supervision {
-            code = outcome.exit_code();
-        }
-    }
+    // Anchor/gate failures dominate; otherwise the campaign's code reports
+    // graceful degradation (3) or a quorum breach (1).
+    let code = if all_pass && gate_ok {
+        outcome.exit_code()
+    } else {
+        1
+    };
     std::process::exit(code);
 }
 

@@ -5,18 +5,19 @@
 //! variability. Running it once and slicing it three ways matches how the
 //! paper derives those artifacts from one 500-run simulation set.
 //!
-//! Supervised and unsupervised campaigns draw one sample stream: run `i`
-//! of a `levels × runs` campaign programs level `i / runs` with the
-//! engine's RNG for run `i`, so with retries and quorum at their defaults
-//! supervision changes no sample.
+//! Every campaign runs under [`run_supervised`], so a failed run is
+//! handled one way: retried, counted, and left as a hole in its level. Run
+//! `i` of a `levels × runs` campaign programs level `i / runs` with the
+//! engine's RNG for run `i`, so with no failures the supervisor options
+//! change no sample.
 //!
-//! Both feed the streaming level tracker and joule ledger in run order,
-//! whatever order the workers finish in, so their summaries (and the
-//! results files written from them) are the same bytes on every run.
+//! Campaigns feed the streaming level tracker and joule ledger in run
+//! order, whatever order the workers finish in, so their summaries (and
+//! the results files written from them) are the same bytes on every run.
 
 use oxterm_mc::engine::MonteCarlo;
 use oxterm_mc::supervisor::{
-    run_supervised, CampaignOutcome, RunFailure, SupervisorError, SupervisorOptions,
+    run_supervised, CampaignOutcome, RetryPolicy, RunFailure, SupervisorError, SupervisorOptions,
 };
 use oxterm_mlc::levels::{LevelAllocation, LevelSpec};
 use oxterm_mlc::margins::LevelSamples;
@@ -29,7 +30,6 @@ use oxterm_rram::params::OxramParams;
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::joule::JouleLedger;
 use oxterm_telemetry::levels::LevelTracker;
-use rand::rngs::StdRng;
 use std::sync::{Mutex, PoisonError};
 
 /// Seed of the paper's QLC campaign, shared by the figure binaries and
@@ -68,21 +68,6 @@ impl LevelCampaign {
             i_ref: self.spec.i_ref,
             r: self.resistances(),
         }
-    }
-}
-
-/// The per-run body of every QLC campaign: run `i` programs level
-/// `i / runs` of `alloc`.
-fn program_run<'a>(
-    params: &'a OxramParams,
-    alloc: &'a LevelAllocation,
-    runs: usize,
-) -> impl Fn(usize, &mut StdRng) -> Result<ProgramOutcome, MlcError> + Sync + 'a {
-    let cond = ProgramConditions::paper();
-    let var = McVariability::default();
-    move |i, rng| {
-        let spec = &alloc.levels()[i / runs];
-        program_cell_mc(params, alloc, spec.code, &cond, &var, rng)
     }
 }
 
@@ -165,26 +150,49 @@ impl<'a> RunOrder<'a> {
     }
 }
 
-/// Groups a flat `levels × runs` campaign's outcomes by level, keeping
-/// what `keep` returns for each run.
-fn by_level<R>(
+/// Runs `runs` Monte Carlo programs per level of `alloc` on `mc` under
+/// [`run_supervised`]: run `i` programs level `i / runs`. Successful runs
+/// feed `tracker` and `ledger` in run order; a failed run leaves a hole in
+/// its level.
+fn run_campaign(
+    mc: MonteCarlo,
+    params: &OxramParams,
     alloc: &LevelAllocation,
     runs: usize,
-    results: &[R],
-    keep: impl Fn(&R) -> Option<ProgramOutcome>,
-) -> Vec<LevelCampaign> {
-    alloc
+    opts: &SupervisorOptions,
+    tracker: &LevelTracker,
+    ledger: &JouleLedger,
+) -> Result<(Vec<LevelCampaign>, CampaignOutcome<ProgramOutcome>), SupervisorError> {
+    let cond = ProgramConditions::paper();
+    let var = McVariability::default();
+    let order = RunOrder::new(alloc, runs, tracker, ledger);
+    let outcome = run_supervised(mc, opts, |attempt, rng| {
+        let i = attempt.run_index as usize;
+        let spec = &alloc.levels()[i / runs];
+        let out = program_cell_mc(params, alloc, spec.code, &cond, &var, rng);
+        // A failure is final on the ladder's last rung.
+        let last = attempt.attempt + 1 >= attempt.max_attempts;
+        if let Some(order) = order.as_ref().filter(|_| out.is_ok() || last) {
+            order.done(i, out.as_ref().ok());
+        }
+        out.map_err(|e| e.to_string())
+    })?;
+    if let Some(order) = &order {
+        order.finish(&outcome.results);
+    }
+    let campaigns = alloc
         .levels()
         .iter()
         .enumerate()
         .map(|(k, &spec)| LevelCampaign {
             spec,
-            outcomes: results[k * runs..(k + 1) * runs]
+            outcomes: outcome.results[k * runs..(k + 1) * runs]
                 .iter()
-                .filter_map(&keep)
+                .filter_map(|r| r.as_ref().ok().copied())
                 .collect(),
         })
-        .collect()
+        .collect();
+    Ok((campaigns, outcome))
 }
 
 /// Runs the full campaign: `runs` Monte Carlo programs per level of
@@ -193,7 +201,8 @@ fn by_level<R>(
 /// # Panics
 ///
 /// Panics if any program operation fails — the allocation must sit inside
-/// the calibrated model's programmable window. The engine records the
+/// the calibrated model's programmable window. Each run gets one attempt,
+/// so every sample is its run's first draw; the supervisor records the
 /// failed run (with its replayable seed) in telemetry first.
 pub fn mc_campaign(
     params: &OxramParams,
@@ -202,39 +211,29 @@ pub fn mc_campaign(
     seed: u64,
 ) -> Vec<LevelCampaign> {
     let mc = MonteCarlo::new(alloc.levels().len() * runs, seed);
-    observed_campaign(
+    let opts = SupervisorOptions {
+        retry: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        ..SupervisorOptions::default()
+    };
+    let (campaigns, outcome) = run_campaign(
         mc,
         params,
         alloc,
         runs,
+        &opts,
         LevelTracker::global(),
         JouleLedger::global(),
     )
-}
-
-/// [`mc_campaign`] on the engine `mc`, feeding `tracker` and `ledger`.
-fn observed_campaign(
-    mc: MonteCarlo,
-    params: &OxramParams,
-    alloc: &LevelAllocation,
-    runs: usize,
-    tracker: &LevelTracker,
-    ledger: &JouleLedger,
-) -> Vec<LevelCampaign> {
-    let order = RunOrder::new(alloc, runs, tracker, ledger);
-    let program = program_run(params, alloc, runs);
-    let outcomes: Vec<ProgramOutcome> = mc
-        .try_run(|i, rng| {
-            let out = program(i, rng);
-            if let Some(order) = &order {
-                order.done(i, out.as_ref().ok());
-            }
-            out
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("level inside programmable window");
-    by_level(alloc, runs, &outcomes, |o| Some(*o))
+    .expect("a campaign that resumes nothing always runs");
+    assert!(
+        outcome.failures == 0,
+        "level outside the programmable window: {}",
+        outcome.summary_line()
+    );
+    campaigns
 }
 
 /// The standard campaign used across the figure binaries: the paper's QLC
@@ -248,11 +247,11 @@ pub fn paper_qlc_campaign(runs: usize) -> Vec<LevelCampaign> {
     )
 }
 
-/// Supervised variant of [`paper_qlc_campaign`], executed under
-/// [`run_supervised`] so the retry ladder, panic isolation,
-/// checkpoint/resume and quorum bookkeeping cover the whole figure in a
-/// single ledger. It draws the same sample stream: with default options
-/// and no faults it returns exactly what [`paper_qlc_campaign`] returns.
+/// [`paper_qlc_campaign`] under the caller's supervisor options, so the
+/// retry ladder, panic isolation, checkpoint/resume and quorum bookkeeping
+/// cover the whole figure in a single ledger. It draws the same sample
+/// stream: with no failures it returns exactly what
+/// [`paper_qlc_campaign`] returns.
 ///
 /// Runs whose retry ladder is exhausted simply leave a hole in their
 /// level's sample set; the returned [`CampaignOutcome`] carries the
@@ -263,28 +262,16 @@ pub fn supervised_qlc_campaign(
 ) -> Result<(Vec<LevelCampaign>, CampaignOutcome<ProgramOutcome>), SupervisorError> {
     let params = OxramParams::calibrated();
     let alloc = LevelAllocation::paper_qlc();
-    let run = program_run(&params, &alloc, runs);
-    let order = RunOrder::new(&alloc, runs, LevelTracker::global(), JouleLedger::global());
-    let total = alloc.levels().len() * runs;
-    let outcome = run_supervised(
-        MonteCarlo::new(total, PAPER_QLC_SEED),
+    let mc = MonteCarlo::new(alloc.levels().len() * runs, PAPER_QLC_SEED);
+    run_campaign(
+        mc,
+        &params,
+        &alloc,
+        runs,
         opts,
-        |attempt, rng| {
-            let i = attempt.run_index as usize;
-            let out = run(i, rng);
-            // A failure is final on the ladder's last rung.
-            let last = attempt.attempt + 1 >= attempt.max_attempts;
-            if let Some(order) = order.as_ref().filter(|_| out.is_ok() || last) {
-                order.done(i, out.as_ref().ok());
-            }
-            out.map_err(|e| e.to_string())
-        },
-    )?;
-    if let Some(order) = &order {
-        order.finish(&outcome.results);
-    }
-    let campaigns = by_level(&alloc, runs, &outcome.results, |r| r.as_ref().ok().copied());
-    Ok((campaigns, outcome))
+        LevelTracker::global(),
+        JouleLedger::global(),
+    )
 }
 
 /// Runs one designated circuit-level program with signal probes attached,
@@ -379,7 +366,9 @@ mod tests {
         let observe = || {
             let (tracker, ledger) = (LevelTracker::enabled(), JouleLedger::enabled());
             let mc = MonteCarlo::new(alloc.levels().len() * runs, 0x0DE7).with_threads(2);
-            observed_campaign(mc, &params, &alloc, runs, &tracker, &ledger);
+            let opts = SupervisorOptions::default();
+            run_campaign(mc, &params, &alloc, runs, &opts, &tracker, &ledger)
+                .expect("campaign runs");
             (tracker.snapshot(), ledger.snapshot().levels)
         };
         let (levels, energy) = observe();

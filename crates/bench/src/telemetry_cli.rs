@@ -39,24 +39,24 @@
 //! * `--chaos=SPEC` — arm deterministic fault injection for the binary's
 //!   Monte Carlo campaigns (e.g.
 //!   `newton_stall:p=0.02,nan_stamp:p=0.005,panic:p=0.001,slow_step:p=0.01`,
-//!   optional `seed=N` entry) and run them under the campaign supervisor.
+//!   optional `seed=N` entry); the campaign supervisor retries the runs it
+//!   faults.
 //! * `--checkpoint[=PATH]` — stream campaign checkpoints (default
 //!   `results/checkpoint_<name>.jsonl`) so a killed campaign can resume.
 //! * `--resume=PATH` — replay completed runs from a checkpoint file;
 //!   aggregates are bit-identical to the uninterrupted campaign.
-//! * `--quorum=F` — max tolerated failure fraction (default 0.1 when
-//!   supervision is active); a degraded-but-useful campaign exits 3, a
-//!   breached one exits 1.
+//! * `--quorum=F` — max tolerated failure fraction (default 0.1); a
+//!   degraded-but-useful campaign exits 3, a breached one exits 1.
 //! * `--profile[=PATH]` — arm the hierarchical phase profiler; at exit,
 //!   print the hot-path attribution (ASCII phase tree + matrix stats) and
 //!   write the JSON report to `PATH` (default
 //!   `results/hotpath_<name>.json`). The per-phase totals are also folded
 //!   into the telemetry registry as `profile.*` counters.
 //!
-//! Any of the four campaign flags switches the binary's Monte Carlo
-//! campaigns onto [`oxterm_mc::run_supervised`] (retry ladder, panic
-//! isolation, graceful degradation); without them the unsupervised path
-//! runs. Both draw the same samples when no run fails.
+//! The binaries' Monte Carlo campaigns always run under
+//! [`oxterm_mc::run_supervised`] (retry ladder, panic isolation, graceful
+//! degradation); the four campaign flags set its options. Whether any was
+//! given only decides if the binary prints its campaign-health lines.
 
 use crate::hotpath::{HotPathReport, MatrixStats};
 use oxterm_mc::supervisor::SupervisorOptions;
@@ -236,9 +236,11 @@ pub struct TelemetryCli {
     /// Probe captures handed back by the experiment (CSV emission happens
     /// in [`TelemetryCli::finish`]).
     captures: Vec<ProbeCapture>,
-    /// Campaign supervision options when any of `--chaos` / `--checkpoint`
-    /// / `--resume` / `--quorum` was given.
-    campaign: Option<SupervisorOptions>,
+    /// Campaign supervision options set by `--chaos` / `--checkpoint` /
+    /// `--resume` / `--quorum` (CLI defaults without them).
+    campaign: SupervisorOptions,
+    /// Whether any of those four flags was given.
+    supervised: bool,
     /// Hot-path JSON output path when `--profile[=PATH]` armed the
     /// profiler (`None` = profiling off).
     profile_to: Option<String>,
@@ -280,6 +282,7 @@ pub fn init_from(
     }
     lint_preflight(name, parsed.lint)?;
     let campaign = campaign_options(name, &parsed)?;
+    let supervised = parsed.wants_supervision();
     if let Some(spec) = &parsed.chaos {
         let plan = oxterm_chaos::FaultPlan::parse(spec)
             .map_err(|e| CliError::config(format!("{name}: bad --chaos spec {spec:?}: {e}")))?;
@@ -308,6 +311,7 @@ pub fn init_from(
             probes: parsed.probes,
             captures: Vec::new(),
             campaign,
+            supervised,
             profile_to: parsed
                 .profile
                 .map(|explicit| explicit.unwrap_or_else(|| format!("results/hotpath_{name}.json"))),
@@ -317,15 +321,9 @@ pub fn init_from(
     ))
 }
 
-/// Builds the supervisor configuration requested by the campaign flags,
-/// or `None` when none of them was given (unsupervised path).
-fn campaign_options(
-    name: &str,
-    parsed: &ParsedFlags,
-) -> Result<Option<SupervisorOptions>, CliError> {
-    if !parsed.wants_supervision() {
-        return Ok(None);
-    }
+/// Builds the supervisor configuration the campaign flags request, on top
+/// of the CLI defaults.
+fn campaign_options(name: &str, parsed: &ParsedFlags) -> Result<SupervisorOptions, CliError> {
     let mut opts = SupervisorOptions {
         // CLI campaigns tolerate a little more than the library default:
         // chaos smokes deliberately push several percent of runs to
@@ -351,7 +349,7 @@ fn campaign_options(
         );
     }
     opts.resume_from = parsed.resume.clone();
-    Ok(Some(opts))
+    Ok(opts)
 }
 
 impl TelemetryCli {
@@ -377,11 +375,16 @@ impl TelemetryCli {
         })
     }
 
-    /// The campaign supervision options requested by `--chaos` /
-    /// `--checkpoint` / `--resume` / `--quorum`, or `None` when the
-    /// binary should keep its unsupervised Monte Carlo path.
-    pub fn campaign(&self) -> Option<&SupervisorOptions> {
-        self.campaign.as_ref()
+    /// The campaign supervision options: the CLI defaults, as set by
+    /// `--chaos` / `--checkpoint` / `--resume` / `--quorum`.
+    pub fn campaign(&self) -> &SupervisorOptions {
+        &self.campaign
+    }
+
+    /// Whether any campaign flag was given; binaries print their
+    /// campaign-health lines only then.
+    pub fn wants_supervision(&self) -> bool {
+        self.supervised
     }
 
     /// Whether `--probes[=SPEC]` was given at all — binaries without a
@@ -702,9 +705,7 @@ mod tests {
 
     #[test]
     fn campaign_options_apply_cli_defaults() {
-        let opts = campaign_options("fig11", &parse(&["--checkpoint", "--quorum=0.25"]))
-            .unwrap()
-            .unwrap();
+        let opts = campaign_options("fig11", &parse(&["--checkpoint", "--quorum=0.25"])).unwrap();
         assert_eq!(opts.quorum, 0.25);
         assert_eq!(
             opts.checkpoint_path.as_deref(),
@@ -712,13 +713,15 @@ mod tests {
         );
         assert_eq!(opts.resume_from, None);
 
-        let defaulted = campaign_options("fig11", &parse(&["--chaos=panic:p=0.01"]))
-            .unwrap()
-            .unwrap();
+        let defaulted = campaign_options("fig11", &parse(&["--chaos=panic:p=0.01"])).unwrap();
         assert_eq!(defaulted.quorum, 0.1);
         assert_eq!(defaulted.checkpoint_path, None);
 
-        assert_eq!(campaign_options("fig11", &parse(&["500"])).unwrap(), None);
+        // No campaign flag: the same CLI defaults.
+        assert_eq!(
+            campaign_options("fig11", &parse(&["500"])).unwrap(),
+            defaulted
+        );
     }
 
     #[test]

@@ -5,14 +5,16 @@
 //!
 //! * [`dist`] — statistical distributions built on our own Box–Muller
 //!   normal (the approved dependency list has `rand` but not `rand_distr`),
-//! * [`engine`] — a deterministic parallel runner: every run gets an
-//!   independent RNG derived from `(seed, run_index)`, so results are
-//!   bit-identical regardless of thread count or scheduling,
+//! * [`engine`] — a deterministic parallel runner for infallible runs:
+//!   every run gets an independent RNG derived from `(seed, run_index)`,
+//!   so results are bit-identical regardless of thread count or
+//!   scheduling,
 //! * [`sweep`] — parameter sweeps of Monte Carlo campaigns,
-//! * [`supervisor`] — resilient campaign supervision: per-run retry
+//! * [`supervisor`] — the one path for runs that can fail: per-run retry
 //!   ladder with bounded option relaxation, `catch_unwind` panic
-//!   isolation, wall-clock run budgets and graceful degradation under a
-//!   failure quorum,
+//!   isolation, wall-clock run budgets, a replay seed and post-mortem
+//!   bundle per failed run, and graceful degradation under a failure
+//!   quorum,
 //! * [`checkpoint`] — crash-safe campaign snapshots (`f64` bit patterns,
 //!   atomic tmp+rename writes) that `--resume` replays bit-identically.
 //!
@@ -39,5 +41,5 @@ pub mod progress;
 pub mod supervisor;
 pub mod sweep;
 
-pub use engine::{MonteCarlo, RunError};
+pub use engine::MonteCarlo;
 pub use supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};

@@ -8,11 +8,11 @@
 //! tick; when disabled it is a single branch.
 //!
 //! Failure counting is process-global ([`note_failure`]) because the
-//! fallible closure handed to [`MonteCarlo::try_run`] is opaque to the
-//! engine mid-flight. [`CampaignProgress::start`] resets the counter, which
-//! is correct for the sequential campaigns the bench binaries run.
+//! fallible closure handed to [`run_supervised`] is opaque to the engine
+//! mid-flight. [`CampaignProgress::start`] resets the counter, which is
+//! correct for the sequential campaigns the bench binaries run.
 //!
-//! [`MonteCarlo::try_run`]: crate::MonteCarlo::try_run
+//! [`run_supervised`]: crate::run_supervised
 
 use oxterm_telemetry::joule::{JouleCounts, JouleLedger};
 use oxterm_telemetry::levels::{LevelCounts, LevelTracker};
@@ -42,10 +42,11 @@ static LAST_FAILURE: Mutex<Option<LastFailure>> = Mutex::new(None);
 /// replay seed of the failing run, `artifact` the post-mortem artifact
 /// path if one was written.
 ///
-/// Called by [`MonteCarlo::try_run`] the moment a run returns `Err`, so the
-/// failure count on the progress line is current rather than post-hoc.
+/// Called by [`run_supervised`] the moment a run exhausts its retry
+/// ladder, so the failure count on the progress line is current rather
+/// than post-hoc.
 ///
-/// [`MonteCarlo::try_run`]: crate::MonteCarlo::try_run
+/// [`run_supervised`]: crate::run_supervised
 pub fn note_failure(seed: u64, artifact: Option<String>) {
     FAILURES.fetch_add(1, Ordering::Relaxed);
     *LAST_FAILURE.lock() = Some(LastFailure { seed, artifact });

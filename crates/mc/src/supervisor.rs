@@ -15,6 +15,10 @@
 //!   bounds (property-tested).
 //! * **Panic isolation.** Every attempt runs under `catch_unwind`; the
 //!   payload becomes the attempt's error string.
+//! * **One failure record per exhausted run.** Each run that exhausts its
+//!   ladder counts once in `mc.engine.convergence_failures` and leaves one
+//!   `mc.engine.failed_run` note quoting its run index and
+//!   [`MonteCarlo::seed_for_run`] seed, so it replays in isolation.
 //! * **One bundle per exhausted run.** Post-mortem artifact writes are
 //!   deferred during retryable attempts (`postmortem::set_deferred`);
 //!   intermediate failures fold into `mc.supervisor.retried` telemetry
@@ -26,9 +30,10 @@
 //!   `Instant::now` is lint-banned in this crate like the solver crates.)
 //! * **Checkpoint/resume.** Completed runs stream into a
 //!   [`Checkpoint`](crate::checkpoint::Checkpoint) every
-//!   `checkpoint_every` completions (atomic tmp+rename). `resume_from`
-//!   replays completed runs out of the file — bit-identically, results are
-//!   stored as f64 bit patterns — and only computes the remainder.
+//!   `checkpoint_every` completions (atomic tmp+rename); a campaign without
+//!   `checkpoint_path` keeps no per-run records. `resume_from` replays
+//!   completed runs out of the file — bit-identically, results are stored
+//!   as f64 bit patterns — and only computes the remainder.
 //! * **Graceful degradation.** The campaign finishes useful as long as the
 //!   failure fraction stays within `quorum`; [`CampaignOutcome::exit_code`]
 //!   distinguishes clean (0), degraded (3) and quorum-breached (1).
@@ -42,7 +47,19 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::checkpoint::{Checkpoint, CheckpointHeader, CheckpointState, RunRecord};
-use crate::engine::{panic_message, splitmix64, MonteCarlo};
+use crate::engine::{splitmix64, MonteCarlo};
+
+/// Renders a `catch_unwind` payload as a string (panics carry `&str` or
+/// `String` in practice; anything else gets a placeholder).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// Upper bounds on the retry ladder's option relaxation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -319,9 +336,10 @@ where
     };
 
     // Resume: replay completed runs from the checkpoint file.
-    let mut resumed: Vec<Option<RunRecord>> = vec![None; mc.runs];
+    let mut resumed: Vec<Option<RunRecord>> = Vec::new();
     let mut resumed_count = 0u64;
     if let Some(path) = &opts.resume_from {
+        resumed = vec![None; mc.runs];
         // Tolerant load: a SIGKILL can tear the final checkpoint line
         // mid-append; every complete line before it is still good.
         let loaded = Checkpoint::load_tolerant(path).map_err(sup_err)?;
@@ -371,8 +389,14 @@ where
         tel.add("mc.supervisor.resumed_runs", resumed_count);
     }
 
-    // Shared, lock-guarded record store feeding the periodic checkpoints.
-    let records: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; mc.runs]);
+    // Shared, lock-guarded record store feeding the periodic checkpoints;
+    // it stays empty unless the campaign writes checkpoints.
+    let keep_records = opts.checkpoint_path.is_some();
+    let records: Mutex<Vec<Option<RunRecord>>> = Mutex::new(if keep_records {
+        vec![None; mc.runs]
+    } else {
+        Vec::new()
+    });
     let completed = AtomicUsize::new(0);
     let retries = AtomicU64::new(0);
     let panics = AtomicU64::new(0);
@@ -389,10 +413,17 @@ where
             eprintln!("mc: checkpoint write failed: {e}");
         }
     };
+    let keep = |i: usize, record: RunRecord| {
+        records.lock()[i] = Some(record);
+        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+        if done.is_multiple_of(every) {
+            checkpoint_now(&records);
+        }
+    };
 
     let results: Vec<Result<T, RunFailure>> = mc.run(|i, _engine_rng| {
         // Resumed runs short-circuit: decode the stored record verbatim.
-        if let Some(rec) = &resumed[i] {
+        if let Some(Some(rec)) = resumed.get(i) {
             let out = match &rec.outcome {
                 // Decodability was validated at load; a `None` here would
                 // mean the file changed under us — degrade to a failure.
@@ -410,10 +441,8 @@ where
                     error: e.clone(),
                 }),
             };
-            records.lock()[i] = Some(rec.clone());
-            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-            if done.is_multiple_of(every) {
-                checkpoint_now(&records);
+            if keep_records {
+                keep(i, rec.clone());
             }
             return out;
         }
@@ -503,7 +532,6 @@ where
                 } else {
                     None
                 };
-                tel.incr("mc.supervisor.exhausted_runs");
                 crate::progress::note_failure(seed, artifact);
                 Err(RunFailure {
                     run: i as u64,
@@ -513,18 +541,19 @@ where
             }
         };
 
-        let record = RunRecord {
-            run: i as u64,
-            attempts: attempts_used,
-            outcome: match &out {
+        if keep_records {
+            let outcome = match &out {
                 Ok(v) => Ok(v.encode()),
                 Err(fail) => Err(fail.error.clone()),
-            },
-        };
-        records.lock()[i] = Some(record);
-        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-        if done.is_multiple_of(every) {
-            checkpoint_now(&records);
+            };
+            keep(
+                i,
+                RunRecord {
+                    run: i as u64,
+                    attempts: attempts_used,
+                    outcome,
+                },
+            );
         }
         out
     });
@@ -532,6 +561,16 @@ where
     checkpoint_now(&records);
 
     let failures = results.iter().filter(|r| r.is_err()).count() as u64;
+    if tel.is_enabled() {
+        for fail in results.iter().filter_map(|r| r.as_ref().err()) {
+            let i = fail.run as usize;
+            tel.incr("mc.engine.convergence_failures");
+            tel.note(
+                "mc.engine.failed_run",
+                format!("run {i} seed {:#018x}: {}", mc.seed_for_run(i), fail.error),
+            );
+        }
+    }
     let outcome = CampaignOutcome {
         results,
         quorum: opts.quorum,
@@ -791,6 +830,20 @@ mod tests {
             .expect_err("mismatch must be rejected");
         assert!(err.message.contains("does not match"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn panic_payload_rendering() {
+        // An owned `String` payload (`panic!` with format arguments, or
+        // `panic_any`) renders verbatim into the run's error.
+        let out: CampaignOutcome<f64> =
+            run_supervised(mc(1, 0), &SupervisorOptions::default(), |_, _| {
+                std::panic::panic_any(String::from("owned payload"))
+            })
+            .expect("supervision runs");
+        assert_eq!(out.panics, 3, "every rung panicked");
+        let fail = out.results[0].as_ref().unwrap_err();
+        assert_eq!(fail.error, "panic: owned payload");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Post-mortem artifact pipeline, end to end: a forced transient
-//! non-convergence under the Monte Carlo engine must leave a JSON bundle
+//! non-convergence under the campaign supervisor must leave a JSON bundle
 //! naming the worst-residual unknown, carrying the residual history and a
 //! replay seed that reproduces the failure in isolation.
 //!
@@ -7,6 +7,7 @@
 //! directory are process-global, so concurrent tests in one binary would
 //! race on them.
 
+use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, RetryPolicy, SupervisorOptions};
 use oxterm_mc::MonteCarlo;
 use oxterm_mlc::program::{build_program_circuit, program_tran_options, CircuitProgramOptions};
 use oxterm_spice::analysis::tran::{run_transient, TranOptions};
@@ -42,15 +43,29 @@ fn failed_mc_run_leaves_a_replayable_artifact() {
 
     let probes = ProbePlan::parse("v(sl),i(vsense)").expect("spec parses");
     let mc = MonteCarlo::new(2, 0xB0B).with_threads(1);
-    let out: Vec<Result<(), oxterm_mc::RunError<String>>> = mc.try_run(|_i, rng| {
+    // One attempt per run: the replay seed is then the failing attempt's.
+    let opts = SupervisorOptions {
+        retry: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        ..SupervisorOptions::default()
+    };
+    let out: CampaignOutcome<f64> = run_supervised(mc, &opts, |_attempt, rng| {
         let jitter = (rng.random::<f64>() - 0.5) * 0.1;
-        doomed_run(jitter, &probes)
-    });
-    let errors: Vec<_> = out.iter().filter_map(|r| r.as_ref().err()).collect();
+        doomed_run(jitter, &probes).map(|()| 0.0)
+    })
+    .expect("supervision runs");
+    let errors: Vec<_> = out
+        .results
+        .iter()
+        .filter_map(|r| r.as_ref().err())
+        .collect();
     assert_eq!(
         errors.len(),
         2,
-        "both runs must fail as engineered: {out:?}"
+        "both runs must fail as engineered: {:?}",
+        out.results
     );
 
     // One artifact per failed run, enriched with run index and seed.
@@ -92,8 +107,7 @@ fn failed_mc_run_leaves_a_replayable_artifact() {
     let jitter = (rng.random::<f64>() - 0.5) * 0.1;
     let replayed = doomed_run(jitter, &probes).expect_err("replay fails identically");
     assert_eq!(
-        oxterm_mc::RunError::Run(replayed.clone()),
-        *errors[0],
+        replayed, errors[0].error,
         "replay diverged from the campaign run"
     );
     // And the error string is the one the artifact recorded.

@@ -9,6 +9,7 @@
 //! uniquely-named metrics for exact checks.
 
 use oxterm_mc::engine::MonteCarlo;
+use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_mlc::program::{program_cell_fast, ProgramConditions};
 use oxterm_rram::params::{InstanceVariation, OxramParams};
@@ -46,17 +47,20 @@ fn mc_workers_increment_shared_counters_concurrently() {
 }
 
 #[test]
-fn try_run_notes_carry_replayable_seeds() {
+fn failed_run_notes_carry_replayable_seeds() {
     let tel = global();
     let campaign = MonteCarlo::new(12, 0xBAD_5EED).with_threads(4);
-    let out: Vec<Result<usize, oxterm_mc::RunError<String>>> = campaign.try_run(|i, _| {
-        if i == 4 || i == 7 {
-            Err(format!("synthetic divergence in run {i}"))
-        } else {
-            Ok(i)
-        }
-    });
-    assert_eq!(out.iter().filter(|r| r.is_err()).count(), 2);
+    let out: CampaignOutcome<f64> =
+        run_supervised(campaign, &SupervisorOptions::default(), |att, _| {
+            let i = att.run_index;
+            if i == 4 || i == 7 {
+                Err(format!("synthetic divergence in run {i}"))
+            } else {
+                Ok(i as f64)
+            }
+        })
+        .expect("supervision runs");
+    assert_eq!(out.failures, 2);
     let report = tel.report();
     assert!(
         report
@@ -64,12 +68,14 @@ fn try_run_notes_carry_replayable_seeds() {
             .unwrap_or(0)
             >= 2
     );
+    // One note per exhausted run, not one per failed attempt.
     let notes = report.notes("mc.engine.failed_run").unwrap();
     for i in [4usize, 7] {
-        let seed = format!("{:#018x}", campaign.seed_for_run(i));
-        assert!(
-            notes.iter().any(|n| n.contains(&seed)),
-            "no note quotes the seed of failed run {i} ({seed}); notes: {notes:?}"
+        let seed = format!("run {i} seed {:#018x}", campaign.seed_for_run(i));
+        assert_eq!(
+            notes.iter().filter(|n| n.contains(&seed)).count(),
+            1,
+            "failed run {i} should leave one note quoting {seed}; notes: {notes:?}"
         );
     }
 }
