@@ -18,6 +18,10 @@ const LN_SHAPE_FLOOR: f64 = -27.631_021_115_928_547;
 /// Largest Joule-heating factor `1 + (I/i_joule)²` the RESET rate uses.
 const JOULE_CLAMP: f64 = 1e6;
 
+/// The smallest `1 − ρ` the SET dynamics resolve: [`advance_state`]
+/// saturates to `ρ = 1` below it.
+pub(crate) const RHO_CEILING_GAP: f64 = 1e-12;
+
 /// `(sinh x, cosh x)` from one exponential, accurate to a few ulps down to
 /// `x → 0`; past `|x| > ARG_MAX` sinh continues linearly and cosh holds.
 fn sinh_cosh(x: f64) -> (f64, f64) {
@@ -137,12 +141,25 @@ impl CellLaw {
     /// The state at which the cell draws `i` at `v > 0` (`0` when the
     /// hopping background alone exceeds `i`, at most `1`).
     pub fn rho_at(&self, v: f64, i: f64) -> f64 {
-        let filament = i - self.current(v, 0.0);
-        if filament <= 0.0 {
-            return 0.0;
-        }
+        self.rho2_and_slopes(v, i).0.max(0.0).sqrt().min(1.0)
+    }
+
+    /// The state at which the cell draws `i` at `v > 0`, as `ρ²`, with the
+    /// current's slopes there: `(ρ², ∂I/∂v, ∂I/∂(ρ²))`. The conduction law
+    /// is linear in `ρ²`, so this is closed form, from one exponential;
+    /// `ρ² < 0` when the hopping background alone draws more than `i`.
+    #[inline]
+    pub fn rho2_and_slopes(&self, v: f64, i: f64) -> (f64, f64, f64) {
         let s2 = v * v * self.inv_v_shape2;
-        (filament / (self.g * v * (1.0 + s2))).sqrt().min(1.0)
+        let (sinh, cosh) = sinh_cosh(v * self.inv_v_hop);
+        let per_rho2 = self.g * v * (1.0 + s2);
+        // The reciprocal is ready early: no division between `v` and `ρ²`.
+        let rho2 = (i - self.i_leak * sinh) * (1.0 / per_rho2);
+        (
+            rho2,
+            self.g * rho2 * (1.0 + 3.0 * s2) + self.g_leak * cosh,
+            per_rho2,
+        )
     }
 
     /// RESET rate `−d(ln ρ)/dt` at cell-voltage magnitude `v > 0` drawing
@@ -181,8 +198,14 @@ impl CellLaw {
     /// `1/τ_set(v, ρ)`: the SET rate without the threshold. Below
     /// `ρ_formed` the forming barrier reduces the effective overdrive.
     fn set_rate_unfloored(&self, v: f64, rho: f64) -> f64 {
-        let barrier = self.v_form_barrier * (1.0 - rho * self.inv_rho_formed).max(0.0);
-        self.inv_tau_set0 * (self.set_per_v * (v - barrier)).exp()
+        let unformed = 1.0 - rho * self.inv_rho_formed;
+        // No barrier once formed: a branch with two exponentials, not one
+        // of a selected argument, lets the formed one start before `ρ`.
+        if unformed > 0.0 {
+            return self.inv_tau_set0
+                * (self.set_per_v * (v - self.v_form_barrier * unformed)).exp();
+        }
+        self.inv_tau_set0 * (self.set_per_v * v).exp()
     }
 }
 
@@ -222,31 +245,6 @@ pub fn tau_set(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64)
     1.0 / CellLaw::new(params, inst).set_rate_unfloored(v, rho)
 }
 
-/// Instantaneous RESET time constant at cell-voltage magnitude `v > 0` (s):
-/// the RESET rate's inverse at `ρ = 1` with no Joule acceleration.
-pub fn tau_reset(params: &OxramParams, inst: &InstanceVariation, v: f64) -> f64 {
-    1.0 / CellLaw::new(params, inst).reset_rate_clamped(v, 0.0, 0.0).0
-}
-
-/// RESET rate at cell-voltage magnitude `v > 0` and state `ρ`:
-/// `d(ln ρ)/dt = −reset_rate`, zero below the `v_rst_floor` threshold.
-///
-/// The law [`advance_state`] integrates in RESET polarity, for integrators
-/// that solve the cell voltage themselves.
-pub fn reset_rate(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
-    let law = CellLaw::new(params, inst);
-    law.reset_rate(v, law.current(v, rho), rho.ln())
-}
-
-/// SET rate at cell voltage `v > 0` and state `ρ`:
-/// `d(ln(1 − ρ))/dt = −set_rate`, zero below the `v_set_floor` threshold.
-///
-/// The law [`advance_state`] integrates in SET polarity, for integrators
-/// that solve the cell voltage themselves.
-pub fn set_rate(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
-    CellLaw::new(params, inst).set_rate(v, rho)
-}
-
 /// Advances the filament state by `dt` at constant cell voltage `v`.
 ///
 /// Internally sub-steps so that no sub-step changes `ρ` by more than ~2 %,
@@ -281,7 +279,7 @@ pub fn advance_state(
             let sub = (frac * tau_eff).min(remaining).max(remaining * 1e-9);
             rho = 1.0 - (1.0 - rho) * (-sub / tau_eff).exp();
             remaining -= sub;
-            if 1.0 - rho < 1e-12 {
+            if 1.0 - rho < RHO_CEILING_GAP {
                 Telemetry::global().incr("rram.model.rho_ceiling_hits");
                 return 1.0;
             }
@@ -453,7 +451,6 @@ mod tests {
                         rel(got, want) < 1e-13,
                         "reset({v}, {rho}): {got:e} vs {want:e}"
                     );
-                    assert_eq!(reset_rate(&p, &inst, v, rho), got);
                     // SET: τ_set = τ_set0·exp(−(α/lx)^w·(v − barrier)/v_set).
                     let barrier = p.v_form_barrier * (1.0 - rho / p.rho_formed).max(0.0);
                     let a_set = a.powf(p.alpha_set_weight);
@@ -467,6 +464,61 @@ mod tests {
                     assert!(rel(tau_set(&p, &inst, v, rho), tau) < 1e-13);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn state_map_inverts_the_conduction_law() {
+        // At the operating point of a RESET divider (1.1523 V through
+        // 3.6131 kΩ) and of a compliance clamp at half its current, the
+        // closed-form map gives back the state and the current's slopes.
+        let (p, inst) = nominal();
+        let law = CellLaw::new(&p, &inst);
+        // The voltage at which the cell draws `target(v)` (bisection: the
+        // cell current rises with `v`, the targets do not).
+        let solve = |rho: f64, target: &dyn Fn(f64) -> f64| {
+            let (mut lo, mut hi) = (0.0, 3.3);
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if law.current(mid, rho) < target(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        };
+        let divider = |v: f64| (1.1523 - v) / 3.6131e3;
+        for rho in [1e-3, 0.05, 0.5, 0.88, 1.0] {
+            let v_div = solve(rho, &divider);
+            let i_c = 0.5 * law.current(v_div, rho);
+            for v in [v_div, solve(rho, &|_| i_c)] {
+                let (i, slope) = law.current_and_slope(v, rho);
+                let (rho2, di_dv, di_drho2) = law.rho2_and_slopes(v, i);
+                assert!(
+                    rel(rho2, rho * rho) < 1e-12,
+                    "ρ {rho} at {v} V: ρ² {rho2:e}"
+                );
+                assert!(rel(di_dv, slope) < 1e-12, "ρ {rho} at {v} V: {di_dv:e}");
+                let filament = i - law.current(v, 0.0);
+                assert!(
+                    rel(di_drho2 * rho * rho, filament) < 1e-12,
+                    "ρ {rho} at {v} V"
+                );
+            }
+        }
+        // Along the divider line and under a fixed clamp, the state falls
+        // strictly as the cell voltage rises, until it vanishes.
+        for target in [&divider as &dyn Fn(f64) -> f64, &|_| 30e-6] {
+            let mut prev = f64::INFINITY;
+            let vanishes = (1..=400).any(|k| {
+                let v = 0.01 * f64::from(k);
+                let rho2 = law.rho2_and_slopes(v, target(v)).0;
+                assert!(rho2 < prev, "ρ² {rho2:e} at {v} V after {prev:e}");
+                prev = rho2;
+                rho2 <= 0.0
+            });
+            assert!(vanishes, "the state never vanished: {prev:e}");
         }
     }
 

@@ -100,9 +100,9 @@ impl ThresholdParams {
     }
 }
 
-/// Current-terminated RESET under the threshold dynamics (same divider
-/// loop as [`crate::calib::simulate_reset_termination`], same conduction
-/// law, different state physics).
+/// Current-terminated RESET under the threshold dynamics (a fixed-step
+/// divider loop on the circuit and conduction law of
+/// [`crate::calib::simulate_reset_termination`], different state physics).
 ///
 /// # Errors
 ///
