@@ -12,8 +12,8 @@
 //! change no sample.
 //!
 //! Campaigns feed the streaming level tracker and joule ledger in run
-//! order, whatever order the workers finish in, so their summaries (and
-//! the results files written from them) are the same bytes on every run.
+//! order once their workers are done, so their summaries (and the results
+//! files written from them) are the same bytes on every run.
 
 use oxterm_mc::engine::MonteCarlo;
 use oxterm_mc::supervisor::{
@@ -30,7 +30,6 @@ use oxterm_rram::params::OxramParams;
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::joule::JouleLedger;
 use oxterm_telemetry::levels::LevelTracker;
-use std::sync::{Mutex, PoisonError};
 
 /// Seed of the paper's QLC campaign, shared by the figure binaries and
 /// the reproduction checklist.
@@ -72,81 +71,27 @@ impl LevelCampaign {
 }
 
 /// Feeds a campaign's successful runs to the streaming level tracker and
-/// joule ledger in run order, which is where the progress line and the
-/// level and energy reports get their distributions from.
+/// joule ledger, which is where the progress line and the level and energy
+/// reports get their distributions from.
 ///
-/// Workers finish runs in any order; run `i` is fed once every earlier run
-/// has finished, so the observers' sketches and moments see one sequence
-/// and their summaries do not depend on scheduling. Progress lines stay
-/// live: a finished run waits only for the runs still in flight before it.
-/// Failed runs, including injected chaos faults, feed nothing, so a
-/// retried run contributes exactly its one success.
-struct RunOrder<'a> {
-    alloc: &'a LevelAllocation,
+/// It runs on the calling thread once the workers are done, in run order,
+/// so the observers' sketches and moments see one sequence whatever the
+/// worker count, and no worker takes a lock to observe. Failed runs,
+/// including injected chaos faults, feed nothing, so a retried run
+/// contributes exactly its one success.
+fn observe_in_run_order(
+    alloc: &LevelAllocation,
     runs: usize,
-    tracker: &'a LevelTracker,
-    ledger: &'a JouleLedger,
-    /// The first run not yet fed, and each run's outcome once it finished
-    /// (`Some(None)` for a failure).
-    state: Mutex<(usize, Vec<Option<Option<ProgramOutcome>>>)>,
-}
-
-impl<'a> RunOrder<'a> {
-    /// `None` when both observers are off, so a bare campaign pays one
-    /// branch per run.
-    fn new(
-        alloc: &'a LevelAllocation,
-        runs: usize,
-        tracker: &'a LevelTracker,
-        ledger: &'a JouleLedger,
-    ) -> Option<Self> {
-        if !(tracker.is_enabled() || ledger.is_enabled()) {
-            return None;
+    results: &[Result<ProgramOutcome, RunFailure>],
+    tracker: &LevelTracker,
+    ledger: &JouleLedger,
+) {
+    for (i, out) in results.iter().enumerate() {
+        if let Ok(out) = out {
+            let spec = &alloc.levels()[i / runs];
+            tracker.observe(spec.code, spec.i_ref, out.r_read_ohms);
+            ledger.observe_level(spec.code, spec.i_ref, out.energy_j, out.latency_s);
         }
-        let total = alloc.levels().len() * runs;
-        Some(RunOrder {
-            alloc,
-            runs,
-            tracker,
-            ledger,
-            state: Mutex::new((0, vec![None; total])),
-        })
-    }
-
-    /// Records that run `i` finished with `out` (`None`: it failed), and
-    /// feeds every run the finished prefix now covers.
-    fn done(&self, i: usize, out: Option<&ProgramOutcome>) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let (next, finished) = &mut *state;
-        finished[i] = Some(out.copied());
-        while let Some(Some(out)) = finished.get(*next) {
-            if let Some(out) = out {
-                self.observe(*next, out);
-            }
-            *next += 1;
-        }
-    }
-
-    /// Feeds, in order, every run not fed yet once the campaign is over:
-    /// `results[i]` stands in for a run that never reported (resumed from
-    /// a checkpoint, or lost to a panic or the run budget).
-    fn finish(&self, results: &[Result<ProgramOutcome, RunFailure>]) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let (next, finished) = &mut *state;
-        for i in *next..finished.len() {
-            let out = finished[i].unwrap_or_else(|| results[i].as_ref().ok().copied());
-            if let Some(out) = out {
-                self.observe(i, &out);
-            }
-        }
-        *next = finished.len();
-    }
-
-    fn observe(&self, i: usize, out: &ProgramOutcome) {
-        let spec = &self.alloc.levels()[i / self.runs];
-        self.tracker.observe(spec.code, spec.i_ref, out.r_read_ohms);
-        self.ledger
-            .observe_level(spec.code, spec.i_ref, out.energy_j, out.latency_s);
     }
 }
 
@@ -165,21 +110,11 @@ fn run_campaign(
 ) -> Result<(Vec<LevelCampaign>, CampaignOutcome<ProgramOutcome>), SupervisorError> {
     let cond = ProgramConditions::paper();
     let var = McVariability::default();
-    let order = RunOrder::new(alloc, runs, tracker, ledger);
     let outcome = run_supervised(mc, opts, |attempt, rng| {
-        let i = attempt.run_index as usize;
-        let spec = &alloc.levels()[i / runs];
-        let out = program_cell_mc(params, alloc, spec.code, &cond, &var, rng);
-        // A failure is final on the ladder's last rung.
-        let last = attempt.attempt + 1 >= attempt.max_attempts;
-        if let Some(order) = order.as_ref().filter(|_| out.is_ok() || last) {
-            order.done(i, out.as_ref().ok());
-        }
-        out.map_err(|e| e.to_string())
+        let spec = &alloc.levels()[attempt.run_index as usize / runs];
+        program_cell_mc(params, alloc, spec.code, &cond, &var, rng).map_err(|e| e.to_string())
     })?;
-    if let Some(order) = &order {
-        order.finish(&outcome.results);
-    }
+    observe_in_run_order(alloc, runs, &outcome.results, tracker, ledger);
     let campaigns = alloc
         .levels()
         .iter()
@@ -363,21 +298,23 @@ mod tests {
         let params = OxramParams::calibrated();
         let alloc = LevelAllocation::paper_qlc();
         let runs = 24;
-        let observe = || {
+        let observe = |threads: usize| {
             let (tracker, ledger) = (LevelTracker::enabled(), JouleLedger::enabled());
-            let mc = MonteCarlo::new(alloc.levels().len() * runs, 0x0DE7).with_threads(2);
+            let mc = MonteCarlo::new(alloc.levels().len() * runs, 0x0DE7).with_threads(threads);
             let opts = SupervisorOptions::default();
             run_campaign(mc, &params, &alloc, runs, &opts, &tracker, &ledger)
                 .expect("campaign runs");
             (tracker.snapshot(), ledger.snapshot().levels)
         };
-        let (levels, energy) = observe();
+        // One worker runs on the calling thread (the serial path); two run
+        // on their own threads.
+        let (levels, energy) = observe(1);
         assert_eq!(levels.levels.len(), 16);
         assert!(levels.levels.iter().all(|l| l.n == runs as u64));
-        for _ in 0..3 {
-            let again = observe();
-            assert_eq!(again.0, levels);
-            assert_eq!(again.1, energy);
+        for threads in [2, 2, 2, 1] {
+            let again = observe(threads);
+            assert_eq!(again.0, levels, "{threads} worker(s)");
+            assert_eq!(again.1, energy, "{threads} worker(s)");
         }
     }
 

@@ -199,7 +199,6 @@ impl HotPathReport {
             w.u64("calls", p.calls);
             w.u64("wall_ns", p.wall_ns);
             w.u64("self_ns", p.self_ns());
-            w.u64("allocs", p.allocs);
             w.f64_opt("share", self.snapshot.share(p));
             w.end_object();
         }

@@ -26,7 +26,7 @@ use oxterm_spice::circuit::Circuit;
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_spice::waveform::CrossDir;
 use oxterm_telemetry::joule::{self, ProgramPhase};
-use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
+use oxterm_telemetry::{CounterId, PhaseId, Profiler, Telemetry};
 use rand::Rng;
 
 use crate::levels::LevelAllocation;
@@ -119,7 +119,7 @@ pub fn program_cell_fast(
     code: u16,
     cond: &ProgramConditions,
 ) -> Result<ProgramOutcome, MlcError> {
-    Telemetry::global().incr("mlc.program.fast_ops");
+    Telemetry::global().tally(CounterId::FastOps, 1);
     let _program = Profiler::global().phase(PhaseId::MlcProgram);
     let level = alloc.level(code)?;
     let set = {
@@ -229,7 +229,7 @@ pub fn program_cell_mc<R: Rng + ?Sized>(
     var: &McVariability,
     rng: &mut R,
 ) -> Result<ProgramOutcome, MlcError> {
-    Telemetry::global().incr("mlc.program.mc_ops");
+    Telemetry::global().tally(CounterId::McOps, 1);
     let _program = Profiler::global().phase(PhaseId::MlcProgram);
     let level = alloc.level(code)?;
     let sample = Profiler::global().phase(PhaseId::MlcSample);

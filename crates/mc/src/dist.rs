@@ -8,7 +8,9 @@ pub trait Distribution {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
 }
 
-/// Standard normal via the Box–Muller transform.
+/// Standard normal via the Box–Muller transform (no external distribution
+/// crate — `rand_distr` is not on the approved dependency list). Every
+/// normal draw in the workspace goes through this one function.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.random::<f64>();

@@ -1,8 +1,7 @@
 //! Deterministic parallel Monte Carlo runner.
 
 use oxterm_telemetry::profiler::monotonic_ns;
-use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
-use parking_lot::Mutex;
+use oxterm_telemetry::{HistogramId, PhaseId, Profiler, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,19 +81,16 @@ impl MonteCarlo {
         let campaign_span = tel.span("mc.engine.campaign_seconds");
         let prof = Profiler::global();
         let _campaign = prof.phase(PhaseId::McCampaign);
-        let h_run = tel.histogram("mc.engine.run_seconds");
-        let h_busy = tel.histogram("mc.engine.worker_busy_seconds");
 
         let threads = self.resolved_threads().min(self.runs.max(1));
         let progress = CampaignProgress::start(self.runs, threads);
-        let timed = h_run.is_some() || progress.is_enabled();
+        let timed = tel.is_enabled() || progress.is_enabled();
 
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(self.runs);
-        slots.resize_with(self.runs, || None);
-        let slots = Mutex::new(&mut slots);
         let cursor = AtomicUsize::new(0);
-        // One worker: claim the next run, time it, store its result.
+        // One worker: claim the next run, time it, keep its result. Its
+        // records stay on its thread's shard until it exits.
         let worker = || {
+            let mut done = Vec::new();
             let mut busy = 0.0f64;
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -107,38 +103,42 @@ impl MonteCarlo {
                     let t0 = monotonic_ns();
                     let value = f(i, &mut rng);
                     let dt = monotonic_ns().wrapping_sub(t0) as f64 * 1e-9;
-                    if let Some(h) = &h_run {
-                        h.record(dt);
-                    }
+                    tel.sample(HistogramId::RunSeconds, dt);
                     busy += dt;
                     progress.tick(dt);
                     value
                 } else {
                     f(i, &mut rng)
                 };
-                slots.lock()[i] = Some(value);
+                done.push((i, value));
             }
-            if let Some(h) = &h_busy {
-                h.record(busy);
-            }
+            tel.sample(HistogramId::WorkerBusySeconds, busy);
+            oxterm_telemetry::flush_thread();
+            done
         };
-        if threads <= 1 {
+        let parts = if threads <= 1 {
             // Serial campaigns stay on the calling thread, so its
             // thread-local post-mortem stash and profiler stack see the runs.
-            worker();
+            vec![worker()]
         } else {
             std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(worker);
-                }
-            });
-        }
+                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
         progress.finish();
         campaign_span.finish();
+        let mut slots: Vec<Option<T>> = Vec::with_capacity(self.runs);
+        slots.resize_with(self.runs, || None);
+        for (i, value) in parts.into_iter().flatten() {
+            slots[i] = Some(value);
+        }
         slots
-            .into_inner()
-            .iter_mut()
-            .map(|s| s.take().expect("every slot filled"))
+            .into_iter()
+            .map(|s| s.expect("every slot filled"))
             .collect()
     }
 }

@@ -47,7 +47,7 @@ use crate::model::{self, CellLaw, RHO_CEILING_GAP};
 use crate::params::{InstanceVariation, OxramParams};
 use crate::RramError;
 use oxterm_telemetry::joule::{DeviceClass, JouleLedger, Role};
-use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
+use oxterm_telemetry::{CounterId, HistogramId, PhaseId, Profiler, Telemetry};
 
 /// Relative tolerance of the pulse integrator: the local error allowed per
 /// step in `y` (so relative in `ρ` or `1 − ρ`) and in each energy relative
@@ -488,12 +488,12 @@ fn reset_trajectory(
     out: &mut [Option<Result<TerminationOutcome, RramError>>],
 ) {
     let tel = Telemetry::global();
-    tel.add("rram.termination.runs", pending.len() as u64);
+    tel.tally(CounterId::TerminationRuns, pending.len() as u64);
     if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::NewtonStall) {
         // Fast-path analogue of a forced Newton stall: the Monte Carlo
         // volume campaigns (Figs. 11/13) program cells through this
         // semi-analytic path, never through `newton_solve`.
-        tel.incr("chaos.injected.newton_stall");
+        tel.tally(CounterId::InjectedNewtonStall, 1);
         for &(k, _) in pending {
             out[k] = Some(Err(RramError::Injected { site: "reset_fast" }));
         }
@@ -524,10 +524,8 @@ fn reset_trajectory(
                 None => (cond.rho_start, p.s),
                 Some(p0) => (law.rho_at(v_star, i_refs[k]), it.locate(p0, &p, v_star)),
             };
-            if tel.is_enabled() {
-                tel.add("rram.termination.steps", steps);
-                tel.record("rram.termination.latency_s", at.t);
-            }
+            tel.tally(CounterId::TerminationSteps, steps);
+            tel.sample(HistogramId::TerminationLatency, at.t);
             if ledger.is_enabled() {
                 // The cell dissipates v_c·i; the balance of the drive,
                 // (v_drive − v_c)·i, drops across the series path (access
@@ -554,7 +552,7 @@ fn reset_trajectory(
         if p.s.t >= cond.t_max {
             for &(k, _) in &pending[next..] {
                 let i_ref = i_refs[k];
-                tel.incr("rram.termination.not_terminated");
+                tel.tally(CounterId::NotTerminated, 1);
                 out[k] = Some(Err(RramError::NotTerminated {
                     i_ref,
                     t_max: cond.t_max,

@@ -5,7 +5,7 @@
 //! variation factors. Voltages are signed with the SET convention: positive
 //! `v` (TE above BE) grows the filament, negative `v` dissolves it.
 
-use oxterm_telemetry::Telemetry;
+use oxterm_telemetry::{CounterId, Telemetry};
 
 use crate::params::{InstanceVariation, OxramParams};
 
@@ -280,7 +280,7 @@ pub fn advance_state(
             rho = 1.0 - (1.0 - rho) * (-sub / tau_eff).exp();
             remaining -= sub;
             if 1.0 - rho < RHO_CEILING_GAP {
-                Telemetry::global().incr("rram.model.rho_ceiling_hits");
+                Telemetry::global().tally(CounterId::RhoCeilingHits, 1);
                 return 1.0;
             }
         }
@@ -312,10 +312,8 @@ pub fn advance_state(
             }
         }
         let tel = Telemetry::global();
-        tel.add("rram.model.joule_clamps", joule_clamps);
-        if floored {
-            tel.incr("rram.model.rho_floor_hits");
-        }
+        tel.tally(CounterId::JouleClamps, joule_clamps);
+        tel.tally(CounterId::RhoFloorHits, u64::from(floored));
         rho
     } else {
         rho // retention dynamics are out of scope; state holds at zero bias

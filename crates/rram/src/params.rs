@@ -1,5 +1,6 @@
 //! OxRAM model parameters and stochastic instance variations.
 
+pub use oxterm_mc::dist::standard_normal;
 use rand::Rng;
 
 use crate::RramError;
@@ -230,18 +231,6 @@ impl InstanceVariation {
 /// this is ≈ a relative σ), via Box–Muller.
 fn lognormal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
     (standard_normal(rng) * sigma).exp()
-}
-
-/// Standard normal via the Box–Muller transform (no external distribution
-/// crate — `rand_distr` is not on the approved dependency list).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        let u2: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        }
-    }
 }
 
 #[cfg(test)]

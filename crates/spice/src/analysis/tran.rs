@@ -171,7 +171,7 @@ pub fn run_transient(
 ) -> Result<TranResult, SpiceError> {
     let nn = circuit.n_nodes() - 1;
     let sim = opts.sim;
-    // Pre-resolve the hot-loop metrics once per run; each step then pays
+    // Pre-resolve the hot-loop counters once per run; each step then pays
     // one branch (disabled) or one relaxed atomic op (enabled).
     let tel = Telemetry::global();
     tel.incr("spice.tran.runs");
@@ -182,7 +182,6 @@ pub fn run_transient(
     let c_rej_newton = tel.counter("spice.tran.steps_rejected_newton");
     let c_rej_dv = tel.counter("spice.tran.steps_rejected_dv");
     let c_redo = tel.counter("spice.tran.monitor_redos");
-    let h_iters = tel.histogram("spice.tran.newton_iters");
     // Resolve probes before any solving: probing a missing node/device is
     // a configuration error and should fail fast.
     let mut probes = if opts.probes.is_empty() {
@@ -387,9 +386,7 @@ pub fn run_transient(
             if let Some(c) = &c_accept {
                 c.incr();
             }
-            if let Some(h) = &h_iters {
-                h.record(iters as f64);
-            }
+            tel.record("spice.tran.newton_iters", iters as f64);
             record.finish();
 
             // Step-size adaptation.

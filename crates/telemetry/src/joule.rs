@@ -29,9 +29,11 @@
 //! - Library code reads the process-global handle
 //!   ([`JouleLedger::global`]), armed once by a binary via
 //!   [`JouleLedger::install`]; tests build private handles.
-//! - Locks are taken once per *run* (milliseconds of solver work), not
-//!   per accepted step, so contention under Monte Carlo parallelism is
-//!   negligible.
+//! - An energy record is a plain add on the recording thread's matrix
+//!   shard, with no lock (see `shard.rs`); callers integrate locally and
+//!   record once per device per run. Level rollups share the level
+//!   tracker's one-lock table, fed by the campaign after its workers are
+//!   done.
 //!
 //! Energy records use the passive sign convention: positive joules are
 //! absorbed (dissipated or stored), negative joules are delivered (an
@@ -45,12 +47,10 @@
 //! mid-transient at the comparator trip, which is what splits pulse
 //! joules from post-trip tail joules.
 
-use crate::sketch::{QuantileSketch, Welford};
+use crate::levels::{self, LevelTable};
+use crate::shard::{Shard, Sink};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Level slots available; codes at or above this are dropped (matches
-/// [`crate::levels::MAX_LEVELS`]).
-pub const MAX_LEVELS: usize = 64;
 
 /// What a device *is* — the electrical model class reporting the energy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -287,32 +287,6 @@ pub fn classify_role(class: DeviceClass, name: &str) -> Role {
     Role::Other
 }
 
-/// Accumulated (energy, latency) state for one level slot.
-#[derive(Debug, Clone)]
-struct LevelCell {
-    seen: bool,
-    code: u16,
-    i_ref: f64,
-    energy: Welford,
-    e_sketch: QuantileSketch,
-    latency: Welford,
-    l_sketch: QuantileSketch,
-}
-
-impl LevelCell {
-    fn new() -> Self {
-        Self {
-            seen: false,
-            code: 0,
-            i_ref: 0.0,
-            energy: Welford::new(),
-            e_sketch: QuantileSketch::default(),
-            latency: Welford::new(),
-            l_sketch: QuantileSketch::default(),
-        }
-    }
-}
-
 /// Joules per unit of the matrix accumulators. Integer sums do not depend
 /// on the order worker threads record in, so the totals are the same bytes
 /// on every run; at 1e-30 J a unit sits far below an f64 ulp of any energy
@@ -329,29 +303,56 @@ fn to_joules(quanta: i128) -> f64 {
 
 /// The role × phase joule matrix plus per-class totals, in
 /// [`JOULE_QUANTUM`] units.
-#[derive(Debug, Clone)]
-struct Matrix {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Matrix {
     role_phase: [[i128; N_PHASES]; N_ROLES],
     class: [i128; N_CLASSES],
 }
 
 impl Matrix {
-    fn new() -> Self {
-        Self {
-            role_phase: [[0; N_PHASES]; N_ROLES],
-            class: [0; N_CLASSES],
-        }
-    }
-
     /// Total dissipated joules: the positive cells.
     fn dissipated_j(&self) -> f64 {
         to_joules(self.role_phase.iter().flatten().filter(|&&q| q > 0).sum())
     }
 }
 
-struct LedgerSink {
+#[derive(Default)]
+pub(crate) struct LedgerSink {
     matrix: Mutex<Matrix>,
-    levels: Vec<Mutex<LevelCell>>,
+    /// Energy and latency per level.
+    levels: Mutex<LevelTable<2>>,
+}
+
+impl LedgerSink {
+    fn matrix(&self) -> Matrix {
+        // Sums only: a panicked holder left a valid matrix.
+        *self.matrix.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Sink for LedgerSink {
+    type Tally = Matrix;
+
+    fn merge(&self, tally: &Matrix) {
+        let mut m = self.matrix.lock().unwrap_or_else(PoisonError::into_inner);
+        for (row, t_row) in m.role_phase.iter_mut().zip(&tally.role_phase) {
+            for (q, t) in row.iter_mut().zip(t_row) {
+                *q += t;
+            }
+        }
+        for (q, t) in m.class.iter_mut().zip(&tally.class) {
+            *q += t;
+        }
+    }
+}
+
+thread_local! {
+    static SHARD: RefCell<Shard<LedgerSink>> = const { RefCell::new(Shard::new()) };
+}
+
+/// Merges this thread's matrix shards into their ledgers.
+pub(crate) fn flush_thread() {
+    let _ = SHARD.try_with(|s| s.borrow_mut().flush());
 }
 
 /// Immutable view of one role's phase-bucketed energy.
@@ -446,12 +447,6 @@ impl JouleSnapshot {
             .sum::<f64>()
     }
 
-    /// Total level observations across all levels.
-    #[must_use]
-    pub fn total_level_obs(&self) -> u64 {
-        self.levels.iter().map(|l| l.n).sum()
-    }
-
     /// Whether the ledger saw anything at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -489,14 +484,8 @@ impl JouleLedger {
     /// An armed ledger with empty buckets.
     #[must_use]
     pub fn enabled() -> Self {
-        let levels = (0..MAX_LEVELS)
-            .map(|_| Mutex::new(LevelCell::new()))
-            .collect();
         Self {
-            inner: Some(Arc::new(LedgerSink {
-                matrix: Mutex::new(Matrix::new()),
-                levels,
-            })),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -521,9 +510,9 @@ impl JouleLedger {
     }
 
     /// Records integrated absorbed energy for one device over one run
-    /// segment, tagged with the given phase. Non-finite values are
-    /// dropped. Callers integrate locally and flush once per run — do not
-    /// call this per timestep.
+    /// segment, tagged with the given phase, on the calling thread's shard.
+    /// Non-finite values are dropped. Callers integrate locally and record
+    /// once per run.
     pub fn record_energy_in_phase(
         &self,
         class: DeviceClass,
@@ -538,9 +527,12 @@ impl JouleLedger {
             return;
         }
         let quanta = to_quanta(joules);
-        let mut m = sink.matrix.lock().unwrap_or_else(PoisonError::into_inner);
-        m.role_phase[role.index()][phase.index()] += quanta;
-        m.class[class.index()] += quanta;
+        let _ = SHARD.try_with(|s| {
+            let mut s = s.borrow_mut();
+            let m = s.tally(sink);
+            m.role_phase[role.index()][phase.index()] += quanta;
+            m.class[class.index()] += quanta;
+        });
     }
 
     /// Like [`record_energy_in_phase`], tagged with the calling thread's
@@ -555,64 +547,41 @@ impl JouleLedger {
     }
 
     /// Records one successfully programmed level's (energy, latency)
-    /// pair. Codes at or above [`MAX_LEVELS`] and non-finite values are
+    /// pair. Codes at or above [`levels::MAX_LEVELS`] and non-finite values are
     /// dropped; feed Ok outcomes only.
     pub fn observe_level(&self, code: u16, i_ref: f64, energy_j: f64, latency_s: f64) {
-        let Some(sink) = &self.inner else {
-            return;
-        };
-        if usize::from(code) >= MAX_LEVELS || !energy_j.is_finite() || !latency_s.is_finite() {
-            return;
+        if let Some(sink) = &self.inner {
+            levels::lock(&sink.levels).observe(code, i_ref, [energy_j, latency_s]);
         }
-        let mut cell = sink.levels[usize::from(code)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if !cell.seen {
-            cell.seen = true;
-            cell.code = code;
-            cell.i_ref = i_ref;
-        }
-        cell.energy.push(energy_j);
-        cell.e_sketch.insert(energy_j);
-        cell.latency.push(latency_s);
-        cell.l_sketch.insert(latency_s);
     }
 
-    /// Compact counts (for progress lines).
+    /// Compact counts (for progress lines), after merging the calling
+    /// thread's shard.
     #[must_use]
     pub fn counts(&self) -> JouleCounts {
         let Some(sink) = &self.inner else {
             return JouleCounts::default();
         };
-        let mut out = JouleCounts::default();
-        for slot in &sink.levels {
-            let cell = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            if cell.seen {
-                out.levels += 1;
-                out.total_obs += cell.energy.count();
-            }
+        flush_thread();
+        let levels = levels::lock(&sink.levels).counts();
+        JouleCounts {
+            levels: levels.levels,
+            total_obs: levels.total,
+            dissipated_j: sink.matrix().dissipated_j(),
         }
-        out.dissipated_j = sink
-            .matrix
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .dissipated_j();
-        out
     }
 
-    /// A deterministic snapshot: roles in [`ROLES`] order, nonzero
-    /// classes in [`CLASSES`] order, levels ascending by code. Empty when
-    /// disabled or nothing was recorded.
+    /// A deterministic snapshot, after merging the calling thread's shard:
+    /// roles in [`ROLES`] order, nonzero classes in [`CLASSES`] order,
+    /// levels ascending by code. Empty when disabled or nothing was
+    /// recorded.
     #[must_use]
     pub fn snapshot(&self) -> JouleSnapshot {
         let Some(sink) = &self.inner else {
             return JouleSnapshot::default();
         };
-        let m = sink
-            .matrix
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+        flush_thread();
+        let m = sink.matrix();
         let roles = ROLES
             .iter()
             .map(|&role| RoleEnergy {
@@ -628,29 +597,27 @@ impl JouleLedger {
                 joules: to_joules(m.class[class.index()]),
             })
             .collect();
-        let mut levels = Vec::new();
-        for slot in &sink.levels {
-            let cell = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            if !cell.seen {
-                continue;
-            }
-            levels.push(LevelEnergySummary {
-                code: cell.code,
-                i_ref: cell.i_ref,
-                n: cell.energy.count(),
-                mean_j: cell.energy.mean(),
-                std_j: cell.energy.std_dev(),
-                min_j: cell.energy.min(),
-                max_j: cell.energy.max(),
-                p50_j: cell.e_sketch.quantile(0.50).unwrap_or(f64::NAN),
-                mean_latency_s: cell.latency.mean(),
-                std_latency_s: cell.latency.std_dev(),
-                min_latency_s: cell.latency.min(),
-                max_latency_s: cell.latency.max(),
-                p50_latency_s: cell.l_sketch.quantile(0.50).unwrap_or(f64::NAN),
-            });
-        }
-        levels.sort_by_key(|l| l.code);
+        let levels = levels::lock(&sink.levels)
+            .seen()
+            .map(|(code, slot)| {
+                let ([energy, latency], [e_sketch, l_sketch]) = (&slot.stats, &slot.sketches);
+                LevelEnergySummary {
+                    code,
+                    i_ref: slot.i_ref,
+                    n: energy.count(),
+                    mean_j: energy.mean(),
+                    std_j: energy.std_dev(),
+                    min_j: energy.min(),
+                    max_j: energy.max(),
+                    p50_j: e_sketch.quantile(0.50).unwrap_or(f64::NAN),
+                    mean_latency_s: latency.mean(),
+                    std_latency_s: latency.std_dev(),
+                    min_latency_s: latency.min(),
+                    max_latency_s: latency.max(),
+                    p50_latency_s: l_sketch.quantile(0.50).unwrap_or(f64::NAN),
+                }
+            })
+            .collect();
         JouleSnapshot {
             roles,
             classes,
@@ -749,7 +716,7 @@ mod tests {
         assert!(snap.levels[0].p50_j > 20e-12 && snap.levels[0].p50_j < 21e-12);
         assert!((snap.levels[1].min_j - 5e-12).abs() < 1e-24);
         assert!(snap.levels[1].mean_latency_s > 0.5e-6);
-        assert_eq!(snap.total_level_obs(), 200);
+        assert_eq!(snap.levels.iter().map(|l| l.n).sum::<u64>(), 200);
         let c = l.counts();
         assert_eq!(c.levels, 2);
         assert_eq!(c.total_obs, 200);
@@ -834,11 +801,14 @@ mod tests {
                             1e-12,
                         );
                     }
+                    // A scoped thread's exit may not have merged its shard
+                    // by the time the scope returns.
+                    crate::flush_thread();
                 });
             }
         });
         let snap = l.snapshot();
-        assert_eq!(snap.total_level_obs(), 1000);
+        assert_eq!(snap.levels.iter().map(|l| l.n).sum::<u64>(), 1000);
         assert!((snap.total_dissipated_j() - 1000e-12).abs() < 1e-20);
     }
 }

@@ -56,11 +56,6 @@ pub fn split_lines(bytes: &[u8]) -> JsonlSplit {
     split
 }
 
-/// Reads `path` and splits it with [`split_lines`].
-pub fn split_file(path: &str) -> std::io::Result<JsonlSplit> {
-    Ok(split_lines(&std::fs::read(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@
 //! write-terminated RESET is only worth extra bits/cell if the per-level
 //! read-resistance distributions stay separable. Figs 11/12 check that
 //! by batch-collecting every sample; this module is the streaming
-//! counterpart. Campaign closures feed one observation per programmed
+//! counterpart. Campaigns feed one observation per programmed
 //! level per run ([`LevelTracker::observe`]) and each level accumulates
 //! a [`QuantileSketch`] and a [`Welford`] moment tracker — bounded
 //! memory at any campaign size.
@@ -19,49 +19,93 @@
 //!   ([`LevelTracker::global`]), armed once by a binary via
 //!   [`LevelTracker::install`] (the figure binaries, `repro_all`);
 //!   tests build private handles.
-//! - State is one mutex per level slot. A campaign takes each lock once
-//!   per Monte Carlo *run* (milliseconds of solver work), so contention
-//!   is negligible without the profiler's thread-sharding; the sketch's
-//!   symmetric merge still makes worker-sharded operation possible for
-//!   the vectorized-MC path (ROADMAP item 2).
+//! - State is one `LevelTable` behind one lock. Campaigns feed it from
+//!   the calling thread once the workers are done, in run order, so the
+//!   sketches and moments see one sequence and the summaries are the same
+//!   bytes on every run whatever the worker count.
 //!
-//! Snapshots ([`LevelTracker::snapshot`]) order levels by code, so the
-//! report layer sees a deterministic view regardless of which worker
-//! observed what, within the sketch's ε rank-error contract (see
-//! [`crate::sketch`] on why bit-determinism is impossible and what is
-//! guaranteed instead).
+//! Snapshots ([`LevelTracker::snapshot`]) order levels by code.
 
 use crate::sketch::{QuantileSketch, Welford};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Level slots available; codes at or above this are dropped (6 bits/cell
 /// is the largest allocation the paper explores).
 pub const MAX_LEVELS: usize = 64;
 
-/// Accumulated state for one level slot.
+/// One level's streaming statistics over `N` observed quantities (the
+/// tracker's read resistance; the joule ledger's energy and latency).
 #[derive(Debug, Clone)]
-struct Cell {
-    seen: bool,
-    code: u16,
-    i_ref: f64,
-    sketch: QuantileSketch,
-    stats: Welford,
+pub(crate) struct LevelSlot<const N: usize> {
+    /// The reference current of the level's first observation (A).
+    pub(crate) i_ref: f64,
+    /// Moments of each quantity.
+    pub(crate) stats: [Welford; N],
+    /// Quantile sketch of each quantity.
+    pub(crate) sketches: [QuantileSketch; N],
 }
 
-impl Cell {
-    fn new() -> Self {
-        Self {
-            seen: false,
-            code: 0,
-            i_ref: 0.0,
-            sketch: QuantileSketch::default(),
-            stats: Welford::new(),
+/// Per-level slots indexed by level code; `None` until first observed.
+#[derive(Debug)]
+pub(crate) struct LevelTable<const N: usize> {
+    slots: Vec<Option<LevelSlot<N>>>,
+}
+
+impl<const N: usize> Default for LevelTable<N> {
+    fn default() -> Self {
+        LevelTable {
+            slots: vec![None; MAX_LEVELS],
         }
     }
 }
 
-struct TrackerSink {
-    cells: Vec<Mutex<Cell>>,
+impl<const N: usize> LevelTable<N> {
+    /// Adds one observation of level `code`. Codes at or above
+    /// [`MAX_LEVELS`] and observations with a non-finite value are dropped.
+    pub(crate) fn observe(&mut self, code: u16, i_ref: f64, values: [f64; N]) {
+        let Some(slot) = self.slots.get_mut(usize::from(code)) else {
+            return;
+        };
+        if values.iter().any(|v| !v.is_finite()) {
+            return;
+        }
+        let slot = slot.get_or_insert_with(|| LevelSlot {
+            i_ref,
+            stats: [Welford::new(); N],
+            sketches: std::array::from_fn(|_| QuantileSketch::default()),
+        });
+        for (k, v) in values.into_iter().enumerate() {
+            slot.stats[k].push(v);
+            slot.sketches[k].insert(v);
+        }
+    }
+
+    /// The observed levels, ascending by code.
+    pub(crate) fn seen(&self) -> impl Iterator<Item = (u16, &LevelSlot<N>)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(code, slot)| Some((code as u16, slot.as_ref()?)))
+    }
+
+    /// Per-level completion counts.
+    pub(crate) fn counts(&self) -> LevelCounts {
+        let mut out = LevelCounts::default();
+        for (_, slot) in self.seen() {
+            let n = slot.stats[0].count();
+            out.levels += 1;
+            out.min_n = if out.levels == 1 { n } else { out.min_n.min(n) };
+            out.max_n = out.max_n.max(n);
+            out.total += n;
+        }
+        out
+    }
+}
+
+/// Locks a level table. Observations only push, so a panicked holder left
+/// a valid table.
+pub(crate) fn lock<const N: usize>(table: &Mutex<LevelTable<N>>) -> MutexGuard<'_, LevelTable<N>> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Immutable view of one tracked level, ordered by code in a snapshot.
@@ -99,14 +143,6 @@ pub struct LevelsSnapshot {
     pub levels: Vec<LevelSummary>,
 }
 
-impl LevelsSnapshot {
-    /// Total observations across all levels.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.levels.iter().map(|l| l.n).sum()
-    }
-}
-
 /// Compact per-level completion counts for progress lines: cheap enough
 /// to compute at every (throttled) progress tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -124,7 +160,7 @@ pub struct LevelCounts {
 /// Cheap handle to the per-level distribution tracker.
 #[derive(Clone)]
 pub struct LevelTracker {
-    inner: Option<Arc<TrackerSink>>,
+    inner: Option<Arc<Mutex<LevelTable<1>>>>,
 }
 
 static GLOBAL: OnceLock<LevelTracker> = OnceLock::new();
@@ -140,9 +176,8 @@ impl LevelTracker {
     /// An armed tracker with empty level slots.
     #[must_use]
     pub fn enabled() -> Self {
-        let cells = (0..MAX_LEVELS).map(|_| Mutex::new(Cell::new())).collect();
         Self {
-            inner: Some(Arc::new(TrackerSink { cells })),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -170,75 +205,47 @@ impl LevelTracker {
     /// level's binary code and doubles as the slot index; codes at or
     /// above [`MAX_LEVELS`] and non-finite resistances are dropped.
     pub fn observe(&self, code: u16, i_ref: f64, r_ohms: f64) {
-        let Some(sink) = &self.inner else {
-            return;
-        };
-        if usize::from(code) >= MAX_LEVELS || !r_ohms.is_finite() {
-            return;
+        if let Some(table) = &self.inner {
+            lock(table).observe(code, i_ref, [r_ohms]);
         }
-        let mut cell = sink.cells[usize::from(code)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if !cell.seen {
-            cell.seen = true;
-            cell.code = code;
-            cell.i_ref = i_ref;
-        }
-        cell.sketch.insert(r_ohms);
-        cell.stats.push(r_ohms);
     }
 
     /// Compact per-level completion counts (for progress lines).
     #[must_use]
     pub fn counts(&self) -> LevelCounts {
-        let Some(sink) = &self.inner else {
-            return LevelCounts::default();
-        };
-        let mut out = LevelCounts::default();
-        for slot in &sink.cells {
-            let cell = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            if cell.seen {
-                let n = cell.stats.count();
-                out.levels += 1;
-                out.min_n = if out.levels == 1 { n } else { out.min_n.min(n) };
-                out.max_n = out.max_n.max(n);
-                out.total += n;
-            }
+        match &self.inner {
+            Some(table) => lock(table).counts(),
+            None => LevelCounts::default(),
         }
-        out
     }
 
     /// A code-ordered snapshot of every level seen so far. Empty when
     /// disabled or nothing was observed.
     #[must_use]
     pub fn snapshot(&self) -> LevelsSnapshot {
-        let Some(sink) = &self.inner else {
+        let Some(table) = &self.inner else {
             return LevelsSnapshot::default();
         };
-        let mut levels = Vec::new();
-        for slot in &sink.cells {
-            let cell = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            if !cell.seen {
-                continue;
-            }
-            let q = |p: f64| cell.sketch.quantile(p).unwrap_or(f64::NAN);
-            levels.push(LevelSummary {
-                code: cell.code,
-                i_ref: cell.i_ref,
-                n: cell.stats.count(),
-                mean: cell.stats.mean(),
-                std_dev: cell.stats.std_dev(),
-                min: cell.stats.min(),
-                max: cell.stats.max(),
-                p01: q(0.01),
-                p50: q(0.50),
-                p99: q(0.99),
-                sketch: cell.sketch.clone(),
-            });
-        }
-        // Slot order is code order already; keep the sort as a guard
-        // against future slot-assignment changes.
-        levels.sort_by_key(|l| l.code);
+        let levels = lock(table)
+            .seen()
+            .map(|(code, slot)| {
+                let ([stats], [sketch]) = (&slot.stats, &slot.sketches);
+                let q = |p: f64| sketch.quantile(p).unwrap_or(f64::NAN);
+                LevelSummary {
+                    code,
+                    i_ref: slot.i_ref,
+                    n: stats.count(),
+                    mean: stats.mean(),
+                    std_dev: stats.std_dev(),
+                    min: stats.min(),
+                    max: stats.max(),
+                    p01: q(0.01),
+                    p50: q(0.50),
+                    p99: q(0.99),
+                    sketch: sketch.clone(),
+                }
+            })
+            .collect();
         LevelsSnapshot { levels }
     }
 }
@@ -270,7 +277,7 @@ mod tests {
         assert_eq!(snap.levels[0].n, 100);
         assert!(snap.levels[0].p50 > 40e3 && snap.levels[0].p50 < 41e3);
         assert!((snap.levels[1].i_ref - 60e-6).abs() < 1e-12);
-        assert_eq!(snap.total(), 200);
+        assert_eq!(snap.levels.iter().map(|l| l.n).sum::<u64>(), 200);
     }
 
     #[test]
@@ -309,6 +316,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(t.snapshot().total(), 1000);
+        assert_eq!(t.snapshot().levels.iter().map(|l| l.n).sum::<u64>(), 1000);
     }
 }

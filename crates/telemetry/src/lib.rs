@@ -7,10 +7,12 @@
 //!
 //! 1. **Free when off.** A disabled [`Telemetry`] handle is a `None`; every
 //!    recording call is one branch. Hot kernels stay hot.
-//! 2. **Thread-safe when on.** Counters are relaxed atomics, histogram bins
-//!    are atomic arrays; Monte Carlo workers record concurrently without a
-//!    lock on the recording path (only metric *registration* takes a lock,
-//!    once per metric name).
+//! 2. **No lock or name lookup on the per-program path.** A Monte Carlo
+//!    program records its catalogued metrics ([`CounterId`],
+//!    [`HistogramId`]), profiler phases and device energies into plain
+//!    per-thread shards, merged when a worker exits ([`flush_thread`]) and
+//!    when the calling thread takes a report or snapshot. By-name calls
+//!    take the registry's lock; they serve the colder paths.
 //! 3. **Structured at the end.** [`Registry::report`] rolls everything up
 //!    into a [`RunReport`] that renders as an ASCII table for humans or
 //!    hand-rolled JSON (no serde) for the perf-trajectory tooling.
@@ -21,17 +23,16 @@
 //!
 //! Aggregates answer *how much*. [`profiler`] answers *where inside the
 //! solver*: a fixed catalog of nestable phases (stamp / factorize /
-//! residual / timestep control / MC workers) with self-vs-child wall time
-//! and allocation counts. [`levels`] and [`joule`] answer *did any
-//! level's distribution drift* and *where did the energy go*: streaming
-//! per-level resistance sketches and a per-device energy/latency ledger.
-//! Each mirrors the [`Telemetry`] handle pattern — disabled is one
-//! branch, installed once per process. [`progress`] owns the opt-in
-//! switch for live Monte Carlo campaign progress on stderr.
-//! [`postmortem`] owns failure artifacts:
-//! solver layers hand it structured reports on non-convergence, and it is
-//! the only path that writes them to disk (solver crates are lint-banned
-//! from direct `std::fs` writes).
+//! residual / timestep control / MC workers) with self-vs-child wall time.
+//! [`levels`] and [`joule`] answer *did any level's distribution drift*
+//! and *where did the energy go*: streaming per-level resistance sketches
+//! and a per-device energy/latency ledger. Each mirrors the [`Telemetry`]
+//! handle pattern — disabled is one branch, installed once per process.
+//! [`progress`] owns the `--progress` switch for live Monte Carlo campaign
+//! progress on stderr. [`postmortem`] owns failure artifacts: solver
+//! layers hand it structured reports on non-convergence, and it is the
+//! only path that writes them to disk (solver crates are lint-banned from
+//! direct `std::fs` writes).
 //!
 //! # Handles
 //!
@@ -42,24 +43,25 @@
 //! never touch the global.
 //!
 //! ```
-//! use oxterm_telemetry::Telemetry;
+//! use oxterm_telemetry::{CounterId, Telemetry};
 //!
 //! let tel = Telemetry::enabled();
 //! tel.incr("mc.engine.runs");
 //! tel.record("mc.engine.run_seconds", 1.25e-3);
+//! tel.tally(CounterId::McOps, 1);
 //! {
 //!     let _span = tel.span("spice.tran.run_seconds");
 //!     // ... timed work ...
 //! }
 //! let report = tel.report();
 //! assert_eq!(report.counter("mc.engine.runs"), Some(1));
+//! assert_eq!(report.counter("mlc.program.mc_ops"), Some(1));
 //! println!("{}", report.to_table());
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod allocs;
 mod counter;
 mod histogram;
 pub mod joule;
@@ -71,17 +73,18 @@ pub mod profiler;
 pub mod progress;
 mod registry;
 mod report;
+mod shard;
 pub mod sketch;
 mod span;
 
 pub use counter::Counter;
-pub use histogram::{Histogram, HistogramSnapshot};
+pub use histogram::Histogram;
 pub use joule::{DeviceClass, JouleLedger, JouleSnapshot, ProgramPhase, Role};
 pub use json::JsonWriter;
 pub use jsonl::JsonlSplit;
 pub use levels::{LevelCounts, LevelSummary, LevelTracker, LevelsSnapshot};
 pub use profiler::{PhaseGuard, PhaseId, PhaseRole, PhaseStats, ProfileSnapshot, Profiler};
-pub use registry::Registry;
+pub use registry::{CounterId, HistogramId, Registry};
 pub use report::RunReport;
 pub use sketch::{QuantileSketch, Welford};
 pub use span::Span;
@@ -132,11 +135,6 @@ impl Telemetry {
         GLOBAL.set(handle).is_ok()
     }
 
-    /// The underlying registry, if enabled.
-    pub fn registry(&self) -> Option<&Registry> {
-        self.inner.as_deref()
-    }
-
     /// Increments the counter `name` by one.
     #[inline]
     pub fn incr(&self, name: &str) {
@@ -157,7 +155,25 @@ impl Telemetry {
     #[inline]
     pub fn record(&self, name: &str, value: f64) {
         if let Some(reg) = &self.inner {
-            reg.histogram(name).record(value);
+            reg.record(name, value);
+        }
+    }
+
+    /// Adds `by` to the catalogued counter `id` on this thread's shard: no
+    /// lock, no name lookup.
+    #[inline]
+    pub fn tally(&self, id: CounterId, by: u64) {
+        if let Some(reg) = &self.inner {
+            registry::tally(reg, id, by);
+        }
+    }
+
+    /// Records `value` into the catalogued histogram `id` on this thread's
+    /// shard.
+    #[inline]
+    pub fn sample(&self, id: HistogramId, value: f64) {
+        if let Some(reg) = &self.inner {
+            registry::sample(reg, id, value);
         }
     }
 
@@ -173,9 +189,9 @@ impl Telemetry {
     /// Starts a scoped wall-time span; the elapsed seconds are recorded
     /// into the histogram `name` when the returned guard drops.
     #[inline]
-    pub fn span(&self, name: &str) -> Span {
+    pub fn span(&self, name: &'static str) -> Span {
         match &self.inner {
-            Some(reg) => Span::started(reg.histogram(name)),
+            Some(reg) => Span::started(Arc::clone(reg), name),
             None => Span::noop(),
         }
     }
@@ -185,19 +201,27 @@ impl Telemetry {
         self.inner.as_ref().map(|r| r.counter(name))
     }
 
-    /// Pre-resolves the histogram `name` for hot loops (`None` if
-    /// disabled).
-    pub fn histogram(&self, name: &str) -> Option<Arc<Histogram>> {
-        self.inner.as_ref().map(|r| r.histogram(name))
-    }
-
-    /// Rolls the registry up into a report (empty when disabled).
+    /// Rolls the registry up into a report (empty when disabled), after
+    /// merging the calling thread's shard.
     pub fn report(&self) -> RunReport {
         match &self.inner {
-            Some(reg) => reg.report(),
+            Some(reg) => {
+                registry::flush_thread();
+                reg.report()
+            }
             None => RunReport::empty(),
         }
     }
+}
+
+/// Merges every per-thread shard of the calling thread (profiler, joule
+/// ledger, telemetry) into its sink. Monte Carlo workers call this as they
+/// exit; a thread's shards also merge when it exits, and a snapshot or
+/// report merges the calling thread's.
+pub fn flush_thread() {
+    profiler::flush_thread();
+    joule::flush_thread();
+    registry::flush_thread();
 }
 
 #[cfg(test)]
@@ -213,8 +237,9 @@ mod tests {
         tel.record("a.b.h", 1.0);
         tel.note("a.b.n", "msg");
         drop(tel.span("a.b.s"));
+        tel.tally(CounterId::McOps, 1);
+        tel.sample(HistogramId::RunSeconds, 1.0);
         assert!(tel.counter("a.b.c").is_none());
-        assert!(tel.histogram("a.b.h").is_none());
         let report = tel.report();
         assert!(report.is_empty());
         assert_eq!(report.counter("a.b.c"), None);
@@ -265,6 +290,57 @@ mod tests {
         let notes = report.notes("mc.engine.failed_run").unwrap();
         assert_eq!(notes.len(), 2);
         assert!(notes[0].contains("seed 123"));
+    }
+
+    #[test]
+    fn shards_merge_to_the_same_totals_on_1_and_4_threads() {
+        // One fixed set of records, split round-robin across the threads.
+        let totals = |threads: usize| {
+            let (tel, prof, ledger) = (
+                Telemetry::enabled(),
+                Profiler::enabled(),
+                JouleLedger::enabled(),
+            );
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let (tel, prof, ledger) = (&tel, &prof, &ledger);
+                    scope.spawn(move || {
+                        for k in (t..256).step_by(threads) {
+                            let _run = prof.phase(PhaseId::McWorkerRun);
+                            drop(prof.phase(PhaseId::RramSet));
+                            tel.tally(CounterId::McOps, 1);
+                            tel.tally(CounterId::TerminationSteps, k as u64);
+                            tel.sample(HistogramId::TerminationLatency, (k + 1) as f64 * 1e-7);
+                            ledger.record_energy_in_phase(
+                                DeviceClass::RramCell,
+                                Role::RramCell,
+                                ProgramPhase::Reset,
+                                (k + 1) as f64 * 1.3e-12,
+                            );
+                        }
+                        flush_thread();
+                    });
+                }
+            });
+            let report = tel.report();
+            let latency = &report.histograms["rram.termination.latency_s"];
+            let snap = prof.snapshot();
+            let calls: Vec<u64> = snap.phases.iter().map(|p| p.calls).collect();
+            let energy = ledger.snapshot();
+            let joules: Vec<[f64; joule::N_PHASES]> =
+                energy.roles.iter().map(|r| r.phase_j).collect();
+            let classes: Vec<f64> = energy.classes.iter().map(|c| c.joules).collect();
+            (
+                report.counters,
+                (latency.count, latency.bins.clone()),
+                calls,
+                (joules, classes),
+            )
+        };
+        let serial = totals(1);
+        assert_eq!(serial.0["mlc.program.mc_ops"], 256);
+        assert_eq!(serial.2, [256, 256]);
+        assert_eq!(totals(4), serial);
     }
 
     #[test]

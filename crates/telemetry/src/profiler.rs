@@ -5,9 +5,8 @@
 //! This module closes that gap with a fixed catalog of nestable phases
 //! ([`PhaseId`]) instrumented at the stamping / factorization / residual /
 //! timestep-control boundaries of the `spice` engine and around the Monte
-//! Carlo fast path. Each phase accumulates wall time, call count,
-//! child-attributed time (so self time is derivable), and allocation counts
-//! sampled from [`crate::allocs`].
+//! Carlo fast path. Each phase accumulates wall time, call count and
+//! child-attributed time (so self time is derivable).
 //!
 //! The design mirrors [`crate::Telemetry`]:
 //!
@@ -17,10 +16,10 @@
 //! - Library code uses the process-global handle ([`Profiler::global`]),
 //!   armed once by a binary via [`Profiler::install`] (`--profile`);
 //!   tests build private handles and never touch the global.
-//! - Recording is mutex-sharded: threads scatter across [`N_SHARDS`]
-//!   accumulators (round-robin by thread) so Monte
-//!   Carlo workers rarely contend; [`Profiler::snapshot`] merges the
-//!   shards.
+//! - Recording takes no lock: a closing scope adds to its thread's plain
+//!   per-phase totals, which merge into the profiler when a Monte Carlo
+//!   worker exits and when [`Profiler::snapshot`] runs on the calling
+//!   thread (see `shard.rs`).
 //!
 //! Nesting is tracked per thread: a guard pushes a frame on construction
 //! and, on drop, charges its elapsed time to its phase and to the parent
@@ -49,17 +48,13 @@
 //! `Instant::now` in solver crates and in the rest of `telemetry`/`mc`.
 //! Crates that need a raw monotonic timestamp use [`monotonic_ns`].
 
-use crate::allocs;
 use crate::json::JsonWriter;
+use crate::shard::{self, Shard, Sink};
 use crate::Telemetry;
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
-
-/// Number of sharded accumulators; threads are assigned round-robin.
-pub const N_SHARDS: usize = 16;
 
 /// Number of phases in the catalog (length of [`PhaseId::ALL`]).
 pub const N_PHASES: usize = 18;
@@ -69,6 +64,7 @@ pub const N_PHASES: usize = 18;
 /// Paths are static and hierarchical (`/`-separated); the catalog is closed
 /// on purpose — a fixed enum keeps the armed hot path at "index into an
 /// array" with no name hashing, and keeps reports comparable across runs.
+/// Variants are declared in path order, which is also their index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseId {
     /// Whole-binary scope opened by `telemetry_cli` (`bench/run`).
@@ -87,6 +83,9 @@ pub enum PhaseId {
     /// Building a circuit-level programming testbench and measuring its
     /// waveforms afterwards (`mlc/testbench`).
     MlcTestbench,
+    /// DC operating-point solve, including gmin/source stepping
+    /// (`op/solve`).
+    OpSolve,
     /// The Nelder–Mead model calibration (`rram/calib`); its objective
     /// delegates to `rram/reset`.
     RramCalib,
@@ -95,25 +94,22 @@ pub enum PhaseId {
     RramReset,
     /// One fast-path compliance-limited SET (`rram/set`).
     RramSet,
-    /// DC operating-point solve, including gmin/source stepping
-    /// (`op/solve`).
-    OpSolve,
-    /// One adaptive transient run (`tran/run`).
-    TranRun,
-    /// One Newton–Raphson solve (`tran/newton`).
-    TranNewton,
-    /// Device stamping into the MNA system (`tran/newton/stamp`).
-    NewtonStamp,
-    /// LU factorization + back-substitution (`tran/newton/solve_lu`).
-    NewtonSolveLu,
-    /// Convergence check and update damping (`tran/newton/residual`).
-    NewtonResidual,
     /// Monitor callbacks between accepted steps, including the solution
     /// they are shown (`tran/monitors`).
     TranMonitors,
+    /// One Newton–Raphson solve (`tran/newton`).
+    TranNewton,
+    /// Convergence check and update damping (`tran/newton/residual`).
+    NewtonResidual,
+    /// LU factorization + back-substitution (`tran/newton/solve_lu`).
+    NewtonSolveLu,
+    /// Device stamping into the MNA system (`tran/newton/stamp`).
+    NewtonStamp,
     /// Recording an accepted step: waveform rows, power meter, probes and
     /// step counters (`tran/record`).
     TranRecord,
+    /// One adaptive transient run (`tran/run`).
+    TranRun,
     /// Device state priming/advancement (`tran/states`).
     TranStates,
 }
@@ -203,26 +199,7 @@ impl PhaseId {
     }
 
     const fn index(self) -> usize {
-        match self {
-            PhaseId::BenchRun => 0,
-            PhaseId::McCampaign => 1,
-            PhaseId::McWorkerRun => 2,
-            PhaseId::MlcProgram => 3,
-            PhaseId::MlcSample => 4,
-            PhaseId::MlcTestbench => 5,
-            PhaseId::OpSolve => 6,
-            PhaseId::RramCalib => 7,
-            PhaseId::RramReset => 8,
-            PhaseId::RramSet => 9,
-            PhaseId::TranMonitors => 10,
-            PhaseId::TranNewton => 11,
-            PhaseId::NewtonResidual => 12,
-            PhaseId::NewtonSolveLu => 13,
-            PhaseId::NewtonStamp => 14,
-            PhaseId::TranRecord => 15,
-            PhaseId::TranRun => 16,
-            PhaseId::TranStates => 17,
-        }
+        self as usize
     }
 }
 
@@ -242,8 +219,15 @@ struct PhaseCell {
     calls: u64,
     child_ns: u64,
     off_cpu_ns: u64,
-    allocs: u64,
-    child_allocs: u64,
+}
+
+impl PhaseCell {
+    fn add(&mut self, other: &PhaseCell) {
+        self.wall_ns += other.wall_ns;
+        self.calls += other.calls;
+        self.child_ns += other.child_ns;
+        self.off_cpu_ns += other.off_cpu_ns;
+    }
 }
 
 /// Self segments at least this long check the run-queue wait; a shorter
@@ -251,52 +235,39 @@ struct PhaseCell {
 pub const STALL_CHECK_NS: u64 = 50_000;
 
 #[derive(Debug, Default)]
-struct ShardTotals {
-    cells: [PhaseCell; N_PHASES],
-}
-
-#[derive(Debug)]
 struct ProfilerSink {
-    /// Distinguishes sinks so a thread interleaving guards from two
-    /// private handles (test scenarios) never cross-attributes child time.
-    serial: u64,
-    shards: [Mutex<ShardTotals>; N_SHARDS],
+    totals: Mutex<[PhaseCell; N_PHASES]>,
 }
 
-impl ProfilerSink {
-    fn new() -> Self {
-        static NEXT_SERIAL: AtomicU64 = AtomicU64::new(1);
-        ProfilerSink {
-            serial: NEXT_SERIAL.fetch_add(1, Ordering::Relaxed),
-            shards: std::array::from_fn(|_| Mutex::new(ShardTotals::default())),
+impl Sink for ProfilerSink {
+    type Tally = [PhaseCell; N_PHASES];
+
+    fn merge(&self, tally: &Self::Tally) {
+        // Sums only: a panicked holder left valid totals.
+        let mut totals = self.totals.lock().unwrap_or_else(PoisonError::into_inner);
+        for (t, c) in totals.iter_mut().zip(tally) {
+            t.add(c);
         }
     }
 }
 
-/// Round-robin shard assignment per thread: spreads Monte Carlo workers
-/// across accumulators so the drop path rarely contends.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % N_SHARDS;
-    }
-    SHARD.with(|s| *s)
-}
-
-/// One open scope on this thread's stack: accumulates the time and
-/// allocations of directly nested guards so the parent can subtract them,
-/// and the preempted time of its own self segments.
+/// One open scope on this thread's stack: accumulates the time of directly
+/// nested guards so the parent can subtract them, and the preempted time
+/// of its own self segments.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    sink_serial: u64,
+    /// The scope's sink ([`shard::key`]), so a thread interleaving guards
+    /// from two private handles (test scenarios) never cross-attributes
+    /// child time.
+    sink: usize,
     child_ns: u64,
-    child_allocs: u64,
     off_cpu_ns: u64,
 }
 
 /// This thread's profiler state.
-#[derive(Debug)]
 struct ThreadState {
+    /// Per-phase totals of the scopes closed on this thread, per sink.
+    shard: Shard<ProfilerSink>,
     frames: Vec<Frame>,
     /// The last clock read: where the current self segment began.
     last: Option<Instant>,
@@ -355,6 +326,7 @@ impl ThreadState {
 thread_local! {
     static THREAD: RefCell<ThreadState> = const {
         RefCell::new(ThreadState {
+            shard: Shard::new(),
             frames: Vec::new(),
             last: None,
             waited_ns: None,
@@ -374,10 +346,10 @@ pub struct PhaseGuard {
 
 #[derive(Debug)]
 struct GuardInner {
-    sink: Arc<ProfilerSink>,
+    /// The sink's [`shard::key`]; the thread bound it when the scope opened.
+    sink: usize,
     id: PhaseId,
     start: Instant,
-    start_allocs: u64,
 }
 
 impl PhaseGuard {
@@ -402,30 +374,38 @@ impl PhaseGuard {
         };
         let now = Instant::now();
         g.close(Some(now));
-        PhaseGuard::open(g.sink, id, now)
+        PhaseGuard::open(g.sink, None, id, now)
     }
 
-    fn open(sink: Arc<ProfilerSink>, id: PhaseId, start: Instant) -> PhaseGuard {
-        THREAD.with(|thread| {
-            let mut thread = thread.borrow_mut();
+    /// Opens scope `id` of the sink `key` at `start`, binding `sink` (the
+    /// sink behind `key`) to this thread's shard if given.
+    fn open(
+        key: usize,
+        sink: Option<&Arc<ProfilerSink>>,
+        id: PhaseId,
+        start: Instant,
+    ) -> PhaseGuard {
+        let _ = THREAD.try_with(|thread| {
+            let thread = &mut *thread.borrow_mut();
+            if let Some(sink) = sink {
+                thread.shard.tally(sink);
+            }
             // The segment ending here was the enclosing scope's self time.
             let off_cpu = thread.end_segment(start);
             if let Some(parent) = thread.frames.last_mut() {
                 parent.off_cpu_ns += off_cpu;
             }
             thread.frames.push(Frame {
-                sink_serial: sink.serial,
+                sink: key,
                 child_ns: 0,
-                child_allocs: 0,
                 off_cpu_ns: 0,
             });
         });
         PhaseGuard {
             inner: Some(GuardInner {
-                sink,
+                sink: key,
                 id,
                 start,
-                start_allocs: allocs::count(),
             }),
         }
     }
@@ -436,40 +416,32 @@ impl GuardInner {
     /// late as possible: the scope's own bookkeeping lands in its wall
     /// time rather than in its parent's self time.
     fn close(&self, end: Option<Instant>) {
-        let allocs = allocs::count().wrapping_sub(self.start_allocs);
-        let mut shard = self.sink.shards[shard_index()]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Pop this scope's frame and charge the elapsed totals upward.
-        let (frame, elapsed_ns) = THREAD.with(|thread| {
-            let mut thread = thread.borrow_mut();
+        let _ = THREAD.try_with(|thread| {
+            let thread = &mut *thread.borrow_mut();
             let end = end.unwrap_or_else(Instant::now);
             // The segment ending here was this scope's self time.
             let off_cpu = thread.end_segment(end);
-            let frames = &mut thread.frames;
-            let mut frame = frames.pop().unwrap_or(Frame {
-                sink_serial: self.sink.serial,
-                child_ns: 0,
-                child_allocs: 0,
-                off_cpu_ns: 0,
-            });
-            frame.off_cpu_ns += off_cpu;
+            // Pop this scope's frame and charge the elapsed time upward. A
+            // guard dropped on another thread than its own finds no frame
+            // or tally there and records nothing.
+            let Some(frame) = thread.frames.pop() else {
+                return;
+            };
             let elapsed_ns = end.saturating_duration_since(self.start).as_nanos() as u64;
-            if let Some(parent) = frames.last_mut() {
-                if parent.sink_serial == self.sink.serial {
-                    parent.child_ns = parent.child_ns.saturating_add(elapsed_ns);
-                    parent.child_allocs = parent.child_allocs.saturating_add(allocs);
+            if let Some(parent) = thread.frames.last_mut() {
+                if parent.sink == self.sink {
+                    parent.child_ns += elapsed_ns;
                 }
             }
-            (frame, elapsed_ns)
+            if let Some(cells) = thread.shard.tally_at(self.sink) {
+                cells[self.id.index()].add(&PhaseCell {
+                    wall_ns: elapsed_ns,
+                    calls: 1,
+                    child_ns: frame.child_ns,
+                    off_cpu_ns: frame.off_cpu_ns + off_cpu,
+                });
+            }
         });
-        let cell = &mut shard.cells[self.id.index()];
-        cell.wall_ns = cell.wall_ns.saturating_add(elapsed_ns);
-        cell.calls += 1;
-        cell.child_ns = cell.child_ns.saturating_add(frame.child_ns);
-        cell.off_cpu_ns = cell.off_cpu_ns.saturating_add(frame.off_cpu_ns);
-        cell.allocs = cell.allocs.saturating_add(allocs);
-        cell.child_allocs = cell.child_allocs.saturating_add(frame.child_allocs);
     }
 }
 
@@ -495,11 +467,6 @@ pub struct PhaseStats {
     pub child_ns: u64,
     /// The self time tallied as preempted (see the module docs).
     pub off_cpu_ns: u64,
-    /// Allocations observed inside the scope (0 unless the binary installs
-    /// a counting allocator; see [`crate::allocs`]).
-    pub allocs: u64,
-    /// Allocations attributed to directly nested profiled scopes.
-    pub child_allocs: u64,
 }
 
 impl PhaseStats {
@@ -517,11 +484,6 @@ impl PhaseStats {
     /// [`PhaseStats::off_cpu_ns`].
     pub fn on_cpu_self_ns(&self) -> u64 {
         self.self_ns().saturating_sub(self.off_cpu_ns)
-    }
-
-    /// Allocations not attributed to any nested profiled scope.
-    pub fn self_allocs(&self) -> u64 {
-        self.allocs.saturating_sub(self.child_allocs)
     }
 }
 
@@ -616,7 +578,7 @@ impl ProfileSnapshot {
     }
 
     /// Renders the snapshot as an indented ASCII tree with per-phase
-    /// calls, wall, self, allocation, and share columns.
+    /// calls, wall, self and share columns.
     pub fn to_ascii_tree(&self) -> String {
         let mut out = String::new();
         if self.is_empty() {
@@ -625,13 +587,13 @@ impl ProfileSnapshot {
         }
         let _ = writeln!(
             out,
-            "{:<34} {:>10} {:>11} {:>11} {:>10} {:>7}",
-            "phase", "calls", "wall", "self", "allocs", "share"
+            "{:<34} {:>10} {:>11} {:>11} {:>7}",
+            "phase", "calls", "wall", "self", "share"
         );
         let _ = writeln!(
             out,
-            "{:-<34} {:->10} {:->11} {:->11} {:->10} {:->7}",
-            "", "", "", "", "", ""
+            "{:-<34} {:->10} {:->11} {:->11} {:->7}",
+            "", "", "", "", ""
         );
         for p in &self.phases {
             let path = p.path();
@@ -644,12 +606,11 @@ impl ProfileSnapshot {
             };
             let _ = writeln!(
                 out,
-                "{:<34} {:>10} {:>11} {:>11} {:>10} {:>7}",
+                "{:<34} {:>10} {:>11} {:>11} {:>7}",
                 label,
                 p.calls,
                 fmt_ns(p.wall_ns),
                 fmt_ns(p.self_ns()),
-                p.self_allocs(),
                 share
             );
         }
@@ -680,8 +641,6 @@ impl ProfileSnapshot {
             w.u64("self_ns", p.self_ns());
             w.u64("child_ns", p.child_ns);
             w.u64("off_cpu_ns", p.off_cpu_ns);
-            w.u64("allocs", p.allocs);
-            w.u64("self_allocs", p.self_allocs());
             w.f64_opt("share", self.share(p));
             w.end_object();
         }
@@ -704,9 +663,6 @@ impl ProfileSnapshot {
             tel.add(&format!("profile.{dotted}.calls"), p.calls);
             tel.add(&format!("profile.{dotted}.wall_ns"), p.wall_ns);
             tel.add(&format!("profile.{dotted}.self_ns"), p.self_ns());
-            if p.self_allocs() > 0 {
-                tel.add(&format!("profile.{dotted}.allocs"), p.self_allocs());
-            }
         }
     }
 }
@@ -746,7 +702,7 @@ impl Profiler {
     /// A fresh armed handle with its own empty accumulators.
     pub fn enabled() -> Self {
         Profiler {
-            inner: Some(Arc::new(ProfilerSink::new())),
+            inner: Some(Arc::new(ProfilerSink::default())),
         }
     }
 
@@ -778,31 +734,21 @@ impl Profiler {
             // inside its own scope (see `GuardInner::close`).
             Some(sink) => {
                 let start = Instant::now();
-                PhaseGuard::open(Arc::clone(sink), id, start)
+                PhaseGuard::open(shard::key(sink), Some(sink), id, start)
             }
             None => PhaseGuard { inner: None },
         }
     }
 
-    /// Merges every shard into a deterministic snapshot (empty when
-    /// disarmed). Scopes still open on other threads are not included —
-    /// snapshot after joining workers.
+    /// Merges the calling thread's shard and returns a deterministic
+    /// snapshot (empty when disarmed). Other threads are included once
+    /// they have flushed or exited: snapshot after joining workers.
     pub fn snapshot(&self) -> ProfileSnapshot {
         let Some(sink) = &self.inner else {
             return ProfileSnapshot::default();
         };
-        let mut merged = [PhaseCell::default(); N_PHASES];
-        for shard in &sink.shards {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for (m, c) in merged.iter_mut().zip(shard.cells.iter()) {
-                m.wall_ns += c.wall_ns;
-                m.calls += c.calls;
-                m.child_ns += c.child_ns;
-                m.off_cpu_ns += c.off_cpu_ns;
-                m.allocs += c.allocs;
-                m.child_allocs += c.child_allocs;
-            }
-        }
+        flush_thread();
+        let merged = *sink.totals.lock().unwrap_or_else(PoisonError::into_inner);
         let phases = PhaseId::ALL
             .iter()
             .filter_map(|&id| {
@@ -813,8 +759,6 @@ impl Profiler {
                     wall_ns: c.wall_ns,
                     child_ns: c.child_ns,
                     off_cpu_ns: c.off_cpu_ns,
-                    allocs: c.allocs,
-                    child_allocs: c.child_allocs,
                 })
             })
             .collect();
@@ -822,9 +766,15 @@ impl Profiler {
     }
 }
 
+/// Merges this thread's per-phase totals into their profilers.
+pub(crate) fn flush_thread() {
+    let _ = THREAD.try_with(|t| t.borrow_mut().shard.flush());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     #[test]

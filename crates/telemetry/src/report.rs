@@ -1,6 +1,6 @@
 //! The rolled-up, serializable end-of-run report.
 
-use crate::histogram::HistogramSnapshot;
+use crate::histogram::Histogram;
 use crate::json::JsonWriter;
 use std::collections::BTreeMap;
 
@@ -21,7 +21,7 @@ pub struct RunReport {
     /// Counter values by metric name.
     pub counters: BTreeMap<String, u64>,
     /// Histogram snapshots by metric name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    pub histograms: BTreeMap<String, Histogram>,
     /// Note logs by name.
     pub notes: BTreeMap<String, NoteLog>,
 }
@@ -43,7 +43,7 @@ impl RunReport {
     }
 
     /// The snapshot of histogram `name`, if it ever recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
 
@@ -192,9 +192,8 @@ mod tests {
     fn sample_report() -> RunReport {
         let reg = Registry::new();
         reg.counter("spice.newton.solves").add(42);
-        let h = reg.histogram("mc.engine.run_seconds");
         for k in 1..=100 {
-            h.record(k as f64 * 1e-4);
+            reg.record("mc.engine.run_seconds", k as f64 * 1e-4);
         }
         reg.note("mc.engine.failed_run", "run 7 seed 0xdead");
         reg.report()

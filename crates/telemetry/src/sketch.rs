@@ -1,25 +1,16 @@
 //! Mergeable streaming estimators: a Greenwald–Khanna quantile sketch
 //! and a Welford mean/variance accumulator.
 //!
-//! The Monte Carlo campaigns behind figs 11–13 are heading to 10k+ runs
-//! per level (ROADMAP items 2 and 4), where batch-collecting full sample
-//! vectors per level stops being free. These estimators summarise a
-//! stream in bounded memory and are *mergeable*: each MC worker can feed
-//! its own shard and the shards combine into one summary, the same
-//! topology the phase profiler uses for its counters.
+//! The level tracker and the joule ledger summarise each level's stream
+//! with these in bounded memory, whatever the campaign size. Campaigns
+//! feed them in run order, so a summary is the same bytes on every run.
 //!
-//! # Determinism contract
-//!
-//! The profiler's counters merge by addition, so its snapshots are
-//! bit-identical regardless of which worker ran which run. A quantile
-//! sketch cannot promise that: its internal tuple list depends on
-//! insertion order, and worker scheduling is nondeterministic. What it
-//! promises instead is *ε-determinism* — every rank query is within
-//! `epsilon` of the exact batch rank no matter the insertion or merge
-//! order — plus a symmetric merge: `merge(a, b)` and `merge(b, a)`
-//! produce bit-identical summaries (pinned by `tests/sketch.rs`). The
-//! drift gate and report layers are built on the ε bound, not on state
-//! identity.
+//! Both estimators are also *mergeable*. A sketch's tuple list depends on
+//! insertion order, so merging shards cannot promise the bytes of one
+//! sequential feed; it promises *ε-determinism* — every rank query is
+//! within `epsilon` of the exact batch rank no matter the insertion or
+//! merge order — plus a symmetric merge: `merge(a, b)` and `merge(b, a)`
+//! produce bit-identical summaries (pinned by `tests/sketch.rs`).
 //!
 //! # The Greenwald–Khanna invariant
 //!

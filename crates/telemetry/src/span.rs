@@ -1,6 +1,6 @@
 //! Scoped wall-time spans.
 
-use crate::histogram::Histogram;
+use crate::registry::Registry;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -9,14 +9,15 @@ use std::time::Instant;
 /// no-op variant exists so disabled telemetry costs nothing but the guard.
 #[derive(Debug)]
 pub struct Span {
-    inner: Option<(Arc<Histogram>, Instant)>,
+    inner: Option<(Arc<Registry>, &'static str, Instant)>,
 }
 
 impl Span {
-    /// A span that started now and reports into `sink` on drop.
-    pub fn started(sink: Arc<Histogram>) -> Self {
+    /// A span that started now and records into `reg`'s histogram `name`
+    /// on drop.
+    pub(crate) fn started(reg: Arc<Registry>, name: &'static str) -> Self {
         Span {
-            inner: Some((sink, Instant::now())),
+            inner: Some((reg, name, Instant::now())),
         }
     }
 
@@ -36,8 +37,8 @@ impl Span {
     }
 
     fn record_now(&mut self) {
-        if let Some((sink, started)) = self.inner.take() {
-            sink.record(started.elapsed().as_secs_f64());
+        if let Some((reg, name, started)) = self.inner.take() {
+            reg.record(name, started.elapsed().as_secs_f64());
         }
     }
 }
@@ -54,19 +55,19 @@ mod tests {
 
     #[test]
     fn records_once_on_drop() {
-        let h = Arc::new(Histogram::new());
+        let reg = Arc::new(Registry::new());
         {
-            let _s = Span::started(Arc::clone(&h));
+            let _s = Span::started(Arc::clone(&reg), "t");
         }
-        assert_eq!(h.count(), 1);
+        assert_eq!(reg.report().histograms["t"].count, 1);
     }
 
     #[test]
     fn finish_records_and_consumes() {
-        let h = Arc::new(Histogram::new());
-        let s = Span::started(Arc::clone(&h));
+        let reg = Arc::new(Registry::new());
+        let s = Span::started(Arc::clone(&reg), "t");
         s.finish();
-        assert_eq!(h.count(), 1);
+        assert_eq!(reg.report().histograms["t"].count, 1);
     }
 
     #[test]
