@@ -63,6 +63,14 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
+    if tel_cli.probes_requested() || tel_cli.wants_supervision() {
+        eprintln!(
+            "ablation_corners: --probes, --chaos, --checkpoint, --resume and --quorum \
+             are not supported: this ablation solves operating points, with no \
+             transient to probe and no Monte Carlo campaign to supervise"
+        );
+        std::process::exit(2);
+    }
     println!("== Ablation: termination trip point across process corners ==\n");
     let mut t = Table::new(&[
         "corner",

@@ -46,23 +46,12 @@ fn main() {
     }
     let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
     println!("== Fig 11: HRS box plots, {runs} MC runs × 16 compliance currents ==\n");
-    // Resume/retry bookkeeping goes to stderr so stdout stays diff-clean
-    // between an uninterrupted campaign and a kill + --resume replay.
     let (campaign, outcome) =
         supervised_qlc_campaign(runs, tel_cli.campaign()).unwrap_or_else(|e| {
             eprintln!("fig11: {e}");
             std::process::exit(2);
         });
-    eprintln!("fig11: campaign {}", outcome.summary_line());
-    if tel_cli.wants_supervision() {
-        println!(
-            "campaign health: {} of {} runs failed (failure fraction {:.4}, quorum {:.2})\n",
-            outcome.failures,
-            outcome.results.len(),
-            outcome.failure_fraction(),
-            outcome.quorum,
-        );
-    }
+    tel_cli.report_campaign(&outcome);
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
     let report = analyze(&samples).expect("16 populated levels");
     // Batch vs streaming agreement gate (stderr: resume replays see a

@@ -8,7 +8,7 @@
 //! no longer needs full sample vectors (the 10k+-run campaigns of the
 //! scale push won't keep them).
 
-use oxterm_bench::campaigns::paper_qlc_campaign;
+use oxterm_bench::campaigns::supervised_qlc_campaign;
 use oxterm_bench::chart::{xy_chart, Scale};
 use oxterm_bench::levels_report::LevelReport;
 use oxterm_bench::table::{eng, Table};
@@ -22,12 +22,24 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
+    if tel_cli.probes_requested() {
+        eprintln!(
+            "fig12: --probes is not supported: the campaign runs on the circuit-free \
+             fast path, so there is no transient to probe"
+        );
+        std::process::exit(2);
+    }
     // Arm the streaming tracker: the second half of the figure is built
     // entirely from it.
     LevelTracker::install(LevelTracker::enabled());
     let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
     println!("== Fig 12: σ(R_HRS) and margin vs compliance current ({runs} MC runs) ==\n");
-    let campaign = paper_qlc_campaign(runs);
+    let (campaign, outcome) =
+        supervised_qlc_campaign(runs, tel_cli.campaign()).unwrap_or_else(|e| {
+            eprintln!("fig12: {e}");
+            std::process::exit(2);
+        });
+    tel_cli.report_campaign(&outcome);
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
     let report = analyze(&samples).expect("16 populated levels");
 
@@ -93,4 +105,8 @@ fn main() {
         }
     }
     tel_cli.finish();
+    let code = outcome.exit_code();
+    if code != 0 {
+        std::process::exit(code);
+    }
 }

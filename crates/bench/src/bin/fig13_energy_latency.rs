@@ -51,23 +51,12 @@ fn main() {
     }
     let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
     println!("== Fig 13: energy/cell and RST latency, {runs} MC runs × 16 levels ==\n");
-    // Resume/retry bookkeeping goes to stderr so stdout stays diff-clean
-    // between an uninterrupted campaign and a kill + --resume replay.
     let (campaign, outcome) =
         supervised_qlc_campaign(runs, tel_cli.campaign()).unwrap_or_else(|e| {
             eprintln!("fig13: {e}");
             std::process::exit(2);
         });
-    eprintln!("fig13: campaign {}", outcome.summary_line());
-    if tel_cli.wants_supervision() {
-        println!(
-            "campaign health: {} of {} runs failed (failure fraction {:.4}, quorum {:.2})\n",
-            outcome.failures,
-            outcome.results.len(),
-            outcome.failure_fraction(),
-            outcome.quorum,
-        );
-    }
+    tel_cli.report_campaign(&outcome);
 
     cross_check_streaming(&campaign);
 

@@ -18,7 +18,7 @@
 //! gate on the whole post-mortem pipeline.
 
 use oxterm_bench::telemetry_cli;
-use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, RetryPolicy, SupervisorOptions};
+use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};
 use oxterm_mc::MonteCarlo;
 use oxterm_mlc::program::{build_program_circuit, program_tran_options, CircuitProgramOptions};
 use oxterm_spice::analysis::tran::run_transient;
@@ -52,10 +52,7 @@ fn main() {
     // An engineered failure never recovers, so each run gets one attempt:
     // its bundle's seed then replays exactly the attempt that failed.
     let opts = SupervisorOptions {
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        },
+        max_attempts: 1,
         ..SupervisorOptions::default()
     };
     // No run may succeed, so the result type is a placeholder.

@@ -158,7 +158,7 @@ fn main() {
     }
 
     // Fig 11/12: margins from a reduced campaign, run supervised: fault-hit
-    // runs climb the retry ladder, exhausted runs leave holes in their
+    // runs are retried, exhausted runs leave holes in their
     // level, and the process exit code reports degradation (3) or a quorum
     // breach (1). The health check shows under `--chaos` / `--checkpoint`
     // / `--resume` / `--quorum`.

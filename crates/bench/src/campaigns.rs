@@ -17,7 +17,7 @@
 
 use oxterm_mc::engine::MonteCarlo;
 use oxterm_mc::supervisor::{
-    run_supervised, CampaignOutcome, RetryPolicy, RunFailure, SupervisorError, SupervisorOptions,
+    run_supervised, CampaignOutcome, RunFailure, SupervisorError, SupervisorOptions,
 };
 use oxterm_mlc::levels::{LevelAllocation, LevelSpec};
 use oxterm_mlc::margins::LevelSamples;
@@ -147,10 +147,7 @@ pub fn mc_campaign(
 ) -> Vec<LevelCampaign> {
     let mc = MonteCarlo::new(alloc.levels().len() * runs, seed);
     let opts = SupervisorOptions {
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        },
+        max_attempts: 1,
         ..SupervisorOptions::default()
     };
     let (campaigns, outcome) = run_campaign(
@@ -171,26 +168,16 @@ pub fn mc_campaign(
     campaigns
 }
 
-/// The standard campaign used across the figure binaries: the paper's QLC
-/// allocation, 500 runs, fixed seed.
-pub fn paper_qlc_campaign(runs: usize) -> Vec<LevelCampaign> {
-    mc_campaign(
-        &OxramParams::calibrated(),
-        &LevelAllocation::paper_qlc(),
-        runs,
-        PAPER_QLC_SEED,
-    )
-}
-
-/// [`paper_qlc_campaign`] under the caller's supervisor options, so the
-/// retry ladder, panic isolation, checkpoint/resume and quorum bookkeeping
-/// cover the whole figure in a single ledger. It draws the same sample
-/// stream: with no failures it returns exactly what
-/// [`paper_qlc_campaign`] returns.
+/// The standard campaign used across the figure binaries — the paper's
+/// QLC allocation at [`PAPER_QLC_SEED`] — under the caller's supervisor
+/// options, so retries, panic isolation, checkpoint/resume and quorum
+/// bookkeeping cover the whole figure in a single ledger. It draws the
+/// same sample stream as [`mc_campaign`]: with no failures it returns
+/// exactly what `mc_campaign` returns for that allocation and seed.
 ///
-/// Runs whose retry ladder is exhausted simply leave a hole in their
-/// level's sample set; the returned [`CampaignOutcome`] carries the
-/// failure fraction and suggested process exit code.
+/// Runs that exhaust their attempts simply leave a hole in their level's
+/// sample set; the returned [`CampaignOutcome`] carries the failure
+/// fraction and suggested process exit code.
 pub fn supervised_qlc_campaign(
     runs: usize,
     opts: &SupervisorOptions,
@@ -277,7 +264,12 @@ mod tests {
     fn supervised_campaign_draws_the_unsupervised_stream() {
         let (supervised, _) =
             supervised_qlc_campaign(4, &SupervisorOptions::default()).expect("campaign runs");
-        let plain = paper_qlc_campaign(4);
+        let plain = mc_campaign(
+            &OxramParams::calibrated(),
+            &LevelAllocation::paper_qlc(),
+            4,
+            PAPER_QLC_SEED,
+        );
         assert_eq!(supervised.len(), plain.len());
         for (s, p) in supervised.iter().zip(&plain) {
             assert_eq!(s.spec, p.spec);

@@ -54,12 +54,12 @@
 //!   into the telemetry registry as `profile.*` counters.
 //!
 //! The binaries' Monte Carlo campaigns always run under
-//! [`oxterm_mc::run_supervised`] (retry ladder, panic isolation, graceful
+//! [`oxterm_mc::run_supervised`] (retries, panic isolation, graceful
 //! degradation); the four campaign flags set its options. Whether any was
 //! given only decides if the binary prints its campaign-health lines.
 
 use crate::hotpath::{HotPathReport, MatrixStats};
-use oxterm_mc::supervisor::SupervisorOptions;
+use oxterm_mc::supervisor::{CampaignOutcome, SupervisorOptions};
 use oxterm_netlint::{corpus, lint_entry, LintConfig, LintOptions};
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::{PhaseGuard, PhaseId, Profiler, Telemetry};
@@ -326,8 +326,8 @@ pub fn init_from(
 fn campaign_options(name: &str, parsed: &ParsedFlags) -> Result<SupervisorOptions, CliError> {
     let mut opts = SupervisorOptions {
         // CLI campaigns tolerate a little more than the library default:
-        // chaos smokes deliberately push several percent of runs to
-        // ladder exhaustion.
+        // chaos smokes deliberately push several percent of runs past
+        // their last attempt.
         quorum: 0.1,
         ..SupervisorOptions::default()
     };
@@ -387,6 +387,23 @@ impl TelemetryCli {
         self.supervised
     }
 
+    /// Prints a finished campaign's summary line on stderr and, when a
+    /// campaign flag was given, its campaign-health line on stdout.
+    /// Retry and resume counts stay off stdout, so a kill + `--resume`
+    /// replay prints the same stdout as an uninterrupted campaign.
+    pub fn report_campaign<T>(&self, outcome: &CampaignOutcome<T>) {
+        eprintln!("{}: campaign {}", self.name, outcome.summary_line());
+        if self.supervised {
+            println!(
+                "campaign health: {} of {} runs failed (failure fraction {:.4}, quorum {:.2})\n",
+                outcome.failures,
+                outcome.results.len(),
+                outcome.failure_fraction(),
+                outcome.quorum,
+            );
+        }
+    }
+
     /// Whether `--probes[=SPEC]` was given at all — binaries without a
     /// circuit-level transient use this to acknowledge (and decline) the
     /// flag instead of silently swallowing it.
@@ -408,11 +425,6 @@ impl TelemetryCli {
     /// estimates stay absent without them). The last call wins.
     pub fn record_matrix_stats(&mut self, stats: MatrixStats) {
         self.matrix = Some(stats);
-    }
-
-    /// Whether `--profile[=PATH]` armed the profiler via this CLI.
-    pub fn profile_requested(&self) -> bool {
-        self.profile_to.is_some()
     }
 
     /// Writes the probe CSVs, prints the run report, and writes the

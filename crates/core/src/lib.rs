@@ -59,7 +59,6 @@ pub mod memory;
 pub mod program;
 pub mod projection;
 pub mod read;
-pub mod sar_read;
 pub mod soa;
 pub mod termination;
 pub mod verify_baseline;

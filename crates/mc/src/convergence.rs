@@ -1,27 +1,8 @@
 //! Monte Carlo convergence diagnostics.
 //!
 //! "How many runs are enough?" — the paper uses 500 everywhere; these
-//! helpers make that choice auditable: confidence intervals on estimated
-//! means and on rare-event probabilities (decode failures), plus a running
-//! standard-error tracker for deciding when a campaign has converged.
-
-/// Normal-approximation confidence interval on a sample mean.
-///
-/// Returns `(mean, half_width)` at the given z-score (1.96 ≈ 95 %).
-///
-/// # Panics
-///
-/// Panics if the sample is empty.
-pub fn mean_ci(samples: &[f64], z: f64) -> (f64, f64) {
-    assert!(!samples.is_empty(), "empty sample");
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    if samples.len() < 2 {
-        return (mean, f64::INFINITY);
-    }
-    let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
-    (mean, z * (var / n).sqrt())
-}
+//! helpers make that choice auditable with confidence bounds on
+//! rare-event probabilities (decode failures, margin violations).
 
 /// Wilson score interval for a binomial proportion — robust for rare
 /// events (e.g. "0 decode failures in 500 runs": what failure rates are
@@ -96,84 +77,9 @@ pub fn clopper_pearson_upper(k: u64, n: u64, alpha: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Number of Monte Carlo runs needed to estimate a mean to a relative
-/// half-width `rel_tol` at z-score `z`, given a pilot sample.
-///
-/// # Panics
-///
-/// Panics if the pilot has fewer than two samples or a zero mean.
-pub fn runs_needed(pilot: &[f64], rel_tol: f64, z: f64) -> usize {
-    assert!(pilot.len() >= 2, "pilot needs at least two samples");
-    let n = pilot.len() as f64;
-    let mean = pilot.iter().sum::<f64>() / n;
-    assert!(mean != 0.0, "relative tolerance undefined at zero mean");
-    let var = pilot.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
-    let target = (z * z * var / (rel_tol * mean).powi(2)).ceil();
-    target.max(2.0) as usize
-}
-
-/// Running convergence tracker: push samples, read the current relative
-/// standard error.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    n: usize,
-    mean: f64,
-    m2: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample (Welford update).
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Samples seen.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Current mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Current sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        (self.m2 / (self.n - 1) as f64).sqrt()
-    }
-
-    /// Relative standard error of the mean (∞ until two samples).
-    pub fn rel_std_error(&self) -> f64 {
-        if self.n < 2 || self.mean == 0.0 {
-            return f64::INFINITY;
-        }
-        (self.std_dev() / (self.n as f64).sqrt() / self.mean).abs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_ci_shrinks_with_n() {
-        let small: Vec<f64> = (0..10).map(|k| 10.0 + (k % 3) as f64).collect();
-        let large: Vec<f64> = (0..1000).map(|k| 10.0 + (k % 3) as f64).collect();
-        let (_, hw_small) = mean_ci(&small, 1.96);
-        let (_, hw_large) = mean_ci(&large, 1.96);
-        assert!(hw_large < hw_small / 5.0);
-    }
 
     #[test]
     fn wilson_zero_failures_bound() {
@@ -189,15 +95,6 @@ mod tests {
         let (lo, hi) = wilson_interval(250, 500, 1.96);
         assert!(lo < 0.5 && hi > 0.5);
         assert!(hi - lo < 0.1);
-    }
-
-    #[test]
-    fn runs_needed_scales_with_variance() {
-        let tight: Vec<f64> = (0..50).map(|k| 100.0 + (k % 2) as f64).collect();
-        let wide: Vec<f64> = (0..50).map(|k| 100.0 + 20.0 * (k % 2) as f64).collect();
-        let n_tight = runs_needed(&tight, 0.001, 1.96);
-        let n_wide = runs_needed(&wide, 0.001, 1.96);
-        assert!(n_wide > 50 * n_tight);
     }
 
     #[test]
@@ -230,22 +127,5 @@ mod tests {
         // conservative).
         let (_, wilson_hi) = wilson_interval(10, 200, 1.6449);
         assert!(b >= wilson_hi - 5e-3, "cp {b} vs wilson {wilson_hi}");
-    }
-
-    #[test]
-    fn running_stats_match_batch() {
-        let data: Vec<f64> = (0..200)
-            .map(|k| (k as f64 * 0.77).sin() * 3.0 + 5.0)
-            .collect();
-        let mut rs = RunningStats::new();
-        for &x in &data {
-            rs.push(x);
-        }
-        let mean = data.iter().sum::<f64>() / data.len() as f64;
-        assert!((rs.mean() - mean).abs() < 1e-12);
-        assert_eq!(rs.n(), 200);
-        assert!(rs.rel_std_error() < 0.1);
-        let fresh = RunningStats::new();
-        assert_eq!(fresh.rel_std_error(), f64::INFINITY);
     }
 }

@@ -72,6 +72,24 @@ impl MonteCarlo {
         T: Send,
         F: Fn(usize, &mut StdRng) -> T + Sync,
     {
+        self.run_reporting(&self.start_progress(), f)
+    }
+
+    /// Starts the progress reporter of one campaign on this engine's
+    /// workers.
+    pub(crate) fn start_progress(&self) -> CampaignProgress {
+        let threads = self.resolved_threads().min(self.runs.max(1));
+        CampaignProgress::start(self.runs, threads)
+    }
+
+    /// [`MonteCarlo::run`] on the workers `progress` was started with,
+    /// ticking it once per completed run. The supervisor uses this to
+    /// note its failures and retries on the same campaign's reporter.
+    pub(crate) fn run_reporting<T, F>(&self, progress: &CampaignProgress, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &mut StdRng) -> T + Sync,
+    {
         // One global-handle lookup per campaign; the per-run timing path
         // only exists when telemetry or progress was turned on, so
         // a disabled build pays a single branch per run.
@@ -82,8 +100,7 @@ impl MonteCarlo {
         let prof = Profiler::global();
         let _campaign = prof.phase(PhaseId::McCampaign);
 
-        let threads = self.resolved_threads().min(self.runs.max(1));
-        let progress = CampaignProgress::start(self.runs, threads);
+        let threads = progress.workers();
         let timed = tel.is_enabled() || progress.is_enabled();
 
         let cursor = AtomicUsize::new(0);

@@ -10,11 +10,10 @@
 //!   so results are bit-identical regardless of thread count or
 //!   scheduling,
 //! * [`sweep`] — parameter sweeps of Monte Carlo campaigns,
-//! * [`supervisor`] — the one path for runs that can fail: per-run retry
-//!   ladder with bounded option relaxation, `catch_unwind` panic
-//!   isolation, wall-clock run budgets, a replay seed and post-mortem
-//!   bundle per failed run, and graceful degradation under a failure
-//!   quorum,
+//! * [`supervisor`] — the one path for runs that can fail: per-run
+//!   retries on re-derived RNG streams, `catch_unwind` panic isolation, a
+//!   replay seed and post-mortem bundle per failed run, and graceful
+//!   degradation under a failure quorum,
 //! * [`checkpoint`] — crash-safe campaign snapshots (`f64` bit patterns,
 //!   atomic tmp+rename writes) that `--resume` replays bit-identically.
 //!

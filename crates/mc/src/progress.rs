@@ -7,10 +7,9 @@
 //! the per-run path and takes no lock: a tick costs a few atomic
 //! operations and a clock read; when disabled it is a single branch.
 //!
-//! Failure counting is process-global ([`note_failure`]) because the
-//! fallible closure handed to [`run_supervised`] is opaque to the engine
-//! mid-flight. [`CampaignProgress::start`] resets the counter, which is
-//! correct for the sequential campaigns the bench binaries run.
+//! Each campaign owns its [`CampaignProgress`]: [`run_supervised`] starts
+//! one, hands it to the engine, and notes its failures and retries on it,
+//! so concurrent campaigns never see each other's counts.
 //!
 //! [`run_supervised`]: crate::run_supervised
 
@@ -25,57 +24,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// here).
 const THROTTLE_NS: u64 = 500_000_000;
 
-static FAILURES: AtomicU64 = AtomicU64::new(0);
-static RETRIES: AtomicU64 = AtomicU64::new(0);
-
 /// The most recent failure's replay seed and artifact path, for the status
 /// line — a hung overnight campaign is then debuggable from stderr alone.
 #[derive(Debug)]
 struct LastFailure {
     seed: u64,
     artifact: Option<String>,
-}
-
-static LAST_FAILURE: Mutex<Option<LastFailure>> = Mutex::new(None);
-
-/// Records one failed run for the live status line: `seed` is the derived
-/// replay seed of the failing run, `artifact` the post-mortem artifact
-/// path if one was written.
-///
-/// Called by [`run_supervised`] the moment a run exhausts its retry
-/// ladder, so the failure count on the progress line is current rather
-/// than post-hoc.
-///
-/// [`run_supervised`]: crate::run_supervised
-pub fn note_failure(seed: u64, artifact: Option<String>) {
-    FAILURES.fetch_add(1, Ordering::Relaxed);
-    *LAST_FAILURE.lock() = Some(LastFailure { seed, artifact });
-}
-
-/// Records one retried attempt for the live status line (the campaign
-/// supervisor calls this when a failed attempt is about to be retried
-/// rather than declared a failure).
-pub fn note_retry() {
-    RETRIES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Status-line suffix describing the most recent failure (empty while no
-/// run has failed).
-fn last_failure_suffix(failures: u64) -> String {
-    if failures == 0 {
-        return String::new();
-    }
-    match &*LAST_FAILURE.lock() {
-        Some(LastFailure {
-            seed,
-            artifact: Some(path),
-        }) => format!(" (last seed {seed:#018x} -> {path})"),
-        Some(LastFailure {
-            seed,
-            artifact: None,
-        }) => format!(" (last seed {seed:#018x})"),
-        None => String::new(),
-    }
 }
 
 /// Per-campaign progress state shared across worker threads.
@@ -88,17 +42,17 @@ pub struct CampaignProgress {
     busy_ns: AtomicU64,
     started_ns: u64,
     last_print_ns: AtomicU64,
+    failures: AtomicU64,
+    retries: AtomicU64,
+    last_failure: Mutex<Option<LastFailure>>,
 }
 
 impl CampaignProgress {
     /// Starts tracking a campaign of `total` runs on `threads` workers.
     ///
-    /// Resets the global failure counter; reporting is active only when the
-    /// process-wide progress switch is on.
+    /// Reporting is active only when the process-wide progress switch is
+    /// on; failures and retries are counted either way.
     pub fn start(total: usize, threads: usize) -> Self {
-        FAILURES.store(0, Ordering::Relaxed);
-        RETRIES.store(0, Ordering::Relaxed);
-        *LAST_FAILURE.lock() = None;
         let now = monotonic_ns();
         CampaignProgress {
             enabled: oxterm_telemetry::progress::enabled(),
@@ -109,7 +63,53 @@ impl CampaignProgress {
             started_ns: now,
             // Backdate so the first completed run may print immediately.
             last_print_ns: AtomicU64::new(now.saturating_sub(THROTTLE_NS)),
+            failures: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            last_failure: Mutex::new(None),
         }
+    }
+
+    /// Records one failed run: `seed` is its derived replay seed,
+    /// `artifact` the post-mortem artifact path if one was written.
+    pub(crate) fn note_failure(&self, seed: u64, artifact: Option<String>) {
+        self.failures.fetch_add(1, Ordering::Relaxed);
+        *self.last_failure.lock() = Some(LastFailure { seed, artifact });
+    }
+
+    /// Records one failed attempt that is about to be retried.
+    pub(crate) fn note_retry(&self) {
+        self.retries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Runs that failed so far.
+    pub(crate) fn failures(&self) -> u64 {
+        self.failures.load(Ordering::Relaxed)
+    }
+
+    /// Attempts retried so far.
+    pub(crate) fn retries(&self) -> u64 {
+        self.retries.load(Ordering::Relaxed)
+    }
+
+    /// Status-line suffix describing the most recent failure (empty while
+    /// no run has failed).
+    fn last_failure_suffix(&self) -> String {
+        match &*self.last_failure.lock() {
+            Some(LastFailure {
+                seed,
+                artifact: Some(path),
+            }) => format!(" (last seed {seed:#018x} -> {path})"),
+            Some(LastFailure {
+                seed,
+                artifact: None,
+            }) => format!(" (last seed {seed:#018x})"),
+            None => String::new(),
+        }
+    }
+
+    /// Worker threads the campaign runs on.
+    pub(crate) fn workers(&self) -> usize {
+        self.threads
     }
 
     /// Whether status lines will be printed (callers use this to decide
@@ -157,18 +157,16 @@ impl CampaignProgress {
     fn print_line(&self, done: usize, last: bool) {
         let elapsed = monotonic_ns().saturating_sub(self.started_ns) as f64 / 1e9;
         let busy = self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9;
-        let failures = FAILURES.load(Ordering::Relaxed);
-        let retries = RETRIES.load(Ordering::Relaxed);
         let status = compose_line(
             done,
             self.total,
             self.threads,
             elapsed,
             busy,
-            failures,
-            retries,
+            self.failures(),
+            self.retries(),
             last,
-            &last_failure_suffix(failures),
+            &self.last_failure_suffix(),
         );
         eprintln!(
             "{status}{}{}",
@@ -295,18 +293,15 @@ mod tests {
         assert_eq!(p.done.load(Ordering::Relaxed), 0);
     }
 
-    /// Serializes tests that touch the process-global failure state.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn failures_reset_per_campaign() {
-        let _guard = TEST_LOCK.lock();
-        note_failure(0x123, None);
-        note_failure(0x456, Some("results/postmortem_tran_0.json".into()));
-        assert!(FAILURES.load(Ordering::Relaxed) >= 2);
-        let _p = CampaignProgress::start(5, 1);
-        assert_eq!(FAILURES.load(Ordering::Relaxed), 0);
-        assert!(LAST_FAILURE.lock().is_none());
+        let first = CampaignProgress::start(5, 1);
+        first.note_failure(0x123, None);
+        first.note_failure(0x456, Some("results/postmortem_tran_0.json".into()));
+        let second = CampaignProgress::start(5, 1);
+        assert_eq!(second.failures(), 0);
+        assert_eq!(second.last_failure_suffix(), "");
+        assert_eq!(first.failures(), 2, "the first campaign keeps its count");
     }
 
     #[test]
@@ -338,12 +333,12 @@ mod tests {
 
     #[test]
     fn retries_reset_per_campaign() {
-        let _guard = TEST_LOCK.lock();
-        note_retry();
-        note_retry();
-        assert!(RETRIES.load(Ordering::Relaxed) >= 2);
-        let _p = CampaignProgress::start(5, 1);
-        assert_eq!(RETRIES.load(Ordering::Relaxed), 0);
+        let first = CampaignProgress::start(5, 1);
+        first.note_retry();
+        first.note_retry();
+        let second = CampaignProgress::start(5, 1);
+        assert_eq!(second.retries(), 0);
+        assert_eq!(first.retries(), 2, "the first campaign keeps its count");
     }
 
     #[test]
@@ -394,17 +389,46 @@ mod tests {
 
     #[test]
     fn last_failure_suffix_names_seed_and_artifact() {
-        let _guard = TEST_LOCK.lock();
-        note_failure(0xABC, None);
-        let s = last_failure_suffix(1);
+        let p = CampaignProgress::start(5, 1);
+        assert_eq!(p.last_failure_suffix(), "", "no failure, no suffix");
+        p.note_failure(0xABC, None);
+        let s = p.last_failure_suffix();
         assert!(s.contains("0x0000000000000abc"), "{s}");
-        note_failure(0xDEF, Some("results/postmortem_tran_3.json".into()));
-        let s = last_failure_suffix(2);
+        p.note_failure(0xDEF, Some("results/postmortem_tran_3.json".into()));
+        let s = p.last_failure_suffix();
         assert!(s.contains("0x0000000000000def"), "{s}");
         assert!(s.contains("results/postmortem_tran_3.json"), "{s}");
-        // Reset so other tests see a clean slate; zero failures shows
-        // nothing regardless of the stored record.
-        assert_eq!(last_failure_suffix(0), "");
-        *LAST_FAILURE.lock() = None;
+    }
+
+    #[test]
+    fn concurrent_campaigns_count_only_their_own_failures() {
+        // Two campaigns start, note failures and retries, and read their
+        // counts on their own threads at the same time (the barriers make
+        // each phase overlap); each reports exactly its own counts.
+        let campaigns = [(3u64, 5u64, 0xA11), (7, 2, 0xB22)];
+        let barrier = std::sync::Barrier::new(campaigns.len());
+        std::thread::scope(|scope| {
+            for (failures, retries, seed) in campaigns {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let p = CampaignProgress::start(16, 2);
+                    barrier.wait();
+                    for k in 0..failures.max(retries) {
+                        if k < retries {
+                            p.note_retry();
+                        }
+                        if k < failures {
+                            p.note_failure(seed + k, None);
+                        }
+                        std::thread::yield_now();
+                    }
+                    barrier.wait();
+                    assert_eq!(p.failures(), failures);
+                    assert_eq!(p.retries(), retries);
+                    let last = format!("{:#018x}", seed + failures - 1);
+                    assert_eq!(p.last_failure_suffix(), format!(" (last seed {last})"));
+                });
+            }
+        });
     }
 }

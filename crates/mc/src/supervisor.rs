@@ -1,4 +1,4 @@
-//! Resilient campaign supervision: retry ladder, panic isolation,
+//! Resilient campaign supervision: retries, panic isolation,
 //! checkpoint/resume and graceful degradation.
 //!
 //! [`run_supervised`] wraps a [`MonteCarlo`] campaign so that individual
@@ -6,28 +6,24 @@
 //! worker panics — cost one run's worth of work at most, never the
 //! campaign:
 //!
-//! * **Retry ladder.** A failed attempt is retried with a re-derived RNG
-//!   stream; from the second retry on, the [`Attempt`] handed to the run
-//!   closure carries a [`Relax`] escalation (abstol/gmin/dt_min factors,
-//!   mirroring the operating-point escalation vocabulary) that the closure
-//!   applies to its `SimOptions`. Factors grow ×10 per rung and are
-//!   clamped to [`RelaxLimits`], so options never leave their configured
-//!   bounds (property-tested).
+//! * **Retries.** A failed attempt is retried, up to
+//!   [`SupervisorOptions::max_attempts`] attempts per run, each with a
+//!   re-derived RNG stream; the [`Attempt`] handed to the run closure
+//!   names the run and the attempt.
 //! * **Panic isolation.** Every attempt runs under `catch_unwind`; the
 //!   payload becomes the attempt's error string.
 //! * **One failure record per exhausted run.** Each run that exhausts its
-//!   ladder counts once in `mc.engine.convergence_failures` and leaves one
-//!   `mc.engine.failed_run` note quoting its run index and
+//!   attempts counts once in `mc.engine.convergence_failures` and leaves
+//!   one `mc.engine.failed_run` note quoting its run index and
 //!   [`MonteCarlo::seed_for_run`] seed, so it replays in isolation.
 //! * **One bundle per exhausted run.** Post-mortem artifact writes are
 //!   deferred during retryable attempts (`postmortem::set_deferred`);
 //!   intermediate failures fold into `mc.supervisor.retried` telemetry
 //!   notes and only the final attempt of an exhausted run writes an
 //!   artifact, stamped with `attempt`/`max_attempts`/run/seed.
-//! * **Budgets as deadlines.** `run_budget_s` bounds one run's *total*
-//!   wall-clock across its attempts; the ladder stops escalating when the
-//!   budget is spent. (Deadlines read the sanctioned telemetry clock —
-//!   `Instant::now` is lint-banned in this crate like the solver crates.)
+//! * **One count per campaign.** Failures and retries are noted on the
+//!   campaign's own [`CampaignProgress`](crate::progress::CampaignProgress),
+//!   which the progress line and [`CampaignOutcome`] both read.
 //! * **Checkpoint/resume.** Completed runs stream into a
 //!   [`Checkpoint`](crate::checkpoint::Checkpoint) every
 //!   `checkpoint_every` completions (atomic tmp+rename); a campaign without
@@ -39,7 +35,6 @@
 //!   distinguishes clean (0), degraded (3) and quorum-breached (1).
 
 use oxterm_telemetry::postmortem::{self, PostmortemReport};
-use oxterm_telemetry::profiler::monotonic_ns;
 use oxterm_telemetry::Telemetry;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -61,93 +56,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Upper bounds on the retry ladder's option relaxation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RelaxLimits {
-    /// Max multiplier ever applied to `abstol` (and `vntol`).
-    pub abstol_max_factor: f64,
-    /// Max multiplier ever applied to `gmin`.
-    pub gmin_max_factor: f64,
-    /// Max multiplier ever applied to `dt_min`.
-    pub dt_min_max_factor: f64,
-}
-
-impl Default for RelaxLimits {
-    fn default() -> Self {
-        RelaxLimits {
-            abstol_max_factor: 1e3,
-            gmin_max_factor: 1e3,
-            dt_min_max_factor: 1e2,
-        }
-    }
-}
-
-/// One rung of the retry ladder: multiplicative `SimOptions` relaxation.
-///
-/// The run closure applies these factors itself (the supervisor is generic
-/// over what a "run" is); [`Relax::NONE`] means run with pristine options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Relax {
-    /// Multiplier for `abstol`/`vntol`.
-    pub abstol_factor: f64,
-    /// Multiplier for `gmin`.
-    pub gmin_factor: f64,
-    /// Multiplier for `dt_min`.
-    pub dt_min_factor: f64,
-}
-
-impl Relax {
-    /// No relaxation (attempts 0 and 1).
-    pub const NONE: Relax = Relax {
-        abstol_factor: 1.0,
-        gmin_factor: 1.0,
-        dt_min_factor: 1.0,
-    };
-
-    /// The ladder rung for `attempt` (0-based): attempts 0 and 1 run
-    /// pristine (the first retry only re-derives the RNG stream), then
-    /// factors grow ×10 per attempt, clamped to `limits`.
-    pub fn for_attempt(attempt: u64, limits: &RelaxLimits) -> Relax {
-        if attempt < 2 {
-            return Relax::NONE;
-        }
-        let rung = 10f64.powi((attempt - 1).min(300) as i32);
-        Relax {
-            abstol_factor: rung.min(limits.abstol_max_factor).max(1.0),
-            gmin_factor: rung.min(limits.gmin_max_factor).max(1.0),
-            dt_min_factor: rung.min(limits.dt_min_max_factor).max(1.0),
-        }
-    }
-
-    /// Whether this rung changes anything.
-    pub fn is_none(&self) -> bool {
-        *self == Relax::NONE
-    }
-}
-
-/// Retry-ladder shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per run (1 = no retries).
-    pub max_attempts: u64,
-    /// Relaxation clamps.
-    pub limits: RelaxLimits,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            limits: RelaxLimits::default(),
-        }
-    }
-}
-
 /// Supervision knobs (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorOptions {
-    /// Retry ladder.
-    pub retry: RetryPolicy,
+    /// Total attempts per run (1 = no retries).
+    pub max_attempts: u64,
     /// Max tolerated failure fraction for a degraded-but-useful finish.
     pub quorum: f64,
     /// Where to stream checkpoints (`None` = no checkpointing).
@@ -156,19 +69,16 @@ pub struct SupervisorOptions {
     pub checkpoint_every: usize,
     /// Resume completed runs from this checkpoint file.
     pub resume_from: Option<String>,
-    /// Wall-clock budget for one run across all its attempts (seconds).
-    pub run_budget_s: Option<f64>,
 }
 
 impl Default for SupervisorOptions {
     fn default() -> Self {
         SupervisorOptions {
-            retry: RetryPolicy::default(),
+            max_attempts: 3,
             quorum: 0.05,
             checkpoint_path: None,
             checkpoint_every: 32,
             resume_from: None,
-            run_budget_s: None,
         }
     }
 }
@@ -180,13 +90,9 @@ pub struct Attempt {
     pub run_index: u64,
     /// 0-based attempt number.
     pub attempt: u64,
-    /// Ladder size this campaign runs with.
-    pub max_attempts: u64,
-    /// Option relaxation for this rung.
-    pub relax: Relax,
 }
 
-/// A run that exhausted its retry ladder (or budget).
+/// A run that exhausted its attempts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunFailure {
     /// Campaign run index.
@@ -227,7 +133,7 @@ pub struct CampaignOutcome<T> {
     pub results: Vec<Result<T, RunFailure>>,
     /// Max tolerated failure fraction the campaign ran with.
     pub quorum: f64,
-    /// Runs that exhausted their ladder.
+    /// Runs that exhausted their attempts.
     pub failures: u64,
     /// Retried attempts across the campaign.
     pub retries: u64,
@@ -312,9 +218,8 @@ fn rng_for_attempt(mc: &MonteCarlo, run: usize, attempt: u64) -> StdRng {
 }
 
 /// Runs `mc` under supervision. The closure executes one *attempt* of one
-/// run and applies `attempt.relax` to its own solver options; errors are
-/// rendered to strings so the ladder (and the checkpoint format) stays
-/// generic.
+/// run; errors are rendered to strings so the supervisor (and the
+/// checkpoint format) stays generic.
 ///
 /// Returns `Err` only when supervision itself cannot proceed (unreadable
 /// or mismatched resume checkpoint); per-run failures are folded into the
@@ -328,7 +233,7 @@ where
     T: Send + Clone + CheckpointState,
     F: Fn(&Attempt, &mut StdRng) -> Result<T, String> + Sync,
 {
-    let max_attempts = opts.retry.max_attempts.max(1);
+    let max_attempts = opts.max_attempts.max(1);
     let header = CheckpointHeader {
         seed: mc.seed,
         runs: mc.runs as u64,
@@ -398,7 +303,6 @@ where
         Vec::new()
     });
     let completed = AtomicUsize::new(0);
-    let retries = AtomicU64::new(0);
     let panics = AtomicU64::new(0);
     let every = opts.checkpoint_every.max(1);
 
@@ -421,7 +325,9 @@ where
         }
     };
 
-    let results: Vec<Result<T, RunFailure>> = mc.run(|i, _engine_rng| {
+    let progress = mc.start_progress();
+    let results: Vec<Result<T, RunFailure>> = mc.run_reporting(&progress, |i, _engine_rng| {
+        let seed = mc.seed_for_run(i);
         // Resumed runs short-circuit: decode the stored record verbatim.
         if let Some(Some(rec)) = resumed.get(i) {
             let out = match &rec.outcome {
@@ -441,13 +347,15 @@ where
                     error: e.clone(),
                 }),
             };
+            if out.is_err() {
+                progress.note_failure(seed, None);
+            }
             if keep_records {
                 keep(i, rec.clone());
             }
             return out;
         }
 
-        let started_ns = monotonic_ns();
         let prev_deferred = postmortem::set_deferred(true);
         if postmortem::is_active() {
             let _ = postmortem::take_last();
@@ -457,12 +365,9 @@ where
         let mut value: Option<T> = None;
         for attempt in 0..max_attempts {
             attempts_used = attempt + 1;
-            let relax = Relax::for_attempt(attempt, &opts.retry.limits);
             let att = Attempt {
                 run_index: i as u64,
                 attempt,
-                max_attempts,
-                relax,
             };
             let mut rng = rng_for_attempt(&mc, i, attempt);
             oxterm_chaos::begin_run(i as u64, attempt);
@@ -486,24 +391,14 @@ where
                     last_err = format!("panic: {}", panic_message(payload));
                 }
             }
-            // Attempt failed. Retry if the ladder and the budget allow.
-            let budget_left = opts
-                .run_budget_s
-                .map(|b| monotonic_ns().saturating_sub(started_ns) as f64 / 1e9 < b)
-                .unwrap_or(true);
-            if attempt + 1 >= max_attempts || !budget_left {
-                if !budget_left {
-                    last_err =
-                        format!("run budget exhausted after {attempts_used} attempts: {last_err}");
-                }
+            if attempts_used == max_attempts {
                 break;
             }
-            retries.fetch_add(1, Ordering::Relaxed);
-            crate::progress::note_retry();
+            progress.note_retry();
             tel.incr("mc.supervisor.retries");
             tel.note(
                 "mc.supervisor.retried",
-                format!("run {i} attempt {}/{max_attempts}: {last_err}", attempt + 1),
+                format!("run {i} attempt {attempts_used}/{max_attempts}: {last_err}"),
             );
             // Fold the intermediate attempt's stashed diagnostics away so
             // only the final attempt of an exhausted run leaves a bundle.
@@ -514,7 +409,6 @@ where
         let out = match value {
             Some(v) => Ok(v),
             None => {
-                let seed = mc.seed_for_run(i);
                 let artifact = if postmortem::is_active() {
                     let mut report = postmortem::take_last()
                         .unwrap_or_else(|| PostmortemReport::new("mc_run", last_err.clone()));
@@ -532,7 +426,7 @@ where
                 } else {
                     None
                 };
-                crate::progress::note_failure(seed, artifact);
+                progress.note_failure(seed, artifact);
                 Err(RunFailure {
                     run: i as u64,
                     attempts: attempts_used,
@@ -560,7 +454,6 @@ where
 
     checkpoint_now(&records);
 
-    let failures = results.iter().filter(|r| r.is_err()).count() as u64;
     if tel.is_enabled() {
         for fail in results.iter().filter_map(|r| r.as_ref().err()) {
             let i = fail.run as usize;
@@ -574,8 +467,8 @@ where
     let outcome = CampaignOutcome {
         results,
         quorum: opts.quorum,
-        failures,
-        retries: retries.load(Ordering::Relaxed),
+        failures: progress.failures(),
+        retries: progress.retries(),
         panics: panics.load(Ordering::Relaxed),
         resumed: resumed_count,
     };
@@ -594,7 +487,6 @@ where
 mod tests {
     use super::*;
     use parking_lot::Mutex as PlMutex;
-    use std::collections::HashMap;
 
     /// Serialises tests that arm the process-global chaos plan or touch
     /// the postmortem thread-local machinery.
@@ -624,14 +516,12 @@ mod tests {
 
     #[test]
     fn retry_ladder_recovers_transient_failures() {
-        // Every run fails its first two attempts, succeeds on the third
-        // (which carries a relaxation rung).
+        // Every run fails its first two attempts, succeeds on the third.
         let out = run_supervised(mc(16, 1), &SupervisorOptions::default(), |att, _| {
             if att.attempt < 2 {
                 Err(format!("transient failure at attempt {}", att.attempt))
             } else {
-                assert!(!att.relax.is_none(), "third attempt should be relaxed");
-                Ok(att.relax.abstol_factor)
+                Ok(att.attempt as f64)
             }
         })
         .expect("supervision runs");
@@ -705,25 +595,6 @@ mod tests {
             "{}",
             out.summary_line()
         );
-    }
-
-    #[test]
-    fn relax_ladder_is_clamped_and_monotone() {
-        let limits = RelaxLimits::default();
-        assert!(Relax::for_attempt(0, &limits).is_none());
-        assert!(Relax::for_attempt(1, &limits).is_none());
-        let r2 = Relax::for_attempt(2, &limits);
-        assert_eq!(r2.abstol_factor, 10.0);
-        let mut prev = Relax::NONE;
-        for attempt in 0..50 {
-            let r = Relax::for_attempt(attempt, &limits);
-            assert!(r.abstol_factor >= prev.abstol_factor);
-            assert!(r.abstol_factor <= limits.abstol_max_factor);
-            assert!(r.gmin_factor <= limits.gmin_max_factor);
-            assert!(r.dt_min_factor <= limits.dt_min_max_factor);
-            assert!(r.abstol_factor >= 1.0 && r.gmin_factor >= 1.0 && r.dt_min_factor >= 1.0);
-            prev = r;
-        }
     }
 
     #[test]
@@ -841,28 +712,8 @@ mod tests {
                 std::panic::panic_any(String::from("owned payload"))
             })
             .expect("supervision runs");
-        assert_eq!(out.panics, 3, "every rung panicked");
+        assert_eq!(out.panics, 3, "every attempt panicked");
         let fail = out.results[0].as_ref().unwrap_err();
         assert_eq!(fail.error, "panic: owned payload");
-    }
-
-    #[test]
-    fn run_budget_stops_the_ladder() {
-        let opts = SupervisorOptions {
-            run_budget_s: Some(0.0),
-            ..SupervisorOptions::default()
-        };
-        let attempts_seen: PlMutex<HashMap<u64, u64>> = PlMutex::new(HashMap::new());
-        let out: CampaignOutcome<f64> = run_supervised(mc(6, 5), &opts, |att, _| {
-            *attempts_seen.lock().entry(att.run_index).or_insert(0) += 1;
-            Err("always fails".to_string())
-        })
-        .expect("supervision runs");
-        assert_eq!(out.failures, 6);
-        for (_, n) in attempts_seen.lock().iter() {
-            assert_eq!(*n, 1, "zero budget must forbid retries");
-        }
-        let fail = out.results[0].as_ref().unwrap_err();
-        assert!(fail.error.contains("budget exhausted"), "{}", fail.error);
     }
 }

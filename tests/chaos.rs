@@ -2,7 +2,7 @@
 //! through the supervised Monte Carlo campaign.
 //!
 //! The headline test arms a fault plan that pushes well over 5 % of a
-//! 240-run campaign into ladder exhaustion and asserts the supervisor's
+//! 240-run campaign past its last attempt and asserts the supervisor's
 //! whole contract at once: the campaign completes degraded (exit code 3),
 //! the failed-run set matches the plan's deterministic schedule exactly,
 //! and every exhausted run leaves exactly one post-mortem bundle stamped
@@ -15,9 +15,8 @@
 
 use oxterm_chaos::{FaultKind, FaultPlan};
 use oxterm_mc::checkpoint::Checkpoint;
-use oxterm_mc::supervisor::{Attempt, Relax, RelaxLimits, RetryPolicy};
+use oxterm_mc::supervisor::Attempt;
 use oxterm_mc::{run_supervised, MonteCarlo, SupervisorOptions};
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use std::sync::{Mutex, MutexGuard};
 
@@ -67,8 +66,8 @@ fn fault_schedule_is_deterministic_and_seed_sensitive() {
 }
 
 /// The run-level failure predicate implied by the e2e plan: a persistent
-/// Newton stall fails every rung of the ladder, while a transient panic
-/// must fire on all `max_attempts` rungs to exhaust the run.
+/// Newton stall fails every attempt, while a transient panic must fire on
+/// all `max_attempts` attempts to exhaust the run.
 fn plan_dooms_run(plan: &FaultPlan, run: u64, max_attempts: u64) -> bool {
     plan.injects(run, 0, FaultKind::NewtonStall)
         || (0..max_attempts).all(|a| plan.injects(run, a, FaultKind::Panic))
@@ -89,7 +88,6 @@ fn degraded_campaign_completes_with_one_bundle_per_exhausted_run() {
     let runs = 240usize;
     let opts = SupervisorOptions {
         quorum: 0.25,
-        retry: RetryPolicy::default(),
         ..SupervisorOptions::default()
     };
     let outcome = run_supervised(
@@ -106,7 +104,7 @@ fn degraded_campaign_completes_with_one_bundle_per_exhausted_run() {
 
     // The failed-run set is exactly the plan's deterministic schedule.
     let expected: Vec<u64> = (0..runs as u64)
-        .filter(|&r| plan_dooms_run(&plan, r, opts.retry.max_attempts))
+        .filter(|&r| plan_dooms_run(&plan, r, opts.max_attempts))
         .collect();
     let failed: Vec<u64> = outcome
         .results
@@ -149,11 +147,11 @@ fn degraded_campaign_completes_with_one_bundle_per_exhausted_run() {
     );
     for text in &bundles {
         assert!(
-            text.contains(&format!("\"max_attempts\":{}", opts.retry.max_attempts)),
+            text.contains(&format!("\"max_attempts\":{}", opts.max_attempts)),
             "bundle missing ladder size: {text}"
         );
         assert!(
-            text.contains(&format!("\"attempt\":{}", opts.retry.max_attempts)),
+            text.contains(&format!("\"attempt\":{}", opts.max_attempts)),
             "an exhausted run consumes the whole ladder: {text}"
         );
     }
@@ -268,10 +266,7 @@ fn ladder_never_exceeds_max_attempts() {
         let outcome = run_supervised(
             MonteCarlo::new(4, 0xBAD),
             &SupervisorOptions {
-                retry: RetryPolicy {
-                    max_attempts,
-                    ..RetryPolicy::default()
-                },
+                max_attempts,
                 quorum: 1.0,
                 ..SupervisorOptions::default()
             },
@@ -410,33 +405,4 @@ fn torn_checkpoint_tail_tolerates_truncation_at_every_byte() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-proptest! {
-    /// The relax ladder never leaves its configured bounds and never
-    /// shrinks as attempts escalate, whatever the limits.
-    #[test]
-    fn relax_ladder_respects_arbitrary_limits(
-        attempt in 0u64..5_000,
-        abstol_max in 1.0f64..1e9,
-        gmin_max in 1.0f64..1e9,
-        dt_min_max in 1.0f64..1e9,
-    ) {
-        let limits = RelaxLimits {
-            abstol_max_factor: abstol_max,
-            gmin_max_factor: gmin_max,
-            dt_min_max_factor: dt_min_max,
-        };
-        let r = Relax::for_attempt(attempt, &limits);
-        prop_assert!(r.abstol_factor >= 1.0 && r.abstol_factor <= abstol_max);
-        prop_assert!(r.gmin_factor >= 1.0 && r.gmin_factor <= gmin_max);
-        prop_assert!(r.dt_min_factor >= 1.0 && r.dt_min_factor <= dt_min_max);
-        if attempt < 2 {
-            prop_assert!(r.is_none());
-        }
-        let next = Relax::for_attempt(attempt + 1, &limits);
-        prop_assert!(next.abstol_factor >= r.abstol_factor);
-        prop_assert!(next.gmin_factor >= r.gmin_factor);
-        prop_assert!(next.dt_min_factor >= r.dt_min_factor);
-    }
 }

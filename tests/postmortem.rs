@@ -7,7 +7,7 @@
 //! directory are process-global, so concurrent tests in one binary would
 //! race on them.
 
-use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, RetryPolicy, SupervisorOptions};
+use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};
 use oxterm_mc::MonteCarlo;
 use oxterm_mlc::program::{build_program_circuit, program_tran_options, CircuitProgramOptions};
 use oxterm_spice::analysis::tran::{run_transient, TranOptions};
@@ -45,10 +45,7 @@ fn failed_mc_run_leaves_a_replayable_artifact() {
     let mc = MonteCarlo::new(2, 0xB0B).with_threads(1);
     // One attempt per run: the replay seed is then the failing attempt's.
     let opts = SupervisorOptions {
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        },
+        max_attempts: 1,
         ..SupervisorOptions::default()
     };
     let out: CampaignOutcome<f64> = run_supervised(mc, &opts, |_attempt, rng| {
