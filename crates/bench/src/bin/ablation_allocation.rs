@@ -11,7 +11,7 @@ use oxterm_bench::campaigns::mc_campaign;
 use oxterm_bench::table::{eng, Table};
 use oxterm_mlc::levels::{AllocationScheme, LevelAllocation};
 use oxterm_mlc::margins::analyze;
-use oxterm_rram::calib::{simulate_reset_termination, ResetConditions};
+use oxterm_rram::calib::{simulate_reset_references, ResetConditions};
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 
 fn main() {
@@ -22,10 +22,14 @@ fn main() {
     println!("== Ablation: ISO-ΔI vs ISO-ΔR allocation ({runs} MC runs/level) ==\n");
     let params = OxramParams::calibrated();
     let inst = InstanceVariation::nominal();
-    let r_of_i = |i: f64| {
-        simulate_reset_termination(&params, &inst, &ResetConditions::paper_defaults(i))
-            .map(|o| o.r_read_ohms)
-            .unwrap_or(f64::INFINITY)
+    // Every level's RESET starts from the same state under the same drive,
+    // so one trajectory reads all of a round's currents.
+    let cond = ResetConditions::paper_defaults(f64::NAN);
+    let r_of_i = |currents: &[f64]| -> Vec<f64> {
+        simulate_reset_references(&params, &inst, &cond, currents)
+            .into_iter()
+            .map(|o| o.map_or(f64::INFINITY, |o| o.r_read_ohms))
+            .collect()
     };
 
     let iso_i = LevelAllocation::new(16, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, r_of_i)

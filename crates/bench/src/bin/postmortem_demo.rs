@@ -18,7 +18,7 @@
 //! gate on the whole post-mortem pipeline.
 
 use oxterm_bench::telemetry_cli;
-use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};
+use oxterm_mc::supervisor::{per_attempt, run_supervised, CampaignOutcome, SupervisorOptions};
 use oxterm_mc::MonteCarlo;
 use oxterm_mlc::program::{build_program_circuit, program_tran_options, CircuitProgramOptions};
 use oxterm_spice::analysis::tran::run_transient;
@@ -56,26 +56,30 @@ fn main() {
         ..SupervisorOptions::default()
     };
     // No run may succeed, so the result type is a placeholder.
-    let out: CampaignOutcome<f64> = run_supervised(mc, &opts, |_attempt, rng| {
-        // Small per-run drive jitter: every bundle shows a distinct failing
-        // operating point, replayable from its seed alone.
-        let jitter: f64 = (rng.random::<f64>() - 0.5) * 0.1;
-        let opts = CircuitProgramOptions {
-            v_sl: 1.35 + jitter,
-            ..CircuitProgramOptions::paper_fig10()
-        };
-        let (mut c, _handles) = build_program_circuit(&opts).map_err(|e| e.to_string())?;
-        let mut tran = program_tran_options(&opts).with_probes(plan.clone());
-        // Strangle the solver: 2 Newton iterations cannot track the RESET
-        // onset, and a raised dt floor forbids the usual step-halving
-        // rescue. The run must die with TimestepTooSmall.
-        tran.sim.max_newton_iters = 2;
-        tran.dt_min = 2e-9;
-        match run_transient(&mut c, &tran, &mut []) {
-            Ok(_) => Err("unexpected convergence — demo invariant broken".to_string()),
-            Err(e) => Err(e.to_string()),
-        }
-    })
+    let out: CampaignOutcome<f64> = run_supervised(
+        mc,
+        &opts,
+        per_attempt(|_attempt, rng| {
+            // Small per-run drive jitter: every bundle shows a distinct failing
+            // operating point, replayable from its seed alone.
+            let jitter: f64 = (rng.random::<f64>() - 0.5) * 0.1;
+            let opts = CircuitProgramOptions {
+                v_sl: 1.35 + jitter,
+                ..CircuitProgramOptions::paper_fig10()
+            };
+            let (mut c, _handles) = build_program_circuit(&opts).map_err(|e| e.to_string())?;
+            let mut tran = program_tran_options(&opts).with_probes(plan.clone());
+            // Strangle the solver: 2 Newton iterations cannot track the RESET
+            // onset, and a raised dt floor forbids the usual step-halving
+            // rescue. The run must die with TimestepTooSmall.
+            tran.sim.max_newton_iters = 2;
+            tran.dt_min = 2e-9;
+            match run_transient(&mut c, &tran, &mut []) {
+                Ok(_) => Err("unexpected convergence — demo invariant broken".to_string()),
+                Err(e) => Err(e.to_string()),
+            }
+        }),
+    )
     .expect("a campaign that resumes nothing always runs");
 
     let mut bundles = 0usize;

@@ -22,7 +22,7 @@ use oxterm_mc::supervisor::{
 use oxterm_mlc::levels::{LevelAllocation, LevelSpec};
 use oxterm_mlc::margins::LevelSamples;
 use oxterm_mlc::program::{
-    program_cell_circuit_probed, program_cell_mc, CircuitProgramOptions, McVariability,
+    program_cell_circuit_probed, program_cells_mc, CircuitProgramOptions, McVariability,
     ProgramConditions, ProgramOutcome,
 };
 use oxterm_mlc::MlcError;
@@ -30,6 +30,7 @@ use oxterm_rram::params::OxramParams;
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::joule::JouleLedger;
 use oxterm_telemetry::levels::LevelTracker;
+use rand::rngs::StdRng;
 
 /// Seed of the paper's QLC campaign, shared by the figure binaries and
 /// the reproduction checklist.
@@ -96,7 +97,8 @@ fn observe_in_run_order(
 }
 
 /// Runs `runs` Monte Carlo programs per level of `alloc` on `mc` under
-/// [`run_supervised`]: run `i` programs level `i / runs`. Successful runs
+/// [`run_supervised`]: run `i` programs level `i / runs`, and each batch of
+/// runs goes to [`program_cells_mc`] at once. Successful runs
 /// feed `tracker` and `ledger` in run order; a failed run leaves a hole in
 /// its level.
 fn run_campaign(
@@ -110,9 +112,16 @@ fn run_campaign(
 ) -> Result<(Vec<LevelCampaign>, CampaignOutcome<ProgramOutcome>), SupervisorError> {
     let cond = ProgramConditions::paper();
     let var = McVariability::default();
-    let outcome = run_supervised(mc, opts, |attempt, rng| {
-        let spec = &alloc.levels()[attempt.run_index as usize / runs];
-        program_cell_mc(params, alloc, spec.code, &cond, &var, rng).map_err(|e| e.to_string())
+    let outcome = run_supervised(mc, opts, |attempts, rngs| {
+        let mut jobs: Vec<(u16, &mut StdRng)> = attempts
+            .iter()
+            .zip(rngs)
+            .map(|(attempt, rng)| (alloc.levels()[attempt.run_index as usize / runs].code, rng))
+            .collect();
+        program_cells_mc(params, alloc, &cond, &var, &mut jobs)
+            .into_iter()
+            .map(|out| out.map_err(|e| e.to_string()))
+            .collect()
     })?;
     observe_in_run_order(alloc, runs, &outcome.results, tracker, ledger);
     let campaigns = alloc

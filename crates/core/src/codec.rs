@@ -175,7 +175,8 @@ mod tests {
     #[test]
     fn five_bit_cells_round_trip() {
         let alloc =
-            LevelAllocation::new(32, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| 0.0).unwrap();
+            LevelAllocation::new(32, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| Vec::new())
+                .unwrap();
         let codec = MlcCodec::for_allocation(&alloc).unwrap();
         assert_eq!(codec.bits_per_cell(), 5);
         let data = vec![0xDE, 0xAD, 0xBE, 0xEF, 0x42];
@@ -189,7 +190,8 @@ mod tests {
     #[test]
     fn partial_tail_is_padded() {
         let alloc =
-            LevelAllocation::new(32, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| 0.0).unwrap();
+            LevelAllocation::new(32, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| Vec::new())
+                .unwrap();
         let codec = MlcCodec::for_allocation(&alloc).unwrap();
         let data = vec![0xFF]; // 8 bits → 2 cells (5 + 3 padded)
         let codes = codec.encode(&data);
@@ -242,7 +244,8 @@ mod tests {
     #[test]
     fn non_power_of_two_rejected() {
         let alloc =
-            LevelAllocation::new(10, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| 0.0).unwrap();
+            LevelAllocation::new(10, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| Vec::new())
+                .unwrap();
         assert!(MlcCodec::for_allocation(&alloc).is_err());
     }
 }

@@ -45,9 +45,12 @@ impl LevelAllocation {
     ///
     /// For [`AllocationScheme::IsoDeltaR`] the implied resistance window is
     /// derived from `r_of_i`, a callback giving the nominal programmed
-    /// resistance for a reference current (the calibrated model provides
-    /// it); target resistances are linearly spaced and mapped back to the
-    /// currents that hit them.
+    /// resistance for each of a slice of reference currents, in order (the
+    /// calibrated model provides it; [`AllocationScheme::IsoDeltaI`] never
+    /// calls it). Target resistances are linearly spaced and mapped back to
+    /// the currents that hit them by bisection, every level's in lockstep:
+    /// each of the 60 rounds asks `r_of_i` for all the levels' midpoints at
+    /// once, so one RESET trajectory can answer a round.
     ///
     /// # Errors
     ///
@@ -58,7 +61,7 @@ impl LevelAllocation {
         i_min: f64,
         i_max: f64,
         scheme: AllocationScheme,
-        mut r_of_i: impl FnMut(f64) -> f64,
+        mut r_of_i: impl FnMut(&[f64]) -> Vec<f64>,
     ) -> Result<Self, MlcError> {
         if n_levels < 2 {
             return Err(MlcError::InvalidAllocation {
@@ -83,27 +86,35 @@ impl LevelAllocation {
                 })
                 .collect(),
             AllocationScheme::IsoDeltaR => {
-                let r_lo = r_of_i(i_max);
-                let r_hi = r_of_i(i_min);
-                (0..n)
-                    .map(|code| {
-                        let f = code as f64 / (n - 1) as f64;
-                        let r_target = r_lo + f * (r_hi - r_lo);
-                        // Invert r_of_i by bisection (monotone decreasing).
-                        let mut lo = i_min;
-                        let mut hi = i_max;
-                        for _ in 0..60 {
-                            let mid = 0.5 * (lo + hi);
-                            if r_of_i(mid) > r_target {
-                                lo = mid;
-                            } else {
-                                hi = mid;
-                            }
+                let window = r_of_i(&[i_max, i_min]);
+                let (r_lo, r_hi) = (window[0], window[1]);
+                let targets: Vec<f64> = (0..n)
+                    .map(|code| r_lo + code as f64 / (n - 1) as f64 * (r_hi - r_lo))
+                    .collect();
+                // Invert r_of_i by bisection (monotone decreasing).
+                let mut brackets = vec![(i_min, i_max); n];
+                for _ in 0..60 {
+                    let mids: Vec<f64> = brackets.iter().map(|&(lo, hi)| 0.5 * (lo + hi)).collect();
+                    let r = r_of_i(&mids);
+                    assert_eq!(r.len(), n, "r_of_i gives one resistance per current");
+                    for (((lo, hi), mid), (r, target)) in brackets
+                        .iter_mut()
+                        .zip(mids)
+                        .zip(r.into_iter().zip(&targets))
+                    {
+                        if r > *target {
+                            *lo = mid;
+                        } else {
+                            *hi = mid;
                         }
-                        LevelSpec {
-                            code: code as u16,
-                            i_ref: 0.5 * (lo + hi),
-                        }
+                    }
+                }
+                brackets
+                    .iter()
+                    .enumerate()
+                    .map(|(code, &(lo, hi))| LevelSpec {
+                        code: code as u16,
+                        i_ref: 0.5 * (lo + hi),
                     })
                     .collect()
             }
@@ -114,7 +125,7 @@ impl LevelAllocation {
     /// The paper's Table 2: 16 levels (4 bits/cell), ISO-ΔI, 6–36 µA in
     /// 2 µA steps.
     pub fn paper_qlc() -> Self {
-        match LevelAllocation::new(16, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| 0.0) {
+        match LevelAllocation::new(16, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| Vec::new()) {
             Ok(alloc) => alloc,
             // The ISO-ΔI constructor cannot fail on these static parameters.
             Err(_) => unreachable!("paper QLC allocation parameters are valid"),
@@ -190,8 +201,10 @@ mod tests {
     #[test]
     fn iso_delta_r_spaces_resistances() {
         // Synthetic R(I) = K / I.
-        let alloc =
-            LevelAllocation::new(4, 6e-6, 36e-6, AllocationScheme::IsoDeltaR, |i| 1.5 / i).unwrap();
+        let alloc = LevelAllocation::new(4, 6e-6, 36e-6, AllocationScheme::IsoDeltaR, |i| {
+            i.iter().map(|i| 1.5 / i).collect()
+        })
+        .unwrap();
         let r: Vec<f64> = alloc.levels().iter().map(|l| 1.5 / l.i_ref).collect();
         let d1 = r[1] - r[0];
         let d2 = r[2] - r[1];
@@ -205,12 +218,17 @@ mod tests {
     #[test]
     fn rejects_bad_windows() {
         assert!(
-            LevelAllocation::new(1, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| 0.0).is_err()
+            LevelAllocation::new(1, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| Vec::new())
+                .is_err()
         );
         assert!(
-            LevelAllocation::new(4, 36e-6, 6e-6, AllocationScheme::IsoDeltaI, |_| 0.0).is_err()
+            LevelAllocation::new(4, 36e-6, 6e-6, AllocationScheme::IsoDeltaI, |_| Vec::new())
+                .is_err()
         );
-        assert!(LevelAllocation::new(4, 0.0, 36e-6, AllocationScheme::IsoDeltaI, |_| 0.0).is_err());
+        assert!(
+            LevelAllocation::new(4, 0.0, 36e-6, AllocationScheme::IsoDeltaI, |_| Vec::new())
+                .is_err()
+        );
     }
 
     #[test]
@@ -229,7 +247,8 @@ mod tests {
     fn projection_sizes() {
         for (n, bits) in [(32usize, 5u32), (64, 6)] {
             let a =
-                LevelAllocation::new(n, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| 0.0).unwrap();
+                LevelAllocation::new(n, 6e-6, 36e-6, AllocationScheme::IsoDeltaI, |_| Vec::new())
+                    .unwrap();
             assert_eq!(a.bits_per_cell(), bits);
             let d = a.delta_i().unwrap();
             assert!((d - 30e-6 / (n as f64 - 1.0)).abs() < 1e-12);

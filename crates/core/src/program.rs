@@ -17,7 +17,8 @@ use oxterm_array::cell::{Cell1T1R, CellConfig};
 use oxterm_array::parasitics::LineParasitics;
 use oxterm_devices::sources::{SourceWave, VoltageSource};
 use oxterm_rram::calib::{
-    simulate_reset_termination, simulate_set, ResetConditions, SetConditions,
+    simulate_reset_termination, simulate_reset_terminations, simulate_set, simulate_sets,
+    ResetConditions, SetConditions, SetOutcome,
 };
 use oxterm_rram::cell::OxramCell;
 use oxterm_rram::params::{standard_normal, InstanceVariation, OxramParams};
@@ -29,7 +30,7 @@ use oxterm_telemetry::joule::{self, ProgramPhase};
 use oxterm_telemetry::{CounterId, PhaseId, Profiler, Telemetry};
 use rand::Rng;
 
-use crate::levels::LevelAllocation;
+use crate::levels::{LevelAllocation, LevelSpec};
 use crate::termination::{behavioral_monitor, BehavioralOptions};
 use crate::MlcError;
 
@@ -216,7 +217,8 @@ impl McVariability {
     }
 }
 
-/// Programs one cell with sampled Monte Carlo variability.
+/// Programs one cell with sampled Monte Carlo variability: the batch of
+/// [`program_cells_mc`] with one job.
 ///
 /// # Errors
 ///
@@ -229,34 +231,117 @@ pub fn program_cell_mc<R: Rng + ?Sized>(
     var: &McVariability,
     rng: &mut R,
 ) -> Result<ProgramOutcome, MlcError> {
-    Telemetry::global().tally(CounterId::McOps, 1);
+    // One job in, exactly one outcome out.
+    program_cells_mc(params, alloc, cond, var, &mut [(code, rng)]).swap_remove(0)
+}
+
+/// One job's draws: its level, the sampled cell and conditions, the
+/// reference-current factor and the filament-discreteness state noise.
+struct Draw {
+    level: LevelSpec,
+    inst: InstanceVariation,
+    cond: ProgramConditions,
+    i_ref_factor: f64,
+    state_noise: f64,
+}
+
+/// Programs a batch of cells with sampled Monte Carlo variability: job `k`
+/// programs the data value `jobs[k].0` drawing from the RNG `jobs[k].1`.
+///
+/// Each job's variability and state noise are drawn first, in job order;
+/// then all the batch's SETs run through the interleaved lanes of
+/// [`simulate_sets`], then all its RESETs through those of
+/// [`simulate_reset_terminations`]. Each lane runs the scalar operation
+/// sequence, so entry `k` is bit for bit what [`program_cell_mc`] returns
+/// for job `k` alone, and the telemetry counters and joule-ledger totals
+/// are those of the jobs run one at a time.
+///
+/// # Errors
+///
+/// Per job, see [`program_cell_fast`]; a failed job fails alone.
+pub fn program_cells_mc<R: Rng>(
+    params: &OxramParams,
+    alloc: &LevelAllocation,
+    cond: &ProgramConditions,
+    var: &McVariability,
+    jobs: &mut [(u16, R)],
+) -> Vec<Result<ProgramOutcome, MlcError>> {
+    Telemetry::global().tally(CounterId::McOps, jobs.len() as u64);
     let _program = Profiler::global().phase(PhaseId::MlcProgram);
-    let level = alloc.level(code)?;
     let sample = Profiler::global().phase(PhaseId::MlcSample);
-    let (inst, mut cond, i_ref_factor) = var.sample(params, cond, rng);
-    // Filament-discreteness state noise (grows at low programming current).
-    // The pulses draw nothing from `rng`, so drawing it before them keeps
-    // the run's sample stream.
-    let state_noise = (standard_normal(rng) * var.sigma_ln_r(level.i_ref)).exp();
+    let draws: Vec<Result<Draw, MlcError>> = jobs
+        .iter_mut()
+        .map(|(code, rng)| {
+            let level = alloc.level(*code)?;
+            let (inst, cond, i_ref_factor) = var.sample(params, cond, rng);
+            // Filament-discreteness state noise (grows at low programming
+            // current). The pulses draw nothing from `rng`, so drawing it
+            // before them keeps the run's sample stream.
+            let state_noise = (standard_normal(rng) * var.sigma_ln_r(level.i_ref)).exp();
+            Ok(Draw {
+                level,
+                inst,
+                cond,
+                i_ref_factor,
+                state_noise,
+            })
+        })
+        .collect();
     sample.finish();
-    let set = {
+    let set_jobs: Vec<_> = draws
+        .iter()
+        .flatten()
+        .map(|d| (d.inst, d.cond.set))
+        .collect();
+    let mut sets = {
         let _phase = joule::enter_phase(ProgramPhase::Set);
-        simulate_set(params, &inst, &cond.set)?
-    };
-    cond.reset.i_ref = level.i_ref * i_ref_factor;
-    cond.reset.rho_start = set.rho_final;
-    let out = {
+        simulate_sets(params, &set_jobs)
+    }
+    .into_iter();
+    let set: Vec<Result<(Draw, SetOutcome), MlcError>> = draws
+        .into_iter()
+        .map(|d| {
+            let d = d?;
+            let set = sets
+                .next()
+                .unwrap_or_else(|| unreachable!("one SET per draw"))?;
+            Ok((d, set))
+        })
+        .collect();
+    let reset_jobs: Vec<_> = set
+        .iter()
+        .flatten()
+        .map(|(d, set)| {
+            let reset = ResetConditions {
+                i_ref: d.level.i_ref * d.i_ref_factor,
+                rho_start: set.rho_final,
+                ..d.cond.reset
+            };
+            (d.inst, reset)
+        })
+        .collect();
+    let mut resets = {
         let _phase = joule::enter_phase(ProgramPhase::Reset);
-        simulate_reset_termination(params, &inst, &cond.reset)?
-    };
-    Ok(ProgramOutcome {
-        code,
-        i_ref: level.i_ref,
-        r_read_ohms: out.r_read_ohms * state_noise,
-        latency_s: out.latency_s,
-        energy_j: out.energy_j,
-        set_energy_j: set.energy_j,
-    })
+        simulate_reset_terminations(params, &reset_jobs)
+    }
+    .into_iter();
+    set.into_iter()
+        .zip(jobs.iter())
+        .map(|(set, &(code, _))| {
+            let (d, set) = set?;
+            let out = resets
+                .next()
+                .unwrap_or_else(|| unreachable!("one RESET per SET"))?;
+            Ok(ProgramOutcome {
+                code,
+                i_ref: d.level.i_ref,
+                r_read_ohms: out.r_read_ohms * d.state_noise,
+                latency_s: out.latency_s,
+                energy_j: out.energy_j,
+                set_energy_j: set.energy_j,
+            })
+        })
+        .collect()
 }
 
 /// Options for the circuit-level programming path.

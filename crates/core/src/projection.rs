@@ -76,7 +76,7 @@ pub fn project(params: &OxramParams, config: &ProjectionConfig) -> Result<Projec
         config.i_min,
         config.i_max,
         AllocationScheme::IsoDeltaI,
-        |_| 0.0,
+        |_| Vec::new(),
     )?;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut samples = Vec::with_capacity(n_levels);

@@ -4,9 +4,15 @@ use oxterm_telemetry::profiler::monotonic_ns;
 use oxterm_telemetry::{HistogramId, PhaseId, Profiler, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::progress::CampaignProgress;
+
+/// Runs a worker claims from the cursor at most: a batch small enough to
+/// balance a campaign's uneven runs across the workers, large enough that
+/// the interleaved lanes of the fast path stay full for most of it.
+pub const BATCH: usize = 64;
 
 /// A Monte Carlo campaign: `runs` independent evaluations of a closure.
 ///
@@ -66,13 +72,16 @@ impl MonteCarlo {
     ///
     /// Work is distributed dynamically (an atomic cursor), so uneven
     /// per-run cost — low-reference-current RESETs take longest — balances
-    /// across workers.
+    /// across workers. A closure of one run gains nothing from batches, so
+    /// workers claim one run at a time.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, &mut StdRng) -> T + Sync,
     {
-        self.run_reporting(&self.start_progress(), f)
+        self.run_batches(&self.start_progress(), 1, |runs| {
+            runs.map(|i| f(i, &mut self.rng_for_run(i))).collect()
+        })
     }
 
     /// Starts the progress reporter of one campaign on this engine's
@@ -82,17 +91,27 @@ impl MonteCarlo {
         CampaignProgress::start(self.runs, threads)
     }
 
-    /// [`MonteCarlo::run`] on the workers `progress` was started with,
-    /// ticking it once per completed run. The supervisor uses this to
-    /// note its failures and retries on the same campaign's reporter.
-    pub(crate) fn run_reporting<T, F>(&self, progress: &CampaignProgress, f: F) -> Vec<T>
+    /// The campaign on the workers `progress` was started with: each
+    /// worker claims up to `batch` consecutive runs from the cursor and
+    /// hands them to `f`, which returns one result per run, in order.
+    /// Claims shrink on small campaigns so every worker still gets a few.
+    ///
+    /// The observers see batches: `mc/worker/run` is entered once per
+    /// batch, each `mc.engine.run_seconds` sample is the batch's time
+    /// divided by its runs, and `progress` ticks once per run.
+    pub(crate) fn run_batches<T, F>(
+        &self,
+        progress: &CampaignProgress,
+        batch: usize,
+        f: F,
+    ) -> Vec<T>
     where
         T: Send,
-        F: Fn(usize, &mut StdRng) -> T + Sync,
+        F: Fn(Range<usize>) -> Vec<T> + Sync,
     {
-        // One global-handle lookup per campaign; the per-run timing path
+        // One global-handle lookup per campaign; the per-batch timing path
         // only exists when telemetry or progress was turned on, so
-        // a disabled build pays a single branch per run.
+        // a disabled build pays a single branch per batch.
         let tel = Telemetry::global();
         tel.incr("mc.engine.campaigns");
         tel.add("mc.engine.runs", self.runs as u64);
@@ -102,32 +121,38 @@ impl MonteCarlo {
 
         let threads = progress.workers();
         let timed = tel.is_enabled() || progress.is_enabled();
+        let claim = batch.min(self.runs.div_ceil(4 * threads)).max(1);
 
         let cursor = AtomicUsize::new(0);
-        // One worker: claim the next run, time it, keep its result. Its
-        // records stay on its thread's shard until it exits.
+        // One worker: claim the next runs, time them, keep their results.
+        // Its records stay on its thread's shard until it exits.
         let worker = || {
             let mut done = Vec::new();
             let mut busy = 0.0f64;
             loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= self.runs {
+                let start = cursor.fetch_add(claim, Ordering::Relaxed);
+                if start >= self.runs {
                     break;
                 }
-                let mut rng = self.rng_for_run(i);
+                let runs = start..(start + claim).min(self.runs);
+                let n = runs.len();
                 let _run_phase = prof.phase(PhaseId::McWorkerRun);
-                let value = if timed {
+                let values = if timed {
                     let t0 = monotonic_ns();
-                    let value = f(i, &mut rng);
+                    let values = f(runs);
                     let dt = monotonic_ns().wrapping_sub(t0) as f64 * 1e-9;
-                    tel.sample(HistogramId::RunSeconds, dt);
+                    let per_run = dt / n as f64;
+                    for _ in 0..n {
+                        tel.sample(HistogramId::RunSeconds, per_run);
+                        progress.tick(per_run);
+                    }
                     busy += dt;
-                    progress.tick(dt);
-                    value
+                    values
                 } else {
-                    f(i, &mut rng)
+                    f(runs)
                 };
-                done.push((i, value));
+                assert_eq!(values.len(), n, "one result per run of a batch");
+                done.push((start, values));
             }
             tel.sample(HistogramId::WorkerBusySeconds, busy);
             oxterm_telemetry::flush_thread();
@@ -148,15 +173,9 @@ impl MonteCarlo {
         };
         progress.finish();
         campaign_span.finish();
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(self.runs);
-        slots.resize_with(self.runs, || None);
-        for (i, value) in parts.into_iter().flatten() {
-            slots[i] = Some(value);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect()
+        let mut batches: Vec<(usize, Vec<T>)> = parts.into_iter().flatten().collect();
+        batches.sort_unstable_by_key(|&(start, _)| start);
+        batches.into_iter().flat_map(|(_, values)| values).collect()
     }
 }
 

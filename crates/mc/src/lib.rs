@@ -41,4 +41,4 @@ pub mod supervisor;
 pub mod sweep;
 
 pub use engine::MonteCarlo;
-pub use supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};
+pub use supervisor::{per_attempt, run_supervised, CampaignOutcome, SupervisorOptions};

@@ -6,12 +6,16 @@
 //! worker panics — cost one run's worth of work at most, never the
 //! campaign:
 //!
-//! * **Retries.** A failed attempt is retried, up to
+//! * **Batches.** The run closure takes a batch of attempts, each an
+//!   [`Attempt`] naming its run and attempt number with its own RNG, so a
+//!   campaign can run its first attempts side by side (the fast path's
+//!   interleaved lanes). Batching never changes a result.
+//! * **Retries.** A failed attempt is retried alone, up to
 //!   [`SupervisorOptions::max_attempts`] attempts per run, each with a
-//!   re-derived RNG stream; the [`Attempt`] handed to the run closure
-//!   names the run and the attempt.
-//! * **Panic isolation.** Every attempt runs under `catch_unwind`; the
-//!   payload becomes the attempt's error string.
+//!   re-derived RNG stream.
+//! * **Panic isolation.** Every batch and every attempt runs under
+//!   `catch_unwind`; a panicking batch is replayed one run at a time, and
+//!   the payload becomes the failing attempt's error string.
 //! * **One failure record per exhausted run.** Each run that exhausts its
 //!   attempts counts once in `mc.engine.convergence_failures` and leaves
 //!   one `mc.engine.failed_run` note quoting its run index and
@@ -42,7 +46,7 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::checkpoint::{Checkpoint, CheckpointHeader, CheckpointState, RunRecord};
-use crate::engine::{splitmix64, MonteCarlo};
+use crate::engine::{splitmix64, MonteCarlo, BATCH};
 
 /// Renders a `catch_unwind` payload as a string (panics carry `&str` or
 /// `String` in practice; anything else gets a placeholder).
@@ -217,9 +221,35 @@ fn rng_for_attempt(mc: &MonteCarlo, run: usize, attempt: u64) -> StdRng {
     }
 }
 
-/// Runs `mc` under supervision. The closure executes one *attempt* of one
-/// run; errors are rendered to strings so the supervisor (and the
-/// checkpoint format) stays generic.
+/// Adapts `f`, which runs one attempt with its RNG, to the batch closure
+/// [`run_supervised`] takes.
+pub fn per_attempt<T, F>(
+    f: F,
+) -> impl Fn(&[Attempt], &mut [StdRng]) -> Vec<Result<T, String>> + Sync
+where
+    F: Fn(&Attempt, &mut StdRng) -> Result<T, String> + Sync,
+{
+    move |attempts, rngs| {
+        attempts
+            .iter()
+            .zip(rngs)
+            .map(|(a, rng)| f(a, rng))
+            .collect()
+    }
+}
+
+/// Runs `mc` under supervision. The closure executes a batch of
+/// *attempts*, one RNG per attempt, and returns one result per attempt, in
+/// order; errors are rendered to strings so the supervisor (and the
+/// checkpoint format) stays generic. [`per_attempt`] adapts a closure that
+/// runs one attempt.
+///
+/// A batch is up to [`BATCH`] consecutive first attempts of the runs a
+/// worker claims. Resumed runs never enter a batch and retries run one at
+/// a time. While a fault plan is armed or post-mortem capture is active
+/// every batch holds one run, so each keeps its own chaos context and
+/// post-mortem stash. A batch that panics is replayed one run at a time, so
+/// only the panicking run fails.
 ///
 /// Returns `Err` only when supervision itself cannot proceed (unreadable
 /// or mismatched resume checkpoint); per-run failures are folded into the
@@ -231,7 +261,7 @@ pub fn run_supervised<T, F>(
 ) -> Result<CampaignOutcome<T>, SupervisorError>
 where
     T: Send + Clone + CheckpointState,
-    F: Fn(&Attempt, &mut StdRng) -> Result<T, String> + Sync,
+    F: Fn(&[Attempt], &mut [StdRng]) -> Vec<Result<T, String>> + Sync,
 {
     let max_attempts = opts.max_attempts.max(1);
     let header = CheckpointHeader {
@@ -306,6 +336,9 @@ where
     let panics = AtomicU64::new(0);
     let every = opts.checkpoint_every.max(1);
 
+    // Held by the one checkpoint write in flight: writes share one
+    // temporary file, so two at once would race on its rename.
+    let writing = Mutex::new(());
     let checkpoint_now = |records: &Mutex<Vec<Option<RunRecord>>>| {
         let Some(path) = &opts.checkpoint_path else {
             return;
@@ -320,42 +353,93 @@ where
     let keep = |i: usize, record: RunRecord| {
         records.lock()[i] = Some(record);
         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+        // A worker that finds a write in flight skips its own; the next
+        // periodic write, or the final one, covers its records.
         if done.is_multiple_of(every) {
-            checkpoint_now(&records);
+            if let Some(_writing) = writing.try_lock() {
+                checkpoint_now(&records);
+            }
         }
     };
 
     let progress = mc.start_progress();
-    let results: Vec<Result<T, RunFailure>> = mc.run_reporting(&progress, |i, _engine_rng| {
-        let seed = mc.seed_for_run(i);
-        // Resumed runs short-circuit: decode the stored record verbatim.
-        if let Some(Some(rec)) = resumed.get(i) {
-            let out = match &rec.outcome {
-                // Decodability was validated at load; a `None` here would
-                // mean the file changed under us — degrade to a failure.
-                Ok(words) => match T::decode(words) {
-                    Some(v) => Ok(v),
-                    None => Err(RunFailure {
-                        run: i as u64,
-                        attempts: rec.attempts,
-                        error: "resume record no longer decodes".to_string(),
-                    }),
-                },
-                Err(e) => Err(RunFailure {
-                    run: i as u64,
-                    attempts: rec.attempts,
-                    error: e.clone(),
-                }),
-            };
-            if out.is_err() {
-                progress.note_failure(seed, None);
+    // One attempt of one run, alone: under the chaos run bracket, with an
+    // armed panic fault injected before the closure.
+    let attempt_one = |i: usize, attempt: u64| -> Result<T, String> {
+        let att = Attempt {
+            run_index: i as u64,
+            attempt,
+        };
+        let mut rng = rng_for_attempt(&mc, i, attempt);
+        oxterm_chaos::begin_run(i as u64, attempt);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::Panic) {
+                Telemetry::global().incr("chaos.injected.panic");
+                panic!("chaos: injected worker panic (run {i} attempt {attempt})");
             }
-            if keep_records {
-                keep(i, rec.clone());
-            }
-            return out;
-        }
+            let mut out = f(&[att], std::slice::from_mut(&mut rng));
+            assert_eq!(out.len(), 1, "one result per attempt");
+            out.swap_remove(0)
+        }));
+        oxterm_chaos::end_run();
+        caught.unwrap_or_else(|payload| {
+            panics.fetch_add(1, Ordering::Relaxed);
+            tel.incr("mc.supervisor.caught_panics");
+            Err(format!("panic: {}", panic_message(payload)))
+        })
+    };
 
+    // The first attempts of `runs` as one batch; `None` for each if the
+    // batch panicked, so each replays alone and only the panicking run
+    // fails.
+    let attempt_batch = |runs: &[usize]| -> Vec<Option<Result<T, String>>> {
+        let atts: Vec<Attempt> = runs
+            .iter()
+            .map(|&i| Attempt {
+                run_index: i as u64,
+                attempt: 0,
+            })
+            .collect();
+        let mut rngs: Vec<StdRng> = runs.iter().map(|&i| rng_for_attempt(&mc, i, 0)).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let out = f(&atts, &mut rngs);
+            assert_eq!(out.len(), runs.len(), "one result per attempt");
+            out
+        }));
+        match caught {
+            Ok(out) => out.into_iter().map(Some).collect(),
+            Err(_) => runs.iter().map(|_| None).collect(),
+        }
+    };
+
+    // A resumed run: its stored record, decoded verbatim.
+    let replay = |i: usize, rec: &RunRecord| -> Result<T, RunFailure> {
+        let out = match &rec.outcome {
+            // Decodability was validated at load; a `None` here would
+            // mean the file changed under us — degrade to a failure.
+            Ok(words) => T::decode(words).ok_or_else(|| RunFailure {
+                run: i as u64,
+                attempts: rec.attempts,
+                error: "resume record no longer decodes".to_string(),
+            }),
+            Err(e) => Err(RunFailure {
+                run: i as u64,
+                attempts: rec.attempts,
+                error: e.clone(),
+            }),
+        };
+        if out.is_err() {
+            progress.note_failure(mc.seed_for_run(i), None);
+        }
+        if keep_records {
+            keep(i, rec.clone());
+        }
+        out
+    };
+
+    // Run `i` to success or its last attempt. `first` is its first
+    // attempt's result if that already ran in a batch; retries run alone.
+    let supervise = |i: usize, mut first: Option<Result<T, String>>| -> Result<T, RunFailure> {
         let prev_deferred = postmortem::set_deferred(true);
         if postmortem::is_active() {
             let _ = postmortem::take_last();
@@ -365,31 +449,12 @@ where
         let mut value: Option<T> = None;
         for attempt in 0..max_attempts {
             attempts_used = attempt + 1;
-            let att = Attempt {
-                run_index: i as u64,
-                attempt,
-            };
-            let mut rng = rng_for_attempt(&mc, i, attempt);
-            oxterm_chaos::begin_run(i as u64, attempt);
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::Panic) {
-                    Telemetry::global().incr("chaos.injected.panic");
-                    panic!("chaos: injected worker panic (run {i} attempt {attempt})");
-                }
-                f(&att, &mut rng)
-            }));
-            oxterm_chaos::end_run();
-            match caught {
-                Ok(Ok(v)) => {
+            match first.take().unwrap_or_else(|| attempt_one(i, attempt)) {
+                Ok(v) => {
                     value = Some(v);
                     break;
                 }
-                Ok(Err(e)) => last_err = e,
-                Err(payload) => {
-                    panics.fetch_add(1, Ordering::Relaxed);
-                    tel.incr("mc.supervisor.caught_panics");
-                    last_err = format!("panic: {}", panic_message(payload));
-                }
+                Err(e) => last_err = e,
             }
             if attempts_used == max_attempts {
                 break;
@@ -413,7 +478,7 @@ where
                     let mut report = postmortem::take_last()
                         .unwrap_or_else(|| PostmortemReport::new("mc_run", last_err.clone()));
                     report.run_index = Some(i as u64);
-                    report.seed = Some(seed);
+                    report.seed = Some(mc.seed_for_run(i));
                     report.attempt = Some(attempts_used);
                     report.max_attempts = Some(max_attempts);
                     if report.error.is_empty() {
@@ -426,7 +491,7 @@ where
                 } else {
                     None
                 };
-                progress.note_failure(seed, artifact);
+                progress.note_failure(mc.seed_for_run(i), artifact);
                 Err(RunFailure {
                     run: i as u64,
                     attempts: attempts_used,
@@ -450,6 +515,33 @@ where
             );
         }
         out
+    };
+
+    // Runs share a batch only while no fault plan is armed and no
+    // post-mortem is captured, so each injected fault and each bundle
+    // stays with its own run.
+    let batch = if oxterm_chaos::is_armed() || postmortem::is_active() {
+        1
+    } else {
+        BATCH
+    };
+    let results: Vec<Result<T, RunFailure>> = mc.run_batches(&progress, batch, |runs| {
+        // Resumed runs never enter a batch.
+        let fresh: Vec<usize> = runs
+            .clone()
+            .filter(|&i| !matches!(resumed.get(i), Some(Some(_))))
+            .collect();
+        let mut first = if fresh.len() > 1 {
+            attempt_batch(&fresh)
+        } else {
+            vec![None; fresh.len()]
+        }
+        .into_iter();
+        runs.map(|i| match resumed.get(i) {
+            Some(Some(rec)) => replay(i, rec),
+            _ => supervise(i, first.next().flatten()),
+        })
+        .collect()
     });
 
     checkpoint_now(&records);
@@ -503,10 +595,14 @@ mod tests {
             use rand::Rng;
             rng.random::<f64>()
         });
-        let supervised = run_supervised(campaign, &SupervisorOptions::default(), |_, rng| {
-            use rand::Rng;
-            Ok(rng.random::<f64>())
-        })
+        let supervised = run_supervised(
+            campaign,
+            &SupervisorOptions::default(),
+            per_attempt(|_, rng| {
+                use rand::Rng;
+                Ok(rng.random::<f64>())
+            }),
+        )
         .expect("supervision runs");
         assert_eq!(supervised.failures, 0);
         assert_eq!(supervised.exit_code(), 0);
@@ -517,13 +613,17 @@ mod tests {
     #[test]
     fn retry_ladder_recovers_transient_failures() {
         // Every run fails its first two attempts, succeeds on the third.
-        let out = run_supervised(mc(16, 1), &SupervisorOptions::default(), |att, _| {
-            if att.attempt < 2 {
-                Err(format!("transient failure at attempt {}", att.attempt))
-            } else {
-                Ok(att.attempt as f64)
-            }
-        })
+        let out = run_supervised(
+            mc(16, 1),
+            &SupervisorOptions::default(),
+            per_attempt(|att, _| {
+                if att.attempt < 2 {
+                    Err(format!("transient failure at attempt {}", att.attempt))
+                } else {
+                    Ok(att.attempt as f64)
+                }
+            }),
+        )
         .expect("supervision runs");
         assert_eq!(out.failures, 0);
         assert_eq!(out.retries, 32, "two retries per run");
@@ -532,15 +632,18 @@ mod tests {
 
     #[test]
     fn exhausted_runs_become_failures_with_attempt_counts() {
-        let out: CampaignOutcome<f64> =
-            run_supervised(mc(10, 2), &SupervisorOptions::default(), |att, _| {
+        let out: CampaignOutcome<f64> = run_supervised(
+            mc(10, 2),
+            &SupervisorOptions::default(),
+            per_attempt(|att, _| {
                 if att.run_index % 2 == 0 {
                     Err("persistent fault".to_string())
                 } else {
                     Ok(1.0)
                 }
-            })
-            .expect("supervision runs");
+            }),
+        )
+        .expect("supervision runs");
         assert_eq!(out.failures, 5);
         assert!(out.quorum_breached(), "50% failures breach the 5% quorum");
         assert_eq!(out.exit_code(), 1);
@@ -557,12 +660,16 @@ mod tests {
 
     #[test]
     fn panicking_attempts_are_isolated_and_retried() {
-        let out = run_supervised(mc(8, 3), &SupervisorOptions::default(), |att, _| {
-            if att.run_index == 5 && att.attempt == 0 {
-                panic!("kaboom in run 5");
-            }
-            Ok(att.attempt as f64)
-        })
+        let out = run_supervised(
+            mc(8, 3),
+            &SupervisorOptions::default(),
+            per_attempt(|att, _| {
+                if att.run_index == 5 && att.attempt == 0 {
+                    panic!("kaboom in run 5");
+                }
+                Ok(att.attempt as f64)
+            }),
+        )
         .expect("supervision runs");
         assert_eq!(out.failures, 0);
         assert_eq!(out.panics, 1);
@@ -577,13 +684,17 @@ mod tests {
             quorum: 0.2,
             ..SupervisorOptions::default()
         };
-        let out: CampaignOutcome<f64> = run_supervised(mc(20, 4), &opts, |att, _| {
-            if att.run_index == 0 {
-                Err("one bad run".into())
-            } else {
-                Ok(0.0)
-            }
-        })
+        let out: CampaignOutcome<f64> = run_supervised(
+            mc(20, 4),
+            &opts,
+            per_attempt(|att, _| {
+                if att.run_index == 0 {
+                    Err("one bad run".into())
+                } else {
+                    Ok(0.0)
+                }
+            }),
+        )
         .expect("supervision runs");
         assert_eq!(out.failures, 1);
         assert!(out.is_degraded());
@@ -633,7 +744,8 @@ mod tests {
             ..SupervisorOptions::default()
         };
         // Uninterrupted reference.
-        let reference = run_supervised(campaign, &quorumed, body).expect("reference runs");
+        let reference =
+            run_supervised(campaign, &quorumed, per_attempt(body)).expect("reference runs");
 
         // Partial campaign: only the first 17 runs execute (the closure
         // refuses the rest), checkpointing every 4 completions.
@@ -643,12 +755,16 @@ mod tests {
             quorum: 1.0,
             ..SupervisorOptions::default()
         };
-        let _partial = run_supervised(campaign, &partial_opts, |att, rng| {
-            if att.run_index >= 17 {
-                return Err("simulated kill".to_string());
-            }
-            body(att, rng)
-        })
+        let _partial = run_supervised(
+            campaign,
+            &partial_opts,
+            per_attempt(|att, rng| {
+                if att.run_index >= 17 {
+                    return Err("simulated kill".to_string());
+                }
+                body(att, rng)
+            }),
+        )
         .expect("partial runs");
         let cp = Checkpoint::load(&path).expect("checkpoint exists");
         assert!(!cp.records.is_empty());
@@ -665,7 +781,8 @@ mod tests {
             quorum: 0.5,
             ..SupervisorOptions::default()
         };
-        let resumed = run_supervised(campaign, &resumed_opts, body).expect("resume runs");
+        let resumed =
+            run_supervised(campaign, &resumed_opts, per_attempt(body)).expect("resume runs");
         assert!(resumed.resumed > 0);
         // Bit-identical aggregate: compare total bit patterns run by run.
         assert_eq!(reference.results.len(), resumed.results.len());
@@ -691,27 +808,106 @@ mod tests {
             checkpoint_every: 1,
             ..SupervisorOptions::default()
         };
-        run_supervised(mc(4, 111), &opts, |_, _| Ok(1.0f64)).expect("first campaign");
+        run_supervised(mc(4, 111), &opts, per_attempt(|_, _| Ok(1.0f64))).expect("first campaign");
         let resume = SupervisorOptions {
             resume_from: Some(path.clone()),
             ..SupervisorOptions::default()
         };
         // Different seed => identity mismatch.
-        let err = run_supervised(mc(4, 222), &resume, |_, _| Ok(1.0f64))
+        let err = run_supervised(mc(4, 222), &resume, per_attempt(|_, _| Ok(1.0f64)))
             .expect_err("mismatch must be rejected");
         assert!(err.message.contains("does not match"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A campaign of `runs` runs under `opts` whose closure notes the
+    /// largest batch it is handed: run `i` fails its first attempt when
+    /// `i % 7 == 3`, and panics on every attempt when it is `panicking`.
+    fn batched(
+        runs: usize,
+        opts: &SupervisorOptions,
+        panicking: Option<u64>,
+    ) -> (CampaignOutcome<f64>, usize) {
+        use rand::Rng;
+        let largest = AtomicUsize::new(0);
+        let out = run_supervised(mc(runs, 0xBA7C), opts, |atts, rngs| {
+            largest.fetch_max(atts.len(), Ordering::Relaxed);
+            atts.iter()
+                .zip(rngs)
+                .map(|(att, rng)| {
+                    if Some(att.run_index) == panicking {
+                        panic!("run {} panics", att.run_index);
+                    }
+                    if att.run_index % 7 == 3 && att.attempt == 0 {
+                        return Err("transient".to_string());
+                    }
+                    Ok(rng.random::<f64>())
+                })
+                .collect()
+        })
+        .expect("supervision runs");
+        (out, largest.into_inner())
+    }
+
+    fn values(out: &CampaignOutcome<f64>) -> Vec<Result<u64, (u64, String)>> {
+        out.results
+            .iter()
+            .map(|r| match r {
+                Ok(v) => Ok(v.to_bits()),
+                Err(f) => Err((f.attempts, f.error.clone())),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_panicking_batch_fails_only_the_panicking_run() {
+        let _guard = TEST_LOCK.lock();
+        let opts = SupervisorOptions::default();
+        let (clean, _) = batched(40, &opts, None);
+        let (out, largest) = batched(40, &opts, Some(5));
+        assert!(largest > 1, "runs shared batches");
+        assert_eq!(out.failures, 1);
+        assert_eq!(out.panics, 3, "run 5 panicked alone on each attempt");
+        let (got, want) = (values(&out), values(&clean));
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            if i == 5 {
+                assert_eq!(g, &Err((3, "panic: run 5 panics".to_string())));
+            } else {
+                assert_eq!(g, w, "run {i} keeps its value");
+            }
+        }
+    }
+
+    #[test]
+    fn armed_faults_or_capture_hold_batches_to_one_run_with_equal_results() {
+        let _guard = TEST_LOCK.lock();
+        let opts = SupervisorOptions::default();
+        let (reference, largest) = batched(100, &opts, None);
+        assert!(largest > 1, "runs shared batches");
+        assert!(reference.retries > 0);
+        oxterm_chaos::arm(oxterm_chaos::FaultPlan::new(7));
+        let under_plan = batched(100, &opts, None);
+        oxterm_chaos::disarm();
+        postmortem::set_capture(true);
+        let under_capture = batched(100, &opts, None);
+        postmortem::set_capture(false);
+        for (out, largest) in [under_plan, under_capture] {
+            assert_eq!(largest, 1);
+            assert_eq!(values(&out), values(&reference));
+            assert_eq!(out.retries, reference.retries);
+        }
     }
 
     #[test]
     fn panic_payload_rendering() {
         // An owned `String` payload (`panic!` with format arguments, or
         // `panic_any`) renders verbatim into the run's error.
-        let out: CampaignOutcome<f64> =
-            run_supervised(mc(1, 0), &SupervisorOptions::default(), |_, _| {
-                std::panic::panic_any(String::from("owned payload"))
-            })
-            .expect("supervision runs");
+        let out: CampaignOutcome<f64> = run_supervised(
+            mc(1, 0),
+            &SupervisorOptions::default(),
+            per_attempt(|_, _| std::panic::panic_any(String::from("owned payload"))),
+        )
+        .expect("supervision runs");
         assert_eq!(out.panics, 3, "every attempt panicked");
         let fail = out.results[0].as_ref().unwrap_err();
         assert_eq!(fail.error, "panic: owned payload");

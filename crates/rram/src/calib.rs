@@ -114,6 +114,14 @@ pub struct TerminationOutcome {
     pub i_initial: f64,
 }
 
+/// Pulse integrators the lane driver advances together, one step each per
+/// round. A stage is one dependent chain of exponentials, `sqrt` and `ln`;
+/// independent chains side by side overlap on the core. Chosen by
+/// measurement: with each stage split in two halves, six and eight lanes
+/// ran `qlc_campaign` ≈ 2 % faster than four and ≈ 5 % faster than three
+/// (DESIGN.md §4).
+pub const LANES: usize = 8;
+
 /// One pulse's circuit: the driver `v_drive` through `r_series` (held as
 /// its conductance `g_series`) into the cell, the current clamped at
 /// `i_max` (the SET compliance; `∞` for RESET), and the polarity, which
@@ -125,6 +133,34 @@ struct Pulse {
     g_series: f64,
     i_max: f64,
     set: bool,
+}
+
+/// A pulse's right-hand side: the circuit at cell voltage `v`, in two
+/// halves so the lane driver can start every lane's first half before any
+/// lane's second, and the driver voltage the drawn energy is integrated at.
+trait Rhs: Copy {
+    /// What the first half of a stage hands to the second.
+    type Half: Copy + Default;
+    fn half(&self, v: f64) -> Self::Half;
+    fn finish(&self, half: &Self::Half) -> Stage;
+    fn v_drive(&self) -> f64;
+
+    /// The circuit at cell voltage `v`: one right-hand-side evaluation.
+    fn stage(&self, v: f64) -> Stage {
+        self.finish(&self.half(v))
+    }
+}
+
+/// The first half of a RESET or SET stage: the circuit's current at a cell
+/// voltage and the conduction law's state and slopes there.
+#[derive(Debug, Clone, Copy, Default)]
+struct Conduction {
+    vc: f64,
+    i: f64,
+    rho2: f64,
+    /// The slope in `v` of `I(v, ρ) − i`.
+    di: f64,
+    di_drho2: f64,
 }
 
 impl Pulse {
@@ -151,17 +187,65 @@ impl Pulse {
         }
     }
 
-    /// The circuit at cell voltage `vc`: one right-hand-side evaluation, with
-    /// no solve. The circuit sets the current, the conduction law (linear in
-    /// `ρ²`) gives the state drawing it, and the rate law moves that state.
-    fn stage(&self, vc: f64) -> Stage {
+    /// The pulse's lane for job `job`, first trial step `h0`, ending at
+    /// `t_end`, started at state `ρ`: the pulse's one divider solve, by
+    /// Newton from the midpoint of `[0, v_drive]`, whose ends are never
+    /// evaluated. Their signs are known: `f(0) < 0 < f(v_drive) =
+    /// I(v_drive, ρ)` ([`check_drive`]).
+    fn start(self, rho: f64, h0: f64, t_end: f64, job: usize) -> Result<Lane<Pulse>, RramError> {
+        let fdf = |v: f64| {
+            let (i, di_dv) = self.law.current_and_slope(v, rho);
+            let (i_set, di_drive) = self.drive(v);
+            (i - i_set, di_dv + di_drive)
+        };
+        let v = newton_bracketed(fdf, 0.0, self.v_drive, f64::NAN, RootOptions::default())?;
+        let s = State {
+            v,
+            ..State::default()
+        };
+        Ok(Lane {
+            rhs: self,
+            p: Point {
+                s,
+                k: self.stage(v),
+            },
+            h: h0,
+            t_end,
+            job,
+        })
+    }
+}
+
+impl Rhs for Pulse {
+    type Half = Conduction;
+
+    /// The circuit at cell voltage `vc`, with no solve: the circuit sets the
+    /// current, and the conduction law (linear in `ρ²`) gives the state
+    /// drawing it.
+    fn half(&self, vc: f64) -> Conduction {
         let (i, di_drive) = self.drive(vc);
         let (rho2, di_dv, di_drho2) = self.law.rho2_and_slopes(vc, i);
-        let rho2 = rho2.max(0.0);
+        Conduction {
+            vc,
+            i,
+            rho2: rho2.max(0.0),
+            di: di_dv + di_drive,
+            di_drho2,
+        }
+    }
+
+    /// The rate law moving the state of `c`.
+    fn finish(&self, c: &Conduction) -> Stage {
+        let &Conduction {
+            vc,
+            i,
+            rho2,
+            di,
+            di_drho2,
+        } = c;
         // The circuit holds `I(v, ρ) = i` as the state moves, so `dv/dt =
         // −(∂I/∂ρ)·(dρ/dt)/di` with `di` the slope of `I(v, ρ) − i` in `v`,
         // and `|dy/dv| = di/(∂I/∂ρ·|dρ/dy|)`. Here `∂I/∂ρ = 2ρ·∂I/∂(ρ²)`.
-        let di = di_dv + di_drive;
         let (dv, w) = if self.set {
             // `dρ/dt = (1 − ρ)·set_rate`, `dρ/dy = −(1 − ρ)`, floored where
             // the model saturates.
@@ -185,32 +269,8 @@ impl Pulse {
         Stage { vc, i, rho2, dv, w }
     }
 
-    /// The pulse's integrator, first trial step `h0`, and its start at state
-    /// `ρ`: the pulse's one divider solve, by Newton from the midpoint of
-    /// `[0, v_drive]`, whose ends are never evaluated. Their signs are known:
-    /// `f(0) < 0 < f(v_drive) = I(v_drive, ρ)` ([`check_drive`]).
-    fn start(
-        self,
-        rho: f64,
-        h0: f64,
-    ) -> Result<(Integrator<impl Fn(f64) -> Stage>, Point), RramError> {
-        let fdf = |v: f64| {
-            let (i, di_dv) = self.law.current_and_slope(v, rho);
-            let (i_set, di_drive) = self.drive(v);
-            (i - i_set, di_dv + di_drive)
-        };
-        let v = newton_bracketed(fdf, 0.0, self.v_drive, f64::NAN, RootOptions::default())?;
-        let s = State {
-            v,
-            ..State::default()
-        };
-        let k = self.stage(v);
-        let it = Integrator {
-            rhs: move |v| self.stage(v),
-            v_drive: self.v_drive,
-            h: h0,
-        };
-        Ok((it, Point { s, k }))
+    fn v_drive(&self) -> f64 {
+        self.v_drive
     }
 }
 
@@ -260,7 +320,7 @@ struct State {
 }
 
 /// The circuit at one cell voltage: one right-hand-side evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct Stage {
     /// Cell-voltage magnitude (V).
     vc: f64,
@@ -284,84 +344,116 @@ struct Point {
     k: Stage,
 }
 
-/// The one pulse integrator: an embedded Bogacki–Shampine 3(2) pair with
-/// local extrapolation on the cell voltage, over a right-hand side
-/// `rhs(v_c)`.
-struct Integrator<F> {
-    rhs: F,
-    v_drive: f64,
+/// One pulse in flight: an embedded Bogacki–Shampine 3(2) pair with local
+/// extrapolation on the cell voltage over the right-hand side `rhs`, at its
+/// last accepted point `p`, with its next trial step `h`, its end time and
+/// the job it runs.
+#[derive(Debug, Clone, Copy)]
+struct Lane<R> {
+    rhs: R,
+    p: Point,
     /// The next trial step (s).
     h: f64,
+    /// No step reaches past this time (s).
+    t_end: f64,
+    /// The job's index in its batch.
+    job: usize,
 }
 
-impl<F: Fn(f64) -> Stage> Integrator<F> {
-    /// The third-order solution `h` past `p`, with its two inner stages.
-    fn reach(&self, p: &Point, h: f64) -> (State, Stage, Stage) {
+impl<R: Rhs> Lane<R> {
+    /// The trial step from `p` (`h`, or what is left to `t_end`), and
+    /// whether it is the last.
+    fn trial(&self) -> (f64, bool) {
+        let last = self.h >= self.t_end - self.p.s.t;
+        (
+            if last {
+                self.t_end - self.p.s.t
+            } else {
+                self.h
+            },
+            last,
+        )
+    }
+
+    /// Where the second stage of a step `h` from `p` evaluates.
+    fn at2(p: &Point, h: f64) -> f64 {
+        p.s.v + 0.5 * h * p.k.dv
+    }
+
+    /// Where the third stage of a step `h` from `p` evaluates.
+    fn at3(p: &Point, h: f64, k2: &Stage) -> f64 {
+        p.s.v + 0.75 * h * k2.dv
+    }
+
+    /// The third-order solution `h` past `p`, from its two inner stages.
+    fn solution(&self, p: &Point, h: f64, k2: &Stage, k3: &Stage) -> State {
         let k1 = p.k;
-        let k2 = (self.rhs)(p.s.v + 0.5 * h * k1.dv);
-        let k3 = (self.rhs)(p.s.v + 0.75 * h * k2.dv);
-        let sum = |f: fn(&Stage) -> f64| h * (2.0 * f(&k1) + 3.0 * f(&k2) + 4.0 * f(&k3)) / 9.0;
-        let s = State {
+        let sum = |f: fn(&Stage) -> f64| h * (2.0 * f(&k1) + 3.0 * f(k2) + 4.0 * f(k3)) / 9.0;
+        State {
             t: p.s.t + h,
             v: p.s.v + sum(|k| k.dv),
-            e_drive: p.s.e_drive + self.v_drive * sum(|k| k.i),
+            e_drive: p.s.e_drive + self.rhs.v_drive() * sum(|k| k.i),
             e_cell: p.s.e_cell + sum(|k| k.vc * k.i),
-        };
-        (s, k2, k3)
-    }
-
-    /// One accepted step from `p`, ending at `t_end` if the trial step
-    /// would reach past it. Rejected trials shrink the step and retry; a
-    /// step that cannot be made acceptable fails as a numerical error.
-    fn step(&mut self, p: &Point, t_end: f64) -> Result<Point, RramError> {
-        let mut ratio = f64::NAN;
-        for _ in 0..MAX_REJECTIONS {
-            let last = self.h >= t_end - p.s.t;
-            let h = if last { t_end - p.s.t } else { self.h };
-            let (mut s, k2, k3) = self.reach(p, h);
-            let k4 = (self.rhs)(s.v);
-            // The embedded second-order solution's distance from the third.
-            let k1 = p.k;
-            let err = |f: fn(&Stage) -> f64| {
-                (h * (-10.0 * f(&k1) + 12.0 * f(&k2) + 16.0 * f(&k3) - 18.0 * f(&k4)) / 144.0).abs()
-            };
-            // Relative to the larger energy; `0/0` before any is drawn is 0.
-            let relative = |e: f64, a: f64, b: f64| e / a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
-            // The larger, NaN if either is (`f64::max` drops a NaN).
-            let worst = |a: f64, b: f64| if a.is_nan() || a > b { a } else { b };
-            // The error in `v_c` counts as an error in `y` through `|dy/dv_c|`
-            // at whichever end of the step weighs it more.
-            ratio = worst(
-                worst(
-                    err(|k| k.dv) * worst(k1.w, k4.w),
-                    relative(self.v_drive * err(|k| k.i), p.s.e_drive, s.e_drive),
-                ),
-                relative(err(|k| k.vc * k.i), p.s.e_cell, s.e_cell),
-            ) * (1.0 / RTOL);
-            // Fivefold at a zero error.
-            let factor = (0.9 / ratio.cbrt()).clamp(0.2, 5.0);
-            let finite = s.v.is_finite() && s.e_drive.is_finite() && s.e_cell.is_finite();
-            if finite && ratio <= 1.0 {
-                if last {
-                    s.t = t_end;
-                }
-                self.h = h * factor;
-                return Ok(Point { s, k: k4 });
-            }
-            // A non-finite trial state or error is a rejection too.
-            self.h = h * factor.min(0.2);
         }
-        // The residual is the last trial's error in units of the tolerance.
-        Err(RramError::Numerics(NumericsError::NoConvergence {
-            iterations: MAX_REJECTIONS,
-            residual: ratio,
-        }))
     }
 
-    /// The state inside the accepted step `p0 → p1` at which `v_c` rises to
-    /// `v_star` (`p0.s.v < v_star ≤ p1.s.v`): a secant search (Illinois
+    /// The third-order solution `h` past `p`.
+    fn reach(&self, p: &Point, h: f64) -> State {
+        let k2 = self.rhs.stage(Self::at2(p, h));
+        let k3 = self.rhs.stage(Self::at3(p, h, &k2));
+        self.solution(p, h, &k2, &k3)
+    }
+
+    /// The error control's verdict on the trial step `h` from `p` to `s`
+    /// (`last` if it ends at `t_end`), with stages `k2`–`k4`: the accepted
+    /// point, or the rejected trial's error in units of the tolerance. Either
+    /// way it sizes the next trial step. A non-finite trial state or error
+    /// is a rejection too.
+    fn control(
+        &mut self,
+        h: f64,
+        last: bool,
+        mut s: State,
+        [k2, k3, k4]: &[Stage; 3],
+    ) -> Result<Point, f64> {
+        let p = &self.p;
+        // The embedded second-order solution's distance from the third.
+        let k1 = p.k;
+        let err = |f: fn(&Stage) -> f64| {
+            (h * (-10.0 * f(&k1) + 12.0 * f(k2) + 16.0 * f(k3) - 18.0 * f(k4)) / 144.0).abs()
+        };
+        // Relative to the larger energy; `0/0` before any is drawn is 0.
+        let relative = |e: f64, a: f64, b: f64| e / a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
+        // The larger, NaN if either is (`f64::max` drops a NaN).
+        let worst = |a: f64, b: f64| if a.is_nan() || a > b { a } else { b };
+        // The error in `v_c` counts as an error in `y` through `|dy/dv_c|`
+        // at whichever end of the step weighs it more.
+        let ratio = worst(
+            worst(
+                err(|k| k.dv) * worst(k1.w, k4.w),
+                relative(self.rhs.v_drive() * err(|k| k.i), p.s.e_drive, s.e_drive),
+            ),
+            relative(err(|k| k.vc * k.i), p.s.e_cell, s.e_cell),
+        ) * (1.0 / RTOL);
+        // Fivefold at a zero error.
+        let factor = (0.9 / ratio.cbrt()).clamp(0.2, 5.0);
+        let finite = s.v.is_finite() && s.e_drive.is_finite() && s.e_cell.is_finite();
+        if finite && ratio <= 1.0 {
+            if last {
+                s.t = self.t_end;
+            }
+            self.h = h * factor;
+            return Ok(Point { s, k: *k4 });
+        }
+        self.h = h * factor.min(0.2);
+        Err(ratio)
+    }
+
+    /// The state inside the accepted step `p0 → p` at which `v_c` rises to
+    /// `v_star` (`p0.s.v < v_star ≤ p.s.v`): a secant search (Illinois
     /// variant) over sub-steps that start from `p0`.
-    fn locate(&self, p0: &Point, p1: &Point, v_star: f64) -> State {
+    fn locate(&self, p0: &Point, v_star: f64) -> State {
+        let p1 = &self.p;
         let (mut a, mut ga) = (0.0, v_star - p0.s.v);
         let (mut b, mut gb) = (p1.s.t - p0.s.t, v_star - p1.s.v);
         let mut at = p1.s;
@@ -371,7 +463,7 @@ impl<F: Fn(f64) -> Stage> Integrator<F> {
                 break;
             }
             let tau = (a * gb - b * ga) / (gb - ga);
-            let (s, _, _) = self.reach(p0, tau);
+            let s = self.reach(p0, tau);
             let g = v_star - s.v;
             if g > 0.0 {
                 (a, ga) = (tau, g);
@@ -388,6 +480,288 @@ impl<F: Fn(f64) -> Stage> Integrator<F> {
             }
         }
         at
+    }
+}
+
+/// What a batch of pulses is for: how each job's pulse starts, and what it
+/// reads off its trajectory.
+trait Course {
+    type Rhs: Rhs;
+    /// Starts job `job`'s pulse.
+    fn start(&mut self, job: usize) -> Result<Lane<Self::Rhs>, RramError>;
+    /// Reads the job's lane at pulse start (`prev` is `None`) or after it
+    /// accepted the step `prev → lane.p`; `true` once the job is done.
+    fn visit(&mut self, lane: &Lane<Self::Rhs>, prev: Option<&Point>) -> bool;
+    /// The job's pulse failed.
+    fn fail(&mut self, job: usize, e: RramError);
+}
+
+/// The lane driver: runs the pulses of the jobs in `queue` through `K`
+/// lanes. Each round computes every live lane's second stage, then every
+/// third, then every fourth — each stage's first half for every lane
+/// before any lane's second half — then runs each lane's own error
+/// control, step size, rejection count and [`Course::visit`]; a finished
+/// lane takes the next job from the queue. Every lane runs the scalar operation sequence,
+/// so no result depends on `K` or on which jobs share a batch, and the
+/// scalar entry points are this driver with one lane.
+fn drive<C: Course, const K: usize>(course: &mut C, mut queue: impl Iterator<Item = usize>) {
+    // The next job's lane, past the jobs that fail to start or finish at
+    // their start.
+    let mut next = |course: &mut C| {
+        for job in queue.by_ref() {
+            match course.start(job) {
+                Ok(lane) if !course.visit(&lane, None) => return Some(lane),
+                Ok(_) => {}
+                Err(e) => course.fail(job, e),
+            }
+        }
+        None
+    };
+    let Some(first) = next(course) else {
+        return;
+    };
+    // Lanes `0..n` are live; the rest hold copies no round reads.
+    let mut lanes = [first; K];
+    let mut n = 1;
+    while n < K {
+        let Some(lane) = next(course) else {
+            break;
+        };
+        lanes[n] = lane;
+        n += 1;
+    }
+    // Consecutive rejected trials of each lane's current step.
+    let mut tries = [0usize; K];
+    let mut trial = [(0.0, false); K];
+    let mut halves = [<C::Rhs as Rhs>::Half::default(); K];
+    let mut stages = [[Stage::default(); 3]; K];
+    let mut ends = [State::default(); K];
+    while n > 0 {
+        for l in 0..n {
+            trial[l] = lanes[l].trial();
+            halves[l] = lanes[l]
+                .rhs
+                .half(Lane::<C::Rhs>::at2(&lanes[l].p, trial[l].0));
+        }
+        for l in 0..n {
+            stages[l][0] = lanes[l].rhs.finish(&halves[l]);
+        }
+        for l in 0..n {
+            let at = Lane::<C::Rhs>::at3(&lanes[l].p, trial[l].0, &stages[l][0]);
+            halves[l] = lanes[l].rhs.half(at);
+        }
+        for l in 0..n {
+            stages[l][1] = lanes[l].rhs.finish(&halves[l]);
+        }
+        for l in 0..n {
+            let (lane, h) = (&lanes[l], trial[l].0);
+            ends[l] = lane.solution(&lane.p, h, &stages[l][0], &stages[l][1]);
+            halves[l] = lane.rhs.half(ends[l].v);
+        }
+        for l in 0..n {
+            stages[l][2] = lanes[l].rhs.finish(&halves[l]);
+        }
+        // From the top down, so a finished lane's slot can take the last
+        // live lane, whose round is already done.
+        for l in (0..n).rev() {
+            let (h, last) = trial[l];
+            let lane = &mut lanes[l];
+            let done = match lane.control(h, last, ends[l], &stages[l]) {
+                Ok(p1) => {
+                    tries[l] = 0;
+                    let p0 = std::mem::replace(&mut lane.p, p1);
+                    course.visit(lane, Some(&p0))
+                }
+                Err(ratio) => {
+                    tries[l] += 1;
+                    let give_up = tries[l] == MAX_REJECTIONS;
+                    if give_up {
+                        let e = NumericsError::NoConvergence {
+                            iterations: MAX_REJECTIONS,
+                            residual: ratio,
+                        };
+                        course.fail(lane.job, RramError::Numerics(e));
+                    }
+                    give_up
+                }
+            };
+            if done {
+                tries[l] = 0;
+                if let Some(lane) = next(course) {
+                    lanes[l] = lane;
+                } else {
+                    n -= 1;
+                    lanes[l] = lanes[n];
+                    tries[l] = tries[n];
+                }
+            }
+        }
+    }
+}
+
+/// Fixed-width pulses — the SET and the standard RESET — each run to its
+/// end time: the start current and the final point of each job.
+struct FixedWidth<'a> {
+    /// Each job's pulse, start state, first trial step and width.
+    pulses: &'a [(Pulse, f64, f64, f64)],
+    out: &'a mut [Option<Result<(f64, Point), RramError>>],
+}
+
+impl<'a> FixedWidth<'a> {
+    /// Runs `pulses` through `K` lanes, filling `out` at each job's index.
+    fn run<const K: usize>(
+        pulses: &'a [(Pulse, f64, f64, f64)],
+        out: &'a mut [Option<Result<(f64, Point), RramError>>],
+    ) {
+        drive::<_, K>(&mut FixedWidth { pulses, out }, 0..pulses.len());
+    }
+}
+
+impl Course for FixedWidth<'_> {
+    type Rhs = Pulse;
+
+    fn start(&mut self, job: usize) -> Result<Lane<Pulse>, RramError> {
+        let (pulse, rho, h0, width) = self.pulses[job];
+        let lane = pulse.start(rho, h0, width, job)?;
+        self.out[job] = Some(Ok((lane.p.k.i, lane.p)));
+        Ok(lane)
+    }
+
+    fn visit(&mut self, lane: &Lane<Pulse>, _: Option<&Point>) -> bool {
+        if let Some(Ok((_, end))) = &mut self.out[lane.job] {
+            *end = lane.p;
+        }
+        lane.p.s.t >= lane.t_end
+    }
+
+    fn fail(&mut self, job: usize, e: RramError) {
+        self.out[job] = Some(Err(e));
+    }
+}
+
+/// Terminated RESETs: each job's pulse runs until the state has crossed
+/// every one of its references, or its `t_max` passes.
+struct Terminated<'a> {
+    /// Each job's conditions and its references: `refs[range]`.
+    jobs: &'a [(CellLaw, ResetConditions, std::ops::Range<usize>)],
+    /// Each reference's result slot, its cell voltage `v* = v_drive −
+    /// IrefR·r_series` and IrefR; within a job, from the lowest `v*` up:
+    /// the order in which a rising `v_c` crosses them.
+    refs: &'a [(usize, f64, f64)],
+    out: &'a mut [Option<Result<TerminationOutcome, RramError>>],
+    /// Per job: how many of its references are crossed, its start
+    /// current, and its accepted steps.
+    state: Vec<(usize, f64, u64)>,
+    tel: &'static Telemetry,
+    ledger: &'static JouleLedger,
+}
+
+impl<'a> Terminated<'a> {
+    /// Runs the jobs through `K` lanes, filling `out` at every reference's
+    /// slot.
+    fn run<const K: usize>(
+        jobs: &'a [(CellLaw, ResetConditions, std::ops::Range<usize>)],
+        refs: &'a [(usize, f64, f64)],
+        out: &'a mut [Option<Result<TerminationOutcome, RramError>>],
+    ) {
+        let mut course = Terminated {
+            jobs,
+            refs,
+            out,
+            state: vec![(0, 0.0, 0); jobs.len()],
+            tel: Telemetry::global(),
+            ledger: JouleLedger::global(),
+        };
+        drive::<_, K>(&mut course, 0..jobs.len());
+    }
+
+    /// The references of `job` not yet crossed.
+    fn pending(&self, job: usize) -> &'a [(usize, f64, f64)] {
+        let range = &self.jobs[job].2;
+        &self.refs[range.start + self.state[job].0..range.end]
+    }
+}
+
+impl Course for Terminated<'_> {
+    type Rhs = Pulse;
+
+    fn start(&mut self, job: usize) -> Result<Lane<Pulse>, RramError> {
+        let (law, cond, range) = &self.jobs[job];
+        self.tel
+            .tally(CounterId::TerminationRuns, range.len() as u64);
+        if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::NewtonStall) {
+            // Fast-path analogue of a forced Newton stall: the Monte Carlo
+            // volume campaigns (Figs. 11/13) program cells through this
+            // semi-analytic path, never through `newton_solve`.
+            self.tel.tally(CounterId::InjectedNewtonStall, 1);
+            return Err(RramError::Injected { site: "reset_fast" });
+        }
+        let pulse = Pulse::new(*law, cond.v_drive, cond.r_series, f64::INFINITY, false);
+        pulse.start(cond.rho_start, cond.dt, cond.t_max, job)
+    }
+
+    fn visit(&mut self, lane: &Lane<Pulse>, prev: Option<&Point>) -> bool {
+        let job = lane.job;
+        let (law, cond, _) = &self.jobs[job];
+        let p = &lane.p;
+        match prev {
+            None => self.state[job].1 = p.k.i,
+            Some(_) => self.state[job].2 += 1,
+        }
+        let (_, i_initial, steps) = self.state[job];
+        let crossed = self.pending(job);
+        for &(k, v_star, i_ref) in crossed.iter().take_while(|r| p.s.v >= r.1) {
+            // Already below the reference at pulse start, or crossed in
+            // the step just accepted: the state there draws IrefR at `v*`.
+            let (rho_final, at) = match prev {
+                None => (cond.rho_start, p.s),
+                Some(p0) => (law.rho_at(v_star, i_ref), lane.locate(p0, v_star)),
+            };
+            self.tel.tally(CounterId::TerminationSteps, steps);
+            self.tel.sample(HistogramId::TerminationLatency, at.t);
+            if self.ledger.is_enabled() {
+                // The cell dissipates v_c·i; the balance of the drive,
+                // (v_drive − v_c)·i, drops across the series path (access
+                // transistor + line), which is what r_series models.
+                self.ledger
+                    .record_energy(DeviceClass::RramCell, Role::RramCell, at.e_cell);
+                self.ledger.record_energy(
+                    DeviceClass::Resistor,
+                    Role::AccessTransistor,
+                    at.e_drive - at.e_cell,
+                );
+            }
+            self.out[k] = Some(Ok(TerminationOutcome {
+                rho_final,
+                r_read_ohms: law.read_resistance(rho_final, cond.v_read),
+                latency_s: at.t,
+                energy_j: at.e_drive,
+                i_initial,
+            }));
+            self.state[job].0 += 1;
+        }
+        let pending = self.pending(job);
+        if pending.is_empty() {
+            return true;
+        }
+        if p.s.t < cond.t_max {
+            return false;
+        }
+        for &(k, _, i_ref) in pending {
+            self.tel.tally(CounterId::NotTerminated, 1);
+            self.out[k] = Some(Err(RramError::NotTerminated {
+                i_ref,
+                t_max: cond.t_max,
+                i_final: p.k.i,
+            }));
+        }
+        true
+    }
+
+    fn fail(&mut self, job: usize, e: RramError) {
+        for &(k, _, _) in self.pending(job) {
+            self.out[k] = Some(Err(e.clone()));
+        }
     }
 }
 
@@ -439,134 +813,95 @@ pub fn simulate_reset_references(
     i_refs: &[f64],
 ) -> Vec<Result<TerminationOutcome, RramError>> {
     let _reset = Profiler::global().phase(PhaseId::RramReset);
-    if let Err(e) = params.validate().and_then(|()| {
-        check_drive(
-            inst,
-            cond.v_drive,
-            cond.r_series,
-            cond.rho_start,
-            0.0,
-            cond.v_read,
-        )
-    }) {
+    if let Err(e) = params.validate().and_then(|()| check_reset(inst, cond)) {
         return vec![Err(e); i_refs.len()];
     }
-    let law = CellLaw::new(params, inst);
     let mut out: Vec<Option<Result<TerminationOutcome, RramError>>> = vec![None; i_refs.len()];
-    // `pending` lists the valid references, each with the cell voltage
-    // `v* = v_drive − IrefR·r_series` at which the current falls to it, from
-    // the lowest up: the order in which a rising `v_c` crosses them.
-    let mut pending = Vec::with_capacity(i_refs.len());
+    let mut refs = Vec::with_capacity(i_refs.len());
     for (k, &i_ref) in i_refs.iter().enumerate() {
-        if i_ref.is_nan() || i_ref <= 0.0 {
-            out[k] = Some(Err(RramError::InvalidParameter {
-                name: "i_ref",
-                value: i_ref,
-            }));
-        } else {
-            pending.push((k, cond.v_drive - i_ref * cond.r_series));
+        match reference(cond, i_ref) {
+            Ok(v_star) => refs.push((k, v_star, i_ref)),
+            Err(e) => out[k] = Some(Err(e)),
         }
     }
-    pending.sort_by(|(_, a), (_, b)| a.total_cmp(b));
-    if !pending.is_empty() {
-        reset_trajectory(&law, cond, i_refs, &pending, &mut out);
+    refs.sort_by(|a, b| a.1.total_cmp(&b.1));
+    if !refs.is_empty() {
+        let job = [(CellLaw::new(params, inst), *cond, 0..refs.len())];
+        Terminated::run::<1>(&job, &refs, &mut out);
     }
-    out.into_iter()
-        .map(|slot| slot.unwrap_or_else(|| unreachable!("every reference is resolved")))
-        .collect()
+    resolved(out)
 }
 
-/// The terminated RESET: integrates from `cond.rho_start` until the state
-/// has crossed every reference in `pending` (indices into `i_refs` with
-/// their `v*`, lowest first) or `cond.t_max` passes, and fills `out` at
-/// those indices.
-fn reset_trajectory(
-    law: &CellLaw,
-    cond: &ResetConditions,
-    i_refs: &[f64],
-    pending: &[(usize, f64)],
-    out: &mut [Option<Result<TerminationOutcome, RramError>>],
-) {
-    let tel = Telemetry::global();
-    tel.tally(CounterId::TerminationRuns, pending.len() as u64);
-    if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::NewtonStall) {
-        // Fast-path analogue of a forced Newton stall: the Monte Carlo
-        // volume campaigns (Figs. 11/13) program cells through this
-        // semi-analytic path, never through `newton_solve`.
-        tel.tally(CounterId::InjectedNewtonStall, 1);
-        for &(k, _) in pending {
-            out[k] = Some(Err(RramError::Injected { site: "reset_fast" }));
-        }
-        return;
+/// Runs one terminated RESET per `(instance, conditions)` job, each to its
+/// own `i_ref`, through [`LANES`] interleaved lanes. Entry `k` of the result
+/// is bit for bit what [`simulate_reset_termination`] returns for job `k`,
+/// with the same telemetry and [`JouleLedger`] records.
+///
+/// # Errors
+///
+/// Per job, as [`simulate_reset_termination`]; an invalid model card fails
+/// every job.
+pub fn simulate_reset_terminations(
+    params: &OxramParams,
+    jobs: &[(InstanceVariation, ResetConditions)],
+) -> Vec<Result<TerminationOutcome, RramError>> {
+    let _reset = Profiler::global().phase(PhaseId::RramReset);
+    if let Err(e) = params.validate() {
+        return vec![Err(e); jobs.len()];
     }
-    let ledger = JouleLedger::global();
-    let fail = |out: &mut [Option<_>], from: usize, e: RramError| {
-        for &(k, _) in &pending[from..] {
-            out[k] = Some(Err(e.clone()));
-        }
-    };
-    // `pending[next]` is the highest reference not yet crossed.
-    let mut next = 0;
-    let pulse = Pulse::new(*law, cond.v_drive, cond.r_series, f64::INFINITY, false);
-    let (mut it, mut p) = match pulse.start(cond.rho_start, cond.dt) {
-        Ok(start) => start,
-        Err(e) => return fail(out, next, e),
-    };
-    let i_initial = p.k.i;
-    // The step just accepted, `prev → p`; `None` at pulse start.
-    let mut prev: Option<Point> = None;
-    let mut steps = 0u64;
-    loop {
-        while let Some(&(k, v_star)) = pending.get(next).filter(|&&(_, v_star)| p.s.v >= v_star) {
-            // Already below the reference at pulse start, or crossed in
-            // the step just accepted: the state there draws IrefR at `v*`.
-            let (rho_final, at) = match &prev {
-                None => (cond.rho_start, p.s),
-                Some(p0) => (law.rho_at(v_star, i_refs[k]), it.locate(p0, &p, v_star)),
-            };
-            tel.tally(CounterId::TerminationSteps, steps);
-            tel.sample(HistogramId::TerminationLatency, at.t);
-            if ledger.is_enabled() {
-                // The cell dissipates v_c·i; the balance of the drive,
-                // (v_drive − v_c)·i, drops across the series path (access
-                // transistor + line), which is what r_series models.
-                ledger.record_energy(DeviceClass::RramCell, Role::RramCell, at.e_cell);
-                ledger.record_energy(
-                    DeviceClass::Resistor,
-                    Role::AccessTransistor,
-                    at.e_drive - at.e_cell,
-                );
+    let mut out: Vec<Option<Result<TerminationOutcome, RramError>>> = vec![None; jobs.len()];
+    let mut runs = Vec::with_capacity(jobs.len());
+    let mut refs = Vec::with_capacity(jobs.len());
+    for (k, (inst, cond)) in jobs.iter().enumerate() {
+        match check_reset(inst, cond).and_then(|()| reference(cond, cond.i_ref)) {
+            Ok(v_star) => {
+                runs.push((
+                    CellLaw::new(params, inst),
+                    *cond,
+                    refs.len()..refs.len() + 1,
+                ));
+                refs.push((k, v_star, cond.i_ref));
             }
-            out[k] = Some(Ok(TerminationOutcome {
-                rho_final,
-                r_read_ohms: law.read_resistance(rho_final, cond.v_read),
-                latency_s: at.t,
-                energy_j: at.e_drive,
-                i_initial,
-            }));
-            next += 1;
+            Err(e) => out[k] = Some(Err(e)),
         }
-        if next == pending.len() {
-            return;
-        }
-        if p.s.t >= cond.t_max {
-            for &(k, _) in &pending[next..] {
-                let i_ref = i_refs[k];
-                tel.tally(CounterId::NotTerminated, 1);
-                out[k] = Some(Err(RramError::NotTerminated {
-                    i_ref,
-                    t_max: cond.t_max,
-                    i_final: p.k.i,
-                }));
-            }
-            return;
-        }
-        match it.step(&p, cond.t_max) {
-            Ok(p1) => prev = Some(std::mem::replace(&mut p, p1)),
-            Err(e) => return fail(out, next, e),
-        }
-        steps += 1;
     }
+    if runs.len() == 1 {
+        Terminated::run::<1>(&runs, &refs, &mut out);
+    } else {
+        Terminated::run::<LANES>(&runs, &refs, &mut out);
+    }
+    resolved(out)
+}
+
+/// Rejects a RESET drive the fast path cannot simulate ([`check_drive`]).
+fn check_reset(inst: &InstanceVariation, cond: &ResetConditions) -> Result<(), RramError> {
+    check_drive(
+        inst,
+        cond.v_drive,
+        cond.r_series,
+        cond.rho_start,
+        0.0,
+        cond.v_read,
+    )
+}
+
+/// The cell voltage `v* = v_drive − IrefR·r_series` at which the current
+/// falls to a valid (positive) reference `i_ref`.
+fn reference(cond: &ResetConditions, i_ref: f64) -> Result<f64, RramError> {
+    if i_ref.is_nan() || i_ref <= 0.0 {
+        return Err(RramError::InvalidParameter {
+            name: "i_ref",
+            value: i_ref,
+        });
+    }
+    Ok(cond.v_drive - i_ref * cond.r_series)
+}
+
+/// The results of a batch whose every slot the lanes filled.
+fn resolved<T>(out: Vec<Option<T>>) -> Vec<T> {
+    out.into_iter()
+        .map(|slot| slot.unwrap_or_else(|| unreachable!("every job is resolved")))
+        .collect()
 }
 
 /// A fixed-width (standard, non-terminated) RESET pulse — the paper's
@@ -616,19 +951,23 @@ pub fn simulate_standard_reset(
     params.validate()?;
     check_drive(inst, pulse.v_drive, pulse.r_series, rho_start, 0.0, v_read)?;
     let law = CellLaw::new(params, inst);
-    let (mut it, start) = Pulse::new(law, pulse.v_drive, pulse.r_series, f64::INFINITY, false)
-        .start(rho_start, pulse.dt)?;
-    let mut p = start;
-    while p.s.t < pulse.width {
-        p = it.step(&p, pulse.width)?;
-    }
+    let job = [(
+        Pulse::new(law, pulse.v_drive, pulse.r_series, f64::INFINITY, false),
+        rho_start,
+        pulse.dt,
+        pulse.width,
+    )];
+    let mut out = [None];
+    FixedWidth::run::<1>(&job, &mut out);
+    let [end] = out;
+    let (i_initial, p) = end.unwrap_or_else(|| unreachable!("the job is resolved"))?;
     let rho = p.k.rho2.sqrt();
     Ok(TerminationOutcome {
         rho_final: rho,
         r_read_ohms: law.read_resistance(rho, v_read),
         latency_s: pulse.width,
         energy_j: p.s.e_drive,
-        i_initial: start.k.i,
+        i_initial,
     })
 }
 
@@ -727,45 +1066,89 @@ pub fn simulate_set(
     inst: &InstanceVariation,
     cond: &SetConditions,
 ) -> Result<SetOutcome, RramError> {
+    // One job in, exactly one outcome out.
+    simulate_sets(params, &[(*inst, *cond)]).swap_remove(0)
+}
+
+/// Runs one SET per `(instance, conditions)` job through [`LANES`]
+/// interleaved lanes. Entry `k` of the result is bit for bit what
+/// [`simulate_set`] returns for job `k`, with the same [`JouleLedger`]
+/// records.
+///
+/// # Errors
+///
+/// Per job, as [`simulate_set`]; an invalid model card fails every job.
+pub fn simulate_sets(
+    params: &OxramParams,
+    jobs: &[(InstanceVariation, SetConditions)],
+) -> Vec<Result<SetOutcome, RramError>> {
     let _set = Profiler::global().phase(PhaseId::RramSet);
-    params.validate()?;
-    check_drive(
-        inst,
-        cond.v_drive,
-        cond.r_series,
-        cond.rho_start,
-        RHO_MIN,
-        cond.v_read,
-    )?;
-    let i_c = cond.i_compliance;
-    if !(i_c.is_finite() && i_c > 0.0) {
-        return Err(RramError::InvalidParameter {
-            name: "i_compliance",
-            value: i_c,
-        });
+    if let Err(e) = params.validate() {
+        return vec![Err(e); jobs.len()];
     }
-    let law = CellLaw::new(params, inst);
-    let (mut it, mut p) =
-        Pulse::new(law, cond.v_drive, cond.r_series, i_c, true).start(cond.rho_start, cond.dt)?;
-    while p.s.t < cond.width {
-        p = it.step(&p, cond.width)?;
+    let check = |inst: &InstanceVariation, cond: &SetConditions| {
+        check_drive(
+            inst,
+            cond.v_drive,
+            cond.r_series,
+            cond.rho_start,
+            RHO_MIN,
+            cond.v_read,
+        )?;
+        let i_c = cond.i_compliance;
+        if !(i_c.is_finite() && i_c > 0.0) {
+            return Err(RramError::InvalidParameter {
+                name: "i_compliance",
+                value: i_c,
+            });
+        }
+        let law = CellLaw::new(params, inst);
+        let pulse = Pulse::new(law, cond.v_drive, cond.r_series, i_c, true);
+        Ok((pulse, cond.rho_start, cond.dt, cond.width))
+    };
+    // The valid jobs' pulses, and each job's pulse index or error.
+    let mut pulses = Vec::with_capacity(jobs.len());
+    let mut slots = Vec::with_capacity(jobs.len());
+    for (inst, cond) in jobs {
+        slots.push(check(inst, cond).map(|pulse| {
+            pulses.push(pulse);
+            pulses.len() - 1
+        }));
+    }
+    let mut out: Vec<Option<Result<(f64, Point), RramError>>> = vec![None; pulses.len()];
+    if pulses.len() == 1 {
+        FixedWidth::run::<1>(&pulses, &mut out);
+    } else {
+        FixedWidth::run::<LANES>(&pulses, &mut out);
     }
     let ledger = JouleLedger::global();
-    if ledger.is_enabled() {
-        ledger.record_energy(DeviceClass::RramCell, Role::RramCell, p.s.e_cell);
-        ledger.record_energy(
-            DeviceClass::Resistor,
-            Role::AccessTransistor,
-            p.s.e_drive - p.s.e_cell,
-        );
-    }
-    // Past the model's saturation the state map reads `ρ` a rounding above 1.
-    let rho = p.k.rho2.sqrt().min(1.0);
-    Ok(SetOutcome {
-        rho_final: rho,
-        r_read_ohms: law.read_resistance(rho, cond.v_read),
-        energy_j: p.s.e_drive,
-    })
+    slots
+        .into_iter()
+        .zip(jobs)
+        .map(|(slot, (_, cond))| {
+            let k = slot?;
+            let (_, p) = out[k]
+                .take()
+                .unwrap_or_else(|| unreachable!("every job is resolved"))?;
+            if ledger.is_enabled() {
+                ledger.record_energy(DeviceClass::RramCell, Role::RramCell, p.s.e_cell);
+                ledger.record_energy(
+                    DeviceClass::Resistor,
+                    Role::AccessTransistor,
+                    p.s.e_drive - p.s.e_cell,
+                );
+            }
+            // Past the model's saturation the state map reads `ρ` a
+            // rounding above 1.
+            let rho = p.k.rho2.sqrt().min(1.0);
+            let law = pulses[k].0.law;
+            Ok(SetOutcome {
+                rho_final: rho,
+                r_read_ohms: law.read_resistance(rho, cond.v_read),
+                energy_j: p.s.e_drive,
+            })
+        })
+        .collect()
 }
 
 /// The paper's published anchors used as the calibration target.
@@ -960,7 +1343,7 @@ mod tests {
 
     /// The pulse's start solve: the cell voltage at state `rho`.
     fn divider(pulse: Pulse, rho: f64) -> Result<f64, RramError> {
-        pulse.start(rho, 1e-9).map(|(_, p)| p.s.v)
+        pulse.start(rho, 1e-9, 1.0, 0).map(|lane| lane.p.s.v)
     }
 
     /// A RESET pulse of the nominal cell.
@@ -1208,19 +1591,68 @@ mod tests {
         assert!((out.energy_j / 5.635236e-15 - 1.0).abs() < 1e-4, "{out:?}");
     }
 
-    /// One step from `v = 0` of an integrator over `rhs`, first trial
-    /// step 10 (the right-hand sides below turn non-finite past `v = 1`).
+    /// A right-hand side from a closure, at a 1 V drive.
+    #[derive(Clone, Copy)]
+    struct Synthetic<F>(F);
+
+    impl<F: Fn(f64) -> Stage + Copy> Rhs for Synthetic<F> {
+        type Half = f64;
+
+        fn half(&self, v: f64) -> f64 {
+            v
+        }
+
+        fn finish(&self, &v: &f64) -> Stage {
+            (self.0)(v)
+        }
+
+        fn v_drive(&self) -> f64 {
+            1.0
+        }
+    }
+
+    /// One job that ends at its first accepted step.
+    struct FirstStep<F> {
+        rhs: Synthetic<F>,
+        end: Option<Point>,
+    }
+
+    impl<F: Fn(f64) -> Stage + Copy> Course for FirstStep<F> {
+        type Rhs = Synthetic<F>;
+
+        fn start(&mut self, job: usize) -> Result<Lane<Self::Rhs>, RramError> {
+            let p = Point {
+                s: State::default(),
+                k: self.rhs.stage(0.0),
+            };
+            Ok(Lane {
+                rhs: self.rhs,
+                p,
+                h: 10.0,
+                t_end: 100.0,
+                job,
+            })
+        }
+
+        fn visit(&mut self, lane: &Lane<Self::Rhs>, prev: Option<&Point>) -> bool {
+            self.end = prev.map(|_| lane.p);
+            prev.is_some()
+        }
+
+        fn fail(&mut self, _: usize, e: RramError) {
+            panic!("{e}");
+        }
+    }
+
+    /// One step from `v = 0` over `rhs`, first trial step 10 (the
+    /// right-hand sides below turn non-finite past `v = 1`).
     fn first_step(rhs: impl Fn(f64) -> Stage + Copy) -> Point {
-        let p = Point {
-            s: State::default(),
-            k: rhs(0.0),
+        let mut course = FirstStep {
+            rhs: Synthetic(rhs),
+            end: None,
         };
-        let mut it = Integrator {
-            rhs,
-            v_drive: 1.0,
-            h: 10.0,
-        };
-        it.step(&p, 100.0).unwrap()
+        drive::<_, 1>(&mut course, 0..1);
+        course.end.expect("one step accepted")
     }
 
     #[test]

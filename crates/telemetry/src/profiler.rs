@@ -72,13 +72,14 @@ pub enum PhaseId {
     /// A Monte Carlo campaign: dispatch plus the join on its workers
     /// (`mc/campaign`).
     McCampaign,
-    /// One Monte Carlo run executing inside a worker (`mc/worker/run`).
+    /// One batch of Monte Carlo runs a worker claimed, executing
+    /// (`mc/worker/run`).
     McWorkerRun,
-    /// One MLC program operation, behavioral or circuit-level
-    /// (`mlc/program`).
+    /// One MLC program operation, behavioral or circuit-level, or one
+    /// batch of Monte Carlo programs (`mlc/program`).
     MlcProgram,
-    /// Drawing one Monte Carlo program's variability: the cell instance,
-    /// the perturbed conditions and the state noise (`mlc/sample`).
+    /// Drawing a batch of Monte Carlo programs' variability: each cell
+    /// instance, perturbed conditions and state noise (`mlc/sample`).
     MlcSample,
     /// Building a circuit-level programming testbench and measuring its
     /// waveforms afterwards (`mlc/testbench`).
@@ -89,10 +90,11 @@ pub enum PhaseId {
     /// The Nelder–Mead model calibration (`rram/calib`); its objective
     /// delegates to `rram/reset`.
     RramCalib,
-    /// One fast-path RESET trajectory, terminated or fixed-width
-    /// (`rram/reset`).
+    /// One fast-path RESET trajectory, terminated or fixed-width, or a
+    /// batch of terminated RESETs through the lanes (`rram/reset`).
     RramReset,
-    /// One fast-path compliance-limited SET (`rram/set`).
+    /// One fast-path compliance-limited SET, or a batch of them through
+    /// the lanes (`rram/set`).
     RramSet,
     /// Monitor callbacks between accepted steps, including the solution
     /// they are shown (`tran/monitors`).

@@ -15,7 +15,7 @@
 
 use oxterm_chaos::{FaultKind, FaultPlan};
 use oxterm_mc::checkpoint::Checkpoint;
-use oxterm_mc::supervisor::Attempt;
+use oxterm_mc::supervisor::{per_attempt, Attempt};
 use oxterm_mc::{run_supervised, MonteCarlo, SupervisorOptions};
 use rand::rngs::StdRng;
 use std::sync::{Mutex, MutexGuard};
@@ -93,12 +93,12 @@ fn degraded_campaign_completes_with_one_bundle_per_exhausted_run() {
     let outcome = run_supervised(
         MonteCarlo::new(runs, 0x5EED_CAFE),
         &opts,
-        |att: &Attempt, _rng: &mut StdRng| -> Result<f64, String> {
+        per_attempt(|att: &Attempt, _rng: &mut StdRng| -> Result<f64, String> {
             if oxterm_chaos::should_inject(FaultKind::NewtonStall) {
                 return Err("injected newton stall".to_string());
             }
             Ok(att.run_index as f64)
-        },
+        }),
     )
     .expect("supervision proceeds");
 
@@ -187,7 +187,7 @@ fn killed_campaign_resumes_bit_identically() {
             checkpoint_path: Some(full_path.clone()),
             ..SupervisorOptions::default()
         },
-        body,
+        per_attempt(body),
     )
     .expect("uninterrupted campaign runs");
     assert!(
@@ -209,7 +209,7 @@ fn killed_campaign_resumes_bit_identically() {
             resume_from: Some(torn_path.clone()),
             ..SupervisorOptions::default()
         },
-        body,
+        per_attempt(body),
     )
     .expect("resumed campaign runs");
 
@@ -245,7 +245,7 @@ fn killed_campaign_resumes_bit_identically() {
             resume_from: Some(torn_path),
             ..SupervisorOptions::default()
         },
-        body,
+        per_attempt(body),
     )
     .expect_err("plan-hash mismatch must be rejected");
     assert!(
@@ -270,11 +270,11 @@ fn ladder_never_exceeds_max_attempts() {
                 quorum: 1.0,
                 ..SupervisorOptions::default()
             },
-            |att: &Attempt, _rng: &mut StdRng| -> Result<f64, String> {
+            per_attempt(|att: &Attempt, _rng: &mut StdRng| -> Result<f64, String> {
                 calls.fetch_add(1, Ordering::Relaxed);
                 highest_attempt.fetch_max(att.attempt, Ordering::Relaxed);
                 Err("always fails".to_string())
-            },
+            }),
         )
         .expect("supervision proceeds");
         assert_eq!(outcome.failures, 4);
@@ -333,7 +333,7 @@ fn torn_checkpoint_tail_tolerates_truncation_at_every_byte() {
             checkpoint_path: Some(full_path.clone()),
             ..SupervisorOptions::default()
         },
-        body,
+        per_attempt(body),
     )
     .expect("checkpointed campaign runs");
 
@@ -387,7 +387,7 @@ fn torn_checkpoint_tail_tolerates_truncation_at_every_byte() {
             resume_from: Some(torn_path),
             ..SupervisorOptions::default()
         },
-        body,
+        per_attempt(body),
     )
     .expect("resume from torn checkpoint");
     assert_eq!(resumed.resumed, (n - 1) as u64);

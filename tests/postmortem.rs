@@ -7,7 +7,7 @@
 //! directory are process-global, so concurrent tests in one binary would
 //! race on them.
 
-use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};
+use oxterm_mc::supervisor::{per_attempt, run_supervised, CampaignOutcome, SupervisorOptions};
 use oxterm_mc::MonteCarlo;
 use oxterm_mlc::program::{build_program_circuit, program_tran_options, CircuitProgramOptions};
 use oxterm_spice::analysis::tran::{run_transient, TranOptions};
@@ -48,10 +48,14 @@ fn failed_mc_run_leaves_a_replayable_artifact() {
         max_attempts: 1,
         ..SupervisorOptions::default()
     };
-    let out: CampaignOutcome<f64> = run_supervised(mc, &opts, |_attempt, rng| {
-        let jitter = (rng.random::<f64>() - 0.5) * 0.1;
-        doomed_run(jitter, &probes).map(|()| 0.0)
-    })
+    let out: CampaignOutcome<f64> = run_supervised(
+        mc,
+        &opts,
+        per_attempt(|_attempt, rng| {
+            let jitter = (rng.random::<f64>() - 0.5) * 0.1;
+            doomed_run(jitter, &probes).map(|()| 0.0)
+        }),
+    )
     .expect("supervision runs");
     let errors: Vec<_> = out
         .results

@@ -90,7 +90,7 @@ proptest! {
             6e-6,
             36e-6,
             AllocationScheme::IsoDeltaI,
-            |_| 0.0,
+            |_| Vec::new(),
         ).expect("valid window");
         let codec = MlcCodec::for_allocation(&alloc).expect("power of two");
         let codes = codec.encode(&data);
@@ -109,7 +109,7 @@ proptest! {
     ) {
         let i_min = i_min_ua * 1e-6;
         let i_max = (i_min_ua + span_ua) * 1e-6;
-        let alloc = LevelAllocation::new(n, i_min, i_max, AllocationScheme::IsoDeltaI, |_| 0.0)
+        let alloc = LevelAllocation::new(n, i_min, i_max, AllocationScheme::IsoDeltaI, |_| Vec::new())
             .expect("valid window");
         let d = alloc.delta_i().expect("iso-ΔI");
         let expected = (i_max - i_min) / (n as f64 - 1.0);

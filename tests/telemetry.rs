@@ -9,7 +9,7 @@
 //! uniquely-named metrics for exact checks.
 
 use oxterm_mc::engine::MonteCarlo;
-use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};
+use oxterm_mc::supervisor::{per_attempt, run_supervised, CampaignOutcome, SupervisorOptions};
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_mlc::program::{program_cell_fast, ProgramConditions};
 use oxterm_rram::params::{InstanceVariation, OxramParams};
@@ -50,16 +50,19 @@ fn mc_workers_increment_shared_counters_concurrently() {
 fn failed_run_notes_carry_replayable_seeds() {
     let tel = global();
     let campaign = MonteCarlo::new(12, 0xBAD_5EED).with_threads(4);
-    let out: CampaignOutcome<f64> =
-        run_supervised(campaign, &SupervisorOptions::default(), |att, _| {
+    let out: CampaignOutcome<f64> = run_supervised(
+        campaign,
+        &SupervisorOptions::default(),
+        per_attempt(|att, _| {
             let i = att.run_index;
             if i == 4 || i == 7 {
                 Err(format!("synthetic divergence in run {i}"))
             } else {
                 Ok(i as f64)
             }
-        })
-        .expect("supervision runs");
+        }),
+    )
+    .expect("supervision runs");
     assert_eq!(out.failures, 2);
     let report = tel.report();
     assert!(
