@@ -27,12 +27,14 @@
 //! `I(v*, ρ*) = IrefR` gives `ρ*` and the read resistance exactly. The
 //! crossing time is located by a secant search over sub-steps that start
 //! from the beginning of the accepted step in which `v_c` passes `v*`.
-//! The accepted trajectory never depends on the references, so
-//! [`simulate_reset_references`] runs one trajectory and reads every
-//! reference's crossing off it; [`simulate_reset_termination`] is its
-//! one-reference case. The integration test suite cross-checks this path
-//! against the full circuit-level transient and against a converged
-//! fixed-step replay.
+//! That search runs as a lane of its own beside the trajectories, one
+//! secant iteration per round of the lane driver, and references with the
+//! same `v*` share it. The accepted trajectory never depends on the
+//! references, so [`simulate_reset_references`] runs one trajectory and
+//! reads every reference's crossing off it, its searches in the lanes
+//! beside it; [`simulate_reset_termination`] is its one-reference case.
+//! The integration test suite cross-checks this path against the full
+//! circuit-level transient and against a converged fixed-step replay.
 //!
 //! The same fast path makes model calibration affordable:
 //! [`calibrate`] runs a Nelder–Mead search over the model card to match the
@@ -48,6 +50,7 @@ use crate::params::{InstanceVariation, OxramParams};
 use crate::RramError;
 use oxterm_telemetry::joule::{DeviceClass, JouleLedger, Role};
 use oxterm_telemetry::{CounterId, HistogramId, PhaseId, Profiler, Telemetry};
+use std::ops::Range;
 
 /// Relative tolerance of the pulse integrator: the local error allowed per
 /// step in `y` (so relative in `ρ` or `1 − ρ`) and in each energy relative
@@ -114,8 +117,9 @@ pub struct TerminationOutcome {
     pub i_initial: f64,
 }
 
-/// Pulse integrators the lane driver advances together, one step each per
-/// round. A stage is one dependent chain of exponentials, `sqrt` and `ln`;
+/// Lanes the lane driver advances together: pulse integrators, one step
+/// each per round, and crossing searches, one secant iteration each. A
+/// stage is one dependent chain of exponentials, `sqrt` and `ln`;
 /// independent chains side by side overlap on the core. Chosen by
 /// measurement: with each stage split in two halves, six and eight lanes
 /// ran `qlc_campaign` ≈ 2 % faster than four and ≈ 5 % faster than three
@@ -212,6 +216,7 @@ impl Pulse {
             h: h0,
             t_end,
             job,
+            search: None,
         })
     }
 }
@@ -347,17 +352,87 @@ struct Point {
 /// One pulse in flight: an embedded Bogacki–Shampine 3(2) pair with local
 /// extrapolation on the cell voltage over the right-hand side `rhs`, at its
 /// last accepted point `p`, with its next trial step `h`, its end time and
-/// the job it runs.
+/// the job it runs. A search lane instead takes the sub-steps `h` of its
+/// [`Secant`] from the start `p` of the step it searches.
 #[derive(Debug, Clone, Copy)]
 struct Lane<R> {
     rhs: R,
     p: Point,
     /// The next trial step (s).
     h: f64,
-    /// No step reaches past this time (s).
+    /// No step reaches past this time (s); `∞` on a search lane, so its
+    /// trial step is `h`.
     t_end: f64,
-    /// The job's index in its batch.
+    /// The job's index in its batch; on a search lane, the crossing's
+    /// index in its course.
     job: usize,
+    /// The crossing a search lane locates; `None` on a pulse's lane.
+    search: Option<Secant>,
+}
+
+/// A secant search (Illinois variant) for the time inside an accepted step
+/// `p0 → p1` at which `v_c` rises to `v_star` (`p0.s.v < v_star ≤
+/// p1.s.v`), over sub-steps `τ` that start from `p0`: the bracket `[a, b]`
+/// on `τ` with `v_star − v_c` at each end, the state of the last sub-step
+/// that reached `v_star`, the end that moved last, and the iterations.
+#[derive(Debug, Clone, Copy)]
+struct Secant {
+    v_star: f64,
+    a: f64,
+    ga: f64,
+    b: f64,
+    gb: f64,
+    at: State,
+    side: i8,
+    iters: u8,
+}
+
+impl Secant {
+    /// The search for `v_star` inside the accepted step `p0 → p1`.
+    fn new(p0: &Point, p1: &Point, v_star: f64) -> Self {
+        Secant {
+            v_star,
+            a: 0.0,
+            ga: v_star - p0.s.v,
+            b: p1.s.t - p0.s.t,
+            gb: v_star - p1.s.v,
+            at: p1.s,
+            side: 0,
+            iters: 0,
+        }
+    }
+
+    /// Whether `at` is the crossing: within 1e-12 V of `v_star`, the
+    /// bracket closed, or 50 iterations spent.
+    fn done(&self) -> bool {
+        self.iters == 50 || self.gb.abs() <= 1e-12 || self.b <= self.a
+    }
+
+    /// The next sub-step: where the secant through the bracket's ends
+    /// meets `v_star`.
+    fn tau(&self) -> f64 {
+        (self.a * self.gb - self.b * self.ga) / (self.gb - self.ga)
+    }
+
+    /// Narrows the bracket by the sub-step `tau`, which reached `s`,
+    /// halving the far end's value when the same end moves twice.
+    fn update(&mut self, tau: f64, s: State) {
+        let g = self.v_star - s.v;
+        if g > 0.0 {
+            (self.a, self.ga) = (tau, g);
+            if self.side == 1 {
+                self.gb *= 0.5;
+            }
+            self.side = 1;
+        } else {
+            (self.b, self.gb, self.at) = (tau, g, s);
+            if self.side == -1 {
+                self.ga *= 0.5;
+            }
+            self.side = -1;
+        }
+        self.iters += 1;
+    }
 }
 
 impl<R: Rhs> Lane<R> {
@@ -397,11 +472,17 @@ impl<R: Rhs> Lane<R> {
         }
     }
 
-    /// The third-order solution `h` past `p`.
-    fn reach(&self, p: &Point, h: f64) -> State {
-        let k2 = self.rhs.stage(Self::at2(p, h));
-        let k3 = self.rhs.stage(Self::at3(p, h, &k2));
-        self.solution(p, h, &k2, &k3)
+    /// The lane that runs `secant`, a search inside the step from `p0` to
+    /// this lane's point, as crossing `id`.
+    fn searching(&self, p0: &Point, secant: Secant, id: usize) -> Self {
+        Lane {
+            rhs: self.rhs,
+            p: *p0,
+            h: secant.tau(),
+            t_end: f64::INFINITY,
+            job: id,
+            search: Some(secant),
+        }
     }
 
     /// The error control's verdict on the trial step `h` from `p` to `s`
@@ -448,39 +529,6 @@ impl<R: Rhs> Lane<R> {
         self.h = h * factor.min(0.2);
         Err(ratio)
     }
-
-    /// The state inside the accepted step `p0 → p` at which `v_c` rises to
-    /// `v_star` (`p0.s.v < v_star ≤ p.s.v`): a secant search (Illinois
-    /// variant) over sub-steps that start from `p0`.
-    fn locate(&self, p0: &Point, v_star: f64) -> State {
-        let p1 = &self.p;
-        let (mut a, mut ga) = (0.0, v_star - p0.s.v);
-        let (mut b, mut gb) = (p1.s.t - p0.s.t, v_star - p1.s.v);
-        let mut at = p1.s;
-        let mut side = 0i8;
-        for _ in 0..50 {
-            if gb.abs() <= 1e-12 || b <= a {
-                break;
-            }
-            let tau = (a * gb - b * ga) / (gb - ga);
-            let s = self.reach(p0, tau);
-            let g = v_star - s.v;
-            if g > 0.0 {
-                (a, ga) = (tau, g);
-                if side == 1 {
-                    gb *= 0.5;
-                }
-                side = 1;
-            } else {
-                (b, gb, at) = (tau, g, s);
-                if side == -1 {
-                    ga *= 0.5;
-                }
-                side = -1;
-            }
-        }
-        at
-    }
 }
 
 /// What a batch of pulses is for: how each job's pulse starts, and what it
@@ -494,20 +542,33 @@ trait Course {
     fn visit(&mut self, lane: &Lane<Self::Rhs>, prev: Option<&Point>) -> bool;
     /// The job's pulse failed.
     fn fail(&mut self, job: usize, e: RramError);
+    /// A search lane that [`Course::visit`] queued, if any.
+    fn search(&mut self) -> Option<Lane<Self::Rhs>> {
+        None
+    }
+    /// The search lane of crossing `id` found it at `at`.
+    fn located(&mut self, _id: usize, _at: &State) {
+        unreachable!("a course that queues no search locates nothing")
+    }
 }
 
-/// The lane driver: runs the pulses of the jobs in `queue` through `K`
-/// lanes. Each round computes every live lane's second stage, then every
-/// third, then every fourth — each stage's first half for every lane
-/// before any lane's second half — then runs each lane's own error
-/// control, step size, rejection count and [`Course::visit`]; a finished
-/// lane takes the next job from the queue. Every lane runs the scalar operation sequence,
-/// so no result depends on `K` or on which jobs share a batch, and the
-/// scalar entry points are this driver with one lane.
+/// The lane driver: runs the pulses of the jobs in `queue`, and the
+/// crossing searches their courses queue, through `K` lanes. Each round
+/// computes every live lane's second stage, then every third, then every
+/// pulse's fourth — each stage's first half for every lane before any
+/// lane's second half. A pulse's lane then runs its own error control,
+/// step size, rejection count and [`Course::visit`]; a search lane, which
+/// skips the fourth stage, runs one secant iteration on the third-order
+/// solution. After each round the empty slots take queued searches first,
+/// then new jobs. Every lane runs the scalar operation sequence, so no
+/// result depends on `K` or on which jobs share a batch.
 fn drive<C: Course, const K: usize>(course: &mut C, mut queue: impl Iterator<Item = usize>) {
-    // The next job's lane, past the jobs that fail to start or finish at
-    // their start.
+    // The next lane: a queued search, else the next job's, past the jobs
+    // that fail to start or finish at their start.
     let mut next = |course: &mut C| {
+        if let Some(lane) = course.search() {
+            return Some(lane);
+        }
         for job in queue.by_ref() {
             match course.start(job) {
                 Ok(lane) if !course.visit(&lane, None) => return Some(lane),
@@ -523,20 +584,23 @@ fn drive<C: Course, const K: usize>(course: &mut C, mut queue: impl Iterator<Ite
     // Lanes `0..n` are live; the rest hold copies no round reads.
     let mut lanes = [first; K];
     let mut n = 1;
-    while n < K {
-        let Some(lane) = next(course) else {
-            break;
-        };
-        lanes[n] = lane;
-        n += 1;
-    }
     // Consecutive rejected trials of each lane's current step.
     let mut tries = [0usize; K];
     let mut trial = [(0.0, false); K];
     let mut halves = [<C::Rhs as Rhs>::Half::default(); K];
     let mut stages = [[Stage::default(); 3]; K];
     let mut ends = [State::default(); K];
-    while n > 0 {
+    loop {
+        while n < K {
+            let Some(lane) = next(course) else {
+                break;
+            };
+            (lanes[n], tries[n]) = (lane, 0);
+            n += 1;
+        }
+        if n == 0 {
+            return;
+        }
         for l in 0..n {
             trial[l] = lanes[l].trial();
             halves[l] = lanes[l]
@@ -556,44 +620,54 @@ fn drive<C: Course, const K: usize>(course: &mut C, mut queue: impl Iterator<Ite
         for l in 0..n {
             let (lane, h) = (&lanes[l], trial[l].0);
             ends[l] = lane.solution(&lane.p, h, &stages[l][0], &stages[l][1]);
-            halves[l] = lane.rhs.half(ends[l].v);
+            if lane.search.is_none() {
+                halves[l] = lane.rhs.half(ends[l].v);
+            }
         }
         for l in 0..n {
-            stages[l][2] = lanes[l].rhs.finish(&halves[l]);
+            if lanes[l].search.is_none() {
+                stages[l][2] = lanes[l].rhs.finish(&halves[l]);
+            }
         }
         // From the top down, so a finished lane's slot can take the last
         // live lane, whose round is already done.
         for l in (0..n).rev() {
             let (h, last) = trial[l];
             let lane = &mut lanes[l];
-            let done = match lane.control(h, last, ends[l], &stages[l]) {
-                Ok(p1) => {
-                    tries[l] = 0;
-                    let p0 = std::mem::replace(&mut lane.p, p1);
-                    course.visit(lane, Some(&p0))
+            let done = if let Some(secant) = &mut lane.search {
+                secant.update(h, ends[l]);
+                let done = secant.done();
+                if done {
+                    course.located(lane.job, &secant.at);
+                } else {
+                    lane.h = secant.tau();
                 }
-                Err(ratio) => {
-                    tries[l] += 1;
-                    let give_up = tries[l] == MAX_REJECTIONS;
-                    if give_up {
-                        let e = NumericsError::NoConvergence {
-                            iterations: MAX_REJECTIONS,
-                            residual: ratio,
-                        };
-                        course.fail(lane.job, RramError::Numerics(e));
+                done
+            } else {
+                match lane.control(h, last, ends[l], &stages[l]) {
+                    Ok(p1) => {
+                        tries[l] = 0;
+                        let p0 = std::mem::replace(&mut lane.p, p1);
+                        course.visit(lane, Some(&p0))
                     }
-                    give_up
+                    Err(ratio) => {
+                        tries[l] += 1;
+                        let give_up = tries[l] == MAX_REJECTIONS;
+                        if give_up {
+                            let e = NumericsError::NoConvergence {
+                                iterations: MAX_REJECTIONS,
+                                residual: ratio,
+                            };
+                            course.fail(lane.job, RramError::Numerics(e));
+                        }
+                        give_up
+                    }
                 }
             };
             if done {
-                tries[l] = 0;
-                if let Some(lane) = next(course) {
-                    lanes[l] = lane;
-                } else {
-                    n -= 1;
-                    lanes[l] = lanes[n];
-                    tries[l] = tries[n];
-                }
+                n -= 1;
+                lanes[l] = lanes[n];
+                tries[l] = tries[n];
             }
         }
     }
@@ -640,10 +714,11 @@ impl Course for FixedWidth<'_> {
 }
 
 /// Terminated RESETs: each job's pulse runs until the state has crossed
-/// every one of its references, or its `t_max` passes.
+/// every one of its references, or its `t_max` passes. A crossing inside
+/// an accepted step is located by a search lane, one per distinct `v*`.
 struct Terminated<'a> {
     /// Each job's conditions and its references: `refs[range]`.
-    jobs: &'a [(CellLaw, ResetConditions, std::ops::Range<usize>)],
+    jobs: &'a [(CellLaw, ResetConditions, Range<usize>)],
     /// Each reference's result slot, its cell voltage `v* = v_drive −
     /// IrefR·r_series` and IrefR; within a job, from the lowest `v*` up:
     /// the order in which a rising `v_c` crosses them.
@@ -652,33 +727,83 @@ struct Terminated<'a> {
     /// Per job: how many of its references are crossed, its start
     /// current, and its accepted steps.
     state: Vec<(usize, f64, u64)>,
+    /// Each searched crossing: its job, its references `refs[range]` (one
+    /// `v*`) and the job's accepted steps up to it.
+    crossings: Vec<(usize, Range<usize>, u64)>,
+    /// Search lanes waiting for a slot.
+    queued: Vec<Lane<Pulse>>,
     tel: &'static Telemetry,
     ledger: &'static JouleLedger,
 }
 
 impl<'a> Terminated<'a> {
-    /// Runs the jobs through `K` lanes, filling `out` at every reference's
-    /// slot.
-    fn run<const K: usize>(
-        jobs: &'a [(CellLaw, ResetConditions, std::ops::Range<usize>)],
+    fn new(
+        jobs: &'a [(CellLaw, ResetConditions, Range<usize>)],
         refs: &'a [(usize, f64, f64)],
         out: &'a mut [Option<Result<TerminationOutcome, RramError>>],
-    ) {
-        let mut course = Terminated {
+    ) -> Self {
+        Terminated {
             jobs,
             refs,
             out,
             state: vec![(0, 0.0, 0); jobs.len()],
+            crossings: Vec::with_capacity(refs.len()),
+            queued: Vec::new(),
             tel: Telemetry::global(),
             ledger: JouleLedger::global(),
-        };
-        drive::<_, K>(&mut course, 0..jobs.len());
+        }
+    }
+
+    /// Runs the jobs through `K` lanes, filling `out` at every reference's
+    /// slot.
+    fn run<const K: usize>(
+        jobs: &'a [(CellLaw, ResetConditions, Range<usize>)],
+        refs: &'a [(usize, f64, f64)],
+        out: &'a mut [Option<Result<TerminationOutcome, RramError>>],
+    ) {
+        drive::<_, K>(&mut Terminated::new(jobs, refs, out), 0..jobs.len());
     }
 
     /// The references of `job` not yet crossed.
     fn pending(&self, job: usize) -> &'a [(usize, f64, f64)] {
         let range = &self.jobs[job].2;
         &self.refs[range.start + self.state[job].0..range.end]
+    }
+
+    /// Resolves the references `refs[range]` of `job`, crossed at `at`
+    /// after `steps` accepted steps: there the state draws IrefR at `v*`,
+    /// or, before any step, is the start state.
+    fn resolve(&mut self, job: usize, range: Range<usize>, steps: u64, at: &State) {
+        let (law, cond, _) = &self.jobs[job];
+        let i_initial = self.state[job].1;
+        for &(k, v_star, i_ref) in &self.refs[range] {
+            let rho_final = if steps == 0 {
+                cond.rho_start
+            } else {
+                law.rho_at(v_star, i_ref)
+            };
+            self.tel.tally(CounterId::TerminationSteps, steps);
+            self.tel.sample(HistogramId::TerminationLatency, at.t);
+            if self.ledger.is_enabled() {
+                // The cell dissipates v_c·i; the balance of the drive,
+                // (v_drive − v_c)·i, drops across the series path (access
+                // transistor + line), which is what r_series models.
+                self.ledger
+                    .record_energy(DeviceClass::RramCell, Role::RramCell, at.e_cell);
+                self.ledger.record_energy(
+                    DeviceClass::Resistor,
+                    Role::AccessTransistor,
+                    at.e_drive - at.e_cell,
+                );
+            }
+            self.out[k] = Some(Ok(TerminationOutcome {
+                rho_final,
+                r_read_ohms: law.read_resistance(rho_final, cond.v_read),
+                latency_s: at.t,
+                energy_j: at.e_drive,
+                i_initial,
+            }));
+        }
     }
 }
 
@@ -702,44 +827,33 @@ impl Course for Terminated<'_> {
 
     fn visit(&mut self, lane: &Lane<Pulse>, prev: Option<&Point>) -> bool {
         let job = lane.job;
-        let (law, cond, _) = &self.jobs[job];
         let p = &lane.p;
         match prev {
             None => self.state[job].1 = p.k.i,
             Some(_) => self.state[job].2 += 1,
         }
-        let (_, i_initial, steps) = self.state[job];
-        let crossed = self.pending(job);
-        for &(k, v_star, i_ref) in crossed.iter().take_while(|r| p.s.v >= r.1) {
-            // Already below the reference at pulse start, or crossed in
-            // the step just accepted: the state there draws IrefR at `v*`.
-            let (rho_final, at) = match prev {
-                None => (cond.rho_start, p.s),
-                Some(p0) => (law.rho_at(v_star, i_ref), lane.locate(p0, v_star)),
-            };
-            self.tel.tally(CounterId::TerminationSteps, steps);
-            self.tel.sample(HistogramId::TerminationLatency, at.t);
-            if self.ledger.is_enabled() {
-                // The cell dissipates v_c·i; the balance of the drive,
-                // (v_drive − v_c)·i, drops across the series path (access
-                // transistor + line), which is what r_series models.
-                self.ledger
-                    .record_energy(DeviceClass::RramCell, Role::RramCell, at.e_cell);
-                self.ledger.record_energy(
-                    DeviceClass::Resistor,
-                    Role::AccessTransistor,
-                    at.e_drive - at.e_cell,
-                );
+        let steps = self.state[job].2;
+        // Already below these references at pulse start, or crossed in the
+        // step just accepted; those with one `v*` share one crossing.
+        let first = self.jobs[job].2.start + self.state[job].0;
+        let end = first + self.pending(job).partition_point(|r| p.s.v >= r.1);
+        self.state[job].0 += end - first;
+        let mut i = first;
+        while i < end {
+            let v_star = self.refs[i].1;
+            let j = i + self.refs[i..end].partition_point(|r| r.1 == v_star);
+            match prev.map(|p0| (p0, Secant::new(p0, p, v_star))) {
+                Some((p0, secant)) if !secant.done() => {
+                    let id = self.crossings.len();
+                    self.queued.push(lane.searching(p0, secant, id));
+                    self.crossings.push((job, i..j, steps));
+                }
+                // At pulse start, or the step ends within 1e-12 V of `v*`.
+                _ => self.resolve(job, i..j, steps, &p.s),
             }
-            self.out[k] = Some(Ok(TerminationOutcome {
-                rho_final,
-                r_read_ohms: law.read_resistance(rho_final, cond.v_read),
-                latency_s: at.t,
-                energy_j: at.e_drive,
-                i_initial,
-            }));
-            self.state[job].0 += 1;
+            i = j;
         }
+        let (_, cond, _) = &self.jobs[job];
         let pending = self.pending(job);
         if pending.is_empty() {
             return true;
@@ -762,6 +876,15 @@ impl Course for Terminated<'_> {
         for &(k, _, _) in self.pending(job) {
             self.out[k] = Some(Err(e.clone()));
         }
+    }
+
+    fn search(&mut self) -> Option<Lane<Pulse>> {
+        self.queued.pop()
+    }
+
+    fn located(&mut self, id: usize, at: &State) {
+        let (job, range, steps) = self.crossings[id].clone();
+        self.resolve(job, range, steps, at);
     }
 }
 
@@ -794,7 +917,8 @@ pub fn simulate_reset_termination(
 ///
 /// The trajectory up to a reference's crossing does not depend on the
 /// reference, so a single run down to the lowest reference serves them
-/// all. Entry `k` of the result is bit for bit what
+/// all, its crossing searches in [`LANES`] lanes beside it, one per
+/// distinct reference. Entry `k` of the result is bit for bit what
 /// [`simulate_reset_termination`] returns with `i_ref = i_refs[k]`, and the
 /// telemetry and [`JouleLedger`] records are those of that run. Sweeps that
 /// start every RESET from the same state (the Table 2 allocation, each
@@ -827,7 +951,7 @@ pub fn simulate_reset_references(
     refs.sort_by(|a, b| a.1.total_cmp(&b.1));
     if !refs.is_empty() {
         let job = [(CellLaw::new(params, inst), *cond, 0..refs.len())];
-        Terminated::run::<1>(&job, &refs, &mut out);
+        Terminated::run::<LANES>(&job, &refs, &mut out);
     }
     resolved(out)
 }
@@ -1336,6 +1460,8 @@ pub fn calibrate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn nominal() -> (OxramParams, InstanceVariation) {
         (OxramParams::calibrated(), InstanceVariation::nominal())
@@ -1356,6 +1482,161 @@ mod tests {
             f64::INFINITY,
             false,
         )
+    }
+
+    impl<R: Rhs> Lane<R> {
+        /// The third-order solution `h` past `p`.
+        fn reach(&self, p: &Point, h: f64) -> State {
+            let k2 = self.rhs.stage(Self::at2(p, h));
+            let k3 = self.rhs.stage(Self::at3(p, h, &k2));
+            self.solution(p, h, &k2, &k3)
+        }
+
+        /// The scalar reference for a search lane: the state inside the
+        /// accepted step `p0 → p` at which `v_c` rises to `v_star`
+        /// (`p0.s.v < v_star ≤ p.s.v`), by a secant search (Illinois
+        /// variant) over sub-steps that start from `p0`, one whole
+        /// iteration after another.
+        fn locate(&self, p0: &Point, v_star: f64) -> State {
+            let p1 = &self.p;
+            let (mut a, mut ga) = (0.0, v_star - p0.s.v);
+            let (mut b, mut gb) = (p1.s.t - p0.s.t, v_star - p1.s.v);
+            let mut at = p1.s;
+            let mut side = 0i8;
+            for _ in 0..50 {
+                if gb.abs() <= 1e-12 || b <= a {
+                    break;
+                }
+                let tau = (a * gb - b * ga) / (gb - ga);
+                let s = self.reach(p0, tau);
+                let g = v_star - s.v;
+                if g > 0.0 {
+                    (a, ga) = (tau, g);
+                    if side == 1 {
+                        gb *= 0.5;
+                    }
+                    side = 1;
+                } else {
+                    (b, gb, at) = (tau, g, s);
+                    if side == -1 {
+                        ga *= 0.5;
+                    }
+                    side = -1;
+                }
+            }
+            at
+        }
+    }
+
+    /// [`Terminated`], with each crossing it searches also located by the
+    /// scalar search from the same step.
+    struct Checked<'a> {
+        course: Terminated<'a>,
+        /// Per search: the scalar search's state, and the search lane's.
+        located: Vec<(State, Option<State>)>,
+    }
+
+    impl Course for Checked<'_> {
+        type Rhs = Pulse;
+
+        fn start(&mut self, job: usize) -> Result<Lane<Pulse>, RramError> {
+            self.course.start(job)
+        }
+
+        fn visit(&mut self, lane: &Lane<Pulse>, prev: Option<&Point>) -> bool {
+            let searched = self.course.crossings.len();
+            let done = self.course.visit(lane, prev);
+            for (_, range, _) in &self.course.crossings[searched..] {
+                let p0 = prev.expect("a search follows an accepted step");
+                let v_star = self.course.refs[range.start].1;
+                self.located.push((lane.locate(p0, v_star), None));
+            }
+            done
+        }
+
+        fn fail(&mut self, job: usize, e: RramError) {
+            self.course.fail(job, e);
+        }
+
+        fn search(&mut self) -> Option<Lane<Pulse>> {
+            self.course.search()
+        }
+
+        fn located(&mut self, id: usize, at: &State) {
+            self.located[id].1 = Some(*at);
+            self.course.located(id, at);
+        }
+    }
+
+    type Outcomes = Vec<Result<TerminationOutcome, RramError>>;
+
+    /// Runs one terminated RESET of the calibrated card per job (its
+    /// instance, conditions and references) through [`LANES`] lanes, as
+    /// the entry points do, and checks every search lane's crossing bit
+    /// for bit against the scalar search's: time, cell voltage, driver
+    /// and cell energy. The outcomes in reference order, and the number
+    /// of searches.
+    fn checked(jobs: &[(InstanceVariation, ResetConditions, Vec<f64>)]) -> (Outcomes, usize) {
+        let p = OxramParams::calibrated();
+        let (mut runs, mut refs) = (Vec::new(), Vec::new());
+        for (inst, cond, i_refs) in jobs {
+            let start = refs.len();
+            for &i_ref in i_refs {
+                refs.push((refs.len(), reference(cond, i_ref).unwrap(), i_ref));
+            }
+            refs[start..].sort_by(|a, b| a.1.total_cmp(&b.1));
+            runs.push((CellLaw::new(&p, inst), *cond, start..refs.len()));
+        }
+        let mut out = vec![None; refs.len()];
+        let mut course = Checked {
+            course: Terminated::new(&runs, &refs, &mut out),
+            located: Vec::new(),
+        };
+        drive::<_, LANES>(&mut course, 0..runs.len());
+        let Checked { located, .. } = course;
+        let bits = |s: &State| [s.t, s.v, s.e_drive, s.e_cell].map(f64::to_bits);
+        for (scalar, lane) in &located {
+            let lane = lane.expect("every queued search runs");
+            assert_eq!(bits(&lane), bits(scalar), "{lane:?} vs {scalar:?}");
+        }
+        (resolved(out), located.len())
+    }
+
+    #[test]
+    fn search_lanes_locate_every_crossing_as_the_scalar_search_does() {
+        let p = OxramParams::calibrated();
+        // The calibration objective's 20 references on the nominal cell:
+        // 16 distinct `v*`, so 16 searches, alongside the trajectory.
+        let target = CalibrationTarget::paper();
+        let i_refs: Vec<f64> = target
+            .allocation
+            .iter()
+            .chain(&target.latencies)
+            .chain(&target.energies)
+            .map(|&(i_ua, _)| i_ua * 1e-6)
+            .collect();
+        let cond = ResetConditions::paper_defaults(f64::NAN);
+        let nominal = InstanceVariation::nominal();
+        let (outs, searches) = checked(&[(nominal, cond, i_refs.clone())]);
+        assert_eq!(searches, 16);
+        assert_eq!(
+            outs,
+            simulate_reset_references(&p, &nominal, &cond, &i_refs)
+        );
+        // Sampled instances, one reference each, as the Monte Carlo batch
+        // runs them through `simulate_reset_terminations`.
+        let mut rng = StdRng::seed_from_u64(0x5EA7C4);
+        let jobs: Vec<_> = (0..3 * LANES + 1)
+            .map(|k| {
+                let inst = InstanceVariation::sample_d2d(&p, &mut rng);
+                let i_ref = (6 + 2 * (k % 16)) as f64 * 1e-6;
+                (inst, ResetConditions::paper_defaults(i_ref), vec![i_ref])
+            })
+            .collect();
+        let (outs, searches) = checked(&jobs);
+        assert_eq!(searches, jobs.len());
+        let batch: Vec<_> = jobs.iter().map(|&(inst, cond, _)| (inst, cond)).collect();
+        assert_eq!(outs, simulate_reset_terminations(&p, &batch));
     }
 
     #[test]
@@ -1631,6 +1912,7 @@ mod tests {
                 h: 10.0,
                 t_end: 100.0,
                 job,
+                search: None,
             })
         }
 

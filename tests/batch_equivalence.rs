@@ -12,7 +12,7 @@
 //! of process-global totals.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use oxterm_mlc::levels::{AllocationScheme, LevelAllocation};
 use oxterm_mlc::program::{
@@ -32,12 +32,26 @@ use rand::{Rng, SeedableRng};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn serial() -> std::sync::MutexGuard<'static, ()> {
+/// A test's turn with the global observers. A thread's observer shards
+/// merge when it exits, which is after its test returns, so the turn
+/// merges them itself before it unlocks: otherwise a finished test's
+/// records could land inside the next test's deltas.
+struct Serial {
+    _turn: MutexGuard<'static, ()>,
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        oxterm_telemetry::flush_thread();
+    }
+}
+
+fn serial() -> Serial {
     Telemetry::install(Telemetry::enabled());
     JouleLedger::install(JouleLedger::enabled());
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    Serial {
+        _turn: SERIAL.lock().unwrap_or_else(PoisonError::into_inner),
+    }
 }
 
 /// Batch sizes from one lane to past two full rounds of lanes.

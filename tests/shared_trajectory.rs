@@ -8,12 +8,12 @@
 //! take one lock and run one at a time: the observer test compares deltas of
 //! process-global totals.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_rram::calib::{
     simulate_reset_references, simulate_reset_termination, CalibrationTarget, ResetConditions,
-    TerminationOutcome,
+    TerminationOutcome, LANES,
 };
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 use oxterm_rram::RramError;
@@ -22,12 +22,26 @@ use oxterm_telemetry::Telemetry;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn serial() -> std::sync::MutexGuard<'static, ()> {
+/// A test's turn with the global observers. A thread's observer shards
+/// merge when it exits, which is after its test returns, so the turn
+/// merges them itself before it unlocks: otherwise a finished test's
+/// records could land inside the next test's deltas.
+struct Serial {
+    _turn: MutexGuard<'static, ()>,
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        oxterm_telemetry::flush_thread();
+    }
+}
+
+fn serial() -> Serial {
     Telemetry::install(Telemetry::enabled());
     JouleLedger::install(JouleLedger::enabled());
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    Serial {
+        _turn: SERIAL.lock().unwrap_or_else(PoisonError::into_inner),
+    }
 }
 
 /// The calibration objective's 20 references, in its order: the Table 2
@@ -92,6 +106,43 @@ fn shared_trajectory_matches_independent_runs_bit_for_bit() {
     shuffled.rotate_left(5);
     shuffled.swap(0, 9);
     assert_matches_independent_runs(&paper, &shuffled);
+}
+
+/// `n` distinct references from `i_ref` up, a relative 1e-10 apart: for
+/// `n` up to 20 their `v*` lie within 0.2 nV, and one accepted step
+/// crosses them all.
+fn cluster(i_ref: f64, n: usize) -> Vec<f64> {
+    (0..n).map(|j| i_ref * (1.0 + 1e-10 * j as f64)).collect()
+}
+
+#[test]
+fn shared_searches_match_independent_runs_bit_for_bit() {
+    let _serial = serial();
+    let p = OxramParams::calibrated();
+    let inst = InstanceVariation::nominal();
+    let paper = ResetConditions::paper_defaults(f64::NAN);
+    // Exact duplicates share one search and still fill every slot.
+    assert_matches_independent_runs(&paper, &[20e-6, 6e-6, 20e-6, 36e-6, 6e-6, 20e-6]);
+    // Several references crossed in one accepted step, each searched.
+    let mut one_step = cluster(20e-6, 3);
+    one_step.push(10e-6);
+    assert_matches_independent_runs(&paper, &one_step);
+    // More distinct crossings in one step than there are lanes: the
+    // searches queue for slots.
+    assert_matches_independent_runs(&paper, &cluster(14e-6, 2 * LANES + 1));
+    // A reference above the start current is met at pulse start, before
+    // any step, beside references the pulse goes on to cross.
+    let i0 = simulate_reset_termination(
+        &p,
+        &inst,
+        &ResetConditions {
+            i_ref: 20e-6,
+            ..paper
+        },
+    )
+    .unwrap()
+    .i_initial;
+    assert_matches_independent_runs(&paper, &[1.5 * i0, 20e-6, 1.5 * i0, 8e-6]);
 }
 
 #[test]
