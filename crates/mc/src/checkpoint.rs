@@ -1,20 +1,22 @@
 //! Campaign checkpoints: crash-safe progress snapshots with bit-exact
 //! resume.
 //!
-//! A supervised campaign (see [`crate::supervisor`]) periodically writes a
-//! JSONL snapshot of every completed run — index, attempt count and either
-//! the run's encoded result or its terminal error. Results are encoded as
-//! `f64` **bit patterns** (hex), not decimal renderings, so a `--resume`
-//! replays completed runs to bit-identical aggregate statistics. The
-//! header pins the campaign seed, run count and the armed fault-plan hash;
-//! a resume under a different configuration is rejected instead of
-//! silently mixing incompatible runs.
+//! A supervised campaign (see [`crate::supervisor`]) keeps a JSONL record
+//! of every completed run — index, attempt count and either the run's
+//! encoded result or its terminal error. Results are encoded as `f64`
+//! **bit patterns** (hex), not decimal renderings, so a `--resume` replays
+//! completed runs to bit-identical aggregate statistics. The header pins
+//! the campaign seed, run count and the armed fault-plan hash; a resume
+//! under a different configuration is rejected instead of silently mixing
+//! incompatible runs.
 //!
-//! Writes go through a temp file + `std::fs::rename`, so a campaign killed
-//! mid-write (the whole point of checkpoints) never leaves a torn file —
-//! at worst the previous snapshot survives. This crate is not on the
-//! solver `std::fs` ban list precisely so campaign-level persistence can
-//! live here.
+//! While a campaign runs, new records are appended ([`Checkpoint::append`]),
+//! so a campaign killed mid-append (the whole point of checkpoints) leaves
+//! at worst a torn last line, which [`Checkpoint::load_tolerant`] drops.
+//! Whole files go through a temp file + `std::fs::rename`
+//! ([`Checkpoint::write_atomic`]). This crate is not on the solver
+//! `std::fs` ban list precisely so campaign-level persistence can live
+//! here.
 
 use oxterm_telemetry::JsonWriter;
 
@@ -108,27 +110,7 @@ impl Checkpoint {
             out.push('\n');
         }
         for rec in &self.records {
-            let mut w = JsonWriter::new();
-            w.begin_object();
-            w.u64("run", rec.run);
-            w.u64("attempts", rec.attempts);
-            match &rec.outcome {
-                Ok(words) => {
-                    w.bool("ok", true);
-                    w.begin_array_key("bits");
-                    for x in words {
-                        w.array_string(&format!("{:#018x}", x.to_bits()));
-                    }
-                    w.end_array();
-                }
-                Err(e) => {
-                    w.bool("ok", false);
-                    w.string("error", e);
-                }
-            }
-            w.end_object();
-            out.push_str(&w.finish());
-            out.push('\n');
+            push_record(&mut out, rec);
         }
         out
     }
@@ -224,6 +206,22 @@ impl Checkpoint {
         std::fs::rename(&tmp, path).map_err(|e| format!("could not rename {tmp} -> {path}: {e}"))
     }
 
+    /// Appends `records` to the checkpoint file at `path`, one line each.
+    /// A kill mid-append leaves at worst a torn last line, which
+    /// [`Checkpoint::load_tolerant`] drops.
+    pub fn append(path: &str, records: &[RunRecord]) -> Result<(), String> {
+        use std::io::Write;
+        let mut text = String::new();
+        for rec in records {
+            push_record(&mut text, rec);
+        }
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|mut f| f.write_all(text.as_bytes()))
+            .map_err(|e| format!("could not append to {path}: {e}"))
+    }
+
     /// FNV-1a digest over the header and every record (bit patterns of the
     /// result words included) — a cheap identity for "same completed set".
     pub fn digest(&self) -> u64 {
@@ -255,6 +253,31 @@ impl Checkpoint {
         }
         h
     }
+}
+
+/// Appends one run's JSONL line to `out`.
+fn push_record(out: &mut String, rec: &RunRecord) {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.u64("run", rec.run);
+    w.u64("attempts", rec.attempts);
+    match &rec.outcome {
+        Ok(words) => {
+            w.bool("ok", true);
+            w.begin_array_key("bits");
+            for x in words {
+                w.array_string(&format!("{:#018x}", x.to_bits()));
+            }
+            w.end_array();
+        }
+        Err(e) => {
+            w.bool("ok", false);
+            w.string("error", e);
+        }
+    }
+    w.end_object();
+    out.push_str(&w.finish());
+    out.push('\n');
 }
 
 // --- minimal flat-JSON field extraction (we only parse our own writer's

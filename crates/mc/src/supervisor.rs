@@ -29,9 +29,11 @@
 //!   campaign's own [`CampaignProgress`](crate::progress::CampaignProgress),
 //!   which the progress line and [`CampaignOutcome`] both read.
 //! * **Checkpoint/resume.** Completed runs stream into a
-//!   [`Checkpoint`](crate::checkpoint::Checkpoint) every
-//!   `checkpoint_every` completions (atomic tmp+rename); a campaign without
-//!   `checkpoint_path` keeps no per-run records. `resume_from` replays
+//!   [`Checkpoint`](crate::checkpoint::Checkpoint): the file starts as the
+//!   header and any resumed runs, new records are appended every
+//!   `checkpoint_every` completions, and the end rewrites it whole in run
+//!   order (atomic tmp+rename); a campaign without `checkpoint_path` keeps
+//!   no per-run records. `resume_from` replays
 //!   completed runs out of the file — bit-identically, results are stored
 //!   as f64 bit patterns — and only computes the remainder.
 //! * **Graceful degradation.** The campaign finishes useful as long as the
@@ -69,7 +71,8 @@ pub struct SupervisorOptions {
     pub quorum: f64,
     /// Where to stream checkpoints (`None` = no checkpointing).
     pub checkpoint_path: Option<String>,
-    /// Checkpoint after every N completed runs (and once at the end).
+    /// Append the new records after every N completed runs (and write the
+    /// whole file once at the end).
     pub checkpoint_every: usize,
     /// Resume completed runs from this checkpoint file.
     pub resume_from: Option<String>,
@@ -324,40 +327,54 @@ where
         tel.add("mc.supervisor.resumed_runs", resumed_count);
     }
 
-    // Shared, lock-guarded record store feeding the periodic checkpoints;
-    // it stays empty unless the campaign writes checkpoints.
+    // Shared, lock-guarded record store for the final checkpoint, and the
+    // records not yet appended to the file; both stay empty unless the
+    // campaign writes checkpoints.
     let keep_records = opts.checkpoint_path.is_some();
     let records: Mutex<Vec<Option<RunRecord>>> = Mutex::new(if keep_records {
         vec![None; mc.runs]
     } else {
         Vec::new()
     });
+    let unwritten: Mutex<Vec<RunRecord>> = Mutex::new(Vec::new());
     let completed = AtomicUsize::new(0);
     let panics = AtomicU64::new(0);
     let every = opts.checkpoint_every.max(1);
 
-    // Held by the one checkpoint write in flight: writes share one
-    // temporary file, so two at once would race on its rename.
-    let writing = Mutex::new(());
+    // The whole checkpoint: every record so far, in run order. The file
+    // starts as the header and the resumed records, and ends complete.
     let checkpoint_now = |records: &Mutex<Vec<Option<RunRecord>>>| {
         let Some(path) = &opts.checkpoint_path else {
             return;
         };
-        let snapshot: Vec<RunRecord> = records.lock().iter().flatten().cloned().collect();
         let mut cp = Checkpoint::new(header);
-        cp.records = snapshot;
+        cp.records = records.lock().iter().flatten().cloned().collect();
         if let Err(e) = cp.write_atomic(path) {
             eprintln!("mc: checkpoint write failed: {e}");
         }
     };
+    if keep_records {
+        let mut store = records.lock();
+        for (slot, rec) in store.iter_mut().zip(&resumed) {
+            slot.clone_from(rec);
+        }
+    }
+    checkpoint_now(&records);
+    // Held by the one append in flight, so appended lines never interleave.
+    let writing = Mutex::new(());
+    // A run's record, appended with the next periodic write.
     let keep = |i: usize, record: RunRecord| {
+        unwritten.lock().push(record.clone());
         records.lock()[i] = Some(record);
         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-        // A worker that finds a write in flight skips its own; the next
-        // periodic write, or the final one, covers its records.
+        // A worker that finds an append in flight skips its own; the next
+        // periodic append, or the final write, covers its records.
         if done.is_multiple_of(every) {
-            if let Some(_writing) = writing.try_lock() {
-                checkpoint_now(&records);
+            if let (Some(path), Some(_writing)) = (&opts.checkpoint_path, writing.try_lock()) {
+                let new = std::mem::take(&mut *unwritten.lock());
+                if let Err(e) = Checkpoint::append(path, &new) {
+                    eprintln!("mc: checkpoint write failed: {e}");
+                }
             }
         }
     };
@@ -430,9 +447,6 @@ where
         };
         if out.is_err() {
             progress.note_failure(mc.seed_for_run(i), None);
-        }
-        if keep_records {
-            keep(i, rec.clone());
         }
         out
     };
@@ -794,6 +808,58 @@ mod tests {
             }
         }
         assert_eq!(reference.failures, resumed.failures);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn periodic_checkpoints_append_and_the_final_one_is_complete() {
+        let _guard = TEST_LOCK.lock();
+        let dir = std::env::temp_dir().join(format!("oxterm_sup_append_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("ckpt.jsonl").to_string_lossy().to_string();
+        let opts = SupervisorOptions {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: 4,
+            ..SupervisorOptions::default()
+        };
+        // One worker; every run fails its first attempt, so each retry runs
+        // alone, in run order, after the records of the runs before it.
+        let file = || Checkpoint::load(&path).expect("checkpoint parses");
+        let out = run_supervised(
+            MonteCarlo::new(10, 0xA99E).with_threads(1),
+            &opts,
+            per_attempt(|att, _| {
+                if att.attempt == 0 {
+                    return Err("first attempt".to_string());
+                }
+                match att.run_index {
+                    // Four records so far: mark the first, which a rewrite
+                    // would restore and an append leaves alone.
+                    5 => {
+                        let mut cp = file();
+                        assert_eq!(cp.records.len(), 4);
+                        cp.records[0].attempts = 99;
+                        cp.write_atomic(&path).expect("rewrite");
+                    }
+                    9 => {
+                        let cp = file();
+                        let runs: Vec<u64> = cp.records.iter().map(|r| r.run).collect();
+                        assert_eq!(runs, (0..8).collect::<Vec<_>>());
+                        assert_eq!(cp.records[0].attempts, 99, "the first four were rewritten");
+                    }
+                    _ => {}
+                }
+                Ok(att.run_index as f64)
+            }),
+        )
+        .expect("campaign runs");
+        assert_eq!(out.failures, 0);
+        let cp = file();
+        assert_eq!(cp.records.len(), 10);
+        for (i, rec) in cp.records.iter().enumerate() {
+            assert_eq!((rec.run, rec.attempts), (i as u64, 2));
+            assert_eq!(rec.outcome, Ok(vec![i as f64]));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

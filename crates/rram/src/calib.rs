@@ -3,43 +3,45 @@
 //! Monte Carlo reproduction of the paper's Figs 11–13 needs on the order of
 //! `500 runs × 16 levels` SET + terminated-RESET simulations. Running each
 //! through the full MNA transient engine works but is wasteful for a series
-//! `driver – R_series – cell` path, so this module integrates that path as
-//! a scalar ODE. Every pulse — the compliance-limited SET, the terminated
-//! RESET and the fixed-width RESET — goes through one error-controlled
-//! integrator: an embedded Bogacki–Shampine 3(2) pair on the cell voltage
-//! `v_c`, carrying the driver and cell energies as two more components.
+//! `driver – R_series – cell` path, so this module reduces that path to the
+//! cell voltage `v_c`.
 //!
 //! The rest of the circuit follows from `v_c` in closed form. The circuit
 //! sets the current, `i = min((v_drive − v_c)/R_series, i_compliance)`. The
 //! conduction law is linear in `ρ²`, so [`CellLaw::rho2_and_slopes`] gives
 //! the state that draws `i` at `v_c`. The chain rule turns the rate law's
-//! `dρ/dt` into `dv_c/dt`. A stage is one exponential for the conduction law and one for
-//! the rate, with no solve: each pulse builds its [`CellLaw`] once and
-//! solves the resistive divider once, for its start state, through the
-//! known-sign Newton entry [`newton_bracketed`]. Steps are sized so the
-//! local error stays below one relative tolerance (`RTOL`) in each energy
-//! and in `y = ln ρ` (RESET) or `ln(1 − ρ)` (SET), the error in `v_c`
-//! weighted by `|dy/dv_c|`; the conditions' `dt` is only the first trial
-//! step. A SET starts at or above [`RHO_MIN`]; a RESET holds `ρ = 0`.
+//! `dρ/dt` into `dv_c/dt`. A stage is one exponential for the conduction
+//! law and one for the rate, with no solve: each pulse builds its
+//! [`CellLaw`] once and solves the resistive divider once, for its start
+//! state, through the known-sign Newton entry [`newton_bracketed`].
 //!
-//! Termination is a voltage threshold. When the cell current equals
-//! `IrefR`, the cell sits at `v* = v_drive − IrefR·R_series`, so
-//! `I(v*, ρ*) = IrefR` gives `ρ*` and the read resistance exactly. The
-//! crossing time is located by a secant search over sub-steps that start
-//! from the beginning of the accepted step in which `v_c` passes `v*`.
-//! That search runs as a lane of its own beside the trajectories, one
-//! secant iteration per round of the lane driver, and references with the
-//! same `v*` share it. The accepted trajectory never depends on the
-//! references, so [`simulate_reset_references`] runs one trajectory and
-//! reads every reference's crossing off it, its searches in the lanes
-//! beside it; [`simulate_reset_termination`] is its one-reference case.
-//! The integration test suite cross-checks this path against the full
-//! circuit-level transient and against a converged fixed-step replay.
+//! The fixed-width pulses — the compliance-limited SET and the standard
+//! RESET — go through one error-controlled integrator: an embedded
+//! Bogacki–Shampine 3(2) pair on `v_c`, carrying the driver and cell
+//! energies as two more components. Steps are sized so the local error
+//! stays below one relative tolerance (`RTOL`) in each energy and in `y =
+//! ln ρ` (RESET) or `ln(1 − ρ)` (SET), the error in `v_c` weighted by
+//! `|dy/dv_c|`; the conditions' `dt` is only the first trial step. A SET
+//! starts at or above [`RHO_MIN`]; a RESET holds `ρ = 0`.
+//!
+//! The terminated RESET takes no time steps. When the cell current equals
+//! `IrefR`, the cell sits at `v* = v_drive − IrefR·R_series`, so `I(v*, ρ*)
+//! = IrefR` gives `ρ*` and the read resistance exactly. During a RESET `ρ`
+//! only falls, so `v_c` only rises, and the latency and both energies are
+//! integrals over `v_c` from its start to `v*`: `∫ dv/v̇`, `v_drive·∫ i/v̇
+//! dv` and `∫ v·i/v̇ dv`. One five-point Gauss–Legendre rule sums them over
+//! panels that depend only on the start state, and each distinct `v*` adds
+//! one partial panel, so [`simulate_reset_references`] reads every
+//! reference off one set of panels, bit for bit what one run per reference
+//! gives; [`simulate_reset_termination`] is its one-reference case. The
+//! integration test suite cross-checks this path against the full
+//! circuit-level transient, against a converged fixed-step replay and
+//! against a fine quadrature.
 //!
 //! The same fast path makes model calibration affordable:
 //! [`calibrate`] runs a Nelder–Mead search over the model card to match the
 //! paper's published Table 2 / Fig 13 anchors, reading all 20 anchors of an
-//! objective evaluation off one shared RESET trajectory.
+//! objective evaluation off one RESET's panels.
 
 use oxterm_numerics::optimize::{nelder_mead, NelderMeadOptions};
 use oxterm_numerics::roots::{newton_bracketed, RootOptions};
@@ -50,7 +52,6 @@ use crate::params::{InstanceVariation, OxramParams};
 use crate::RramError;
 use oxterm_telemetry::joule::{DeviceClass, JouleLedger, Role};
 use oxterm_telemetry::{CounterId, HistogramId, PhaseId, Profiler, Telemetry};
-use std::ops::Range;
 
 /// Relative tolerance of the pulse integrator: the local error allowed per
 /// step in `y` (so relative in `ρ` or `1 − ρ`) and in each energy relative
@@ -76,7 +77,9 @@ pub struct ResetConditions {
     pub i_ref: f64,
     /// Starting filament state (LRS = 1.0).
     pub rho_start: f64,
-    /// First trial step of the integrator (s).
+    /// First trial step of the integrator for the same drive held without
+    /// termination ([`simulate_worst_case_reset`]) (s). The terminated
+    /// RESET takes no time steps.
     pub dt: f64,
     /// Abandon the run after this long (s).
     pub t_max: f64,
@@ -117,8 +120,7 @@ pub struct TerminationOutcome {
     pub i_initial: f64,
 }
 
-/// Lanes the lane driver advances together: pulse integrators, one step
-/// each per round, and crossing searches, one secant iteration each. A
+/// Lanes the lane driver advances together, one step each per round. A
 /// stage is one dependent chain of exponentials, `sqrt` and `ln`;
 /// independent chains side by side overlap on the core. Chosen by
 /// measurement: with each stage split in two halves, six and eight lanes
@@ -191,18 +193,29 @@ impl Pulse {
         }
     }
 
-    /// The pulse's lane for job `job`, first trial step `h0`, ending at
-    /// `t_end`, started at state `ρ`: the pulse's one divider solve, by
+    /// The cell voltage at state `ρ`: the pulse's one divider solve, by
     /// Newton from the midpoint of `[0, v_drive]`, whose ends are never
     /// evaluated. Their signs are known: `f(0) < 0 < f(v_drive) =
     /// I(v_drive, ρ)` ([`check_drive`]).
-    fn start(self, rho: f64, h0: f64, t_end: f64, job: usize) -> Result<Lane<Pulse>, RramError> {
+    fn divider(&self, rho: f64) -> Result<f64, RramError> {
         let fdf = |v: f64| {
             let (i, di_dv) = self.law.current_and_slope(v, rho);
             let (i_set, di_drive) = self.drive(v);
             (i - i_set, di_dv + di_drive)
         };
-        let v = newton_bracketed(fdf, 0.0, self.v_drive, f64::NAN, RootOptions::default())?;
+        Ok(newton_bracketed(
+            fdf,
+            0.0,
+            self.v_drive,
+            f64::NAN,
+            RootOptions::default(),
+        )?)
+    }
+
+    /// The pulse's lane for job `job`, first trial step `h0`, ending at
+    /// `t_end`, started at state `ρ`.
+    fn start(self, rho: f64, h0: f64, t_end: f64, job: usize) -> Result<Lane<Pulse>, RramError> {
+        let v = self.divider(rho)?;
         let s = State {
             v,
             ..State::default()
@@ -216,10 +229,38 @@ impl Pulse {
             h: h0,
             t_end,
             job,
-            search: None,
         })
     }
+
+    /// The integrals over the cell voltage from `a` to `b` by the
+    /// five-point Gauss–Legendre rule: the latency `∫ dv/v̇`, the driver
+    /// energy `v_drive·∫ i/v̇ dv` and the cell energy `∫ v·i/v̇ dv`, with
+    /// `v̇ = dv_c/dt`. Every node's first half runs before any node's
+    /// second, so the five chains overlap on the core.
+    fn panel(&self, a: f64, b: f64) -> [f64; 3] {
+        let (mid, half) = (0.5 * (a + b), 0.5 * (b - a));
+        let halves = GAUSS.map(|(x, _)| self.half(mid + half * x));
+        let stages = halves.map(|c| self.finish(&c));
+        let mut sum = [0.0; 3];
+        for (k, (_, w)) in stages.iter().zip(GAUSS) {
+            let dt = w * half / k.dv;
+            sum[0] += dt;
+            sum[1] += dt * k.i;
+            sum[2] += dt * k.i * k.vc;
+        }
+        sum[1] *= self.v_drive;
+        sum
+    }
 }
+
+/// The five-point Gauss–Legendre rule on `[−1, 1]`: `(node, weight)`.
+const GAUSS: [(f64, f64); 5] = [
+    (-0.906_179_845_938_664, 0.236_926_885_056_189_08),
+    (-0.538_469_310_105_683_1, 0.478_628_670_499_366_47),
+    (0.0, 0.568_888_888_888_888_9),
+    (0.538_469_310_105_683_1, 0.478_628_670_499_366_47),
+    (0.906_179_845_938_664, 0.236_926_885_056_189_08),
+];
 
 impl Rhs for Pulse {
     type Half = Conduction;
@@ -352,87 +393,17 @@ struct Point {
 /// One pulse in flight: an embedded Bogacki–Shampine 3(2) pair with local
 /// extrapolation on the cell voltage over the right-hand side `rhs`, at its
 /// last accepted point `p`, with its next trial step `h`, its end time and
-/// the job it runs. A search lane instead takes the sub-steps `h` of its
-/// [`Secant`] from the start `p` of the step it searches.
+/// the job it runs.
 #[derive(Debug, Clone, Copy)]
 struct Lane<R> {
     rhs: R,
     p: Point,
     /// The next trial step (s).
     h: f64,
-    /// No step reaches past this time (s); `∞` on a search lane, so its
-    /// trial step is `h`.
+    /// No step reaches past this time (s).
     t_end: f64,
-    /// The job's index in its batch; on a search lane, the crossing's
-    /// index in its course.
+    /// The job's index in its batch.
     job: usize,
-    /// The crossing a search lane locates; `None` on a pulse's lane.
-    search: Option<Secant>,
-}
-
-/// A secant search (Illinois variant) for the time inside an accepted step
-/// `p0 → p1` at which `v_c` rises to `v_star` (`p0.s.v < v_star ≤
-/// p1.s.v`), over sub-steps `τ` that start from `p0`: the bracket `[a, b]`
-/// on `τ` with `v_star − v_c` at each end, the state of the last sub-step
-/// that reached `v_star`, the end that moved last, and the iterations.
-#[derive(Debug, Clone, Copy)]
-struct Secant {
-    v_star: f64,
-    a: f64,
-    ga: f64,
-    b: f64,
-    gb: f64,
-    at: State,
-    side: i8,
-    iters: u8,
-}
-
-impl Secant {
-    /// The search for `v_star` inside the accepted step `p0 → p1`.
-    fn new(p0: &Point, p1: &Point, v_star: f64) -> Self {
-        Secant {
-            v_star,
-            a: 0.0,
-            ga: v_star - p0.s.v,
-            b: p1.s.t - p0.s.t,
-            gb: v_star - p1.s.v,
-            at: p1.s,
-            side: 0,
-            iters: 0,
-        }
-    }
-
-    /// Whether `at` is the crossing: within 1e-12 V of `v_star`, the
-    /// bracket closed, or 50 iterations spent.
-    fn done(&self) -> bool {
-        self.iters == 50 || self.gb.abs() <= 1e-12 || self.b <= self.a
-    }
-
-    /// The next sub-step: where the secant through the bracket's ends
-    /// meets `v_star`.
-    fn tau(&self) -> f64 {
-        (self.a * self.gb - self.b * self.ga) / (self.gb - self.ga)
-    }
-
-    /// Narrows the bracket by the sub-step `tau`, which reached `s`,
-    /// halving the far end's value when the same end moves twice.
-    fn update(&mut self, tau: f64, s: State) {
-        let g = self.v_star - s.v;
-        if g > 0.0 {
-            (self.a, self.ga) = (tau, g);
-            if self.side == 1 {
-                self.gb *= 0.5;
-            }
-            self.side = 1;
-        } else {
-            (self.b, self.gb, self.at) = (tau, g, s);
-            if self.side == -1 {
-                self.ga *= 0.5;
-            }
-            self.side = -1;
-        }
-        self.iters += 1;
-    }
 }
 
 impl<R: Rhs> Lane<R> {
@@ -469,19 +440,6 @@ impl<R: Rhs> Lane<R> {
             v: p.s.v + sum(|k| k.dv),
             e_drive: p.s.e_drive + self.rhs.v_drive() * sum(|k| k.i),
             e_cell: p.s.e_cell + sum(|k| k.vc * k.i),
-        }
-    }
-
-    /// The lane that runs `secant`, a search inside the step from `p0` to
-    /// this lane's point, as crossing `id`.
-    fn searching(&self, p0: &Point, secant: Secant, id: usize) -> Self {
-        Lane {
-            rhs: self.rhs,
-            p: *p0,
-            h: secant.tau(),
-            t_end: f64::INFINITY,
-            job: id,
-            search: Some(secant),
         }
     }
 
@@ -537,41 +495,28 @@ trait Course {
     type Rhs: Rhs;
     /// Starts job `job`'s pulse.
     fn start(&mut self, job: usize) -> Result<Lane<Self::Rhs>, RramError>;
-    /// Reads the job's lane at pulse start (`prev` is `None`) or after it
-    /// accepted the step `prev → lane.p`; `true` once the job is done.
-    fn visit(&mut self, lane: &Lane<Self::Rhs>, prev: Option<&Point>) -> bool;
+    /// Reads the job's lane at pulse start or after it accepted a step;
+    /// `true` once the job is done.
+    fn visit(&mut self, lane: &Lane<Self::Rhs>) -> bool;
     /// The job's pulse failed.
     fn fail(&mut self, job: usize, e: RramError);
-    /// A search lane that [`Course::visit`] queued, if any.
-    fn search(&mut self) -> Option<Lane<Self::Rhs>> {
-        None
-    }
-    /// The search lane of crossing `id` found it at `at`.
-    fn located(&mut self, _id: usize, _at: &State) {
-        unreachable!("a course that queues no search locates nothing")
-    }
 }
 
-/// The lane driver: runs the pulses of the jobs in `queue`, and the
-/// crossing searches their courses queue, through `K` lanes. Each round
-/// computes every live lane's second stage, then every third, then every
-/// pulse's fourth — each stage's first half for every lane before any
-/// lane's second half. A pulse's lane then runs its own error control,
-/// step size, rejection count and [`Course::visit`]; a search lane, which
-/// skips the fourth stage, runs one secant iteration on the third-order
-/// solution. After each round the empty slots take queued searches first,
-/// then new jobs. Every lane runs the scalar operation sequence, so no
-/// result depends on `K` or on which jobs share a batch.
+/// The lane driver: runs the pulses of the jobs in `queue` through `K`
+/// lanes. Each round computes every live lane's second stage, then every
+/// third, then every fourth — each stage's first half for every lane
+/// before any lane's second half. Each lane then runs its own error
+/// control, step size, rejection count and [`Course::visit`]. After each
+/// round the empty slots take new jobs. Every lane runs the scalar
+/// operation sequence, so no result depends on `K` or on which jobs share
+/// a batch.
 fn drive<C: Course, const K: usize>(course: &mut C, mut queue: impl Iterator<Item = usize>) {
-    // The next lane: a queued search, else the next job's, past the jobs
-    // that fail to start or finish at their start.
+    // The next job's lane, past the jobs that fail to start or finish at
+    // their start.
     let mut next = |course: &mut C| {
-        if let Some(lane) = course.search() {
-            return Some(lane);
-        }
         for job in queue.by_ref() {
             match course.start(job) {
-                Ok(lane) if !course.visit(&lane, None) => return Some(lane),
+                Ok(lane) if !course.visit(&lane) => return Some(lane),
                 Ok(_) => {}
                 Err(e) => course.fail(job, e),
             }
@@ -620,48 +565,33 @@ fn drive<C: Course, const K: usize>(course: &mut C, mut queue: impl Iterator<Ite
         for l in 0..n {
             let (lane, h) = (&lanes[l], trial[l].0);
             ends[l] = lane.solution(&lane.p, h, &stages[l][0], &stages[l][1]);
-            if lane.search.is_none() {
-                halves[l] = lane.rhs.half(ends[l].v);
-            }
+            halves[l] = lane.rhs.half(ends[l].v);
         }
         for l in 0..n {
-            if lanes[l].search.is_none() {
-                stages[l][2] = lanes[l].rhs.finish(&halves[l]);
-            }
+            stages[l][2] = lanes[l].rhs.finish(&halves[l]);
         }
         // From the top down, so a finished lane's slot can take the last
         // live lane, whose round is already done.
         for l in (0..n).rev() {
             let (h, last) = trial[l];
             let lane = &mut lanes[l];
-            let done = if let Some(secant) = &mut lane.search {
-                secant.update(h, ends[l]);
-                let done = secant.done();
-                if done {
-                    course.located(lane.job, &secant.at);
-                } else {
-                    lane.h = secant.tau();
+            let done = match lane.control(h, last, ends[l], &stages[l]) {
+                Ok(p1) => {
+                    tries[l] = 0;
+                    lane.p = p1;
+                    course.visit(lane)
                 }
-                done
-            } else {
-                match lane.control(h, last, ends[l], &stages[l]) {
-                    Ok(p1) => {
-                        tries[l] = 0;
-                        let p0 = std::mem::replace(&mut lane.p, p1);
-                        course.visit(lane, Some(&p0))
+                Err(ratio) => {
+                    tries[l] += 1;
+                    let give_up = tries[l] == MAX_REJECTIONS;
+                    if give_up {
+                        let e = NumericsError::NoConvergence {
+                            iterations: MAX_REJECTIONS,
+                            residual: ratio,
+                        };
+                        course.fail(lane.job, RramError::Numerics(e));
                     }
-                    Err(ratio) => {
-                        tries[l] += 1;
-                        let give_up = tries[l] == MAX_REJECTIONS;
-                        if give_up {
-                            let e = NumericsError::NoConvergence {
-                                iterations: MAX_REJECTIONS,
-                                residual: ratio,
-                            };
-                            course.fail(lane.job, RramError::Numerics(e));
-                        }
-                        give_up
-                    }
+                    give_up
                 }
             };
             if done {
@@ -701,7 +631,7 @@ impl Course for FixedWidth<'_> {
         Ok(lane)
     }
 
-    fn visit(&mut self, lane: &Lane<Pulse>, _: Option<&Point>) -> bool {
+    fn visit(&mut self, lane: &Lane<Pulse>) -> bool {
         if let Some(Ok((_, end))) = &mut self.out[lane.job] {
             *end = lane.p;
         }
@@ -713,179 +643,248 @@ impl Course for FixedWidth<'_> {
     }
 }
 
-/// Terminated RESETs: each job's pulse runs until the state has crossed
-/// every one of its references, or its `t_max` passes. A crossing inside
-/// an accepted step is located by a search lane, one per distinct `v*`.
-struct Terminated<'a> {
-    /// Each job's conditions and its references: `refs[range]`.
-    jobs: &'a [(CellLaw, ResetConditions, Range<usize>)],
-    /// Each reference's result slot, its cell voltage `v* = v_drive −
-    /// IrefR·r_series` and IrefR; within a job, from the lowest `v*` up:
-    /// the order in which a rising `v_c` crosses them.
-    refs: &'a [(usize, f64, f64)],
-    out: &'a mut [Option<Result<TerminationOutcome, RramError>>],
-    /// Per job: how many of its references are crossed, its start
-    /// current, and its accepted steps.
-    state: Vec<(usize, f64, u64)>,
-    /// Each searched crossing: its job, its references `refs[range]` (one
-    /// `v*`) and the job's accepted steps up to it.
-    crossings: Vec<(usize, Range<usize>, u64)>,
-    /// Search lanes waiting for a slot.
-    queued: Vec<Lane<Pulse>>,
-    tel: &'static Telemetry,
-    ledger: &'static JouleLedger,
+/// A terminated RESET's path in the cell voltage. During a RESET `ρ` only
+/// falls, so `v_c` only rises from its start `v0`, and the latency and both
+/// energies up to a cell voltage are integrals over `v_c` ([`Pulse::panel`]).
+/// They are summed over panels that halve the current from the start
+/// current, since the integrands vary as powers of it, each panel split at
+/// any switch point of the rate law inside it: the Joule clamp's cell
+/// voltage and the `ρ^β` floor's. The third, `v_rst_floor`, is never
+/// inside: a cell that starts above it stays above it, and one that starts
+/// below it never moves. The panels depend only on the start state, so a
+/// reference sums the panels below its `v*` and adds one partial panel up
+/// to `v*`.
+struct Path {
+    pulse: Pulse,
+    /// The panel ends so far, from `v0` up: each cell voltage, and the
+    /// latency, driver energy and cell energy up to it.
+    ends: Vec<(f64, [f64; 3])>,
+    /// `v_drive` less the far end of the panel being filled.
+    headroom: f64,
+    /// The rate law's switch points above `v0`, ascending, `∞` for none:
+    /// the Joule clamp's, and the `ρ^β` floor's once the path may reach it.
+    kinks: [f64; 2],
+    /// The state `ρ²` at which `ρ^β` is floored.
+    rho2_floor: f64,
+    /// The path stays above the `ρ^β` floor below this cell voltage, or
+    /// the floor's voltage is in `kinks` (`∞`).
+    clear_to: f64,
 }
 
-impl<'a> Terminated<'a> {
-    fn new(
-        jobs: &'a [(CellLaw, ResetConditions, Range<usize>)],
-        refs: &'a [(usize, f64, f64)],
-        out: &'a mut [Option<Result<TerminationOutcome, RramError>>],
-    ) -> Self {
-        Terminated {
-            jobs,
-            refs,
-            out,
-            state: vec![(0, 0.0, 0); jobs.len()],
-            crossings: Vec::with_capacity(refs.len()),
-            queued: Vec::new(),
-            tel: Telemetry::global(),
-            ledger: JouleLedger::global(),
-        }
-    }
-
-    /// Runs the jobs through `K` lanes, filling `out` at every reference's
-    /// slot.
-    fn run<const K: usize>(
-        jobs: &'a [(CellLaw, ResetConditions, Range<usize>)],
-        refs: &'a [(usize, f64, f64)],
-        out: &'a mut [Option<Result<TerminationOutcome, RramError>>],
-    ) {
-        drive::<_, K>(&mut Terminated::new(jobs, refs, out), 0..jobs.len());
-    }
-
-    /// The references of `job` not yet crossed.
-    fn pending(&self, job: usize) -> &'a [(usize, f64, f64)] {
-        let range = &self.jobs[job].2;
-        &self.refs[range.start + self.state[job].0..range.end]
-    }
-
-    /// Resolves the references `refs[range]` of `job`, crossed at `at`
-    /// after `steps` accepted steps: there the state draws IrefR at `v*`,
-    /// or, before any step, is the start state.
-    fn resolve(&mut self, job: usize, range: Range<usize>, steps: u64, at: &State) {
-        let (law, cond, _) = &self.jobs[job];
-        let i_initial = self.state[job].1;
-        for &(k, v_star, i_ref) in &self.refs[range] {
-            let rho_final = if steps == 0 {
-                cond.rho_start
+impl Path {
+    /// The path of `pulse` from the cell voltage `v0` at state `rho`.
+    fn new(pulse: Pulse, v0: f64, rho: f64) -> Self {
+        let (rho2_floor, i_clamp) = pulse.law.reset_switch_points();
+        let v_clamp = pulse.v_drive - i_clamp / pulse.g_series;
+        Path {
+            pulse,
+            ends: vec![(v0, [0.0; 3])],
+            headroom: 0.5 * (pulse.v_drive - v0),
+            kinks: [
+                if v_clamp > v0 { v_clamp } else { f64::INFINITY },
+                f64::INFINITY,
+            ],
+            rho2_floor,
+            // A state already floored stays floored.
+            clear_to: if rho * rho > rho2_floor {
+                v0
             } else {
-                law.rho_at(v_star, i_ref)
-            };
-            self.tel.tally(CounterId::TerminationSteps, steps);
-            self.tel.sample(HistogramId::TerminationLatency, at.t);
-            if self.ledger.is_enabled() {
-                // The cell dissipates v_c·i; the balance of the drive,
-                // (v_drive − v_c)·i, drops across the series path (access
-                // transistor + line), which is what r_series models.
-                self.ledger
-                    .record_energy(DeviceClass::RramCell, Role::RramCell, at.e_cell);
-                self.ledger.record_energy(
-                    DeviceClass::Resistor,
-                    Role::AccessTransistor,
-                    at.e_drive - at.e_cell,
-                );
+                f64::INFINITY
+            },
+        }
+    }
+
+    /// Notes that the path draws state `ρ² = rho2` at cell voltage `v`. If
+    /// that is near the `ρ^β` floor, past it or unreachable, the floor's
+    /// voltage joins the switch points; the factor 2 keeps that choice
+    /// clear of rounding, so a panel below `v` never contains a floor
+    /// found later.
+    fn clear(&mut self, v: f64, rho2: f64) -> Result<(), RramError> {
+        if v <= self.clear_to {
+            return Ok(());
+        }
+        if rho2 < 2.0 * self.rho2_floor {
+            self.kinks[1] = self.pulse.divider(self.rho2_floor.sqrt())?;
+            self.kinks.sort_by(f64::total_cmp);
+            self.clear_to = f64::INFINITY;
+        } else {
+            self.clear_to = v;
+        }
+        Ok(())
+    }
+
+    /// The next panel end above `a`.
+    fn next(&self, a: f64) -> f64 {
+        let kink = self.kinks.into_iter().find(|&s| s > a);
+        (self.pulse.v_drive - self.headroom).min(kink.unwrap_or(f64::INFINITY))
+    }
+
+    /// Adds the panel from the last end to `b`.
+    fn push(&mut self, b: f64) {
+        let (a, sum) = self.ends[self.ends.len() - 1];
+        if b == self.pulse.v_drive - self.headroom {
+            self.headroom *= 0.5;
+        }
+        let q = self.pulse.panel(a, b);
+        self.ends.push((b, [0, 1, 2].map(|j| sum[j] + q[j])));
+    }
+
+    /// The panels to `v_star` (above `v0`) and the integrals up to it, or
+    /// `None` if the latency passes `t_max` first. Both follow from the
+    /// panel ends alone, however far they reach already.
+    fn reach(&mut self, v_star: f64, t_max: f64) -> Option<(u64, [f64; 3])> {
+        loop {
+            let (a, sum) = self.ends[self.ends.len() - 1];
+            let b = self.next(a);
+            if b < v_star && sum[0] <= t_max {
+                self.push(b);
+            } else {
+                break;
             }
-            self.out[k] = Some(Ok(TerminationOutcome {
-                rho_final,
-                r_read_ohms: law.read_resistance(rho_final, cond.v_read),
-                latency_s: at.t,
-                energy_j: at.e_drive,
-                i_initial,
-            }));
+        }
+        let j = self.ends.partition_point(|e| e.0 < v_star) - 1;
+        let (a, sum) = self.ends[j];
+        let q = self.pulse.panel(a, v_star);
+        let sum = [0, 1, 2].map(|m| sum[m] + q[m]);
+        (sum[0] <= t_max).then_some((j as u64 + 1, sum))
+    }
+
+    /// The cell voltage at `t_max`: the panels until the latency passes
+    /// it, then a Newton solve on the partial panel's latency inside the
+    /// last.
+    fn at(&mut self, t_max: f64) -> Result<f64, RramError> {
+        while self.ends[self.ends.len() - 1].1[0] <= t_max {
+            let a = self.ends[self.ends.len() - 1].0;
+            let b = self.next(a);
+            if b > self.clear_to {
+                let i = self.pulse.drive(b).0;
+                self.clear(b, self.pulse.law.rho2_and_slopes(b, i).0)?;
+            } else {
+                self.push(b);
+            }
+        }
+        // `t_max > 0`, so at least one panel was summed.
+        let n = self.ends.len();
+        let ((a, sum), (b, _)) = (self.ends[n - 2], self.ends[n - 1]);
+        let pulse = self.pulse;
+        let fdf = |v: f64| {
+            let t = sum[0] + pulse.panel(a, v)[0];
+            (t / t_max - 1.0, 1.0 / (t_max * pulse.stage(v).dv))
+        };
+        Ok(newton_bracketed(
+            fdf,
+            a,
+            b,
+            f64::NAN,
+            RootOptions::default(),
+        )?)
+    }
+}
+
+/// Runs one terminated RESET of `law` under `cond`, read at each of `refs`
+/// (the job's result slots, `v*` and IrefR, ascending in `v*`), and writes
+/// each outcome to its slot in `out`. An error fails every reference not
+/// yet written.
+fn terminate(
+    law: &CellLaw,
+    cond: &ResetConditions,
+    refs: &[(usize, f64, f64)],
+    out: &mut [Option<Result<TerminationOutcome, RramError>>],
+) {
+    let tel = Telemetry::global();
+    tel.tally(CounterId::TerminationRuns, refs.len() as u64);
+    if let Err(e) = read_path(law, cond, refs, out, tel) {
+        for &(k, _, _) in refs {
+            out[k].get_or_insert_with(|| Err(e.clone()));
         }
     }
 }
 
-impl Course for Terminated<'_> {
-    type Rhs = Pulse;
-
-    fn start(&mut self, job: usize) -> Result<Lane<Pulse>, RramError> {
-        let (law, cond, range) = &self.jobs[job];
-        self.tel
-            .tally(CounterId::TerminationRuns, range.len() as u64);
-        if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::NewtonStall) {
-            // Fast-path analogue of a forced Newton stall: the Monte Carlo
-            // volume campaigns (Figs. 11/13) program cells through this
-            // semi-analytic path, never through `newton_solve`.
-            self.tel.tally(CounterId::InjectedNewtonStall, 1);
-            return Err(RramError::Injected { site: "reset_fast" });
-        }
-        let pulse = Pulse::new(*law, cond.v_drive, cond.r_series, f64::INFINITY, false);
-        pulse.start(cond.rho_start, cond.dt, cond.t_max, job)
+/// [`terminate`]'s pulse: the start solve, then each reference met at
+/// pulse start, reached by the path, or not within `t_max`.
+fn read_path(
+    law: &CellLaw,
+    cond: &ResetConditions,
+    refs: &[(usize, f64, f64)],
+    out: &mut [Option<Result<TerminationOutcome, RramError>>],
+    tel: &Telemetry,
+) -> Result<(), RramError> {
+    if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::NewtonStall) {
+        // Fast-path analogue of a forced Newton stall: the Monte Carlo
+        // volume campaigns (Figs. 11/13) program cells through this
+        // semi-analytic path, never through `newton_solve`.
+        tel.tally(CounterId::InjectedNewtonStall, 1);
+        return Err(RramError::Injected { site: "reset_fast" });
     }
-
-    fn visit(&mut self, lane: &Lane<Pulse>, prev: Option<&Point>) -> bool {
-        let job = lane.job;
-        let p = &lane.p;
-        match prev {
-            None => self.state[job].1 = p.k.i,
-            Some(_) => self.state[job].2 += 1,
-        }
-        let steps = self.state[job].2;
-        // Already below these references at pulse start, or crossed in the
-        // step just accepted; those with one `v*` share one crossing.
-        let first = self.jobs[job].2.start + self.state[job].0;
-        let end = first + self.pending(job).partition_point(|r| p.s.v >= r.1);
-        self.state[job].0 += end - first;
-        let mut i = first;
-        while i < end {
-            let v_star = self.refs[i].1;
-            let j = i + self.refs[i..end].partition_point(|r| r.1 == v_star);
-            match prev.map(|p0| (p0, Secant::new(p0, p, v_star))) {
-                Some((p0, secant)) if !secant.done() => {
-                    let id = self.crossings.len();
-                    self.queued.push(lane.searching(p0, secant, id));
-                    self.crossings.push((job, i..j, steps));
+    let ledger = JouleLedger::global();
+    let pulse = Pulse::new(*law, cond.v_drive, cond.r_series, f64::INFINITY, false);
+    let v0 = pulse.divider(cond.rho_start)?;
+    let start = pulse.stage(v0);
+    // Whether the state moves at all: not below `v_rst_floor`, nor at
+    // `ρ = 0`.
+    let moves = start.dv > 0.0;
+    let mut path = Path::new(pulse, v0, cond.rho_start);
+    // The current at `t_max`, once a reference needs it.
+    let mut i_final = None;
+    // The last reference's `v*` and where the path reached it.
+    let mut last = None;
+    for &(k, v_star, i_ref) in refs {
+        let rho2 = law.rho2_and_slopes(v_star, i_ref).0;
+        let reached = if v0 >= v_star {
+            Some((0, [0.0; 3]))
+        } else if !moves {
+            None
+        } else {
+            match last {
+                Some((v, reached)) if v == v_star => reached,
+                _ => {
+                    path.clear(v_star, rho2)?;
+                    path.reach(v_star, cond.t_max)
                 }
-                // At pulse start, or the step ends within 1e-12 V of `v*`.
-                _ => self.resolve(job, i..j, steps, &p.s),
             }
-            i = j;
-        }
-        let (_, cond, _) = &self.jobs[job];
-        let pending = self.pending(job);
-        if pending.is_empty() {
-            return true;
-        }
-        if p.s.t < cond.t_max {
-            return false;
-        }
-        for &(k, _, i_ref) in pending {
-            self.tel.tally(CounterId::NotTerminated, 1);
-            self.out[k] = Some(Err(RramError::NotTerminated {
+        };
+        last = Some((v_star, reached));
+        let Some((panels, [t, e_drive, e_cell])) = reached else {
+            let i_final = match i_final {
+                Some(i) => i,
+                None if moves => *i_final.insert(pulse.drive(path.at(cond.t_max)?).0),
+                None => *i_final.insert(start.i),
+            };
+            tel.tally(CounterId::NotTerminated, 1);
+            out[k] = Some(Err(RramError::NotTerminated {
                 i_ref,
                 t_max: cond.t_max,
-                i_final: p.k.i,
+                i_final,
             }));
+            continue;
+        };
+        let rho_final = if panels == 0 {
+            cond.rho_start
+        } else {
+            rho2.max(0.0).sqrt().min(1.0)
+        };
+        tel.tally(CounterId::TerminationSteps, panels);
+        tel.sample(HistogramId::TerminationLatency, t);
+        if ledger.is_enabled() {
+            // The cell dissipates v_c·i; the balance of the drive,
+            // (v_drive − v_c)·i, drops across the series path (access
+            // transistor + line), which is what r_series models.
+            ledger.record_energy(DeviceClass::RramCell, Role::RramCell, e_cell);
+            ledger.record_energy(
+                DeviceClass::Resistor,
+                Role::AccessTransistor,
+                e_drive - e_cell,
+            );
         }
-        true
+        out[k] = Some(Ok(TerminationOutcome {
+            rho_final,
+            r_read_ohms: law.read_resistance(rho_final, cond.v_read),
+            latency_s: t,
+            energy_j: e_drive,
+            i_initial: start.i,
+        }));
     }
-
-    fn fail(&mut self, job: usize, e: RramError) {
-        for &(k, _, _) in self.pending(job) {
-            self.out[k] = Some(Err(e.clone()));
-        }
-    }
-
-    fn search(&mut self) -> Option<Lane<Pulse>> {
-        self.queued.pop()
-    }
-
-    fn located(&mut self, id: usize, at: &State) {
-        let (job, range, steps) = self.crossings[id].clone();
-        self.resolve(job, range, steps, at);
-    }
+    Ok(())
 }
 
 /// Simulates one current-terminated RESET in the fast scalar path.
@@ -898,11 +897,11 @@ impl Course for Terminated<'_> {
 /// # Errors
 ///
 /// * [`RramError::InvalidParameter`] for an invalid model card or drive
-///   (`v_drive`, `r_series` or `v_read` not positive, `rho_start` outside
-///   `[0, 1]` or NaN),
+///   (`v_drive`, `r_series`, `v_read` or `t_max` not finite and positive,
+///   `rho_start` outside `[0, 1]` or NaN),
 /// * [`RramError::NotTerminated`] if the current never reaches `i_ref`
 ///   within `t_max` (reference below the leakage floor),
-/// * [`RramError::Numerics`] if the start solve or the step control fails.
+/// * [`RramError::Numerics`] if a divider solve fails.
 pub fn simulate_reset_termination(
     params: &OxramParams,
     inst: &InstanceVariation,
@@ -915,20 +914,19 @@ pub fn simulate_reset_termination(
 /// Runs one terminated RESET under `cond` and reads off it the outcome for
 /// every reference current in `i_refs` (`cond.i_ref` is ignored).
 ///
-/// The trajectory up to a reference's crossing does not depend on the
-/// reference, so a single run down to the lowest reference serves them
-/// all, its crossing searches in [`LANES`] lanes beside it, one per
-/// distinct reference. Entry `k` of the result is bit for bit what
+/// The path's panels do not depend on the reference, so one run down to the
+/// lowest reference serves them all, each distinct reference adding one
+/// partial panel. Entry `k` of the result is bit for bit what
 /// [`simulate_reset_termination`] returns with `i_ref = i_refs[k]`, and the
 /// telemetry and [`JouleLedger`] records are those of that run. Sweeps that
 /// start every RESET from the same state (the Table 2 allocation, each
-/// calibration objective evaluation) pay for one trajectory instead of one
-/// per reference.
+/// calibration objective evaluation) pay for one path instead of one per
+/// reference.
 ///
 /// # Errors
 ///
 /// Per entry, as [`simulate_reset_termination`]. An invalid model card or a
-/// numerical failure fails every reference not yet crossed; an armed chaos
+/// numerical failure fails every reference not yet read; an armed chaos
 /// fault fails the whole call.
 pub fn simulate_reset_references(
     params: &OxramParams,
@@ -950,14 +948,13 @@ pub fn simulate_reset_references(
     }
     refs.sort_by(|a, b| a.1.total_cmp(&b.1));
     if !refs.is_empty() {
-        let job = [(CellLaw::new(params, inst), *cond, 0..refs.len())];
-        Terminated::run::<LANES>(&job, &refs, &mut out);
+        terminate(&CellLaw::new(params, inst), cond, &refs, &mut out);
     }
     resolved(out)
 }
 
 /// Runs one terminated RESET per `(instance, conditions)` job, each to its
-/// own `i_ref`, through [`LANES`] interleaved lanes. Entry `k` of the result
+/// own `i_ref`. Entry `k` of the result
 /// is bit for bit what [`simulate_reset_termination`] returns for job `k`,
 /// with the same telemetry and [`JouleLedger`] records.
 ///
@@ -974,30 +971,22 @@ pub fn simulate_reset_terminations(
         return vec![Err(e); jobs.len()];
     }
     let mut out: Vec<Option<Result<TerminationOutcome, RramError>>> = vec![None; jobs.len()];
-    let mut runs = Vec::with_capacity(jobs.len());
-    let mut refs = Vec::with_capacity(jobs.len());
     for (k, (inst, cond)) in jobs.iter().enumerate() {
         match check_reset(inst, cond).and_then(|()| reference(cond, cond.i_ref)) {
-            Ok(v_star) => {
-                runs.push((
-                    CellLaw::new(params, inst),
-                    *cond,
-                    refs.len()..refs.len() + 1,
-                ));
-                refs.push((k, v_star, cond.i_ref));
-            }
+            Ok(v_star) => terminate(
+                &CellLaw::new(params, inst),
+                cond,
+                &[(k, v_star, cond.i_ref)],
+                &mut out,
+            ),
             Err(e) => out[k] = Some(Err(e)),
         }
-    }
-    if runs.len() == 1 {
-        Terminated::run::<1>(&runs, &refs, &mut out);
-    } else {
-        Terminated::run::<LANES>(&runs, &refs, &mut out);
     }
     resolved(out)
 }
 
-/// Rejects a RESET drive the fast path cannot simulate ([`check_drive`]).
+/// Rejects a RESET drive the fast path cannot simulate ([`check_drive`]),
+/// or a `t_max` not finite and positive.
 fn check_reset(inst: &InstanceVariation, cond: &ResetConditions) -> Result<(), RramError> {
     check_drive(
         inst,
@@ -1006,7 +995,14 @@ fn check_reset(inst: &InstanceVariation, cond: &ResetConditions) -> Result<(), R
         cond.rho_start,
         0.0,
         cond.v_read,
-    )
+    )?;
+    if !(cond.t_max.is_finite() && cond.t_max > 0.0) {
+        return Err(RramError::InvalidParameter {
+            name: "t_max",
+            value: cond.t_max,
+        });
+    }
+    Ok(())
 }
 
 /// The cell voltage `v* = v_drive − IrefR·r_series` at which the current
@@ -1347,7 +1343,7 @@ fn calibration_objective(
     }
     let inst = InstanceVariation::nominal();
     // Every anchor's RESET starts from ρ = 1 under the same drive, so one
-    // trajectory serves all of them: resistances, then latencies, then
+    // RESET's panels serve all of them: resistances, then latencies, then
     // energies.
     let cond = ResetConditions {
         v_drive,
@@ -1460,8 +1456,6 @@ pub fn calibrate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn nominal() -> (OxramParams, InstanceVariation) {
         (OxramParams::calibrated(), InstanceVariation::nominal())
@@ -1484,159 +1478,33 @@ mod tests {
         )
     }
 
-    impl<R: Rhs> Lane<R> {
-        /// The third-order solution `h` past `p`.
-        fn reach(&self, p: &Point, h: f64) -> State {
-            let k2 = self.rhs.stage(Self::at2(p, h));
-            let k3 = self.rhs.stage(Self::at3(p, h, &k2));
-            self.solution(p, h, &k2, &k3)
-        }
-
-        /// The scalar reference for a search lane: the state inside the
-        /// accepted step `p0 → p` at which `v_c` rises to `v_star`
-        /// (`p0.s.v < v_star ≤ p.s.v`), by a secant search (Illinois
-        /// variant) over sub-steps that start from `p0`, one whole
-        /// iteration after another.
-        fn locate(&self, p0: &Point, v_star: f64) -> State {
-            let p1 = &self.p;
-            let (mut a, mut ga) = (0.0, v_star - p0.s.v);
-            let (mut b, mut gb) = (p1.s.t - p0.s.t, v_star - p1.s.v);
-            let mut at = p1.s;
-            let mut side = 0i8;
-            for _ in 0..50 {
-                if gb.abs() <= 1e-12 || b <= a {
-                    break;
-                }
-                let tau = (a * gb - b * ga) / (gb - ga);
-                let s = self.reach(p0, tau);
-                let g = v_star - s.v;
-                if g > 0.0 {
-                    (a, ga) = (tau, g);
-                    if side == 1 {
-                        gb *= 0.5;
-                    }
-                    side = 1;
-                } else {
-                    (b, gb, at) = (tau, g, s);
-                    if side == -1 {
-                        ga *= 0.5;
-                    }
-                    side = -1;
-                }
-            }
-            at
-        }
-    }
-
-    /// [`Terminated`], with each crossing it searches also located by the
-    /// scalar search from the same step.
-    struct Checked<'a> {
-        course: Terminated<'a>,
-        /// Per search: the scalar search's state, and the search lane's.
-        located: Vec<(State, Option<State>)>,
-    }
-
-    impl Course for Checked<'_> {
-        type Rhs = Pulse;
-
-        fn start(&mut self, job: usize) -> Result<Lane<Pulse>, RramError> {
-            self.course.start(job)
-        }
-
-        fn visit(&mut self, lane: &Lane<Pulse>, prev: Option<&Point>) -> bool {
-            let searched = self.course.crossings.len();
-            let done = self.course.visit(lane, prev);
-            for (_, range, _) in &self.course.crossings[searched..] {
-                let p0 = prev.expect("a search follows an accepted step");
-                let v_star = self.course.refs[range.start].1;
-                self.located.push((lane.locate(p0, v_star), None));
-            }
-            done
-        }
-
-        fn fail(&mut self, job: usize, e: RramError) {
-            self.course.fail(job, e);
-        }
-
-        fn search(&mut self) -> Option<Lane<Pulse>> {
-            self.course.search()
-        }
-
-        fn located(&mut self, id: usize, at: &State) {
-            self.located[id].1 = Some(*at);
-            self.course.located(id, at);
-        }
-    }
-
-    type Outcomes = Vec<Result<TerminationOutcome, RramError>>;
-
-    /// Runs one terminated RESET of the calibrated card per job (its
-    /// instance, conditions and references) through [`LANES`] lanes, as
-    /// the entry points do, and checks every search lane's crossing bit
-    /// for bit against the scalar search's: time, cell voltage, driver
-    /// and cell energy. The outcomes in reference order, and the number
-    /// of searches.
-    fn checked(jobs: &[(InstanceVariation, ResetConditions, Vec<f64>)]) -> (Outcomes, usize) {
-        let p = OxramParams::calibrated();
-        let (mut runs, mut refs) = (Vec::new(), Vec::new());
-        for (inst, cond, i_refs) in jobs {
-            let start = refs.len();
-            for &i_ref in i_refs {
-                refs.push((refs.len(), reference(cond, i_ref).unwrap(), i_ref));
-            }
-            refs[start..].sort_by(|a, b| a.1.total_cmp(&b.1));
-            runs.push((CellLaw::new(&p, inst), *cond, start..refs.len()));
-        }
-        let mut out = vec![None; refs.len()];
-        let mut course = Checked {
-            course: Terminated::new(&runs, &refs, &mut out),
-            located: Vec::new(),
-        };
-        drive::<_, LANES>(&mut course, 0..runs.len());
-        let Checked { located, .. } = course;
-        let bits = |s: &State| [s.t, s.v, s.e_drive, s.e_cell].map(f64::to_bits);
-        for (scalar, lane) in &located {
-            let lane = lane.expect("every queued search runs");
-            assert_eq!(bits(&lane), bits(scalar), "{lane:?} vs {scalar:?}");
-        }
-        (resolved(out), located.len())
-    }
-
     #[test]
-    fn search_lanes_locate_every_crossing_as_the_scalar_search_does() {
-        let p = OxramParams::calibrated();
-        // The calibration objective's 20 references on the nominal cell:
-        // 16 distinct `v*`, so 16 searches, alongside the trajectory.
-        let target = CalibrationTarget::paper();
-        let i_refs: Vec<f64> = target
-            .allocation
-            .iter()
-            .chain(&target.latencies)
-            .chain(&target.energies)
-            .map(|&(i_ua, _)| i_ua * 1e-6)
-            .collect();
-        let cond = ResetConditions::paper_defaults(f64::NAN);
-        let nominal = InstanceVariation::nominal();
-        let (outs, searches) = checked(&[(nominal, cond, i_refs.clone())]);
-        assert_eq!(searches, 16);
-        assert_eq!(
-            outs,
-            simulate_reset_references(&p, &nominal, &cond, &i_refs)
-        );
-        // Sampled instances, one reference each, as the Monte Carlo batch
-        // runs them through `simulate_reset_terminations`.
-        let mut rng = StdRng::seed_from_u64(0x5EA7C4);
-        let jobs: Vec<_> = (0..3 * LANES + 1)
-            .map(|k| {
-                let inst = InstanceVariation::sample_d2d(&p, &mut rng);
-                let i_ref = (6 + 2 * (k % 16)) as f64 * 1e-6;
-                (inst, ResetConditions::paper_defaults(i_ref), vec![i_ref])
-            })
-            .collect();
-        let (outs, searches) = checked(&jobs);
-        assert_eq!(searches, jobs.len());
-        let batch: Vec<_> = jobs.iter().map(|&(inst, cond, _)| (inst, cond)).collect();
-        assert_eq!(outs, simulate_reset_terminations(&p, &batch));
+    fn the_shape_floor_splits_the_panel_it_falls_in() {
+        // On a valid card (β ≤ 3) `ρ^β` is floored at `ρ` ≤ 1e-4, where the
+        // hopping current carries the cell all but alone (at the card's β,
+        // 1.8, within 2e-14 V of the hopping limit). At β = 3, on a card
+        // fast enough to get there, a reference between the floor's cell
+        // voltage and the hopping limit reads a panel end at the floor.
+        let (mut p, inst) = nominal();
+        p.beta_rst = 3.0;
+        p.tau_rst0 = 1e-20;
+        let law = CellLaw::new(&p, &inst);
+        let cond = ResetConditions {
+            t_max: 1.0,
+            ..ResetConditions::paper_defaults(f64::NAN)
+        };
+        let pulse = Pulse::new(law, cond.v_drive, cond.r_series, f64::INFINITY, false);
+        let v_floor = pulse.divider(law.reset_switch_points().0.sqrt()).unwrap();
+        let v_star = 0.5 * (v_floor + pulse.divider(0.0).unwrap());
+        let i_ref = pulse.drive(v_star).0;
+        let mut path = Path::new(pulse, pulse.divider(1.0).unwrap(), 1.0);
+        path.clear(v_star, law.rho2_and_slopes(v_star, i_ref).0)
+            .unwrap();
+        let (panels, [t, ..]) = path.reach(v_star, cond.t_max).expect("reached");
+        assert!(path.ends.iter().any(|e| e.0 == v_floor), "{:?}", path.ends);
+        assert_eq!(panels as usize, path.ends.len());
+        let out = simulate_reset_termination(&p, &inst, &ResetConditions { i_ref, ..cond });
+        assert_eq!(out.unwrap().latency_s, t);
     }
 
     #[test]
@@ -1786,6 +1654,16 @@ mod tests {
                 "rho_start",
             );
         }
+        for t_max in [0.0, -1e-6, f64::NAN, f64::INFINITY] {
+            let cond = ResetConditions {
+                t_max,
+                ..ResetConditions::paper_defaults(10e-6)
+            };
+            invalid(
+                simulate_reset_termination(&p, &inst, &cond).map(drop),
+                "t_max",
+            );
+        }
         // A NaN state reaching the divider is an error, not a silent root.
         assert!(matches!(
             divider(reset_pulse(1.2, 3e3), f64::NAN),
@@ -1912,13 +1790,12 @@ mod tests {
                 h: 10.0,
                 t_end: 100.0,
                 job,
-                search: None,
             })
         }
 
-        fn visit(&mut self, lane: &Lane<Self::Rhs>, prev: Option<&Point>) -> bool {
-            self.end = prev.map(|_| lane.p);
-            prev.is_some()
+        fn visit(&mut self, lane: &Lane<Self::Rhs>) -> bool {
+            self.end = (lane.p.s.t > 0.0).then_some(lane.p);
+            self.end.is_some()
         }
 
         fn fail(&mut self, _: usize, e: RramError) {

@@ -173,6 +173,16 @@ impl CellLaw {
         self.reset_rate_clamped(v, i, ln_rho).0
     }
 
+    /// Where the RESET rate law changes form above its threshold voltage:
+    /// the state `ρ²` below which the shape factor `ρ^β` is floored, and
+    /// the current above which the Joule factor is clamped.
+    pub fn reset_switch_points(&self) -> (f64, f64) {
+        (
+            (2.0 * LN_SHAPE_FLOOR / self.beta_rst).exp(),
+            (JOULE_CLAMP - 1.0).sqrt() / self.inv_i_joule,
+        )
+    }
+
     /// The RESET rate without the threshold, and whether the Joule factor
     /// hit its clamp.
     fn reset_rate_clamped(&self, v: f64, i: f64, ln_rho: f64) -> (f64, bool) {
