@@ -83,7 +83,6 @@ pub fn cycle_array<R: Rng + ?Sized>(
                 v_drive: config.v_reset_drive,
                 r_series: config.r_series,
                 width: config.reset_width,
-                dt: 4e-9,
             };
             let rst = simulate_standard_reset(params, &inst, &pulse, rho, config.v_read)?;
             r_hrs.push(rst.r_read_ohms);

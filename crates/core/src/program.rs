@@ -249,12 +249,12 @@ struct Draw {
 /// programs the data value `jobs[k].0` drawing from the RNG `jobs[k].1`.
 ///
 /// Each job's variability and state noise are drawn first, in job order;
-/// then all the batch's SETs run through the interleaved lanes of
-/// [`simulate_sets`], then all its RESETs through those of
-/// [`simulate_reset_terminations`]. Each lane runs the scalar operation
-/// sequence, so entry `k` is bit for bit what [`program_cell_mc`] returns
-/// for job `k` alone, and the telemetry counters and joule-ledger totals
-/// are those of the jobs run one at a time.
+/// then all the batch's SETs run through [`simulate_sets`], then all its
+/// RESETs through [`simulate_reset_terminations`], each one job after
+/// another. Every job runs the scalar operation sequence, so entry `k` is
+/// bit for bit what [`program_cell_mc`] returns for job `k` alone, and the
+/// telemetry counters and joule-ledger totals are those of the jobs run one
+/// at a time.
 ///
 /// # Errors
 ///

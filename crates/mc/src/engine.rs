@@ -11,7 +11,10 @@ use crate::progress::CampaignProgress;
 
 /// Runs a worker claims from the cursor at most: a batch small enough to
 /// balance a campaign's uneven runs across the workers, large enough that
-/// the interleaved lanes of the fast path stay full for most of it.
+/// a campaign pays its per-call costs — the claim, the observer scopes, the
+/// card checks — once per batch. Measured on a 2-vCPU host, `qlc_campaign`
+/// ran ≈ 26 % more programs per CPU second with batches of 64 than with
+/// claims of one (DESIGN.md §4).
 pub const BATCH: usize = 64;
 
 /// A Monte Carlo campaign: `runs` independent evaluations of a closure.

@@ -8,8 +8,8 @@
 //!
 //! * **Batches.** The run closure takes a batch of attempts, each an
 //!   [`Attempt`] naming its run and attempt number with its own RNG, so a
-//!   campaign can run its first attempts side by side (the fast path's
-//!   interleaved lanes). Batching never changes a result.
+//!   campaign pays its per-call costs (observer scopes, card checks) once
+//!   per batch of first attempts. Batching never changes a result.
 //! * **Retries.** A failed attempt is retried alone, up to
 //!   [`SupervisorOptions::max_attempts`] attempts per run, each with a
 //!   re-derived RNG stream.

@@ -12,31 +12,30 @@
 //! the state that draws `i` at `v_c`. The chain rule turns the rate law's
 //! `dρ/dt` into `dv_c/dt`. A stage is one exponential for the conduction
 //! law and one for the rate, with no solve: each pulse builds its
-//! [`CellLaw`] once and solves the resistive divider once, for its start
-//! state, through the known-sign Newton entry [`newton_bracketed`].
+//! [`CellLaw`] once and solves the resistive divider for its start state
+//! (a SET from below `ρ_formed` or near the model's ceiling solves it once
+//! more there) through the known-sign Newton entry [`newton_bracketed`].
 //!
-//! The fixed-width pulses — the compliance-limited SET and the standard
-//! RESET — go through one error-controlled integrator: an embedded
-//! Bogacki–Shampine 3(2) pair on `v_c`, carrying the driver and cell
-//! energies as two more components. Steps are sized so the local error
-//! stays below one relative tolerance (`RTOL`) in each energy and in `y =
-//! ln ρ` (RESET) or `ln(1 − ρ)` (SET), the error in `v_c` weighted by
-//! `|dy/dv_c|`; the conditions' `dt` is only the first trial step. A SET
-//! starts at or above [`RHO_MIN`]; a RESET holds `ρ = 0`.
+//! Every pulse takes no time steps. During a RESET `ρ` only falls, so `v_c`
+//! only rises; during a SET `ρ` only rises, so `v_c` only falls. The time
+//! and both energies up to a cell voltage are then integrals over `v_c`:
+//! `∫ dv/v̇`, `v_drive·∫ i/v̇ dv` and `∫ v·i/v̇ dv`. One five-point
+//! Gauss–Legendre rule sums them over panels that depend only on the start
+//! state, each split at the switch points of the rate law inside it.
 //!
-//! The terminated RESET takes no time steps. When the cell current equals
-//! `IrefR`, the cell sits at `v* = v_drive − IrefR·R_series`, so `I(v*, ρ*)
-//! = IrefR` gives `ρ*` and the read resistance exactly. During a RESET `ρ`
-//! only falls, so `v_c` only rises, and the latency and both energies are
-//! integrals over `v_c` from its start to `v*`: `∫ dv/v̇`, `v_drive·∫ i/v̇
-//! dv` and `∫ v·i/v̇ dv`. One five-point Gauss–Legendre rule sums them over
-//! panels that depend only on the start state, and each distinct `v*` adds
-//! one partial panel, so [`simulate_reset_references`] reads every
-//! reference off one set of panels, bit for bit what one run per reference
-//! gives; [`simulate_reset_termination`] is its one-reference case. The
-//! integration test suite cross-checks this path against the full
-//! circuit-level transient, against a converged fixed-step replay and
-//! against a fine quadrature.
+//! The terminated RESET ends at a known voltage. When the cell current
+//! equals `IrefR`, the cell sits at `v* = v_drive − IrefR·R_series`, so
+//! `I(v*, ρ*) = IrefR` gives `ρ*` and the read resistance exactly, and each
+//! distinct `v*` adds one partial panel, so [`simulate_reset_references`]
+//! reads every reference off one set of panels, bit for bit what one run
+//! per reference gives; [`simulate_reset_termination`] is its
+//! one-reference case. A fixed-width pulse — the compliance-limited SET
+//! and the standard RESET — ends at the voltage where the time reaches the
+//! width, found by Newton's method on the partial panel's time inside the
+//! panel that passes it. A SET starts at or above [`RHO_MIN`]; a RESET
+//! holds `ρ = 0`. The integration test suite cross-checks these paths
+//! against the full circuit-level transient, against a converged
+//! fixed-step replay and against a fine quadrature.
 //!
 //! The same fast path makes model calibration affordable:
 //! [`calibrate`] runs a Nelder–Mead search over the model card to match the
@@ -53,18 +52,28 @@ use crate::RramError;
 use oxterm_telemetry::joule::{DeviceClass, JouleLedger, Role};
 use oxterm_telemetry::{CounterId, HistogramId, PhaseId, Profiler, Telemetry};
 
-/// Relative tolerance of the pulse integrator: the local error allowed per
-/// step in `y` (so relative in `ρ` or `1 − ρ`) and in each energy relative
-/// to the energy drawn so far.
-const RTOL: f64 = 1e-4;
-
-/// The least state tracked to `RTOL`: SETs start at or above it; below it RESET error is in `ρ²`.
+/// The least starting state of a SET: from `ρ = 0` the cell voltage
+/// cannot move.
 pub const RHO_MIN: f64 = 1e-3;
 
-/// Consecutive rejected trials after which a step gives up: each shrinks
-/// the step at least fivefold, so this is a step below `1e-60` of the last
-/// accepted one.
-const MAX_REJECTIONS: usize = 90;
+/// `ln 0.7`: each SET panel shrinks `1 − ρ` (below `ρ_formed`, grows `ρ`)
+/// by about this much in the log.
+const LN_SET_PANEL: f64 = -0.356_674_943_938_732_4;
+
+/// The most the rate law's exponential in the cell voltage changes, in the
+/// log, across a panel: an overdriven pulse moves volts while `ρ` moves
+/// little.
+const RATE_SPAN: f64 = 2.0;
+
+/// The share of a RESET's current the hopping background carries past
+/// which a panel also ends where, by a Newton step from the last panel's
+/// last node, `ρ²` halves: near the hopping limit `ρ²` falls much faster
+/// than the current.
+const HOP_SHARE: f64 = 0.1;
+
+/// `1 − ρ` below which a SET's next panel may reach the model's ceiling
+/// (`1 − ρ = RHO_CEILING_GAP`), whose voltage then ends the path.
+const NEAR_CEILING: f64 = 1e-9;
 
 /// Conditions for a current-terminated RESET operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,9 +86,8 @@ pub struct ResetConditions {
     pub i_ref: f64,
     /// Starting filament state (LRS = 1.0).
     pub rho_start: f64,
-    /// First trial step of the integrator for the same drive held without
-    /// termination ([`simulate_worst_case_reset`]) (s). The terminated
-    /// RESET takes no time steps.
+    /// A time step (s) that no simulation here reads: only the fixed-step
+    /// probes in `perfbench/` do, and the field goes with them.
     pub dt: f64,
     /// Abandon the run after this long (s).
     pub t_max: f64,
@@ -120,14 +128,6 @@ pub struct TerminationOutcome {
     pub i_initial: f64,
 }
 
-/// Lanes the lane driver advances together, one step each per round. A
-/// stage is one dependent chain of exponentials, `sqrt` and `ln`;
-/// independent chains side by side overlap on the core. Chosen by
-/// measurement: with each stage split in two halves, six and eight lanes
-/// ran `qlc_campaign` ≈ 2 % faster than four and ≈ 5 % faster than three
-/// (DESIGN.md §4).
-pub const LANES: usize = 8;
-
 /// One pulse's circuit: the driver `v_drive` through `r_series` (held as
 /// its conductance `g_series`) into the cell, the current clamped at
 /// `i_max` (the SET compliance; `∞` for RESET), and the polarity, which
@@ -141,22 +141,6 @@ struct Pulse {
     set: bool,
 }
 
-/// A pulse's right-hand side: the circuit at cell voltage `v`, in two
-/// halves so the lane driver can start every lane's first half before any
-/// lane's second, and the driver voltage the drawn energy is integrated at.
-trait Rhs: Copy {
-    /// What the first half of a stage hands to the second.
-    type Half: Copy + Default;
-    fn half(&self, v: f64) -> Self::Half;
-    fn finish(&self, half: &Self::Half) -> Stage;
-    fn v_drive(&self) -> f64;
-
-    /// The circuit at cell voltage `v`: one right-hand-side evaluation.
-    fn stage(&self, v: f64) -> Stage {
-        self.finish(&self.half(v))
-    }
-}
-
 /// The first half of a RESET or SET stage: the circuit's current at a cell
 /// voltage and the conduction law's state and slopes there.
 #[derive(Debug, Clone, Copy, Default)]
@@ -167,6 +151,19 @@ struct Conduction {
     /// The slope in `v` of `I(v, ρ) − i`.
     di: f64,
     di_drho2: f64,
+}
+
+/// The circuit at one cell voltage: one evaluation of the integrands.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Stage {
+    /// Cell-voltage magnitude (V).
+    vc: f64,
+    /// Cell-current magnitude (A).
+    i: f64,
+    /// Filament state, squared.
+    rho2: f64,
+    /// `dv_c/dt` (V/s).
+    dv: f64,
 }
 
 impl Pulse {
@@ -182,9 +179,9 @@ impl Pulse {
         }
     }
 
-    /// The current the circuit sets at cell voltage `v`, and how much it
-    /// falls per volt: `(v_drive − v)/r_series` up to the clamp.
-    fn drive(&self, v: f64) -> (f64, f64) {
+    /// The current the series path sets at cell voltage `v`, and how much
+    /// it falls per volt: `(v_drive − v)/r_series` up to the clamp.
+    fn series(&self, v: f64) -> (f64, f64) {
         let i_div = (self.v_drive - v) * self.g_series;
         if i_div > self.i_max {
             (self.i_max, 0.0)
@@ -200,8 +197,8 @@ impl Pulse {
     fn divider(&self, rho: f64) -> Result<f64, RramError> {
         let fdf = |v: f64| {
             let (i, di_dv) = self.law.current_and_slope(v, rho);
-            let (i_set, di_drive) = self.drive(v);
-            (i - i_set, di_dv + di_drive)
+            let (i_set, di_series) = self.series(v);
+            (i - i_set, di_dv + di_series)
         };
         Ok(newton_bracketed(
             fdf,
@@ -212,70 +209,47 @@ impl Pulse {
         )?)
     }
 
-    /// The pulse's lane for job `job`, first trial step `h0`, ending at
-    /// `t_end`, started at state `ρ`.
-    fn start(self, rho: f64, h0: f64, t_end: f64, job: usize) -> Result<Lane<Pulse>, RramError> {
-        let v = self.divider(rho)?;
-        let s = State {
-            v,
-            ..State::default()
-        };
-        Ok(Lane {
-            rhs: self,
-            p: Point {
-                s,
-                k: self.stage(v),
-            },
-            h: h0,
-            t_end,
-            job,
-        })
-    }
-
-    /// The integrals over the cell voltage from `a` to `b` by the
-    /// five-point Gauss–Legendre rule: the latency `∫ dv/v̇`, the driver
+    /// The integrals over the cell voltage from `a` to `b` (either way) by
+    /// the five-point Gauss–Legendre rule: the time `∫ dv/v̇`, the driver
     /// energy `v_drive·∫ i/v̇ dv` and the cell energy `∫ v·i/v̇ dv`, with
-    /// `v̇ = dv_c/dt`. Every node's first half runs before any node's
+    /// `v̇ = dv_c/dt`; each node's share of the time; and the conduction at
+    /// the node nearest `b`. Every node's first half runs before any node's
     /// second, so the five chains overlap on the core.
-    fn panel(&self, a: f64, b: f64) -> [f64; 3] {
+    fn panel(&self, a: f64, b: f64) -> ([f64; 3], [f64; 5], Conduction) {
         let (mid, half) = (0.5 * (a + b), 0.5 * (b - a));
-        let halves = GAUSS.map(|(x, _)| self.half(mid + half * x));
-        let stages = halves.map(|c| self.finish(&c));
+        let mut halves = [Conduction::default(); 5];
+        for (c, (x, _)) in halves.iter_mut().zip(GAUSS) {
+            *c = self.half(mid + half * x);
+        }
+        // Plain loops: through `array::map` the stages were not inlined, and
+        // a RESET took ≈ 15 % longer.
+        let mut stages = [Stage::default(); 5];
+        for (k, c) in stages.iter_mut().zip(&halves) {
+            *k = self.finish(c);
+        }
         let mut sum = [0.0; 3];
-        for (k, (_, w)) in stages.iter().zip(GAUSS) {
-            let dt = w * half / k.dv;
-            sum[0] += dt;
-            sum[1] += dt * k.i;
-            sum[2] += dt * k.i * k.vc;
+        let mut dts = [0.0; 5];
+        for ((k, (_, w)), dt) in stages.iter().zip(GAUSS).zip(&mut dts) {
+            *dt = w * half / k.dv;
+            sum[0] += *dt;
+            sum[1] += *dt * k.i;
+            sum[2] += *dt * k.i * k.vc;
         }
         sum[1] *= self.v_drive;
-        sum
+        (sum, dts, halves[GAUSS.len() - 1])
     }
-}
 
-/// The five-point Gauss–Legendre rule on `[−1, 1]`: `(node, weight)`.
-const GAUSS: [(f64, f64); 5] = [
-    (-0.906_179_845_938_664, 0.236_926_885_056_189_08),
-    (-0.538_469_310_105_683_1, 0.478_628_670_499_366_47),
-    (0.0, 0.568_888_888_888_888_9),
-    (0.538_469_310_105_683_1, 0.478_628_670_499_366_47),
-    (0.906_179_845_938_664, 0.236_926_885_056_189_08),
-];
-
-impl Rhs for Pulse {
-    type Half = Conduction;
-
-    /// The circuit at cell voltage `vc`, with no solve: the circuit sets the
-    /// current, and the conduction law (linear in `ρ²`) gives the state
-    /// drawing it.
+    /// The circuit at cell voltage `vc`, with no solve: the series path
+    /// sets the current, and the conduction law (linear in `ρ²`) gives the
+    /// state drawing it.
     fn half(&self, vc: f64) -> Conduction {
-        let (i, di_drive) = self.drive(vc);
+        let (i, di_series) = self.series(vc);
         let (rho2, di_dv, di_drho2) = self.law.rho2_and_slopes(vc, i);
         Conduction {
             vc,
             i,
             rho2: rho2.max(0.0),
-            di: di_dv + di_drive,
+            di: di_dv + di_series,
             di_drho2,
         }
     }
@@ -290,35 +264,171 @@ impl Rhs for Pulse {
             di_drho2,
         } = c;
         // The circuit holds `I(v, ρ) = i` as the state moves, so `dv/dt =
-        // −(∂I/∂ρ)·(dρ/dt)/di` with `di` the slope of `I(v, ρ) − i` in `v`,
-        // and `|dy/dv| = di/(∂I/∂ρ·|dρ/dy|)`. Here `∂I/∂ρ = 2ρ·∂I/∂(ρ²)`.
-        let (dv, w) = if self.set {
-            // `dρ/dt = (1 − ρ)·set_rate`, `dρ/dy = −(1 − ρ)`, floored where
-            // the model saturates.
+        // −(∂I/∂ρ)·(dρ/dt)/di` with `di` the slope of `I(v, ρ) − i` in `v`.
+        // Here `∂I/∂ρ = 2ρ·∂I/∂(ρ²)`.
+        let dv = if self.set {
+            // `dρ/dt = (1 − ρ)·set_rate`.
             let rho = rho2.sqrt();
-            let gap = 1.0 - rho;
             let di_drho = 2.0 * rho * di_drho2;
             // Grouped so the division does not wait for the square root.
-            (
-                -di_drho * gap * (self.law.set_rate(vc, rho) / di),
-                di / (di_drho * gap.max(RHO_CEILING_GAP)),
-            )
+            -di_drho * (1.0 - rho) * (self.law.set_rate(vc, rho) / di)
         } else {
-            // `dρ/dt = −ρ·reset_rate`, `dρ/dy = ρ`: both carry `ρ·∂I/∂ρ`; the
-            // weight's is floored, so the zero error at `ρ = 0` counts as 0.
+            // `dρ/dt = −ρ·reset_rate`.
             let rho_di_drho = 2.0 * rho2 * di_drho2;
             let rate = self.law.reset_rate(vc, i, 0.5 * rho2.ln());
-            let w = di / (2.0 * rho2.max(RHO_MIN * RHO_MIN) * di_drho2);
             // Grouped so the division does not wait for the rate.
-            (rho_di_drho / di * rate, w)
+            rho_di_drho / di * rate
         };
-        Stage { vc, i, rho2, dv, w }
+        Stage { vc, i, rho2, dv }
     }
 
-    fn v_drive(&self) -> f64 {
-        self.v_drive
+    /// The circuit at cell voltage `v`: one evaluation of the integrands.
+    fn stage(&self, v: f64) -> Stage {
+        self.finish(&self.half(v))
+    }
+
+    /// The integrals of the pulse held at cell voltage `vc` drawing `i`
+    /// for `dt`: the state does not move, so neither do they.
+    fn held(&self, vc: f64, i: f64, dt: f64) -> [f64; 3] {
+        [dt, self.v_drive * i * dt, vc * i * dt]
+    }
+
+    /// The cell voltage between `a` (integrals `sum` up to it) and `b`,
+    /// either way, at which the time reaches `t_end`, where the panel from
+    /// `a` to `b`, whose nodes take the times `dts`, takes it past: the
+    /// integrals up to it and the conduction there.
+    ///
+    /// Newton's method on the partial panel's time, from the interpolated
+    /// guess ([`interpolate`]), until the time is within [`REACH_TOL`] of
+    /// `t_end`; the last step is then taken in closed form, its integrals by
+    /// the trapezoid rule, so it costs one evaluation, not a panel.
+    fn reach_time(
+        &self,
+        (a, sum): (f64, [f64; 3]),
+        b: f64,
+        dts: &[f64; 5],
+        t_end: f64,
+    ) -> Result<(f64, [f64; 3], Conduction), RramError> {
+        let (mut lo, mut hi) = (a.min(b), a.max(b));
+        let rising = b > a;
+        let mut v = interpolate(a, b, dts, t_end - sum[0]);
+        if !(v > lo && v < hi) {
+            v = 0.5 * (lo + hi);
+        }
+        let mut dt = f64::NAN;
+        for _ in 0..REACH_ITERS {
+            let q = self.panel(a, v).0;
+            let k = self.stage(v);
+            dt = t_end - (sum[0] + q[0]);
+            let step = dt * k.dv;
+            if dt.abs() <= REACH_TOL * t_end {
+                let end = self.half(v + step);
+                let i = 0.5 * (k.i + end.i);
+                let p = 0.5 * (k.vc * k.i + end.vc * end.i);
+                let sums = [
+                    t_end,
+                    sum[1] + q[1] + self.v_drive * i * dt,
+                    sum[2] + q[2] + p * dt,
+                ];
+                return Ok((end.vc, sums, end));
+            }
+            // Short of `t_end`, the root lies further towards `b`.
+            if (dt > 0.0) == rising {
+                lo = v;
+            } else {
+                hi = v;
+            }
+            v = if v + step > lo && v + step < hi {
+                v + step
+            } else {
+                0.5 * (lo + hi)
+            };
+        }
+        Err(RramError::Numerics(NumericsError::NoConvergence {
+            iterations: REACH_ITERS,
+            residual: dt / t_end,
+        }))
     }
 }
+
+/// The relative distance from a fixed width within which
+/// [`Pulse::reach_time`] takes its last Newton step in closed form: the
+/// step's error is second order in it.
+const REACH_TOL: f64 = 1e-6;
+
+/// Newton or bisection steps [`Pulse::reach_time`] takes at most.
+const REACH_ITERS: usize = 100;
+
+/// Where the time reaches `tau` past `a` in the panel from `a` to `b`
+/// whose nodes take the times `dts`: Newton's method on the integral of the
+/// polynomial through the integrand at the nodes. A first guess for
+/// [`Pulse::reach_time`] that costs no evaluation.
+fn interpolate(a: f64, b: f64, dts: &[f64; 5], tau: f64) -> f64 {
+    // The integrand on `[−1, 1]` in monomials: `p_m` is the coefficient of
+    // `x^m`, and the time to `x` is `F(x) − F(−1)` with `F' = p`.
+    let mut p = [0.0; 5];
+    for ((row, &(_, w)), dt) in LAGRANGE.iter().zip(&GAUSS).zip(dts) {
+        for (pm, l) in p.iter_mut().zip(row) {
+            *pm += dt / w * l;
+        }
+    }
+    let big_f = |x: f64| {
+        x * p
+            .iter()
+            .enumerate()
+            .rev()
+            .fold(0.0, |f, (m, pm)| f * x + pm / (m + 1) as f64)
+    };
+    let f0 = big_f(-1.0);
+    let total: f64 = dts.iter().sum();
+    let mut x = -1.0 + 2.0 * tau / total;
+    for _ in 0..4 {
+        let slope = p.iter().rev().fold(0.0, |f, pm| f * x + pm);
+        x = (x - (big_f(x) - f0 - tau) / slope).clamp(-1.0, 1.0);
+    }
+    0.5 * (a + b) + 0.5 * (b - a) * x
+}
+
+/// The monomial coefficients of the Lagrange basis on [`GAUSS`]'s nodes:
+/// row `k` is the polynomial of degree 4 that is 1 at node `k` and 0 at the
+/// others.
+const LAGRANGE: [[f64; 5]; 5] = lagrange_basis();
+
+const fn lagrange_basis() -> [[f64; 5]; 5] {
+    let mut basis = [[0.0; 5]; 5];
+    let mut k = 0;
+    while k < 5 {
+        let p = &mut basis[k];
+        p[0] = 1.0;
+        let mut degree = 0;
+        let mut j = 0;
+        while j < 5 {
+            if j != k {
+                // `p ← p·(x − x_j)/(x_k − x_j)`.
+                let (xj, scale) = (GAUSS[j].0, 1.0 / (GAUSS[k].0 - GAUSS[j].0));
+                let mut m = degree + 1;
+                while m > 0 {
+                    p[m] = (p[m - 1] - xj * p[m]) * scale;
+                    m -= 1;
+                }
+                p[0] *= -xj * scale;
+                degree += 1;
+            }
+            j += 1;
+        }
+        k += 1;
+    }
+    basis
+}
+
+/// The five-point Gauss–Legendre rule on `[−1, 1]`: `(node, weight)`.
+const GAUSS: [(f64, f64); 5] = [
+    (-0.906_179_845_938_664, 0.236_926_885_056_189_08),
+    (-0.538_469_310_105_683_1, 0.478_628_670_499_366_47),
+    (0.0, 0.568_888_888_888_888_9),
+    (0.538_469_310_105_683_1, 0.478_628_670_499_366_47),
+    (0.906_179_845_938_664, 0.236_926_885_056_189_08),
+];
 
 /// Rejects what the fast path cannot simulate: a drive the divider solve
 /// cannot bracket (`v_drive`, `r_series` not finite and positive), a
@@ -352,313 +462,31 @@ fn check_drive(
     Ok(())
 }
 
-/// The integrated quantities of a pulse at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct State {
-    /// Time since pulse start (s).
-    t: f64,
-    /// Cell-voltage magnitude `v_c` (V).
-    v: f64,
-    /// Energy drawn from the driver, `∫ v_drive·i dt` (J).
-    e_drive: f64,
-    /// Energy dissipated in the cell, `∫ v_c·i dt` (J).
-    e_cell: f64,
-}
-
-/// The circuit at one cell voltage: one right-hand-side evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct Stage {
-    /// Cell-voltage magnitude (V).
-    vc: f64,
-    /// Cell-current magnitude (A).
-    i: f64,
-    /// Filament state, squared.
-    rho2: f64,
-    /// `dv_c/dt` (V/s).
-    dv: f64,
-    /// `|dy/dv_c|` (1/V) for `y = ln ρ` (RESET; `ρ²/(2·RHO_MIN²)` below
-    /// that state) or `ln(1 − ρ)` (SET): the weight that turns an error in
-    /// `v_c` into one in `y`.
-    w: f64,
-}
-
-/// An accepted state with its stage: where one step ends and the next
-/// begins (the pair is first-same-as-last).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Point {
-    s: State,
-    k: Stage,
-}
-
-/// One pulse in flight: an embedded Bogacki–Shampine 3(2) pair with local
-/// extrapolation on the cell voltage over the right-hand side `rhs`, at its
-/// last accepted point `p`, with its next trial step `h`, its end time and
-/// the job it runs.
-#[derive(Debug, Clone, Copy)]
-struct Lane<R> {
-    rhs: R,
-    p: Point,
-    /// The next trial step (s).
-    h: f64,
-    /// No step reaches past this time (s).
-    t_end: f64,
-    /// The job's index in its batch.
-    job: usize,
-}
-
-impl<R: Rhs> Lane<R> {
-    /// The trial step from `p` (`h`, or what is left to `t_end`), and
-    /// whether it is the last.
-    fn trial(&self) -> (f64, bool) {
-        let last = self.h >= self.t_end - self.p.s.t;
-        (
-            if last {
-                self.t_end - self.p.s.t
-            } else {
-                self.h
-            },
-            last,
-        )
-    }
-
-    /// Where the second stage of a step `h` from `p` evaluates.
-    fn at2(p: &Point, h: f64) -> f64 {
-        p.s.v + 0.5 * h * p.k.dv
-    }
-
-    /// Where the third stage of a step `h` from `p` evaluates.
-    fn at3(p: &Point, h: f64, k2: &Stage) -> f64 {
-        p.s.v + 0.75 * h * k2.dv
-    }
-
-    /// The third-order solution `h` past `p`, from its two inner stages.
-    fn solution(&self, p: &Point, h: f64, k2: &Stage, k3: &Stage) -> State {
-        let k1 = p.k;
-        let sum = |f: fn(&Stage) -> f64| h * (2.0 * f(&k1) + 3.0 * f(k2) + 4.0 * f(k3)) / 9.0;
-        State {
-            t: p.s.t + h,
-            v: p.s.v + sum(|k| k.dv),
-            e_drive: p.s.e_drive + self.rhs.v_drive() * sum(|k| k.i),
-            e_cell: p.s.e_cell + sum(|k| k.vc * k.i),
-        }
-    }
-
-    /// The error control's verdict on the trial step `h` from `p` to `s`
-    /// (`last` if it ends at `t_end`), with stages `k2`–`k4`: the accepted
-    /// point, or the rejected trial's error in units of the tolerance. Either
-    /// way it sizes the next trial step. A non-finite trial state or error
-    /// is a rejection too.
-    fn control(
-        &mut self,
-        h: f64,
-        last: bool,
-        mut s: State,
-        [k2, k3, k4]: &[Stage; 3],
-    ) -> Result<Point, f64> {
-        let p = &self.p;
-        // The embedded second-order solution's distance from the third.
-        let k1 = p.k;
-        let err = |f: fn(&Stage) -> f64| {
-            (h * (-10.0 * f(&k1) + 12.0 * f(k2) + 16.0 * f(k3) - 18.0 * f(k4)) / 144.0).abs()
-        };
-        // Relative to the larger energy; `0/0` before any is drawn is 0.
-        let relative = |e: f64, a: f64, b: f64| e / a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
-        // The larger, NaN if either is (`f64::max` drops a NaN).
-        let worst = |a: f64, b: f64| if a.is_nan() || a > b { a } else { b };
-        // The error in `v_c` counts as an error in `y` through `|dy/dv_c|`
-        // at whichever end of the step weighs it more.
-        let ratio = worst(
-            worst(
-                err(|k| k.dv) * worst(k1.w, k4.w),
-                relative(self.rhs.v_drive() * err(|k| k.i), p.s.e_drive, s.e_drive),
-            ),
-            relative(err(|k| k.vc * k.i), p.s.e_cell, s.e_cell),
-        ) * (1.0 / RTOL);
-        // Fivefold at a zero error.
-        let factor = (0.9 / ratio.cbrt()).clamp(0.2, 5.0);
-        let finite = s.v.is_finite() && s.e_drive.is_finite() && s.e_cell.is_finite();
-        if finite && ratio <= 1.0 {
-            if last {
-                s.t = self.t_end;
-            }
-            self.h = h * factor;
-            return Ok(Point { s, k: *k4 });
-        }
-        self.h = h * factor.min(0.2);
-        Err(ratio)
-    }
-}
-
-/// What a batch of pulses is for: how each job's pulse starts, and what it
-/// reads off its trajectory.
-trait Course {
-    type Rhs: Rhs;
-    /// Starts job `job`'s pulse.
-    fn start(&mut self, job: usize) -> Result<Lane<Self::Rhs>, RramError>;
-    /// Reads the job's lane at pulse start or after it accepted a step;
-    /// `true` once the job is done.
-    fn visit(&mut self, lane: &Lane<Self::Rhs>) -> bool;
-    /// The job's pulse failed.
-    fn fail(&mut self, job: usize, e: RramError);
-}
-
-/// The lane driver: runs the pulses of the jobs in `queue` through `K`
-/// lanes. Each round computes every live lane's second stage, then every
-/// third, then every fourth — each stage's first half for every lane
-/// before any lane's second half. Each lane then runs its own error
-/// control, step size, rejection count and [`Course::visit`]. After each
-/// round the empty slots take new jobs. Every lane runs the scalar
-/// operation sequence, so no result depends on `K` or on which jobs share
-/// a batch.
-fn drive<C: Course, const K: usize>(course: &mut C, mut queue: impl Iterator<Item = usize>) {
-    // The next job's lane, past the jobs that fail to start or finish at
-    // their start.
-    let mut next = |course: &mut C| {
-        for job in queue.by_ref() {
-            match course.start(job) {
-                Ok(lane) if !course.visit(&lane) => return Some(lane),
-                Ok(_) => {}
-                Err(e) => course.fail(job, e),
-            }
-        }
-        None
-    };
-    let Some(first) = next(course) else {
-        return;
-    };
-    // Lanes `0..n` are live; the rest hold copies no round reads.
-    let mut lanes = [first; K];
-    let mut n = 1;
-    // Consecutive rejected trials of each lane's current step.
-    let mut tries = [0usize; K];
-    let mut trial = [(0.0, false); K];
-    let mut halves = [<C::Rhs as Rhs>::Half::default(); K];
-    let mut stages = [[Stage::default(); 3]; K];
-    let mut ends = [State::default(); K];
-    loop {
-        while n < K {
-            let Some(lane) = next(course) else {
-                break;
-            };
-            (lanes[n], tries[n]) = (lane, 0);
-            n += 1;
-        }
-        if n == 0 {
-            return;
-        }
-        for l in 0..n {
-            trial[l] = lanes[l].trial();
-            halves[l] = lanes[l]
-                .rhs
-                .half(Lane::<C::Rhs>::at2(&lanes[l].p, trial[l].0));
-        }
-        for l in 0..n {
-            stages[l][0] = lanes[l].rhs.finish(&halves[l]);
-        }
-        for l in 0..n {
-            let at = Lane::<C::Rhs>::at3(&lanes[l].p, trial[l].0, &stages[l][0]);
-            halves[l] = lanes[l].rhs.half(at);
-        }
-        for l in 0..n {
-            stages[l][1] = lanes[l].rhs.finish(&halves[l]);
-        }
-        for l in 0..n {
-            let (lane, h) = (&lanes[l], trial[l].0);
-            ends[l] = lane.solution(&lane.p, h, &stages[l][0], &stages[l][1]);
-            halves[l] = lane.rhs.half(ends[l].v);
-        }
-        for l in 0..n {
-            stages[l][2] = lanes[l].rhs.finish(&halves[l]);
-        }
-        // From the top down, so a finished lane's slot can take the last
-        // live lane, whose round is already done.
-        for l in (0..n).rev() {
-            let (h, last) = trial[l];
-            let lane = &mut lanes[l];
-            let done = match lane.control(h, last, ends[l], &stages[l]) {
-                Ok(p1) => {
-                    tries[l] = 0;
-                    lane.p = p1;
-                    course.visit(lane)
-                }
-                Err(ratio) => {
-                    tries[l] += 1;
-                    let give_up = tries[l] == MAX_REJECTIONS;
-                    if give_up {
-                        let e = NumericsError::NoConvergence {
-                            iterations: MAX_REJECTIONS,
-                            residual: ratio,
-                        };
-                        course.fail(lane.job, RramError::Numerics(e));
-                    }
-                    give_up
-                }
-            };
-            if done {
-                n -= 1;
-                lanes[l] = lanes[n];
-                tries[l] = tries[n];
-            }
-        }
-    }
-}
-
-/// Fixed-width pulses — the SET and the standard RESET — each run to its
-/// end time: the start current and the final point of each job.
-struct FixedWidth<'a> {
-    /// Each job's pulse, start state, first trial step and width.
-    pulses: &'a [(Pulse, f64, f64, f64)],
-    out: &'a mut [Option<Result<(f64, Point), RramError>>],
-}
-
-impl<'a> FixedWidth<'a> {
-    /// Runs `pulses` through `K` lanes, filling `out` at each job's index.
-    fn run<const K: usize>(
-        pulses: &'a [(Pulse, f64, f64, f64)],
-        out: &'a mut [Option<Result<(f64, Point), RramError>>],
-    ) {
-        drive::<_, K>(&mut FixedWidth { pulses, out }, 0..pulses.len());
-    }
-}
-
-impl Course for FixedWidth<'_> {
-    type Rhs = Pulse;
-
-    fn start(&mut self, job: usize) -> Result<Lane<Pulse>, RramError> {
-        let (pulse, rho, h0, width) = self.pulses[job];
-        let lane = pulse.start(rho, h0, width, job)?;
-        self.out[job] = Some(Ok((lane.p.k.i, lane.p)));
-        Ok(lane)
-    }
-
-    fn visit(&mut self, lane: &Lane<Pulse>) -> bool {
-        if let Some(Ok((_, end))) = &mut self.out[lane.job] {
-            *end = lane.p;
-        }
-        lane.p.s.t >= lane.t_end
-    }
-
-    fn fail(&mut self, job: usize, e: RramError) {
-        self.out[job] = Some(Err(e));
-    }
-}
-
-/// A terminated RESET's path in the cell voltage. During a RESET `ρ` only
-/// falls, so `v_c` only rises from its start `v0`, and the latency and both
-/// energies up to a cell voltage are integrals over `v_c` ([`Pulse::panel`]).
-/// They are summed over panels that halve the current from the start
-/// current, since the integrands vary as powers of it, each panel split at
-/// any switch point of the rate law inside it: the Joule clamp's cell
-/// voltage and the `ρ^β` floor's. The third, `v_rst_floor`, is never
-/// inside: a cell that starts above it stays above it, and one that starts
-/// below it never moves. The panels depend only on the start state, so a
-/// reference sums the panels below its `v*` and adds one partial panel up
-/// to `v*`.
+/// A RESET's path in the cell voltage. During a RESET `ρ` only falls, so
+/// `v_c` only rises from its start `v0`, and the latency and both energies
+/// up to a cell voltage are integrals over `v_c` ([`Pulse::panel`]). They
+/// are summed over panels that halve the current from the start current,
+/// since the integrands vary as powers of it, each panel split at any
+/// switch point of the rate law inside it: the Joule clamp's cell voltage
+/// and the `ρ^β` floor's. The third, `v_rst_floor`, is never inside: a
+/// cell that starts above it stays above it, and one that starts below it
+/// never moves. An overdriven pulse also ends a panel where the rate's
+/// field factor grows by [`RATE_SPAN`] in the log, and one near the
+/// hopping limit where `ρ²` halves ([`HOP_SHARE`]). The panels depend only
+/// on the start state, so a terminated RESET's reference sums the panels
+/// below its `v*` and adds one partial panel up to `v*`, and a fixed-width
+/// pulse ends inside the panel its width falls in ([`Path::at`]).
 struct Path {
     pulse: Pulse,
     /// The panel ends so far, from `v0` up: each cell voltage, and the
     /// latency, driver energy and cell energy up to it.
     ends: Vec<(f64, [f64; 3])>,
+    /// Each node's share of the last panel's latency.
+    last_dts: [f64; 5],
+    /// The conduction at the last panel's last node, or at `v0`.
+    last: Conduction,
+    /// The widest panel: [`RATE_SPAN`] over the rate's growth per volt.
+    max_rise: f64,
     /// `v_drive` less the far end of the panel being filled.
     headroom: f64,
     /// The rate law's switch points above `v0`, ascending, `∞` for none:
@@ -672,13 +500,17 @@ struct Path {
 }
 
 impl Path {
-    /// The path of `pulse` from the cell voltage `v0` at state `rho`.
-    fn new(pulse: Pulse, v0: f64, rho: f64) -> Self {
+    /// The path of `pulse` from the conduction `start` at state `rho`.
+    fn new(pulse: Pulse, start: Conduction, rho: f64) -> Self {
+        let v0 = start.vc;
         let (rho2_floor, i_clamp) = pulse.law.reset_switch_points();
         let v_clamp = pulse.v_drive - i_clamp / pulse.g_series;
         Path {
             pulse,
             ends: vec![(v0, [0.0; 3])],
+            last_dts: [0.0; 5],
+            last: start,
+            max_rise: RATE_SPAN / pulse.law.reset_rate_gain(),
             headroom: 0.5 * (pulse.v_drive - v0),
             kinks: [
                 if v_clamp > v0 { v_clamp } else { f64::INFINITY },
@@ -716,7 +548,16 @@ impl Path {
     /// The next panel end above `a`.
     fn next(&self, a: f64) -> f64 {
         let kink = self.kinks.into_iter().find(|&s| s > a);
-        (self.pulse.v_drive - self.headroom).min(kink.unwrap_or(f64::INFINITY))
+        let b = (self.pulse.v_drive - self.headroom)
+            .min(kink.unwrap_or(f64::INFINITY))
+            .min(a + self.max_rise);
+        // Along the path `dρ²/dv = −di/∂I/∂(ρ²)`.
+        let c = &self.last;
+        if c.rho2 * c.di_drho2 < (1.0 - HOP_SHARE) * c.i {
+            b.min(a + 0.5 * c.rho2 * c.di_drho2 / c.di)
+        } else {
+            b
+        }
     }
 
     /// Adds the panel from the last end to `b`.
@@ -725,7 +566,8 @@ impl Path {
         if b == self.pulse.v_drive - self.headroom {
             self.headroom *= 0.5;
         }
-        let q = self.pulse.panel(a, b);
+        let (q, dts, last) = self.pulse.panel(a, b);
+        (self.last_dts, self.last) = (dts, last);
         self.ends.push((b, [0, 1, 2].map(|j| sum[j] + q[j])));
     }
 
@@ -744,20 +586,20 @@ impl Path {
         }
         let j = self.ends.partition_point(|e| e.0 < v_star) - 1;
         let (a, sum) = self.ends[j];
-        let q = self.pulse.panel(a, v_star);
+        let q = self.pulse.panel(a, v_star).0;
         let sum = [0, 1, 2].map(|m| sum[m] + q[m]);
         (sum[0] <= t_max).then_some((j as u64 + 1, sum))
     }
 
-    /// The cell voltage at `t_max`: the panels until the latency passes
-    /// it, then a Newton solve on the partial panel's latency inside the
-    /// last.
-    fn at(&mut self, t_max: f64) -> Result<f64, RramError> {
+    /// The cell voltage at `t_max`, the integrals up to it and the
+    /// conduction there: the panels until the latency passes it, then
+    /// [`Pulse::reach_time`] inside the last.
+    fn at(&mut self, t_max: f64) -> Result<(f64, [f64; 3], Conduction), RramError> {
         while self.ends[self.ends.len() - 1].1[0] <= t_max {
             let a = self.ends[self.ends.len() - 1].0;
             let b = self.next(a);
             if b > self.clear_to {
-                let i = self.pulse.drive(b).0;
+                let i = self.pulse.series(b).0;
                 self.clear(b, self.pulse.law.rho2_and_slopes(b, i).0)?;
             } else {
                 self.push(b);
@@ -765,19 +607,8 @@ impl Path {
         }
         // `t_max > 0`, so at least one panel was summed.
         let n = self.ends.len();
-        let ((a, sum), (b, _)) = (self.ends[n - 2], self.ends[n - 1]);
-        let pulse = self.pulse;
-        let fdf = |v: f64| {
-            let t = sum[0] + pulse.panel(a, v)[0];
-            (t / t_max - 1.0, 1.0 / (t_max * pulse.stage(v).dv))
-        };
-        Ok(newton_bracketed(
-            fdf,
-            a,
-            b,
-            f64::NAN,
-            RootOptions::default(),
-        )?)
+        self.pulse
+            .reach_time(self.ends[n - 2], self.ends[n - 1].0, &self.last_dts, t_max)
     }
 }
 
@@ -819,11 +650,12 @@ fn read_path(
     let ledger = JouleLedger::global();
     let pulse = Pulse::new(*law, cond.v_drive, cond.r_series, f64::INFINITY, false);
     let v0 = pulse.divider(cond.rho_start)?;
-    let start = pulse.stage(v0);
+    let c0 = pulse.half(v0);
+    let start = pulse.finish(&c0);
     // Whether the state moves at all: not below `v_rst_floor`, nor at
     // `ρ = 0`.
     let moves = start.dv > 0.0;
-    let mut path = Path::new(pulse, v0, cond.rho_start);
+    let mut path = Path::new(pulse, c0, cond.rho_start);
     // The current at `t_max`, once a reference needs it.
     let mut i_final = None;
     // The last reference's `v*` and where the path reached it.
@@ -847,7 +679,7 @@ fn read_path(
         let Some((panels, [t, e_drive, e_cell])) = reached else {
             let i_final = match i_final {
                 Some(i) => i,
-                None if moves => *i_final.insert(pulse.drive(path.at(cond.t_max)?).0),
+                None if moves => *i_final.insert(path.at(cond.t_max)?.2.i),
                 None => *i_final.insert(start.i),
             };
             tel.tally(CounterId::NotTerminated, 1);
@@ -1017,7 +849,7 @@ fn reference(cond: &ResetConditions, i_ref: f64) -> Result<f64, RramError> {
     Ok(cond.v_drive - i_ref * cond.r_series)
 }
 
-/// The results of a batch whose every slot the lanes filled.
+/// The results of a batch whose every slot was filled.
 fn resolved<T>(out: Vec<Option<T>>) -> Vec<T> {
     out.into_iter()
         .map(|slot| slot.unwrap_or_else(|| unreachable!("every job is resolved")))
@@ -1035,8 +867,6 @@ pub struct StandardResetPulse {
     pub r_series: f64,
     /// Pulse width (s).
     pub width: f64,
-    /// First trial step of the integrator (s).
-    pub dt: f64,
 }
 
 impl StandardResetPulse {
@@ -1048,18 +878,31 @@ impl StandardResetPulse {
             v_drive: 3.0,
             r_series: 3.6131e3,
             width: 3.5e-6,
-            dt: 2e-9,
         }
     }
 }
 
+/// Rejects a pulse width not finite and positive.
+fn check_width(width: f64) -> Result<(), RramError> {
+    if width.is_finite() && width > 0.0 {
+        Ok(())
+    } else {
+        Err(RramError::InvalidParameter {
+            name: "width",
+            value: width,
+        })
+    }
+}
+
 /// Simulates a fixed-width (standard, non-terminated) RESET pulse: the
-/// terminated RESET's integrator with no reference, stopped at `width`.
+/// terminated RESET's path with no reference, stopped where the time
+/// reaches `width`.
 ///
 /// # Errors
 ///
 /// [`RramError::InvalidParameter`] for an invalid card or drive (as
-/// [`simulate_reset_termination`]); propagates numerical failures.
+/// [`simulate_reset_termination`]) or a width not finite and positive;
+/// propagates numerical failures.
 pub fn simulate_standard_reset(
     params: &OxramParams,
     inst: &InstanceVariation,
@@ -1070,24 +913,25 @@ pub fn simulate_standard_reset(
     let _reset = Profiler::global().phase(PhaseId::RramReset);
     params.validate()?;
     check_drive(inst, pulse.v_drive, pulse.r_series, rho_start, 0.0, v_read)?;
+    check_width(pulse.width)?;
     let law = CellLaw::new(params, inst);
-    let job = [(
-        Pulse::new(law, pulse.v_drive, pulse.r_series, f64::INFINITY, false),
-        rho_start,
-        pulse.dt,
-        pulse.width,
-    )];
-    let mut out = [None];
-    FixedWidth::run::<1>(&job, &mut out);
-    let [end] = out;
-    let (i_initial, p) = end.unwrap_or_else(|| unreachable!("the job is resolved"))?;
-    let rho = p.k.rho2.sqrt();
+    let circuit = Pulse::new(law, pulse.v_drive, pulse.r_series, f64::INFINITY, false);
+    let v0 = circuit.divider(rho_start)?;
+    let c0 = circuit.half(v0);
+    let start = circuit.finish(&c0);
+    // Whether the state moves at all, as in the terminated RESET.
+    let (rho, [_, e_drive, _]) = if start.dv > 0.0 {
+        let (_, sums, end) = Path::new(circuit, c0, rho_start).at(pulse.width)?;
+        (end.rho2.sqrt(), sums)
+    } else {
+        (rho_start, circuit.held(start.vc, start.i, pulse.width))
+    };
     Ok(TerminationOutcome {
         rho_final: rho,
         r_read_ohms: law.read_resistance(rho, v_read),
         latency_s: pulse.width,
-        energy_j: p.s.e_drive,
-        i_initial,
+        energy_j: e_drive,
+        i_initial: start.i,
     })
 }
 
@@ -1113,7 +957,6 @@ pub fn simulate_worst_case_reset(
         v_drive: cond.v_drive,
         r_series: cond.r_series,
         width: cond.t_max,
-        dt: cond.dt,
     };
     simulate_standard_reset(params, inst, &pulse, cond.rho_start, cond.v_read)
 }
@@ -1129,8 +972,6 @@ pub struct SetConditions {
     pub i_compliance: f64,
     /// Pulse width (s).
     pub width: f64,
-    /// First trial step of the integrator (s).
-    pub dt: f64,
     /// Starting filament state.
     pub rho_start: f64,
     /// Read-back voltage (V).
@@ -1150,7 +991,6 @@ impl SetConditions {
             r_series: 2.0e3,
             i_compliance: 100e-6,
             width: 300e-9,
-            dt: 0.5e-9,
             rho_start: 0.1,
             v_read: 0.3,
         }
@@ -1168,19 +1008,96 @@ pub struct SetOutcome {
     pub energy_j: f64,
 }
 
+/// A SET's path in the cell voltage from state `rho` for `width`: the
+/// final state, and the time, driver energy and cell energy.
+///
+/// The cell voltage falls from its start solve. Each panel ends where a
+/// Newton step on `ln(1 − ρ)` from the previous panel's last node puts
+/// `1 − ρ` shrunk by 0.7 (below `ρ_formed`, on `ln ρ`, `ρ` grown by 1/0.7),
+/// so the ends cost no solve. Panels split at the compliance kink
+/// `v_drive − i_c·r_series`, where the current stops rising, and at
+/// `ρ_formed`'s voltage, where the forming barrier vanishes. The path stops
+/// at `v_set_floor`, below which the rate is zero, or at the model's
+/// ceiling `1 − ρ = RHO_CEILING_GAP`, where [`model::advance_state`]
+/// saturates to `ρ = 1`; a path that stops before `width` holds there.
+/// Saturation is a logarithmic end that the shrinking panels resolve.
+fn grow(pulse: &Pulse, rho: f64, width: f64) -> Result<(f64, [f64; 3]), RramError> {
+    let (rho_formed, v_floor) = pulse.law.set_switch_points();
+    let v0 = pulse.divider(rho)?;
+    let start = pulse.half(v0);
+    if v0 <= v_floor || 1.0 - rho <= RHO_CEILING_GAP {
+        let rho_final = if v0 <= v_floor { rho } else { 1.0 };
+        return Ok((rho_final, pulse.held(v0, start.i, width)));
+    }
+    let v_formed = if rho < rho_formed {
+        pulse.divider(rho_formed)?
+    } else {
+        f64::NEG_INFINITY
+    };
+    let splits = [pulse.v_drive - pulse.i_max / pulse.g_series, v_formed];
+    let max_fall = -RATE_SPAN / pulse.law.set_rate_gain();
+    // Where the path stops, and the state it reports there (`None`: the
+    // state it draws).
+    let (mut stop, mut rho_stop) = (v_floor, None);
+    let mut ceiling_solved = false;
+    let (mut a, mut sum, mut c) = (v0, [0.0; 3], start);
+    loop {
+        if a <= stop {
+            let k = pulse.half(a);
+            let rho_final = rho_stop.unwrap_or_else(|| k.rho2.sqrt().min(1.0));
+            let h = pulse.held(a, k.i, width - sum[0]);
+            return Ok((rho_final, [0, 1, 2].map(|j| sum[j] + h[j])));
+        }
+        let rho_c = c.rho2.sqrt();
+        if !ceiling_solved && 1.0 - rho_c < NEAR_CEILING {
+            ceiling_solved = true;
+            let v_ceiling = pulse.divider(1.0 - RHO_CEILING_GAP)?;
+            if v_ceiling > stop {
+                (stop, rho_stop) = (v_ceiling.min(a), Some(1.0));
+            }
+            continue;
+        }
+        // Along the path `dρ/dv = −di/(2ρ·∂I/∂(ρ²))`.
+        let m = if rho_c < rho_formed {
+            rho_c
+        } else {
+            1.0 - rho_c
+        };
+        let step = (LN_SET_PANEL * m * (2.0 * rho_c * c.di_drho2 / c.di)).max(max_fall);
+        let next = splits.into_iter().filter(|&v| v < a).fold(stop, f64::max);
+        // A step that is not a finite fall goes to the next split.
+        let b = if a + step < a {
+            (a + step).max(next)
+        } else {
+            next
+        };
+        let (q, dts, last) = pulse.panel(a, b);
+        let t_b = sum[0] + q[0];
+        if t_b > width || t_b.is_nan() {
+            let (_, sums, k) = pulse.reach_time((a, sum), b, &dts, width)?;
+            // Past the model's saturation the state map reads `ρ` a
+            // rounding above 1.
+            return Ok((k.rho2.sqrt().min(1.0), sums));
+        }
+        sum = [0, 1, 2].map(|j| sum[j] + q[j]);
+        (a, c) = (b, last);
+    }
+}
+
 /// Simulates a compliance-limited SET pulse.
 ///
 /// When the divider current would exceed the compliance, the access
 /// transistor saturates: the current is clamped, and the cell voltage is
-/// where the cell draws the clamped current. The pulse is integrated on the
-/// cell voltage to its end.
+/// where the cell draws the clamped current. The time and energies are
+/// integrals over the falling cell voltage, which ends where the time
+/// reaches the width.
 ///
 /// # Errors
 ///
 /// [`RramError::InvalidParameter`] for an invalid card, drive (as
 /// [`simulate_reset_termination`], but `rho_start` below [`RHO_MIN`]
-/// is invalid too) or a non-positive compliance; propagates divider-solve
-/// and step-control failures.
+/// is invalid too), a non-positive compliance or a width not finite and
+/// positive; propagates divider-solve failures.
 pub fn simulate_set(
     params: &OxramParams,
     inst: &InstanceVariation,
@@ -1190,10 +1107,9 @@ pub fn simulate_set(
     simulate_sets(params, &[(*inst, *cond)]).swap_remove(0)
 }
 
-/// Runs one SET per `(instance, conditions)` job through [`LANES`]
-/// interleaved lanes. Entry `k` of the result is bit for bit what
-/// [`simulate_set`] returns for job `k`, with the same [`JouleLedger`]
-/// records.
+/// Runs one SET per `(instance, conditions)` job, one after another. Entry
+/// `k` of the result is what [`simulate_set`] returns for job `k`, with the
+/// same [`JouleLedger`] records.
 ///
 /// # Errors
 ///
@@ -1206,7 +1122,8 @@ pub fn simulate_sets(
     if let Err(e) = params.validate() {
         return vec![Err(e); jobs.len()];
     }
-    let check = |inst: &InstanceVariation, cond: &SetConditions| {
+    let ledger = JouleLedger::global();
+    let set = |inst: &InstanceVariation, cond: &SetConditions| {
         check_drive(
             inst,
             cond.v_drive,
@@ -1222,53 +1139,25 @@ pub fn simulate_sets(
                 value: i_c,
             });
         }
+        check_width(cond.width)?;
         let law = CellLaw::new(params, inst);
         let pulse = Pulse::new(law, cond.v_drive, cond.r_series, i_c, true);
-        Ok((pulse, cond.rho_start, cond.dt, cond.width))
-    };
-    // The valid jobs' pulses, and each job's pulse index or error.
-    let mut pulses = Vec::with_capacity(jobs.len());
-    let mut slots = Vec::with_capacity(jobs.len());
-    for (inst, cond) in jobs {
-        slots.push(check(inst, cond).map(|pulse| {
-            pulses.push(pulse);
-            pulses.len() - 1
-        }));
-    }
-    let mut out: Vec<Option<Result<(f64, Point), RramError>>> = vec![None; pulses.len()];
-    if pulses.len() == 1 {
-        FixedWidth::run::<1>(&pulses, &mut out);
-    } else {
-        FixedWidth::run::<LANES>(&pulses, &mut out);
-    }
-    let ledger = JouleLedger::global();
-    slots
-        .into_iter()
-        .zip(jobs)
-        .map(|(slot, (_, cond))| {
-            let k = slot?;
-            let (_, p) = out[k]
-                .take()
-                .unwrap_or_else(|| unreachable!("every job is resolved"))?;
-            if ledger.is_enabled() {
-                ledger.record_energy(DeviceClass::RramCell, Role::RramCell, p.s.e_cell);
-                ledger.record_energy(
-                    DeviceClass::Resistor,
-                    Role::AccessTransistor,
-                    p.s.e_drive - p.s.e_cell,
-                );
-            }
-            // Past the model's saturation the state map reads `ρ` a
-            // rounding above 1.
-            let rho = p.k.rho2.sqrt().min(1.0);
-            let law = pulses[k].0.law;
-            Ok(SetOutcome {
-                rho_final: rho,
-                r_read_ohms: law.read_resistance(rho, cond.v_read),
-                energy_j: p.s.e_drive,
-            })
+        let (rho, [_, e_drive, e_cell]) = grow(&pulse, cond.rho_start, cond.width)?;
+        if ledger.is_enabled() {
+            ledger.record_energy(DeviceClass::RramCell, Role::RramCell, e_cell);
+            ledger.record_energy(
+                DeviceClass::Resistor,
+                Role::AccessTransistor,
+                e_drive - e_cell,
+            );
+        }
+        Ok(SetOutcome {
+            rho_final: rho,
+            r_read_ohms: law.read_resistance(rho, cond.v_read),
+            energy_j: e_drive,
         })
-        .collect()
+    };
+    jobs.iter().map(|(inst, cond)| set(inst, cond)).collect()
 }
 
 /// The paper's published anchors used as the calibration target.
@@ -1463,7 +1352,7 @@ mod tests {
 
     /// The pulse's start solve: the cell voltage at state `rho`.
     fn divider(pulse: Pulse, rho: f64) -> Result<f64, RramError> {
-        pulse.start(rho, 1e-9, 1.0, 0).map(|lane| lane.p.s.v)
+        pulse.divider(rho)
     }
 
     /// A RESET pulse of the nominal cell.
@@ -1496,8 +1385,8 @@ mod tests {
         let pulse = Pulse::new(law, cond.v_drive, cond.r_series, f64::INFINITY, false);
         let v_floor = pulse.divider(law.reset_switch_points().0.sqrt()).unwrap();
         let v_star = 0.5 * (v_floor + pulse.divider(0.0).unwrap());
-        let i_ref = pulse.drive(v_star).0;
-        let mut path = Path::new(pulse, pulse.divider(1.0).unwrap(), 1.0);
+        let i_ref = pulse.series(v_star).0;
+        let mut path = Path::new(pulse, pulse.half(pulse.divider(1.0).unwrap()), 1.0);
         path.clear(v_star, law.rho2_and_slopes(v_star, i_ref).0)
             .unwrap();
         let (panels, [t, ..]) = path.reach(v_star, cond.t_max).expect("reached");
@@ -1750,90 +1639,30 @@ mod tests {
         assert!((out.energy_j / 5.635236e-15 - 1.0).abs() < 1e-4, "{out:?}");
     }
 
-    /// A right-hand side from a closure, at a 1 V drive.
-    #[derive(Clone, Copy)]
-    struct Synthetic<F>(F);
-
-    impl<F: Fn(f64) -> Stage + Copy> Rhs for Synthetic<F> {
-        type Half = f64;
-
-        fn half(&self, v: f64) -> f64 {
-            v
-        }
-
-        fn finish(&self, &v: &f64) -> Stage {
-            (self.0)(v)
-        }
-
-        fn v_drive(&self) -> f64 {
-            1.0
-        }
-    }
-
-    /// One job that ends at its first accepted step.
-    struct FirstStep<F> {
-        rhs: Synthetic<F>,
-        end: Option<Point>,
-    }
-
-    impl<F: Fn(f64) -> Stage + Copy> Course for FirstStep<F> {
-        type Rhs = Synthetic<F>;
-
-        fn start(&mut self, job: usize) -> Result<Lane<Self::Rhs>, RramError> {
-            let p = Point {
-                s: State::default(),
-                k: self.rhs.stage(0.0),
-            };
-            Ok(Lane {
-                rhs: self.rhs,
-                p,
-                h: 10.0,
-                t_end: 100.0,
-                job,
-            })
-        }
-
-        fn visit(&mut self, lane: &Lane<Self::Rhs>) -> bool {
-            self.end = (lane.p.s.t > 0.0).then_some(lane.p);
-            self.end.is_some()
-        }
-
-        fn fail(&mut self, _: usize, e: RramError) {
-            panic!("{e}");
-        }
-    }
-
-    /// One step from `v = 0` over `rhs`, first trial step 10 (the
-    /// right-hand sides below turn non-finite past `v = 1`).
-    fn first_step(rhs: impl Fn(f64) -> Stage + Copy) -> Point {
-        let mut course = FirstStep {
-            rhs: Synthetic(rhs),
-            end: None,
-        };
-        drive::<_, 1>(&mut course, 0..1);
-        course.end.expect("one step accepted")
-    }
-
     #[test]
-    fn non_finite_trials_are_rejected() {
-        // `dv/dt = 1` with a zero error estimate in `v`: only the NaN
-        // beyond `v = 1` can reject a trial, and it must, shrinking the
-        // step (10 → 2 → 0.4) until no stage reaches past `v = 1`.
-        let stage = |v: f64, i: f64, w: f64| Stage {
-            vc: v,
-            i,
-            rho2: 0.25,
-            dv: 1.0,
-            w,
+    fn the_interpolated_guess_inverts_a_polynomial_time() {
+        // Each basis polynomial is 1 at its node and 0 at the others.
+        for (k, row) in LAGRANGE.iter().enumerate() {
+            for (j, &(x, _)) in GAUSS.iter().enumerate() {
+                let l = row.iter().rev().fold(0.0, |f, c| f * x + c);
+                let want = if j == k { 1.0 } else { 0.0 };
+                assert!((l - want).abs() < 1e-12, "basis {k} at node {j}: {l}");
+            }
+        }
+        // The integrand `1 + v²` is interpolated exactly, so the time `v +
+        // v³/3` reaches 4/3 at `v = 1`, either way along the panel.
+        let time_to = |a: f64, b: f64, target: f64| {
+            let (mid, half) = (0.5 * (a + b), 0.5 * (b - a));
+            let dts = GAUSS.map(|(x, w)| {
+                let v = mid + half * x;
+                w * half * (1.0 + v * v)
+            });
+            interpolate(a, b, &dts, target)
         };
-        let past = |v: f64| if v > 1.0 { f64::NAN } else { 1.0 };
-        // A non-finite trial state: the current, so the energies, go NaN.
-        let p = first_step(move |v| stage(v, 1e-6 * past(v), 1.0));
-        assert_eq!(p.s.v, 0.4, "{p:?}");
-        assert!(p.s.e_drive.is_finite() && p.s.e_cell.is_finite(), "{p:?}");
-        // A non-finite error: the end stage's weight goes NaN.
-        let p = first_step(move |v| stage(v, 1e-6, past(v)));
-        assert_eq!(p.s.v, 0.4, "{p:?}");
+        assert!((time_to(0.0, 2.0, 4.0 / 3.0) - 1.0).abs() < 1e-9);
+        // From 2 down, the time to 1 is `(2 + 8/3) − 4/3`, as a negative
+        // sum of negative node times.
+        assert!((time_to(2.0, 0.0, -(2.0 + 8.0 / 3.0 - 4.0 / 3.0)) - 1.0).abs() < 1e-9);
     }
 
     #[test]

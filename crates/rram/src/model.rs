@@ -196,6 +196,25 @@ impl CellLaw {
         )
     }
 
+    /// Where the SET rate law changes form: the state `ρ_formed` at which
+    /// the forming barrier vanishes, and the threshold voltage `v_set_floor`
+    /// below which the rate is zero.
+    pub(crate) fn set_switch_points(&self) -> (f64, f64) {
+        (1.0 / self.inv_rho_formed, self.v_set_floor)
+    }
+
+    /// How fast the SET rate grows with the cell voltage above `ρ_formed`,
+    /// `∂ ln(set_rate)/∂v` (1/V).
+    pub(crate) fn set_rate_gain(&self) -> f64 {
+        self.set_per_v
+    }
+
+    /// How fast the RESET rate's field factor grows with the cell voltage,
+    /// `∂ ln(reset_rate)/∂v` at a fixed state and current (1/V).
+    pub(crate) fn reset_rate_gain(&self) -> f64 {
+        self.rst_per_v
+    }
+
     /// SET rate `−d(ln(1 − ρ))/dt` at cell voltage `v > 0` and state `ρ`;
     /// zero below the `v_set_floor` threshold.
     pub fn set_rate(&self, v: f64, rho: f64) -> f64 {

@@ -90,11 +90,11 @@ pub enum PhaseId {
     /// The Nelder–Mead model calibration (`rram/calib`); its objective
     /// delegates to `rram/reset`.
     RramCalib,
-    /// One fast-path RESET trajectory, terminated or fixed-width, or a
-    /// batch of terminated RESETs through the lanes (`rram/reset`).
+    /// One fast-path RESET, terminated or fixed-width, or a batch of
+    /// terminated RESETs run one after another (`rram/reset`).
     RramReset,
-    /// One fast-path compliance-limited SET, or a batch of them through
-    /// the lanes (`rram/set`).
+    /// One fast-path compliance-limited SET, or a batch of them run one
+    /// after another (`rram/set`).
     RramSet,
     /// Monitor callbacks between accepted steps, including the solution
     /// they are shown (`tran/monitors`).

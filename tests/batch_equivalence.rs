@@ -1,11 +1,11 @@
-//! Interleaved lanes and batched programs against one-at-a-time runs.
+//! Batched pulses and programs against one-at-a-time runs.
 //!
-//! The lane driver advances several pulses per round, and
-//! `program_cells_mc` programs a batch of cells through it. For every batch
-//! size from one to past two full rounds of lanes, each job must come out
-//! bit for bit as it does alone, a bad job must fail alone with the error
-//! it fails with alone, and the batch must leave the telemetry counters and
-//! joule-ledger totals of the one-at-a-time runs.
+//! `simulate_sets` and `simulate_reset_terminations` run a batch of pulses,
+//! and `program_cells_mc` programs a batch of cells through them. For every
+//! batch size from 1 to 17, each job must come out bit for bit as it does
+//! alone, a bad job must fail alone with the error it fails with alone, and
+//! the batch must leave the telemetry counters and joule-ledger totals of
+//! the one-at-a-time runs.
 //!
 //! This binary installs the global telemetry and joule ledger, so its tests
 //! take one lock and run one at a time: the observer checks compare deltas
@@ -21,7 +21,7 @@ use oxterm_mlc::program::{
 use oxterm_mlc::MlcError;
 use oxterm_rram::calib::{
     simulate_reset_termination, simulate_reset_terminations, simulate_set, simulate_sets,
-    ResetConditions, SetConditions, LANES,
+    ResetConditions, SetConditions,
 };
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 use oxterm_rram::RramError;
@@ -54,9 +54,9 @@ fn serial() -> Serial {
     }
 }
 
-/// Batch sizes from one lane to past two full rounds of lanes.
+/// Batch sizes from 1 to 17.
 fn batch_sizes() -> std::ops::RangeInclusive<usize> {
-    1..=2 * LANES + 1
+    1..=17
 }
 
 /// The global observers' records so far: every telemetry counter, and the
@@ -181,7 +181,7 @@ fn every_batch_size_programs_the_one_at_a_time_outcomes() {
 }
 
 #[test]
-fn lanes_run_every_pulse_as_it_runs_alone() {
+fn batches_run_every_pulse_as_it_runs_alone() {
     let _serial = serial();
     let params = OxramParams::calibrated();
     let var = McVariability::default();

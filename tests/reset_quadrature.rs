@@ -6,10 +6,11 @@
 //! Gauss–Legendre rule on panels that halve the current. Here the same
 //! integrals are summed by a 20-node rule on 64 panels, written out from the
 //! public cell law, for the 16 QLC references on the nominal cell and on 40
-//! sampled Monte Carlo instances, from three start states. The other tests
-//! pin the edge behaviour: a reference met at pulse start, a cell that never
-//! moves, a latency past `t_max`, the chaos hook, the panel count and a
-//! panel split at the Joule clamp.
+//! sampled Monte Carlo instances, from three start states, and for the
+//! fixed-width RESETs, which end where the summed latency reaches the
+//! width. The other tests pin the edge behaviour: a reference met at pulse
+//! start, a cell that never moves, a latency past `t_max`, the chaos hook,
+//! the panel count and a panel split at the Joule clamp.
 //!
 //! This binary installs the global telemetry and joule ledger (the cell
 //! energy is read off the ledger) and arms chaos plans, so its tests take
@@ -20,8 +21,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use oxterm_chaos::FaultPlan;
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_mlc::program::{McVariability, ProgramConditions};
+use oxterm_numerics::roots::{newton_bracketed, RootOptions};
 use oxterm_rram::calib::{
-    simulate_reset_references, simulate_reset_termination, ResetConditions, TerminationOutcome,
+    simulate_reset_references, simulate_reset_termination, simulate_standard_reset,
+    ResetConditions, StandardResetPulse, TerminationOutcome,
 };
 use oxterm_rram::model::CellLaw;
 use oxterm_rram::params::{InstanceVariation, OxramParams};
@@ -230,6 +233,73 @@ fn quadrature_matches_the_fine_rule_at_every_qlc_level() {
         }
     }
     println!("worst relative error (latency, drive energy, cell energy): {worst:?}");
+}
+
+/// The cell voltage at which the cell in state `rho` draws what the drive
+/// of `cond` delivers.
+fn divider(law: &CellLaw, cond: &ResetConditions, rho: f64) -> f64 {
+    let fdf = |v: f64| {
+        let (i, di) = law.current_and_slope(v, rho);
+        (
+            i - (cond.v_drive - v) / cond.r_series,
+            di + 1.0 / cond.r_series,
+        )
+    };
+    newton_bracketed(fdf, 0.0, cond.v_drive, f64::NAN, RootOptions::default())
+        .expect("the divider brackets its root")
+}
+
+#[test]
+fn fixed_width_resets_match_the_fine_rule() {
+    let _serial = serial();
+    let p = OxramParams::calibrated();
+    let rule = gauss_legendre(20);
+    // The cycling RESET of Fig 3, the 3 V baseline (whose cell nears the
+    // hopping limit, where `ρ²` falls much faster than the current) and
+    // the 60 µs worst-case pulse.
+    let paper = ResetConditions::paper_defaults(f64::NAN);
+    let pulses = [
+        StandardResetPulse {
+            v_drive: 1.38,
+            r_series: 3.0e3,
+            width: 3.5e-6,
+        },
+        StandardResetPulse::paper_baseline(),
+        StandardResetPulse {
+            v_drive: paper.v_drive,
+            r_series: paper.r_series,
+            width: paper.t_max,
+        },
+    ];
+    let mut worst = [0f64; 2];
+    for (n, (inst, _, _)) in instances(&p).into_iter().enumerate() {
+        let law = CellLaw::new(&p, &inst);
+        for pulse in &pulses {
+            let out = simulate_standard_reset(&p, &inst, pulse, 1.0, 0.3).unwrap();
+            let cond = ResetConditions {
+                v_drive: pulse.v_drive,
+                r_series: pulse.r_series,
+                ..paper
+            };
+            // The current where the pulse ended, and the fine rule's
+            // latency and drive energy to it.
+            let v_end = divider(&law, &cond, out.rho_final);
+            let i_end = (cond.v_drive - v_end) / cond.r_series;
+            let want = fine(&law, &cond, out.i_initial, i_end, &rule, 256);
+            let errs = [
+                (want[0] / pulse.width - 1.0).abs(),
+                (out.energy_j / want[1] - 1.0).abs(),
+            ];
+            for (q, err) in errs.into_iter().enumerate() {
+                assert!(
+                    err <= BOUND,
+                    "instance {n}, {pulse:?}, output {q}: error {err:.2e}"
+                );
+                worst[q] = worst[q].max(err);
+            }
+        }
+    }
+    println!("worst relative error (latency, drive energy): {worst:?}");
 }
 
 #[test]

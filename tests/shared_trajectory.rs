@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_rram::calib::{
     simulate_reset_references, simulate_reset_termination, CalibrationTarget, ResetConditions,
-    TerminationOutcome, LANES,
+    TerminationOutcome,
 };
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 use oxterm_rram::RramError;
@@ -96,10 +96,7 @@ fn assert_matches_independent_runs(cond: &ResetConditions, refs: &[f64]) {
 fn shared_trajectory_matches_independent_runs_bit_for_bit() {
     let _serial = serial();
     let paper = ResetConditions::paper_defaults(f64::NAN);
-    // The calibration objective's step and the production step.
-    for dt in [5e-9, paper.dt] {
-        assert_matches_independent_runs(&ResetConditions { dt, ..paper }, &calibration_refs());
-    }
+    assert_matches_independent_runs(&paper, &calibration_refs());
     assert_matches_independent_runs(&paper, &qlc_refs());
     // Order does not matter: the references come back in input order.
     let mut shuffled = qlc_refs();
@@ -109,8 +106,7 @@ fn shared_trajectory_matches_independent_runs_bit_for_bit() {
 }
 
 /// `n` distinct references from `i_ref` up, a relative 1e-10 apart: for
-/// `n` up to 20 their `v*` lie within 0.2 nV, and one accepted step
-/// crosses them all.
+/// `n` up to 20 their `v*` lie within 0.2 nV, inside one panel.
 fn cluster(i_ref: f64, n: usize) -> Vec<f64> {
     (0..n).map(|j| i_ref * (1.0 + 1e-10 * j as f64)).collect()
 }
@@ -121,17 +117,16 @@ fn shared_searches_match_independent_runs_bit_for_bit() {
     let p = OxramParams::calibrated();
     let inst = InstanceVariation::nominal();
     let paper = ResetConditions::paper_defaults(f64::NAN);
-    // Exact duplicates share one search and still fill every slot.
+    // Exact duplicates share one partial panel and still fill every slot.
     assert_matches_independent_runs(&paper, &[20e-6, 6e-6, 20e-6, 36e-6, 6e-6, 20e-6]);
-    // Several references crossed in one accepted step, each searched.
+    // Several references inside one panel, each with its own partial panel.
     let mut one_step = cluster(20e-6, 3);
     one_step.push(10e-6);
     assert_matches_independent_runs(&paper, &one_step);
-    // More distinct crossings in one step than there are lanes: the
-    // searches queue for slots.
-    assert_matches_independent_runs(&paper, &cluster(14e-6, 2 * LANES + 1));
+    // Many distinct references in one partial panel.
+    assert_matches_independent_runs(&paper, &cluster(14e-6, 17));
     // A reference above the start current is met at pulse start, before
-    // any step, beside references the pulse goes on to cross.
+    // any panel, beside references the pulse goes on to cross.
     let i0 = simulate_reset_termination(
         &p,
         &inst,
