@@ -1,8 +1,9 @@
 //! Streaming per-level energy / program-latency report.
 //!
-//! The campaign feeds the [`JouleLedger`] during the run (Ok outcomes
-//! only, like the resistance tracker); this module turns the bounded-
-//! memory [`JouleSnapshot`] into the paper's Fig 13 story plus the
+//! The campaign feeds the
+//! [`JouleLedger`](oxterm_telemetry::joule::JouleLedger) during the run (Ok
+//! outcomes only, like the resistance tracker); this module turns the
+//! bounded-memory [`JouleSnapshot`] into the paper's Fig 13 story plus the
 //! termination-savings attribution: per-level RESET energy and latency
 //! statistics, each level's savings against the worst-case *open-loop*
 //! pulse (the same drive held for the full termination budget with the
@@ -120,7 +121,8 @@ pub struct RoleAttribution {
 pub struct EnergyReport {
     /// Per-level rows, ascending by code.
     pub levels: Vec<EnergyLevelRow>,
-    /// Roles with any recorded energy, in [`ROLES`] order.
+    /// Roles with any recorded energy, in
+    /// [`ROLES`](oxterm_telemetry::joule::ROLES) order.
     pub roles: Vec<RoleAttribution>,
     /// Total dissipated energy in the ledger matrix (J).
     pub total_dissipated_j: f64,

@@ -5,10 +5,10 @@
 //! *where* the wall time went; this module says *what the solver was doing
 //! per unit of that time*. [`matrix_stats`] derives matrix dimension,
 //! structural nonzero count and dense-LU flop cost from a circuit's
-//! [`StampTopology`] without running a single Newton iteration, and
-//! [`HotPathReport`] folds those numbers together with the profile
-//! snapshot and the Newton-iteration count into one artifact (ASCII for
-//! the terminal, JSON for the perf trajectory).
+//! [`StampTopology`](oxterm_spice::device::StampTopology) without running a
+//! single Newton iteration, and [`HotPathReport`] folds those numbers
+//! together with the profile snapshot and the Newton-iteration count into
+//! one artifact (ASCII for the terminal, JSON for the perf trajectory).
 //!
 //! The nonzero count is a *structural estimate*: it enumerates the matrix
 //! positions the declared topology can touch (conductance 2×2 blocks,

@@ -1,6 +1,6 @@
 //! Process corners.
 //!
-//! The paper's Monte Carlo deck "cover[s] corner cases"; this module
+//! The paper's Monte Carlo deck "cover\[s\] corner cases"; this module
 //! provides the classic five-corner enumeration as systematic shifts to be
 //! applied on top of (or instead of) random mismatch — slow/fast NMOS and
 //! PMOS threshold/current-factor combinations.

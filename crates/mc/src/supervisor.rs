@@ -28,12 +28,11 @@
 //! * **One count per campaign.** Failures and retries are noted on the
 //!   campaign's own [`CampaignProgress`](crate::progress::CampaignProgress),
 //!   which the progress line and [`CampaignOutcome`] both read.
-//! * **Checkpoint/resume.** Completed runs stream into a
-//!   [`Checkpoint`](crate::checkpoint::Checkpoint): the file starts as the
-//!   header and any resumed runs, new records are appended every
-//!   `checkpoint_every` completions, and the end rewrites it whole in run
-//!   order (atomic tmp+rename); a campaign without `checkpoint_path` keeps
-//!   no per-run records. `resume_from` replays
+//! * **Checkpoint/resume.** Completed runs stream into a [`Checkpoint`]:
+//!   the file starts as the header and any resumed runs, new records are
+//!   appended every `checkpoint_every` completions, and the end rewrites it
+//!   whole in run order (atomic tmp+rename); a campaign without
+//!   `checkpoint_path` keeps no per-run records. `resume_from` replays
 //!   completed runs out of the file — bit-identically, results are stored
 //!   as f64 bit patterns — and only computes the remainder.
 //! * **Graceful degradation.** The campaign finishes useful as long as the

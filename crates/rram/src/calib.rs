@@ -10,11 +10,17 @@
 //! sets the current, `i = min((v_drive − v_c)/R_series, i_compliance)`. The
 //! conduction law is linear in `ρ²`, so [`CellLaw::rho2_and_slopes`] gives
 //! the state that draws `i` at `v_c`. The chain rule turns the rate law's
-//! `dρ/dt` into `dv_c/dt`. A stage is one exponential for the conduction
-//! law and one for the rate, with no solve: each pulse builds its
+//! `dρ/dt` into `dv_c/dt`, with no solve: each pulse builds its
 //! [`CellLaw`] once and solves the resistive divider for its start state
 //! (a SET from below `ρ_formed` or near the model's ceiling solves it once
 //! more there) through the known-sign Newton entry [`newton_bracketed`].
+//! A lone cell voltage costs one exponential for the conduction law and
+//! one for the rate. A quadrature panel's five nodes sit at `mid ± h·x`,
+//! so they share exponentials: three give every node's `exp(v/v_hop)` and
+//! its reciprocal, three more a SET's formed rate `exp(k·v)`, and a node's
+//! time weight takes one division. A panel thus costs a SET six
+//! exponentials and fifteen divisions, and a RESET, whose rate `ρ^β·exp(k·v)`
+//! keeps a logarithm and an exponential per node, eight and thirteen.
 //!
 //! Every pulse takes no time steps. During a RESET `ρ` only falls, so `v_c`
 //! only rises; during a SET `ρ` only rises, so `v_c` only falls. The time
@@ -153,6 +159,20 @@ struct Conduction {
     di_drho2: f64,
 }
 
+impl Conduction {
+    /// The conduction at `vc` drawing `i`, the series path's current falling
+    /// `di_series` per volt there, from the law's `(ρ², ∂I/∂v, ∂I/∂(ρ²))`.
+    fn new(vc: f64, i: f64, di_series: f64, (rho2, di_dv, di_drho2): (f64, f64, f64)) -> Self {
+        Conduction {
+            vc,
+            i,
+            rho2: rho2.max(0.0),
+            di: di_dv + di_series,
+            di_drho2,
+        }
+    }
+}
+
 /// The circuit at one cell voltage: one evaluation of the integrands.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct Stage {
@@ -213,30 +233,52 @@ impl Pulse {
     /// the five-point Gauss–Legendre rule: the time `∫ dv/v̇`, the driver
     /// energy `v_drive·∫ i/v̇ dv` and the cell energy `∫ v·i/v̇ dv`, with
     /// `v̇ = dv_c/dt`; each node's share of the time; and the conduction at
-    /// the node nearest `b`. Every node's first half runs before any node's
-    /// second, so the five chains overlap on the core.
+    /// the node nearest `b`.
     fn panel(&self, a: f64, b: f64) -> ([f64; 3], [f64; 5], Conduction) {
-        let (mid, half) = (0.5 * (a + b), 0.5 * (b - a));
-        let mut halves = [Conduction::default(); 5];
-        for (c, (x, _)) in halves.iter_mut().zip(GAUSS) {
-            *c = self.half(mid + half * x);
-        }
-        // Plain loops: through `array::map` the stages were not inlined, and
-        // a RESET took ≈ 15 % longer.
-        let mut stages = [Stage::default(); 5];
-        for (k, c) in stages.iter_mut().zip(&halves) {
-            *k = self.finish(c);
-        }
+        let (halves, dts) = self.nodes(a, b);
         let mut sum = [0.0; 3];
-        let mut dts = [0.0; 5];
-        for ((k, (_, w)), dt) in stages.iter().zip(GAUSS).zip(&mut dts) {
-            *dt = w * half / k.dv;
-            sum[0] += *dt;
-            sum[1] += *dt * k.i;
-            sum[2] += *dt * k.i * k.vc;
+        for (c, dt) in halves.iter().zip(&dts) {
+            sum[0] += dt;
+            sum[1] += dt * c.i;
+            sum[2] += dt * c.i * c.vc;
         }
         sum[1] *= self.v_drive;
         (sum, dts, halves[GAUSS.len() - 1])
+    }
+
+    /// The conduction at the five Gauss–Legendre nodes of the panel from
+    /// `a` to `b`, and each node's share of its time, `w·h/v̇`.
+    ///
+    /// The nodes sit at `mid ± h·x`, so every exponential in the cell
+    /// voltage they need comes from three ([`node_exps`]): the conduction
+    /// law's `exp(v/v_hop)` with its reciprocal, and in a SET the formed
+    /// rate's `exp(set_per_v·v)`. A node the shared values do not serve
+    /// (outside `sinh_cosh`'s `e − 1/e` range, or below `ρ_formed`) takes
+    /// the per-node formula. Every node's first half runs before any node's
+    /// second, so the five chains overlap on the core.
+    fn nodes(&self, a: f64, b: f64) -> ([Conduction; 5], [f64; 5]) {
+        let (mid, half) = (0.5 * (a + b), 0.5 * (b - a));
+        let law = &self.law;
+        let hop = node_exps(law.hop_arg(mid), law.hop_arg(half));
+        let mut halves = [Conduction::default(); 5];
+        for ((c, (x, _)), e) in halves.iter_mut().zip(GAUSS).zip(hop) {
+            let vc = mid + half * x;
+            let (i, di_series) = self.series(vc);
+            *c = Conduction::new(vc, i, di_series, law.rho2_and_slopes_exp(vc, i, e));
+        }
+        let set = if self.set {
+            let k = law.set_rate_gain();
+            node_exps(k * mid, k * half).map(|(e, _)| e)
+        } else {
+            [f64::NAN; 5]
+        };
+        // Plain loops: through `array::map` the stages were not inlined, and
+        // a RESET took ≈ 15 % longer.
+        let mut dts = [0.0; 5];
+        for (((dt, c), (_, w)), e_set) in dts.iter_mut().zip(&halves).zip(GAUSS).zip(set) {
+            *dt = self.weight(c, w * half, e_set);
+        }
+        (halves, dts)
     }
 
     /// The circuit at cell voltage `vc`, with no solve: the series path
@@ -244,14 +286,28 @@ impl Pulse {
     /// state drawing it.
     fn half(&self, vc: f64) -> Conduction {
         let (i, di_series) = self.series(vc);
-        let (rho2, di_dv, di_drho2) = self.law.rho2_and_slopes(vc, i);
-        Conduction {
+        Conduction::new(vc, i, di_series, self.law.rho2_and_slopes(vc, i))
+    }
+
+    /// A node's share `wh/v̇` of its panel's time, `wh` its weight times
+    /// the panel's half-width: [`Pulse::finish`]'s `v̇` with its division
+    /// folded into this one. `e_set` is `exp(set_per_v·v)` at the node
+    /// ([`CellLaw::set_rate_exp`]).
+    fn weight(&self, c: &Conduction, wh: f64, e_set: f64) -> f64 {
+        let &Conduction {
             vc,
             i,
-            rho2: rho2.max(0.0),
-            di: di_dv + di_series,
+            rho2,
+            di,
             di_drho2,
-        }
+        } = c;
+        let flow = if self.set {
+            let rho = rho2.sqrt();
+            -2.0 * rho * di_drho2 * (1.0 - rho) * self.law.set_rate_exp(vc, rho, e_set)
+        } else {
+            2.0 * rho2 * di_drho2 * self.law.reset_rate(vc, i, 0.5 * rho2.ln())
+        };
+        wh * di / flow
     }
 
     /// The rate law moving the state of `c`.
@@ -430,6 +486,23 @@ const GAUSS: [(f64, f64); 5] = [
     (0.906_179_845_938_664, 0.236_926_885_056_189_08),
 ];
 
+/// `(exp(k·v), exp(−k·v))` at the five [`GAUSS`] nodes `v = mid + h·x` of
+/// a panel, given `k·mid` and `k·h`. The rule is symmetric and
+/// `exp(k·(mid ± h·x)) = exp(k·mid)·exp(±k·h·x)`, so three exponentials
+/// and three reciprocals give all ten.
+fn node_exps(k_mid: f64, k_half: f64) -> [(f64, f64); 5] {
+    let (x1, x2) = (GAUSS[3].0, GAUSS[4].0);
+    let (em, e1, e2) = (k_mid.exp(), (k_half * x1).exp(), (k_half * x2).exp());
+    let (rm, r1, r2) = (1.0 / em, 1.0 / e1, 1.0 / e2);
+    [
+        (em * r2, rm * e2),
+        (em * r1, rm * e1),
+        (em, rm),
+        (em * e1, rm * r1),
+        (em * e2, rm * r2),
+    ]
+}
+
 /// Rejects what the fast path cannot simulate: a drive the divider solve
 /// cannot bracket (`v_drive`, `r_series` not finite and positive), a
 /// starting state outside `[rho_min, 1]` (NaN included), a non-positive
@@ -505,9 +578,13 @@ impl Path {
         let v0 = start.vc;
         let (rho2_floor, i_clamp) = pulse.law.reset_switch_points();
         let v_clamp = pulse.v_drive - i_clamp / pulse.g_series;
+        // Room for a typical RESET's panels: grown from one end, the
+        // reallocations cost a terminated RESET ≈ 12 %.
+        let mut ends = Vec::with_capacity(8);
+        ends.push((v0, [0.0; 3]));
         Path {
             pulse,
-            ends: vec![(v0, [0.0; 3])],
+            ends,
             last_dts: [0.0; 5],
             last: start,
             max_rise: RATE_SPAN / pulse.law.reset_rate_gain(),
@@ -1394,6 +1471,68 @@ mod tests {
         assert_eq!(panels as usize, path.ends.len());
         let out = simulate_reset_termination(&p, &inst, &ResetConditions { i_ref, ..cond });
         assert_eq!(out.unwrap().latency_s, t);
+    }
+
+    /// Checks every node of the panel from `a` to `b` against the per-node
+    /// path: the conduction and the time share `w·h/v̇` of [`Pulse::stage`].
+    /// Returns how many nodes had `v/v_hop` below the shared range.
+    fn assert_nodes_match_stages(pulse: &Pulse, a: f64, b: f64) -> usize {
+        let rel = |x: f64, y: f64| if x == y { 0.0 } else { (x - y).abs() / y.abs() };
+        let (mid, half) = (0.5 * (a + b), 0.5 * (b - a));
+        let (halves, dts) = pulse.nodes(a, b);
+        let mut below = 0;
+        for ((c, dt), (x, w)) in halves.iter().zip(dts).zip(GAUSS) {
+            let k = pulse.stage(mid + half * x);
+            let dt_node = w * half / k.dv;
+            assert_eq!((c.vc, c.i), (k.vc, k.i), "panel {a}..{b}");
+            assert!(
+                k.rho2 > 0.0 && dt_node.is_finite() && dt_node > 0.0,
+                "{k:?}"
+            );
+            assert!(
+                rel(c.rho2, k.rho2) <= 1e-14,
+                "ρ² at {}: {c:?} vs {k:?}",
+                k.vc
+            );
+            assert!(
+                rel(dt, dt_node) <= 1e-14,
+                "dt at {}: {dt} vs {dt_node}",
+                k.vc
+            );
+            below += usize::from(pulse.law.hop_arg(k.vc) < 0.5);
+        }
+        below
+    }
+
+    #[test]
+    fn a_panels_shared_exponentials_match_the_per_node_path() {
+        let (p, inst) = nominal();
+        // SET panels on each side of the compliance kink, formed and not.
+        let cond = SetConditions::paper_defaults();
+        let law = CellLaw::new(&p, &inst);
+        let set = Pulse::new(law, cond.v_drive, cond.r_series, cond.i_compliance, true);
+        let clamped = |v: f64| set.series(v).1 == 0.0;
+        let (rho_formed, _) = law.set_switch_points();
+        assert!(0.05 < rho_formed && rho_formed < 0.1);
+        for (rho_a, rho_b, clamp) in [(0.02, 0.05, false), (0.1, 0.2, false), (0.95, 0.97, true)] {
+            let (a, b) = (divider(set, rho_a).unwrap(), divider(set, rho_b).unwrap());
+            assert_eq!((clamped(a), clamped(b)), (clamp, clamp), "{a}..{b}");
+            assert_eq!(assert_nodes_match_stages(&set, a, b), 0);
+        }
+        // A RESET panel from the LRS, inside the shared range.
+        let reset = reset_pulse(1.1523, 3.6131e3);
+        let (a, b) = (divider(reset, 1.0).unwrap(), divider(reset, 0.5).unwrap());
+        assert_eq!(assert_nodes_match_stages(&reset, a, b), 0);
+        // A RESET at cell voltages about `v_hop/2`, with no threshold: some
+        // nodes fall below the shared range and take the per-node formula.
+        let mut low = p;
+        low.v_rst_floor = 0.0;
+        let reset = Pulse::new(CellLaw::new(&low, &inst), 0.3, 100e3, f64::INFINITY, false);
+        let below = assert_nodes_match_stages(&reset, 0.1, 0.25);
+        assert!(
+            (1..5).contains(&below),
+            "{below} nodes below the shared range"
+        );
     }
 
     #[test]

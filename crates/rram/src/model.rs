@@ -150,8 +150,41 @@ impl CellLaw {
     /// `ρ² < 0` when the hopping background alone draws more than `i`.
     #[inline]
     pub fn rho2_and_slopes(&self, v: f64, i: f64) -> (f64, f64, f64) {
+        self.rho2_and_slopes_of(v, i, sinh_cosh(v * self.inv_v_hop))
+    }
+
+    /// `v/v_hop`: the argument of the conduction law's exponential.
+    #[inline]
+    pub(crate) fn hop_arg(&self, v: f64) -> f64 {
+        v * self.inv_v_hop
+    }
+
+    /// [`CellLaw::rho2_and_slopes`] given `(e, r)`, `exp(v/v_hop)` and its
+    /// reciprocal computed elsewhere: a quadrature panel gets them for all
+    /// its nodes from fewer exponentials. They are used where
+    /// [`sinh_cosh`] would take its `e − 1/e` branch
+    /// (`0.5 ≤ v/v_hop ≤ ARG_MAX`); elsewhere the per-node form runs.
+    #[inline]
+    pub(crate) fn rho2_and_slopes_exp(
+        &self,
+        v: f64,
+        i: f64,
+        (e, r): (f64, f64),
+    ) -> (f64, f64, f64) {
+        let x = v * self.inv_v_hop;
+        let sinh_cosh = if (0.5..=ARG_MAX).contains(&x) {
+            (0.5 * (e - r), 0.5 * (e + r))
+        } else {
+            sinh_cosh(x)
+        };
+        self.rho2_and_slopes_of(v, i, sinh_cosh)
+    }
+
+    /// The conduction law's state and slopes at `v` drawing `i`, given
+    /// `(sinh, cosh)` of `v/v_hop`.
+    #[inline]
+    fn rho2_and_slopes_of(&self, v: f64, i: f64, (sinh, cosh): (f64, f64)) -> (f64, f64, f64) {
         let s2 = v * v * self.inv_v_shape2;
-        let (sinh, cosh) = sinh_cosh(v * self.inv_v_hop);
         let per_rho2 = self.g * v * (1.0 + s2);
         // The reciprocal is ready early: no division between `v` and `ρ²`.
         let rho2 = (i - self.i_leak * sinh) * (1.0 / per_rho2);
@@ -222,6 +255,17 @@ impl CellLaw {
             return 0.0;
         }
         self.set_rate_unfloored(v, rho)
+    }
+
+    /// [`CellLaw::set_rate`] given `e = exp(set_per_v·v)` computed
+    /// elsewhere (a panel's nodes share exponentials), which it uses where
+    /// the state is formed; elsewhere the per-node form runs.
+    #[inline]
+    pub(crate) fn set_rate_exp(&self, v: f64, rho: f64, e: f64) -> f64 {
+        if v < self.v_set_floor || 1.0 - rho * self.inv_rho_formed > 0.0 {
+            return self.set_rate(v, rho);
+        }
+        self.inv_tau_set0 * e
     }
 
     /// `1/τ_set(v, ρ)`: the SET rate without the threshold. Below
@@ -449,6 +493,38 @@ mod tests {
                         assert_eq!(cell_current(&p, &inst, v, rho), i);
                         assert_eq!(cell_conductance(&p, &inst, v, rho), slope);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_exponential_entry_points_take_them_only_in_range() {
+        // Given the exact exponential, the panel entry points are the
+        // per-node laws bit for bit; outside the shared range (or below
+        // `ρ_formed`, or below the SET threshold) they ignore it.
+        let p = OxramParams::calibrated();
+        for inst in instances(&p) {
+            let law = CellLaw::new(&p, &inst);
+            for v in [0.05, 0.17, 0.175, 0.2, 0.4, 0.8, 1.2, 14.0, 15.0] {
+                let i = 0.5 * law.current(v, 0.5);
+                let x = law.hop_arg(v);
+                let want = law.rho2_and_slopes(v, i);
+                if (0.5..=ARG_MAX).contains(&x) {
+                    let e = x.exp();
+                    assert_eq!(law.rho2_and_slopes_exp(v, i, (e, 1.0 / e)), want);
+                } else {
+                    assert_eq!(law.rho2_and_slopes_exp(v, i, (f64::NAN, f64::NAN)), want);
+                }
+                for rho in [0.01, p.rho_formed, 0.5, 1.0] {
+                    let e = (law.set_rate_gain() * v).exp();
+                    let shared = v >= p.v_set_floor && rho >= p.rho_formed;
+                    let e = if shared { e } else { f64::NAN };
+                    assert_eq!(
+                        law.set_rate_exp(v, rho, e),
+                        law.set_rate(v, rho),
+                        "{v} {rho}"
+                    );
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! An alternative, threshold-switching compact model.
 //!
-//! The paper's results rest on one compact model ([21][22] in its reference
+//! The paper's results rest on one compact model (\[21\]\[22\] in its reference
 //! list — the paper's ref 22 is literally *a comparative analysis of OxRAM
 //! models*). To separate model-robust conclusions from model artifacts,
 //! this module implements a second, deliberately different dynamics law —

@@ -163,7 +163,7 @@ impl Registry {
     }
 
     /// Appends a free-form note under `name`. Storage is bounded at
-    /// [`MAX_NOTES_PER_NAME`]; notes past the cap are counted, not stored.
+    /// `MAX_NOTES_PER_NAME`; notes past the cap are counted, not stored.
     pub fn note(&self, name: &str, message: &str) {
         let mut tables = self.tables();
         let log = tables.notes.entry(name.to_string()).or_default();

@@ -10,7 +10,8 @@
 //! fixed-width RESETs, which end where the summed latency reaches the
 //! width. The other tests pin the edge behaviour: a reference met at pulse
 //! start, a cell that never moves, a latency past `t_max`, the chaos hook,
-//! the panel count and a panel split at the Joule clamp.
+//! the panel count, a panel split at the Joule clamp, and a read resistance
+//! that no panel reaches.
 //!
 //! This binary installs the global telemetry and joule ledger (the cell
 //! energy is read off the ledger) and arms chaos plans, so its tests take
@@ -233,6 +234,42 @@ fn quadrature_matches_the_fine_rule_at_every_qlc_level() {
         }
     }
     println!("worst relative error (latency, drive energy, cell energy): {worst:?}");
+}
+
+#[test]
+fn the_read_resistance_never_goes_through_the_panels() {
+    // A terminated RESET's state and read resistance follow from `v*` and
+    // IrefR alone, through the per-node conduction law: no quadrature
+    // panel and no shared exponential reaches them.
+    let _serial = serial();
+    let p = OxramParams::calibrated();
+    let mut checked = 0;
+    for (n, (inst, cond, factor)) in instances(&p).into_iter().enumerate() {
+        let law = CellLaw::new(&p, &inst);
+        for rho_start in [1.0, 0.88, 0.8] {
+            for i_ref in qlc_refs().into_iter().map(|i| i * factor) {
+                let cond = ResetConditions {
+                    rho_start,
+                    i_ref,
+                    ..cond.reset
+                };
+                let out = simulate_reset_termination(&p, &inst, &cond).expect("terminates");
+                if out.i_initial <= i_ref {
+                    continue;
+                }
+                let rho = law.rho_at(cond.v_drive - i_ref * cond.r_series, i_ref);
+                let r = law.read_resistance(rho, cond.v_read);
+                assert_eq!(
+                    (out.rho_final.to_bits(), out.r_read_ohms.to_bits()),
+                    (rho.to_bits(), r.to_bits()),
+                    "instance {n}, ρ0 {rho_start}, {:.2} µA",
+                    i_ref * 1e6
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, (MC_INSTANCES + 1) * 3 * 16);
 }
 
 /// The cell voltage at which the cell in state `rho` draws what the drive
