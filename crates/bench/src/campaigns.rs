@@ -77,7 +77,8 @@ impl LevelCampaign {
 ///
 /// It runs on the calling thread once the workers are done, in run order,
 /// so the observers' sketches and moments see one sequence whatever the
-/// worker count, and no worker takes a lock to observe. Failed runs,
+/// worker count, and no worker takes a lock to observe. Each observer
+/// takes its lock once per campaign. Failed runs,
 /// including injected chaos faults, feed nothing, so a retried run
 /// contributes exactly its one success.
 fn observe_in_run_order(
@@ -87,13 +88,17 @@ fn observe_in_run_order(
     tracker: &LevelTracker,
     ledger: &JouleLedger,
 ) {
-    for (i, out) in results.iter().enumerate() {
-        if let Ok(out) = out {
-            let spec = &alloc.levels()[i / runs];
-            tracker.observe(spec.code, spec.i_ref, out.r_read_ohms);
-            ledger.observe_level(spec.code, spec.i_ref, out.energy_j, out.latency_s);
-        }
-    }
+    let ok = || {
+        alloc
+            .levels()
+            .iter()
+            .zip(results.chunks(runs.max(1)))
+            .flat_map(|(spec, level)| level.iter().map(move |out| (spec, out)))
+            .filter_map(|(spec, out)| Some((spec.code, spec.i_ref, out.as_ref().ok()?)))
+    };
+    tracker.observe_all(ok().map(|(code, i_ref, out)| (code, i_ref, out.r_read_ohms)));
+    ledger
+        .observe_levels(ok().map(|(code, i_ref, out)| (code, i_ref, out.energy_j, out.latency_s)));
 }
 
 /// Runs `runs` Monte Carlo programs per level of `alloc` on `mc` under
@@ -316,6 +321,47 @@ mod tests {
             let again = observe(threads);
             assert_eq!(again.0, levels, "{threads} worker(s)");
             assert_eq!(again.1, energy, "{threads} worker(s)");
+        }
+    }
+
+    #[test]
+    fn run_order_feed_matches_one_observation_at_a_time() {
+        use oxterm_telemetry::QuantileSketch;
+        let params = OxramParams::calibrated();
+        let alloc = LevelAllocation::paper_qlc();
+        let runs = 9;
+        let (tracker, ledger) = (LevelTracker::enabled(), JouleLedger::enabled());
+        let (one_tracker, one_ledger) = (LevelTracker::enabled(), JouleLedger::enabled());
+        // The values each level's sketches saw, fed one `insert` at a time.
+        let mut inserted = vec![[(); 3].map(|()| QuantileSketch::default()); 16];
+        // Two campaigns into the same observers, with a snapshot between:
+        // samples waiting beside a sketch must survive both.
+        for seed in [0x5EED, 0xFEED] {
+            let mc = MonteCarlo::new(alloc.levels().len() * runs, seed);
+            let opts = SupervisorOptions::default();
+            let (campaigns, _) = run_campaign(mc, &params, &alloc, runs, &opts, &tracker, &ledger)
+                .expect("campaign runs");
+            for lc in &campaigns {
+                let (code, i_ref) = (lc.spec.code, lc.spec.i_ref);
+                for o in &lc.outcomes {
+                    one_tracker.observe(code, i_ref, o.r_read_ohms);
+                    one_ledger.observe_level(code, i_ref, o.energy_j, o.latency_s);
+                    let sketches = &mut inserted[usize::from(code)];
+                    sketches[0].insert(o.r_read_ohms);
+                    sketches[1].insert(o.energy_j);
+                    sketches[2].insert(o.latency_s);
+                }
+            }
+            let levels = tracker.snapshot();
+            assert_eq!(levels.levels.len(), 16);
+            assert_eq!(levels, one_tracker.snapshot());
+            assert_eq!(ledger.snapshot().levels, one_ledger.snapshot().levels);
+            for (level, energy) in levels.levels.iter().zip(&ledger.snapshot().levels) {
+                let [r, e, t] = &inserted[usize::from(level.code)];
+                assert_eq!(&level.sketch, r, "level {:04b}", level.code);
+                assert_eq!(energy.p50_j, e.quantile(0.5).expect("observed"));
+                assert_eq!(energy.p50_latency_s, t.quantile(0.5).expect("observed"));
+            }
         }
     }
 

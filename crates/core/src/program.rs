@@ -18,7 +18,7 @@ use oxterm_array::parasitics::LineParasitics;
 use oxterm_devices::sources::{SourceWave, VoltageSource};
 use oxterm_rram::calib::{
     simulate_reset_termination, simulate_reset_terminations, simulate_set, simulate_sets,
-    ResetConditions, SetConditions, SetOutcome,
+    ResetConditions, SetConditions,
 };
 use oxterm_rram::cell::OxramCell;
 use oxterm_rram::params::{standard_normal, InstanceVariation, OxramParams};
@@ -269,6 +269,7 @@ pub fn program_cells_mc<R: Rng>(
     Telemetry::global().tally(CounterId::McOps, jobs.len() as u64);
     let _program = Profiler::global().phase(PhaseId::MlcProgram);
     let sample = Profiler::global().phase(PhaseId::MlcSample);
+    let mut set_jobs = Vec::with_capacity(jobs.len());
     let draws: Vec<Result<Draw, MlcError>> = jobs
         .iter_mut()
         .map(|(code, rng)| {
@@ -278,6 +279,7 @@ pub fn program_cells_mc<R: Rng>(
             // current). The pulses draw nothing from `rng`, so drawing it
             // before them keeps the run's sample stream.
             let state_noise = (standard_normal(rng) * var.sigma_ln_r(level.i_ref)).exp();
+            set_jobs.push((inst, cond.set));
             Ok(Draw {
                 level,
                 inst,
@@ -288,36 +290,22 @@ pub fn program_cells_mc<R: Rng>(
         })
         .collect();
     sample.finish();
-    let set_jobs: Vec<_> = draws
-        .iter()
-        .flatten()
-        .map(|d| (d.inst, d.cond.set))
-        .collect();
-    let mut sets = {
+    let sets = {
         let _phase = joule::enter_phase(ProgramPhase::Set);
         simulate_sets(params, &set_jobs)
-    }
-    .into_iter();
-    let set: Vec<Result<(Draw, SetOutcome), MlcError>> = draws
-        .into_iter()
-        .map(|d| {
-            let d = d?;
-            let set = sets
-                .next()
-                .unwrap_or_else(|| unreachable!("one SET per draw"))?;
-            Ok((d, set))
-        })
-        .collect();
-    let reset_jobs: Vec<_> = set
+    };
+    // One RESET per successful SET, from the state it left.
+    let reset_jobs: Vec<_> = draws
         .iter()
         .flatten()
-        .map(|(d, set)| {
+        .zip(&sets)
+        .filter_map(|(d, set)| {
             let reset = ResetConditions {
                 i_ref: d.level.i_ref * d.i_ref_factor,
-                rho_start: set.rho_final,
+                rho_start: set.as_ref().ok()?.rho_final,
                 ..d.cond.reset
             };
-            (d.inst, reset)
+            Some((d.inst, reset))
         })
         .collect();
     let mut resets = {
@@ -325,10 +313,15 @@ pub fn program_cells_mc<R: Rng>(
         simulate_reset_terminations(params, &reset_jobs)
     }
     .into_iter();
-    set.into_iter()
+    let mut sets = sets.into_iter();
+    draws
+        .into_iter()
         .zip(jobs.iter())
-        .map(|(set, &(code, _))| {
-            let (d, set) = set?;
+        .map(|(d, &(code, _))| {
+            let d = d?;
+            let set = sets
+                .next()
+                .unwrap_or_else(|| unreachable!("one SET per draw"))?;
             let out = resets
                 .next()
                 .unwrap_or_else(|| unreachable!("one RESET per SET"))?;

@@ -101,7 +101,8 @@ impl MonteCarlo {
     ///
     /// The observers see batches: `mc/worker/run` is entered once per
     /// batch, each `mc.engine.run_seconds` sample is the batch's time
-    /// divided by its runs, and `progress` ticks once per run.
+    /// divided by its runs (the batch's samples recorded at once), and
+    /// `progress` ticks once per run.
     pub(crate) fn run_batches<T, F>(
         &self,
         progress: &CampaignProgress,
@@ -145,8 +146,8 @@ impl MonteCarlo {
                     let values = f(runs);
                     let dt = monotonic_ns().wrapping_sub(t0) as f64 * 1e-9;
                     let per_run = dt / n as f64;
+                    tel.sample_n(HistogramId::RunSeconds, per_run, n as u64);
                     for _ in 0..n {
-                        tel.sample(HistogramId::RunSeconds, per_run);
                         progress.tick(per_run);
                     }
                     busy += dt;

@@ -55,7 +55,7 @@ use oxterm_numerics::NumericsError;
 use crate::model::{self, CellLaw, RHO_CEILING_GAP};
 use crate::params::{InstanceVariation, OxramParams};
 use crate::RramError;
-use oxterm_telemetry::joule::{DeviceClass, JouleLedger, Role};
+use oxterm_telemetry::joule::{DeviceClass, EnergyTally, JouleLedger, Role};
 use oxterm_telemetry::{CounterId, HistogramId, PhaseId, Profiler, Telemetry};
 
 /// The least starting state of a SET: from `ρ = 0` the cell voltage
@@ -689,6 +689,46 @@ impl Path {
     }
 }
 
+/// What a batch of terminated RESETs records, added up as the batch runs
+/// and recorded once at its end, inside the `rram/reset` scope.
+#[derive(Default)]
+struct ResetRecords {
+    /// References run, steps to each termination, references not reached
+    /// and injected stalls, as the telemetry counters of those names.
+    runs: u64,
+    steps: u64,
+    not_terminated: u64,
+    stalls: u64,
+    energy: EnergyTally,
+}
+
+impl ResetRecords {
+    /// Records the batch: its counts, its device energies, and the latency
+    /// of each terminated outcome of `out`, taken in `order`, the order
+    /// the batch read its references in.
+    fn record(
+        &self,
+        out: &[Option<Result<TerminationOutcome, RramError>>],
+        order: impl Iterator<Item = usize>,
+    ) {
+        let tel = Telemetry::global();
+        tel.tally_all(&[
+            (CounterId::TerminationRuns, self.runs),
+            (CounterId::TerminationSteps, self.steps),
+            (CounterId::NotTerminated, self.not_terminated),
+            (CounterId::InjectedNewtonStall, self.stalls),
+        ]);
+        tel.sample_all(
+            HistogramId::TerminationLatency,
+            order.filter_map(|k| match &out[k] {
+                Some(Ok(o)) => Some(o.latency_s),
+                _ => None,
+            }),
+        );
+        JouleLedger::global().record_tally(&self.energy);
+    }
+}
+
 /// Runs one terminated RESET of `law` under `cond`, read at each of `refs`
 /// (the job's result slots, `v*` and IrefR, ascending in `v*`), and writes
 /// each outcome to its slot in `out`. An error fails every reference not
@@ -698,10 +738,10 @@ fn terminate(
     cond: &ResetConditions,
     refs: &[(usize, f64, f64)],
     out: &mut [Option<Result<TerminationOutcome, RramError>>],
+    records: &mut ResetRecords,
 ) {
-    let tel = Telemetry::global();
-    tel.tally(CounterId::TerminationRuns, refs.len() as u64);
-    if let Err(e) = read_path(law, cond, refs, out, tel) {
+    records.runs += refs.len() as u64;
+    if let Err(e) = read_path(law, cond, refs, out, records) {
         for &(k, _, _) in refs {
             out[k].get_or_insert_with(|| Err(e.clone()));
         }
@@ -715,13 +755,13 @@ fn read_path(
     cond: &ResetConditions,
     refs: &[(usize, f64, f64)],
     out: &mut [Option<Result<TerminationOutcome, RramError>>],
-    tel: &Telemetry,
+    records: &mut ResetRecords,
 ) -> Result<(), RramError> {
     if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::NewtonStall) {
         // Fast-path analogue of a forced Newton stall: the Monte Carlo
         // volume campaigns (Figs. 11/13) program cells through this
         // semi-analytic path, never through `newton_solve`.
-        tel.tally(CounterId::InjectedNewtonStall, 1);
+        records.stalls += 1;
         return Err(RramError::Injected { site: "reset_fast" });
     }
     let ledger = JouleLedger::global();
@@ -759,7 +799,7 @@ fn read_path(
                 None if moves => *i_final.insert(path.at(cond.t_max)?.2.i),
                 None => *i_final.insert(start.i),
             };
-            tel.tally(CounterId::NotTerminated, 1);
+            records.not_terminated += 1;
             out[k] = Some(Err(RramError::NotTerminated {
                 i_ref,
                 t_max: cond.t_max,
@@ -772,14 +812,14 @@ fn read_path(
         } else {
             rho2.max(0.0).sqrt().min(1.0)
         };
-        tel.tally(CounterId::TerminationSteps, panels);
-        tel.sample(HistogramId::TerminationLatency, t);
+        records.steps += panels;
         if ledger.is_enabled() {
             // The cell dissipates v_c·i; the balance of the drive,
             // (v_drive − v_c)·i, drops across the series path (access
             // transistor + line), which is what r_series models.
-            ledger.record_energy(DeviceClass::RramCell, Role::RramCell, e_cell);
-            ledger.record_energy(
+            let energy = &mut records.energy;
+            energy.add(DeviceClass::RramCell, Role::RramCell, e_cell);
+            energy.add(
                 DeviceClass::Resistor,
                 Role::AccessTransistor,
                 e_drive - e_cell,
@@ -857,7 +897,15 @@ pub fn simulate_reset_references(
     }
     refs.sort_by(|a, b| a.1.total_cmp(&b.1));
     if !refs.is_empty() {
-        terminate(&CellLaw::new(params, inst), cond, &refs, &mut out);
+        let mut records = ResetRecords::default();
+        terminate(
+            &CellLaw::new(params, inst),
+            cond,
+            &refs,
+            &mut out,
+            &mut records,
+        );
+        records.record(&out, refs.iter().map(|&(k, _, _)| k));
     }
     resolved(out)
 }
@@ -880,6 +928,7 @@ pub fn simulate_reset_terminations(
         return vec![Err(e); jobs.len()];
     }
     let mut out: Vec<Option<Result<TerminationOutcome, RramError>>> = vec![None; jobs.len()];
+    let mut records = ResetRecords::default();
     for (k, (inst, cond)) in jobs.iter().enumerate() {
         match check_reset(inst, cond).and_then(|()| reference(cond, cond.i_ref)) {
             Ok(v_star) => terminate(
@@ -887,10 +936,12 @@ pub fn simulate_reset_terminations(
                 cond,
                 &[(k, v_star, cond.i_ref)],
                 &mut out,
+                &mut records,
             ),
             Err(e) => out[k] = Some(Err(e)),
         }
     }
+    records.record(&out, 0..jobs.len());
     resolved(out)
 }
 
@@ -1200,7 +1251,8 @@ pub fn simulate_sets(
         return vec![Err(e); jobs.len()];
     }
     let ledger = JouleLedger::global();
-    let set = |inst: &InstanceVariation, cond: &SetConditions| {
+    let mut energy = EnergyTally::default();
+    let mut set = |inst: &InstanceVariation, cond: &SetConditions| {
         check_drive(
             inst,
             cond.v_drive,
@@ -1221,8 +1273,8 @@ pub fn simulate_sets(
         let pulse = Pulse::new(law, cond.v_drive, cond.r_series, i_c, true);
         let (rho, [_, e_drive, e_cell]) = grow(&pulse, cond.rho_start, cond.width)?;
         if ledger.is_enabled() {
-            ledger.record_energy(DeviceClass::RramCell, Role::RramCell, e_cell);
-            ledger.record_energy(
+            energy.add(DeviceClass::RramCell, Role::RramCell, e_cell);
+            energy.add(
                 DeviceClass::Resistor,
                 Role::AccessTransistor,
                 e_drive - e_cell,
@@ -1234,7 +1286,10 @@ pub fn simulate_sets(
             energy_j: e_drive,
         })
     };
-    jobs.iter().map(|(inst, cond)| set(inst, cond)).collect()
+    let out = jobs.iter().map(|(inst, cond)| set(inst, cond)).collect();
+    // One record for the batch, inside the `rram/set` scope.
+    ledger.record_tally(&energy);
+    out
 }
 
 /// The paper's published anchors used as the calibration target.

@@ -8,7 +8,7 @@ use oxterm_numerics::dense::DMatrix;
 use oxterm_numerics::sparse::TripletMatrix;
 use oxterm_numerics::sparse_lu::SparseLu;
 
-use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
+use oxterm_telemetry::{CounterId, PhaseId, Profiler, Telemetry};
 
 use crate::circuit::Circuit;
 use crate::device::{AnalysisKind, DenseSink, StampContext, TripletSink};
@@ -120,7 +120,7 @@ pub(crate) fn newton_solve(
     let tel = Telemetry::global();
     let prof = Profiler::global();
     let _newton = prof.phase(PhaseId::TranNewton);
-    tel.incr("spice.newton.solves");
+    tel.tally(CounterId::NewtonSolves, 1);
     let time = match kind {
         AnalysisKind::Dc => 0.0,
         AnalysisKind::Tran { time, .. } => time,

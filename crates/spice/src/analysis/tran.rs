@@ -338,8 +338,8 @@ pub fn run_transient(
 
             // Present the candidate to the monitors.
             let mut action = MonitorAction::Continue;
+            let monitors_phase = prof.phase(PhaseId::TranMonitors);
             {
-                let _monitors = prof.phase(PhaseId::TranMonitors);
                 let sol = Solution::new(x_new.clone(), nn);
                 let sample = TranSample {
                     time: t + dt_try,
@@ -365,9 +365,11 @@ pub fn run_transient(
                 continue;
             }
 
-            // Accept: advance device state and record.
+            // Accept: advance device state and record. Each scope hands
+            // over to the next at one clock read.
+            let states_phase = monitors_phase.then(PhaseId::TranStates);
             advance_states(circuit, &x_new, &mut state, t + dt_try, dt_try, opts);
-            let record = prof.phase(PhaseId::TranRecord);
+            let record = states_phase.then(PhaseId::TranRecord);
             t += dt_try;
             x = x_new;
             if let Some(m) = &mut meter {
@@ -526,6 +528,8 @@ fn prime_states(circuit: &Circuit, solution: &[f64], state: &mut [f64], opts: &T
     }
 }
 
+/// Advances device states over an accepted step, inside the caller's
+/// `tran/states` scope.
 fn advance_states(
     circuit: &Circuit,
     solution: &[f64],
@@ -534,7 +538,6 @@ fn advance_states(
     dt: f64,
     opts: &TranOptions,
 ) {
-    let _states = Profiler::global().phase(PhaseId::TranStates);
     let nn = circuit.n_nodes() - 1;
     for el in &circuit.elements {
         let ctx = UpdateContext {

@@ -68,26 +68,37 @@ impl Histogram {
     /// Records one value. Non-finite values are dropped (and counted as
     /// negatives so they surface in reports rather than poisoning sums).
     pub fn record(&mut self, value: f64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `value` `n` times: the histogram `n` [`record`] calls
+    /// leave, binning the value once.
+    ///
+    /// [`record`]: Histogram::record
+    pub fn record_n(&mut self, value: f64, n: u64) {
         if !value.is_finite() {
-            self.negatives += 1;
+            self.negatives += n;
             return;
         }
         if value < 0.0 {
-            self.negatives += 1;
+            self.negatives += n;
         }
         let magnitude = value.max(0.0);
         if magnitude <= 10f64.powi(MIN_EXP) {
-            self.underflow += 1;
+            self.underflow += n;
         } else {
             let pos = (magnitude.log10() - MIN_EXP as f64) * SUB_BINS as f64;
             if pos >= N_BINS as f64 {
-                self.overflow += 1;
+                self.overflow += n;
             } else {
-                self.bins[pos as usize] += 1;
+                self.bins[pos as usize] += n;
             }
         }
-        self.count += 1;
-        self.sum += value;
+        self.count += n;
+        // One addition per record, so the sum rounds as theirs does.
+        for _ in 0..n {
+            self.sum += value;
+        }
         // `f64::min`/`max` skip the NaN of an empty histogram.
         self.min = self.min.min(value);
         self.max = self.max.max(value);

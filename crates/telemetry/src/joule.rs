@@ -31,9 +31,10 @@
 //!   [`JouleLedger::install`]; tests build private handles.
 //! - An energy record is a plain add on the recording thread's matrix
 //!   shard, with no lock (see `shard.rs`); callers integrate locally and
-//!   record once per device per run. Level rollups share the level
-//!   tracker's one-lock table, fed by the campaign after its workers are
-//!   done.
+//!   record once per device per run, and the batch kernels add a batch up
+//!   in an [`EnergyTally`] and record it once. Level rollups share the
+//!   level tracker's one-lock table, fed by the campaign after its workers
+//!   are done, under one lock per campaign.
 //!
 //! Energy records use the passive sign convention: positive joules are
 //! absorbed (dissipated or stored), negative joules are delivered (an
@@ -301,15 +302,19 @@ fn to_joules(quanta: i128) -> f64 {
     quanta as f64 * JOULE_QUANTUM
 }
 
-/// The role × phase joule matrix plus per-class totals, in
-/// [`JOULE_QUANTUM`] units.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Matrix {
-    role_phase: [[i128; N_PHASES]; N_ROLES],
-    class: [i128; N_CLASSES],
+/// The role × phase joule matrix plus per-class totals, in quanta of
+/// 1e-30 J: exact integer sums ([`JouleLedger::quanta`]), where the `f64`
+/// read-outs of a snapshot round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EnergyQuanta {
+    /// Signed quanta per [`Role`] and [`ProgramPhase`], in [`ROLES`] and
+    /// [`PHASES`] order.
+    pub role_phase: [[i128; N_PHASES]; N_ROLES],
+    /// Signed quanta per [`DeviceClass`], in [`CLASSES`] order.
+    pub class: [i128; N_CLASSES],
 }
 
-impl Matrix {
+impl EnergyQuanta {
     /// Total dissipated joules: the positive cells.
     fn dissipated_j(&self) -> f64 {
         to_joules(self.role_phase.iter().flatten().filter(|&&q| q > 0).sum())
@@ -318,22 +323,22 @@ impl Matrix {
 
 #[derive(Default)]
 pub(crate) struct LedgerSink {
-    matrix: Mutex<Matrix>,
+    matrix: Mutex<EnergyQuanta>,
     /// Energy and latency per level.
     levels: Mutex<LevelTable<2>>,
 }
 
 impl LedgerSink {
-    fn matrix(&self) -> Matrix {
+    fn matrix(&self) -> EnergyQuanta {
         // Sums only: a panicked holder left a valid matrix.
         *self.matrix.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Sink for LedgerSink {
-    type Tally = Matrix;
+    type Tally = EnergyQuanta;
 
-    fn merge(&self, tally: &Matrix) {
+    fn merge(&self, tally: &EnergyQuanta) {
         let mut m = self.matrix.lock().unwrap_or_else(PoisonError::into_inner);
         for (row, t_row) in m.role_phase.iter_mut().zip(&tally.role_phase) {
             for (q, t) in row.iter_mut().zip(t_row) {
@@ -353,6 +358,28 @@ thread_local! {
 /// Merges this thread's matrix shards into their ledgers.
 pub(crate) fn flush_thread() {
     let _ = SHARD.try_with(|s| s.borrow_mut().flush());
+}
+
+/// Device energies a batch kernel adds up as it runs and records at its
+/// end through one shard access ([`JouleLedger::record_tally`]), tagged
+/// with the calling thread's phase then: the same totals as one
+/// [`JouleLedger::record_energy`] per [`add`](EnergyTally::add).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EnergyTally {
+    role: [i128; N_ROLES],
+    class: [i128; N_CLASSES],
+}
+
+impl EnergyTally {
+    /// Adds one device's absorbed energy; non-finite values are dropped.
+    pub fn add(&mut self, class: DeviceClass, role: Role, joules: f64) {
+        if !joules.is_finite() {
+            return;
+        }
+        let quanta = to_quanta(joules);
+        self.role[role.index()] += quanta;
+        self.class[class.index()] += quanta;
+    }
 }
 
 /// Immutable view of one role's phase-bucketed energy.
@@ -546,12 +573,44 @@ impl JouleLedger {
         self.record_energy_in_phase(class, role, current_phase(), joules);
     }
 
+    /// Records a batch's [`EnergyTally`] on the calling thread's shard,
+    /// tagged with its current phase ([`current_phase`]).
+    pub fn record_tally(&self, tally: &EnergyTally) {
+        let Some(sink) = &self.inner else {
+            return;
+        };
+        let phase = current_phase().index();
+        let _ = SHARD.try_with(|s| {
+            let mut s = s.borrow_mut();
+            let m = s.tally(sink);
+            for (row, q) in m.role_phase.iter_mut().zip(&tally.role) {
+                row[phase] += q;
+            }
+            for (c, q) in m.class.iter_mut().zip(&tally.class) {
+                *c += q;
+            }
+        });
+    }
+
     /// Records one successfully programmed level's (energy, latency)
     /// pair. Codes at or above [`levels::MAX_LEVELS`] and non-finite values are
     /// dropped; feed Ok outcomes only.
     pub fn observe_level(&self, code: u16, i_ref: f64, energy_j: f64, latency_s: f64) {
         if let Some(sink) = &self.inner {
             levels::lock(&sink.levels).observe(code, i_ref, [energy_j, latency_s]);
+        }
+    }
+
+    /// Records `(code, i_ref, energy_j, latency_s)` rollups in order under
+    /// one lock: the same summaries as one [`observe_level`] each.
+    ///
+    /// [`observe_level`]: JouleLedger::observe_level
+    pub fn observe_levels(&self, rollups: impl IntoIterator<Item = (u16, f64, f64, f64)>) {
+        if let Some(sink) = &self.inner {
+            let mut table = levels::lock(&sink.levels);
+            for (code, i_ref, energy_j, latency_s) in rollups {
+                table.observe(code, i_ref, [energy_j, latency_s]);
+            }
         }
     }
 
@@ -569,6 +628,15 @@ impl JouleLedger {
             total_obs: levels.total,
             dissipated_j: sink.matrix().dissipated_j(),
         }
+    }
+
+    /// The raw energy totals, after merging the calling thread's shard
+    /// (`None` when disabled).
+    #[must_use]
+    pub fn quanta(&self) -> Option<EnergyQuanta> {
+        let sink = self.inner.as_ref()?;
+        flush_thread();
+        Some(sink.matrix())
     }
 
     /// A deterministic snapshot, after merging the calling thread's shard:
@@ -600,7 +668,8 @@ impl JouleLedger {
         let levels = levels::lock(&sink.levels)
             .seen()
             .map(|(code, slot)| {
-                let ([energy, latency], [e_sketch, l_sketch]) = (&slot.stats, &slot.sketches);
+                let [energy, latency] = &slot.stats;
+                let (e_sketch, l_sketch) = (slot.sketch(0), slot.sketch(1));
                 LevelEnergySummary {
                     code,
                     i_ref: slot.i_ref,

@@ -5,7 +5,8 @@
 //! read-resistance distributions stay separable. Figs 11/12 check that
 //! by batch-collecting every sample; this module is the streaming
 //! counterpart. Campaigns feed one observation per programmed
-//! level per run ([`LevelTracker::observe`]) and each level accumulates
+//! level per run, all of a campaign's at once
+//! ([`LevelTracker::observe_all`]), and each level accumulates
 //! a [`QuantileSketch`] and a [`Welford`] moment tracker — bounded
 //! memory at any campaign size.
 //!
@@ -20,13 +21,18 @@
 //!   [`LevelTracker::install`] (the figure binaries, `repro_all`);
 //!   tests build private handles.
 //! - State is one `LevelTable` behind one lock. Campaigns feed it from
-//!   the calling thread once the workers are done, in run order, so the
-//!   sketches and moments see one sequence and the summaries are the same
-//!   bytes on every run whatever the worker count.
+//!   the calling thread once the workers are done, in run order, under
+//!   one lock per campaign, so the sketches and moments see one sequence
+//!   and the summaries are the same bytes on every run whatever the
+//!   worker count.
+//! - A level's samples wait beside its sketches until the compression
+//!   pass a one-value insert would run, or until a snapshot reads them
+//!   (see `QuantileSketch::extend`): the summaries are bit-identical to
+//!   one insert per sample.
 //!
 //! Snapshots ([`LevelTracker::snapshot`]) order levels by code.
 
-use crate::sketch::{QuantileSketch, Welford};
+use crate::sketch::{Pending, QuantileSketch, Welford};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Level slots available; codes at or above this are dropped (6 bits/cell
@@ -41,8 +47,17 @@ pub(crate) struct LevelSlot<const N: usize> {
     pub(crate) i_ref: f64,
     /// Moments of each quantity.
     pub(crate) stats: [Welford; N],
-    /// Quantile sketch of each quantity.
-    pub(crate) sketches: [QuantileSketch; N],
+    /// Quantile sketch of each quantity, settled by [`LevelTable::seen`].
+    sketches: [QuantileSketch; N],
+    /// The samples waiting beside each sketch.
+    pending: [Pending; N],
+}
+
+impl<const N: usize> LevelSlot<N> {
+    /// The quantity's quantile sketch.
+    pub(crate) fn sketch(&self, k: usize) -> &QuantileSketch {
+        &self.sketches[k]
+    }
 }
 
 /// Per-level slots indexed by level code; `None` until first observed.
@@ -73,15 +88,21 @@ impl<const N: usize> LevelTable<N> {
             i_ref,
             stats: [Welford::new(); N],
             sketches: std::array::from_fn(|_| QuantileSketch::default()),
+            pending: std::array::from_fn(|_| Pending::default()),
         });
         for (k, v) in values.into_iter().enumerate() {
             slot.stats[k].push(v);
-            slot.sketches[k].insert(v);
+            slot.sketches[k].push(&mut slot.pending[k], v);
         }
     }
 
-    /// The observed levels, ascending by code.
-    pub(crate) fn seen(&self) -> impl Iterator<Item = (u16, &LevelSlot<N>)> {
+    /// The observed levels, ascending by code, their sketches settled.
+    pub(crate) fn seen(&mut self) -> impl Iterator<Item = (u16, &LevelSlot<N>)> {
+        for slot in self.slots.iter_mut().flatten() {
+            for (sketch, pending) in slot.sketches.iter_mut().zip(&mut slot.pending) {
+                sketch.settle(pending);
+            }
+        }
         self.slots
             .iter()
             .enumerate()
@@ -91,7 +112,7 @@ impl<const N: usize> LevelTable<N> {
     /// Per-level completion counts.
     pub(crate) fn counts(&self) -> LevelCounts {
         let mut out = LevelCounts::default();
-        for (_, slot) in self.seen() {
+        for slot in self.slots.iter().flatten() {
             let n = slot.stats[0].count();
             out.levels += 1;
             out.min_n = if out.levels == 1 { n } else { out.min_n.min(n) };
@@ -210,6 +231,19 @@ impl LevelTracker {
         }
     }
 
+    /// Records `(code, i_ref, r_ohms)` observations in order under one
+    /// lock: the same summaries as one [`observe`] each.
+    ///
+    /// [`observe`]: LevelTracker::observe
+    pub fn observe_all(&self, observations: impl IntoIterator<Item = (u16, f64, f64)>) {
+        if let Some(table) = &self.inner {
+            let mut table = lock(table);
+            for (code, i_ref, r_ohms) in observations {
+                table.observe(code, i_ref, [r_ohms]);
+            }
+        }
+    }
+
     /// Compact per-level completion counts (for progress lines).
     #[must_use]
     pub fn counts(&self) -> LevelCounts {
@@ -229,7 +263,7 @@ impl LevelTracker {
         let levels = lock(table)
             .seen()
             .map(|(code, slot)| {
-                let ([stats], [sketch]) = (&slot.stats, &slot.sketches);
+                let ([stats], sketch) = (&slot.stats, slot.sketch(0));
                 let q = |p: f64| sketch.quantile(p).unwrap_or(f64::NAN);
                 LevelSummary {
                     code,

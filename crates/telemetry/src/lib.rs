@@ -168,12 +168,39 @@ impl Telemetry {
         }
     }
 
+    /// Adds each `(id, by)` to its catalogued counter through one access
+    /// to this thread's shard: what a batch of work tallied as it ran.
+    #[inline]
+    pub fn tally_all(&self, counts: &[(CounterId, u64)]) {
+        if let Some(reg) = &self.inner {
+            registry::tally_all(reg, counts);
+        }
+    }
+
     /// Records `value` into the catalogued histogram `id` on this thread's
     /// shard.
     #[inline]
     pub fn sample(&self, id: HistogramId, value: f64) {
+        self.sample_n(id, value, 1);
+    }
+
+    /// Records `value` `n` times into the catalogued histogram `id`
+    /// through one access to this thread's shard: the histogram of `n`
+    /// [`sample`](Telemetry::sample) calls.
+    #[inline]
+    pub fn sample_n(&self, id: HistogramId, value: f64, n: u64) {
         if let Some(reg) = &self.inner {
-            registry::sample(reg, id, value);
+            registry::sample_with(reg, id, |h| h.record_n(value, n));
+        }
+    }
+
+    /// Records each of `values`, in order, into the catalogued histogram
+    /// `id` through one access to this thread's shard: the histogram of
+    /// one [`sample`](Telemetry::sample) call per value.
+    #[inline]
+    pub fn sample_all(&self, id: HistogramId, values: impl IntoIterator<Item = f64>) {
+        if let Some(reg) = &self.inner {
+            registry::sample_with(reg, id, |h| values.into_iter().for_each(|v| h.record(v)));
         }
     }
 

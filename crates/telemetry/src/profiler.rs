@@ -79,7 +79,8 @@ pub enum PhaseId {
     /// batch of Monte Carlo programs (`mlc/program`).
     MlcProgram,
     /// Drawing a batch of Monte Carlo programs' variability: each cell
-    /// instance, perturbed conditions and state noise (`mlc/sample`).
+    /// instance, perturbed conditions and state noise, laid out as the
+    /// batch's SET jobs (`mlc/sample`).
     MlcSample,
     /// Building a circuit-level programming testbench and measuring its
     /// waveforms afterwards (`mlc/testbench`).
@@ -285,8 +286,6 @@ impl ThreadState {
     /// to tally as preempted (see the module docs).
     fn end_segment(&mut self, now: Instant) -> u64 {
         let Some(last) = self.last.replace(now) else {
-            // The thread's first profiled event: set the baseline.
-            self.waited_ns = self.run_queue_wait_ns();
             return 0;
         };
         let segment = now.saturating_duration_since(last).as_nanos() as u64;
@@ -385,12 +384,20 @@ impl PhaseGuard {
         key: usize,
         sink: Option<&Arc<ProfilerSink>>,
         id: PhaseId,
-        start: Instant,
+        mut start: Instant,
     ) -> PhaseGuard {
         let _ = THREAD.try_with(|thread| {
             let thread = &mut *thread.borrow_mut();
             if let Some(sink) = sink {
                 thread.shard.tally(sink);
+            }
+            if thread.last.is_none() {
+                // The thread's first profiled event: set the run-queue
+                // baseline, which opens the schedstat file, and start the
+                // scope after it. That set-up is the profiler's, not the
+                // scope's.
+                thread.waited_ns = thread.run_queue_wait_ns();
+                start = Instant::now();
             }
             // The segment ending here was the enclosing scope's self time.
             let off_cpu = thread.end_segment(start);

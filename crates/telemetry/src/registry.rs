@@ -13,9 +13,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// so the report can say how many were elided.
 const MAX_NOTES_PER_NAME: usize = 256;
 
-/// A counter of the Monte Carlo per-program path, named in its doc. A
-/// tally ([`crate::Telemetry::tally`]) is a plain add on the thread's
-/// shard.
+/// A counter of the Monte Carlo per-program path or the Newton loop, named
+/// in its doc. A tally ([`crate::Telemetry::tally`]) is a plain add on the
+/// thread's shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterId {
     /// `mlc.program.fast_ops`: fast-path programs.
@@ -36,10 +36,12 @@ pub enum CounterId {
     RhoFloorHits,
     /// `chaos.injected.newton_stall`: injected fast-path stalls.
     InjectedNewtonStall,
+    /// `spice.newton.solves`: Newton–Raphson solves started.
+    NewtonSolves,
 }
 
 /// [`CounterId`] names, in declaration order.
-const COUNTER_NAMES: [&str; 9] = [
+const COUNTER_NAMES: [&str; 10] = [
     "mlc.program.fast_ops",
     "mlc.program.mc_ops",
     "rram.termination.runs",
@@ -49,6 +51,7 @@ const COUNTER_NAMES: [&str; 9] = [
     "rram.model.joule_clamps",
     "rram.model.rho_floor_hits",
     "chaos.injected.newton_stall",
+    "spice.newton.solves",
 ];
 
 /// A histogram of the Monte Carlo per-program path, named in its doc and
@@ -96,9 +99,24 @@ pub(crate) fn tally(reg: &Arc<Registry>, id: CounterId, by: u64) {
     let _ = SHARD.try_with(|s| s.borrow_mut().tally(reg).counters[id as usize] += by);
 }
 
-/// Records `value` into this thread's `id` histogram for `reg`.
-pub(crate) fn sample(reg: &Arc<Registry>, id: HistogramId, value: f64) {
-    let _ = SHARD.try_with(|s| s.borrow_mut().tally(reg).histograms[id as usize].record(value));
+/// Adds each `(id, by)` to this thread's tallies for `reg`.
+pub(crate) fn tally_all(reg: &Arc<Registry>, counts: &[(CounterId, u64)]) {
+    let _ = SHARD.try_with(|s| {
+        let mut s = s.borrow_mut();
+        let tally = s.tally(reg);
+        for &(id, by) in counts {
+            tally.counters[id as usize] += by;
+        }
+    });
+}
+
+/// Hands this thread's `id` histogram for `reg` to `record`.
+pub(crate) fn sample_with(
+    reg: &Arc<Registry>,
+    id: HistogramId,
+    record: impl FnOnce(&mut Histogram),
+) {
+    let _ = SHARD.try_with(|s| record(&mut s.borrow_mut().tally(reg).histograms[id as usize]));
 }
 
 /// Merges this thread's tallies into their registries.
@@ -280,6 +298,7 @@ mod tests {
             (C::JouleClamps, "rram.model.joule_clamps"),
             (C::RhoFloorHits, "rram.model.rho_floor_hits"),
             (C::InjectedNewtonStall, "chaos.injected.newton_stall"),
+            (C::NewtonSolves, "spice.newton.solves"),
         ];
         let histograms = [
             (H::TerminationLatency, "rram.termination.latency_s"),
@@ -292,7 +311,7 @@ mod tests {
         }
         for (k, &(id, _)) in histograms.iter().enumerate() {
             for _ in 0..=k {
-                sample(&reg, id, 1e-6);
+                sample_with(&reg, id, |h| h.record(1e-6));
             }
         }
         flush_thread();

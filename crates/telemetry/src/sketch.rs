@@ -4,6 +4,9 @@
 //! The level tracker and the joule ledger summarise each level's stream
 //! with these in bounded memory, whatever the campaign size. Campaigns
 //! feed them in run order, so a summary is the same bytes on every run.
+//! Many samples at once go in through [`QuantileSketch::extend`], which
+//! leaves the summary one [`QuantileSketch::insert`] per sample leaves, bit
+//! for bit, without shifting it once per sample.
 //!
 //! Both estimators are also *mergeable*. A sketch's tuple list depends on
 //! insertion order, so merging shards cannot promise the bytes of one
@@ -29,7 +32,7 @@
 pub const DEFAULT_EPSILON: f64 = 0.005;
 
 /// One GK summary tuple: a stored sample value with its rank band.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct Tuple {
     /// The sample value.
     v: f64,
@@ -52,6 +55,20 @@ pub struct QuantileSketch {
     tuples: Vec<Tuple>,
     /// Inserts since the last compression pass.
     since_compress: u64,
+}
+
+/// Samples waiting beside a [`QuantileSketch`]'s summary for its next
+/// fold ([`QuantileSketch::push`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Pending {
+    /// `(gap, tuple)` in insertion order: `gap` summary tuples sort at or
+    /// below the tuple's value.
+    tuples: Vec<(usize, Tuple)>,
+    /// The extremes of the summary and the waiting tuples.
+    lo: f64,
+    hi: f64,
+    /// The sketch's [`QuantileSketch::compress_every`].
+    every: u64,
 }
 
 impl QuantileSketch {
@@ -99,8 +116,19 @@ impl QuantileSketch {
         (2.0 * self.epsilon * self.n as f64).floor() as u64
     }
 
+    /// Inserts between compression passes: every ~1/(2ε) inserts
+    /// amortises the pass while keeping the summary near its asymptotic
+    /// size. The smallest count `k` with `k ≥ 1/(2ε)`.
+    fn compress_every(&self) -> u64 {
+        (1.0 / (2.0 * self.epsilon)).ceil() as u64
+    }
+
     /// Inserts one sample. Non-finite values are dropped: a NaN from a
     /// diverged run must not poison the whole level's distribution.
+    ///
+    /// One value is shifted into the summary; a fold, which
+    /// [`extend`](QuantileSketch::extend) amortises over many values, costs
+    /// a pass over it.
     pub fn insert(&mut self, v: f64) {
         if !v.is_finite() {
             return;
@@ -117,38 +145,140 @@ impl QuantileSketch {
         self.tuples.insert(idx, Tuple { v, g: 1, delta });
         self.n += 1;
         self.since_compress += 1;
-        // Compress every ~1/(2ε) inserts: amortises the pass while
-        // keeping the summary near its asymptotic size.
-        if self.since_compress as f64 >= 1.0 / (2.0 * self.epsilon) {
+        if self.since_compress >= self.compress_every() {
             self.compress();
         }
+    }
+
+    /// Inserts every sample of `values` in order: the summary is bit for
+    /// bit the one an [`insert`] per value leaves, non-finite values
+    /// dropped alike.
+    ///
+    /// Between compression passes the new tuples wait beside the summary,
+    /// each with the position `insert` would give it, and each pass folds
+    /// them in at once: the summary is not shifted once per value.
+    ///
+    /// [`insert`]: QuantileSketch::insert
+    pub fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
+        let mut pending = Pending::default();
+        for v in values {
+            self.push(&mut pending, v);
+        }
+        self.settle(&mut pending);
+    }
+
+    /// Adds one sample to `pending`, the tuples waiting beside this
+    /// summary, as [`insert`](QuantileSketch::insert) would add it to the
+    /// summary; folds them in at the compression pass `insert` would run.
+    /// Every read of the summary must [`settle`](QuantileSketch::settle)
+    /// it first, and nothing else may change it meanwhile.
+    pub(crate) fn push(&mut self, pending: &mut Pending, v: f64) {
+        if !v.is_finite() {
+            return;
+        }
+        if pending.tuples.is_empty() {
+            (pending.lo, pending.hi) = match (self.tuples.first(), self.tuples.last()) {
+                (Some(first), Some(last)) => (first.v, last.v),
+                _ => (f64::NAN, f64::NAN),
+            };
+            pending.every = self.compress_every();
+        }
+        // Δ as `insert` sets it: 0 for a new minimum or maximum.
+        let delta = if v >= pending.lo && v < pending.hi {
+            self.band().saturating_sub(1)
+        } else {
+            0
+        };
+        (pending.lo, pending.hi) = (pending.lo.min(v), pending.hi.max(v));
+        let gap = self.tuples.partition_point(|t| t.v <= v);
+        pending.tuples.push((gap, Tuple { v, g: 1, delta }));
+        self.n += 1;
+        self.since_compress += 1;
+        if self.since_compress >= pending.every {
+            self.settle(pending);
+            self.compress();
+        }
+    }
+
+    /// Folds `pending` into the summary: each waiting tuple goes where
+    /// `insert` would have put it, after every summary tuple of its gap
+    /// and every waiting tuple of its gap with a value not above its own.
+    pub(crate) fn settle(&mut self, pending: &mut Pending) {
+        let m = pending.tuples.len();
+        if m == 0 {
+            return;
+        }
+        let s = self.tuples.len();
+        // `before[g]`: waiting tuples in gaps below `g`. A stable counting
+        // sort by gap, then an insertion sort by value, which only moves
+        // tuples within a gap: gaps rise with value.
+        let mut before = vec![0usize; s + 2];
+        for &(gap, _) in &pending.tuples {
+            before[gap + 1] += 1;
+        }
+        for g in 1..before.len() {
+            before[g] += before[g - 1];
+        }
+        let mut order = vec![(0, Tuple::default()); m];
+        let mut next = before.clone();
+        for &(gap, t) in &pending.tuples {
+            order[next[gap]] = (gap, t);
+            next[gap] += 1;
+        }
+        for k in 1..m {
+            let cur = order[k];
+            let mut at = k;
+            while at > 0 && order[at - 1].1.v > cur.1.v {
+                order[at] = order[at - 1];
+                at -= 1;
+            }
+            order[at] = cur;
+        }
+        // Summary tuple `i` moves up by the waiting tuples of gaps up to
+        // `i`; moving from the top never overwrites one not yet moved.
+        let t = &mut self.tuples;
+        t.resize(s + m, Tuple::default());
+        for i in (0..s).rev() {
+            t[i + before[i + 1]] = t[i];
+        }
+        for (k, &(gap, tuple)) in order.iter().enumerate() {
+            t[k + gap] = tuple;
+        }
+        pending.tuples.clear();
     }
 
     /// Removes tuples whose rank band fits inside a neighbour's, keeping
     /// the GK invariant `g + Δ ≤ 2εn`.
     fn compress(&mut self) {
         self.since_compress = 0;
-        if self.tuples.len() < 3 {
+        let len = self.tuples.len();
+        if len < 3 {
             return;
         }
         let band = self.band();
-        let mut kept: Vec<Tuple> = Vec::with_capacity(self.tuples.len());
-        // Walk right-to-left, folding each tuple into its right
-        // neighbour when the combined band still fits. The first and
-        // last tuples are always kept: they carry the exact extremes.
-        let mut right = self.tuples[self.tuples.len() - 1];
-        for &t in self.tuples[1..self.tuples.len() - 1].iter().rev() {
-            if t.g + right.g + right.delta < band {
-                right.g += t.g;
+        let t = &mut self.tuples;
+        // Walk right-to-left, folding each tuple into its right neighbour
+        // when the combined band still fits, and write the kept ones from
+        // the back, in place: a write lands above the tuple being read. The
+        // first and last tuples are always kept: they carry the exact
+        // extremes.
+        let mut w = len - 1;
+        let mut right = t[w];
+        for i in (1..len - 1).rev() {
+            let cur = t[i];
+            if cur.g + right.g + right.delta < band {
+                right.g += cur.g;
             } else {
-                kept.push(right);
-                right = t;
+                t[w] = right;
+                w -= 1;
+                right = cur;
             }
         }
-        kept.push(right);
-        kept.push(self.tuples[0]);
-        kept.reverse();
-        self.tuples = kept;
+        t[w] = right;
+        w -= 1;
+        t[w] = t[0];
+        t.copy_within(w.., 0);
+        t.truncate(len - w);
     }
 
     /// The quantile `q` in `[0, 1]`, or `None` while empty.

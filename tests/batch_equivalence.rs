@@ -4,8 +4,11 @@
 //! and `program_cells_mc` programs a batch of cells through them. For every
 //! batch size from 1 to 17, each job must come out bit for bit as it does
 //! alone, a bad job must fail alone with the error it fails with alone, and
-//! the batch must leave the telemetry counters and joule-ledger totals of
-//! the one-at-a-time runs.
+//! the batch must leave the telemetry counters, the RESET latency histogram
+//! and the joule ledger's raw quanta of the one-at-a-time runs, exactly:
+//! the batch entries add up their records as they run and record them once
+//! at their end. The Monte Carlo engine's `mc.engine.run_seconds` record of
+//! a batch must be the histogram of one sample per run.
 //!
 //! This binary installs the global telemetry and joule ledger, so its tests
 //! take one lock and run one at a time: the observer checks compare deltas
@@ -25,8 +28,8 @@ use oxterm_rram::calib::{
 };
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 use oxterm_rram::RramError;
-use oxterm_telemetry::joule::JouleLedger;
-use oxterm_telemetry::Telemetry;
+use oxterm_telemetry::joule::{EnergyQuanta, JouleLedger};
+use oxterm_telemetry::{Histogram, HistogramId, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,19 +62,36 @@ fn batch_sizes() -> std::ops::RangeInclusive<usize> {
     1..=17
 }
 
-/// The global observers' records so far: every telemetry counter, and the
-/// joule ledger's energy per role and phase.
-fn records() -> (BTreeMap<String, u64>, Vec<f64>) {
-    let counters = Telemetry::global().report().counters;
-    let roles = JouleLedger::global().snapshot().roles;
-    (counters, roles.iter().flat_map(|r| r.phase_j).collect())
+/// The RESET latency histogram's name in a report.
+const LATENCY: &str = "rram.termination.latency_s";
+
+/// The global observers' records so far: every telemetry counter, the
+/// RESET latency histogram, and the joule ledger's raw quanta.
+fn records() -> (BTreeMap<String, u64>, Histogram, EnergyQuanta) {
+    let mut report = Telemetry::global().report();
+    let latency = report.histograms.remove(LATENCY).unwrap_or_default();
+    let quanta = JouleLedger::global().quanta().expect("ledger installed");
+    (report.counters, latency, quanta)
 }
 
-/// What `work` added to [`records`].
-fn observed<T>(work: impl FnOnce() -> T) -> (T, BTreeMap<String, u64>, Vec<f64>) {
-    let (c0, e0) = records();
+/// What `work` added to the global observers.
+struct Observed<T> {
+    out: T,
+    /// Counter increments, the counters that moved only.
+    counters: BTreeMap<String, u64>,
+    /// The latency histogram before and after `work`.
+    latency: (Histogram, Histogram),
+    /// Exact quanta added per role × phase and per class.
+    quanta: EnergyQuanta,
+}
+
+/// Runs `work` on this thread, whose shards merge into the observers only
+/// when [`records`] takes a report: each histogram merge is then one `f64`
+/// addition of the whole of `work`'s sum.
+fn observed<T>(work: impl FnOnce() -> T) -> Observed<T> {
+    let (c0, h0, q0) = records();
     let out = work();
-    let (c1, e1) = records();
+    let (c1, h1, q1) = records();
     let counters = c1
         .into_iter()
         .map(|(k, v)| {
@@ -80,21 +100,45 @@ fn observed<T>(work: impl FnOnce() -> T) -> (T, BTreeMap<String, u64>, Vec<f64>)
         })
         .filter(|&(_, d)| d > 0)
         .collect();
-    let energy = e1
-        .iter()
-        .zip(e0.iter().chain(std::iter::repeat(&0.0)))
-        .map(|(a, b)| a - b)
-        .collect();
-    (out, counters, energy)
+    let mut quanta = q1;
+    for (row, row0) in quanta.role_phase.iter_mut().zip(&q0.role_phase) {
+        for (q, q0) in row.iter_mut().zip(row0) {
+            *q -= q0;
+        }
+    }
+    for (q, q0) in quanta.class.iter_mut().zip(&q0.class) {
+        *q -= q0;
+    }
+    Observed {
+        out,
+        counters,
+        latency: (h0, h1),
+        quanta,
+    }
 }
 
-/// The ledger holds integer quanta, read out as `f64` totals, so deltas of
-/// two read-outs agree to their rounding.
-fn assert_same_energy(batch: &[f64], alone: &[f64]) {
-    assert_eq!(batch.len(), alone.len());
-    for (b, a) in batch.iter().zip(alone) {
-        assert!((b - a).abs() <= 1e-12 * a.abs().max(1e-18), "{b} vs {a}");
-    }
+/// The histogram's every field, floats as bits.
+fn histogram_bits(h: &Histogram) -> (Vec<u64>, [u64; 4]) {
+    let counts = [h.count, h.negatives, h.underflow, h.overflow];
+    let mut bits = vec![h.sum.to_bits(), h.min.to_bits(), h.max.to_bits()];
+    bits.extend(&h.bins);
+    (bits, counts)
+}
+
+/// Asserts that `work`'s latency records were exactly one sample per
+/// latency of `latencies`, in order: the histogram after `work` is the one
+/// before it merged with a fresh histogram of those samples.
+fn assert_latencies<T>(seen: &Observed<T>, latencies: impl Iterator<Item = f64>, what: &str) {
+    let (before, after) = &seen.latency;
+    let mut samples = Histogram::new();
+    latencies.for_each(|t| samples.record(t));
+    let mut expected = before.clone();
+    expected.merge(&samples);
+    assert_eq!(
+        histogram_bits(after),
+        histogram_bits(&expected),
+        "{what}: latency histogram"
+    );
 }
 
 fn outcome_bits(o: &ProgramOutcome) -> [u64; 6] {
@@ -145,7 +189,7 @@ fn every_batch_size_programs_the_one_at_a_time_outcomes() {
     let (mut unreachable, mut invalid) = (0, 0);
     for n in batch_sizes() {
         let jobs: Vec<(u16, u64)> = (0..n).map(|k| job(n, k)).collect();
-        let (alone, c_alone, e_alone) = observed(|| {
+        let alone = observed(|| {
             jobs.iter()
                 .map(|&(code, seed)| {
                     let mut rng = StdRng::seed_from_u64(seed);
@@ -158,11 +202,11 @@ fn every_batch_size_programs_the_one_at_a_time_outcomes() {
             .iter()
             .map(|&(code, seed)| (code, StdRng::seed_from_u64(seed)))
             .collect();
-        let (outs, c_batch, e_batch) =
-            observed(|| program_cells_mc(&params, &alloc, &cond, &var, &mut batch));
+        let batched = observed(|| program_cells_mc(&params, &alloc, &cond, &var, &mut batch));
+        let (outs, alone_outs) = (&batched.out, &alone.out);
         assert_eq!(outs.len(), n);
         for (k, ((got, (_, rng)), (want, next))) in
-            outs.iter().zip(&mut batch).zip(&alone).enumerate()
+            outs.iter().zip(&mut batch).zip(alone_outs).enumerate()
         {
             assert_same_outcome(got, want, &format!("batch {n} job {k}"));
             // The batch drew exactly the job's own stream.
@@ -174,8 +218,14 @@ fn every_batch_size_programs_the_one_at_a_time_outcomes() {
                 Ok(_) => {}
             }
         }
-        assert_eq!(c_batch, c_alone, "batch {n}: counters");
-        assert_same_energy(&e_batch, &e_alone);
+        assert_eq!(batched.counters, alone.counters, "batch {n}: counters");
+        assert_eq!(batched.quanta, alone.quanta, "batch {n}: joule quanta");
+        let latencies = |outs: &[Result<ProgramOutcome, MlcError>]| -> Vec<f64> {
+            outs.iter().flatten().map(|o| o.latency_s).collect()
+        };
+        let alone_outs: Vec<_> = alone_outs.iter().map(|(o, _)| o.clone()).collect();
+        assert_latencies(&alone, latencies(&alone_outs).into_iter(), "alone");
+        assert_latencies(&batched, latencies(outs).into_iter(), &format!("batch {n}"));
     }
     assert!(unreachable > 0 && invalid > 0, "{unreachable} / {invalid}");
 }
@@ -206,33 +256,44 @@ fn batches_run_every_pulse_as_it_runs_alone() {
             sets.push((inst, c.set));
             resets.push((inst, reset));
         }
-        let (batch, c_batch, e_batch) = observed(|| simulate_sets(&params, &sets));
-        let (alone, c_alone, e_alone) = observed(|| {
+        let batched = observed(|| simulate_sets(&params, &sets));
+        let alone = observed(|| {
             sets.iter()
                 .map(|(inst, c)| simulate_set(&params, inst, c))
                 .collect::<Vec<_>>()
         });
-        assert_eq!(batch, alone, "SET batch {n}");
-        assert_eq!(c_batch, c_alone, "SET batch {n}: counters");
-        assert_same_energy(&e_batch, &e_alone);
+        assert_eq!(batched.out, alone.out, "SET batch {n}");
+        assert_eq!(batched.counters, alone.counters, "SET batch {n}: counters");
+        assert_eq!(batched.quanta, alone.quanta, "SET batch {n}: joule quanta");
         assert!(matches!(
-            batch[n / 2],
+            batched.out[n / 2],
             Err(RramError::InvalidParameter {
                 name: "alpha_factor",
                 ..
             })
         ));
 
-        let (batch, c_batch, e_batch) = observed(|| simulate_reset_terminations(&params, &resets));
-        let (alone, c_alone, e_alone) = observed(|| {
+        let batched = observed(|| simulate_reset_terminations(&params, &resets));
+        let alone = observed(|| {
             resets
                 .iter()
                 .map(|(inst, c)| simulate_reset_termination(&params, inst, c))
                 .collect::<Vec<_>>()
         });
-        assert_eq!(batch, alone, "RESET batch {n}");
-        assert_eq!(c_batch, c_alone, "RESET batch {n}: counters");
-        assert_same_energy(&e_batch, &e_alone);
+        let batch = &batched.out;
+        assert_eq!(*batch, alone.out, "RESET batch {n}");
+        assert_eq!(
+            batched.counters, alone.counters,
+            "RESET batch {n}: counters"
+        );
+        assert_eq!(
+            batched.quanta, alone.quanta,
+            "RESET batch {n}: joule quanta"
+        );
+        for seen in [&batched, &alone] {
+            let latencies = seen.out.iter().flatten().map(|o| o.latency_s);
+            assert_latencies(seen, latencies, &format!("RESET batch {n}"));
+        }
         if n > 1 {
             assert!(matches!(
                 batch[0],
@@ -241,6 +302,38 @@ fn batches_run_every_pulse_as_it_runs_alone() {
         }
         for (k, out) in batch.iter().enumerate() {
             assert_eq!(out.is_ok(), k != n / 2 && (k != 0 || n == 1), "job {k}");
+        }
+    }
+}
+
+#[test]
+fn a_batchs_run_seconds_record_is_one_sample_per_run() {
+    // Private handles: fresh registries, so each histogram is exactly its
+    // records.
+    let run_seconds = |record: &dyn Fn(&Telemetry)| {
+        let tel = Telemetry::enabled();
+        record(&tel);
+        let mut report = tel.report();
+        report
+            .histograms
+            .remove("mc.engine.run_seconds")
+            .expect("recorded")
+    };
+    for n in batch_sizes() {
+        // Values whose repeated sums round, a negative and a non-finite
+        // one, and values at and beyond the binned range.
+        for per_run in [3.3e-6 / n as f64, 0.1, -2e-6, f64::NAN, 1e-19, 2e13] {
+            let batched = run_seconds(&|tel| {
+                tel.sample_n(HistogramId::RunSeconds, per_run, n as u64);
+            });
+            let alone = run_seconds(&|tel| {
+                (0..n).for_each(|_| tel.sample(HistogramId::RunSeconds, per_run));
+            });
+            assert_eq!(
+                histogram_bits(&batched),
+                histogram_bits(&alone),
+                "batch {n}, {per_run:e} s per run"
+            );
         }
     }
 }

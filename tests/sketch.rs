@@ -11,6 +11,199 @@ use oxterm_numerics::stats::quantile;
 use oxterm_telemetry::QuantileSketch;
 use proptest::prelude::*;
 
+/// A test-only copy of the sketch's one-value insert and its compression
+/// pass as they stood before `QuantileSketch::extend`, and before the pass
+/// compressed in place. Its `Debug` output has the sketch's shape, so
+/// equal `Debug` strings mean bit-identical summaries: every tuple's value,
+/// gap and band, the count and the inserts since the last pass.
+mod reference {
+    #[derive(Debug, Clone, Copy)]
+    struct Tuple {
+        v: f64,
+        g: u64,
+        delta: u64,
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct QuantileSketch {
+        epsilon: f64,
+        n: u64,
+        tuples: Vec<Tuple>,
+        since_compress: u64,
+    }
+
+    impl QuantileSketch {
+        pub fn new(epsilon: f64) -> Self {
+            Self {
+                epsilon,
+                n: 0,
+                tuples: Vec::new(),
+                since_compress: 0,
+            }
+        }
+
+        fn band(&self) -> u64 {
+            (2.0 * self.epsilon * self.n as f64).floor() as u64
+        }
+
+        pub fn insert(&mut self, v: f64) {
+            if !v.is_finite() {
+                return;
+            }
+            let idx = self.tuples.partition_point(|t| t.v <= v);
+            let delta = if idx == 0 || idx == self.tuples.len() {
+                0
+            } else {
+                self.band().saturating_sub(1)
+            };
+            self.tuples.insert(idx, Tuple { v, g: 1, delta });
+            self.n += 1;
+            self.since_compress += 1;
+            if self.since_compress as f64 >= 1.0 / (2.0 * self.epsilon) {
+                self.compress();
+            }
+        }
+
+        fn compress(&mut self) {
+            self.since_compress = 0;
+            if self.tuples.len() < 3 {
+                return;
+            }
+            let band = self.band();
+            let mut kept: Vec<Tuple> = Vec::with_capacity(self.tuples.len());
+            let mut right = self.tuples[self.tuples.len() - 1];
+            for &t in self.tuples[1..self.tuples.len() - 1].iter().rev() {
+                if t.g + right.g + right.delta < band {
+                    right.g += t.g;
+                } else {
+                    kept.push(right);
+                    right = t;
+                }
+            }
+            kept.push(right);
+            kept.push(self.tuples[0]);
+            kept.reverse();
+            self.tuples = kept;
+        }
+    }
+}
+
+/// A stream that exercises every branch of an insert: ties (with each
+/// other, with the extremes, and `-0.0` with `0.0`), new minima and
+/// maxima, and non-finite values, which are dropped.
+fn awkward_stream(seed: u64, len: usize) -> Vec<f64> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|i| {
+            let r = xorshift(&mut x);
+            match r % 19 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -0.0,
+                4 => 0.0,
+                5 => 42.0,
+                6 => 1e3 * i as f64,
+                7 => -1e3 * i as f64,
+                _ => ((r >> 11) % 1000) as f64 / 8.0,
+            }
+        })
+        .collect()
+}
+
+/// Feeds `data` to the reference one value at a time and to `sketch` in
+/// chunks of the given sizes, alternating `insert` and `extend`, and
+/// asserts the two summaries are bit-identical after every chunk.
+fn assert_tracks_reference(
+    reference: &mut reference::QuantileSketch,
+    sketch: &mut QuantileSketch,
+    data: &[f64],
+    chunks: &mut impl Iterator<Item = usize>,
+) {
+    let mut rest = data;
+    let mut by_insert = false;
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(chunks.next().unwrap_or(1).clamp(1, rest.len()));
+        for &v in chunk {
+            reference.insert(v);
+        }
+        if by_insert {
+            chunk.iter().for_each(|&v| sketch.insert(v));
+        } else {
+            sketch.extend(chunk.iter().copied());
+        }
+        assert_eq!(
+            format!("{sketch:?}"),
+            format!("{reference:?}"),
+            "after {} values",
+            data.len() - tail.len()
+        );
+        by_insert = !by_insert;
+        rest = tail;
+    }
+}
+
+/// Values from a handful of levels, so most inserts tie with the current
+/// minimum, the maximum or each other.
+fn tied_stream(seed: u64, len: usize) -> Vec<f64> {
+    let mut x = seed | 1;
+    let levels = [-0.0, 0.0, 1.0, 2.5, 2.5, 7.0];
+    (0..len)
+        .map(|_| levels[(xorshift(&mut x) % levels.len() as u64) as usize])
+        .collect()
+}
+
+#[test]
+fn insert_and_extend_match_the_one_value_reference_bit_for_bit() {
+    for (case, epsilon) in [0.005, 0.05, 1e-4, 0.5, 0.013].into_iter().enumerate() {
+        for seed in 0..8u64 {
+            let stream = if seed % 2 == 0 {
+                awkward_stream
+            } else {
+                tied_stream
+            };
+            let data = stream(seed * 31 + case as u64, 3_000);
+            let mut reference = reference::QuantileSketch::new(epsilon);
+            let mut sketch = QuantileSketch::new(epsilon);
+            let mut x = seed + 7;
+            let mut chunks = std::iter::from_fn(|| Some((xorshift(&mut x) % 260) as usize));
+            assert_tracks_reference(&mut reference, &mut sketch, &data, &mut chunks);
+        }
+    }
+}
+
+#[test]
+fn extend_after_a_merge_matches_the_reference() {
+    // A merge leaves a compressed summary with widened bands; inserts
+    // after it must still land as the reference's do.
+    let left = awkward_stream(11, 1_500);
+    let right = awkward_stream(12, 900);
+    let (mut a, mut b) = (QuantileSketch::default(), QuantileSketch::default());
+    a.extend(left.iter().copied());
+    b.extend(right.iter().copied());
+    a.merge_from(&b);
+    let mut expected_a = QuantileSketch::default();
+    let mut expected_b = QuantileSketch::default();
+    left.iter().for_each(|&v| expected_a.insert(v));
+    right.iter().for_each(|&v| expected_b.insert(v));
+    expected_a.merge_from(&expected_b);
+    assert_eq!(a, expected_a);
+    let more = awkward_stream(13, 1_000);
+    a.extend(more.iter().copied());
+    more.iter().for_each(|&v| expected_a.insert(v));
+    assert_eq!(a, expected_a);
+}
+
+#[test]
+fn extend_of_only_dropped_values_changes_nothing() {
+    let mut sketch = QuantileSketch::default();
+    sketch.extend([1.0, 2.0, 3.0]);
+    let before = sketch.clone();
+    sketch.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+    sketch.extend(std::iter::empty());
+    assert_eq!(sketch, before);
+}
+
 /// Samples per case — the campaign scale the sketch is specified at.
 const N: usize = 10_000;
 
