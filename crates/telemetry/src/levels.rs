@@ -123,8 +123,9 @@ impl<const N: usize> LevelTable<N> {
     }
 }
 
-/// Locks a level table. Observations only push, so a panicked holder left
-/// a valid table.
+/// Locks a level table. An observation or a fold cannot panic part-way, so
+/// a holder can only have panicked between them (in a batch caller's
+/// iterator) and left a valid table.
 pub(crate) fn lock<const N: usize>(table: &Mutex<LevelTable<N>>) -> MutexGuard<'_, LevelTable<N>> {
     table.lock().unwrap_or_else(PoisonError::into_inner)
 }
