@@ -72,10 +72,13 @@ impl Histogram {
     }
 
     /// Records `value` `n` times: the histogram `n` [`record`] calls
-    /// leave, binning the value once.
+    /// leave, binning the value once. `n = 0` changes nothing.
     ///
     /// [`record`]: Histogram::record
     pub fn record_n(&mut self, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         if !value.is_finite() {
             self.negatives += n;
             return;

@@ -26,9 +26,8 @@
 //!   and the summaries are the same bytes on every run whatever the
 //!   worker count.
 //! - A level's samples wait beside its sketches until the compression
-//!   pass a one-value insert would run, or until a snapshot reads them
-//!   (see `QuantileSketch::extend`): the summaries are bit-identical to
-//!   one insert per sample.
+//!   pass, or until a snapshot reads them (see `QuantileSketch::push`):
+//!   the summaries are bit-identical to one insert per sample.
 //!
 //! Snapshots ([`LevelTracker::snapshot`]) order levels by code.
 

@@ -352,7 +352,15 @@ mod tests {
             let report = tel.report();
             let latency = &report.histograms["rram.termination.latency_s"];
             let snap = prof.snapshot();
-            let calls: Vec<u64> = snap.phases.iter().map(|p| p.calls).collect();
+            // The profiler sets itself up once on each thread.
+            let setup = snap.phase(PhaseId::ProfilerSetup).map(|p| p.calls);
+            assert_eq!(setup, Some(threads as u64));
+            let calls: Vec<u64> = snap
+                .phases
+                .iter()
+                .filter(|p| p.id != PhaseId::ProfilerSetup)
+                .map(|p| p.calls)
+                .collect();
             let energy = ledger.snapshot();
             let joules: Vec<[f64; joule::N_PHASES]> =
                 energy.roles.iter().map(|r| r.phase_j).collect();

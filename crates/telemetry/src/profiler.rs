@@ -41,7 +41,9 @@
 //! so only on long segments) and tallies what it grew by since the last
 //! check, up to the segment's length. (The refill of the caches the other
 //! task evicted, tens of µs after each preemption here, stays in the
-//! phase.) Without the file nothing is tallied.
+//! phase.) Without the file nothing is tallied. A thread's first scope
+//! opens the file and records that set-up as `profiler/setup`, an
+//! orchestration phase.
 //!
 //! This module (with `span.rs`) is one of the few sanctioned
 //! wall-clock readers in the workspace: `cargo xtask lint` bans
@@ -57,7 +59,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Number of phases in the catalog (length of [`PhaseId::ALL`]).
-pub const N_PHASES: usize = 18;
+pub const N_PHASES: usize = 19;
 
 /// One phase of the fixed instrumentation catalog.
 ///
@@ -88,6 +90,10 @@ pub enum PhaseId {
     /// DC operating-point solve, including gmin/source stepping
     /// (`op/solve`).
     OpSolve,
+    /// The profiler's own set-up on a thread's first scope: opening the
+    /// thread's schedstat file and reading its run-queue baseline
+    /// (`profiler/setup`, one call per profiled thread).
+    ProfilerSetup,
     /// The Nelder–Mead model calibration (`rram/calib`); its objective
     /// delegates to `rram/reset`.
     RramCalib,
@@ -120,9 +126,10 @@ pub enum PhaseId {
 /// How a phase's *self* time is classified in coverage arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseRole {
-    /// Waiting / reporting scaffolding (`bench/run`, `mc/campaign`): its
-    /// self time is dominated by blocking on workers or rendering output,
-    /// so it is excluded from the attribution denominator.
+    /// Waiting / reporting scaffolding (`bench/run`, `mc/campaign`) and
+    /// the profiler's own set-up (`profiler/setup`): its self time is
+    /// blocking on workers, rendering output or observing, not solver
+    /// work, so it is excluded from the attribution denominator.
     Orchestration,
     /// Real work that delegates most of its time to finer phases; its self
     /// time counts *against* leaf coverage.
@@ -141,6 +148,7 @@ impl PhaseId {
         PhaseId::MlcSample,
         PhaseId::MlcTestbench,
         PhaseId::OpSolve,
+        PhaseId::ProfilerSetup,
         PhaseId::RramCalib,
         PhaseId::RramReset,
         PhaseId::RramSet,
@@ -164,6 +172,7 @@ impl PhaseId {
             PhaseId::MlcSample => "mlc/sample",
             PhaseId::MlcTestbench => "mlc/testbench",
             PhaseId::OpSolve => "op/solve",
+            PhaseId::ProfilerSetup => "profiler/setup",
             PhaseId::RramCalib => "rram/calib",
             PhaseId::RramReset => "rram/reset",
             PhaseId::RramSet => "rram/set",
@@ -181,7 +190,9 @@ impl PhaseId {
     /// The phase's role in coverage arithmetic (see [`PhaseRole`]).
     pub const fn role(self) -> PhaseRole {
         match self {
-            PhaseId::BenchRun | PhaseId::McCampaign => PhaseRole::Orchestration,
+            PhaseId::BenchRun | PhaseId::McCampaign | PhaseId::ProfilerSetup => {
+                PhaseRole::Orchestration
+            }
             PhaseId::McWorkerRun
             | PhaseId::MlcProgram
             | PhaseId::OpSolve
@@ -395,9 +406,17 @@ impl PhaseGuard {
                 // The thread's first profiled event: set the run-queue
                 // baseline, which opens the schedstat file, and start the
                 // scope after it. That set-up is the profiler's, not the
-                // scope's.
+                // scope's: it records as `profiler/setup`.
                 thread.waited_ns = thread.run_queue_wait_ns();
-                start = Instant::now();
+                let now = Instant::now();
+                if let Some(cells) = thread.shard.tally_at(key) {
+                    cells[PhaseId::ProfilerSetup.index()].add(&PhaseCell {
+                        wall_ns: now.saturating_duration_since(start).as_nanos() as u64,
+                        calls: 1,
+                        ..PhaseCell::default()
+                    });
+                }
+                start = now;
             }
             // The segment ending here was the enclosing scope's self time.
             let off_cpu = thread.end_segment(start);

@@ -4,9 +4,10 @@
 //! The level tracker and the joule ledger summarise each level's stream
 //! with these in bounded memory, whatever the campaign size. Campaigns
 //! feed them in run order, so a summary is the same bytes on every run.
-//! Many samples at once go in through [`QuantileSketch::extend`], which
-//! leaves the summary one [`QuantileSketch::insert`] per sample leaves, bit
-//! for bit, without shifting it once per sample.
+//! Their samples wait beside the summary and are folded in at each
+//! compression pass (`QuantileSketch::push`), which leaves the summary one
+//! [`QuantileSketch::insert`] per sample leaves, bit for bit, without
+//! shifting it once per sample.
 //!
 //! Both estimators are also *mergeable*. A sketch's tuple list depends on
 //! insertion order, so merging shards cannot promise the bytes of one
@@ -126,52 +127,22 @@ impl QuantileSketch {
     /// Inserts one sample. Non-finite values are dropped: a NaN from a
     /// diverged run must not poison the whole level's distribution.
     ///
-    /// One value is shifted into the summary; a fold, which
-    /// [`extend`](QuantileSketch::extend) amortises over many values, costs
-    /// a pass over it.
+    /// A fold of one waiting sample, as the level tables fold many.
     pub fn insert(&mut self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        // Position of the first tuple with a strictly greater value, so
-        // equal values append after their run (stable for the multiset).
-        let idx = self.tuples.partition_point(|t| t.v <= v);
-        let delta = if idx == 0 || idx == self.tuples.len() {
-            // New minimum or maximum: exact rank, Δ = 0.
-            0
-        } else {
-            self.band().saturating_sub(1)
-        };
-        self.tuples.insert(idx, Tuple { v, g: 1, delta });
-        self.n += 1;
-        self.since_compress += 1;
-        if self.since_compress >= self.compress_every() {
-            self.compress();
-        }
-    }
-
-    /// Inserts every sample of `values` in order: the summary is bit for
-    /// bit the one an [`insert`] per value leaves, non-finite values
-    /// dropped alike.
-    ///
-    /// Between compression passes the new tuples wait beside the summary,
-    /// each with the position `insert` would give it, and each pass folds
-    /// them in at once: the summary is not shifted once per value.
-    ///
-    /// [`insert`]: QuantileSketch::insert
-    pub fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
         let mut pending = Pending::default();
-        for v in values {
-            self.push(&mut pending, v);
-        }
+        self.push(&mut pending, v);
         self.settle(&mut pending);
     }
 
     /// Adds one sample to `pending`, the tuples waiting beside this
-    /// summary, as [`insert`](QuantileSketch::insert) would add it to the
-    /// summary; folds them in at the compression pass `insert` would run.
+    /// summary, and folds them in at each compression pass. The new tuple
+    /// goes in as it would go into the summary alone: its gap is the
+    /// position in the summary after every tuple not above its value (equal
+    /// values stay in arrival order), and its Δ is 0 below the minimum or
+    /// at or above the maximum, else the band less one.
+    ///
     /// Every read of the summary must [`settle`](QuantileSketch::settle)
-    /// it first, and nothing else may change it meanwhile.
+    /// `pending` first, and nothing else may change it meanwhile.
     pub(crate) fn push(&mut self, pending: &mut Pending, v: f64) {
         if !v.is_finite() {
             return;
@@ -183,7 +154,6 @@ impl QuantileSketch {
             };
             pending.every = self.compress_every();
         }
-        // Δ as `insert` sets it: 0 for a new minimum or maximum.
         let delta = if v >= pending.lo && v < pending.hi {
             self.band().saturating_sub(1)
         } else {
@@ -200,9 +170,10 @@ impl QuantileSketch {
         }
     }
 
-    /// Folds `pending` into the summary: each waiting tuple goes where
-    /// `insert` would have put it, after every summary tuple of its gap
-    /// and every waiting tuple of its gap with a value not above its own.
+    /// Folds `pending` into the summary: each waiting tuple goes after
+    /// every summary tuple of its gap and every waiting tuple of its gap
+    /// with a value not above its own, where one-at-a-time arrivals would
+    /// have put it.
     pub(crate) fn settle(&mut self, pending: &mut Pending) {
         let m = pending.tuples.len();
         if m == 0 {

@@ -317,9 +317,10 @@ fn a_batchs_run_seconds_record_is_one_sample_per_run() {
         report
             .histograms
             .remove("mc.engine.run_seconds")
-            .expect("recorded")
+            .unwrap_or_default()
     };
-    for n in batch_sizes() {
+    // An empty batch records nothing, as no `sample` call does.
+    for n in std::iter::once(0).chain(batch_sizes()) {
         // Values whose repeated sums round, a negative and a non-finite
         // one, and values at and beyond the binned range.
         for per_run in [3.3e-6 / n as f64, 0.1, -2e-6, f64::NAN, 1e-19, 2e13] {

@@ -102,6 +102,12 @@ fn cross_thread_merge_counts_every_call_exactly() {
     assert_eq!(run.calls, (THREADS * PER_THREAD) as u64);
     assert_eq!(program.calls, (THREADS * PER_THREAD) as u64);
     assert_eq!(run.child_ns, program.wall_ns);
+    // Each fresh thread's first scope set the profiler up once, under its
+    // own phase, outside the attribution denominator.
+    let setup = snap.phase(PhaseId::ProfilerSetup).unwrap();
+    assert_eq!(setup.calls, THREADS as u64);
+    assert_eq!(setup.child_ns, 0);
+    assert_eq!(snap.share(setup), None);
 }
 
 #[test]

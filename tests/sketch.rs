@@ -8,14 +8,15 @@
 //! shapes, seeds, and query points.
 
 use oxterm_numerics::stats::quantile;
-use oxterm_telemetry::QuantileSketch;
+use oxterm_telemetry::sketch::DEFAULT_EPSILON;
+use oxterm_telemetry::{LevelTracker, QuantileSketch};
 use proptest::prelude::*;
 
 /// A test-only copy of the sketch's one-value insert and its compression
-/// pass as they stood before `QuantileSketch::extend`, and before the pass
-/// compressed in place. Its `Debug` output has the sketch's shape, so
-/// equal `Debug` strings mean bit-identical summaries: every tuple's value,
-/// gap and band, the count and the inserts since the last pass.
+/// pass as they stood before samples waited beside the summary, and before
+/// the pass compressed in place. Its `Debug` output has the sketch's shape,
+/// so equal `Debug` strings mean bit-identical summaries: every tuple's
+/// value, gap and band, the count and the inserts since the last pass.
 mod reference {
     #[derive(Debug, Clone, Copy)]
     struct Tuple {
@@ -111,38 +112,6 @@ fn awkward_stream(seed: u64, len: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Feeds `data` to the reference one value at a time and to `sketch` in
-/// chunks of the given sizes, alternating `insert` and `extend`, and
-/// asserts the two summaries are bit-identical after every chunk.
-fn assert_tracks_reference(
-    reference: &mut reference::QuantileSketch,
-    sketch: &mut QuantileSketch,
-    data: &[f64],
-    chunks: &mut impl Iterator<Item = usize>,
-) {
-    let mut rest = data;
-    let mut by_insert = false;
-    while !rest.is_empty() {
-        let (chunk, tail) = rest.split_at(chunks.next().unwrap_or(1).clamp(1, rest.len()));
-        for &v in chunk {
-            reference.insert(v);
-        }
-        if by_insert {
-            chunk.iter().for_each(|&v| sketch.insert(v));
-        } else {
-            sketch.extend(chunk.iter().copied());
-        }
-        assert_eq!(
-            format!("{sketch:?}"),
-            format!("{reference:?}"),
-            "after {} values",
-            data.len() - tail.len()
-        );
-        by_insert = !by_insert;
-        rest = tail;
-    }
-}
-
 /// Values from a handful of levels, so most inserts tie with the current
 /// minimum, the maximum or each other.
 fn tied_stream(seed: u64, len: usize) -> Vec<f64> {
@@ -153,55 +122,104 @@ fn tied_stream(seed: u64, len: usize) -> Vec<f64> {
         .collect()
 }
 
-#[test]
-fn insert_and_extend_match_the_one_value_reference_bit_for_bit() {
-    for (case, epsilon) in [0.005, 0.05, 1e-4, 0.5, 0.013].into_iter().enumerate() {
-        for seed in 0..8u64 {
-            let stream = if seed % 2 == 0 {
-                awkward_stream
+/// Values that drift up, then down, with noise, so new extremes keep
+/// arriving, and values between the former extreme and the new one.
+fn drifting_stream(seed: u64, len: usize) -> Vec<f64> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|i| {
+            let drift = if i % 1000 < 500 {
+                i as f64
             } else {
-                tied_stream
+                -(i as f64)
             };
-            let data = stream(seed * 31 + case as u64, 3_000);
+            drift + (xorshift(&mut x) % 64) as f64
+        })
+        .collect()
+}
+
+/// Streams of each kind, with the sizes of the chunks to compare after.
+fn cases(case: u64) -> impl Iterator<Item = (Vec<f64>, Vec<usize>)> {
+    (0..9u64).map(move |seed| {
+        let stream = match seed % 3 {
+            0 => awkward_stream,
+            1 => tied_stream,
+            _ => drifting_stream,
+        };
+        let data = stream(seed * 31 + case, 3_000);
+        let mut x = seed + 7;
+        let mut left = data.len();
+        let mut chunks = Vec::new();
+        while left > 0 {
+            let len = ((xorshift(&mut x) % 260) as usize).clamp(1, left);
+            chunks.push(len);
+            left -= len;
+        }
+        (data, chunks)
+    })
+}
+
+#[test]
+fn insert_matches_the_one_value_reference_bit_for_bit() {
+    for (case, epsilon) in [0.005, 0.05, 1e-4, 0.5, 0.013].into_iter().enumerate() {
+        for (data, chunks) in cases(case as u64) {
             let mut reference = reference::QuantileSketch::new(epsilon);
             let mut sketch = QuantileSketch::new(epsilon);
-            let mut x = seed + 7;
-            let mut chunks = std::iter::from_fn(|| Some((xorshift(&mut x) % 260) as usize));
-            assert_tracks_reference(&mut reference, &mut sketch, &data, &mut chunks);
+            let mut rest = &data[..];
+            for len in chunks {
+                let (chunk, tail) = rest.split_at(len);
+                for &v in chunk {
+                    reference.insert(v);
+                    sketch.insert(v);
+                }
+                assert_eq!(
+                    format!("{sketch:?}"),
+                    format!("{reference:?}"),
+                    "epsilon {epsilon}, after {} values",
+                    data.len() - tail.len()
+                );
+                rest = tail;
+            }
         }
     }
 }
 
 #[test]
-fn extend_after_a_merge_matches_the_reference() {
-    // A merge leaves a compressed summary with widened bands; inserts
-    // after it must still land as the reference's do.
-    let left = awkward_stream(11, 1_500);
-    let right = awkward_stream(12, 900);
-    let (mut a, mut b) = (QuantileSketch::default(), QuantileSketch::default());
-    a.extend(left.iter().copied());
-    b.extend(right.iter().copied());
-    a.merge_from(&b);
-    let mut expected_a = QuantileSketch::default();
-    let mut expected_b = QuantileSketch::default();
-    left.iter().for_each(|&v| expected_a.insert(v));
-    right.iter().for_each(|&v| expected_b.insert(v));
-    expected_a.merge_from(&expected_b);
-    assert_eq!(a, expected_a);
-    let more = awkward_stream(13, 1_000);
-    a.extend(more.iter().copied());
-    more.iter().for_each(|&v| expected_a.insert(v));
-    assert_eq!(a, expected_a);
-}
-
-#[test]
-fn extend_of_only_dropped_values_changes_nothing() {
-    let mut sketch = QuantileSketch::default();
-    sketch.extend([1.0, 2.0, 3.0]);
-    let before = sketch.clone();
-    sketch.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
-    sketch.extend(std::iter::empty());
-    assert_eq!(sketch, before);
+fn a_trackers_waiting_samples_fold_as_the_one_value_reference_inserts() {
+    // The level tracker keeps a level's samples beside its sketch until a
+    // compression pass or a snapshot folds them in; every snapshot must
+    // show the summary one insert per sample leaves. Two levels take
+    // alternate samples; the tracker drops non-finite ones before its
+    // sketches, as the reference drops them on insert.
+    for (data, chunks) in cases(0) {
+        let tracker = LevelTracker::enabled();
+        let mut reference = [0, 1].map(|_| reference::QuantileSketch::new(DEFAULT_EPSILON));
+        let mut rest = &data[..];
+        let mut at = 0;
+        for len in chunks {
+            let (chunk, tail) = rest.split_at(len);
+            let observations: Vec<(u16, f64, f64)> = chunk
+                .iter()
+                .enumerate()
+                .map(|(k, &v)| (((at + k) % 2) as u16, 1e-6, v))
+                .collect();
+            for &(code, _, v) in &observations {
+                reference[usize::from(code)].insert(v);
+            }
+            tracker.observe_all(observations);
+            for level in tracker.snapshot().levels {
+                assert_eq!(
+                    format!("{:?}", level.sketch),
+                    format!("{:?}", reference[usize::from(level.code)]),
+                    "level {}, after {} values",
+                    level.code,
+                    data.len() - tail.len()
+                );
+            }
+            at += len;
+            rest = tail;
+        }
+    }
 }
 
 /// Samples per case — the campaign scale the sketch is specified at.
