@@ -16,7 +16,7 @@
 //! branch-current indices to voltage edges in device insertion order —
 //! exactly the order [`Circuit::add`] allocates them. Devices that stamp
 //! positions outside their declared topology are not visible here, which
-//! matches the netlint preflight's view of the circuit.
+//! matches the netlint topology checks' view of the circuit.
 
 use std::collections::BTreeSet;
 

@@ -24,11 +24,6 @@
 //! * `--telemetry=json` — also write `results/telemetry_<name>.json`.
 //! * `--telemetry=json:PATH` — same, to an explicit path.
 //! * `--progress` — live Monte Carlo campaign status lines on stderr.
-//! * `--lint` — run the netlint preflight over this binary's corpus slice
-//!   before the experiment; findings go to stderr and the counts land in
-//!   the telemetry report (`netlint.findings.deny` / `.warn`).
-//! * `--lint=deny` — same, with warn rules promoted to deny; the process
-//!   exits with status 2 before simulating anything if a finding remains.
 //! * `--probes[=SPEC]` — capture the named node voltages / branch currents
 //!   during the experiment's transients (comma list, e.g.
 //!   `v(sl),v(bl_sense),i(vsense)`; the bare flag uses the binary's default
@@ -60,7 +55,6 @@
 
 use crate::hotpath::{HotPathReport, MatrixStats};
 use oxterm_mc::supervisor::{CampaignOutcome, SupervisorOptions};
-use oxterm_netlint::{corpus, lint_entry, LintConfig, LintOptions};
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::{PhaseGuard, PhaseId, Profiler, Telemetry};
 
@@ -92,18 +86,6 @@ impl CliError {
     }
 }
 
-/// Whether (and how strictly) the netlint preflight runs before the
-/// experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LintMode {
-    /// No flag: the experiment starts immediately.
-    Off,
-    /// `--lint`: lint, report, and continue even on findings.
-    Warn,
-    /// `--lint=deny`: warn rules promoted to deny; abort on any finding.
-    Deny,
-}
-
 /// How the binary was asked to report telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TelemetryMode {
@@ -130,8 +112,6 @@ pub struct ParsedFlags {
     pub mode: TelemetryMode,
     /// Whether `--progress` was present.
     pub progress: bool,
-    /// Netlint preflight mode (`--lint[=deny]`).
-    pub lint: LintMode,
     /// `Some(explicit_spec)` when `--probes[=SPEC]` was present (`None`
     /// inside means "use the binary's default spec").
     pub probes: Option<Option<String>>,
@@ -170,7 +150,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<ParsedFlags, Cl
     let mut parsed = ParsedFlags {
         mode: TelemetryMode::Off,
         progress: false,
-        lint: LintMode::Off,
         probes: None,
         artifacts_dir: None,
         chaos: None,
@@ -191,10 +170,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<ParsedFlags, Cl
             };
         } else if a == "--progress" {
             parsed.progress = true;
-        } else if a == "--lint" {
-            parsed.lint = LintMode::Warn;
-        } else if a == "--lint=deny" {
-            parsed.lint = LintMode::Deny;
         } else if a == "--probes" {
             parsed.probes = Some(None);
         } else if let Some(spec) = a.strip_prefix("--probes=") {
@@ -260,7 +235,7 @@ pub struct TelemetryCli {
 /// and `results/hotpath_<name>.json`.
 ///
 /// A configuration error (unknown `--` flag, bad `--chaos` spec,
-/// out-of-range `--quorum`, deny-mode lint findings) comes back as a
+/// out-of-range `--quorum`) comes back as a
 /// [`CliError`]; the binary prints it and exits with [`CliError::code`].
 pub fn init(name: &'static str) -> Result<(Vec<String>, TelemetryCli), CliError> {
     init_from(name, std::env::args().skip(1))
@@ -280,7 +255,6 @@ pub fn init_from(
     if parsed.profile.is_some() {
         Profiler::install(Profiler::enabled());
     }
-    lint_preflight(name, parsed.lint)?;
     let campaign = campaign_options(name, &parsed)?;
     let supervised = parsed.wants_supervision();
     if let Some(spec) = &parsed.chaos {
@@ -524,47 +498,6 @@ fn sanitize_label(label: &str) -> String {
         .to_string()
 }
 
-/// Runs the netlint preflight over the corpus slice keyed by the binary
-/// name, folds the finding counts into the telemetry report, and — in
-/// deny mode — refuses to start the experiment on a dirty netlist.
-fn lint_preflight(name: &str, mode: LintMode) -> Result<(), CliError> {
-    if mode == LintMode::Off {
-        return Ok(());
-    }
-    let mut config = LintConfig::new();
-    if mode == LintMode::Deny {
-        config = config.deny_warnings();
-    }
-    let opts = LintOptions {
-        config,
-        ..LintOptions::default()
-    };
-    let entries = corpus::for_experiment(name);
-    let (mut deny, mut warn) = (0usize, 0usize);
-    for entry in &entries {
-        let report = lint_entry(entry, &opts);
-        deny += report.deny_count();
-        warn += report.warn_count();
-        if !report.findings.is_empty() {
-            eprint!("{}", report.to_text());
-        }
-    }
-    let tel = Telemetry::global();
-    tel.add("netlint.netlists", entries.len() as u64);
-    tel.add("netlint.findings.deny", deny as u64);
-    tel.add("netlint.findings.warn", warn as u64);
-    eprintln!(
-        "netlint({name}): {} netlist(s), {deny} deny finding(s), {warn} warn finding(s)",
-        entries.len()
-    );
-    if mode == LintMode::Deny && deny > 0 {
-        return Err(CliError::config(format!(
-            "netlint({name}): refusing to run with deny findings (--lint=deny)"
-        )));
-    }
-    Ok(())
-}
-
 fn ensure_parent(path: &str) -> std::io::Result<()> {
     match std::path::Path::new(path).parent() {
         Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
@@ -630,7 +563,13 @@ mod tests {
     #[test]
     fn trace_flags_are_config_errors() {
         // Flags of retired observers fail like any other typo.
-        for retired in ["trace", "trace=results/t.json", "metrics-out=m.prom"] {
+        for retired in [
+            "trace",
+            "trace=results/t.json",
+            "metrics-out=m.prom",
+            "lint",
+            "lint=deny",
+        ] {
             let flag = format!("--{retired}");
             let err = try_parse(&[&flag]).unwrap_err();
             assert_eq!(err.code, 2, "{flag} should be a config error");
@@ -682,15 +621,6 @@ mod tests {
     fn probe_labels_sanitize_to_filename_stems() {
         assert_eq!(sanitize_label("v(bl_sense)"), "v_bl_sense");
         assert_eq!(sanitize_label("i(vsense:0)"), "i_vsense_0");
-    }
-
-    #[test]
-    fn lint_flags_parse() {
-        assert_eq!(parse(&["7"]).lint, LintMode::Off);
-        let p = parse(&["--lint", "7"]);
-        assert_eq!(p.lint, LintMode::Warn);
-        assert_eq!(p.rest, vec!["7".to_string()]);
-        assert_eq!(parse(&["--lint=deny"]).lint, LintMode::Deny);
     }
 
     #[test]

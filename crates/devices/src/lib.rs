@@ -7,7 +7,7 @@
 //! ratioing, triode/saturation transitions, subthreshold conduction, and an
 //! inverter's switching threshold — without the proprietary parameter decks.
 //!
-//! * [`passive`] — resistors and capacitors (with BE/trapezoidal companions).
+//! * [`passive`] — resistors and capacitors (with trapezoidal companions).
 //! * [`sources`] — DC / pulse / PWL voltage and current sources, including
 //!   the pulse-truncation hook ([`sources::VoltageSource::force_end_at`])
 //!   the RESET write-termination uses to chop a programming pulse.

@@ -286,7 +286,7 @@ const ST_VGD: usize = 2;
 const ST_IGD: usize = 3;
 
 impl Mosfet {
-    /// Companion stamp for one gate capacitor between `a` (gate) and `b`.
+    /// Trapezoidal companion stamp for one gate capacitor between `a` (gate) and `b`.
     fn stamp_gate_cap(
         &self,
         ctx: &mut StampContext<'_>,
@@ -296,22 +296,13 @@ impl Mosfet {
         v_prev: f64,
         i_prev: f64,
     ) {
-        use oxterm_spice::device::{AnalysisKind, IntegrationMethod};
-        let AnalysisKind::Tran { dt, method, .. } = ctx.kind() else {
+        use oxterm_spice::device::AnalysisKind;
+        let AnalysisKind::Tran { dt, .. } = ctx.kind() else {
             return;
         };
-        let (g, i_eq) = match method {
-            IntegrationMethod::BackwardEuler => {
-                let g = c / dt;
-                (g, -g * v_prev)
-            }
-            IntegrationMethod::Trapezoidal => {
-                let g = 2.0 * c / dt;
-                (g, -(g * v_prev + i_prev))
-            }
-        };
+        let g = 2.0 * c / dt;
         ctx.stamp_conductance(a, b, g);
-        ctx.stamp_current(a, b, i_eq);
+        ctx.stamp_current(a, b, -(g * v_prev + i_prev));
     }
 }
 
@@ -336,7 +327,6 @@ impl Device for Mosfet {
         if state.is_empty() {
             return;
         }
-        use oxterm_spice::device::IntegrationMethod;
         let vgs = ctx.v(self.g) - ctx.v(self.s);
         let vgd = ctx.v(self.g) - ctx.v(self.d);
         let dt = ctx.dt();
@@ -347,10 +337,8 @@ impl Device for Mosfet {
             state[ST_IGD] = 0.0;
             return;
         }
-        let advance = |c: f64, v: f64, v_prev: f64, i_prev: f64| match ctx.method() {
-            IntegrationMethod::BackwardEuler => c * (v - v_prev) / dt,
-            IntegrationMethod::Trapezoidal => 2.0 * c * (v - v_prev) / dt - i_prev,
-        };
+        let advance =
+            |c: f64, v: f64, v_prev: f64, i_prev: f64| 2.0 * c * (v - v_prev) / dt - i_prev;
         let igs = advance(self.cgs, vgs, state[ST_VGS], state[ST_IGS]);
         let igd = advance(self.cgd, vgd, state[ST_VGD], state[ST_IGD]);
         state[ST_VGS] = vgs;

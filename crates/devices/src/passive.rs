@@ -4,8 +4,7 @@ use std::any::Any;
 
 use oxterm_spice::circuit::NodeId;
 use oxterm_spice::device::{
-    AnalysisKind, Device, DeviceClass, IntegrationMethod, StampContext, StampTopology,
-    UpdateContext,
+    AnalysisKind, Device, DeviceClass, StampContext, StampTopology, UpdateContext,
 };
 
 /// A linear resistor.
@@ -51,19 +50,6 @@ impl Resistor {
     pub fn ohms(&self) -> f64 {
         self.ohms
     }
-
-    /// Changes the resistance (used by parasitic sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ohms` is not strictly positive and finite.
-    pub fn set_ohms(&mut self, ohms: f64) {
-        assert!(
-            ohms.is_finite() && ohms > 0.0,
-            "resistance must be positive and finite, got {ohms}"
-        );
-        self.ohms = ohms;
-    }
 }
 
 impl Device for Resistor {
@@ -106,8 +92,8 @@ impl Device for Resistor {
 
 /// A linear capacitor.
 ///
-/// Open at DC; during transient analysis it stamps a backward-Euler or
-/// trapezoidal companion model using its stored previous voltage/current.
+/// Open at DC; during transient analysis it stamps a trapezoidal companion
+/// model using its stored previous voltage/current.
 #[derive(Debug, Clone)]
 pub struct Capacitor {
     name: String,
@@ -155,23 +141,14 @@ impl Device for Capacitor {
     }
 
     fn stamp(&self, ctx: &mut StampContext<'_>) {
-        let AnalysisKind::Tran { dt, method, .. } = ctx.kind() else {
+        let AnalysisKind::Tran { dt, .. } = ctx.kind() else {
             return; // open at DC
         };
         let v_prev = ctx.state()[STATE_V];
         let i_prev = ctx.state()[STATE_I];
-        let (g, i_eq) = match method {
-            IntegrationMethod::BackwardEuler => {
-                let g = self.farads / dt;
-                (g, -g * v_prev)
-            }
-            IntegrationMethod::Trapezoidal => {
-                let g = 2.0 * self.farads / dt;
-                (g, -(g * v_prev + i_prev))
-            }
-        };
+        let g = 2.0 * self.farads / dt;
         ctx.stamp_conductance(self.a, self.b, g);
-        ctx.stamp_current(self.a, self.b, i_eq);
+        ctx.stamp_current(self.a, self.b, -(g * v_prev + i_prev));
     }
 
     fn update_state(&self, ctx: &UpdateContext<'_>, state: &mut [f64]) {
@@ -185,10 +162,7 @@ impl Device for Capacitor {
         }
         let v_prev = state[STATE_V];
         let i_prev = state[STATE_I];
-        let i = match ctx.method() {
-            IntegrationMethod::BackwardEuler => self.farads * (v - v_prev) / dt,
-            IntegrationMethod::Trapezoidal => 2.0 * self.farads * (v - v_prev) / dt - i_prev,
-        };
+        let i = 2.0 * self.farads * (v - v_prev) / dt - i_prev;
         state[STATE_V] = v;
         state[STATE_I] = i;
     }

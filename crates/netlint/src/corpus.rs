@@ -91,26 +91,6 @@ pub fn shipped() -> Vec<CorpusEntry> {
     all
 }
 
-/// The corpus slice relevant to one experiment binary (by binary name);
-/// unknown names get the full shipped corpus.
-pub fn for_experiment(binary: &str) -> Vec<CorpusEntry> {
-    if binary.starts_with("fig10") {
-        fig10_entries()
-    } else if binary.starts_with("ablation") {
-        let mut v = ablation_entries();
-        v.extend(ladder_entries());
-        v
-    } else if binary.starts_with("fig11") || binary.starts_with("fig13") {
-        // MC experiments run the fast scalar path; lint the circuit-level
-        // equivalents of what that path models.
-        let mut v = fig10_entries();
-        v.extend(ladder_entries());
-        v
-    } else {
-        shipped()
-    }
-}
-
 // --- Seeded defects -------------------------------------------------------
 //
 // Each builder plants exactly one defect class in an otherwise-shipped

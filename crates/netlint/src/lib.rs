@@ -25,8 +25,7 @@
 //!
 //! The [`corpus`] module rebuilds the netlists the shipped experiments
 //! simulate (plus seeded-defect variants for the lint's own tests), so the
-//! standalone `netlint` binary and the experiment binaries' `--lint` flag
-//! check the same circuits the runs will use.
+//! standalone `netlint` binary checks the same circuits the runs will use.
 //!
 //! # Examples
 //!
@@ -233,7 +232,7 @@ impl LintConfig {
         self
     }
 
-    /// Promotes every warn-by-default rule to deny (`--lint=deny`).
+    /// Promotes every warn-by-default rule to deny (`--deny-warnings`).
     #[must_use]
     pub fn deny_warnings(mut self) -> Self {
         for &(rule, default, _) in RULES {

@@ -83,19 +83,3 @@ fn shipped_netlists_have_no_warnings_either() {
         );
     }
 }
-
-#[test]
-fn experiment_slices_are_nonempty() {
-    for binary in [
-        "fig10_transient",
-        "fig11_mc_boxplots",
-        "fig13_energy_latency",
-        "ablation_corners",
-        "unknown",
-    ] {
-        assert!(
-            !corpus::for_experiment(binary).is_empty(),
-            "empty corpus slice for {binary}"
-        );
-    }
-}

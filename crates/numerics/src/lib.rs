@@ -7,10 +7,8 @@
 //! optimization helpers used by the Monte Carlo and calibration layers:
 //!
 //! * [`dense`] — row-major dense matrices and LU factorization with partial
-//!   pivoting (the workhorse for small modified-nodal-analysis systems).
-//! * [`sparse`] — compressed-sparse-column matrices built from triplets.
-//! * [`sparse_lu`] — a left-looking Gilbert–Peierls sparse LU with partial
-//!   pivoting for larger memory-array netlists.
+//!   pivoting, the one solver for every modified-nodal-analysis system in
+//!   the workspace (the largest, an 8×8 array tile, has 128 unknowns).
 //! * [`interp`] — piecewise-linear waveforms (sources, measured curves).
 //! * [`stats`] — quantiles, box-plot statistics, CDFs, and regression used to
 //!   reproduce the paper's distribution figures.
@@ -40,8 +38,6 @@ pub mod dense;
 pub mod interp;
 pub mod optimize;
 pub mod roots;
-pub mod sparse;
-pub mod sparse_lu;
 pub mod special;
 pub mod stats;
 

@@ -5,41 +5,16 @@ pub mod op;
 pub mod tran;
 
 use oxterm_numerics::dense::DMatrix;
-use oxterm_numerics::sparse::TripletMatrix;
-use oxterm_numerics::sparse_lu::SparseLu;
 
 use oxterm_telemetry::{CounterId, PhaseId, Profiler, Telemetry};
 
 use crate::circuit::Circuit;
-use crate::device::{AnalysisKind, DenseSink, StampContext, TripletSink};
+use crate::device::{AnalysisKind, StampContext};
 use crate::options::SimOptions;
 use crate::SpiceError;
 
-/// One linearized MNA system, dense or sparse by the circuit's size.
-enum MnaSystem {
-    Dense(DMatrix, Vec<f64>),
-    Sparse(TripletMatrix, Vec<f64>),
-}
-
-impl MnaSystem {
-    /// Factors the system and solves it: the next Newton iterate.
-    fn solve(self) -> Result<Vec<f64>, SpiceError> {
-        let tel = Telemetry::global();
-        match self {
-            MnaSystem::Dense(a, b) => {
-                tel.incr("spice.newton.lu_dense");
-                Ok(a.factorize()?.solve(&b)?)
-            }
-            MnaSystem::Sparse(a, b) => {
-                tel.incr("spice.newton.lu_sparse");
-                Ok(SparseLu::factorize(&a.to_csc())?.solve(&b)?)
-            }
-        }
-    }
-}
-
-/// Allocates and stamps the linearized MNA system at the candidate
-/// solution (`None` for a circuit with no unknowns).
+/// Allocates and stamps the linearized MNA system `A·x = b` at the
+/// candidate solution (`None` for a circuit with no unknowns).
 fn assemble(
     circuit: &Circuit,
     candidate: &[f64],
@@ -47,48 +22,30 @@ fn assemble(
     kind: AnalysisKind,
     source_factor: f64,
     gshunt: f64,
-    opts: &SimOptions,
-) -> Option<MnaSystem> {
+) -> Option<(DMatrix, Vec<f64>)> {
     let n = circuit.n_unknowns();
     if n == 0 {
         return None;
     }
     let nn = circuit.n_nodes() - 1;
+    let mut a = DMatrix::zeros(n, n);
     let mut b = vec![0.0; n];
-    let stamp_all = |sink: &mut dyn crate::device::MnaSink| {
-        for el in &circuit.elements {
-            let mut ctx = StampContext {
-                sink,
-                candidate,
-                state: &state[el.state_offset..el.state_offset + el.state_len],
-                kind,
-                source_factor,
-                branch_base: nn + el.branch_offset,
-            };
-            el.device.stamp(&mut ctx);
-        }
-    };
-    if n <= opts.sparse_threshold {
-        let mut a = DMatrix::zeros(n, n);
-        stamp_all(&mut DenseSink {
+    for el in &circuit.elements {
+        let mut ctx = StampContext {
             a: &mut a,
             b: &mut b,
-        });
-        for i in 0..nn {
-            a.add(i, i, gshunt);
-        }
-        Some(MnaSystem::Dense(a, b))
-    } else {
-        let mut a = TripletMatrix::new(n, n);
-        stamp_all(&mut TripletSink {
-            a: &mut a,
-            b: &mut b,
-        });
-        for i in 0..nn {
-            a.add(i, i, gshunt);
-        }
-        Some(MnaSystem::Sparse(a, b))
+            candidate,
+            state: &state[el.state_offset..el.state_offset + el.state_len],
+            kind,
+            source_factor,
+            branch_base: nn + el.branch_offset,
+        };
+        el.device.stamp(&mut ctx);
     }
+    for i in 0..nn {
+        a.add(i, i, gshunt);
+    }
+    Some((a, b))
 }
 
 /// Result of a Newton solve: the converged iterate and the iteration count.
@@ -147,10 +104,10 @@ pub(crate) fn newton_solve(
         if iter > 0 {
             phase = phase.then(PhaseId::NewtonStamp);
         }
-        let system = assemble(circuit, &x, state, kind, source_factor, gshunt, opts);
+        let system = assemble(circuit, &x, state, kind, source_factor, gshunt);
         phase = phase.then(PhaseId::NewtonSolveLu);
         let x_new = match system {
-            Some(system) => system.solve()?,
+            Some((a, b)) => a.factorize()?.solve(&b)?,
             None => Vec::new(),
         };
         phase = phase.then(PhaseId::NewtonResidual);

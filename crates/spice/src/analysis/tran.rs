@@ -85,11 +85,6 @@ impl TranResult {
         self.times.is_empty()
     }
 
-    /// Final simulated time (successful runs always record `t = 0`).
-    pub fn end_time(&self) -> f64 {
-        self.times.last().copied().unwrap_or(0.0)
-    }
-
     /// Voltage trace of a node.
     pub fn node_trace(&self, node: NodeId) -> Waveform {
         let y = match node.unknown() {
@@ -145,11 +140,6 @@ impl TranResult {
             self.n_node_unknowns,
         )
     }
-
-    /// The device-state vector at the final accepted point.
-    pub fn final_state(&self) -> &[f64] {
-        self.states.last().map(Vec::as_slice).unwrap_or(&[])
-    }
 }
 
 /// Runs a transient analysis.
@@ -194,7 +184,7 @@ pub fn run_transient(
     let mut ts_ring = oxterm_telemetry::postmortem::is_active().then(TimestepRing::new);
     let op = solve_op(circuit, &OpOptions { sim })?;
     let mut state = circuit.initial_state();
-    prime_states(circuit, op.as_slice(), &mut state, opts);
+    prime_states(circuit, op.as_slice(), &mut state);
     // Per-device energy integration: armed only when the process-global
     // joule ledger is; disarmed runs pay one branch here and nothing in
     // the step loop.
@@ -202,7 +192,7 @@ pub fn run_transient(
         let ledger = JouleLedger::global().clone();
         ledger.is_enabled().then(|| {
             let mut m = PowerMeter::new(circuit, ledger);
-            m.prime(circuit, op.as_slice(), &state, opts);
+            m.prime(circuit, op.as_slice(), &state);
             m
         })
     };
@@ -289,7 +279,6 @@ pub fn run_transient(
             let kind = AnalysisKind::Tran {
                 time: t + dt_try,
                 dt: dt_try,
-                method: opts.method,
             };
             let outcome = newton_solve(circuit, &x, &state, kind, 1.0, sim.gmin, &sim);
             let NewtonOutcome { x: x_new, iters } = match outcome {
@@ -368,12 +357,12 @@ pub fn run_transient(
             // Accept: advance device state and record. Each scope hands
             // over to the next at one clock read.
             let states_phase = monitors_phase.then(PhaseId::TranStates);
-            advance_states(circuit, &x_new, &mut state, t + dt_try, dt_try, opts);
+            advance_states(circuit, &x_new, &mut state, t + dt_try, dt_try);
             let record = states_phase.then(PhaseId::TranRecord);
             t += dt_try;
             x = x_new;
             if let Some(m) = &mut meter {
-                m.accumulate(circuit, &x, &state, t, dt_try, opts);
+                m.accumulate(circuit, &x, &state, t, dt_try);
             }
             result.times.push(t);
             result.data.push(x.clone());
@@ -446,14 +435,13 @@ impl PowerMeter {
 
     /// Samples the `t = 0` power from the operating point (the left edge
     /// of the first trapezoid).
-    fn prime(&mut self, circuit: &Circuit, solution: &[f64], state: &[f64], opts: &TranOptions) {
+    fn prime(&mut self, circuit: &Circuit, solution: &[f64], state: &[f64]) {
         let nn = circuit.n_nodes() - 1;
         for (k, el) in circuit.elements.iter().enumerate() {
             let ctx = UpdateContext {
                 solution,
                 time: 0.0,
                 dt: 0.0,
-                method: opts.method,
                 branch_base: nn + el.branch_offset,
             };
             self.prev[k] = el.device.power(
@@ -472,7 +460,6 @@ impl PowerMeter {
         state: &[f64],
         time: f64,
         dt: f64,
-        opts: &TranOptions,
     ) {
         let nn = circuit.n_nodes() - 1;
         let phase = joule::current_phase().index();
@@ -481,7 +468,6 @@ impl PowerMeter {
                 solution,
                 time,
                 dt,
-                method: opts.method,
                 branch_base: nn + el.branch_offset,
             };
             let p = el.device.power(
@@ -510,7 +496,7 @@ impl PowerMeter {
 }
 
 /// Primes device states from the DC operating point (`dt = 0` convention).
-fn prime_states(circuit: &Circuit, solution: &[f64], state: &mut [f64], opts: &TranOptions) {
+fn prime_states(circuit: &Circuit, solution: &[f64], state: &mut [f64]) {
     let _states = Profiler::global().phase(PhaseId::TranStates);
     let nn = circuit.n_nodes() - 1;
     for el in &circuit.elements {
@@ -518,7 +504,6 @@ fn prime_states(circuit: &Circuit, solution: &[f64], state: &mut [f64], opts: &T
             solution,
             time: 0.0,
             dt: 0.0,
-            method: opts.method,
             branch_base: nn + el.branch_offset,
         };
         el.device.update_state(
@@ -530,21 +515,13 @@ fn prime_states(circuit: &Circuit, solution: &[f64], state: &mut [f64], opts: &T
 
 /// Advances device states over an accepted step, inside the caller's
 /// `tran/states` scope.
-fn advance_states(
-    circuit: &Circuit,
-    solution: &[f64],
-    state: &mut [f64],
-    time: f64,
-    dt: f64,
-    opts: &TranOptions,
-) {
+fn advance_states(circuit: &Circuit, solution: &[f64], state: &mut [f64], time: f64, dt: f64) {
     let nn = circuit.n_nodes() - 1;
     for el in &circuit.elements {
         let ctx = UpdateContext {
             solution,
             time,
             dt,
-            method: opts.method,
             branch_base: nn + el.branch_offset,
         };
         el.device.update_state(

@@ -10,20 +10,10 @@
 use std::any::Any;
 use std::fmt;
 
+use oxterm_numerics::dense::DMatrix;
 pub use oxterm_telemetry::joule::DeviceClass;
 
 use crate::circuit::NodeId;
-
-/// Numerical integration method used for dynamic (charge/state) devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IntegrationMethod {
-    /// First-order implicit Euler — maximally stable, used for the first
-    /// step and after discontinuities.
-    BackwardEuler,
-    /// Second-order trapezoidal rule — the steady-state workhorse.
-    #[default]
-    Trapezoidal,
-}
 
 /// Which analysis is currently stamping, plus its time-domain context.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,58 +26,7 @@ pub enum AnalysisKind {
         time: f64,
         /// Step size.
         dt: f64,
-        /// Companion-model integration method.
-        method: IntegrationMethod,
     },
-}
-
-/// Destination for matrix and right-hand-side stamps.
-///
-/// Implemented for both the dense and the sparse assembly paths so device
-/// code is written once.
-pub trait MnaSink {
-    /// Adds `v` to `A[r, c]`.
-    fn add(&mut self, r: usize, c: usize, v: f64);
-    /// Adds `v` to `b[r]`.
-    fn rhs(&mut self, r: usize, v: f64);
-}
-
-/// Dense assembly sink.
-pub struct DenseSink<'m> {
-    /// Matrix being assembled.
-    pub a: &'m mut oxterm_numerics::dense::DMatrix,
-    /// Right-hand side being assembled.
-    pub b: &'m mut [f64],
-}
-
-impl MnaSink for DenseSink<'_> {
-    #[inline]
-    fn add(&mut self, r: usize, c: usize, v: f64) {
-        self.a.add(r, c, v);
-    }
-    #[inline]
-    fn rhs(&mut self, r: usize, v: f64) {
-        self.b[r] += v;
-    }
-}
-
-/// Sparse (triplet) assembly sink.
-pub struct TripletSink<'m> {
-    /// Triplet accumulator being assembled.
-    pub a: &'m mut oxterm_numerics::sparse::TripletMatrix,
-    /// Right-hand side being assembled.
-    pub b: &'m mut [f64],
-}
-
-impl MnaSink for TripletSink<'_> {
-    #[inline]
-    fn add(&mut self, r: usize, c: usize, v: f64) {
-        self.a.add(r, c, v);
-    }
-    #[inline]
-    fn rhs(&mut self, r: usize, v: f64) {
-        self.b[r] += v;
-    }
 }
 
 /// Structural description of a device's DC stamp pattern, consumed by the
@@ -120,7 +59,10 @@ pub struct StampTopology {
 
 /// Everything a device sees while stamping one Newton iteration.
 pub struct StampContext<'a> {
-    pub(crate) sink: &'a mut dyn MnaSink,
+    /// Matrix being assembled.
+    pub(crate) a: &'a mut DMatrix,
+    /// Right-hand side being assembled.
+    pub(crate) b: &'a mut [f64],
     /// Candidate solution (previous Newton iterate).
     pub(crate) candidate: &'a [f64],
     /// This device's previous-step internal state.
@@ -182,7 +124,7 @@ impl StampContext<'_> {
     pub fn mat(&mut self, r: Option<usize>, c: Option<usize>, v: f64) {
         if let (Some(r), Some(c)) = (r, c) {
             if v != 0.0 {
-                self.sink.add(r, c, v);
+                self.a.add(r, c, v);
             }
         }
     }
@@ -191,7 +133,7 @@ impl StampContext<'_> {
     pub fn rhs(&mut self, r: Option<usize>, v: f64) {
         if let Some(r) = r {
             if v != 0.0 {
-                self.sink.rhs(r, v);
+                self.b[r] += v;
             }
         }
     }
@@ -267,7 +209,6 @@ pub struct UpdateContext<'a> {
     pub(crate) solution: &'a [f64],
     pub(crate) time: f64,
     pub(crate) dt: f64,
-    pub(crate) method: IntegrationMethod,
     pub(crate) branch_base: usize,
 }
 
@@ -293,11 +234,6 @@ impl UpdateContext<'_> {
     /// Size of the accepted step.
     pub fn dt(&self) -> f64 {
         self.dt
-    }
-
-    /// Integration method used for the accepted step.
-    pub fn method(&self) -> IntegrationMethod {
-        self.method
     }
 }
 
@@ -390,15 +326,16 @@ pub trait Device: fmt::Debug + Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oxterm_numerics::dense::DMatrix;
 
     fn ctx_on<'a>(
-        sink: &'a mut DenseSink<'a>,
+        a: &'a mut DMatrix,
+        b: &'a mut [f64],
         candidate: &'a [f64],
         n_node_unknowns: usize,
     ) -> StampContext<'a> {
         StampContext {
-            sink,
+            a,
+            b,
             candidate,
             state: &[],
             kind: AnalysisKind::Dc,
@@ -411,12 +348,8 @@ mod tests {
     fn conductance_stamp_pattern() {
         let mut a = DMatrix::zeros(2, 2);
         let mut b = vec![0.0; 2];
-        let mut sink = DenseSink {
-            a: &mut a,
-            b: &mut b,
-        };
         let cand = [0.0, 0.0];
-        let mut ctx = ctx_on(&mut sink, &cand, 2);
+        let mut ctx = ctx_on(&mut a, &mut b, &cand, 2);
         ctx.stamp_conductance(NodeId(1), NodeId(2), 2.0);
         assert_eq!(a.get(0, 0), 2.0);
         assert_eq!(a.get(1, 1), 2.0);
@@ -428,12 +361,8 @@ mod tests {
     fn conductance_to_ground_drops_ground_row() {
         let mut a = DMatrix::zeros(1, 1);
         let mut b = vec![0.0; 1];
-        let mut sink = DenseSink {
-            a: &mut a,
-            b: &mut b,
-        };
         let cand = [0.0];
-        let mut ctx = ctx_on(&mut sink, &cand, 1);
+        let mut ctx = ctx_on(&mut a, &mut b, &cand, 1);
         ctx.stamp_conductance(NodeId(1), NodeId(0), 3.0);
         assert_eq!(a.get(0, 0), 3.0);
     }
@@ -442,12 +371,8 @@ mod tests {
     fn current_source_signs() {
         let mut a = DMatrix::zeros(2, 2);
         let mut b = vec![0.0; 2];
-        let mut sink = DenseSink {
-            a: &mut a,
-            b: &mut b,
-        };
         let cand = [0.0, 0.0];
-        let mut ctx = ctx_on(&mut sink, &cand, 2);
+        let mut ctx = ctx_on(&mut a, &mut b, &cand, 2);
         // 1 mA from node1 through the source into node2.
         ctx.stamp_current(NodeId(1), NodeId(2), 1e-3);
         assert_eq!(b[0], -1e-3);
@@ -459,12 +384,8 @@ mod tests {
         // 2 node unknowns + 1 branch.
         let mut a = DMatrix::zeros(3, 3);
         let mut b = vec![0.0; 3];
-        let mut sink = DenseSink {
-            a: &mut a,
-            b: &mut b,
-        };
         let cand = [0.0; 3];
-        let mut ctx = ctx_on(&mut sink, &cand, 2);
+        let mut ctx = ctx_on(&mut a, &mut b, &cand, 2);
         ctx.stamp_voltage_source(0, NodeId(1), NodeId(0), 5.0);
         assert_eq!(a.get(0, 2), 1.0);
         assert_eq!(a.get(2, 0), 1.0);
@@ -475,12 +396,8 @@ mod tests {
     fn candidate_voltages_visible() {
         let mut a = DMatrix::zeros(2, 2);
         let mut b = vec![0.0; 2];
-        let mut sink = DenseSink {
-            a: &mut a,
-            b: &mut b,
-        };
         let cand = [1.5, -0.5];
-        let ctx = ctx_on(&mut sink, &cand, 2);
+        let ctx = ctx_on(&mut a, &mut b, &cand, 2);
         assert_eq!(ctx.v(NodeId(0)), 0.0);
         assert_eq!(ctx.v(NodeId(1)), 1.5);
         assert_eq!(ctx.v(NodeId(2)), -0.5);
@@ -492,12 +409,8 @@ mod tests {
         // conductance 3 plus source (2 − 3·1) = −1 from p to n.
         let mut a = DMatrix::zeros(1, 1);
         let mut b = vec![0.0; 1];
-        let mut sink = DenseSink {
-            a: &mut a,
-            b: &mut b,
-        };
         let cand = [1.0];
-        let mut ctx = ctx_on(&mut sink, &cand, 1);
+        let mut ctx = ctx_on(&mut a, &mut b, &cand, 1);
         ctx.stamp_nonlinear_branch(NodeId(1), NodeId(0), 2.0, 3.0, 1.0);
         assert_eq!(a.get(0, 0), 3.0);
         assert_eq!(b[0], 1.0); // −(i − g·v0) = −(−1)

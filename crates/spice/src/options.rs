@@ -1,6 +1,5 @@
 //! Tolerances and analysis options.
 
-use crate::device::IntegrationMethod;
 use crate::probe::ProbePlan;
 
 /// Newton–Raphson and assembly tolerances shared by all analyses.
@@ -18,8 +17,6 @@ pub struct SimOptions {
     pub gmin: f64,
     /// Per-iteration clamp on node-voltage updates (V) — global damping.
     pub max_dv: f64,
-    /// Systems larger than this many unknowns use the sparse LU path.
-    pub sparse_threshold: usize,
 }
 
 impl Default for SimOptions {
@@ -31,7 +28,6 @@ impl Default for SimOptions {
             max_newton_iters: 150,
             gmin: 1e-12,
             max_dv: 1.0,
-            sparse_threshold: 150,
         }
     }
 }
@@ -62,8 +58,6 @@ pub struct TranOptions {
     pub dt_max: Option<f64>,
     /// Hard cap on accepted steps.
     pub max_steps: usize,
-    /// Integration method for dynamic devices.
-    pub method: IntegrationMethod,
     /// Largest node-voltage change allowed per accepted step (V); larger
     /// changes cause the step to be retried at half size. This is the
     /// engine's local-accuracy control.
@@ -83,7 +77,6 @@ impl TranOptions {
             dt_min: 1e-16,
             dt_max: None,
             max_steps: 2_000_000,
-            method: IntegrationMethod::Trapezoidal,
             dv_step_max: 0.3,
             probes: ProbePlan::none(),
         }

@@ -575,8 +575,8 @@ impl ProfileSnapshot {
     /// Fraction of profiled solver work attributed to leaf phases
     /// (`None` when nothing non-orchestration recorded), leaving out self
     /// time tallied as preempted so a preemption cannot swing it. The hot-path report's
-    /// headline number: the sparse-LU rewrite is gated on this staying
-    /// ≥ 0.9 so "time we can't name" never silently grows.
+    /// headline number: `tests/hotpath.rs` gates it at ≥ 0.9 so "time we
+    /// can't name" never silently grows.
     pub fn leaf_coverage(&self) -> Option<f64> {
         let on_cpu = |role: fn(PhaseRole) -> bool| -> u64 {
             self.phases
