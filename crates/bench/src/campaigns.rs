@@ -312,8 +312,8 @@ mod tests {
                 .expect("campaign runs");
             (tracker.snapshot(), ledger.snapshot().levels)
         };
-        // One worker runs on the calling thread (the serial path); two run
-        // on their own threads.
+        // One worker is the calling thread alone; two are the caller and
+        // one helper thread.
         let (levels, energy) = observe(1);
         assert_eq!(levels.levels.len(), 16);
         assert!(levels.levels.iter().all(|l| l.n == runs as u64));

@@ -423,13 +423,18 @@ pub fn end_run() {
 
 /// The per-hook injection decision.
 ///
-/// Disarmed (the default): one relaxed atomic load, zero allocation.
-/// Armed: consults the thread-local run context; fires at most once per
-/// kind per attempt and appends to the injection log.
+/// Disarmed (the default): one relaxed atomic load, inlined into the hook,
+/// zero allocation. Armed: consults the thread-local run context; fires at
+/// most once per kind per attempt and appends to the injection log.
+#[inline]
 pub fn should_inject(kind: FaultKind) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
+    ARMED.load(Ordering::Relaxed) && armed_should_inject(kind)
+}
+
+/// [`should_inject`] once a plan is armed, kept out of line.
+#[cold]
+#[inline(never)]
+fn armed_should_inject(kind: FaultKind) -> bool {
     CTX.with(|c| {
         let Some(mut ctx) = c.get() else {
             return false;

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::progress::CampaignProgress;
 
@@ -28,7 +29,7 @@ pub struct MonteCarlo {
     pub runs: usize,
     /// Campaign seed.
     pub seed: u64,
-    /// Worker threads (`None` = available parallelism).
+    /// Worker threads, the caller included (`None` = available parallelism).
     pub threads: Option<usize>,
 }
 
@@ -42,18 +43,18 @@ impl MonteCarlo {
         }
     }
 
-    /// Forces a specific worker count (1 = serial).
+    /// Forces a specific worker count (1 = the calling thread alone).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
+    /// The worker count; available parallelism is read once per process.
     fn resolved_threads(&self) -> usize {
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
         self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         })
     }
 
@@ -75,14 +76,14 @@ impl MonteCarlo {
     ///
     /// Work is distributed dynamically (an atomic cursor), so uneven
     /// per-run cost — low-reference-current RESETs take longest — balances
-    /// across workers. A closure of one run gains nothing from batches, so
-    /// workers claim one run at a time.
+    /// across workers. Workers claim up to [`BATCH`] runs at a time, as
+    /// supervised campaigns do, which is faster even for a trivial closure.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, &mut StdRng) -> T + Sync,
     {
-        self.run_batches(&self.start_progress(), 1, |runs| {
+        self.run_batches(&self.start_progress(), BATCH, |runs| {
             runs.map(|i| f(i, &mut self.rng_for_run(i))).collect()
         })
     }
@@ -94,9 +95,9 @@ impl MonteCarlo {
         CampaignProgress::start(self.runs, threads)
     }
 
-    /// The campaign on the workers `progress` was started with: each
-    /// worker claims up to `batch` consecutive runs from the cursor and
-    /// hands them to `f`, which returns one result per run, in order.
+    /// The campaign on `progress`'s workers, the calling thread one of
+    /// them: each claims up to `batch` consecutive runs from the cursor
+    /// and hands them to `f`, which returns one result per run, in order.
     /// Claims shrink on small campaigns so every worker still gets a few.
     ///
     /// The observers see batches: `mc/worker/run` is entered once per
@@ -129,7 +130,7 @@ impl MonteCarlo {
 
         let cursor = AtomicUsize::new(0);
         // One worker: claim the next runs, time them, keep their results.
-        // Its records stay on its thread's shard until it exits.
+        // Its records stay on its thread's shard until it finishes.
         let worker = || {
             let mut done = Vec::new();
             let mut busy = 0.0f64;
@@ -162,22 +163,16 @@ impl MonteCarlo {
             oxterm_telemetry::flush_thread();
             done
         };
-        let parts = if threads <= 1 {
-            // Serial campaigns stay on the calling thread, so its
-            // thread-local post-mortem stash and profiler stack see the runs.
-            vec![worker()]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
+        let mut batches = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let mut batches = worker();
+            for h in helpers {
+                batches.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            batches
+        });
         progress.finish();
         campaign_span.finish();
-        let mut batches: Vec<(usize, Vec<T>)> = parts.into_iter().flatten().collect();
         batches.sort_unstable_by_key(|&(start, _)| start);
         batches.into_iter().flat_map(|(_, values)| values).collect()
     }
@@ -195,13 +190,40 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use rand::Rng;
+    use std::collections::HashSet;
 
     #[test]
     fn parallel_matches_serial_exactly() {
-        let campaign = MonteCarlo::new(200, 7);
+        let campaign = MonteCarlo::new(500, 7);
         let serial: Vec<f64> = campaign.with_threads(1).run(|_, rng| rng.random::<f64>());
-        let parallel: Vec<f64> = campaign.with_threads(8).run(|_, rng| rng.random::<f64>());
-        assert_eq!(serial, parallel);
+        for n in 1..=8 {
+            let out = campaign
+                .with_threads(n)
+                .run(|_, rng| (std::thread::current().id(), rng.random::<f64>()));
+            let ids: HashSet<_> = out.iter().map(|&(id, _)| id).collect();
+            assert!(ids.len() <= n, "{n} workers ran on {} threads", ids.len());
+            let parallel: Vec<f64> = out.into_iter().map(|(_, v)| v).collect();
+            assert_eq!(serial, parallel, "{n} workers");
+        }
+    }
+
+    #[test]
+    fn one_worker_is_the_calling_thread() {
+        let caller = std::thread::current().id();
+        // Runs long enough that any spawned worker would claim some.
+        let ids = MonteCarlo::new(8, 5).with_threads(1).run(|_, _| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    #[should_panic(expected = "run 37 panics")]
+    fn a_panicking_run_reaches_the_caller() {
+        MonteCarlo::new(100, 2).with_threads(4).run(|i, _| {
+            assert_ne!(i, 37, "run 37 panics");
+        });
     }
 
     #[test]
