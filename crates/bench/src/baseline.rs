@@ -9,8 +9,9 @@
 //!
 //! The gate is two-sided: a distribution moving in either direction is a
 //! reproducibility break. Every gated statistic shares one bound,
-//! [`DRIFT_FRAC`] (±5 %), far above the quantile sketch's ±0.5 % rank
-//! error yet well below any real model or allocation change. Counts,
+//! [`DRIFT_FRAC`] (±5 %), far above the level histograms' value bound
+//! (±1.2e-4 on resistance, ±2.5e-3 on energy and latency) yet well below
+//! any real model or allocation change. Counts,
 //! energy spreads, time saved and the rollups are informational.
 //!
 //! The module also owns the minimal flat-JSON reader behind every flat

@@ -136,8 +136,8 @@ fn main() {
 
 /// Asserts that the streaming level tracker agrees with the batch sample
 /// vectors it was fed from: per level, identical counts and means (the
-/// Welford merge is exact) and a median within the sketch's rank-error
-/// bound of the exact empirical rank. Divergence is a hard failure —
+/// Welford merge is exact) and a median within the histogram's value
+/// bound of the exact order statistic at its rank. Divergence is a hard failure —
 /// the two statistics paths must never drift apart silently.
 ///
 /// Levels whose tracker count differs from the batch count are skipped
@@ -168,20 +168,20 @@ fn cross_check_streaming(samples: &[LevelSamples]) {
             );
             std::process::exit(1);
         }
-        // The sketch's median must land within ε (+ discretisation) of
-        // the exact rank 0.5 in the batch vector.
+        // The streaming median must land within the histogram's value
+        // bound of the exact order statistic at its rank.
         let mut sorted = s.r.clone();
         sorted.sort_by(f64::total_cmp);
-        let rank = sorted.iter().filter(|&&x| x <= level.p50).count() as f64;
-        let target = 0.5 * (n - 1) as f64 + 1.0;
-        let tol_frac = level.sketch.rank_error_bound() + 2.0 / n as f64;
-        let err = (rank - target).abs() / n as f64;
-        if err > tol_frac {
+        let exact = sorted[(0.5 * (n - 1) as f64).round() as usize];
+        let err = (level.p50 - exact).abs() / exact;
+        let bound = level.histogram.relative_error();
+        if err > bound {
             eprintln!(
-                "fig11: STREAMING CROSS-CHECK FAILED: level {:04b} p50 {} has \
-                 rank error {err:.4} (bound {tol_frac:.4})",
+                "fig11: STREAMING CROSS-CHECK FAILED: level {:04b} p50 {} is \
+                 {err:.2e} from the order statistic {} (bound {bound:.2e})",
                 s.code,
-                eng(level.p50, "Ω")
+                eng(level.p50, "Ω"),
+                eng(exact, "Ω")
             );
             std::process::exit(1);
         }
@@ -194,8 +194,8 @@ fn cross_check_streaming(samples: &[LevelSamples]) {
         );
     } else {
         eprintln!(
-            "fig11: streaming cross-check: batch and sketch statistics agree on all \
-             {checked} levels (means exact, medians within rank error)"
+            "fig11: streaming cross-check: batch and histogram statistics agree on all \
+             {checked} levels (means exact, medians within the bin half-width)"
         );
     }
 }

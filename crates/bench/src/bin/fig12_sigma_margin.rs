@@ -96,7 +96,7 @@ fn main() {
     // BER upper bounds and the 3/4/5/6-bit feasibility verdicts.
     match LevelReport::from_snapshot(&LevelTracker::global().snapshot()) {
         Ok(streaming) => {
-            println!("\n== streaming level report (sketch-derived, bounded memory) ==\n");
+            println!("\n== streaming level report (histogram-derived, bounded memory) ==\n");
             print!("{}", streaming.to_table());
         }
         Err(e) => {

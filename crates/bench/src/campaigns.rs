@@ -12,8 +12,10 @@
 //! change no sample.
 //!
 //! Campaigns feed the streaming level tracker and joule ledger in run
-//! order once their workers are done, so their summaries (and the results
-//! files written from them) are the same bytes on every run.
+//! order once their workers are done, so their Welford moments, whose
+//! floating-point sums depend on order, and the results files written
+//! from them are the same bytes on every run. The level histograms'
+//! counts would come out the same in any order.
 
 use oxterm_mc::engine::MonteCarlo;
 use oxterm_mc::supervisor::{
@@ -76,7 +78,7 @@ impl LevelCampaign {
 /// reports get their distributions from.
 ///
 /// It runs on the calling thread once the workers are done, in run order,
-/// so the observers' sketches and moments see one sequence whatever the
+/// so the observers' moments see one sequence whatever the
 /// worker count, and no worker takes a lock to observe. Each observer
 /// takes its lock once per campaign. Failed runs,
 /// including injected chaos faults, feed nothing, so a retried run
@@ -326,16 +328,18 @@ mod tests {
 
     #[test]
     fn run_order_feed_matches_one_observation_at_a_time() {
-        use oxterm_telemetry::QuantileSketch;
+        use oxterm_telemetry::joule::{ENERGY_RATIO, LATENCY_RATIO};
+        use oxterm_telemetry::levels::R_RATIO;
+        use oxterm_telemetry::Histogram;
         let params = OxramParams::calibrated();
         let alloc = LevelAllocation::paper_qlc();
         let runs = 9;
         let (tracker, ledger) = (LevelTracker::enabled(), JouleLedger::enabled());
         let (one_tracker, one_ledger) = (LevelTracker::enabled(), JouleLedger::enabled());
-        // The values each level's sketches saw, fed one `insert` at a time.
-        let mut inserted = vec![[(); 3].map(|()| QuantileSketch::default()); 16];
-        // Two campaigns into the same observers, with a snapshot between:
-        // samples waiting beside a sketch must survive both.
+        // The values each level's histograms saw, recorded one at a time.
+        let mut recorded =
+            vec![[R_RATIO, ENERGY_RATIO, LATENCY_RATIO].map(Histogram::with_ratio); 16];
+        // Two campaigns into the same observers, with a snapshot between.
         for seed in [0x5EED, 0xFEED] {
             let mc = MonteCarlo::new(alloc.levels().len() * runs, seed);
             let opts = SupervisorOptions::default();
@@ -346,10 +350,10 @@ mod tests {
                 for o in &lc.outcomes {
                     one_tracker.observe(code, i_ref, o.r_read_ohms);
                     one_ledger.observe_level(code, i_ref, o.energy_j, o.latency_s);
-                    let sketches = &mut inserted[usize::from(code)];
-                    sketches[0].insert(o.r_read_ohms);
-                    sketches[1].insert(o.energy_j);
-                    sketches[2].insert(o.latency_s);
+                    let histograms = &mut recorded[usize::from(code)];
+                    histograms[0].record(o.r_read_ohms);
+                    histograms[1].record(o.energy_j);
+                    histograms[2].record(o.latency_s);
                 }
             }
             let levels = tracker.snapshot();
@@ -357,8 +361,8 @@ mod tests {
             assert_eq!(levels, one_tracker.snapshot());
             assert_eq!(ledger.snapshot().levels, one_ledger.snapshot().levels);
             for (level, energy) in levels.levels.iter().zip(&ledger.snapshot().levels) {
-                let [r, e, t] = &inserted[usize::from(level.code)];
-                assert_eq!(&level.sketch, r, "level {:04b}", level.code);
+                let [r, e, t] = &recorded[usize::from(level.code)];
+                assert_eq!(&level.histogram, r, "level {:04b}", level.code);
                 assert_eq!(energy.p50_j, e.quantile(0.5).expect("observed"));
                 assert_eq!(energy.p50_latency_s, t.quantile(0.5).expect("observed"));
             }

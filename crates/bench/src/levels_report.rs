@@ -78,7 +78,7 @@ pub struct MarginRow {
     /// two medians (Ω).
     pub boundary_ohms: f64,
     /// Conservative count of samples on the wrong side of the
-    /// boundary, widened by each sketch's rank-error bound.
+    /// boundary: whole histogram bins, the boundary's own included.
     pub violations: u64,
     /// Samples across the pair.
     pub trials: u64,
@@ -158,27 +158,17 @@ impl LevelReport {
             .map(|pair| {
                 let (lo, hi) = (&pair[0], &pair[1]);
                 let boundary = 0.5 * (lo.p50 + hi.p50);
-                // Wrong-side counts from the sketches' rank queries,
-                // widened by each sketch's worst-case rank error so the
-                // bound can only be conservative. When the boundary lies
-                // outside a level's observed [min, max] the count is
-                // exactly zero (the sketch keeps exact extremes) — no
-                // widening, or clean campaigns would carry ⌈εn⌉ phantom
-                // violations per pair forever.
+                // Wrong-side counts from the histograms: every sample in a
+                // bin wholly past the boundary, plus the whole boundary
+                // bin, so the count can only be conservative. Min and max
+                // are exact, so a boundary outside a level's observed
+                // range counts exactly zero for it.
                 let mut k = 0u64;
                 if let Some(l) = summary_for(snap, lo.code) {
-                    if boundary < l.max {
-                        let above = l.sketch.count().saturating_sub(l.sketch.rank_le(boundary));
-                        k += above
-                            + (l.sketch.rank_error_bound() * l.sketch.count() as f64).ceil() as u64;
-                    }
+                    k += l.histogram.count - l.histogram.count_le(boundary).0;
                 }
                 if let Some(h) = summary_for(snap, hi.code) {
-                    if boundary > h.min {
-                        let below = h.sketch.rank_le(boundary);
-                        k += below
-                            + (h.sketch.rank_error_bound() * h.sketch.count() as f64).ceil() as u64;
-                    }
+                    k += h.histogram.count_le(boundary).1;
                 }
                 let trials = lo.n + hi.n;
                 let k = k.min(trials);
@@ -545,7 +535,7 @@ mod tests {
         assert_eq!((m.lo_code, m.hi_code), (0, 1));
         assert!(m.sigma_margin > 3.0, "margin {}", m.sigma_margin);
         // 10σ separation: the boundary sits outside both observed
-        // ranges, so no rank slack applies — zero violations, and the
+        // ranges, so no boundary bin counts — zero violations, and the
         // CP bound is driven by n alone (≈ 3/n for k = 0).
         assert_eq!(m.violations, 0, "cp {}", m.ber_cp_upper);
         assert!(m.ber_cp_upper < 0.05, "cp {}", m.ber_cp_upper);

@@ -92,8 +92,8 @@ pub struct ResetConditions {
     pub i_ref: f64,
     /// Starting filament state (LRS = 1.0).
     pub rho_start: f64,
-    /// A time step (s) that no simulation here reads: only the fixed-step
-    /// probes in `perfbench/` do, and the field goes with them.
+    /// A time step (s) that no simulation here reads. Its one reader is
+    /// the fixed-step probes in `perfbench/`, and the field goes with them.
     pub dt: f64,
     /// Abandon the run after this long (s).
     pub t_max: f64,

@@ -1,25 +1,42 @@
-//! Log-binned histograms with quantile extraction.
+//! Log-binned histograms with quantile extraction: the crate's one
+//! quantile structure.
+//!
+//! Bin `i` holds the magnitudes in `[γ^i, γ^(i+1))` for a bin ratio `γ`
+//! chosen per quantity, and a quantile is answered from the bin's
+//! relative-error midpoint `2γ^(i+1)/(γ+1)`. That is the DDSketch
+//! construction (Masson, Rim and Lee, arXiv 1908.10693): every answer in
+//! the binnable range sits within `(γ−1)/(γ+1)` of the order statistic it
+//! stands for, relative. A record is one `ln` and one increment, and a
+//! merge adds counts, so merged histograms carry the same counts in any
+//! order and at any shard count. Only the bins between the lowest and the
+//! highest occupied one are stored: a narrow distribution needs few bins
+//! however fine its ratio.
 
-/// Sub-bins per decade. 16 gives a bin width of ×10^(1/16) ≈ ×1.155, i.e.
-/// quantiles are resolved to better than ±8 % — ample for latency and
+/// Bin ratio of the registry's histograms: `10^(1/16)`, 16 bins per
+/// decade, so quantiles sit within ±7.2 %, ample for latency and
 /// iteration-count distributions.
-const SUB_BINS: usize = 16;
-/// Smallest binnable magnitude (10^MIN_EXP). Values at or below this (and
-/// all non-positive values) saturate into the underflow bin.
-const MIN_EXP: i32 = -18;
-/// One past the largest binnable magnitude (10^MAX_EXP); larger values
-/// saturate into the overflow bin.
-const MAX_EXP: i32 = 12;
-/// Number of regular bins.
-const N_BINS: usize = ((MAX_EXP - MIN_EXP) as usize) * SUB_BINS;
+const REGISTRY_RATIO: f64 = 1.154_781_984_689_458_3;
+
+/// Smallest binnable magnitude. Values at or below it (and all
+/// non-positive values) saturate into the underflow count.
+const FLOOR: f64 = 1e-18;
+
+/// Largest binnable magnitude (exclusive); values at or above it saturate
+/// into the overflow count.
+const CEILING: f64 = 1e12;
+
+/// Relative rounding of `ln` and `exp` in a bin's index and midpoint, far
+/// below any bin's half-width.
+const ROUNDING: f64 = 1e-12;
 
 /// A histogram of non-negative magnitudes on a logarithmic grid.
 ///
-/// Plain data: the registry keeps its histograms behind its lock, and a
-/// thread's shard (see `shard.rs`) keeps its own and merges them in.
-/// Negative values are recorded by magnitude-zero convention (clamped into
-/// the underflow bin) and counted separately so a report can flag them.
-#[derive(Debug, Clone)]
+/// Plain data: the registry keeps its histograms behind its lock, a
+/// thread's shard (see `shard.rs`) keeps its own and merges them in, and
+/// the level tables keep one per level and quantity. Negative values are
+/// recorded by magnitude-zero convention (clamped into the underflow
+/// count) and counted separately so a report can flag them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Number of recorded values.
     pub count: u64,
@@ -35,8 +52,14 @@ pub struct Histogram {
     pub underflow: u64,
     /// Records above the binnable range.
     pub overflow: u64,
-    /// Regular bin occupancies.
-    pub bins: Vec<u64>,
+    /// The bin ratio `γ`.
+    ratio: f64,
+    /// `1 / ln γ`: a magnitude's bin index is `⌊ln v / ln γ⌋`.
+    inv_ln_ratio: f64,
+    /// Index of `bins[0]`.
+    first: i32,
+    /// Occupancies of bins `first..first + bins.len()`.
+    bins: Vec<u64>,
 }
 
 impl Default for Histogram {
@@ -46,8 +69,22 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
+    /// An empty histogram at the registry's ratio, `10^(1/16)`.
     pub fn new() -> Self {
+        Self::with_ratio(REGISTRY_RATIO)
+    }
+
+    /// An empty histogram whose bins grow by `ratio`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ratio` is finite and at least `1 + 1e-6`, which keeps
+    /// every bin index of the binnable range within `i32`.
+    pub fn with_ratio(ratio: f64) -> Self {
+        assert!(
+            ratio.is_finite() && ratio >= 1.0 + 1e-6,
+            "bin ratio {ratio} must be finite and at least 1 + 1e-6"
+        );
         Histogram {
             count: 0,
             negatives: 0,
@@ -56,13 +93,67 @@ impl Histogram {
             max: f64::NAN,
             underflow: 0,
             overflow: 0,
-            bins: vec![0; N_BINS],
+            ratio,
+            inv_ln_ratio: 1.0 / ratio.ln(),
+            first: 0,
+            bins: Vec::new(),
         }
     }
 
-    /// The lower edge of regular bin `i`.
-    fn bin_lo(i: usize) -> f64 {
-        10f64.powf(MIN_EXP as f64 + i as f64 / SUB_BINS as f64)
+    /// The bin ratio `γ`.
+    pub fn ratio(&self) -> f64 {
+        self.ratio
+    }
+
+    /// The stated value bound: every [`quantile`] answer whose order
+    /// statistic lies in the binnable range `(1e-18, 1e12)` is within this
+    /// fraction of that order statistic. It is the bin half-width
+    /// `(γ−1)/(γ+1)`, plus `1e-12` for the rounding of `ln` and `exp`.
+    ///
+    /// [`quantile`]: Histogram::quantile
+    pub fn relative_error(&self) -> f64 {
+        (self.ratio - 1.0) / (self.ratio + 1.0) + ROUNDING
+    }
+
+    /// The occupied bins, lowest first, as `(index, count)`: bin `index`
+    /// holds the magnitudes in `[γ^index, γ^(index+1))`. Bins inside the
+    /// occupied range may be empty.
+    pub fn bins(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
+        (self.first..).zip(self.bins.iter().copied())
+    }
+
+    /// The bin index of a magnitude in the binnable range.
+    fn index(&self, magnitude: f64) -> i32 {
+        (magnitude.ln() * self.inv_ln_ratio).floor() as i32
+    }
+
+    /// Bin `i`'s relative-error midpoint `2γ^(i+1)/(γ+1)`.
+    fn midpoint(&self, i: i32) -> f64 {
+        (f64::from(i) / self.inv_ln_ratio).exp() * (2.0 * self.ratio / (self.ratio + 1.0))
+    }
+
+    /// Bin `i`'s occupancy, stored bins grown to hold it.
+    fn bin_mut(&mut self, i: i32) -> &mut u64 {
+        let at = i.wrapping_sub(self.first) as usize;
+        if at >= self.bins.len() {
+            self.grow_to(i);
+        }
+        &mut self.bins[(i - self.first) as usize]
+    }
+
+    /// Extends the stored bins to hold bin `i`.
+    #[cold]
+    fn grow_to(&mut self, i: i32) {
+        if self.bins.is_empty() {
+            self.first = i;
+            self.bins.push(0);
+        } else if i < self.first {
+            let below = (self.first - i) as usize;
+            self.bins.splice(0..0, std::iter::repeat_n(0, below));
+            self.first = i;
+        } else {
+            self.bins.resize((i - self.first) as usize + 1, 0);
+        }
     }
 
     /// Records one value. Non-finite values are dropped (and counted as
@@ -86,38 +177,43 @@ impl Histogram {
         if value < 0.0 {
             self.negatives += n;
         }
-        let magnitude = value.max(0.0);
-        if magnitude <= 10f64.powi(MIN_EXP) {
+        if value <= FLOOR {
             self.underflow += n;
+        } else if value >= CEILING {
+            self.overflow += n;
         } else {
-            let pos = (magnitude.log10() - MIN_EXP as f64) * SUB_BINS as f64;
-            if pos >= N_BINS as f64 {
-                self.overflow += n;
-            } else {
-                self.bins[pos as usize] += n;
-            }
+            let i = self.index(value);
+            *self.bin_mut(i) += n;
         }
         self.count += n;
         // One addition per record, so the sum rounds as theirs does.
         for _ in 0..n {
             self.sum += value;
         }
-        // `f64::min`/`max` skip the NaN of an empty histogram.
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        self.min = lower(self.min, value);
+        self.max = higher(self.max, value);
     }
 
-    /// Adds every record of `other` to this histogram.
+    /// Adds every record of `other`, which must share this histogram's
+    /// ratio. Counts, min and max come out the same in any merge order.
     pub fn merge(&mut self, other: &Histogram) {
+        debug_assert_eq!(self.ratio, other.ratio, "merged histograms share a ratio");
         self.count += other.count;
         self.negatives += other.negatives;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        if other.count > 0 {
+            self.min = lower(self.min, other.min);
+            self.max = higher(self.max, other.max);
+        }
         self.underflow += other.underflow;
         self.overflow += other.overflow;
-        for (b, o) in self.bins.iter_mut().zip(&other.bins) {
-            *b += o;
+        if !other.bins.is_empty() {
+            self.bin_mut(other.first);
+            self.bin_mut(other.first + (other.bins.len() - 1) as i32);
+            let at = (other.first - self.first) as usize;
+            for (b, o) in self.bins[at..].iter_mut().zip(&other.bins) {
+                *b += o;
+            }
         }
     }
 
@@ -130,33 +226,82 @@ impl Histogram {
         }
     }
 
-    /// The `q`-quantile (`q` in `[0, 1]`), geometric interpolation within
-    /// the landing bin, clamped to the observed `[min, max]`. `None` when
-    /// the histogram is empty or `q` is out of range.
+    /// The `q`-quantile (`q` in `[0, 1]`): the midpoint of the bin that
+    /// holds the order statistic of rank `round(q·(n−1)) + 1`, clamped to
+    /// the observed `[min, max]`. That is the rank convention of
+    /// `oxterm_numerics::stats::quantile`, without interpolation, and the
+    /// answer is within [`relative_error`] of that order statistic. A rank
+    /// in the underflow answers `min`, one in the overflow `max`. `None`
+    /// when the histogram is empty or `q` is out of range.
+    ///
+    /// [`relative_error`]: Histogram::relative_error
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 || !(0.0..=1.0).contains(&q) {
             return None;
         }
-        // Rank in 1..=count of the order statistic closest to q.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = (q * (self.count - 1) as f64).round() as u64 + 1;
         let mut seen = self.underflow;
         if rank <= seen {
             return Some(self.min);
         }
-        for (i, &c) in self.bins.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if rank <= seen + c {
-                let lo = Histogram::bin_lo(i);
-                let hi = Histogram::bin_lo(i + 1);
-                let frac = (rank - seen) as f64 / c as f64;
-                let v = lo * (hi / lo).powf(frac);
-                return Some(v.clamp(self.min, self.max));
-            }
+        for (i, c) in self.bins() {
             seen += c;
+            if rank <= seen {
+                return Some(self.midpoint(i).clamp(self.min, self.max));
+            }
         }
         Some(self.max)
+    }
+
+    /// Bounds on the number of recorded values at or below `x`, as
+    /// `(certain, possible)`. Values in bins wholly below `x` are certain,
+    /// and the whole of `x`'s own bin is possible; below `min` and from
+    /// `max` on, both bounds are exact.
+    pub fn count_le(&self, x: f64) -> (u64, u64) {
+        if self.count == 0 || x < self.min {
+            return (0, 0);
+        }
+        if x >= self.max {
+            return (self.count, self.count);
+        }
+        if x <= FLOOR {
+            return (0, self.underflow);
+        }
+        if x >= CEILING {
+            return (self.count - self.overflow, self.count);
+        }
+        let k = self.index(x);
+        let mut below = self.underflow;
+        let mut at = 0;
+        for (i, c) in self.bins() {
+            if i < k {
+                below += c;
+            } else {
+                at = if i == k { c } else { 0 };
+                break;
+            }
+        }
+        (below, below + at)
+    }
+}
+
+/// The lower of a running minimum (NaN while empty) and `v`, with `-0.0`
+/// below `0.0`, so that merges give the same bits in any order.
+fn lower(min: f64, v: f64) -> f64 {
+    if min.is_nan() || v.total_cmp(&min).is_lt() {
+        v
+    } else {
+        min
+    }
+}
+
+/// The higher of a running maximum (NaN while empty) and `v`; see
+/// [`lower`].
+fn higher(max: f64, v: f64) -> f64 {
+    if max.is_nan() || v.total_cmp(&max).is_gt() {
+        v
+    } else {
+        max
     }
 }
 
@@ -171,6 +316,13 @@ mod tests {
         assert!(s.quantile(0.5).is_none());
         assert!(s.mean().is_none());
         assert!(s.min.is_nan() && s.max.is_nan());
+        assert_eq!(s.count_le(1.0), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bin ratio")]
+    fn a_ratio_too_close_to_one_is_rejected() {
+        let _ = Histogram::with_ratio(1.0 + 1e-9);
     }
 
     #[test]
@@ -186,6 +338,19 @@ mod tests {
     }
 
     #[test]
+    fn extreme_quantiles_stay_within_the_observed_range() {
+        let mut h = Histogram::with_ratio(1.005);
+        for i in 0..5000 {
+            h.record(1.0 + (i as f64 * 37.0) % 1000.0);
+        }
+        assert_eq!((h.min, h.max), (1.0, 1000.0));
+        let (p0, p100) = (h.quantile(0.0).unwrap(), h.quantile(1.0).unwrap());
+        let e = h.relative_error();
+        assert!((1.0..=1.0 + e).contains(&p0), "q0 = {p0}");
+        assert!((1000.0 * (1.0 - e)..=1000.0).contains(&p100), "q1 = {p100}");
+    }
+
+    #[test]
     fn quantiles_track_a_uniform_grid() {
         let mut h = Histogram::new();
         // 1..=1000 µs uniform.
@@ -195,10 +360,79 @@ mod tests {
         let s = h;
         let p50 = s.quantile(0.5).unwrap();
         let p90 = s.quantile(0.9).unwrap();
-        assert!((p50 / 500e-6 - 1.0).abs() < 0.12, "p50 = {p50:e}");
-        assert!((p90 / 900e-6 - 1.0).abs() < 0.12, "p90 = {p90:e}");
+        assert!((p50 / 500e-6 - 1.0).abs() < 0.08, "p50 = {p50:e}");
+        assert!((p90 / 900e-6 - 1.0).abs() < 0.08, "p90 = {p90:e}");
         assert!(s.quantile(0.0).unwrap() >= s.min);
         assert_eq!(s.quantile(1.0).unwrap(), s.max);
+    }
+
+    #[test]
+    fn bins_span_only_the_occupied_range() {
+        // A level's read resistance: σ/μ ≈ 2e-3 at the tracker's ratio.
+        let mut h = Histogram::with_ratio(1.0 + 1.0 / 4096.0);
+        let mut x = 0x2468_ACE0_u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            h.record(40e3 * (1.0 + 0.012 * ((x % 1000) as f64 / 1000.0 - 0.5)));
+        }
+        let bins: Vec<(i32, u64)> = h.bins().collect();
+        assert!(bins.len() < 60, "{} bins", bins.len());
+        assert!(bins.first().unwrap().1 > 0 && bins.last().unwrap().1 > 0);
+        assert_eq!(bins.iter().map(|b| b.1).sum::<u64>(), 100_000);
+    }
+
+    #[test]
+    fn merge_is_symmetric_and_counts_add() {
+        let mut a = Histogram::with_ratio(1.005);
+        let mut b = Histogram::with_ratio(1.005);
+        for i in 1..3000 {
+            if i % 2 == 0 {
+                a.record(i as f64);
+            } else {
+                b.record(1e6 / i as f64);
+            }
+        }
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab.bins().collect::<Vec<_>>(), ba.bins().collect::<Vec<_>>());
+        assert_eq!((ab.count, ab.min, ab.max), (ba.count, ba.min, ba.max));
+        assert_eq!(ab.count, 2999);
+    }
+
+    #[test]
+    fn merge_with_empty_is_identity() {
+        let mut a = Histogram::with_ratio(1.005);
+        for i in 1..100 {
+            a.record(i as f64);
+        }
+        let e = Histogram::with_ratio(1.005);
+        let mut ae = a.clone();
+        ae.merge(&e);
+        assert_eq!(ae, a);
+        let mut ea = e.clone();
+        ea.merge(&a);
+        assert_eq!(ea, a);
+    }
+
+    #[test]
+    fn count_bounds_bracket_true_count() {
+        let mut h = Histogram::with_ratio(1.005);
+        for i in 1..=10_000 {
+            h.record(i as f64);
+        }
+        for x in [0.5, 1.0, 17.3, 2499.0, 2500.0, 9999.5, 10_000.0, 2e4] {
+            let exact = (1..=10_000).filter(|&i| i as f64 <= x).count() as u64;
+            let (certain, possible) = h.count_le(x);
+            assert!(certain <= exact && exact <= possible, "x = {x}");
+            // The slack is one bin: ±0.25 % of x's neighbourhood.
+            assert!(possible - certain <= (x * 0.006).ceil() as u64, "x = {x}");
+        }
+        assert_eq!(h.count_le(0.5), (0, 0));
+        assert_eq!(h.count_le(10_000.0), (10_000, 10_000));
     }
 
     #[test]
@@ -246,7 +480,7 @@ mod tests {
         let report = tel.report();
         let s = report.histogram("t").unwrap();
         assert_eq!(s.count, 40_000);
-        let total: u64 = s.bins.iter().sum::<u64>() + s.underflow + s.overflow;
+        let total: u64 = s.bins().map(|b| b.1).sum::<u64>() + s.underflow + s.overflow;
         assert_eq!(total, 40_000);
     }
 

@@ -19,6 +19,8 @@
 //! * **Per-level rollups** ([`JouleLedger::observe_level`]): one
 //!   (energy, latency) pair per successfully programmed level per Monte
 //!   Carlo run, Ok-outcomes-only like [`crate::levels::LevelTracker`].
+//!   Each level keeps a Welford accumulator and a log histogram per
+//!   quantity, binned at [`ENERGY_RATIO`] and [`LATENCY_RATIO`].
 //!
 //! The design follows the house telemetry idiom ([`crate::Profiler`],
 //! [`crate::levels::LevelTracker`]):
@@ -321,11 +323,28 @@ impl EnergyQuanta {
     }
 }
 
-#[derive(Default)]
+/// Bin ratio of the per-level energy histograms: `1.005`, a half-width of
+/// 2.5e-3. A level's program energy has σ/μ ≥ 0.131, so a bin is a
+/// fiftieth of σ or less.
+pub const ENERGY_RATIO: f64 = 1.005;
+
+/// Bin ratio of the per-level latency histograms: `1.005`, as for energy
+/// and for the same reason (σ/μ ≥ 0.131).
+pub const LATENCY_RATIO: f64 = 1.005;
+
 pub(crate) struct LedgerSink {
     matrix: Mutex<EnergyQuanta>,
     /// Energy and latency per level.
     levels: Mutex<LevelTable<2>>,
+}
+
+impl Default for LedgerSink {
+    fn default() -> Self {
+        LedgerSink {
+            matrix: Mutex::default(),
+            levels: Mutex::new(LevelTable::new([ENERGY_RATIO, LATENCY_RATIO])),
+        }
+    }
 }
 
 impl LedgerSink {
@@ -669,7 +688,7 @@ impl JouleLedger {
             .seen()
             .map(|(code, slot)| {
                 let [energy, latency] = &slot.stats;
-                let (e_sketch, l_sketch) = (slot.sketch(0), slot.sketch(1));
+                let [e_histogram, l_histogram] = &slot.histograms;
                 LevelEnergySummary {
                     code,
                     i_ref: slot.i_ref,
@@ -678,12 +697,12 @@ impl JouleLedger {
                     std_j: energy.std_dev(),
                     min_j: energy.min(),
                     max_j: energy.max(),
-                    p50_j: e_sketch.quantile(0.50).unwrap_or(f64::NAN),
+                    p50_j: e_histogram.quantile(0.50).unwrap_or(f64::NAN),
                     mean_latency_s: latency.mean(),
                     std_latency_s: latency.std_dev(),
                     min_latency_s: latency.min(),
                     max_latency_s: latency.max(),
-                    p50_latency_s: l_sketch.quantile(0.50).unwrap_or(f64::NAN),
+                    p50_latency_s: l_histogram.quantile(0.50).unwrap_or(f64::NAN),
                 }
             })
             .collect();

@@ -7,8 +7,8 @@
 //! counterpart. Campaigns feed one observation per programmed
 //! level per run, all of a campaign's at once
 //! ([`LevelTracker::observe_all`]), and each level accumulates
-//! a [`QuantileSketch`] and a [`Welford`] moment tracker — bounded
-//! memory at any campaign size.
+//! a log [`Histogram`] at [`R_RATIO`] and a [`Welford`] moment tracker —
+//! a few hundred bins per level at any campaign size.
 //!
 //! The design follows the house telemetry idiom ([`crate::Profiler`],
 //! [`crate::joule::JouleLedger`]):
@@ -22,17 +22,22 @@
 //!   tests build private handles.
 //! - State is one `LevelTable` behind one lock. Campaigns feed it from
 //!   the calling thread once the workers are done, in run order, under
-//!   one lock per campaign, so the sketches and moments see one sequence
-//!   and the summaries are the same bytes on every run whatever the
-//!   worker count.
-//! - A level's samples wait beside its sketches until the compression
-//!   pass, or until a snapshot reads them (see `QuantileSketch::push`):
-//!   the summaries are bit-identical to one insert per sample.
+//!   one lock per campaign, so the moments' floating-point sums see one
+//!   sequence and the summaries are the same bytes on every run whatever
+//!   the worker count. (The histograms' counts would come out the same in
+//!   any order.)
 //!
 //! Snapshots ([`LevelTracker::snapshot`]) order levels by code.
 
-use crate::sketch::{Pending, QuantileSketch, Welford};
+use crate::histogram::Histogram;
+use crate::sketch::Welford;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Bin ratio of the read-resistance histograms: `1 + 2⁻¹²`, a half-width
+/// of 1.2e-4. A level's R has σ/μ of only 2.2e-3 to 7.0e-3, so the
+/// half-width is about 1/18 of the narrowest level's σ; at `1.005` a bin
+/// would be about 1σ wide and move the sigma margins by several percent.
+pub const R_RATIO: f64 = 1.0 + 1.0 / 4096.0;
 
 /// Level slots available; codes at or above this are dropped (6 bits/cell
 /// is the largest allocation the paper explores).
@@ -46,34 +51,27 @@ pub(crate) struct LevelSlot<const N: usize> {
     pub(crate) i_ref: f64,
     /// Moments of each quantity.
     pub(crate) stats: [Welford; N],
-    /// Quantile sketch of each quantity, settled by [`LevelTable::seen`].
-    sketches: [QuantileSketch; N],
-    /// The samples waiting beside each sketch.
-    pending: [Pending; N],
-}
-
-impl<const N: usize> LevelSlot<N> {
-    /// The quantity's quantile sketch.
-    pub(crate) fn sketch(&self, k: usize) -> &QuantileSketch {
-        &self.sketches[k]
-    }
+    /// Histogram of each quantity, at the table's ratio for it.
+    pub(crate) histograms: [Histogram; N],
 }
 
 /// Per-level slots indexed by level code; `None` until first observed.
 #[derive(Debug)]
 pub(crate) struct LevelTable<const N: usize> {
+    /// The bin ratio of each quantity's histograms.
+    ratios: [f64; N],
     slots: Vec<Option<LevelSlot<N>>>,
 }
 
-impl<const N: usize> Default for LevelTable<N> {
-    fn default() -> Self {
+impl<const N: usize> LevelTable<N> {
+    /// An empty table whose quantity `k` is binned at `ratios[k]`.
+    pub(crate) fn new(ratios: [f64; N]) -> Self {
         LevelTable {
+            ratios,
             slots: vec![None; MAX_LEVELS],
         }
     }
-}
 
-impl<const N: usize> LevelTable<N> {
     /// Adds one observation of level `code`. Codes at or above
     /// [`MAX_LEVELS`] and observations with a non-finite value are dropped.
     pub(crate) fn observe(&mut self, code: u16, i_ref: f64, values: [f64; N]) {
@@ -83,25 +81,20 @@ impl<const N: usize> LevelTable<N> {
         if values.iter().any(|v| !v.is_finite()) {
             return;
         }
+        let ratios = &self.ratios;
         let slot = slot.get_or_insert_with(|| LevelSlot {
             i_ref,
             stats: [Welford::new(); N],
-            sketches: std::array::from_fn(|_| QuantileSketch::default()),
-            pending: std::array::from_fn(|_| Pending::default()),
+            histograms: ratios.map(Histogram::with_ratio),
         });
-        for (k, v) in values.into_iter().enumerate() {
-            slot.stats[k].push(v);
-            slot.sketches[k].push(&mut slot.pending[k], v);
+        for ((stats, histogram), v) in slot.stats.iter_mut().zip(&mut slot.histograms).zip(values) {
+            stats.push(v);
+            histogram.record(v);
         }
     }
 
-    /// The observed levels, ascending by code, their sketches settled.
-    pub(crate) fn seen(&mut self) -> impl Iterator<Item = (u16, &LevelSlot<N>)> {
-        for slot in self.slots.iter_mut().flatten() {
-            for (sketch, pending) in slot.sketches.iter_mut().zip(&mut slot.pending) {
-                sketch.settle(pending);
-            }
-        }
+    /// The observed levels, ascending by code.
+    pub(crate) fn seen(&self) -> impl Iterator<Item = (u16, &LevelSlot<N>)> {
         self.slots
             .iter()
             .enumerate()
@@ -122,7 +115,7 @@ impl<const N: usize> LevelTable<N> {
     }
 }
 
-/// Locks a level table. An observation or a fold cannot panic part-way, so
+/// Locks a level table. An observation cannot panic part-way, so
 /// a holder can only have panicked between them (in a batch caller's
 /// iterator) and left a valid table.
 pub(crate) fn lock<const N: usize>(table: &Mutex<LevelTable<N>>) -> MutexGuard<'_, LevelTable<N>> {
@@ -153,8 +146,9 @@ pub struct LevelSummary {
     pub p50: f64,
     /// Streaming 99th percentile (Ω).
     pub p99: f64,
-    /// The full quantile sketch, for rank queries in the report layer.
-    pub sketch: QuantileSketch,
+    /// The level's read-resistance histogram at [`R_RATIO`], for the
+    /// report layer's count bounds.
+    pub histogram: Histogram,
 }
 
 /// A deterministic, code-ordered view of every level seen so far.
@@ -198,7 +192,7 @@ impl LevelTracker {
     #[must_use]
     pub fn enabled() -> Self {
         Self {
-            inner: Some(Arc::default()),
+            inner: Some(Arc::new(Mutex::new(LevelTable::new([R_RATIO])))),
         }
     }
 
@@ -263,8 +257,8 @@ impl LevelTracker {
         let levels = lock(table)
             .seen()
             .map(|(code, slot)| {
-                let ([stats], sketch) = (&slot.stats, slot.sketch(0));
-                let q = |p: f64| sketch.quantile(p).unwrap_or(f64::NAN);
+                let ([stats], [histogram]) = (&slot.stats, &slot.histograms);
+                let q = |p: f64| histogram.quantile(p).unwrap_or(f64::NAN);
                 LevelSummary {
                     code,
                     i_ref: slot.i_ref,
@@ -276,7 +270,7 @@ impl LevelTracker {
                     p01: q(0.01),
                     p50: q(0.50),
                     p99: q(0.99),
-                    sketch: sketch.clone(),
+                    histogram: histogram.clone(),
                 }
             })
             .collect();
@@ -312,6 +306,20 @@ mod tests {
         assert!(snap.levels[0].p50 > 40e3 && snap.levels[0].p50 < 41e3);
         assert!((snap.levels[1].i_ref - 60e-6).abs() < 1e-12);
         assert_eq!(snap.levels.iter().map(|l| l.n).sum::<u64>(), 200);
+    }
+
+    #[test]
+    fn each_quantity_bins_at_its_own_ratio() {
+        let t = LevelTracker::enabled();
+        t.observe(2, 1e-6, 50e3);
+        assert_eq!(t.snapshot().levels[0].histogram.ratio(), R_RATIO);
+        let mut table = LevelTable::new([1.005, 1.1]);
+        table.observe(0, 1e-6, [1.0, 2.0]);
+        let (_, slot) = table.seen().next().expect("observed");
+        assert_eq!(
+            slot.histograms.each_ref().map(Histogram::ratio),
+            [1.005, 1.1]
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! solver*: a fixed catalog of nestable phases (stamp / factorize /
 //! residual / timestep control / MC workers) with self-vs-child wall time.
 //! [`levels`] and [`joule`] answer *did any level's distribution drift*
-//! and *where did the energy go*: streaming per-level resistance sketches
+//! and *where did the energy go*: streaming per-level resistance histograms
 //! and a per-device energy/latency ledger. Each mirrors the [`Telemetry`]
 //! handle pattern — disabled is one branch, installed once per process.
 //! [`progress`] owns the `--progress` switch for live Monte Carlo campaign
@@ -86,7 +86,7 @@ pub use levels::{LevelCounts, LevelSummary, LevelTracker, LevelsSnapshot};
 pub use profiler::{PhaseGuard, PhaseId, PhaseRole, PhaseStats, ProfileSnapshot, Profiler};
 pub use registry::{CounterId, HistogramId, Registry};
 pub use report::RunReport;
-pub use sketch::{QuantileSketch, Welford};
+pub use sketch::Welford;
 pub use span::Span;
 
 use std::sync::{Arc, OnceLock};
@@ -367,7 +367,7 @@ mod tests {
             let classes: Vec<f64> = energy.classes.iter().map(|c| c.joules).collect();
             (
                 report.counters,
-                (latency.count, latency.bins.clone()),
+                (latency.count, latency.bins().collect::<Vec<_>>()),
                 calls,
                 (joules, classes),
             )

@@ -218,6 +218,35 @@ mod tests {
     }
 
     #[test]
+    fn histograms_keep_their_json_keys_at_sixteen_bins_per_decade() {
+        let r = sample_report();
+        let h = r.histogram("mc.engine.run_seconds").expect("recorded");
+        assert!((h.ratio().powi(16) / 10.0 - 1.0).abs() < 1e-14);
+        let json = r.to_json();
+        let body = &json[json.find(r#""mc.engine.run_seconds":{"#).expect("present")..];
+        let keys: Vec<&str> = body[..body.find('}').expect("closed")]
+            .split(',')
+            .map(|kv| kv.rsplit('{').next().unwrap_or(kv))
+            .map(|kv| kv.split(':').next().unwrap_or(kv).trim_matches('"'))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "count",
+                "sum",
+                "min",
+                "max",
+                "mean",
+                "p50",
+                "p90",
+                "p99",
+                "underflow",
+                "overflow"
+            ]
+        );
+    }
+
+    #[test]
     fn empty_report_serializes_cleanly() {
         let r = RunReport::empty();
         assert!(r.is_empty());

@@ -121,7 +121,7 @@ fn observed<T>(work: impl FnOnce() -> T) -> Observed<T> {
 fn histogram_bits(h: &Histogram) -> (Vec<u64>, [u64; 4]) {
     let counts = [h.count, h.negatives, h.underflow, h.overflow];
     let mut bits = vec![h.sum.to_bits(), h.min.to_bits(), h.max.to_bits()];
-    bits.extend(&h.bins);
+    bits.extend(h.bins().flat_map(|(i, c)| [i as u64, c]));
     (bits, counts)
 }
 

@@ -37,6 +37,8 @@ const MEASURED: f64 = 1e-3;
 const FINE: [f64; 2] = [8.0, 16.0];
 /// The production step of the fixed-step SET the kernel replaced (s).
 const SET_DT: f64 = 0.5e-9;
+/// The production step of the fixed-step RESET the kernel replaced (s).
+const RESET_DT: f64 = 2e-9;
 /// Sampled Monte Carlo instances besides the nominal cell.
 const MC_INSTANCES: usize = 3;
 
@@ -174,7 +176,7 @@ fn fast_reset_converges_in_dt_and_the_solver_stays_inside_the_budget() {
         i_refs.sort_by(|a, b| b.total_cmp(a));
         let kernel = simulate_reset_references(&p, &inst, &cond.reset, &i_refs);
         let [coarse, fine] =
-            FINE.map(|div| fixed_step_reset(&p, &inst, &cond.reset, &i_refs, cond.reset.dt / div));
+            FINE.map(|div| fixed_step_reset(&p, &inst, &cond.reset, &i_refs, RESET_DT / div));
         for (k, &i_ref) in i_refs.iter().enumerate() {
             let out = kernel[k].as_ref().expect("kernel terminates");
             let got = [out.r_read_ohms, out.latency_s, out.energy_j];
@@ -195,7 +197,7 @@ fn fast_reset_converges_in_dt_and_the_solver_stays_inside_the_budget() {
         if n == 0 {
             // The replay is a clean first-order scheme: its latency error
             // halves with the step, so the extrapolation is sound.
-            let quarter = fixed_step_reset(&p, &inst, &cond.reset, &i_refs, cond.reset.dt / 4.0);
+            let quarter = fixed_step_reset(&p, &inst, &cond.reset, &i_refs, RESET_DT / 4.0);
             for (k, &i_ref) in i_refs.iter().enumerate() {
                 let order = ((quarter[k][1] - coarse[k][1]) / (coarse[k][1] - fine[k][1]))
                     .abs()

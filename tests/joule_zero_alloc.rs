@@ -3,8 +3,8 @@
 //! Every accepted transient step and every successful fast-path program
 //! calls into the ledger whether or not anyone asked for the energy
 //! report. The ledger's contract (mirroring chaos/profiler/levels)
-//! is that the disarmed path costs one branch: no mutex, no sketch
-//! insert, no heap traffic. This binary installs a counting
+//! is that the disarmed path costs one branch: no mutex, no histogram
+//! record, no heap traffic. This binary installs a counting
 //! `#[global_allocator]` and holds `observe_level` and `record_energy`
 //! to that promise. It contains exactly one test so no concurrent test
 //! can allocate on another thread mid-measurement.

@@ -33,7 +33,7 @@ fn campaign_feeds_tracker_and_streaming_report_matches_batch() {
     }
 
     // The streaming report must retell the batch story: same medians
-    // (within the sketch's rank slack on 25 samples) and positive
+    // (within the histogram's bin half-width on 25 samples) and positive
     // worst-pair separation.
     let report = LevelReport::from_snapshot(&snap).expect("16 full levels");
     assert_eq!(report.levels.len(), 16);

@@ -8,6 +8,7 @@
 //! take one lock and run one at a time: the observer test compares deltas of
 //! process-global totals.
 
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use oxterm_mlc::levels::LevelAllocation;
@@ -163,32 +164,40 @@ fn unreachable_lowest_reference_reports_not_terminated() {
     assert!(simulate_reset_references(&p, &inst, &cond, &[]).is_empty());
 }
 
-/// The RESET kernel's observer records so far: integer ones (its counters,
-/// and its histograms' counts and bins) and float sums (the histograms'
-/// sums and the ledger's dissipated energy).
-fn records() -> (Vec<u64>, Vec<f64>) {
+/// The RESET kernel's observer records so far: integer ones by name (its
+/// counters, and its histogram's count and bins) and float sums (the
+/// histogram's sum and the ledger's dissipated energy).
+fn records() -> (BTreeMap<String, u64>, Vec<f64>) {
     let report = Telemetry::global().report();
-    let mut ints: Vec<u64> = ["rram.termination.runs", "rram.termination.steps"]
+    let mut ints: BTreeMap<String, u64> = ["rram.termination.runs", "rram.termination.steps"]
         .iter()
-        .map(|k| report.counter(k).unwrap_or(0))
+        .map(|k| (k.to_string(), report.counter(k).unwrap_or(0)))
         .collect();
     let h = report
         .histogram("rram.termination.latency_s")
         .expect("recorded by the warm-up run");
-    ints.push(h.count);
-    ints.extend(&h.bins);
+    ints.insert("latency count".into(), h.count);
+    ints.extend(h.bins().map(|(i, c)| (format!("latency bin {i}"), c)));
     let mut sums = vec![h.sum];
     sums.push(JouleLedger::global().snapshot().total_dissipated_j());
     (ints, sums)
 }
 
-/// What `work` added to [`records`].
-fn observed(work: impl FnOnce()) -> (Vec<u64>, Vec<f64>) {
+/// What `work` added to [`records`]: the integer records that moved, and
+/// every sum.
+fn observed(work: impl FnOnce()) -> (BTreeMap<String, u64>, Vec<f64>) {
     let (ints0, sums0) = records();
     work();
     let (ints1, sums1) = records();
     (
-        ints1.iter().zip(&ints0).map(|(a, b)| a - b).collect(),
+        ints1
+            .into_iter()
+            .map(|(k, v)| {
+                let before = ints0.get(&k).copied().unwrap_or(0);
+                (k, v - before)
+            })
+            .filter(|&(_, d)| d > 0)
+            .collect(),
         sums1.iter().zip(&sums0).map(|(a, b)| a - b).collect(),
     )
 }
@@ -216,7 +225,11 @@ fn shared_trajectory_leaves_the_independent_runs_observer_records() {
         }
     });
     assert_eq!(ints_shared, ints_alone);
-    assert_eq!(ints_shared[0], refs.len() as u64, "one run per reference");
+    assert_eq!(
+        ints_shared["rram.termination.runs"],
+        refs.len() as u64,
+        "one run per reference"
+    );
     // Sums accumulate in a different order, so only to rounding.
     for (s, a) in sums_shared.iter().zip(&sums_alone) {
         assert!(*a > 0.0);
