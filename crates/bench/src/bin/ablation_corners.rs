@@ -63,11 +63,11 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
-    if tel_cli.probes_requested() || tel_cli.wants_supervision() {
+    if tel_cli.wants_supervision() {
         eprintln!(
-            "ablation_corners: --probes, --chaos, --checkpoint, --resume and --quorum \
-             are not supported: this ablation solves operating points, with no \
-             transient to probe and no Monte Carlo campaign to supervise"
+            "ablation_corners: --chaos, --checkpoint, --resume and --quorum are not \
+             supported: this ablation solves operating points, with no Monte Carlo \
+             campaign to supervise"
         );
         std::process::exit(2);
     }

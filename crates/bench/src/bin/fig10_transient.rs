@@ -8,31 +8,16 @@
 use oxterm_bench::chart::{xy_chart, Scale};
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
-use oxterm_mlc::program::{
-    program_cell_circuit, program_cell_circuit_probed, CircuitProgramOptions,
-};
-use oxterm_spice::probe::ProbePlan;
-
-/// Signals captured by a bare `--probes`: the Fig 10 panel (SL drive, the
-/// bit-line tap the termination senses, and the cell current).
-const DEFAULT_PROBES: &str = "v(sl),v(bl_sense),i(vsense)";
+use oxterm_mlc::program::{program_cell_circuit, CircuitProgramOptions};
 
 fn main() {
-    let (_args, mut tel_cli) = telemetry_cli::init("fig10").unwrap_or_else(|e| {
+    let (_args, tel_cli) = telemetry_cli::init("fig10").unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
     println!("== Fig 10: terminated RESET transient, IrefR = 10 µA ==\n");
     let opts = CircuitProgramOptions::paper_fig10();
-    let plan = tel_cli
-        .probe_plan(DEFAULT_PROBES)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(e.code);
-        })
-        .unwrap_or_else(ProbePlan::none);
-    let term = program_cell_circuit_probed(&opts, Some(10e-6), &plan).expect("transient converges");
-    tel_cli.record_probes(&term.probes);
+    let term = program_cell_circuit(&opts, Some(10e-6)).expect("transient converges");
 
     // Waveform table at representative times.
     let t_end = term.i_cell.t().last().copied().unwrap_or(0.0);

@@ -4,7 +4,7 @@
 //! Paper anchors: margins range from 2.1 kΩ ('0000'/'0001', worst case) to
 //! 69 kΩ ('1111'/'1110'); no distribution overlap.
 
-use oxterm_bench::campaigns::{probe_designated_run, supervised_qlc_campaign};
+use oxterm_bench::campaigns::supervised_qlc_campaign;
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
@@ -12,7 +12,7 @@ use oxterm_mlc::margins::{analyze, LevelSamples};
 use oxterm_telemetry::LevelTracker;
 
 fn main() {
-    let (args, mut tel_cli) = telemetry_cli::init("fig11").unwrap_or_else(|e| {
+    let (args, tel_cli) = telemetry_cli::init("fig11").unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
@@ -20,30 +20,6 @@ fn main() {
     // are cross-checked against it, so the two paths can never silently
     // diverge.
     LevelTracker::install(LevelTracker::enabled());
-    // The campaign itself runs on the circuit-free fast path; `--probes`
-    // captures the designated run 0 — the Fig 10 testbench pulsed at the
-    // level-'0000' compliance current — at circuit level instead.
-    let probe_plan = tel_cli
-        .probe_plan("v(sl),v(bl_sense),i(vsense)")
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(e.code);
-        });
-    if let Some(plan) = &probe_plan {
-        match probe_designated_run(plan) {
-            Ok(capture) => {
-                eprintln!(
-                    "fig11: probed designated run 0 (circuit-level replay at the \
-                     '0000' compliance current)"
-                );
-                tel_cli.record_probes(&capture);
-            }
-            Err(e) => {
-                eprintln!("fig11: designated probe run failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
     println!("== Fig 11: HRS box plots, {runs} MC runs × 16 compliance currents ==\n");
     let (campaign, outcome) =

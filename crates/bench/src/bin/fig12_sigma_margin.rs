@@ -22,13 +22,6 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
-    if tel_cli.probes_requested() {
-        eprintln!(
-            "fig12: --probes is not supported: the campaign runs on the circuit-free \
-             fast path, so there is no transient to probe"
-        );
-        std::process::exit(2);
-    }
     // Arm the streaming tracker: the second half of the figure is built
     // entirely from it.
     LevelTracker::install(LevelTracker::enabled());

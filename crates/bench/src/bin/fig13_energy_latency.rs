@@ -5,7 +5,7 @@
 //! latency 4.01 µs at 6 µA, average 1.65 µs; SET adds ~20 pJ and its ~100 ns
 //! pulse is excluded from the latency numbers.
 
-use oxterm_bench::campaigns::{probe_designated_run, supervised_qlc_campaign, LevelCampaign};
+use oxterm_bench::campaigns::{supervised_qlc_campaign, LevelCampaign};
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
@@ -13,7 +13,7 @@ use oxterm_numerics::stats::{box_stats, summary};
 use oxterm_telemetry::joule::JouleLedger;
 
 fn main() {
-    let (args, mut tel_cli) = telemetry_cli::init("fig13").unwrap_or_else(|e| {
+    let (args, tel_cli) = telemetry_cli::init("fig13").unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
@@ -23,32 +23,6 @@ fn main() {
     // vectors this figure plots, so Fig 13 cannot silently diverge from
     // the energy artifact repro_all ships.
     JouleLedger::install(JouleLedger::enabled());
-    // The campaign itself runs on the circuit-free fast path; `--probes`
-    // captures the designated run 0 — the Fig 10 testbench pulsed at the
-    // level-'0000' compliance current — at circuit level instead. That is
-    // the campaign's most energetic RESET, i.e. the transient Fig 13's
-    // worst-case energy/latency numbers come from.
-    let probe_plan = tel_cli
-        .probe_plan("v(sl),v(bl_sense),i(vsense)")
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(e.code);
-        });
-    if let Some(plan) = &probe_plan {
-        match probe_designated_run(plan) {
-            Ok(capture) => {
-                eprintln!(
-                    "fig13: probed designated run 0 (circuit-level replay at the \
-                     '0000' compliance current)"
-                );
-                tel_cli.record_probes(&capture);
-            }
-            Err(e) => {
-                eprintln!("fig13: designated probe run failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
     println!("== Fig 13: energy/cell and RST latency, {runs} MC runs × 16 levels ==\n");
     let (campaign, outcome) =

@@ -43,13 +43,10 @@ use oxterm_bench::levels_report::LevelReport;
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
 use oxterm_mlc::margins::analyze;
-use oxterm_mlc::program::{
-    build_program_circuit, program_cell_circuit_probed, CircuitProgramOptions,
-};
+use oxterm_mlc::program::{build_program_circuit, program_cell_circuit, CircuitProgramOptions};
 use oxterm_mlc::projection::{project, ProjectionConfig};
 use oxterm_rram::calib::{simulate_reset_references, CalibrationTarget, ResetConditions};
 use oxterm_rram::params::{InstanceVariation, OxramParams};
-use oxterm_spice::probe::ProbePlan;
 use oxterm_telemetry::joule::JouleLedger;
 use oxterm_telemetry::{LevelTracker, Profiler, Telemetry};
 use rand::rngs::StdRng;
@@ -127,20 +124,9 @@ fn main() {
         tel_cli.record_matrix_stats(matrix_stats(&circuit));
     }
 
-    // Fig 10 anchors (circuit level). `--probes` attaches to this check —
-    // the only circuit transient in the checklist.
-    let plan = tel_cli
-        .probe_plan("v(sl),v(bl_sense),i(vsense)")
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(e.code);
-        })
-        .unwrap_or_else(ProbePlan::none);
-    let fig10 =
-        program_cell_circuit_probed(&CircuitProgramOptions::paper_fig10(), Some(10e-6), &plan);
-    match fig10 {
+    // Fig 10 anchors (circuit level).
+    match program_cell_circuit(&CircuitProgramOptions::paper_fig10(), Some(10e-6)) {
         Ok(out) => {
-            tel_cli.record_probes(&out.probes);
             let lat = out.latency_s.unwrap_or(f64::NAN);
             checks.push(Check {
                 name: "Fig 10: terminated RST @ 10 µA",

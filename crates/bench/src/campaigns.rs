@@ -23,13 +23,8 @@ use oxterm_mc::supervisor::{
 };
 use oxterm_mlc::levels::{LevelAllocation, LevelSpec};
 use oxterm_mlc::margins::LevelSamples;
-use oxterm_mlc::program::{
-    program_cell_circuit_probed, program_cells_mc, CircuitProgramOptions, McVariability,
-    ProgramConditions, ProgramOutcome,
-};
-use oxterm_mlc::MlcError;
+use oxterm_mlc::program::{program_cells_mc, McVariability, ProgramConditions, ProgramOutcome};
 use oxterm_rram::params::OxramParams;
-use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::joule::JouleLedger;
 use oxterm_telemetry::levels::LevelTracker;
 use rand::rngs::StdRng;
@@ -74,8 +69,8 @@ impl LevelCampaign {
 }
 
 /// Feeds a campaign's successful runs to the streaming level tracker and
-/// joule ledger, which is where the progress line and the level and energy
-/// reports get their distributions from.
+/// joule ledger, which is where the level and energy reports get their
+/// distributions from.
 ///
 /// It runs on the calling thread once the workers are done, in run order,
 /// so the observers' moments see one sequence whatever the
@@ -212,41 +207,9 @@ pub fn supervised_qlc_campaign(
     )
 }
 
-/// Runs one designated circuit-level program with signal probes attached,
-/// standing in for "run 0" of a fast-path Monte Carlo campaign.
-///
-/// The MC campaigns behind Figs 11 and 13 run on the circuit-free fast
-/// path, which has no nodes or branches to probe. When `--probes` is given
-/// on those binaries, this helper replays the campaign's operating point —
-/// the paper's Fig 10 testbench pulsed at the allocation's lowest
-/// compliance current (level `0000`, the slowest and most energetic RESET)
-/// — at circuit level, so the requested waveforms describe a transient the
-/// campaign actually models.
-///
-/// # Errors
-///
-/// Propagates transient-analysis failures, including probe specs naming
-/// signals the Fig 10 testbench does not contain.
-pub fn probe_designated_run(plan: &ProbePlan) -> Result<ProbeCapture, MlcError> {
-    let alloc = LevelAllocation::paper_qlc();
-    let i_ref = alloc.levels()[0].i_ref;
-    let out =
-        program_cell_circuit_probed(&CircuitProgramOptions::paper_fig10(), Some(i_ref), plan)?;
-    Ok(out.probes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn designated_probe_run_captures_requested_signals() {
-        let plan = ProbePlan::parse("v(sl),i(vsense)").expect("valid spec");
-        let capture = probe_designated_run(&plan).expect("fig10 testbench converges");
-        assert_eq!(capture.traces.len(), 2);
-        assert!(capture.traces.iter().any(|t| t.label == "v(sl)"));
-        assert!(capture.traces.iter().all(|t| !t.samples.is_empty()));
-    }
 
     #[test]
     fn campaign_covers_every_level() {

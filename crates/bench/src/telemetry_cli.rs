@@ -1,4 +1,4 @@
-//! Shared `--telemetry`, `--profile` and `--progress` handling for the
+//! Shared `--telemetry` and `--profile` handling for the
 //! experiment binaries.
 //!
 //! Usage in a `src/bin/` target:
@@ -23,14 +23,6 @@
 //! * `--telemetry` — print the ASCII run report at exit.
 //! * `--telemetry=json` — also write `results/telemetry_<name>.json`.
 //! * `--telemetry=json:PATH` — same, to an explicit path.
-//! * `--progress` — live Monte Carlo campaign status lines on stderr.
-//! * `--probes[=SPEC]` — capture the named node voltages / branch currents
-//!   during the experiment's transients (comma list, e.g.
-//!   `v(sl),v(bl_sense),i(vsense)`; the bare flag uses the binary's default
-//!   spec). Each probe is written to `results/probe_<name>_<label>.csv`.
-//! * `--artifacts-dir[=PATH]` — write a post-mortem JSON bundle for every
-//!   Newton/op/transient non-convergence and every failed Monte Carlo run
-//!   (default directory `results/artifacts_<name>`).
 //! * `--chaos=SPEC` — arm deterministic fault injection for the binary's
 //!   Monte Carlo campaigns (e.g.
 //!   `newton_stall:p=0.02,nan_stamp:p=0.005,panic:p=0.001,slow_step:p=0.01`,
@@ -55,7 +47,6 @@
 
 use crate::hotpath::{HotPathReport, MatrixStats};
 use oxterm_mc::supervisor::{CampaignOutcome, SupervisorOptions};
-use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::{PhaseGuard, PhaseId, Profiler, Telemetry};
 
 /// A configuration error the binary should exit on (library code here
@@ -110,13 +101,6 @@ pub enum TelemetryMode {
 pub struct ParsedFlags {
     /// Telemetry reporting mode.
     pub mode: TelemetryMode,
-    /// Whether `--progress` was present.
-    pub progress: bool,
-    /// `Some(explicit_spec)` when `--probes[=SPEC]` was present (`None`
-    /// inside means "use the binary's default spec").
-    pub probes: Option<Option<String>>,
-    /// `Some(explicit_dir)` when `--artifacts-dir[=PATH]` was present.
-    pub artifacts_dir: Option<Option<String>>,
     /// The raw `--chaos=SPEC` string, if present (validated at `init`).
     pub chaos: Option<String>,
     /// `Some(explicit_path)` when `--checkpoint[=PATH]` was present.
@@ -149,9 +133,6 @@ impl ParsedFlags {
 pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<ParsedFlags, CliError> {
     let mut parsed = ParsedFlags {
         mode: TelemetryMode::Off,
-        progress: false,
-        probes: None,
-        artifacts_dir: None,
         chaos: None,
         checkpoint: None,
         resume: None,
@@ -168,16 +149,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<ParsedFlags, Cl
             parsed.mode = TelemetryMode::Json {
                 path: Some(path.to_string()),
             };
-        } else if a == "--progress" {
-            parsed.progress = true;
-        } else if a == "--probes" {
-            parsed.probes = Some(None);
-        } else if let Some(spec) = a.strip_prefix("--probes=") {
-            parsed.probes = Some(Some(spec.to_string()));
-        } else if a == "--artifacts-dir" {
-            parsed.artifacts_dir = Some(None);
-        } else if let Some(dir) = a.strip_prefix("--artifacts-dir=") {
-            parsed.artifacts_dir = Some(Some(dir.to_string()));
         } else if let Some(spec) = a.strip_prefix("--chaos=") {
             parsed.chaos = Some(spec.to_string());
         } else if a == "--checkpoint" {
@@ -206,11 +177,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<ParsedFlags, Cl
 pub struct TelemetryCli {
     mode: TelemetryMode,
     name: &'static str,
-    /// The `--probes[=SPEC]` request, if present.
-    probes: Option<Option<String>>,
-    /// Probe captures handed back by the experiment (CSV emission happens
-    /// in [`TelemetryCli::finish`]).
-    captures: Vec<ProbeCapture>,
     /// Campaign supervision options set by `--chaos` / `--checkpoint` /
     /// `--resume` / `--quorum` (CLI defaults without them).
     campaign: SupervisorOptions,
@@ -267,23 +233,12 @@ pub fn init_from(
             plan.hash()
         );
     }
-    if parsed.progress {
-        oxterm_telemetry::progress::set_enabled(true);
-    }
-    if let Some(dir) = &parsed.artifacts_dir {
-        let dir = dir
-            .clone()
-            .unwrap_or_else(|| format!("results/artifacts_{name}"));
-        oxterm_telemetry::postmortem::set_artifacts_dir(dir);
-    }
     let run_phase = Profiler::global().phase(PhaseId::BenchRun);
     Ok((
         parsed.rest,
         TelemetryCli {
             mode: parsed.mode,
             name,
-            probes: parsed.probes,
-            captures: Vec::new(),
             campaign,
             supervised,
             profile_to: parsed
@@ -332,23 +287,6 @@ impl TelemetryCli {
         &self.mode
     }
 
-    /// The probe plan requested by `--probes[=SPEC]`, or `Ok(None)` when
-    /// the flag was absent. `default_spec` is the binary's canonical
-    /// signal set, used when the flag carries no explicit spec.
-    ///
-    /// A malformed spec is a configuration error (exit code 2) surfaced
-    /// as a [`CliError`] so the binary can report it before simulating
-    /// anything.
-    pub fn probe_plan(&self, default_spec: &str) -> Result<Option<ProbePlan>, CliError> {
-        let Some(spec) = self.probes.as_ref() else {
-            return Ok(None);
-        };
-        let spec = spec.as_deref().unwrap_or(default_spec);
-        ProbePlan::parse(spec).map(Some).map_err(|e| {
-            CliError::config(format!("{}: bad --probes spec {spec:?}: {e}", self.name))
-        })
-    }
-
     /// The campaign supervision options: the CLI defaults, as set by
     /// `--chaos` / `--checkpoint` / `--resume` / `--quorum`.
     pub fn campaign(&self) -> &SupervisorOptions {
@@ -378,22 +316,6 @@ impl TelemetryCli {
         }
     }
 
-    /// Whether `--probes[=SPEC]` was given at all — binaries without a
-    /// circuit-level transient use this to acknowledge (and decline) the
-    /// flag instead of silently swallowing it.
-    pub fn probes_requested(&self) -> bool {
-        self.probes.is_some()
-    }
-
-    /// Hands a finished probe capture back for emission at
-    /// [`TelemetryCli::finish`]: one CSV per probe. Call once per probed
-    /// transient; empty captures are ignored.
-    pub fn record_probes(&mut self, capture: &ProbeCapture) {
-        if !capture.is_empty() {
-            self.captures.push(capture.clone());
-        }
-    }
-
     /// Hands the structural stats of the run's representative circuit to
     /// the hot-path report written at [`TelemetryCli::finish`] (the flop
     /// estimates stay absent without them). The last call wins.
@@ -401,11 +323,9 @@ impl TelemetryCli {
         self.matrix = Some(stats);
     }
 
-    /// Writes the probe CSVs, prints the run report, and writes the
-    /// telemetry JSON / hot-path artifacts if asked. No-op when no flag
-    /// was given.
+    /// Prints the run report and writes the telemetry JSON / hot-path
+    /// artifacts if asked. No-op when no flag was given.
     pub fn finish(mut self) {
-        self.write_probe_csvs();
         // Close the whole-binary phase before snapshotting so the
         // `bench/run` root covers everything the run did.
         drop(self.run_phase.take());
@@ -458,44 +378,6 @@ impl TelemetryCli {
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
-
-    /// One CSV per captured probe: `results/probe_<name>_<label>.csv`
-    /// (with a capture index inserted when the experiment recorded more
-    /// than one probed transient).
-    fn write_probe_csvs(&self) {
-        let many = self.captures.len() > 1;
-        for (ci, capture) in self.captures.iter().enumerate() {
-            for trace in &capture.traces {
-                let label = sanitize_label(&trace.label);
-                let path = if many {
-                    format!("results/probe_{}_{ci}_{label}.csv", self.name)
-                } else {
-                    format!("results/probe_{}_{label}.csv", self.name)
-                };
-                match ensure_parent(&path).and_then(|()| std::fs::write(&path, trace.to_csv())) {
-                    Ok(()) => println!(
-                        "probe {} written to {path} ({} samples kept of {} offered, \
-                         {} decimation pass(es))",
-                        trace.label,
-                        trace.samples.len(),
-                        trace.offered,
-                        trace.compactions,
-                    ),
-                    Err(e) => eprintln!("could not write {path}: {e}"),
-                }
-            }
-        }
-    }
-}
-
-/// Maps a probe label to a filename-safe stem: `v(bl_sense)` → `v_bl_sense`.
-fn sanitize_label(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect::<String>()
-        .trim_matches('_')
-        .to_string()
 }
 
 fn ensure_parent(path: &str) -> std::io::Result<()> {
@@ -529,7 +411,6 @@ mod tests {
         let p = parse(&["7"]);
         assert_eq!(p.rest, vec!["7".to_string()]);
         assert_eq!(p.mode, TelemetryMode::Off);
-        assert!(!p.progress);
     }
 
     #[test]
@@ -569,6 +450,11 @@ mod tests {
             "metrics-out=m.prom",
             "lint",
             "lint=deny",
+            "progress",
+            "probes",
+            "probes=v(sl)",
+            "artifacts-dir",
+            "artifacts-dir=out",
         ] {
             let flag = format!("--{retired}");
             let err = try_parse(&[&flag]).unwrap_err();
@@ -587,40 +473,8 @@ mod tests {
     }
 
     #[test]
-    fn progress_flag_parses_alongside_others() {
-        let p = parse(&["--progress", "500", "--profile", "--telemetry"]);
-        assert!(p.progress);
-        assert_eq!(p.profile, Some(None));
-        assert_eq!(p.mode, TelemetryMode::Table);
-        assert_eq!(p.rest, vec!["500".to_string()]);
-    }
-
-    #[test]
     fn parent_creation_handles_bare_filenames() {
         assert!(ensure_parent("bare.json").is_ok());
-    }
-
-    #[test]
-    fn probe_and_artifacts_flags_parse() {
-        let p = parse(&["--probes", "7"]);
-        assert_eq!(p.probes, Some(None));
-        assert_eq!(p.rest, vec!["7".to_string()]);
-        let p = parse(&["--probes=v(sl),i(vsense)"]);
-        assert_eq!(p.probes, Some(Some("v(sl),i(vsense)".to_string())));
-        assert_eq!(parse(&["--artifacts-dir"]).artifacts_dir, Some(None));
-        assert_eq!(
-            parse(&["--artifacts-dir=out/am"]).artifacts_dir,
-            Some(Some("out/am".to_string()))
-        );
-        let off = parse(&["7"]);
-        assert_eq!(off.probes, None);
-        assert_eq!(off.artifacts_dir, None);
-    }
-
-    #[test]
-    fn probe_labels_sanitize_to_filename_stems() {
-        assert_eq!(sanitize_label("v(bl_sense)"), "v_bl_sense");
-        assert_eq!(sanitize_label("i(vsense:0)"), "i_vsense_0");
     }
 
     #[test]
@@ -673,15 +527,6 @@ mod tests {
             assert_eq!(err.code, 2, "{bad} should be a config error");
             assert!(err.message.contains("--quorum"), "{}", err.message);
         }
-    }
-
-    #[test]
-    fn probe_plan_surfaces_parse_errors_as_config_errors() {
-        let (_, cli) = init_from("cli_test", ["--probes=bogus!!".to_string()].into_iter())
-            .expect("init accepts a probes flag");
-        let err = cli.probe_plan("v(sl)").unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--probes"), "{}", err.message);
     }
 
     #[test]

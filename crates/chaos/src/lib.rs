@@ -2,7 +2,7 @@
 //!
 //! The chaos layer lets a campaign driver *prove* that the failure paths of
 //! the solver and Monte Carlo stack work: retry ladders, panic isolation,
-//! post-mortem bundles and degraded completion are exercised by injecting
+//! failure records and degraded completion are exercised by injecting
 //! faults at the existing solver boundaries instead of waiting for a rare
 //! pathological cell to hit them.
 //!

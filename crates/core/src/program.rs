@@ -24,7 +24,6 @@ use oxterm_rram::cell::OxramCell;
 use oxterm_rram::params::{standard_normal, InstanceVariation, OxramParams};
 use oxterm_spice::analysis::tran::{run_transient, TranOptions};
 use oxterm_spice::circuit::Circuit;
-use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_spice::waveform::CrossDir;
 use oxterm_telemetry::joule::{self, ProgramPhase};
 use oxterm_telemetry::{CounterId, PhaseId, Profiler, Telemetry};
@@ -395,8 +394,6 @@ pub struct CircuitProgramOutcome {
     pub v_sl: oxterm_spice::waveform::Waveform,
     /// Filament-state waveform (ρ vs s).
     pub rho: oxterm_spice::waveform::Waveform,
-    /// Captured signal probes (empty unless the probed path was used).
-    pub probes: ProbeCapture,
 }
 
 /// Handles into a circuit built by [`build_program_circuit`].
@@ -491,26 +488,6 @@ pub fn program_cell_circuit(
     opts: &CircuitProgramOptions,
     i_ref: Option<f64>,
 ) -> Result<CircuitProgramOutcome, MlcError> {
-    program_cell_circuit_probed(opts, i_ref, &ProbePlan::none())
-}
-
-/// Like [`program_cell_circuit`], with named signal probes captured during
-/// the programming transient.
-///
-/// The testbench exposes nodes `sl`, `wl`, `bl_cell`, `bl_sense` and
-/// sources `vsense`, `vwl`, `vsl` (see [`build_program_circuit`]); a probe
-/// spec such as `v(sl),v(bl_sense),i(vsense)` captures the Fig 10 signals
-/// into [`CircuitProgramOutcome::probes`] with bounded memory.
-///
-/// # Errors
-///
-/// Propagates transient-analysis failures, including probe specs that name
-/// nodes or devices the testbench does not contain.
-pub fn program_cell_circuit_probed(
-    opts: &CircuitProgramOptions,
-    i_ref: Option<f64>,
-    probes: &ProbePlan,
-) -> Result<CircuitProgramOutcome, MlcError> {
     let tel = Telemetry::global();
     tel.incr("mlc.program.circuit_ops");
     let _op_span = tel.span("mlc.program.circuit_seconds");
@@ -523,14 +500,14 @@ pub fn program_cell_circuit_probed(
         sense,
         vsl,
     } = handles;
-    let tran_opts = program_tran_options(opts).with_probes(probes.clone());
+    let tran_opts = program_tran_options(opts);
     testbench.finish();
 
     // The whole transient is a RESET programming pulse for the joule
     // ledger; the termination monitor flips the thread phase to Tail at
     // the trip (and Bisection while hunting the crossing), and the scope
     // guard restores whatever phase the caller was in.
-    let (mut result, fired) = {
+    let (result, fired) = {
         let _phase = joule::enter_phase(ProgramPhase::Reset);
         match i_ref {
             Some(i_ref) => {
@@ -567,7 +544,6 @@ pub fn program_cell_circuit_probed(
     // Cross-check: latency should match the current crossing.
     let _ = i_cell.first_crossing(i_ref.unwrap_or(0.0), CrossDir::Falling);
 
-    let probes = std::mem::take(&mut result.probes);
     // Releasing the testbench and its waveforms is testbench work too.
     drop(result);
     drop(c);
@@ -578,7 +554,6 @@ pub fn program_cell_circuit_probed(
         i_cell,
         v_sl: v_sl_wave,
         rho,
-        probes,
     })
 }
 
@@ -677,35 +652,6 @@ mod tests {
         );
         let lat = out.latency_s.unwrap();
         assert!((0.3e-6..6e-6).contains(&lat), "latency = {lat:.3e}");
-    }
-
-    #[test]
-    fn probed_circuit_path_captures_fig10_signals() {
-        let opts = CircuitProgramOptions::paper_fig10();
-        let plan = ProbePlan::parse("v(sl),v(bl_sense),i(vsense)").unwrap();
-        let out = program_cell_circuit_probed(&opts, Some(10e-6), &plan).unwrap();
-        assert_eq!(out.probes.traces.len(), 3);
-        let sl = out.probes.trace("v(sl)").expect("v(sl) captured");
-        assert!(sl.samples.len() > 10, "only {} samples", sl.samples.len());
-        // The SL pulse peaks at the drive level somewhere in the record.
-        let peak = sl.samples.iter().map(|s| s.y).fold(0.0f64, f64::max);
-        assert!((peak - opts.v_sl).abs() < 0.05, "peak {peak}");
-        // The sense current trace should agree with the dense branch trace
-        // where they overlap (same solution vector, same signal).
-        let i = out.probes.trace("i(vsense)").expect("i(vsense) captured");
-        let dense = &out.i_cell;
-        let mid = i.samples[i.samples.len() / 2];
-        let dense_y = dense.value_at(mid.t);
-        assert!(
-            (dense_y - mid.y).abs() <= 1e-9 + 1e-6 * dense_y.abs(),
-            "probe {} vs dense {} at t = {}",
-            mid.y,
-            dense_y,
-            mid.t
-        );
-        // The unprobed path stays probe-free.
-        let bare = program_cell_circuit(&opts, Some(10e-6)).unwrap();
-        assert!(bare.probes.is_empty());
     }
 
     #[test]

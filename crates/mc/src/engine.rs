@@ -8,8 +8,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::progress::CampaignProgress;
-
 /// Runs a worker claims from the cursor at most: a batch small enough to
 /// balance a campaign's uneven runs across the workers, large enough that
 /// a campaign pays its per-call costs — the claim, the observer scopes, the
@@ -83,40 +81,33 @@ impl MonteCarlo {
         T: Send,
         F: Fn(usize, &mut StdRng) -> T + Sync,
     {
-        self.run_batches(&self.start_progress(), BATCH, |runs| {
+        self.run_batches(self.workers(), BATCH, |runs| {
             runs.map(|i| f(i, &mut self.rng_for_run(i))).collect()
         })
     }
 
-    /// Starts the progress reporter of one campaign on this engine's
-    /// workers.
-    pub(crate) fn start_progress(&self) -> CampaignProgress {
-        let threads = self.resolved_threads().min(self.runs.max(1));
-        CampaignProgress::start(self.runs, threads)
+    /// The workers a campaign runs on: the resolved thread count, but no
+    /// more than one per run.
+    pub(crate) fn workers(&self) -> usize {
+        self.resolved_threads().min(self.runs.max(1))
     }
 
-    /// The campaign on `progress`'s workers, the calling thread one of
-    /// them: each claims up to `batch` consecutive runs from the cursor
-    /// and hands them to `f`, which returns one result per run, in order.
+    /// The campaign on `threads` workers, the calling thread one of them:
+    /// each claims up to `batch` consecutive runs from the cursor and
+    /// hands them to `f`, which returns one result per run, in order.
     /// Claims shrink on small campaigns so every worker still gets a few.
     ///
     /// The observers see batches: `mc/worker/run` is entered once per
-    /// batch, each `mc.engine.run_seconds` sample is the batch's time
-    /// divided by its runs (the batch's samples recorded at once), and
-    /// `progress` ticks once per run.
-    pub(crate) fn run_batches<T, F>(
-        &self,
-        progress: &CampaignProgress,
-        batch: usize,
-        f: F,
-    ) -> Vec<T>
+    /// batch, and each `mc.engine.run_seconds` sample is the batch's time
+    /// divided by its runs (the batch's samples recorded at once).
+    pub(crate) fn run_batches<T, F>(&self, threads: usize, batch: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(Range<usize>) -> Vec<T> + Sync,
     {
         // One global-handle lookup per campaign; the per-batch timing path
-        // only exists when telemetry or progress was turned on, so
-        // a disabled build pays a single branch per batch.
+        // only exists when telemetry was turned on, so a disabled build
+        // pays a single branch per batch.
         let tel = Telemetry::global();
         tel.incr("mc.engine.campaigns");
         tel.add("mc.engine.runs", self.runs as u64);
@@ -124,8 +115,7 @@ impl MonteCarlo {
         let prof = Profiler::global();
         let _campaign = prof.phase(PhaseId::McCampaign);
 
-        let threads = progress.workers();
-        let timed = tel.is_enabled() || progress.is_enabled();
+        let timed = tel.is_enabled();
         let claim = batch.min(self.runs.div_ceil(4 * threads)).max(1);
 
         let cursor = AtomicUsize::new(0);
@@ -146,11 +136,7 @@ impl MonteCarlo {
                     let t0 = monotonic_ns();
                     let values = f(runs);
                     let dt = monotonic_ns().wrapping_sub(t0) as f64 * 1e-9;
-                    let per_run = dt / n as f64;
-                    tel.sample_n(HistogramId::RunSeconds, per_run, n as u64);
-                    for _ in 0..n {
-                        progress.tick(per_run);
-                    }
+                    tel.sample_n(HistogramId::RunSeconds, dt / n as f64, n as u64);
                     busy += dt;
                     values
                 } else {
@@ -171,7 +157,6 @@ impl MonteCarlo {
             }
             batches
         });
-        progress.finish();
         campaign_span.finish();
         batches.sort_unstable_by_key(|&(start, _)| start);
         batches.into_iter().flat_map(|(_, values)| values).collect()

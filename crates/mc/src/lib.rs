@@ -12,8 +12,8 @@
 //! * [`sweep`] — parameter sweeps of Monte Carlo campaigns,
 //! * [`supervisor`] — the one path for runs that can fail: per-run
 //!   retries on re-derived RNG streams, `catch_unwind` panic isolation, a
-//!   replay seed and post-mortem bundle per failed run, and graceful
-//!   degradation under a failure quorum,
+//!   replay seed per failed run, and graceful degradation under a failure
+//!   quorum,
 //! * [`checkpoint`] — crash-safe campaign snapshots (`f64` bit patterns,
 //!   atomic tmp+rename writes) that `--resume` replays bit-identically.
 //!
@@ -36,7 +36,6 @@ pub mod convergence;
 pub mod corners;
 pub mod dist;
 pub mod engine;
-pub mod progress;
 pub mod supervisor;
 pub mod sweep;
 

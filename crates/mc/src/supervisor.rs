@@ -19,15 +19,11 @@
 //! * **One failure record per exhausted run.** Each run that exhausts its
 //!   attempts counts once in `mc.engine.convergence_failures` and leaves
 //!   one `mc.engine.failed_run` note quoting its run index and
-//!   [`MonteCarlo::seed_for_run`] seed, so it replays in isolation.
-//! * **One bundle per exhausted run.** Post-mortem artifact writes are
-//!   deferred during retryable attempts (`postmortem::set_deferred`);
+//!   [`MonteCarlo::seed_for_run`] seed, so it replays in isolation;
 //!   intermediate failures fold into `mc.supervisor.retried` telemetry
-//!   notes and only the final attempt of an exhausted run writes an
-//!   artifact, stamped with `attempt`/`max_attempts`/run/seed.
-//! * **One count per campaign.** Failures and retries are noted on the
-//!   campaign's own [`CampaignProgress`](crate::progress::CampaignProgress),
-//!   which the progress line and [`CampaignOutcome`] both read.
+//!   notes.
+//! * **One count per campaign.** Failures, retries and panics are counted
+//!   per campaign and reported in its [`CampaignOutcome`].
 //! * **Checkpoint/resume.** Completed runs stream into a [`Checkpoint`]:
 //!   the file starts as the header and any resumed runs, new records are
 //!   appended every `checkpoint_every` completions, and the end rewrites it
@@ -39,7 +35,6 @@
 //!   failure fraction stays within `quorum`; [`CampaignOutcome::exit_code`]
 //!   distinguishes clean (0), degraded (3) and quorum-breached (1).
 
-use oxterm_telemetry::postmortem::{self, PostmortemReport};
 use oxterm_telemetry::Telemetry;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -248,10 +243,9 @@ where
 ///
 /// A batch is up to [`BATCH`] consecutive first attempts of the runs a
 /// worker claims. Resumed runs never enter a batch and retries run one at
-/// a time. While a fault plan is armed or post-mortem capture is active
-/// every batch holds one run, so each keeps its own chaos context and
-/// post-mortem stash. A batch that panics is replayed one run at a time, so
-/// only the panicking run fails.
+/// a time. While a fault plan is armed every batch holds one run, so each
+/// keeps its own chaos context. A batch that panics is replayed one run at
+/// a time, so only the panicking run fails.
 ///
 /// Returns `Err` only when supervision itself cannot proceed (unreadable
 /// or mismatched resume checkpoint); per-run failures are folded into the
@@ -338,6 +332,8 @@ where
     let unwritten: Mutex<Vec<RunRecord>> = Mutex::new(Vec::new());
     let completed = AtomicUsize::new(0);
     let panics = AtomicU64::new(0);
+    let failures = AtomicU64::new(0);
+    let retries = AtomicU64::new(0);
     let every = opts.checkpoint_every.max(1);
 
     // The whole checkpoint: every record so far, in run order. The file
@@ -378,7 +374,6 @@ where
         }
     };
 
-    let progress = mc.start_progress();
     // One attempt of one run, alone: under the chaos run bracket, with an
     // armed panic fault injected before the closure.
     let attempt_one = |i: usize, attempt: u64| -> Result<T, String> {
@@ -445,7 +440,7 @@ where
             }),
         };
         if out.is_err() {
-            progress.note_failure(mc.seed_for_run(i), None);
+            failures.fetch_add(1, Ordering::Relaxed);
         }
         out
     };
@@ -453,10 +448,6 @@ where
     // Run `i` to success or its last attempt. `first` is its first
     // attempt's result if that already ran in a batch; retries run alone.
     let supervise = |i: usize, mut first: Option<Result<T, String>>| -> Result<T, RunFailure> {
-        let prev_deferred = postmortem::set_deferred(true);
-        if postmortem::is_active() {
-            let _ = postmortem::take_last();
-        }
         let mut last_err = String::new();
         let mut attempts_used = 0u64;
         let mut value: Option<T> = None;
@@ -472,39 +463,18 @@ where
             if attempts_used == max_attempts {
                 break;
             }
-            progress.note_retry();
+            retries.fetch_add(1, Ordering::Relaxed);
             tel.incr("mc.supervisor.retries");
             tel.note(
                 "mc.supervisor.retried",
                 format!("run {i} attempt {attempts_used}/{max_attempts}: {last_err}"),
             );
-            // Fold the intermediate attempt's stashed diagnostics away so
-            // only the final attempt of an exhausted run leaves a bundle.
-            let _ = postmortem::take_last();
         }
-        postmortem::set_deferred(prev_deferred);
 
         let out = match value {
             Some(v) => Ok(v),
             None => {
-                let artifact = if postmortem::is_active() {
-                    let mut report = postmortem::take_last()
-                        .unwrap_or_else(|| PostmortemReport::new("mc_run", last_err.clone()));
-                    report.run_index = Some(i as u64);
-                    report.seed = Some(mc.seed_for_run(i));
-                    report.attempt = Some(attempts_used);
-                    report.max_attempts = Some(max_attempts);
-                    if report.error.is_empty() {
-                        last_err.clone_into(&mut report.error);
-                    }
-                    // Deferred mode kept intermediate reports off disk, so
-                    // this is the run's one and only artifact.
-                    report.artifact_path = None;
-                    postmortem::write_report(&mut report)
-                } else {
-                    None
-                };
-                progress.note_failure(mc.seed_for_run(i), artifact);
+                failures.fetch_add(1, Ordering::Relaxed);
                 Err(RunFailure {
                     run: i as u64,
                     attempts: attempts_used,
@@ -530,15 +500,10 @@ where
         out
     };
 
-    // Runs share a batch only while no fault plan is armed and no
-    // post-mortem is captured, so each injected fault and each bundle
-    // stays with its own run.
-    let batch = if oxterm_chaos::is_armed() || postmortem::is_active() {
-        1
-    } else {
-        BATCH
-    };
-    let results: Vec<Result<T, RunFailure>> = mc.run_batches(&progress, batch, |runs| {
+    // Runs share a batch only while no fault plan is armed, so each
+    // injected fault stays with its own run.
+    let batch = if oxterm_chaos::is_armed() { 1 } else { BATCH };
+    let results: Vec<Result<T, RunFailure>> = mc.run_batches(mc.workers(), batch, |runs| {
         // Resumed runs never enter a batch.
         let fresh: Vec<usize> = runs
             .clone()
@@ -572,8 +537,8 @@ where
     let outcome = CampaignOutcome {
         results,
         quorum: opts.quorum,
-        failures: progress.failures(),
-        retries: progress.retries(),
+        failures: failures.load(Ordering::Relaxed),
+        retries: retries.load(Ordering::Relaxed),
         panics: panics.load(Ordering::Relaxed),
         resumed: resumed_count,
     };
@@ -593,8 +558,7 @@ mod tests {
     use super::*;
     use parking_lot::Mutex as PlMutex;
 
-    /// Serialises tests that arm the process-global chaos plan or touch
-    /// the postmortem thread-local machinery.
+    /// Serialises tests that arm the process-global chaos plan.
     static TEST_LOCK: PlMutex<()> = PlMutex::new(());
 
     fn mc(runs: usize, seed: u64) -> MonteCarlo {
@@ -992,23 +956,18 @@ mod tests {
     }
 
     #[test]
-    fn armed_faults_or_capture_hold_batches_to_one_run_with_equal_results() {
+    fn armed_faults_hold_batches_to_one_run_with_equal_results() {
         let _guard = TEST_LOCK.lock();
         let opts = SupervisorOptions::default();
         let (reference, largest) = batched(100, &opts, None);
         assert!(largest > 1, "runs shared batches");
         assert!(reference.retries > 0);
         oxterm_chaos::arm(oxterm_chaos::FaultPlan::new(7));
-        let under_plan = batched(100, &opts, None);
+        let (out, largest) = batched(100, &opts, None);
         oxterm_chaos::disarm();
-        postmortem::set_capture(true);
-        let under_capture = batched(100, &opts, None);
-        postmortem::set_capture(false);
-        for (out, largest) in [under_plan, under_capture] {
-            assert_eq!(largest, 1);
-            assert_eq!(values(&out), values(&reference));
-            assert_eq!(out.retries, reference.retries);
-        }
+        assert_eq!(largest, 1);
+        assert_eq!(values(&out), values(&reference));
+        assert_eq!(out.retries, reference.retries);
     }
 
     #[test]

@@ -56,12 +56,9 @@ pub(crate) struct NewtonOutcome {
 
 /// Damped Newton–Raphson at fixed `kind`/`source_factor`/`gshunt`.
 ///
-/// When post-mortem capture is active
-/// ([`oxterm_telemetry::postmortem::is_active`]), a failed solve stashes a
-/// diagnostic report — per-iteration residual ∞-norm history plus the
-/// top-K worst-residual unknowns named via `Circuit::unknown_name` — for a
-/// terminal failure site to enrich and write. Inactive capture costs one
-/// relaxed atomic load per solve.
+/// A solve that runs out of iterations names its worst unknown — the one
+/// whose last update was largest against its tolerance — in the
+/// [`SpiceError::NoConvergence`] detail, e.g. `… at v(bl_sense)`.
 pub(crate) fn newton_solve(
     circuit: &Circuit,
     x0: &[f64],
@@ -91,11 +88,9 @@ pub(crate) fn newton_solve(
             detail: "chaos: injected Newton stall".into(),
         });
     }
-    let diag_on = oxterm_telemetry::postmortem::is_active();
-    let mut residual_history: Vec<f64> = Vec::new();
-    let mut ratios: Vec<f64> = Vec::new();
     let mut x = x0.to_vec();
     let mut worst = f64::INFINITY;
+    let mut worst_at = 0usize;
     // Each iteration runs stamp → solve_lu → residual back to back, and
     // the next iteration's stamp follows the residual: one scope hands
     // over to the next, so the Newton loop's self time is its own work.
@@ -113,16 +108,6 @@ pub(crate) fn newton_solve(
         phase = phase.then(PhaseId::NewtonResidual);
         if x_new.iter().any(|v| !v.is_finite()) {
             tel.incr("spice.newton.failures");
-            if diag_on {
-                crate::postmortem::stash_newton_failure(
-                    circuit,
-                    time,
-                    "non-finite solution vector",
-                    &residual_history,
-                    &ratios,
-                    &x,
-                );
-            }
             return Err(SpiceError::NoConvergence {
                 analysis: "newton",
                 time,
@@ -135,24 +120,18 @@ pub(crate) fn newton_solve(
         }
         let mut converged = true;
         worst = 0.0;
-        if diag_on {
-            ratios.clear();
-        }
         for i in 0..n {
             let atol = if i < nn { opts.vntol } else { opts.abstol };
             let tol = atol + opts.reltol * x_new[i].abs().max(x[i].abs());
             let err = (x_new[i] - x[i]).abs();
             let ratio = err / tol;
-            worst = worst.max(ratio);
+            if ratio > worst {
+                worst = ratio;
+                worst_at = i;
+            }
             if err > tol {
                 converged = false;
             }
-            if diag_on {
-                ratios.push(ratio);
-            }
-        }
-        if diag_on && residual_history.len() < crate::postmortem::MAX_RESIDUAL_HISTORY {
-            residual_history.push(worst);
         }
         if converged {
             tel.record("spice.newton.iterations", (iter + 1) as f64);
@@ -179,19 +158,10 @@ pub(crate) fn newton_solve(
     tel.incr("spice.newton.failures");
     tel.record("spice.newton.final_residual", worst);
     let detail = format!(
-        "{} iterations, worst error {worst:.2} × tolerance",
-        opts.max_newton_iters
+        "{} iterations, worst error {worst:.2} × tolerance at {}",
+        opts.max_newton_iters,
+        circuit.unknown_name(worst_at)
     );
-    if diag_on {
-        crate::postmortem::stash_newton_failure(
-            circuit,
-            time,
-            &detail,
-            &residual_history,
-            &ratios,
-            &x,
-        );
-    }
     Err(SpiceError::NoConvergence {
         analysis: "newton",
         time,

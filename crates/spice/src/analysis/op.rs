@@ -50,22 +50,13 @@ pub fn solve_op_from(
     let tel = Telemetry::global();
     let _op = Profiler::global().phase(PhaseId::OpSolve);
     tel.incr("spice.op.solves");
-    // Convergence-aid escalation record, kept only while post-mortem
-    // capture is active (one relaxed load when off).
-    let diag_on = oxterm_telemetry::postmortem::is_active();
-    let mut escalations: Vec<String> = Vec::new();
 
     // 1. Direct Newton.
-    match newton_solve(circuit, &x0, &state, AnalysisKind::Dc, 1.0, sim.gmin, sim) {
-        Ok(NewtonOutcome { x, .. }) => {
-            tel.incr("spice.op.direct");
-            return Ok(Solution::new(x, nn));
-        }
-        Err(e) => {
-            if diag_on {
-                escalations.push(format!("direct Newton failed: {e}"));
-            }
-        }
+    if let Ok(NewtonOutcome { x, .. }) =
+        newton_solve(circuit, &x0, &state, AnalysisKind::Dc, 1.0, sim.gmin, sim)
+    {
+        tel.incr("spice.op.direct");
+        return Ok(Solution::new(x, nn));
     }
 
     // 2. Gmin stepping.
@@ -75,36 +66,23 @@ pub fn solve_op_from(
     while gshunt > sim.gmin * 1.01 {
         match newton_solve(circuit, &x, &state, AnalysisKind::Dc, 1.0, gshunt, sim) {
             Ok(out) => x = out.x,
-            Err(e) => {
+            Err(_) => {
                 gmin_ok = false;
-                if diag_on {
-                    escalations.push(format!("gmin stepping failed at gshunt {gshunt:.1e}: {e}"));
-                }
                 break;
             }
         }
         gshunt *= 0.1;
     }
     if gmin_ok {
-        match newton_solve(circuit, &x, &state, AnalysisKind::Dc, 1.0, sim.gmin, sim) {
-            Ok(out) => {
-                tel.incr("spice.op.gmin_recoveries");
-                return Ok(Solution::new(out.x, nn));
-            }
-            Err(e) => {
-                if diag_on {
-                    escalations.push(format!(
-                        "gmin stepping converged but the final solve at gmin failed: {e}"
-                    ));
-                }
-            }
+        if let Ok(out) = newton_solve(circuit, &x, &state, AnalysisKind::Dc, 1.0, sim.gmin, sim) {
+            tel.incr("spice.op.gmin_recoveries");
+            return Ok(Solution::new(out.x, nn));
         }
     }
 
     // 3. Source stepping.
     let mut x = x0;
     let mut factor = 0.0f64;
-    let mut last_err;
     let mut step = 0.1f64;
     let mut failures = 0;
     while factor < 1.0 {
@@ -118,22 +96,12 @@ pub fn solve_op_from(
             Err(e) => {
                 step *= 0.25;
                 failures += 1;
-                last_err = e.to_string();
                 if failures > 40 || step < 1e-6 {
                     tel.incr("spice.op.failures");
-                    let detail =
-                        format!("direct, gmin and source stepping all failed (last: {last_err})");
-                    if diag_on {
-                        escalations.push(format!(
-                            "source stepping abandoned after {failures} failed solves \
-                             at factor {factor:.3}, step {step:.1e}"
-                        ));
-                        crate::postmortem::record_op_failure(&detail, escalations);
-                    }
                     return Err(SpiceError::NoConvergence {
                         analysis: "op",
                         time: 0.0,
-                        detail,
+                        detail: format!("direct, gmin and source stepping all failed (last: {e})"),
                     });
                 }
             }
@@ -141,4 +109,63 @@ pub fn solve_op_from(
     }
     tel.incr("spice.op.source_recoveries");
     Ok(Solution::new(x, nn))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::circuit::NodeId;
+    use crate::device::{Device, StampContext};
+
+    /// A current source driving an exponential diode to ground: a
+    /// nonlinear operating point Newton cannot reach in two iterations.
+    #[derive(Debug)]
+    struct DiodeLoad {
+        node: NodeId,
+    }
+
+    impl Device for DiodeLoad {
+        fn name(&self) -> &str {
+            "dload"
+        }
+        fn stamp(&self, ctx: &mut StampContext<'_>) {
+            let (i_s, v_t) = (1e-14, 0.025);
+            let v0 = ctx.v(self.node);
+            let e = (v0 / v_t).exp();
+            ctx.stamp_nonlinear_branch(
+                self.node,
+                Circuit::gnd(),
+                i_s * (e - 1.0),
+                i_s * e / v_t,
+                v0,
+            );
+            let drive = 1e-3 * ctx.source_factor();
+            ctx.stamp_current(Circuit::gnd(), self.node, drive);
+        }
+        fn is_nonlinear(&self) -> bool {
+            true
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn failed_dc_solve_names_its_worst_unknown() {
+        let mut c = Circuit::new();
+        let node = c.node("anode");
+        c.add(DiodeLoad { node });
+        let mut opts = OpOptions::default();
+        opts.sim.max_newton_iters = 2;
+        match solve_op(&c, &opts) {
+            Err(SpiceError::NoConvergence { detail, .. }) => assert!(
+                detail.contains("v(") || detail.contains("i("),
+                "no unknown named in {detail:?}"
+            ),
+            other => panic!("expected a non-convergence, got {other:?}"),
+        }
+    }
 }

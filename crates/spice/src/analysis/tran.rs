@@ -13,8 +13,6 @@ use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
 use crate::analysis::{newton_solve, op::solve_op, NewtonOutcome};
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::device::{AnalysisKind, UpdateContext};
-use crate::postmortem::{record_tran_failure, TimestepRing, PROBE_TAIL_LEN};
-use crate::probe::{ProbeCapture, ProbeRecorder};
 use crate::solution::Solution;
 use crate::waveform::Waveform;
 use crate::SpiceError;
@@ -63,9 +61,6 @@ pub struct TranResult {
     n_node_unknowns: usize,
     /// Whether a monitor ended the run before `t_stop`.
     pub stopped_early: bool,
-    /// Signal probes captured during the run (empty unless
-    /// [`TranOptions::probes`] named any).
-    pub probes: ProbeCapture,
 }
 
 impl TranResult {
@@ -172,16 +167,6 @@ pub fn run_transient(
     let c_rej_newton = tel.counter("spice.tran.steps_rejected_newton");
     let c_rej_dv = tel.counter("spice.tran.steps_rejected_dv");
     let c_redo = tel.counter("spice.tran.monitor_redos");
-    // Resolve probes before any solving: probing a missing node/device is
-    // a configuration error and should fail fast.
-    let mut probes = if opts.probes.is_empty() {
-        ProbeRecorder::default()
-    } else {
-        ProbeRecorder::resolve(&opts.probes, circuit)?
-    };
-    // Timestep history for post-mortem artifacts: a bounded Copy-write
-    // ring, kept only while capture is active.
-    let mut ts_ring = oxterm_telemetry::postmortem::is_active().then(TimestepRing::new);
     let op = solve_op(circuit, &OpOptions { sim })?;
     let mut state = circuit.initial_state();
     prime_states(circuit, op.as_slice(), &mut state);
@@ -196,9 +181,6 @@ pub fn run_transient(
             m
         })
     };
-    if !probes.is_empty() {
-        probes.record(0.0, op.as_slice());
-    }
 
     let mut result = TranResult {
         times: vec![0.0],
@@ -206,7 +188,6 @@ pub fn run_transient(
         states: vec![state.clone()],
         n_node_unknowns: nn,
         stopped_early: false,
-        probes: ProbeCapture::default(),
     };
 
     let breakpoints = circuit.breakpoints();
@@ -224,20 +205,10 @@ pub fn run_transient(
 
     while t < opts.t_stop - t_eps {
         if accepted >= opts.max_steps {
-            let err = SpiceError::StepLimit {
+            return Err(SpiceError::StepLimit {
                 time: t,
                 max_steps: opts.max_steps,
-            };
-            record_tran_failure(
-                circuit,
-                &err,
-                t,
-                false,
-                ts_ring.as_ref(),
-                &x,
-                probes.tails(PROBE_TAIL_LEN),
-            );
-            return Err(err);
+            });
         }
         // Propose a step, clipped to breakpoints and the stop time.
         let mut dt_try = dt.min(dt_max).min(opts.t_stop - t);
@@ -261,20 +232,10 @@ pub fn run_transient(
         loop {
             attempts += 1;
             if attempts > attempt_budget {
-                let err = SpiceError::StepLimit {
+                return Err(SpiceError::StepLimit {
                     time: t,
                     max_steps: opts.max_steps,
-                };
-                record_tran_failure(
-                    circuit,
-                    &err,
-                    t,
-                    false,
-                    ts_ring.as_ref(),
-                    &x,
-                    probes.tails(PROBE_TAIL_LEN),
-                );
-                return Err(err);
+                });
             }
             let kind = AnalysisKind::Tran {
                 time: t + dt_try,
@@ -289,22 +250,10 @@ pub fn run_transient(
                     }
                     dt_try *= 0.5;
                     if dt_try < opts.dt_min {
-                        let err = SpiceError::TimestepTooSmall {
+                        return Err(SpiceError::TimestepTooSmall {
                             time: t,
                             dt: dt_try,
-                        };
-                        // The Newton failure that collapsed the step just
-                        // stashed its diagnostics; fold them in.
-                        record_tran_failure(
-                            circuit,
-                            &err,
-                            t,
-                            true,
-                            ts_ring.as_ref(),
-                            &x,
-                            probes.tails(PROBE_TAIL_LEN),
-                        );
-                        return Err(err);
+                        });
                     }
                     continue;
                 }
@@ -368,12 +317,6 @@ pub fn run_transient(
             result.data.push(x.clone());
             result.states.push(state.clone());
             accepted += 1;
-            if let Some(ring) = &mut ts_ring {
-                ring.push(t, dt_try, iters as u32);
-            }
-            if !probes.is_empty() {
-                probes.record(t, &x);
-            }
             if let Some(c) = &c_accept {
                 c.incr();
             }
@@ -389,7 +332,6 @@ pub fn run_transient(
 
             if action == MonitorAction::Stop {
                 result.stopped_early = true;
-                result.probes = probes.into_capture();
                 if let Some(m) = &meter {
                     m.flush(circuit);
                 }
@@ -399,7 +341,6 @@ pub fn run_transient(
             break;
         }
     }
-    result.probes = probes.into_capture();
     if let Some(m) = &meter {
         m.flush(circuit);
     }

@@ -14,11 +14,7 @@
 //!   breakpoints, step rejection, and user monitors (the hook the RESET
 //!   write-termination logic plugs into),
 //! * [`waveform`] — recorded traces with the measurement operators the
-//!   paper's figures need (crossings, integrals, final values),
-//! * [`probe`] — named node/branch signal probes captured per accepted
-//!   transient step into bounded-memory min/max-decimated buffers,
-//! * [`postmortem`] — convergence diagnostics mapped into structured
-//!   failure artifacts (the writer itself lives in `oxterm-telemetry`).
+//!   paper's figures need (crossings, integrals, final values).
 //!
 //! Device models themselves (resistors, MOSFETs, RRAM cells, …) live in the
 //! `oxterm-devices` and `oxterm-rram` crates; anything implementing
@@ -72,8 +68,6 @@ pub mod analysis;
 pub mod circuit;
 pub mod device;
 pub mod options;
-pub mod postmortem;
-pub mod probe;
 pub mod solution;
 pub mod waveform;
 

@@ -1,7 +1,5 @@
 //! Tolerances and analysis options.
 
-use crate::probe::ProbePlan;
-
 /// Newton–Raphson and assembly tolerances shared by all analyses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
@@ -40,10 +38,6 @@ pub struct OpOptions {
 }
 
 /// Options for transient analysis.
-///
-/// `TranOptions` is `Clone` but (unlike [`SimOptions`]) not `Copy`: the
-/// probe plan owns heap data. Pass by reference, clone when a variant is
-/// needed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranOptions {
     /// Shared tolerances.
@@ -62,8 +56,6 @@ pub struct TranOptions {
     /// changes cause the step to be retried at half size. This is the
     /// engine's local-accuracy control.
     pub dv_step_max: f64,
-    /// Signal probes captured per accepted step (empty = capture nothing).
-    pub probes: ProbePlan,
 }
 
 impl TranOptions {
@@ -78,14 +70,7 @@ impl TranOptions {
             dt_max: None,
             max_steps: 2_000_000,
             dv_step_max: 0.3,
-            probes: ProbePlan::none(),
         }
-    }
-
-    /// Same options with the given probe plan attached.
-    pub fn with_probes(mut self, probes: ProbePlan) -> Self {
-        self.probes = probes;
-        self
     }
 
     /// The initial step the engine will actually use (`dt_init` or the

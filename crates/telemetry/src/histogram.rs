@@ -363,6 +363,20 @@ mod tests {
         assert!((p50 / 500e-6 - 1.0).abs() < 0.08, "p50 = {p50:e}");
         assert!((p90 / 900e-6 - 1.0).abs() < 0.08, "p90 = {p90:e}");
         assert!(s.quantile(0.0).unwrap() >= s.min);
+        // q = 1 answers the top occupied bin's midpoint 2γ^(i+1)/(γ+1),
+        // clamped to [min, max]. Here max = 1e-3 = γ^-48 is the lower edge
+        // of that bin (i = -48), so its midpoint, 2γ/(γ+1) ≈ 1.072 times
+        // max, lies above max and the clamp answers max exactly.
+        let (top, _) = s.bins().filter(|&(_, c)| c > 0).last().expect("occupied");
+        let gamma = s.ratio();
+        let midpoint = 2.0 * gamma.powi(top + 1) / (gamma + 1.0);
+        assert!((s.midpoint(top) / midpoint - 1.0).abs() < ROUNDING);
+        assert_eq!(
+            s.quantile(1.0).unwrap(),
+            s.midpoint(top).clamp(s.min, s.max)
+        );
+        assert_eq!(top, -48);
+        assert!(s.midpoint(top) > s.max);
         assert_eq!(s.quantile(1.0).unwrap(), s.max);
     }
 

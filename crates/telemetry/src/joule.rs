@@ -316,13 +316,6 @@ pub struct EnergyQuanta {
     pub class: [i128; N_CLASSES],
 }
 
-impl EnergyQuanta {
-    /// Total dissipated joules: the positive cells.
-    fn dissipated_j(&self) -> f64 {
-        to_joules(self.role_phase.iter().flatten().filter(|&&q| q > 0).sum())
-    }
-}
-
 /// Bin ratio of the per-level energy histograms: `1.005`, a half-width of
 /// 2.5e-3. A level's program energy has σ/μ ≥ 0.131, so a bin is a
 /// fiftieth of σ or less.
@@ -500,17 +493,6 @@ impl JouleSnapshot {
     }
 }
 
-/// Compact counts for progress lines.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct JouleCounts {
-    /// Levels with at least one observation.
-    pub levels: usize,
-    /// Total level observations.
-    pub total_obs: u64,
-    /// Total dissipated joules in the role × phase matrix.
-    pub dissipated_j: f64,
-}
-
 /// Cheap handle to the streaming energy/latency ledger.
 #[derive(Clone)]
 pub struct JouleLedger {
@@ -633,22 +615,6 @@ impl JouleLedger {
         }
     }
 
-    /// Compact counts (for progress lines), after merging the calling
-    /// thread's shard.
-    #[must_use]
-    pub fn counts(&self) -> JouleCounts {
-        let Some(sink) = &self.inner else {
-            return JouleCounts::default();
-        };
-        flush_thread();
-        let levels = levels::lock(&sink.levels).counts();
-        JouleCounts {
-            levels: levels.levels,
-            total_obs: levels.total,
-            dissipated_j: sink.matrix().dissipated_j(),
-        }
-    }
-
     /// The raw energy totals, after merging the calling thread's shard
     /// (`None` when disabled).
     #[must_use]
@@ -731,7 +697,6 @@ mod tests {
         l.observe_level(0, 10e-6, 20e-12, 1e-6);
         assert!(!l.is_enabled());
         assert!(l.snapshot().is_empty());
-        assert_eq!(l.counts(), JouleCounts::default());
     }
 
     #[test]
@@ -805,9 +770,6 @@ mod tests {
         assert!((snap.levels[1].min_j - 5e-12).abs() < 1e-24);
         assert!(snap.levels[1].mean_latency_s > 0.5e-6);
         assert_eq!(snap.levels.iter().map(|l| l.n).sum::<u64>(), 200);
-        let c = l.counts();
-        assert_eq!(c.levels, 2);
-        assert_eq!(c.total_obs, 200);
     }
 
     #[test]

@@ -100,19 +100,6 @@ impl<const N: usize> LevelTable<N> {
             .enumerate()
             .filter_map(|(code, slot)| Some((code as u16, slot.as_ref()?)))
     }
-
-    /// Per-level completion counts.
-    pub(crate) fn counts(&self) -> LevelCounts {
-        let mut out = LevelCounts::default();
-        for slot in self.slots.iter().flatten() {
-            let n = slot.stats[0].count();
-            out.levels += 1;
-            out.min_n = if out.levels == 1 { n } else { out.min_n.min(n) };
-            out.max_n = out.max_n.max(n);
-            out.total += n;
-        }
-        out
-    }
 }
 
 /// Locks a level table. An observation cannot panic part-way, so
@@ -156,20 +143,6 @@ pub struct LevelSummary {
 pub struct LevelsSnapshot {
     /// One summary per observed level, ascending by code.
     pub levels: Vec<LevelSummary>,
-}
-
-/// Compact per-level completion counts for progress lines: cheap enough
-/// to compute at every (throttled) progress tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LevelCounts {
-    /// Levels with at least one observation.
-    pub levels: usize,
-    /// Fewest observations across seen levels (0 when none seen).
-    pub min_n: u64,
-    /// Most observations across seen levels.
-    pub max_n: u64,
-    /// Total observations.
-    pub total: u64,
 }
 
 /// Cheap handle to the per-level distribution tracker.
@@ -238,15 +211,6 @@ impl LevelTracker {
         }
     }
 
-    /// Compact per-level completion counts (for progress lines).
-    #[must_use]
-    pub fn counts(&self) -> LevelCounts {
-        match &self.inner {
-            Some(table) => lock(table).counts(),
-            None => LevelCounts::default(),
-        }
-    }
-
     /// A code-ordered snapshot of every level seen so far. Empty when
     /// disabled or nothing was observed.
     #[must_use]
@@ -288,7 +252,6 @@ mod tests {
         t.observe(0, 10e-6, 50e3);
         assert!(!t.is_enabled());
         assert!(t.snapshot().levels.is_empty());
-        assert_eq!(t.counts(), LevelCounts::default());
     }
 
     #[test]
@@ -329,11 +292,8 @@ mod tests {
             t.observe(0, 1e-6, 50e3);
         }
         t.observe(1, 2e-6, 60e3);
-        let c = t.counts();
-        assert_eq!(c.levels, 2);
-        assert_eq!(c.min_n, 1);
-        assert_eq!(c.max_n, 5);
-        assert_eq!(c.total, 6);
+        let n: Vec<u64> = t.snapshot().levels.iter().map(|l| l.n).collect();
+        assert_eq!(n, [5, 1]);
     }
 
     #[test]

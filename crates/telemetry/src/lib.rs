@@ -28,11 +28,6 @@
 //! and *where did the energy go*: streaming per-level resistance histograms
 //! and a per-device energy/latency ledger. Each mirrors the [`Telemetry`]
 //! handle pattern — disabled is one branch, installed once per process.
-//! [`progress`] owns the `--progress` switch for live Monte Carlo campaign
-//! progress on stderr. [`postmortem`] owns failure artifacts: solver
-//! layers hand it structured reports on non-convergence, and it is the
-//! only path that writes them to disk (solver crates are lint-banned from
-//! direct `std::fs` writes).
 //!
 //! # Handles
 //!
@@ -68,9 +63,7 @@ pub mod joule;
 mod json;
 pub mod jsonl;
 pub mod levels;
-pub mod postmortem;
 pub mod profiler;
-pub mod progress;
 mod registry;
 mod report;
 mod shard;
@@ -82,7 +75,7 @@ pub use histogram::Histogram;
 pub use joule::{DeviceClass, JouleLedger, JouleSnapshot, ProgramPhase, Role};
 pub use json::JsonWriter;
 pub use jsonl::JsonlSplit;
-pub use levels::{LevelCounts, LevelSummary, LevelTracker, LevelsSnapshot};
+pub use levels::{LevelSummary, LevelTracker, LevelsSnapshot};
 pub use profiler::{PhaseGuard, PhaseId, PhaseRole, PhaseStats, ProfileSnapshot, Profiler};
 pub use registry::{CounterId, HistogramId, Registry};
 pub use report::RunReport;

@@ -114,8 +114,8 @@ pub enum PhaseId {
     NewtonSolveLu,
     /// Device stamping into the MNA system (`tran/newton/stamp`).
     NewtonStamp,
-    /// Recording an accepted step: waveform rows, power meter, probes and
-    /// step counters (`tran/record`).
+    /// Recording an accepted step: waveform rows, power meter and step
+    /// counters (`tran/record`).
     TranRecord,
     /// One adaptive transient run (`tran/run`).
     TranRun,

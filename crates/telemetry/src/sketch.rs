@@ -5,9 +5,7 @@
 //! feed both in run order: the accumulator's floating-point sums depend on
 //! the order they see, so one sequence gives the same bytes on every run.
 
-/// Welford online mean/variance with exact min/max, mergeable via
-/// Chan's parallel update. The merge is exact (not ε-approximate): the
-/// combined moments equal the batch moments up to float rounding.
+/// Welford online mean/variance with exact min/max.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
     n: u64,
@@ -40,24 +38,6 @@ impl Welford {
         let d = x - self.mean;
         self.mean += d / self.n as f64;
         self.m2 += d * (x - self.mean);
-    }
-
-    /// Merges another accumulator (Chan et al. pairwise update).
-    pub fn merge_from(&mut self, other: &Self) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        self.m2 += other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        self.mean += d * other.n as f64 / n as f64;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.n = n;
     }
 
     /// Sample count.
@@ -184,27 +164,5 @@ mod tests {
         assert!((w.std_dev() - var.sqrt()).abs() < 1e-9);
         assert_eq!(w.min(), 0.0);
         assert_eq!(w.max(), 100.0);
-    }
-
-    #[test]
-    fn welford_merge_is_exact() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).cos() * 50.0).collect();
-        let mut whole = Welford::new();
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for (i, &x) in data.iter().enumerate() {
-            whole.push(x);
-            if i % 3 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
     }
 }

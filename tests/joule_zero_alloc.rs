@@ -56,7 +56,7 @@ fn disarmed_observe_paths_allocate_nothing() {
     // Warm up lazy statics outside the measurement window.
     ledger.observe_level(0, 6e-6, 80e-12, 4e-6);
     ledger.record_energy(DeviceClass::RramCell, Role::RramCell, 1e-12);
-    let _ = ledger.counts();
+    let _ = ledger.snapshot();
 
     let before = local_allocations();
     for i in 0..10_000u64 {
@@ -76,7 +76,7 @@ fn disarmed_observe_paths_allocate_nothing() {
     let armed = JouleLedger::enabled();
     armed.observe_level(5, 20e-6, 30e-12, 0.8e-6);
     armed.record_energy(DeviceClass::RramCell, Role::RramCell, 2e-12);
-    let counts = armed.counts();
-    assert_eq!(counts.total_obs, 1);
-    assert!(counts.dissipated_j > 0.0);
+    let snap = armed.snapshot();
+    assert_eq!(snap.levels.iter().map(|l| l.n).sum::<u64>(), 1);
+    assert!(snap.total_dissipated_j() > 0.0);
 }

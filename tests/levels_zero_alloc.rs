@@ -54,7 +54,7 @@ fn disarmed_observe_path_allocates_nothing() {
 
     // Warm up lazy statics outside the measurement window.
     tracker.observe(0, 6e-6, 267e3);
-    let _ = tracker.counts();
+    let _ = tracker.snapshot();
 
     let before = local_allocations();
     for i in 0..10_000u64 {
@@ -72,5 +72,5 @@ fn disarmed_observe_path_allocates_nothing() {
     // the branch, not dead code).
     let armed = LevelTracker::enabled();
     armed.observe(5, 20e-6, 120e3);
-    assert_eq!(armed.counts().total, 1);
+    assert_eq!(armed.snapshot().levels[0].n, 1);
 }

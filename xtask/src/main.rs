@@ -13,10 +13,9 @@
 //!   *and* `telemetry`/`mc` themselves: only the profiler entry points
 //!   ([`CLOCK_ALLOWLIST`]) may construct an `Instant`; everything else
 //!   routes through `oxterm_telemetry::profiler::monotonic_ns`.
-//! * **`std::fs` ban in solver crates** — artifact I/O (post-mortem
-//!   bundles, probe CSVs, telemetry reports) is owned by `oxterm-telemetry` and
-//!   the bench binaries; a solver writing files directly bypasses the
-//!   artifacts-dir configuration and the telemetry artifact accounting.
+//! * **`std::fs` ban in solver crates** — artifact I/O (telemetry and
+//!   hot-path reports) is owned by the bench binaries; a solver writing
+//!   files directly bypasses the binaries' output configuration.
 //! * **`std::process::exit` ban in library code** — terminating the
 //!   process from a library skips destructors, telemetry flushes and
 //!   mid-campaign checkpoint writes; only `src/bin/` targets may exit.
@@ -45,12 +44,12 @@ const UNWRAP_BUDGETS: &[(&str, usize)] = &[
     ("devices", 0),
     ("examples-shim", 0),
     ("integration", 0),
-    ("mc", 1),
+    ("mc", 0),
     ("netlint", 0),
     ("numerics", 6),
     ("rram", 0),
     ("spice", 0),
-    ("telemetry", 9),
+    ("telemetry", 0),
 ];
 
 /// Crates on the solve path: no direct wall-clock reads (`Instant::now`).
@@ -60,8 +59,8 @@ const SOLVER_CRATES: &[&str] = &[
 ];
 
 /// Crates scanned for `Instant::now` on top of [`SOLVER_CRATES`]: the
-/// telemetry layer itself and the Monte Carlo engine, whose deadlines and
-/// progress lines read the sanctioned `monotonic_ns` clock instead.
+/// telemetry layer itself and the Monte Carlo engine, whose run timing
+/// reads the sanctioned `monotonic_ns` clock instead.
 const CLOCK_CRATES: &[&str] = &["telemetry", "mc"];
 
 /// The only files allowed to construct an `Instant`: the telemetry span
