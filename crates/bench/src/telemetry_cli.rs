@@ -23,11 +23,15 @@
 //! * `--telemetry` — print the ASCII run report at exit.
 //! * `--telemetry=json` — also write `results/telemetry_<name>.json`.
 //! * `--telemetry=json:PATH` — same, to an explicit path.
-//! * `--chaos=SPEC` — arm deterministic fault injection for the binary's
-//!   Monte Carlo campaigns (e.g.
+//! * `--chaos=SPEC` — deterministic fault injection (e.g.
 //!   `newton_stall:p=0.02,nan_stamp:p=0.005,panic:p=0.001,slow_step:p=0.01`,
-//!   optional `seed=N` entry); the campaign supervisor retries the runs it
-//!   faults.
+//!   optional `seed=N` entry). The plan becomes the `faults` of
+//!   [`TelemetryCli::campaign`], so it reaches exactly the campaigns run
+//!   under those options: the QLC campaign of `fig11_mc_boxplots`,
+//!   `fig12_sigma_margin`, `fig13_energy_latency` and `repro_all`. The
+//!   campaign supervisor retries the runs it faults. Binaries with no
+//!   supervised campaign (`fig10_transient`) accept the flag and inject
+//!   nothing.
 //! * `--checkpoint[=PATH]` — stream campaign checkpoints (default
 //!   `results/checkpoint_<name>.jsonl`) so a killed campaign can resume.
 //! * `--resume=PATH` — replay completed runs from a checkpoint file;
@@ -178,7 +182,8 @@ pub struct TelemetryCli {
     mode: TelemetryMode,
     name: &'static str,
     /// Campaign supervision options set by `--chaos` / `--checkpoint` /
-    /// `--resume` / `--quorum` (CLI defaults without them).
+    /// `--resume` / `--quorum` (CLI defaults without them); `--chaos`
+    /// lands in `faults`.
     campaign: SupervisorOptions,
     /// Whether any of those four flags was given.
     supervised: bool,
@@ -223,10 +228,7 @@ pub fn init_from(
     }
     let campaign = campaign_options(name, &parsed)?;
     let supervised = parsed.wants_supervision();
-    if let Some(spec) = &parsed.chaos {
-        let plan = oxterm_chaos::FaultPlan::parse(spec)
-            .map_err(|e| CliError::config(format!("{name}: bad --chaos spec {spec:?}: {e}")))?;
-        oxterm_chaos::arm(plan);
+    if let Some(plan) = campaign.faults {
         eprintln!(
             "chaos({name}): armed plan {} (hash {:#018x})",
             plan.canonical(),
@@ -278,6 +280,11 @@ fn campaign_options(name: &str, parsed: &ParsedFlags) -> Result<SupervisorOption
         );
     }
     opts.resume_from = parsed.resume.clone();
+    if let Some(spec) = &parsed.chaos {
+        let plan = oxterm_chaos::FaultPlan::parse(spec)
+            .map_err(|e| CliError::config(format!("{name}: bad --chaos spec {spec:?}: {e}")))?;
+        opts.faults = Some(plan);
+    }
     Ok(opts)
 }
 
@@ -513,10 +520,34 @@ mod tests {
         assert_eq!(defaulted.quorum, 0.1);
         assert_eq!(defaulted.checkpoint_path, None);
 
-        // No campaign flag: the same CLI defaults.
+        // No campaign flag: the same CLI defaults, with no fault plan.
         assert_eq!(
             campaign_options("fig11", &parse(&["500"])).unwrap(),
-            defaulted
+            SupervisorOptions {
+                faults: None,
+                ..defaulted
+            }
+        );
+    }
+
+    #[test]
+    fn campaign_options_carry_the_chaos_plan() {
+        let spec = "newton_stall:p=0.08,panic:p=0.02:transient,seed=77";
+        let opts = campaign_options("fig11", &parse(&[&format!("--chaos={spec}")])).unwrap();
+        assert_eq!(
+            opts.faults,
+            Some(oxterm_chaos::FaultPlan::parse(spec).unwrap())
+        );
+        assert_eq!(
+            campaign_options("fig11", &parse(&["500"])).unwrap().faults,
+            None
+        );
+        let err = campaign_options("fig11", &parse(&["--chaos=bogus:p=2"])).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(
+            err.message.starts_with("fig11: bad --chaos spec"),
+            "{}",
+            err.message
         );
     }
 

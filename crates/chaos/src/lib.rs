@@ -28,19 +28,21 @@
 //!
 //! # Hook discipline
 //!
-//! Injection sites call [`should_inject`] which, when no plan is armed, is
-//! a single relaxed atomic load — zero allocation, no locks — mirroring the
-//! trace-layer discipline (pinned by a counting-allocator test). When a
-//! plan is armed, the Monte Carlo layer brackets each worker attempt with
-//! [`begin_run`]/[`end_run`]; sites outside a bracketed run never inject.
-//! Each fault kind fires at most once per attempt.
+//! There is no process-wide chaos state: a plan belongs to the campaign
+//! that runs under it. The Monte Carlo supervisor brackets each attempt of
+//! a faulted campaign with [`begin_run`]/[`end_run`], which set and clear
+//! the calling thread's run context; injection sites call
+//! [`should_inject`], which reads only that context. Sites outside a
+//! bracketed run never inject, so campaigns with different plans (or none)
+//! can run side by side. Outside a bracket the hook is one read of a
+//! const-initialised thread-local — zero allocation, no locks (pinned by a
+//! counting-allocator test). Each fault kind fires at most once per
+//! attempt.
 
 #![forbid(unsafe_code)]
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// The injectable fault classes, one per solver-boundary hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,8 +147,8 @@ pub const DEFAULT_SEED: u64 = 0xC4A0_5EED_0000_0001;
 
 /// A seeded, deterministic injection plan over the fault kinds.
 ///
-/// `Copy` by design: the armed plan is copied into a thread-local run
-/// context by [`begin_run`], so the per-hook decision path never takes a
+/// `Copy` by design: [`begin_run`] copies the campaign's plan into a
+/// thread-local run context, so the per-hook decision path never takes a
 /// lock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
@@ -333,7 +335,7 @@ fn unit_interval(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// One injected (or scheduled) fault occurrence.
+/// One scheduled fault occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Injection {
     /// Campaign run index.
@@ -345,26 +347,9 @@ pub struct Injection {
 }
 
 // ---------------------------------------------------------------------------
-// Global arming + per-run thread-local context.
+// Per-run thread-local context.
 // ---------------------------------------------------------------------------
 
-/// Fast-path gate: `should_inject` is a single relaxed load of this flag
-/// when no plan is armed.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-static INJECTED: AtomicU64 = AtomicU64::new(0);
-static LOG: Mutex<Vec<Injection>> = Mutex::new(Vec::new());
-
-/// Locks a mutex, recovering from poisoning — injected worker panics must
-/// not wedge the chaos layer itself.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-#[derive(Clone, Copy)]
 struct RunCtx {
     plan: FaultPlan,
     run: u64,
@@ -373,100 +358,45 @@ struct RunCtx {
 }
 
 thread_local! {
-    static CTX: Cell<Option<RunCtx>> = const { Cell::new(None) };
+    static CTX: RefCell<Option<RunCtx>> = const { RefCell::new(None) };
 }
 
-/// Arms `plan` process-wide. Hooks still only fire inside a
-/// [`begin_run`]/[`end_run`] bracket on the calling thread.
-pub fn arm(plan: FaultPlan) {
-    *lock_recover(&PLAN) = Some(plan);
-    ARMED.store(true, Ordering::Release);
-}
-
-/// Disarms injection and clears the plan (thread-local contexts from
-/// in-flight runs go stale and stop injecting via the `ARMED` gate).
-pub fn disarm() {
-    ARMED.store(false, Ordering::Release);
-    *lock_recover(&PLAN) = None;
-}
-
-/// Whether a plan is currently armed.
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// A copy of the armed plan, if any.
-pub fn armed_plan() -> Option<FaultPlan> {
-    if !is_armed() {
-        return None;
-    }
-    *lock_recover(&PLAN)
-}
-
-/// Brackets the start of one worker attempt: copies the armed plan into
-/// this thread's run context so hooks can decide without locking. A no-op
-/// (clears the context) when nothing is armed.
-pub fn begin_run(run: u64, attempt: u64) {
-    let ctx = armed_plan().map(|plan| RunCtx {
+/// Brackets the start of one worker attempt under `plan`: sets this
+/// thread's run context, so hooks on this thread decide by `plan` for
+/// `(run, attempt)` until [`end_run`].
+pub fn begin_run(plan: FaultPlan, run: u64, attempt: u64) {
+    CTX.set(Some(RunCtx {
         plan,
         run,
         attempt,
         fired: [false; KIND_COUNT],
-    });
-    CTX.with(|c| c.set(ctx));
+    }));
 }
 
 /// Clears this thread's run context.
 pub fn end_run() {
-    CTX.with(|c| c.set(None));
+    CTX.set(None);
 }
 
 /// The per-hook injection decision.
 ///
-/// Disarmed (the default): one relaxed atomic load, inlined into the hook,
-/// zero allocation. Armed: consults the thread-local run context; fires at
-/// most once per kind per attempt and appends to the injection log.
+/// Outside a [`begin_run`]/[`end_run`] bracket (the default): one read of
+/// a const-initialised thread-local, zero allocation. Inside one: decides
+/// by the bracket's plan and fires at most once per kind per attempt.
 #[inline]
 pub fn should_inject(kind: FaultKind) -> bool {
-    ARMED.load(Ordering::Relaxed) && armed_should_inject(kind)
+    CTX.with_borrow_mut(|ctx| ctx.as_mut().is_some_and(|ctx| ctx.fire(kind)))
 }
 
-/// [`should_inject`] once a plan is armed, kept out of line.
-#[cold]
-#[inline(never)]
-fn armed_should_inject(kind: FaultKind) -> bool {
-    CTX.with(|c| {
-        let Some(mut ctx) = c.get() else {
-            return false;
-        };
-        if ctx.fired[kind.index()] {
-            return false;
-        }
-        if !ctx.plan.injects(ctx.run, ctx.attempt, kind) {
-            return false;
-        }
-        ctx.fired[kind.index()] = true;
-        let injection = Injection {
-            run: ctx.run,
-            attempt: ctx.attempt,
-            kind,
-        };
-        c.set(Some(ctx));
-        INJECTED.fetch_add(1, Ordering::Relaxed);
-        lock_recover(&LOG).push(injection);
-        true
-    })
-}
-
-/// Total faults injected since process start ([`drain_injections`] does
-/// **not** reset this counter).
-pub fn injected_count() -> u64 {
-    INJECTED.load(Ordering::Relaxed)
-}
-
-/// Drains and returns the injection log (test/diagnostic use).
-pub fn drain_injections() -> Vec<Injection> {
-    std::mem::take(&mut *lock_recover(&LOG))
+impl RunCtx {
+    /// [`should_inject`] inside a run bracket, kept out of line.
+    #[cold]
+    #[inline(never)]
+    fn fire(&mut self, kind: FaultKind) -> bool {
+        let fires = !self.fired[kind.index()] && self.plan.injects(self.run, self.attempt, kind);
+        self.fired[kind.index()] |= fires;
+        fires
+    }
 }
 
 #[cfg(test)]
@@ -574,31 +504,20 @@ mod tests {
 
     #[test]
     fn hooks_fire_once_per_attempt_and_log() {
-        // Serialise against other tests touching the global plan.
-        let _guard = lock_recover(&GLOBAL_TEST_LOCK);
-        drain_injections();
-        arm(plan("panic:p=1.0,seed=1"));
-        begin_run(7, 2);
+        begin_run(plan("panic:p=1.0,seed=1"), 7, 2);
         assert!(should_inject(FaultKind::Panic));
         assert!(
             !should_inject(FaultKind::Panic),
             "second query must not re-fire"
         );
         assert!(!should_inject(FaultKind::NewtonStall));
+        // A new attempt re-arms the kind.
+        begin_run(plan("panic:p=1.0,seed=1"), 7, 3);
+        assert!(should_inject(FaultKind::Panic));
         end_run();
         assert!(
             !should_inject(FaultKind::Panic),
             "no context => no injection"
-        );
-        disarm();
-        let log = drain_injections();
-        assert_eq!(
-            log,
-            vec![Injection {
-                run: 7,
-                attempt: 2,
-                kind: FaultKind::Panic
-            }]
         );
     }
 
@@ -628,12 +547,8 @@ mod tests {
 
     #[test]
     fn disarmed_hook_is_inert() {
-        let _guard = lock_recover(&GLOBAL_TEST_LOCK);
-        disarm();
-        begin_run(0, 0);
-        assert!(!should_inject(FaultKind::Panic));
-        end_run();
+        for kind in ALL_KINDS {
+            assert!(!should_inject(kind), "no bracket => no injection");
+        }
     }
-
-    pub(super) static GLOBAL_TEST_LOCK: Mutex<()> = Mutex::new(());
 }

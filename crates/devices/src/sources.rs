@@ -209,11 +209,6 @@ impl VoltageSource {
         self.end_fall = fall;
     }
 
-    /// Clears a previously forced end.
-    pub fn clear_forced_end(&mut self) {
-        self.end_at = None;
-    }
-
     /// Output level at time `t`, including any forced end.
     pub fn level_at(&self, t: f64) -> f64 {
         match self.end_at {
@@ -398,8 +393,6 @@ mod tests {
         assert_eq!(vs.level_at(0.5e-6), 1.2); // before the chop
         assert!((vs.level_at(1e-6 + 5e-9) - 0.6).abs() < 1e-9);
         assert_eq!(vs.level_at(2e-6), 0.0);
-        vs.clear_forced_end();
-        assert_eq!(vs.level_at(2e-6), 1.2);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! encoded result or its terminal error. Results are encoded as `f64`
 //! **bit patterns** (hex), not decimal renderings, so a `--resume` replays
 //! completed runs to bit-identical aggregate statistics. The header pins
-//! the campaign seed, run count and the armed fault-plan hash; a resume
+//! the campaign seed, run count and the hash of the campaign's fault plan
+//! ([`SupervisorOptions::faults`](crate::SupervisorOptions::faults)); a resume
 //! under a different configuration is rejected instead of silently mixing
 //! incompatible runs.
 //!
@@ -52,7 +53,8 @@ pub struct CheckpointHeader {
     pub seed: u64,
     /// Total runs in the campaign.
     pub runs: u64,
-    /// [`oxterm_chaos::FaultPlan::hash`] of the armed plan, 0 when none.
+    /// [`oxterm_chaos::FaultPlan::hash`] of the campaign's fault plan, 0
+    /// when it has none.
     pub fault_plan_hash: u64,
 }
 

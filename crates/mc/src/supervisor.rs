@@ -70,6 +70,9 @@ pub struct SupervisorOptions {
     pub checkpoint_every: usize,
     /// Resume completed runs from this checkpoint file.
     pub resume_from: Option<String>,
+    /// The campaign's fault plan (`None` = no injection). Its hash is
+    /// pinned in the checkpoint header.
+    pub faults: Option<oxterm_chaos::FaultPlan>,
 }
 
 impl Default for SupervisorOptions {
@@ -80,6 +83,7 @@ impl Default for SupervisorOptions {
             checkpoint_path: None,
             checkpoint_every: 32,
             resume_from: None,
+            faults: None,
         }
     }
 }
@@ -243,8 +247,8 @@ where
 ///
 /// A batch is up to [`BATCH`] consecutive first attempts of the runs a
 /// worker claims. Resumed runs never enter a batch and retries run one at
-/// a time. While a fault plan is armed every batch holds one run, so each
-/// keeps its own chaos context. A batch that panics is replayed one run at
+/// a time. Under a fault plan every batch holds one run, so each keeps its
+/// own chaos context. A batch that panics is replayed one run at
 /// a time, so only the panicking run fails.
 ///
 /// Returns `Err` only when supervision itself cannot proceed (unreadable
@@ -263,7 +267,7 @@ where
     let header = CheckpointHeader {
         seed: mc.seed,
         runs: mc.runs as u64,
-        fault_plan_hash: oxterm_chaos::armed_plan().map(|p| p.hash()).unwrap_or(0),
+        fault_plan_hash: opts.faults.map_or(0, |p| p.hash()),
     };
 
     // Resume: replay completed runs from the checkpoint file.
@@ -374,15 +378,18 @@ where
         }
     };
 
-    // One attempt of one run, alone: under the chaos run bracket, with an
-    // armed panic fault injected before the closure.
+    // One attempt of one run, alone: under the chaos run bracket of the
+    // campaign's plan, with a planned panic fault injected before the
+    // closure.
     let attempt_one = |i: usize, attempt: u64| -> Result<T, String> {
         let att = Attempt {
             run_index: i as u64,
             attempt,
         };
         let mut rng = rng_for_attempt(&mc, i, attempt);
-        oxterm_chaos::begin_run(i as u64, attempt);
+        if let Some(plan) = opts.faults {
+            oxterm_chaos::begin_run(plan, i as u64, attempt);
+        }
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::Panic) {
                 Telemetry::global().incr("chaos.injected.panic");
@@ -500,9 +507,9 @@ where
         out
     };
 
-    // Runs share a batch only while no fault plan is armed, so each
-    // injected fault stays with its own run.
-    let batch = if oxterm_chaos::is_armed() { 1 } else { BATCH };
+    // Runs share a batch only without a fault plan, so each injected fault
+    // stays with its own run.
+    let batch = if opts.faults.is_some() { 1 } else { BATCH };
     let results: Vec<Result<T, RunFailure>> = mc.run_batches(mc.workers(), batch, |runs| {
         // Resumed runs never enter a batch.
         let fresh: Vec<usize> = runs
@@ -556,10 +563,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex as PlMutex;
-
-    /// Serialises tests that arm the process-global chaos plan.
-    static TEST_LOCK: PlMutex<()> = PlMutex::new(());
 
     fn mc(runs: usize, seed: u64) -> MonteCarlo {
         MonteCarlo::new(runs, seed).with_threads(4)
@@ -703,7 +706,6 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_reproduces_aggregates_bit_identically() {
-        let _guard = TEST_LOCK.lock();
         let dir = std::env::temp_dir().join(format!("oxterm_sup_resume_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("ckpt.jsonl").to_string_lossy().to_string();
@@ -776,7 +778,6 @@ mod tests {
 
     #[test]
     fn periodic_checkpoints_append_and_the_final_one_is_complete() {
-        let _guard = TEST_LOCK.lock();
         let dir = std::env::temp_dir().join(format!("oxterm_sup_append_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("ckpt.jsonl").to_string_lossy().to_string();
@@ -828,7 +829,6 @@ mod tests {
 
     #[test]
     fn resume_rejects_mismatched_campaign() {
-        let _guard = TEST_LOCK.lock();
         let dir = std::env::temp_dir().join(format!("oxterm_sup_mismatch_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("ckpt.jsonl").to_string_lossy().to_string();
@@ -890,7 +890,6 @@ mod tests {
 
     #[test]
     fn a_panicking_batch_fails_only_the_panicking_run() {
-        let _guard = TEST_LOCK.lock();
         let opts = SupervisorOptions::default();
         let (clean, _) = batched(40, &opts, None);
         let (out, largest) = batched(40, &opts, Some(5));
@@ -910,7 +909,6 @@ mod tests {
     #[test]
     fn a_first_attempt_failing_in_a_batch_is_retried_and_counted() {
         use rand::Rng;
-        let _guard = TEST_LOCK.lock();
         let (out, largest) = batched(100, &SupervisorOptions::default(), None);
         assert!(largest > 1, "runs shared batches");
         let failing: Vec<usize> = (0..100).filter(|i| i % 7 == 3).collect();
@@ -928,7 +926,6 @@ mod tests {
 
     #[test]
     fn keeping_a_checkpoint_leaves_results_unchanged() {
-        let _guard = TEST_LOCK.lock();
         let dir = std::env::temp_dir().join(format!("oxterm_sup_kept_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("ckpt.jsonl").to_string_lossy().to_string();
@@ -957,14 +954,14 @@ mod tests {
 
     #[test]
     fn armed_faults_hold_batches_to_one_run_with_equal_results() {
-        let _guard = TEST_LOCK.lock();
-        let opts = SupervisorOptions::default();
-        let (reference, largest) = batched(100, &opts, None);
+        let (reference, largest) = batched(100, &SupervisorOptions::default(), None);
         assert!(largest > 1, "runs shared batches");
         assert!(reference.retries > 0);
-        oxterm_chaos::arm(oxterm_chaos::FaultPlan::new(7));
-        let (out, largest) = batched(100, &opts, None);
-        oxterm_chaos::disarm();
+        let faulted = SupervisorOptions {
+            faults: Some(oxterm_chaos::FaultPlan::new(7)),
+            ..SupervisorOptions::default()
+        };
+        let (out, largest) = batched(100, &faulted, None);
         assert_eq!(largest, 1);
         assert_eq!(values(&out), values(&reference));
         assert_eq!(out.retries, reference.retries);

@@ -177,7 +177,6 @@ pub struct LuFactors {
     lu: DMatrix,
     /// `perm[k]` is the original row index that ended up in pivot position `k`.
     perm: Vec<usize>,
-    sign: f64,
 }
 
 /// Pivots smaller than this (relative to the column scale) are treated as
@@ -194,7 +193,6 @@ impl LuFactors {
         }
         let n = a.n_rows;
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         let scale = a.max_abs().max(1.0);
         for k in 0..n {
             // Partial pivot: the largest entry in column k at or below row k.
@@ -217,7 +215,6 @@ impl LuFactors {
                     a.set(p, j, tmp);
                 }
                 perm.swap(k, p);
-                sign = -sign;
             }
             let pivot = a.get(k, k);
             for i in (k + 1)..n {
@@ -231,7 +228,7 @@ impl LuFactors {
                 }
             }
         }
-        Ok(LuFactors { lu: a, perm, sign })
+        Ok(LuFactors { lu: a, perm })
     }
 
     /// Dimension of the factorized system.
@@ -269,33 +266,6 @@ impl LuFactors {
                 sum -= self.lu.get(i, j) * xj;
             }
             x[i] = sum / self.lu.get(i, i);
-        }
-        Ok(x)
-    }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.n() {
-            d *= self.lu.get(i, i);
-        }
-        d
-    }
-
-    /// Solves `A·x = b` with one step of iterative refinement against the
-    /// original matrix — recovers most of the accuracy lost to rounding on
-    /// ill-conditioned systems.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] if shapes disagree.
-    pub fn solve_refined(&self, a: &DMatrix, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
-        let mut x = self.solve(b)?;
-        let ax = a.mul_vec(&x)?;
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-        let dx = self.solve(&r)?;
-        for (xi, di) in x.iter_mut().zip(&dx) {
-            *xi += di;
         }
         Ok(x)
     }
@@ -383,13 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_permuted_diagonal() {
-        let a = DMatrix::from_rows(&[&[0.0, 2.0], &[3.0, 0.0]]).unwrap();
-        let lu = a.factorize().unwrap();
-        assert!((lu.det() + 6.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn mul_vec_matches_manual() {
         let a = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let y = a.mul_vec(&[1.0, 1.0]).unwrap();
@@ -421,32 +384,6 @@ mod tests {
                 assert!((v - expect).abs() < 1e-12, "A·A⁻¹[{j}][{i}] = {v}");
             }
         }
-    }
-
-    #[test]
-    fn refined_solve_beats_or_matches_plain() {
-        // A moderately ill-conditioned system (graded diagonal).
-        let n = 12;
-        let mut a = DMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                a.set(i, j, 1.0 / (1.0 + (i + j) as f64));
-            }
-            a.add(i, i, 1e-6);
-        }
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let b = a.mul_vec(&x_true).unwrap();
-        let lu = a.factorize().unwrap();
-        let plain = lu.solve(&b).unwrap();
-        let refined = lu.solve_refined(&a, &b).unwrap();
-        let err = |x: &[f64]| -> f64 {
-            let r = a.mul_vec(x).unwrap();
-            r.iter()
-                .zip(&b)
-                .map(|(ri, bi)| (ri - bi).abs())
-                .fold(0.0, f64::max)
-        };
-        assert!(err(&refined) <= err(&plain) * 1.5 + 1e-18);
     }
 
     #[test]

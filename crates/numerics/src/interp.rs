@@ -121,13 +121,6 @@ impl Pwl {
     }
 }
 
-/// Linear interpolation between two points; `x` need not lie between them.
-#[inline]
-pub fn lerp(x0: f64, y0: f64, x1: f64, y1: f64, x: f64) -> f64 {
-    debug_assert!(x1 != x0, "lerp endpoints must differ in x");
-    y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -225,10 +225,7 @@ impl Ecdf {
 /// A uniform-bin histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    lo: f64,
-    hi: f64,
     counts: Vec<usize>,
-    n_total: usize,
 }
 
 impl Histogram {
@@ -252,38 +249,12 @@ impl Histogram {
             let idx = ((f * n_bins as f64) as usize).min(n_bins - 1);
             counts[idx] += 1;
         }
-        Ok(Histogram {
-            lo,
-            hi,
-            counts,
-            n_total: data.len(),
-        })
+        Ok(Histogram { counts })
     }
 
     /// Bin counts.
     pub fn counts(&self) -> &[usize] {
         &self.counts
-    }
-
-    /// `(bin_center, fraction)` pairs.
-    pub fn densities(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts.iter().enumerate().map(move |(k, &c)| {
-            (
-                self.lo + (k as f64 + 0.5) * width,
-                c as f64 / self.n_total as f64,
-            )
-        })
-    }
-
-    /// The bin index holding the most samples.
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| *c)
-            .map(|(k, _)| k)
-            .unwrap_or(0)
     }
 }
 
@@ -483,10 +454,6 @@ mod tests {
         let h = Histogram::new(&data, 0.0, 1.0, 4).unwrap();
         // Bins: [0,.25)=0.1,0.2,−5 clamp; [.25,.5)=0.25; [.75,1]=0.9, 5 clamp.
         assert_eq!(h.counts(), &[3, 1, 0, 2]);
-        assert_eq!(h.mode_bin(), 0);
-        let d: Vec<_> = h.densities().collect();
-        assert!((d[0].1 - 0.5).abs() < 1e-12);
-        assert!((d[0].0 - 0.125).abs() < 1e-12);
     }
 
     #[test]

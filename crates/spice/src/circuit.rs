@@ -120,23 +120,6 @@ impl Circuit {
         }
     }
 
-    /// Looks up an existing node by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::NotFound`] if no node has that name.
-    pub fn find_node(&self, name: &str) -> Result<NodeId, SpiceError> {
-        if name == "0" || name.eq_ignore_ascii_case("gnd") {
-            return Ok(NodeId(0));
-        }
-        self.node_index
-            .get(name)
-            .map(|&i| NodeId(i))
-            .ok_or_else(|| SpiceError::NotFound {
-                what: format!("node '{name}'"),
-            })
-    }
-
     /// The name of a node.
     pub fn node_name(&self, node: NodeId) -> &str {
         &self.node_names[node.0]
@@ -426,8 +409,7 @@ mod tests {
         let b = c.node("beta");
         assert_ne!(a, b);
         assert_eq!(c.node_name(a), "alpha");
-        assert_eq!(c.find_node("beta").unwrap(), b);
-        assert!(c.find_node("missing").is_err());
+        assert_eq!(c.node_name(b), "beta");
     }
 
     #[test]

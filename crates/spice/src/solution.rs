@@ -28,11 +28,6 @@ impl Solution {
         }
     }
 
-    /// Voltage difference `v(a) − v(b)`.
-    pub fn v_across(&self, a: NodeId, b: NodeId) -> f64 {
-        self.v(a) - self.v(b)
-    }
-
     /// Current through a device's `k`-th branch (voltage-source branches).
     ///
     /// Positive current flows from the `p` terminal through the device to
@@ -73,7 +68,6 @@ mod tests {
         assert_eq!(s.v(NodeId(0)), 0.0);
         assert_eq!(s.v(NodeId(1)), 1.0);
         assert_eq!(s.v(NodeId(2)), 2.0);
-        assert_eq!(s.v_across(NodeId(2), NodeId(1)), 1.0);
         assert_eq!(s.as_slice().len(), 3);
         assert_eq!(s.n_node_unknowns(), 2);
     }

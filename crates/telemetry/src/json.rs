@@ -154,14 +154,6 @@ impl JsonWriter {
         self
     }
 
-    /// Writes a bare float element into the open array (`null` if
-    /// non-finite).
-    pub fn array_f64(&mut self, value: f64) -> &mut Self {
-        self.comma();
-        self.push_float(value);
-        self
-    }
-
     fn push_float(&mut self, value: f64) {
         if value.is_finite() {
             // `{:?}` is Rust's shortest round-trip form; it always contains

@@ -10,37 +10,15 @@
 //! (by truncating its checkpoint) and proves `--resume` replays the
 //! completed half bit-identically.
 //!
-//! Chaos state is process-global, so every test that arms a plan
-//! serializes on [`CHAOS_LOCK`] and disarms on drop.
+//! A fault plan travels in its campaign's [`SupervisorOptions::faults`],
+//! so these tests run side by side with no lock: one campaign's plan never
+//! reaches another's runs.
 
 use oxterm_chaos::{FaultKind, FaultPlan};
 use oxterm_mc::checkpoint::Checkpoint;
 use oxterm_mc::supervisor::{per_attempt, Attempt};
 use oxterm_mc::{run_supervised, MonteCarlo, SupervisorOptions};
 use rand::rngs::StdRng;
-use std::sync::{Mutex, MutexGuard};
-
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Serializes chaos-arming tests and guarantees a disarmed exit even when
-/// an assertion panics mid-test.
-struct ChaosSession(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl ChaosSession {
-    fn arm(plan: FaultPlan) -> Self {
-        let guard = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        oxterm_chaos::arm(plan);
-        let _ = oxterm_chaos::drain_injections();
-        ChaosSession(guard)
-    }
-}
-
-impl Drop for ChaosSession {
-    fn drop(&mut self) {
-        oxterm_chaos::disarm();
-        let _ = oxterm_chaos::drain_injections();
-    }
-}
 
 #[test]
 fn fault_schedule_is_deterministic_and_seed_sensitive() {
@@ -77,11 +55,11 @@ fn plan_dooms_run(plan: &FaultPlan, run: u64, max_attempts: u64) -> bool {
 fn degraded_campaign_completes_with_one_failure_record_per_exhausted_run() {
     let plan = FaultPlan::parse("newton_stall:p=0.10,panic:p=0.02:transient,seed=77")
         .expect("spec parses");
-    let session = ChaosSession::arm(plan);
 
     let runs = 240usize;
     let opts = SupervisorOptions {
         quorum: 0.25,
+        faults: Some(plan),
         ..SupervisorOptions::default()
     };
     let outcome = run_supervised(
@@ -130,14 +108,11 @@ fn degraded_campaign_completes_with_one_failure_record_per_exhausted_run() {
             "an exhausted run consumes the whole ladder: {fail:?}"
         );
     }
-
-    drop(session);
 }
 
 #[test]
 fn killed_campaign_resumes_bit_identically() {
     let plan = FaultPlan::parse("newton_stall:p=0.05,seed=9").expect("spec parses");
-    let session = ChaosSession::arm(plan);
 
     let dir = std::env::temp_dir().join(format!("oxterm_chaos_resume_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -158,6 +133,7 @@ fn killed_campaign_resumes_bit_identically() {
         campaign,
         &SupervisorOptions {
             checkpoint_path: Some(full_path.clone()),
+            faults: Some(plan),
             ..SupervisorOptions::default()
         },
         per_attempt(body),
@@ -180,6 +156,7 @@ fn killed_campaign_resumes_bit_identically() {
         campaign,
         &SupervisorOptions {
             resume_from: Some(torn_path.clone()),
+            faults: Some(plan),
             ..SupervisorOptions::default()
         },
         per_attempt(body),
@@ -210,24 +187,29 @@ fn killed_campaign_resumes_bit_identically() {
     }
     assert_eq!(uninterrupted.failures, resumed.failures);
 
-    // A checkpoint from a different fault plan must be refused.
-    oxterm_chaos::arm(FaultPlan::parse("newton_stall:p=0.05,seed=10").expect("spec parses"));
-    let err = run_supervised(
-        campaign,
-        &SupervisorOptions {
-            resume_from: Some(torn_path),
-            ..SupervisorOptions::default()
-        },
-        per_attempt(body),
-    )
-    .expect_err("plan-hash mismatch must be rejected");
-    assert!(
-        err.to_string().contains("does not match"),
-        "unexpected error: {err}"
-    );
+    // A checkpoint from a different fault plan, or from none, must be
+    // refused.
+    for faults in [
+        Some(FaultPlan::parse("newton_stall:p=0.05,seed=10").expect("spec parses")),
+        None,
+    ] {
+        let err = run_supervised(
+            campaign,
+            &SupervisorOptions {
+                resume_from: Some(torn_path.clone()),
+                faults,
+                ..SupervisorOptions::default()
+            },
+            per_attempt(body),
+        )
+        .expect_err("plan-hash mismatch must be rejected");
+        assert!(
+            err.to_string().contains("does not match"),
+            "unexpected error: {err}"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
-    drop(session);
 }
 
 #[test]
@@ -262,17 +244,79 @@ fn ladder_never_exceeds_max_attempts() {
 
 #[test]
 fn disarmed_hooks_never_fire() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    // Arm a certain-fire plan, then disarm: the hooks must go quiet.
-    oxterm_chaos::arm(FaultPlan::parse("newton_stall:p=1.0,seed=1").expect("spec parses"));
-    oxterm_chaos::disarm();
-    let before = oxterm_chaos::injected_count();
-    oxterm_chaos::begin_run(0, 0);
+    // Bracket a certain-fire plan, then end the bracket: the hooks must go
+    // quiet.
+    let plan = FaultPlan::parse("newton_stall:p=1.0,seed=1").expect("spec parses");
+    oxterm_chaos::begin_run(plan, 0, 0);
+    oxterm_chaos::end_run();
     for kind in oxterm_chaos::ALL_KINDS {
         assert!(!oxterm_chaos::should_inject(kind));
     }
-    oxterm_chaos::end_run();
-    assert_eq!(oxterm_chaos::injected_count(), before);
+}
+
+/// Two campaigns at once, on two threads: one under a certain-fire Newton
+/// stall, one with no plan. Each sees only its own faults.
+#[test]
+fn concurrent_campaigns_see_only_their_own_faults() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Barrier, Once};
+
+    let plan = FaultPlan::parse("newton_stall:p=1.0,seed=3").expect("spec parses");
+    let runs = 200usize;
+    // Both campaigns' first batches meet here, so they are in flight
+    // together.
+    let started = Barrier::new(2);
+    let campaign = |faults: Option<FaultPlan>| {
+        let first = Once::new();
+        let largest = AtomicUsize::new(0);
+        let outcome = run_supervised(
+            MonteCarlo::new(runs, 0xC0C0).with_threads(2),
+            &SupervisorOptions {
+                quorum: 1.0,
+                faults,
+                ..SupervisorOptions::default()
+            },
+            |atts: &[Attempt], _rngs: &mut [StdRng]| {
+                first.call_once(|| {
+                    started.wait();
+                });
+                largest.fetch_max(atts.len(), Ordering::Relaxed);
+                atts.iter()
+                    .map(|att| {
+                        if oxterm_chaos::should_inject(FaultKind::NewtonStall) {
+                            Err(format!("injected stall in run {}", att.run_index))
+                        } else {
+                            Ok(att.run_index as f64)
+                        }
+                    })
+                    .collect()
+            },
+        )
+        .expect("supervision proceeds");
+        (outcome, largest.into_inner())
+    };
+    let ((faulted, _), (plain, plain_batch)) = std::thread::scope(|s| {
+        let faulted = s.spawn(|| campaign(Some(plan)));
+        let plain = s.spawn(|| campaign(None));
+        (
+            faulted.join().expect("faulted campaign"),
+            plain.join().expect("plain campaign"),
+        )
+    });
+
+    assert_eq!(plain.failures, 0, "{}", plain.summary_line());
+    assert!(plain_batch > 1, "the plain campaign kept its batches");
+    let failed: Vec<u64> = faulted
+        .results
+        .iter()
+        .filter_map(|r| r.as_ref().err().map(|f| f.run))
+        .collect();
+    let scheduled: Vec<u64> = plan
+        .schedule(runs as u64)
+        .iter()
+        .map(|inj| inj.run)
+        .collect();
+    assert_eq!(failed, scheduled);
 }
 
 /// Satellite of the job-service work: the checkpoint's crash-tolerance
@@ -284,11 +328,6 @@ fn disarmed_hooks_never_fire() {
 /// bit-identically.
 #[test]
 fn torn_checkpoint_tail_tolerates_truncation_at_every_byte() {
-    // Hold the chaos lock (disarmed): the checkpoint header hashes the
-    // armed plan, so a concurrently arming test would split the header.
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    oxterm_chaos::disarm();
-
     let dir = std::env::temp_dir().join(format!("oxterm_torn_tail_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -14,8 +14,8 @@
 //! that no panel reaches.
 //!
 //! This binary installs the global telemetry and joule ledger (the cell
-//! energy is read off the ledger) and arms chaos plans, so its tests take
-//! one lock and run one at a time.
+//! energy is read off the ledger), so its tests take one lock and run one
+//! at a time.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -42,15 +42,14 @@ const MC_INSTANCES: usize = 40;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// A test's turn with the global observers and the chaos switch; it merges
-/// the thread's observer shards before it unlocks.
+/// A test's turn with the global observers; it merges the thread's
+/// observer shards before it unlocks.
 struct Serial {
     _turn: MutexGuard<'static, ()>,
 }
 
 impl Drop for Serial {
     fn drop(&mut self) {
-        oxterm_chaos::disarm();
         oxterm_telemetry::flush_thread();
     }
 }
@@ -505,8 +504,8 @@ fn a_reference_past_t_max_reports_the_current_at_t_max() {
 #[test]
 fn a_stalled_start_fails_every_reference_of_the_job() {
     let _serial = serial();
-    oxterm_chaos::arm(FaultPlan::parse("newton_stall:p=1.0,seed=1").expect("spec parses"));
-    oxterm_chaos::begin_run(0, 0);
+    let plan = FaultPlan::parse("newton_stall:p=1.0,seed=1").expect("spec parses");
+    oxterm_chaos::begin_run(plan, 0, 0);
     let cond = ResetConditions::paper_defaults(f64::NAN);
     let p = OxramParams::calibrated();
     let inst = InstanceVariation::nominal();
