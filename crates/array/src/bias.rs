@@ -57,12 +57,6 @@ impl BiasSet {
             },
         }
     }
-
-    /// The voltage that ends up across the cell + access transistor stack
-    /// (`|bl − sl|`).
-    pub fn stack_voltage(&self) -> f64 {
-        (self.bl - self.sl).abs()
-    }
 }
 
 #[cfg(test)]
@@ -88,6 +82,5 @@ mod tests {
         // RESET drives SL high / BL low; SET the reverse.
         assert!(rst.sl > rst.bl);
         assert!(set.bl > set.sl);
-        assert_eq!(rst.stack_voltage(), 1.2);
     }
 }

@@ -11,6 +11,8 @@
 //!   line resistance at 10 Ω/µm for a 50 nm wire.
 //! * [`crate::array`] — the 8×8 elementary tile of Fig 2a with per-cell
 //!   device-to-device variability and segment parasitics.
+//! * [`crossbar`] — selector-less crossbar sneak-path analysis, the
+//!   paper's §1 case for 1T-1R MLC over crossbar density.
 //! * [`cycling`] — the 500-cycle RST/SET measurement campaign behind Fig 3,
 //!   run on the fast scalar path.
 //!
@@ -41,4 +43,3 @@ pub mod cell;
 pub mod crossbar;
 pub mod cycling;
 pub mod parasitics;
-pub mod readout;

@@ -30,9 +30,8 @@ fn main() {
     tel_cli.report_campaign(&outcome);
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
     let report = analyze(&samples).expect("16 populated levels");
-    // Batch vs streaming agreement gate (stderr: resume replays see a
-    // partial tracker feed and stdout must stay byte-stable for the
-    // kill/resume smoke).
+    // Batch vs streaming agreement gate (on stderr: stdout must stay
+    // byte-stable for the kill/resume smoke).
     cross_check_streaming(&samples);
 
     // Box-plot strip, low-R states at the bottom like the figure.
@@ -114,25 +113,23 @@ fn main() {
 /// vectors it was fed from: per level, identical counts and means (the
 /// Welford merge is exact) and a median within the histogram's value
 /// bound of the exact order statistic at its rank. Divergence is a hard failure —
-/// the two statistics paths must never drift apart silently.
-///
-/// Levels whose tracker count differs from the batch count are skipped
-/// with a note: a `--resume` replay serves completed runs from the
-/// checkpoint without re-executing them, so the tracker legitimately
-/// sees only the remainder.
+/// the two statistics paths must never drift apart silently. The tracker
+/// is fed every run in run order, replayed ones included, so a level it
+/// lacks or counts differently fails too, also under `--resume`.
 fn cross_check_streaming(samples: &[LevelSamples]) {
     let snap = LevelTracker::global().snapshot();
-    let mut checked = 0usize;
-    let mut skipped = 0usize;
     for s in samples {
-        let Some(level) = snap.levels.iter().find(|l| l.code == s.code) else {
-            skipped += 1;
-            continue;
+        let level = snap.levels.iter().find(|l| l.code == s.code);
+        let Some(level) = level.filter(|l| l.n as usize == s.r.len()) else {
+            eprintln!(
+                "fig11: STREAMING CROSS-CHECK FAILED: level {:04b} has {} batch \
+                 sample(s), {} in the tracker",
+                s.code,
+                s.r.len(),
+                level.map_or(0, |l| l.n)
+            );
+            std::process::exit(1);
         };
-        if level.n as usize != s.r.len() {
-            skipped += 1;
-            continue;
-        }
         let n = s.r.len();
         let batch_mean = s.r.iter().sum::<f64>() / n as f64;
         let mean_rel = (level.mean - batch_mean).abs() / batch_mean.abs().max(1e-12);
@@ -161,17 +158,10 @@ fn cross_check_streaming(samples: &[LevelSamples]) {
             );
             std::process::exit(1);
         }
-        checked += 1;
     }
-    if skipped > 0 {
-        eprintln!(
-            "fig11: streaming cross-check: {checked} level(s) agree, {skipped} skipped \
-             (tracker saw a partial feed — expected under --resume)"
-        );
-    } else {
-        eprintln!(
-            "fig11: streaming cross-check: batch and histogram statistics agree on all \
-             {checked} levels (means exact, medians within the bin half-width)"
-        );
-    }
+    eprintln!(
+        "fig11: streaming cross-check: batch and histogram statistics agree on all \
+         {} levels (means exact, medians within the bin half-width)",
+        samples.len()
+    );
 }

@@ -4,9 +4,7 @@
 //!
 //! The batch analysis is followed by the *streaming* level report built
 //! from the bounded-memory tracker the campaign feeds — the same sigma
-//! and margin story with confidence intervals, demonstrating that fig12
-//! no longer needs full sample vectors (the 10k+-run campaigns of the
-//! scale push won't keep them).
+//! and margin story with confidence intervals.
 
 use oxterm_bench::campaigns::supervised_qlc_campaign;
 use oxterm_bench::chart::{xy_chart, Scale};

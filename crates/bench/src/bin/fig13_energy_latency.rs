@@ -121,23 +121,23 @@ fn main() {
 /// Pits the joule ledger's streaming per-level means against the batch
 /// energy/latency vectors this figure plots. Means must agree to 1e-9
 /// relative — the ledger and the campaign saw the exact same outcomes, so
-/// anything larger is an accumulation bug, not noise. Levels whose
-/// streaming count disagrees with the batch vector are skipped rather
-/// than failed: under `--resume` the replayed runs never re-execute, so
-/// the ledger legitimately sees only the fresh tail of the campaign.
+/// anything larger is an accumulation bug, not noise. The ledger is fed
+/// every run in run order, replayed ones included, so a level it lacks or
+/// counts differently fails too, also under `--resume`.
 fn cross_check_streaming(campaign: &[LevelCampaign]) {
     let snap = JouleLedger::global().snapshot();
-    let mut checked = 0usize;
-    let mut skipped = 0usize;
     for lc in campaign {
-        let Some(level) = snap.levels.iter().find(|l| l.code == lc.spec.code) else {
-            skipped += 1;
-            continue;
+        let level = snap.levels.iter().find(|l| l.code == lc.spec.code);
+        let Some(level) = level.filter(|l| l.n as usize == lc.outcomes.len()) else {
+            eprintln!(
+                "fig13: STREAMING CROSS-CHECK FAILED: level {:04b} has {} batch \
+                 outcome(s), {} in the ledger",
+                lc.spec.code,
+                lc.outcomes.len(),
+                level.map_or(0, |l| l.n)
+            );
+            std::process::exit(1);
         };
-        if level.n as usize != lc.outcomes.len() {
-            skipped += 1;
-            continue;
-        }
         let n = lc.outcomes.len() as f64;
         let pairs = [
             ("energy", lc.energies(), level.mean_j),
@@ -155,17 +155,10 @@ fn cross_check_streaming(campaign: &[LevelCampaign]) {
                 std::process::exit(1);
             }
         }
-        checked += 1;
     }
-    if skipped > 0 {
-        eprintln!(
-            "fig13: streaming cross-check: {checked} level(s) agree, {skipped} skipped \
-             (ledger saw a partial feed — expected under --resume)"
-        );
-    } else {
-        eprintln!(
-            "fig13: streaming cross-check: batch and ledger statistics agree on all \
-             {checked} levels (energy and latency means within 1e-9)"
-        );
-    }
+    eprintln!(
+        "fig13: streaming cross-check: batch and ledger statistics agree on all \
+         {} levels (energy and latency means within 1e-9)",
+        campaign.len()
+    );
 }

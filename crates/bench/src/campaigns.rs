@@ -333,6 +333,55 @@ mod tests {
     }
 
     #[test]
+    fn a_resumed_campaign_feeds_every_run_to_the_observers() {
+        use oxterm_mc::checkpoint::Checkpoint;
+        let params = OxramParams::calibrated();
+        let alloc = LevelAllocation::paper_qlc();
+        let runs = 6;
+        let dir =
+            std::env::temp_dir().join(format!("oxterm_campaign_resume_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let observe = |opts: SupervisorOptions| {
+            let (tracker, ledger) = (LevelTracker::enabled(), JouleLedger::enabled());
+            let mc = MonteCarlo::new(alloc.levels().len() * runs, 0x2E5E);
+            let (_, outcome) = run_campaign(mc, &params, &alloc, runs, &opts, &tracker, &ledger)
+                .expect("campaign runs");
+            (
+                outcome.resumed,
+                tracker.snapshot(),
+                ledger.snapshot().levels,
+            )
+        };
+        // The uninterrupted campaign writes the checkpoint both resumes
+        // start from.
+        let (_, levels, energy) = observe(SupervisorOptions {
+            checkpoint_path: Some(path("full.jsonl")),
+            ..SupervisorOptions::default()
+        });
+        assert!(levels.levels.iter().all(|l| l.n == runs as u64));
+        // A checkpoint cut mid-level, as a killed campaign leaves it.
+        let mut partial = Checkpoint::load(&path("full.jsonl")).expect("checkpoint written");
+        let total = partial.records.len();
+        assert_eq!(total, 16 * runs);
+        partial.records.truncate(total / 3);
+        partial
+            .write_atomic(&path("partial.jsonl"))
+            .expect("truncated checkpoint written");
+        for (file, replayed) in [("full.jsonl", total), ("partial.jsonl", total / 3)] {
+            let (resumed, again, again_energy) = observe(SupervisorOptions {
+                resume_from: Some(path(file)),
+                ..SupervisorOptions::default()
+            });
+            assert_eq!(resumed, replayed as u64, "{file}");
+            assert_eq!(again, levels, "{file}");
+            assert_eq!(again_energy, energy, "{file}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn campaign_is_deterministic() {
         let a = mc_campaign(
             &OxramParams::calibrated(),

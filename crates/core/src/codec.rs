@@ -90,12 +90,6 @@ impl MlcCodec {
         self.bits_per_cell
     }
 
-    /// Number of cells needed for `n_bytes` bytes.
-    pub fn cells_for_bytes(&self, n_bytes: usize) -> usize {
-        let bits = n_bytes * 8;
-        bits.div_ceil(self.bits_per_cell as usize)
-    }
-
     /// Encodes bytes into per-cell codes (most-significant bits first).
     pub fn encode(&self, data: &[u8]) -> Vec<u16> {
         let bpc = self.bits_per_cell as usize;
@@ -157,7 +151,6 @@ mod tests {
     fn qlc_byte_uses_two_cells() {
         let codec = qlc_codec();
         assert_eq!(codec.bits_per_cell(), 4);
-        assert_eq!(codec.cells_for_bytes(1), 2);
         let codes = codec.encode(&[0xA7]);
         assert_eq!(codes, vec![0xA, 0x7]);
     }

@@ -17,6 +17,8 @@
 //!   netlist (current mirrors + inverter comparator).
 //! * [`program`] — programming controllers over the fast scalar path and
 //!   the full circuit-level transient.
+//! * [`word`] — the §4.2 word write: one shared SL pulse, a termination
+//!   per bit line.
 //! * [`read`] — the multi-level READ: 15 reference currents compared
 //!   against the 0.3 V cell current (Fig 9).
 //! * [`margins`] — Monte Carlo margin analysis between adjacent states
@@ -55,7 +57,6 @@
 pub mod codec;
 pub mod levels;
 pub mod margins;
-pub mod memory;
 pub mod program;
 pub mod projection;
 pub mod read;

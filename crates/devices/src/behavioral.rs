@@ -1,5 +1,4 @@
-//! Behavioral (ideal-ish) building blocks: controlled sources and a
-//! smooth comparator.
+//! Behavioral (ideal-ish) building block: a smooth comparator.
 //!
 //! These sit between the transistor-level circuits and the pure-monitor
 //! idealizations: a [`Comparator`] has a defined gain, output swing, and
@@ -11,102 +10,6 @@ use std::any::Any;
 
 use oxterm_spice::circuit::NodeId;
 use oxterm_spice::device::{Device, DeviceClass, StampContext, StampTopology, UpdateContext};
-
-/// A linear voltage-controlled voltage source:
-/// `v(p) − v(n) = gain · (v(cp) − v(cn))`.
-#[derive(Debug, Clone)]
-pub struct Vcvs {
-    name: String,
-    p: NodeId,
-    n: NodeId,
-    cp: NodeId,
-    cn: NodeId,
-    gain: f64,
-}
-
-impl Vcvs {
-    /// Creates a VCVS with the given gain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gain` is not finite.
-    pub fn new(
-        name: impl Into<String>,
-        p: NodeId,
-        n: NodeId,
-        cp: NodeId,
-        cn: NodeId,
-        gain: f64,
-    ) -> Self {
-        assert!(gain.is_finite(), "VCVS gain must be finite");
-        Vcvs {
-            name: name.into(),
-            p,
-            n,
-            cp,
-            cn,
-            gain,
-        }
-    }
-
-    /// The voltage gain.
-    pub fn gain(&self) -> f64 {
-        self.gain
-    }
-}
-
-impl Device for Vcvs {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn n_branches(&self) -> usize {
-        1
-    }
-
-    fn stamp(&self, ctx: &mut StampContext<'_>) {
-        // Branch equation: v(p) − v(n) − gain·(v(cp) − v(cn)) = 0.
-        let br = Some(ctx.branch_unknown(0));
-        let (up, un) = (ctx.node_unknown(self.p), ctx.node_unknown(self.n));
-        let (ucp, ucn) = (ctx.node_unknown(self.cp), ctx.node_unknown(self.cn));
-        ctx.mat(up, br, 1.0);
-        ctx.mat(un, br, -1.0);
-        ctx.mat(br, up, 1.0);
-        ctx.mat(br, un, -1.0);
-        ctx.mat(br, ucp, -self.gain);
-        ctx.mat(br, ucn, self.gain);
-    }
-
-    fn terminals(&self) -> Vec<NodeId> {
-        vec![self.p, self.n, self.cp, self.cn]
-    }
-
-    fn stamp_topology(&self) -> Option<StampTopology> {
-        // The output branch constrains v(p) − v(n); control pins only sense.
-        Some(StampTopology {
-            voltage_edges: vec![(self.p, self.n)],
-            ..StampTopology::default()
-        })
-    }
-
-    fn device_class(&self) -> DeviceClass {
-        DeviceClass::Behavioral
-    }
-
-    fn power(&self, ctx: &UpdateContext<'_>, _state: &[f64]) -> f64 {
-        // Output branch current flows p → n inside the source, so this is
-        // negative while the source delivers energy to the circuit.
-        (ctx.v(self.p) - ctx.v(self.n)) * ctx.i_branch(0)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
 
 /// A smooth voltage comparator: the output swings between `v_lo` and
 /// `v_hi` as `v(cp) − v(cn)` crosses zero, with a tanh transition of width
@@ -232,30 +135,6 @@ mod tests {
     use crate::sources::{SourceWave, VoltageSource};
     use oxterm_spice::analysis::op::{solve_op, OpOptions};
     use oxterm_spice::circuit::Circuit;
-
-    #[test]
-    fn vcvs_amplifies() {
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let out = c.node("out");
-        c.add(VoltageSource::new(
-            "v1",
-            vin,
-            Circuit::gnd(),
-            SourceWave::dc(0.1),
-        ));
-        c.add(Vcvs::new(
-            "e1",
-            out,
-            Circuit::gnd(),
-            vin,
-            Circuit::gnd(),
-            10.0,
-        ));
-        c.add(Resistor::new("rl", out, Circuit::gnd(), 1e3));
-        let sol = solve_op(&c, &OpOptions::default()).unwrap();
-        assert!((sol.v(out) - 1.0).abs() < 1e-9);
-    }
 
     #[test]
     fn comparator_saturates_both_ways() {

@@ -3,13 +3,15 @@
 //! The paper's evaluation rests on 500-run Monte Carlo campaigns per
 //! configuration (Figs 11–13, Table 3). This crate provides the runner:
 //!
-//! * [`dist`] — statistical distributions built on our own Box–Muller
-//!   normal (the approved dependency list has `rand` but not `rand_distr`),
+//! * [`dist`] — the Box–Muller standard normal behind every draw (the
+//!   approved dependency list has `rand` but not `rand_distr`),
 //! * [`engine`] — a deterministic parallel runner for infallible runs:
 //!   every run gets an independent RNG derived from `(seed, run_index)`,
 //!   so results are bit-identical regardless of thread count or
 //!   scheduling,
 //! * [`sweep`] — parameter sweeps of Monte Carlo campaigns,
+//! * [`convergence`] — confidence bounds on rare-event probabilities,
+//! * [`corners`] — the five classic process corners,
 //! * [`supervisor`] — the one path for runs that can fail: per-run
 //!   retries on re-derived RNG streams, `catch_unwind` panic isolation, a
 //!   replay seed per failed run, and graceful degradation under a failure
@@ -21,10 +23,10 @@
 //!
 //! ```
 //! use oxterm_mc::engine::MonteCarlo;
-//! use oxterm_mc::dist::{Distribution, Normal};
+//! use oxterm_mc::dist::standard_normal;
 //!
 //! let mc = MonteCarlo::new(1000, 42);
-//! let samples = mc.run(|_, rng| Normal::new(5.0, 0.1).sample(rng));
+//! let samples = mc.run(|_, rng| 5.0 + 0.1 * standard_normal(rng));
 //! let mean = samples.iter().sum::<f64>() / samples.len() as f64;
 //! assert!((mean - 5.0).abs() < 0.02);
 //! ```

@@ -1,37 +1,31 @@
 //! Standalone netlist lint driver.
 //!
 //! ```text
-//! netlint [--json] [--deny-warnings] [--rules] [NAME...]
+//! netlint [--rules] [NAME...]
 //! ```
 //!
 //! With no `NAME` arguments, lints the full shipped corpus; otherwise only
 //! entries whose corpus key contains one of the given substrings. Exits
-//! nonzero when any deny-severity finding is reported — the CI gate.
+//! nonzero when any finding is reported — the CI gate.
 
 use std::process::ExitCode;
 
-use oxterm_netlint::{corpus, lint_entry, LintConfig, LintOptions, RULES};
+use oxterm_netlint::{corpus, lint_entry, RULES};
 
 fn usage() -> &'static str {
-    "usage: netlint [--json] [--deny-warnings] [--rules] [NAME...]\n\
+    "usage: netlint [--rules] [NAME...]\n\
      \n\
-     --json           emit one JSON report per netlist (one line each)\n\
-     --deny-warnings  promote warn-by-default rules to deny\n\
-     --rules          list the rule catalog and exit\n\
-     NAME             lint only corpus entries whose key contains NAME"
+     --rules  list the rule catalog and exit\n\
+     NAME     lint only corpus entries whose key contains NAME"
 }
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut deny_warnings = false;
     let mut names: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
             "--rules" => {
-                for &(rule, severity, summary) in RULES {
-                    println!("{:<6} {:<22} {}", severity.label(), rule, summary);
+                for &(rule, summary) in RULES {
+                    println!("{rule:<22} {summary}");
                 }
                 return ExitCode::SUCCESS;
             }
@@ -47,15 +41,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut config = LintConfig::new();
-    if deny_warnings {
-        config = config.deny_warnings();
-    }
-    let opts = LintOptions {
-        config,
-        ..LintOptions::default()
-    };
-
     let entries: Vec<_> = corpus::shipped()
         .into_iter()
         .filter(|e| names.is_empty() || names.iter().any(|n| e.name.contains(n.as_str())))
@@ -65,26 +50,21 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let (mut deny, mut warn) = (0usize, 0usize);
+    let mut findings = 0usize;
     for entry in &entries {
-        let report = lint_entry(entry, &opts);
-        deny += report.deny_count();
-        warn += report.warn_count();
-        if json {
-            println!("{}", report.to_json());
-        } else if report.findings.is_empty() {
+        let report = lint_entry(entry);
+        findings += report.findings.len();
+        if report.is_clean() {
             println!("netlist `{}`: clean", report.name);
         } else {
             print!("{}", report.to_text());
         }
     }
-    if !json {
-        println!(
-            "netlint: {} netlist(s), {deny} deny finding(s), {warn} warn finding(s)",
-            entries.len()
-        );
-    }
-    if deny > 0 {
+    println!(
+        "netlint: {} netlist(s), {findings} finding(s)",
+        entries.len()
+    );
+    if findings > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -18,10 +18,9 @@
 //!   step ceiling vs the shortest source edge, `abstol` vs the smallest
 //!   reference current, `t_stop` vs the last source breakpoint.
 //!
-//! Every rule has a default severity ([`Severity::Deny`] or
-//! [`Severity::Warn`]) that a [`LintConfig`] can override per rule, down to
-//! [`Severity::Allow`] to suppress it. Reports render as human-readable
-//! text ([`LintReport::to_text`]) and JSON ([`LintReport::to_json`]).
+//! Every finding fails the lint gate: there is one severity, so a report
+//! is clean exactly when it has no findings. Reports render as
+//! human-readable text ([`LintReport::to_text`]).
 //!
 //! The [`corpus`] module rebuilds the netlists the shipped experiments
 //! simulate (plus seeded-defect variants for the lint's own tests), so the
@@ -30,16 +29,11 @@
 //! # Examples
 //!
 //! ```
-//! use oxterm_netlint::{lint_circuit, LintOptions};
 //! use oxterm_netlint::corpus;
+//! use oxterm_netlint::lint_circuit;
 //!
 //! let entry = corpus::defect_floating_node();
-//! let report = lint_circuit(
-//!     &entry.name,
-//!     &entry.circuit,
-//!     entry.tran.as_ref(),
-//!     &LintOptions::default(),
-//! );
+//! let report = lint_circuit(&entry.name, &entry.circuit, entry.tran.as_ref());
 //! assert!(report.findings.iter().any(|d| d.rule_id == "topo/floating-node"));
 //! assert!(!report.is_clean());
 //! ```
@@ -55,29 +49,6 @@ mod topology;
 use oxterm_mlc::soa::SoaLimits;
 use oxterm_spice::analysis::tran::TranOptions;
 use oxterm_spice::circuit::Circuit;
-use oxterm_telemetry::JsonWriter;
-
-/// How a finding is treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Suppressed: the finding is dropped from the report.
-    Allow,
-    /// Reported, does not fail the run.
-    Warn,
-    /// Reported and fails the lint gate.
-    Deny,
-}
-
-impl Severity {
-    /// Lowercase label used in text and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Allow => "allow",
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        }
-    }
-}
 
 /// What a diagnostic is anchored to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,15 +64,6 @@ pub enum Span {
 }
 
 impl Span {
-    fn kind(&self) -> &'static str {
-        match self {
-            Span::Circuit => "circuit",
-            Span::Node(_) => "node",
-            Span::Device(_) => "device",
-            Span::Option(_) => "option",
-        }
-    }
-
     fn name(&self) -> &str {
         match self {
             Span::Circuit => "",
@@ -126,8 +88,6 @@ impl std::fmt::Display for Span {
 pub struct Diagnostic {
     /// Stable rule identifier, e.g. `topo/floating-node`.
     pub rule_id: &'static str,
-    /// Effective severity after configuration.
-    pub severity: Severity,
     /// What the finding is anchored to.
     pub span: Span,
     /// Human-readable description of the problem.
@@ -136,143 +96,65 @@ pub struct Diagnostic {
     pub suggestion: Option<String>,
 }
 
-/// The rule catalog: `(rule_id, default severity, summary)`.
+/// The rule catalog: `(rule_id, summary)`.
 ///
-/// Kept in one place so the binary's `--rules` listing, the per-rule
-/// default lookup, and `DESIGN.md` §9 stay in sync.
-pub const RULES: &[(&str, Severity, &str)] = &[
+/// Kept in one place so the binary's `--rules` listing and `DESIGN.md` §9
+/// stay in sync.
+pub const RULES: &[(&str, &str)] = &[
     (
         "topo/floating-node",
-        Severity::Deny,
         "node has no DC conduction or voltage-source path to ground",
     ),
     (
         "topo/dangling-terminal",
-        Severity::Warn,
         "node is attached to exactly one device terminal",
     ),
     (
         "topo/shadowed-node",
-        Severity::Warn,
         "two distinct nodes have names differing only by ASCII case",
     ),
     (
         "topo/duplicate-device",
-        Severity::Deny,
         "two devices share one instance name",
     ),
     (
         "topo/vsrc-loop",
-        Severity::Deny,
-        "voltage-source/VCVS branch closes a loop of voltage constraints",
+        "voltage-source branch closes a loop of voltage constraints",
     ),
     (
         "topo/isrc-cutset",
-        Severity::Deny,
         "node is driven only by current sources (structurally singular MNA row)",
     ),
-    (
-        "soa/rail",
-        Severity::Deny,
-        "source amplitude exceeds the supply rail",
-    ),
+    ("soa/rail", "source amplitude exceeds the supply rail"),
     (
         "soa/nonfinite-source",
-        Severity::Deny,
         "source waveform contains a non-finite level",
     ),
     (
         "soa/iref-window",
-        Severity::Deny,
         "reference current lies outside the programmable IrefR window",
     ),
     (
         "soa/iref-grid",
-        Severity::Warn,
         "reference current is inside the window but off the ISO-ΔI grid",
     ),
     (
         "soa/mos-geometry",
-        Severity::Warn,
         "MOSFET geometry is below the process minimum",
     ),
     (
         "opt/coarse-timestep",
-        Severity::Warn,
         "transient step ceiling cannot resolve the shortest source edge",
     ),
     (
         "opt/abstol",
-        Severity::Warn,
         "abstol is within two decades of the smallest reference current",
     ),
     (
         "opt/tstop",
-        Severity::Warn,
         "a source waveform extends past the end of the transient run",
     ),
 ];
-
-/// Per-rule severity configuration (defaults from [`RULES`]).
-#[derive(Debug, Clone, Default)]
-pub struct LintConfig {
-    overrides: Vec<(String, Severity)>,
-}
-
-impl LintConfig {
-    /// The default configuration (every rule at its catalog severity).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides one rule's severity; the last override for a rule wins.
-    #[must_use]
-    pub fn with(mut self, rule_id: &str, severity: Severity) -> Self {
-        self.overrides.push((rule_id.to_string(), severity));
-        self
-    }
-
-    /// Promotes every warn-by-default rule to deny (`--deny-warnings`).
-    #[must_use]
-    pub fn deny_warnings(mut self) -> Self {
-        for &(rule, default, _) in RULES {
-            if default == Severity::Warn {
-                self.overrides.push((rule.to_string(), Severity::Deny));
-            }
-        }
-        self
-    }
-
-    /// The effective severity of `rule_id`.
-    pub fn severity_of(&self, rule_id: &str) -> Severity {
-        if let Some((_, s)) = self.overrides.iter().rev().find(|(r, _)| r == rule_id) {
-            return *s;
-        }
-        RULES
-            .iter()
-            .find(|(r, _, _)| *r == rule_id)
-            .map(|&(_, s, _)| s)
-            .unwrap_or(Severity::Warn)
-    }
-}
-
-/// Inputs to a lint pass.
-#[derive(Debug, Clone)]
-pub struct LintOptions {
-    /// Per-rule severity configuration.
-    pub config: LintConfig,
-    /// Electrical envelope checked by the `soa/*` rules.
-    pub soa: SoaLimits,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            config: LintConfig::new(),
-            soa: SoaLimits::paper(),
-        }
-    }
-}
 
 /// The outcome of linting one netlist.
 #[derive(Debug, Clone)]
@@ -283,30 +165,14 @@ pub struct LintReport {
     pub n_nodes: usize,
     /// Device count.
     pub n_devices: usize,
-    /// Findings at warn severity or above, deny first.
+    /// Every finding, by rule id and then anchor.
     pub findings: Vec<Diagnostic>,
 }
 
 impl LintReport {
-    /// Number of deny-severity findings.
-    pub fn deny_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|d| d.severity == Severity::Deny)
-            .count()
-    }
-
-    /// Number of warn-severity findings.
-    pub fn warn_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|d| d.severity == Severity::Warn)
-            .count()
-    }
-
-    /// Whether the netlist passes the lint gate (no deny findings).
+    /// Whether the netlist passes the lint gate (no findings).
     pub fn is_clean(&self) -> bool {
-        self.deny_count() == 0
+        self.findings.is_empty()
     }
 
     /// Human-readable rendering, one finding per block.
@@ -315,75 +181,30 @@ impl LintReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "netlist `{}` ({} nodes, {} devices): {} finding(s), {} deny, {} warn",
+            "netlist `{}` ({} nodes, {} devices): {} finding(s)",
             self.name,
             self.n_nodes,
             self.n_devices,
             self.findings.len(),
-            self.deny_count(),
-            self.warn_count(),
         );
         for d in &self.findings {
-            let _ = writeln!(
-                out,
-                "  {:<4} {:<22} {}: {}",
-                d.severity.label(),
-                d.rule_id,
-                d.span,
-                d.message
-            );
+            let _ = writeln!(out, "  {:<22} {}: {}", d.rule_id, d.span, d.message);
             if let Some(s) = &d.suggestion {
-                let _ = writeln!(out, "       hint: {s}");
+                let _ = writeln!(out, "    hint: {s}");
             }
         }
         out
     }
-
-    /// JSON rendering (the schema documented in `DESIGN.md` §9).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.string("name", &self.name);
-        w.u64("nodes", self.n_nodes as u64);
-        w.u64("devices", self.n_devices as u64);
-        w.u64("deny", self.deny_count() as u64);
-        w.u64("warn", self.warn_count() as u64);
-        w.begin_array_key("findings");
-        for d in &self.findings {
-            w.begin_object();
-            w.string("rule_id", d.rule_id);
-            w.string("severity", d.severity.label());
-            w.begin_object_key("span");
-            w.string("kind", d.span.kind());
-            w.string("name", d.span.name());
-            w.end_object();
-            w.string("message", &d.message);
-            if let Some(s) = &d.suggestion {
-                w.string("suggestion", s);
-            }
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
-    }
 }
 
 /// Collector used by the check modules.
-pub(crate) struct Sink<'a> {
-    config: &'a LintConfig,
+#[derive(Default)]
+pub(crate) struct Sink {
     findings: Vec<Diagnostic>,
 }
 
-impl<'a> Sink<'a> {
-    fn new(config: &'a LintConfig) -> Self {
-        Sink {
-            config,
-            findings: Vec::new(),
-        }
-    }
-
-    /// Emits a finding unless its rule is configured `allow`.
+impl Sink {
+    /// Records one finding.
     pub(crate) fn emit(
         &mut self,
         rule_id: &'static str,
@@ -391,13 +212,8 @@ impl<'a> Sink<'a> {
         message: String,
         suggestion: Option<String>,
     ) {
-        let severity = self.config.severity_of(rule_id);
-        if severity == Severity::Allow {
-            return;
-        }
         self.findings.push(Diagnostic {
             rule_id,
-            severity,
             span,
             message,
             suggestion,
@@ -407,24 +223,18 @@ impl<'a> Sink<'a> {
 
 /// Lints one netlist; pass `tran` when a transient run is planned so the
 /// `opt/*` rules apply.
-pub fn lint_circuit(
-    name: &str,
-    circuit: &Circuit,
-    tran: Option<&TranOptions>,
-    opts: &LintOptions,
-) -> LintReport {
-    let mut sink = Sink::new(&opts.config);
+pub fn lint_circuit(name: &str, circuit: &Circuit, tran: Option<&TranOptions>) -> LintReport {
+    let mut sink = Sink::default();
     topology::check(circuit, &mut sink);
-    params::check(circuit, &opts.soa, &mut sink);
+    params::check(circuit, &SoaLimits::paper(), &mut sink);
     if let Some(tran) = tran {
         options::check(circuit, tran, &mut sink);
     }
     let mut findings = sink.findings;
-    // Deny first, then by rule id, then by anchor — deterministic output.
+    // By rule id, then by anchor — deterministic output.
     findings.sort_by(|a, b| {
-        b.severity
-            .cmp(&a.severity)
-            .then_with(|| a.rule_id.cmp(b.rule_id))
+        a.rule_id
+            .cmp(b.rule_id)
             .then_with(|| a.span.name().cmp(b.span.name()))
     });
     LintReport {
@@ -436,8 +246,8 @@ pub fn lint_circuit(
 }
 
 /// Lints a corpus entry with its recorded transient options.
-pub fn lint_entry(entry: &corpus::CorpusEntry, opts: &LintOptions) -> LintReport {
-    lint_circuit(&entry.name, &entry.circuit, entry.tran.as_ref(), opts)
+pub fn lint_entry(entry: &corpus::CorpusEntry) -> LintReport {
+    lint_circuit(&entry.name, &entry.circuit, entry.tran.as_ref())
 }
 
 #[cfg(test)]
@@ -445,21 +255,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_overrides_and_defaults() {
-        let cfg = LintConfig::new();
-        assert_eq!(cfg.severity_of("topo/floating-node"), Severity::Deny);
-        assert_eq!(cfg.severity_of("opt/coarse-timestep"), Severity::Warn);
-        assert_eq!(cfg.severity_of("no/such-rule"), Severity::Warn);
-        let cfg = cfg.with("topo/floating-node", Severity::Allow);
-        assert_eq!(cfg.severity_of("topo/floating-node"), Severity::Allow);
-        let cfg = LintConfig::new().deny_warnings();
-        assert_eq!(cfg.severity_of("opt/coarse-timestep"), Severity::Deny);
-        assert_eq!(cfg.severity_of("soa/rail"), Severity::Deny);
-    }
-
-    #[test]
     fn rule_catalog_ids_are_unique() {
-        let mut ids: Vec<&str> = RULES.iter().map(|&(r, _, _)| r).collect();
+        let mut ids: Vec<&str> = RULES.iter().map(|&(r, _)| r).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), RULES.len());
@@ -468,34 +265,7 @@ mod tests {
     #[test]
     fn report_renders_text_and_json() {
         let entry = corpus::defect_floating_node();
-        let report = lint_entry(&entry, &LintOptions::default());
-        let text = report.to_text();
+        let text = lint_entry(&entry).to_text();
         assert!(text.contains("topo/floating-node"), "{text}");
-        let json = report.to_json();
-        assert!(
-            json.contains("\"rule_id\":\"topo/floating-node\""),
-            "{json}"
-        );
-        assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn allow_suppresses_findings() {
-        let entry = corpus::defect_floating_node();
-        let opts = LintOptions {
-            config: LintConfig::new()
-                .with("topo/floating-node", Severity::Allow)
-                .with("topo/dangling-terminal", Severity::Allow),
-            ..LintOptions::default()
-        };
-        let report = lint_entry(&entry, &opts);
-        assert!(
-            !report
-                .findings
-                .iter()
-                .any(|d| d.rule_id == "topo/floating-node"),
-            "{}",
-            report.to_text()
-        );
     }
 }

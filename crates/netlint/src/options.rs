@@ -7,7 +7,7 @@ use oxterm_spice::circuit::Circuit;
 
 use crate::{Sink, Span};
 
-pub(crate) fn check(circuit: &Circuit, tran: &TranOptions, sink: &mut Sink<'_>) {
+pub(crate) fn check(circuit: &Circuit, tran: &TranOptions, sink: &mut Sink) {
     // Fastest edge and latest breakpoint across every independent source,
     // plus the smallest nonzero current level (the abstol yardstick).
     let mut min_edge: Option<(f64, String)> = None;

@@ -18,7 +18,7 @@ fn is_iref(name: &str) -> bool {
     name == "iref" || name.ends_with("_iref")
 }
 
-pub(crate) fn check(circuit: &Circuit, soa: &SoaLimits, sink: &mut Sink<'_>) {
+pub(crate) fn check(circuit: &Circuit, soa: &SoaLimits, sink: &mut Sink) {
     for dev in circuit.devices() {
         let name = dev.name().to_string();
         if let Some(vs) = dev.as_any().downcast_ref::<VoltageSource>() {

@@ -76,7 +76,7 @@ fn effective_topology(terminals: &[NodeId], declared: Option<StampTopology>) -> 
     }
 }
 
-pub(crate) fn check(circuit: &Circuit, sink: &mut Sink<'_>) {
+pub(crate) fn check(circuit: &Circuit, sink: &mut Sink) {
     let n = circuit.n_nodes();
     let gnd = Circuit::gnd().index();
     let mut nodes = vec![NodeInfo::default(); n];

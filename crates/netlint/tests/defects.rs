@@ -1,11 +1,11 @@
 //! The seeded defect corpus: each planted defect must be flagged with its
-//! exact rule id, and the shipped experiment netlists must lint clean (no
-//! deny findings) — the no-false-positive gate.
+//! exact rule id and fail the gate, and the shipped experiment netlists
+//! must lint clean (no findings) — the no-false-positive gate.
 
-use oxterm_netlint::{corpus, lint_entry, LintOptions, Severity};
+use oxterm_netlint::{corpus, lint_entry};
 
 fn rule_ids(entry: &corpus::CorpusEntry) -> Vec<&'static str> {
-    lint_entry(entry, &LintOptions::default())
+    lint_entry(entry)
         .findings
         .iter()
         .map(|d| d.rule_id)
@@ -26,14 +26,16 @@ fn vsrc_loop_is_flagged() {
 
 #[test]
 fn out_of_ladder_iref_is_flagged_as_deny() {
-    let entry = corpus::defect_iref_out_of_ladder();
-    let report = lint_entry(&entry, &LintOptions::default());
-    let finding = report
-        .findings
-        .iter()
-        .find(|d| d.rule_id == "soa/iref-window")
-        .unwrap_or_else(|| panic!("missing soa/iref-window in {}", report.to_text()));
-    assert_eq!(finding.severity, Severity::Deny);
+    let report = lint_entry(&corpus::defect_iref_out_of_ladder());
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|d| d.rule_id == "soa/iref-window"),
+        "missing soa/iref-window in {}",
+        report.to_text()
+    );
+    assert!(!report.is_clean());
 }
 
 #[test]
@@ -48,8 +50,9 @@ fn defects_fail_the_gate() {
         corpus::defect_floating_node(),
         corpus::defect_vsrc_loop(),
         corpus::defect_iref_out_of_ladder(),
+        corpus::defect_coarse_timestep(),
     ] {
-        let report = lint_entry(&entry, &LintOptions::default());
+        let report = lint_entry(&entry);
         assert!(!report.is_clean(), "`{}` should not be clean", entry.name);
     }
 }
@@ -59,10 +62,10 @@ fn shipped_netlists_have_no_deny_findings() {
     let entries = corpus::shipped();
     assert!(entries.len() >= 19, "corpus shrank to {}", entries.len());
     for entry in &entries {
-        let report = lint_entry(entry, &LintOptions::default());
+        let report = lint_entry(entry);
         assert!(
             report.is_clean(),
-            "shipped netlist `{}` has deny findings:\n{}",
+            "shipped netlist `{}` has findings:\n{}",
             entry.name,
             report.to_text()
         );
@@ -71,10 +74,10 @@ fn shipped_netlists_have_no_deny_findings() {
 
 #[test]
 fn shipped_netlists_have_no_warnings_either() {
-    // Stronger than the gate: the shipped corpus is also warning-free, so
-    // any future warn finding is a real regression, not ambient noise.
+    // The finding list itself, not just the gate's verdict: every rule
+    // fails the gate, so a shipped netlist has nothing to report at all.
     for entry in &corpus::shipped() {
-        let report = lint_entry(entry, &LintOptions::default());
+        let report = lint_entry(entry);
         assert!(
             report.findings.is_empty(),
             "shipped netlist `{}` has findings:\n{}",

@@ -269,26 +269,6 @@ impl LuFactors {
         }
         Ok(x)
     }
-
-    /// Inverse of the original matrix (column-by-column solves).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve failures.
-    pub fn inverse(&self) -> Result<DMatrix, NumericsError> {
-        let n = self.n();
-        let mut inv = DMatrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for (i, v) in col.iter().enumerate() {
-                inv.set(i, j, *v);
-            }
-            e[j] = 0.0;
-        }
-        Ok(inv)
-    }
 }
 
 #[cfg(test)]
@@ -368,22 +348,6 @@ mod tests {
         assert_eq!(m.get(0, 0), 3.5);
         m.clear();
         assert_eq!(m.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn inverse_reproduces_identity() {
-        let a =
-            DMatrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, -1.0], &[0.2, 0.0, 2.0]]).unwrap();
-        let inv = a.factorize().unwrap().inverse().unwrap();
-        // A · A⁻¹ = I.
-        for i in 0..3 {
-            let col: Vec<f64> = (0..3).map(|j| inv.get(j, i)).collect();
-            let ai = a.mul_vec(&col).unwrap();
-            for (j, v) in ai.iter().enumerate() {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((v - expect).abs() < 1e-12, "A·A⁻¹[{j}][{i}] = {v}");
-            }
-        }
     }
 
     #[test]

@@ -91,14 +91,6 @@ impl Pwl {
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     }
 
-    /// The next breakpoint strictly after `x`, if any.
-    ///
-    /// Transient analysis uses this to force a time step onto every source
-    /// corner so sharp pulse edges are never stepped over.
-    pub fn next_breakpoint(&self, x: f64) -> Option<f64> {
-        self.points.iter().map(|&(bx, _)| bx).find(|&bx| bx > x)
-    }
-
     /// Integral of the waveform over `[a, b]` (with clamped extension).
     pub fn integral(&self, a: f64, b: f64) -> f64 {
         if b <= a {
@@ -161,14 +153,6 @@ mod tests {
         assert!(Pwl::new(vec![(1.0, 0.0), (0.5, 1.0)]).is_err());
         assert!(Pwl::new(vec![]).is_err());
         assert!(Pwl::new(vec![(f64::NAN, 0.0)]).is_err());
-    }
-
-    #[test]
-    fn next_breakpoint_finds_corners() {
-        let p = Pwl::new(vec![(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]).unwrap();
-        assert_eq!(p.next_breakpoint(0.0), Some(1.0));
-        assert_eq!(p.next_breakpoint(1.5), Some(2.0));
-        assert_eq!(p.next_breakpoint(2.0), None);
     }
 
     #[test]

@@ -24,11 +24,6 @@ pub fn q_function(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal CDF.
-pub fn normal_cdf(x: f64) -> f64 {
-    1.0 - q_function(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,13 +44,6 @@ mod tests {
         assert!((q_function(1.0) - 0.158655).abs() < 1e-5);
         assert!((q_function(2.0) - 0.022750).abs() < 1e-5);
         assert!((q_function(3.0) - 0.001350).abs() < 2e-5);
-    }
-
-    #[test]
-    fn cdf_complements_q() {
-        for x in [-2.0, -0.3, 0.0, 0.7, 2.5] {
-            assert!((normal_cdf(x) + q_function(x) - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

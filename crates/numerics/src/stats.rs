@@ -76,7 +76,7 @@ pub fn quantile(data: &[f64], q: f64) -> Result<f64, NumericsError> {
         });
     }
     let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+    sorted.sort_by(f64::total_cmp);
     Ok(quantile_sorted(&sorted, q))
 }
 
@@ -143,7 +143,7 @@ impl BoxStats {
 pub fn box_stats(data: &[f64]) -> Result<BoxStats, NumericsError> {
     validate(data)?;
     let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+    sorted.sort_by(f64::total_cmp);
     let q1 = quantile_sorted(&sorted, 0.25);
     let median = quantile_sorted(&sorted, 0.5);
     let q3 = quantile_sorted(&sorted, 0.75);
@@ -197,7 +197,7 @@ impl Ecdf {
     pub fn new(data: &[f64]) -> Result<Self, NumericsError> {
         validate(data)?;
         let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+        sorted.sort_by(f64::total_cmp);
         Ok(Ecdf { sorted })
     }
 
@@ -222,42 +222,6 @@ impl Ecdf {
     }
 }
 
-/// A uniform-bin histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    counts: Vec<usize>,
-}
-
-impl Histogram {
-    /// Bins a sample into `n_bins` uniform bins over `[lo, hi]`; samples
-    /// outside the range clamp into the end bins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::InvalidInput`] for empty/non-finite data,
-    /// `n_bins == 0`, or a degenerate range.
-    pub fn new(data: &[f64], lo: f64, hi: f64, n_bins: usize) -> Result<Self, NumericsError> {
-        validate(data)?;
-        if n_bins == 0 || hi.is_nan() || lo.is_nan() || hi <= lo {
-            return Err(NumericsError::InvalidInput {
-                reason: format!("bad histogram spec: {n_bins} bins over [{lo}, {hi}]"),
-            });
-        }
-        let mut counts = vec![0usize; n_bins];
-        for &x in data {
-            let f = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
-            let idx = ((f * n_bins as f64) as usize).min(n_bins - 1);
-            counts[idx] += 1;
-        }
-        Ok(Histogram { counts })
-    }
-
-    /// Bin counts.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-}
-
 /// Two-sample Kolmogorov–Smirnov statistic: the maximum distance between
 /// the two empirical CDFs. Useful for checking whether two Monte Carlo
 /// populations (e.g. serial vs parallel, or two seeds) plausibly share a
@@ -271,8 +235,8 @@ pub fn ks_statistic(a: &[f64], b: &[f64]) -> Result<f64, NumericsError> {
     validate(b)?;
     let mut sa = a.to_vec();
     let mut sb = b.to_vec();
-    sa.sort_by(|x, y| x.partial_cmp(y).expect("validated finite"));
-    sb.sort_by(|x, y| x.partial_cmp(y).expect("validated finite"));
+    sa.sort_by(f64::total_cmp);
+    sb.sort_by(f64::total_cmp);
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let (mut ia, mut ib) = (0usize, 0usize);
     let mut d: f64 = 0.0;
@@ -446,21 +410,6 @@ mod tests {
     fn linear_fit_rejects_degenerate() {
         assert!(linear_fit(&[(1.0, 2.0)]).is_err());
         assert!(linear_fit(&[(1.0, 2.0), (1.0, 3.0)]).is_err());
-    }
-
-    #[test]
-    fn histogram_counts_and_clamping() {
-        let data = [0.1, 0.2, 0.25, 0.9, -5.0, 5.0];
-        let h = Histogram::new(&data, 0.0, 1.0, 4).unwrap();
-        // Bins: [0,.25)=0.1,0.2,−5 clamp; [.25,.5)=0.25; [.75,1]=0.9, 5 clamp.
-        assert_eq!(h.counts(), &[3, 1, 0, 2]);
-    }
-
-    #[test]
-    fn histogram_rejects_bad_specs() {
-        assert!(Histogram::new(&[], 0.0, 1.0, 4).is_err());
-        assert!(Histogram::new(&[1.0], 1.0, 0.0, 4).is_err());
-        assert!(Histogram::new(&[1.0], 0.0, 1.0, 0).is_err());
     }
 
     #[test]

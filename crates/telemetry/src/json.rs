@@ -147,13 +147,6 @@ impl JsonWriter {
         self
     }
 
-    /// Writes a bare unsigned integer element into the open array.
-    pub fn array_u64(&mut self, value: u64) -> &mut Self {
-        self.comma();
-        self.out.push_str(&value.to_string());
-        self
-    }
-
     fn push_float(&mut self, value: f64) {
         if value.is_finite() {
             // `{:?}` is Rust's shortest round-trip form; it always contains
@@ -211,18 +204,5 @@ mod tests {
         assert!(s.contains("\"x\":0.00125"), "{s}");
         assert!(s.contains("\"y\":3.0"), "{s}");
         assert!(s.contains("\"z\":null"), "{s}");
-    }
-
-    #[test]
-    fn array_of_integers() {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.begin_array_key("bins");
-        for v in [1u64, 2, 3] {
-            w.array_u64(v);
-        }
-        w.end_array();
-        w.end_object();
-        assert_eq!(w.finish(), r#"{"bins":[1,2,3]}"#);
     }
 }

@@ -46,7 +46,7 @@ const UNWRAP_BUDGETS: &[(&str, usize)] = &[
     ("integration", 0),
     ("mc", 0),
     ("netlint", 0),
-    ("numerics", 6),
+    ("numerics", 1),
     ("rram", 0),
     ("spice", 0),
     ("telemetry", 0),
