@@ -43,7 +43,6 @@ fn out_at_corner(corner: Corner, i_cell: f64, i_ref: f64) -> f64 {
 /// Bisects the comparator trip current at a corner.
 fn trip_point(corner: Corner, i_ref: f64) -> f64 {
     let tel = Telemetry::global();
-    let _span = tel.span("bench.ablation_corners.trip_point_seconds");
     let mut lo = 1e-6;
     let mut hi = 80e-6;
     for _ in 0..20 {

@@ -11,8 +11,9 @@
 //! Instrumentation is always on here (the run doubles as the perf probe):
 //! a machine-readable `BENCH_telemetry.json` with the run's raw work counts,
 //! its wall time and per-phase wall-time shares is written at exit. `--telemetry`
-//! additionally prints the full metric table, and `--telemetry=json` dumps
-//! the whole run report to `results/telemetry_repro_all.json`.
+//! additionally prints the hot-path tree and the full metric table, and
+//! `--telemetry=json` dumps both to `results/hotpath_repro_all.json` and
+//! `results/telemetry_repro_all.json`.
 //!
 //! The drift gate, on top of the shared telemetry CLI:
 //!
@@ -71,8 +72,8 @@ fn main() {
             std::process::exit(e.code);
         });
     // The checklist always runs instrumented — it doubles as the perf
-    // probe behind BENCH_telemetry.json (a no-op if --telemetry or
-    // --profile already installed the handles). The profiler feeds the
+    // probe behind BENCH_telemetry.json (a no-op if --telemetry already
+    // installed the handles). The profiler feeds the
     // phase_share.* keys of the summary, so it is armed unconditionally
     // too.
     Telemetry::install(Telemetry::enabled());

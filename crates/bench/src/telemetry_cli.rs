@@ -1,5 +1,5 @@
-//! Shared `--telemetry` and `--profile` handling for the
-//! experiment binaries.
+//! Shared `--telemetry` and campaign-flag handling for the experiment
+//! binaries.
 //!
 //! Usage in a `src/bin/` target:
 //!
@@ -10,8 +10,8 @@
 //! tel_cli.finish();
 //! ```
 //!
-//! `init` installs the enabled process-global [`Telemetry`] and/or
-//! [`Profiler`] when the flags are present (it must run before any
+//! `init` installs the enabled process-global [`Telemetry`] and
+//! [`Profiler`] when `--telemetry` is present (it must run before any
 //! instrumented work) and strips the flags from the argument list so
 //! positional arguments keep their meaning. Any other argument starting
 //! with `--` is a configuration error (exit 2), so a typo never runs the
@@ -20,9 +20,15 @@
 //!
 //! Flags:
 //!
-//! * `--telemetry` — print the ASCII run report at exit.
-//! * `--telemetry=json` — also write `results/telemetry_<name>.json`.
-//! * `--telemetry=json:PATH` — same, to an explicit path.
+//! * `--telemetry` — the one observer flag: arm the telemetry registry
+//!   and the hierarchical phase profiler, and at exit print the ASCII run
+//!   report and the hot-path attribution (phase tree + matrix stats). The
+//!   profiler times every instrumented scope; its per-phase totals are
+//!   folded into the registry as `profile.*` counters.
+//! * `--telemetry=json` — also write `results/telemetry_<name>.json` and
+//!   `results/hotpath_<name>.json`.
+//! * `--telemetry=json:PATH` — the telemetry JSON to an explicit path
+//!   (the hot-path JSON still goes to `results/hotpath_<name>.json`).
 //! * `--chaos=SPEC` — deterministic fault injection (e.g.
 //!   `newton_stall:p=0.02,nan_stamp:p=0.005,panic:p=0.001,slow_step:p=0.01`,
 //!   optional `seed=N` entry). The plan becomes the `faults` of
@@ -38,11 +44,6 @@
 //!   aggregates are bit-identical to the uninterrupted campaign.
 //! * `--quorum=F` — max tolerated failure fraction (default 0.1); a
 //!   degraded-but-useful campaign exits 3, a breached one exits 1.
-//! * `--profile[=PATH]` — arm the hierarchical phase profiler; at exit,
-//!   print the hot-path attribution (ASCII phase tree + matrix stats) and
-//!   write the JSON report to `PATH` (default
-//!   `results/hotpath_<name>.json`). The per-phase totals are also folded
-//!   into the telemetry registry as `profile.*` counters.
 //!
 //! The binaries' Monte Carlo campaigns always run under
 //! [`oxterm_mc::run_supervised`] (retries, panic isolation, graceful
@@ -84,12 +85,14 @@ impl CliError {
 /// How the binary was asked to report telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TelemetryMode {
-    /// No flag: telemetry stays disabled (zero-overhead path).
+    /// No flag: telemetry and the profiler stay disabled (zero-overhead
+    /// path).
     Off,
-    /// `--telemetry`: print the ASCII report at exit.
+    /// `--telemetry`: print the ASCII report and hot-path tree at exit.
     Table,
-    /// `--telemetry=json[:PATH]`: print the report and write the JSON file
-    /// (to `PATH` when given, else `results/telemetry_<name>.json`).
+    /// `--telemetry=json[:PATH]`: print both reports and write the
+    /// telemetry JSON (to `PATH` when given, else
+    /// `results/telemetry_<name>.json`) and `results/hotpath_<name>.json`.
     Json {
         /// Explicit output path, if one was supplied after the colon.
         path: Option<String>,
@@ -113,9 +116,6 @@ pub struct ParsedFlags {
     pub resume: Option<String>,
     /// The raw `--quorum=F` string, if present (validated at `init`).
     pub quorum: Option<String>,
-    /// `Some(explicit_json_path)` when `--profile[=PATH]` was present
-    /// (`None` inside means the default `results/hotpath_<name>.json`).
-    pub profile: Option<Option<String>>,
     /// Remaining (positional) arguments, in order.
     pub rest: Vec<String>,
 }
@@ -141,7 +141,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<ParsedFlags, Cl
         checkpoint: None,
         resume: None,
         quorum: None,
-        profile: None,
         rest: Vec::new(),
     };
     for a in args {
@@ -163,10 +162,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<ParsedFlags, Cl
             parsed.resume = Some(path.to_string());
         } else if let Some(q) = a.strip_prefix("--quorum=") {
             parsed.quorum = Some(q.to_string());
-        } else if a == "--profile" {
-            parsed.profile = Some(None);
-        } else if let Some(path) = a.strip_prefix("--profile=") {
-            parsed.profile = Some(Some(path.to_string()));
         } else if a.starts_with("--") {
             return Err(CliError::config(format!("unknown flag {a:?}")));
         } else {
@@ -187,9 +182,6 @@ pub struct TelemetryCli {
     campaign: SupervisorOptions,
     /// Whether any of those four flags was given.
     supervised: bool,
-    /// Hot-path JSON output path when `--profile[=PATH]` armed the
-    /// profiler (`None` = profiling off).
-    profile_to: Option<String>,
     /// Whole-binary `bench/run` phase, opened at `init` so the profile
     /// tree always has its root; closed just before the snapshot.
     run_phase: Option<PhaseGuard>,
@@ -218,12 +210,8 @@ pub fn init_from(
     args: impl Iterator<Item = String>,
 ) -> Result<(Vec<String>, TelemetryCli), CliError> {
     let parsed = parse_flags(args).map_err(|e| CliError::config(format!("{name}: {e}")))?;
-    // The profiler folds its totals into the registry, so `--profile` arms
-    // telemetry too.
-    if parsed.mode != TelemetryMode::Off || parsed.profile.is_some() {
+    if parsed.mode != TelemetryMode::Off {
         Telemetry::install(Telemetry::enabled());
-    }
-    if parsed.profile.is_some() {
         Profiler::install(Profiler::enabled());
     }
     let campaign = campaign_options(name, &parsed)?;
@@ -243,9 +231,6 @@ pub fn init_from(
             name,
             campaign,
             supervised,
-            profile_to: parsed
-                .profile
-                .map(|explicit| explicit.unwrap_or_else(|| format!("results/hotpath_{name}.json"))),
             run_phase: Some(run_phase),
             matrix: None,
         },
@@ -330,60 +315,53 @@ impl TelemetryCli {
         self.matrix = Some(stats);
     }
 
-    /// Prints the run report and writes the telemetry JSON / hot-path
-    /// artifacts if asked. No-op when no flag was given.
+    /// Prints the hot-path attribution and the run report, and writes
+    /// their JSON artifacts under `--telemetry=json`. No-op without
+    /// `--telemetry`.
     pub fn finish(mut self) {
         // Close the whole-binary phase before snapshotting so the
         // `bench/run` root covers everything the run did.
         drop(self.run_phase.take());
-        self.write_profile();
-        if self.mode != TelemetryMode::Off {
-            let report = Telemetry::global().report();
-            println!("\n== telemetry ({}) ==\n", self.name);
-            println!("{}", report.to_table());
-            if let TelemetryMode::Json { path } = &self.mode {
-                let path = path
-                    .clone()
-                    .unwrap_or_else(|| format!("results/telemetry_{}.json", self.name));
-                match ensure_parent(&path).and_then(|()| std::fs::write(&path, report.to_json())) {
-                    Ok(()) => println!("telemetry report written to {path}"),
-                    Err(e) => eprintln!("could not write {path}: {e}"),
-                }
-            }
-        }
-    }
-
-    /// Snapshots the phase profiler, folds the totals into the telemetry
-    /// registry, and — under `--profile` — prints the hot-path attribution
-    /// and writes its JSON artifact.
-    fn write_profile(&self) {
-        let prof = Profiler::global();
-        if !prof.is_enabled() {
-            return;
-        }
-        let snapshot = prof.snapshot();
-        if snapshot.is_empty() {
-            return;
-        }
-        snapshot.fold_into(Telemetry::global());
-        let Some(path) = &self.profile_to else {
-            return;
+        let json_path = match &self.mode {
+            TelemetryMode::Off => return,
+            TelemetryMode::Table => None,
+            TelemetryMode::Json { path } => Some(
+                path.clone()
+                    .unwrap_or_else(|| format!("results/telemetry_{}.json", self.name)),
+            ),
         };
-        let report = HotPathReport {
-            newton_iterations: Telemetry::global()
-                .report()
+        let tel = Telemetry::global();
+        let snapshot = Profiler::global().snapshot();
+        // The phase totals join the registry as `profile.*` counters.
+        snapshot.fold_into(tel);
+        let report = tel.report();
+        let hot_path = HotPathReport {
+            newton_iterations: report
                 .histogram("spice.newton.iterations")
-                .map(|h| h.sum)
-                .unwrap_or(0.0),
-            matrix: self.matrix.clone(),
+                .map_or(0.0, |h| h.sum),
+            matrix: self.matrix.take(),
             snapshot,
         };
         println!("\n== hot path ({}) ==\n", self.name);
-        print!("{}", report.to_text());
-        match ensure_parent(path).and_then(|()| std::fs::write(path, report.to_json())) {
-            Ok(()) => println!("hot-path report written to {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
+        print!("{}", hot_path.to_text());
+        if json_path.is_some() {
+            let path = format!("results/hotpath_{}.json", self.name);
+            write_artifact("hot-path", &path, &hot_path.to_json());
         }
+        println!("\n== telemetry ({}) ==\n", self.name);
+        println!("{}", report.to_table());
+        if let Some(path) = json_path {
+            write_artifact("telemetry", &path, &report.to_json());
+        }
+    }
+}
+
+/// Writes one report artifact, creating its directory; a failure is
+/// reported on stderr and does not stop the binary.
+fn write_artifact(what: &str, path: &str, body: &str) {
+    match ensure_parent(path).and_then(|()| std::fs::write(path, body)) {
+        Ok(()) => println!("{what} report written to {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }
 
@@ -562,14 +540,16 @@ mod tests {
 
     #[test]
     fn observability_flags_parse() {
-        let p = parse(&["--profile", "7"]);
-        assert_eq!(p.profile, Some(None));
+        // `--telemetry` is the one observer flag; the retired profiler
+        // flag fails like any other typo.
+        let p = parse(&["--telemetry", "7"]);
+        assert_eq!(p.mode, TelemetryMode::Table);
         assert_eq!(p.rest, vec!["7".to_string()]);
-        assert_eq!(
-            parse(&["--profile=out/h.json"]).profile,
-            Some(Some("out/h.json".to_string()))
-        );
-        assert_eq!(parse(&["7"]).profile, None);
+        for retired in ["--profile", "--profile=out/h.json"] {
+            let err = try_parse(&[retired, "7"]).unwrap_err();
+            assert_eq!(err.code, 2, "{retired} should be a config error");
+            assert!(err.message.contains(retired), "{}", err.message);
+        }
     }
 
     #[test]

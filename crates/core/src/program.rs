@@ -488,9 +488,7 @@ pub fn program_cell_circuit(
     opts: &CircuitProgramOptions,
     i_ref: Option<f64>,
 ) -> Result<CircuitProgramOutcome, MlcError> {
-    let tel = Telemetry::global();
-    tel.incr("mlc.program.circuit_ops");
-    let _op_span = tel.span("mlc.program.circuit_seconds");
+    Telemetry::global().incr("mlc.program.circuit_ops");
     let _program = Profiler::global().phase(PhaseId::MlcProgram);
     let testbench = Profiler::global().phase(PhaseId::MlcTestbench);
     let (mut c, handles) = build_program_circuit(opts)?;

@@ -44,7 +44,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod behavioral;
 pub mod diode;
 pub mod mosfet;
 pub mod passive;

@@ -1,7 +1,6 @@
 //! Deterministic parallel Monte Carlo runner.
 
-use oxterm_telemetry::profiler::monotonic_ns;
-use oxterm_telemetry::{HistogramId, PhaseId, Profiler, Telemetry};
+use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
@@ -98,32 +97,25 @@ impl MonteCarlo {
     /// Claims shrink on small campaigns so every worker still gets a few.
     ///
     /// The observers see batches: `mc/worker/run` is entered once per
-    /// batch, and each `mc.engine.run_seconds` sample is the batch's time
-    /// divided by its runs (the batch's samples recorded at once).
+    /// batch and is the batch's one clock.
     pub(crate) fn run_batches<T, F>(&self, threads: usize, batch: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(Range<usize>) -> Vec<T> + Sync,
     {
-        // One global-handle lookup per campaign; the per-batch timing path
-        // only exists when telemetry was turned on, so a disabled build
-        // pays a single branch per batch.
         let tel = Telemetry::global();
         tel.incr("mc.engine.campaigns");
         tel.add("mc.engine.runs", self.runs as u64);
-        let campaign_span = tel.span("mc.engine.campaign_seconds");
         let prof = Profiler::global();
         let _campaign = prof.phase(PhaseId::McCampaign);
 
-        let timed = tel.is_enabled();
         let claim = batch.min(self.runs.div_ceil(4 * threads)).max(1);
 
         let cursor = AtomicUsize::new(0);
-        // One worker: claim the next runs, time them, keep their results.
-        // Its records stay on its thread's shard until it finishes.
+        // One worker: claim the next runs and keep their results. Its
+        // records stay on its thread's shard until it finishes.
         let worker = || {
             let mut done = Vec::new();
-            let mut busy = 0.0f64;
             loop {
                 let start = cursor.fetch_add(claim, Ordering::Relaxed);
                 if start >= self.runs {
@@ -132,20 +124,10 @@ impl MonteCarlo {
                 let runs = start..(start + claim).min(self.runs);
                 let n = runs.len();
                 let _run_phase = prof.phase(PhaseId::McWorkerRun);
-                let values = if timed {
-                    let t0 = monotonic_ns();
-                    let values = f(runs);
-                    let dt = monotonic_ns().wrapping_sub(t0) as f64 * 1e-9;
-                    tel.sample_n(HistogramId::RunSeconds, dt / n as f64, n as u64);
-                    busy += dt;
-                    values
-                } else {
-                    f(runs)
-                };
+                let values = f(runs);
                 assert_eq!(values.len(), n, "one result per run of a batch");
                 done.push((start, values));
             }
-            tel.sample(HistogramId::WorkerBusySeconds, busy);
             oxterm_telemetry::flush_thread();
             done
         };
@@ -157,7 +139,6 @@ impl MonteCarlo {
             }
             batches
         });
-        campaign_span.finish();
         batches.sort_unstable_by_key(|&(start, _)| start);
         batches.into_iter().flat_map(|(_, values)| values).collect()
     }

@@ -310,14 +310,6 @@ pub fn read_resistance(
     CellLaw::new(params, inst).read_resistance(rho, v_read)
 }
 
-/// Instantaneous SET time constant at cell voltage `v > 0` and state `ρ`
-/// (s). Includes the forming barrier: below `ρ_formed` the effective
-/// overdrive is reduced by `v_form_barrier·(1 − ρ/ρ_formed)`, so virgin
-/// cells need forming-level voltages.
-pub fn tau_set(params: &OxramParams, inst: &InstanceVariation, v: f64, rho: f64) -> f64 {
-    1.0 / CellLaw::new(params, inst).set_rate_unfloored(v, rho)
-}
-
 /// Advances the filament state by `dt` at constant cell voltage `v`.
 ///
 /// Internally sub-steps so that no sub-step changes `ρ` by more than ~2 %,
@@ -564,7 +556,7 @@ mod tests {
                         rel(got, want) < 1e-13,
                         "set({v}, {rho}): {got:e} vs {want:e}"
                     );
-                    assert!(rel(tau_set(&p, &inst, v, rho), tau) < 1e-13);
+                    assert!(rel(1.0 / law.set_rate_unfloored(v, rho), tau) < 1e-13);
                 }
             }
         }
@@ -677,9 +669,11 @@ mod tests {
 
     #[test]
     fn formed_cell_tau_set_has_no_barrier() {
+        // τ_set = 1/rate: the forming barrier slows a virgin cell's SET.
         let (p, i) = nominal();
-        let formed = tau_set(&p, &i, 1.2, 0.2);
-        let virgin = tau_set(&p, &i, 1.2, 0.0);
+        let law = CellLaw::new(&p, &i);
+        let formed = 1.0 / law.set_rate_unfloored(1.2, 0.2);
+        let virgin = 1.0 / law.set_rate_unfloored(1.2, 0.0);
         assert!(
             virgin > 1e3 * formed,
             "barrier too weak: {virgin} vs {formed}"

@@ -160,7 +160,6 @@ pub fn run_transient(
     // one branch (disabled) or one relaxed atomic op (enabled).
     let tel = Telemetry::global();
     tel.incr("spice.tran.runs");
-    let run_span = tel.span("spice.tran.run_seconds");
     let prof = Profiler::global();
     let _tran = prof.phase(PhaseId::TranRun);
     let c_accept = tel.counter("spice.tran.steps_accepted");
@@ -335,7 +334,6 @@ pub fn run_transient(
                 if let Some(m) = &meter {
                     m.flush(circuit);
                 }
-                run_span.finish();
                 return Ok(result);
             }
             break;
@@ -344,7 +342,6 @@ pub fn run_transient(
     if let Some(m) = &meter {
         m.flush(circuit);
     }
-    run_span.finish();
     Ok(result)
 }
 

@@ -159,37 +159,23 @@ impl Histogram {
     /// Records one value. Non-finite values are dropped (and counted as
     /// negatives so they surface in reports rather than poisoning sums).
     pub fn record(&mut self, value: f64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `value` `n` times: the histogram `n` [`record`] calls
-    /// leave, binning the value once. `n = 0` changes nothing.
-    ///
-    /// [`record`]: Histogram::record
-    pub fn record_n(&mut self, value: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
         if !value.is_finite() {
-            self.negatives += n;
+            self.negatives += 1;
             return;
         }
         if value < 0.0 {
-            self.negatives += n;
+            self.negatives += 1;
         }
         if value <= FLOOR {
-            self.underflow += n;
+            self.underflow += 1;
         } else if value >= CEILING {
-            self.overflow += n;
+            self.overflow += 1;
         } else {
             let i = self.index(value);
-            *self.bin_mut(i) += n;
+            *self.bin_mut(i) += 1;
         }
-        self.count += n;
-        // One addition per record, so the sum rounds as theirs does.
-        for _ in 0..n {
-            self.sum += value;
-        }
+        self.count += 1;
+        self.sum += value;
         self.min = lower(self.min, value);
         self.max = higher(self.max, value);
     }

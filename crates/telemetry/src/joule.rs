@@ -75,14 +75,12 @@ pub enum DeviceClass {
     RramCell,
     /// Junction diode.
     Diode,
-    /// Behavioral / ideal block (comparator output stages …).
-    Behavioral,
     /// Anything else (default for devices without a power model).
     Other,
 }
 
 /// Number of [`DeviceClass`] variants.
-pub const N_CLASSES: usize = 10;
+pub const N_CLASSES: usize = 9;
 
 /// All device classes, in bucket order.
 pub const CLASSES: [DeviceClass; N_CLASSES] = [
@@ -94,7 +92,6 @@ pub const CLASSES: [DeviceClass; N_CLASSES] = [
     DeviceClass::Switch,
     DeviceClass::RramCell,
     DeviceClass::Diode,
-    DeviceClass::Behavioral,
     DeviceClass::Other,
 ];
 
@@ -111,7 +108,6 @@ impl DeviceClass {
             DeviceClass::Switch => "switch",
             DeviceClass::RramCell => "rram_cell",
             DeviceClass::Diode => "diode",
-            DeviceClass::Behavioral => "behavioral",
             DeviceClass::Other => "other",
         }
     }

@@ -18,8 +18,9 @@
 //!    hand-rolled JSON (no serde) for the perf-trajectory tooling.
 //!
 //! Metric names follow `crate.subsystem.metric`, e.g.
-//! `spice.newton.iterations` or `mc.engine.run_seconds` (see DESIGN.md,
-//! "Observability").
+//! `spice.newton.iterations` or `rram.termination.latency_s` (see
+//! DESIGN.md, "Observability"). Wall time is the [`profiler`]'s: each
+//! timed scope is one phase, and no histogram keeps a second clock.
 //!
 //! Aggregates answer *how much*. [`profiler`] answers *where inside the
 //! solver*: a fixed catalog of nestable phases (stamp / factorize /
@@ -42,12 +43,8 @@
 //!
 //! let tel = Telemetry::enabled();
 //! tel.incr("mc.engine.runs");
-//! tel.record("mc.engine.run_seconds", 1.25e-3);
+//! tel.record("spice.newton.iterations", 3.0);
 //! tel.tally(CounterId::McOps, 1);
-//! {
-//!     let _span = tel.span("spice.tran.run_seconds");
-//!     // ... timed work ...
-//! }
 //! let report = tel.report();
 //! assert_eq!(report.counter("mc.engine.runs"), Some(1));
 //! assert_eq!(report.counter("mlc.program.mc_ops"), Some(1));
@@ -68,7 +65,6 @@ mod registry;
 mod report;
 mod shard;
 pub mod sketch;
-mod span;
 
 pub use counter::Counter;
 pub use histogram::Histogram;
@@ -80,7 +76,6 @@ pub use profiler::{PhaseGuard, PhaseId, PhaseRole, PhaseStats, ProfileSnapshot, 
 pub use registry::{CounterId, HistogramId, Registry};
 pub use report::RunReport;
 pub use sketch::Welford;
-pub use span::Span;
 
 use std::sync::{Arc, OnceLock};
 
@@ -170,26 +165,9 @@ impl Telemetry {
         }
     }
 
-    /// Records `value` into the catalogued histogram `id` on this thread's
-    /// shard.
-    #[inline]
-    pub fn sample(&self, id: HistogramId, value: f64) {
-        self.sample_n(id, value, 1);
-    }
-
-    /// Records `value` `n` times into the catalogued histogram `id`
-    /// through one access to this thread's shard: the histogram of `n`
-    /// [`sample`](Telemetry::sample) calls.
-    #[inline]
-    pub fn sample_n(&self, id: HistogramId, value: f64, n: u64) {
-        if let Some(reg) = &self.inner {
-            registry::sample_with(reg, id, |h| h.record_n(value, n));
-        }
-    }
-
     /// Records each of `values`, in order, into the catalogued histogram
-    /// `id` through one access to this thread's shard: the histogram of
-    /// one [`sample`](Telemetry::sample) call per value.
+    /// `id` through one access to this thread's shard: no lock, no name
+    /// lookup.
     #[inline]
     pub fn sample_all(&self, id: HistogramId, values: impl IntoIterator<Item = f64>) {
         if let Some(reg) = &self.inner {
@@ -203,16 +181,6 @@ impl Telemetry {
     pub fn note(&self, name: &str, message: impl AsRef<str>) {
         if let Some(reg) = &self.inner {
             reg.note(name, message.as_ref());
-        }
-    }
-
-    /// Starts a scoped wall-time span; the elapsed seconds are recorded
-    /// into the histogram `name` when the returned guard drops.
-    #[inline]
-    pub fn span(&self, name: &'static str) -> Span {
-        match &self.inner {
-            Some(reg) => Span::started(Arc::clone(reg), name),
-            None => Span::noop(),
         }
     }
 
@@ -256,9 +224,8 @@ mod tests {
         tel.add("a.b.c", 10);
         tel.record("a.b.h", 1.0);
         tel.note("a.b.n", "msg");
-        drop(tel.span("a.b.s"));
         tel.tally(CounterId::McOps, 1);
-        tel.sample(HistogramId::RunSeconds, 1.0);
+        tel.sample_all(HistogramId::TerminationLatency, [1.0]);
         assert!(tel.counter("a.b.c").is_none());
         let report = tel.report();
         assert!(report.is_empty());
@@ -286,19 +253,6 @@ mod tests {
         tel.incr("shared.count");
         other.incr("shared.count");
         assert_eq!(tel.report().counter("shared.count"), Some(2));
-    }
-
-    #[test]
-    fn spans_record_elapsed_seconds() {
-        let tel = Telemetry::enabled();
-        {
-            let _s = tel.span("timed.section_seconds");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let report = tel.report();
-        let h = report.histogram("timed.section_seconds").unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.max >= 1e-3, "span recorded {}", h.max);
     }
 
     #[test]
@@ -330,7 +284,10 @@ mod tests {
                             drop(prof.phase(PhaseId::RramSet));
                             tel.tally(CounterId::McOps, 1);
                             tel.tally(CounterId::TerminationSteps, k as u64);
-                            tel.sample(HistogramId::TerminationLatency, (k + 1) as f64 * 1e-7);
+                            tel.sample_all(
+                                HistogramId::TerminationLatency,
+                                [(k + 1) as f64 * 1e-7],
+                            );
                             ledger.record_energy_in_phase(
                                 DeviceClass::RramCell,
                                 Role::RramCell,

@@ -14,7 +14,7 @@
 //!   handle costs **one branch and zero allocations** per scope (pinned by
 //!   `tests/profiler_zero_alloc.rs`, like chaos).
 //! - Library code uses the process-global handle ([`Profiler::global`]),
-//!   armed once by a binary via [`Profiler::install`] (`--profile`);
+//!   armed once by a binary via [`Profiler::install`] (`--telemetry`);
 //!   tests build private handles and never touch the global.
 //! - Recording takes no lock: a closing scope adds to its thread's plain
 //!   per-phase totals, which merge into the profiler when a Monte Carlo
@@ -45,10 +45,9 @@
 //! opens the file and records that set-up as `profiler/setup`, an
 //! orchestration phase.
 //!
-//! This module (with `span.rs`) is one of the few sanctioned
-//! wall-clock readers in the workspace: `cargo xtask lint` bans
-//! `Instant::now` in solver crates and in the rest of `telemetry`/`mc`.
-//! Crates that need a raw monotonic timestamp use [`monotonic_ns`].
+//! This module is the workspace's one sanctioned wall-clock reader:
+//! `cargo xtask lint` bans `Instant::now` in solver crates and in the rest
+//! of `telemetry`/`mc`. Code that needs a scope timed opens a phase.
 
 use crate::json::JsonWriter;
 use crate::shard::{self, Shard, Sink};
@@ -215,16 +214,6 @@ impl PhaseId {
     const fn index(self) -> usize {
         self as usize
     }
-}
-
-/// Raw monotonic nanoseconds since an arbitrary process-local origin.
-///
-/// The sanctioned clock for crates where `cargo xtask lint` bans
-/// `Instant::now` (solver crates, `mc`): monotonic, cheap, and only ever
-/// used as a difference of two samples.
-pub fn monotonic_ns() -> u64 {
-    static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -741,7 +730,7 @@ impl Profiler {
     }
 
     /// The process-global handle used by library instrumentation points;
-    /// disarmed until a binary calls [`Profiler::install`] (`--profile`).
+    /// disarmed until a binary calls [`Profiler::install`] (`--telemetry`).
     #[inline]
     pub fn global() -> &'static Profiler {
         GLOBAL.get().unwrap_or(&DISABLED)
@@ -986,13 +975,5 @@ mod tests {
         let report = tel.report();
         assert_eq!(report.counter("profile.rram.calib.calls"), Some(1));
         assert!(report.counter("profile.rram.calib.wall_ns").is_some());
-    }
-
-    #[test]
-    fn monotonic_ns_advances() {
-        let a = monotonic_ns();
-        std::thread::sleep(Duration::from_millis(1));
-        let b = monotonic_ns();
-        assert!(b > a);
     }
 }

@@ -55,23 +55,15 @@ const COUNTER_NAMES: [&str; 10] = [
 ];
 
 /// A histogram of the Monte Carlo per-program path, named in its doc and
-/// recorded like a [`CounterId`] ([`crate::Telemetry::sample`]).
+/// recorded like a [`CounterId`] ([`crate::Telemetry::sample_all`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistogramId {
     /// `rram.termination.latency_s`: time to each fast RESET termination.
     TerminationLatency,
-    /// `mc.engine.run_seconds`: wall time of one Monte Carlo run.
-    RunSeconds,
-    /// `mc.engine.worker_busy_seconds`: one worker's busy time.
-    WorkerBusySeconds,
 }
 
 /// [`HistogramId`] names, in declaration order.
-const HISTOGRAM_NAMES: [&str; 3] = [
-    "rram.termination.latency_s",
-    "mc.engine.run_seconds",
-    "mc.engine.worker_busy_seconds",
-];
+const HISTOGRAM_NAMES: [&str; 1] = ["rram.termination.latency_s"];
 
 /// One thread's catalogued metrics, indexed by `CounterId as usize` and
 /// `HistogramId as usize`.
@@ -300,11 +292,7 @@ mod tests {
             (C::InjectedNewtonStall, "chaos.injected.newton_stall"),
             (C::NewtonSolves, "spice.newton.solves"),
         ];
-        let histograms = [
-            (H::TerminationLatency, "rram.termination.latency_s"),
-            (H::RunSeconds, "mc.engine.run_seconds"),
-            (H::WorkerBusySeconds, "mc.engine.worker_busy_seconds"),
-        ];
+        let histograms = [(H::TerminationLatency, "rram.termination.latency_s")];
         let reg = Arc::new(Registry::new());
         for (k, &(id, _)) in counters.iter().enumerate() {
             tally(&reg, id, k as u64 + 1);

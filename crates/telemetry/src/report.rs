@@ -193,7 +193,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("spice.newton.solves").add(42);
         for k in 1..=100 {
-            reg.record("mc.engine.run_seconds", k as f64 * 1e-4);
+            reg.record("rram.termination.latency_s", k as f64 * 1e-4);
         }
         reg.note("mc.engine.failed_run", "run 7 seed 0xdead");
         reg.report()
@@ -205,7 +205,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains(r#""spice.newton.solves":42"#), "{json}");
         assert!(
-            json.contains(r#""mc.engine.run_seconds":{"count":100"#),
+            json.contains(r#""rram.termination.latency_s":{"count":100"#),
             "{json}"
         );
         assert!(json.contains(r#""p50":"#), "{json}");
@@ -220,10 +220,12 @@ mod tests {
     #[test]
     fn histograms_keep_their_json_keys_at_sixteen_bins_per_decade() {
         let r = sample_report();
-        let h = r.histogram("mc.engine.run_seconds").expect("recorded");
+        let h = r.histogram("rram.termination.latency_s").expect("recorded");
         assert!((h.ratio().powi(16) / 10.0 - 1.0).abs() < 1e-14);
         let json = r.to_json();
-        let body = &json[json.find(r#""mc.engine.run_seconds":{"#).expect("present")..];
+        let body = &json[json
+            .find(r#""rram.termination.latency_s":{"#)
+            .expect("present")..];
         let keys: Vec<&str> = body[..body.find('}').expect("closed")]
             .split(',')
             .map(|kv| kv.rsplit('{').next().unwrap_or(kv))
@@ -261,7 +263,7 @@ mod tests {
     fn table_lists_every_metric() {
         let table = sample_report().to_table();
         assert!(table.contains("spice.newton.solves"), "{table}");
-        assert!(table.contains("mc.engine.run_seconds"), "{table}");
+        assert!(table.contains("rram.termination.latency_s"), "{table}");
         assert!(table.contains("run 7 seed 0xdead"), "{table}");
     }
 

@@ -7,8 +7,7 @@
 //! the batch must leave the telemetry counters, the RESET latency histogram
 //! and the joule ledger's raw quanta of the one-at-a-time runs, exactly:
 //! the batch entries add up their records as they run and record them once
-//! at their end. The Monte Carlo engine's `mc.engine.run_seconds` record of
-//! a batch must be the histogram of one sample per run.
+//! at their end.
 //!
 //! This binary installs the global telemetry and joule ledger, so its tests
 //! take one lock and run one at a time: the observer checks compare deltas
@@ -29,7 +28,7 @@ use oxterm_rram::calib::{
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 use oxterm_rram::RramError;
 use oxterm_telemetry::joule::{EnergyQuanta, JouleLedger};
-use oxterm_telemetry::{Histogram, HistogramId, Telemetry};
+use oxterm_telemetry::{Histogram, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -302,39 +301,6 @@ fn batches_run_every_pulse_as_it_runs_alone() {
         }
         for (k, out) in batch.iter().enumerate() {
             assert_eq!(out.is_ok(), k != n / 2 && (k != 0 || n == 1), "job {k}");
-        }
-    }
-}
-
-#[test]
-fn a_batchs_run_seconds_record_is_one_sample_per_run() {
-    // Private handles: fresh registries, so each histogram is exactly its
-    // records.
-    let run_seconds = |record: &dyn Fn(&Telemetry)| {
-        let tel = Telemetry::enabled();
-        record(&tel);
-        let mut report = tel.report();
-        report
-            .histograms
-            .remove("mc.engine.run_seconds")
-            .unwrap_or_default()
-    };
-    // An empty batch records nothing, as no `sample` call does.
-    for n in std::iter::once(0).chain(batch_sizes()) {
-        // Values whose repeated sums round, a negative and a non-finite
-        // one, and values at and beyond the binned range.
-        for per_run in [3.3e-6 / n as f64, 0.1, -2e-6, f64::NAN, 1e-19, 2e13] {
-            let batched = run_seconds(&|tel| {
-                tel.sample_n(HistogramId::RunSeconds, per_run, n as u64);
-            });
-            let alone = run_seconds(&|tel| {
-                (0..n).for_each(|_| tel.sample(HistogramId::RunSeconds, per_run));
-            });
-            assert_eq!(
-                histogram_bits(&batched),
-                histogram_bits(&alone),
-                "batch {n}, {per_run:e} s per run"
-            );
         }
     }
 }

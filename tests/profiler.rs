@@ -13,8 +13,8 @@ use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
 /// Spins for roughly `us` microseconds without sleeping (keeps the timing
 /// deterministic enough for coarse assertions under load).
 fn busy_wait_us(us: u64) {
-    let start = oxterm_telemetry::profiler::monotonic_ns();
-    while oxterm_telemetry::profiler::monotonic_ns().wrapping_sub(start) < us * 1_000 {
+    let start = std::time::Instant::now();
+    while start.elapsed() < std::time::Duration::from_micros(us) {
         std::hint::spin_loop();
     }
 }

@@ -1,7 +1,7 @@
 //! The disarmed profiler's scope path must not allocate.
 //!
 //! The phase profiler's contract (mirroring chaos) is that a binary
-//! which never passes `--profile` pays one branch per instrumentation
+//! which never passes `--telemetry` pays one branch per instrumentation
 //! point: no clock read, no thread-local push, no heap traffic. This
 //! binary installs a counting `#[global_allocator]` and holds the guard
 //! create/drop path to that promise. It contains exactly one test so no

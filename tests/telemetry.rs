@@ -42,8 +42,6 @@ fn mc_workers_increment_shared_counters_concurrently() {
     // Engine self-metrics are shared with the other tests: lower bounds.
     assert!(report.counter("mc.engine.runs").unwrap_or(0) >= 256);
     assert!(report.counter("mc.engine.campaigns").unwrap_or(0) >= 1);
-    let runs = report.histogram("mc.engine.run_seconds").unwrap();
-    assert!(runs.count >= 256);
 }
 
 #[test]

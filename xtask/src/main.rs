@@ -12,7 +12,7 @@
 //!   runs irreproducible. The ban covers the solver crates
 //!   *and* `telemetry`/`mc` themselves: only the profiler entry points
 //!   ([`CLOCK_ALLOWLIST`]) may construct an `Instant`; everything else
-//!   routes through `oxterm_telemetry::profiler::monotonic_ns`.
+//!   times a scope by opening a profiler phase.
 //! * **`std::fs` ban in solver crates** — artifact I/O (telemetry and
 //!   hot-path reports) is owned by the bench binaries; a solver writing
 //!   files directly bypasses the binaries' output configuration.
@@ -59,17 +59,13 @@ const SOLVER_CRATES: &[&str] = &[
 ];
 
 /// Crates scanned for `Instant::now` on top of [`SOLVER_CRATES`]: the
-/// telemetry layer itself and the Monte Carlo engine, whose run timing
-/// reads the sanctioned `monotonic_ns` clock instead.
+/// telemetry layer itself and the Monte Carlo engine, whose campaigns are
+/// timed by their profiler phases instead.
 const CLOCK_CRATES: &[&str] = &["telemetry", "mc"];
 
-/// The only files allowed to construct an `Instant`: the telemetry span
-/// clock and the phase profiler (which exports `monotonic_ns` as the
-/// sanctioned clock for everyone else).
-const CLOCK_ALLOWLIST: &[&str] = &[
-    "crates/telemetry/src/span.rs",
-    "crates/telemetry/src/profiler.rs",
-];
+/// The only file allowed to construct an `Instant`: the phase profiler,
+/// the one clock behind every timed scope.
+const CLOCK_ALLOWLIST: &[&str] = &["crates/telemetry/src/profiler.rs"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -142,8 +138,8 @@ fn lint() -> ExitCode {
             {
                 violations.push(format!(
                     "crate `{krate}`: {relpath} reads the wall clock (Instant::now); \
-                     route timing through oxterm_telemetry::profiler::monotonic_ns \
-                     (only the profiler entry points may construct an Instant)"
+                     time the scope with an oxterm_telemetry::Profiler phase \
+                     (only the profiler may construct an Instant)"
                 ));
             }
             // The filesystem ban stays solver-only: telemetry owns the
